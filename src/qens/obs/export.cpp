@@ -8,7 +8,6 @@
 #include "qens/obs/json.h"
 
 namespace qens::obs {
-namespace {
 
 Status WriteTextFile(const std::string& content, const std::string& path) {
   std::ofstream out(path);
@@ -17,6 +16,8 @@ Status WriteTextFile(const std::string& content, const std::string& path) {
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }
+
+namespace {
 
 std::string JoinNumbers(const std::vector<double>& values) {
   std::string out;

@@ -14,6 +14,10 @@
 
 namespace qens::obs {
 
+/// Writes `content` to `path` verbatim; IOError if it cannot. Shared by
+/// every observability file writer.
+Status WriteTextFile(const std::string& content, const std::string& path);
+
 /// One JSON object: {"counters": {...}, "gauges": {...},
 /// "histograms": {name: {bounds, counts, total, sum, min, max}}}.
 std::string MetricsSnapshotToJson(const MetricsSnapshot& snapshot);

@@ -218,9 +218,8 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return ParseObject();
       case '[':
-        return ParseArray();
+        return ParseContainer();
       case '"': {
         QENS_ASSIGN_OR_RETURN(std::string s, ParseString());
         return JsonValue::String(std::move(s));
@@ -234,6 +233,18 @@ class Parser {
       default:
         return ParseNumber();
     }
+  }
+
+  Result<JsonValue> ParseContainer() {
+    if (depth_ == JsonValue::kMaxDepth) {
+      return Status::InvalidArgument(
+          StrFormat("json: nesting deeper than %zu at offset %zu",
+                    JsonValue::kMaxDepth, pos_));
+    }
+    ++depth_;
+    Result<JsonValue> value = text_[pos_] == '{' ? ParseObject() : ParseArray();
+    --depth_;
+    return value;
   }
 
   Result<JsonValue> ParseLiteral(const char* word, JsonValue value) {
@@ -369,6 +380,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  ///< Arrays/objects open at pos_.
 };
 
 }  // namespace

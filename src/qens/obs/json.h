@@ -10,8 +10,10 @@
 /// are stored as double (every value the exporters emit fits); `Dump()`
 /// prints them with enough digits to round-trip. Not a general-purpose
 /// JSON library: no \uXXXX escapes beyond ASCII, no duplicate-key
-/// detection, inputs are trusted repo-local artifacts.
+/// detection. Malformed input, nesting past `kMaxDepth` included, is
+/// rejected with a Status.
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +35,10 @@ class JsonValue {
   static JsonValue String(std::string v);
   static JsonValue Array();
   static JsonValue Object();
+
+  /// Deepest array/object nesting Parse accepts. The parser recurses once
+  /// per level, so the cap bounds its stack use; the exporters nest 4 deep.
+  static constexpr size_t kMaxDepth = 256;
 
   /// Parse one document (leading/trailing whitespace allowed; anything
   /// else after the document is an error).

@@ -1,179 +1,350 @@
 #include "qens/obs/round_record.h"
 
-#include <cstdlib>
-#include <fstream>
+#include <charconv>
+#include <cmath>
+#include <concepts>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 #include "qens/common/string_util.h"
+#include "qens/obs/export.h"
 #include "qens/obs/json.h"
 
 namespace qens::obs {
+namespace {
+
+/// Wire names, indexed by NodeFate.
+constexpr const char* kFateNames[] = {"completed", "unavailable",
+                                      "send_failed", "missed_deadline",
+                                      "rejected", "quarantined"};
+
+}  // namespace
 
 const char* NodeFateName(NodeFate fate) {
-  switch (fate) {
-    case NodeFate::kCompleted:
-      return "completed";
-    case NodeFate::kUnavailable:
-      return "unavailable";
-    case NodeFate::kSendFailed:
-      return "send_failed";
-    case NodeFate::kMissedDeadline:
-      return "missed_deadline";
-    case NodeFate::kRejected:
-      return "rejected";
-    case NodeFate::kQuarantined:
-      return "quarantined";
-  }
-  return "completed";
+  const size_t index = static_cast<size_t>(fate);
+  return index < std::size(kFateNames) ? kFateNames[index] : kFateNames[0];
 }
 
 Result<NodeFate> ParseNodeFate(const std::string& name) {
-  if (name == "completed") return NodeFate::kCompleted;
-  if (name == "unavailable") return NodeFate::kUnavailable;
-  if (name == "send_failed") return NodeFate::kSendFailed;
-  if (name == "missed_deadline") return NodeFate::kMissedDeadline;
-  if (name == "rejected") return NodeFate::kRejected;
-  if (name == "quarantined") return NodeFate::kQuarantined;
+  for (size_t i = 0; i < std::size(kFateNames); ++i) {
+    if (name == kFateNames[i]) return static_cast<NodeFate>(i);
+  }
   return Status::InvalidArgument("unknown node fate: " + name);
 }
 
 namespace {
 
-JsonValue NodeStatToJson(const NodeRoundStat& stat) {
-  JsonValue node = JsonValue::Object();
-  node.Set("node_id", JsonValue::Number(static_cast<double>(stat.node_id)));
-  node.Set("fate", JsonValue::String(NodeFateName(stat.fate)));
-  node.Set("train_seconds", JsonValue::Number(stat.train_seconds));
-  node.Set("comm_seconds", JsonValue::Number(stat.comm_seconds));
-  node.Set("samples_used",
-           JsonValue::Number(static_cast<double>(stat.samples_used)));
-  node.Set("straggler", JsonValue::Bool(stat.straggler));
-  return node;
+/// When a field appears in JSON. Every field is a CSV column.
+enum class InJson {
+  kAlways,  ///< Required key.
+  kIfSet,   ///< Only while above zero / non-empty, so records from runs with
+            ///< an opt-in layer off keep the schema from before that layer.
+  kNever,   ///< CSV-only.
+  kIfFlag,  ///< Only while the row's `flag` member is true; parsing sets it.
+};
+using enum InJson;
+
+/// One schema row: a member of `S` and the name it goes by in both formats.
+template <typename S, typename T>
+struct Field {
+  const char* name;
+  T S::*member;
+  InJson json = kAlways;
+  bool S::*flag = nullptr;
+};
+
+/// NodeRoundStat schema: the keys of a `nodes[]` object and, in order, the
+/// ':'-separated parts of one CSV `nodes` segment.
+constexpr std::tuple kNodeFields{
+    Field{"node_id", &NodeRoundStat::node_id},
+    Field{"fate", &NodeRoundStat::fate},
+    Field{"train_seconds", &NodeRoundStat::train_seconds},
+    Field{"comm_seconds", &NodeRoundStat::comm_seconds},
+    Field{"samples_used", &NodeRoundStat::samples_used},
+    Field{"straggler", &NodeRoundStat::straggler},
+};
+
+/// RoundRecord schema in CSV column order (docs/OBSERVABILITY.md). A new
+/// field is one member in round_record.h plus one row here.
+constexpr std::tuple kRecordFields{
+    Field{"session", &RoundRecord::session, kIfSet},
+    Field{"query_id", &RoundRecord::query_id},
+    Field{"round", &RoundRecord::round},
+    Field{"policy", &RoundRecord::policy},
+    Field{"aggregation", &RoundRecord::aggregation},
+    Field{"engaged", &RoundRecord::engaged},
+    Field{"survivors", &RoundRecord::survivors},
+    Field{"rejected", &RoundRecord::rejected, kIfSet},
+    Field{"quarantined", &RoundRecord::quarantined, kIfSet},
+    Field{"rank_index_rankings", &RoundRecord::rank_index_rankings, kIfSet},
+    Field{"rank_cache_hits", &RoundRecord::rank_cache_hits, kIfSet},
+    Field{"rank_cache_misses", &RoundRecord::rank_cache_misses, kIfSet},
+    Field{"rank_candidate_nodes", &RoundRecord::rank_candidate_nodes, kIfSet},
+    Field{"wire_down_bytes", &RoundRecord::wire_down_bytes, kIfSet},
+    Field{"wire_up_bytes", &RoundRecord::wire_up_bytes, kIfSet},
+    Field{"fleet_epoch", &RoundRecord::fleet_epoch, kIfSet},
+    Field{"nodes_joined", &RoundRecord::nodes_joined, kIfSet},
+    Field{"nodes_left", &RoundRecord::nodes_left, kIfSet},
+    Field{"refreshes", &RoundRecord::refreshes, kIfSet},
+    Field{"stale_rounds", &RoundRecord::stale_rounds, kIfSet},
+    Field{"query_class", &RoundRecord::query_class, kIfSet},
+    Field{"vt_queue_seconds", &RoundRecord::vt_queue_seconds, kIfSet},
+    Field{"vt_latency_seconds", &RoundRecord::vt_latency_seconds, kIfSet},
+    Field{"quorum_met", &RoundRecord::quorum_met},
+    Field{"parallel_seconds", &RoundRecord::parallel_seconds},
+    Field{"total_train_seconds", &RoundRecord::total_train_seconds},
+    Field{"comm_seconds", &RoundRecord::comm_seconds},
+    Field{"has_loss", &RoundRecord::has_loss, kNever},
+    Field{"loss", &RoundRecord::loss, kIfFlag, &RoundRecord::has_loss},
+    Field{"nodes", &RoundRecord::nodes},
+};
+
+/// Calls `fn(field)` on every row of `fields`, in order.
+template <typename Fields, typename Fn>
+void ForEachField(const Fields& fields, Fn fn) {
+  std::apply([&fn](const auto&... field) { (fn(field), ...); }, fields);
 }
 
-Result<NodeRoundStat> NodeStatFromJson(const JsonValue& node) {
-  NodeRoundStat stat;
-  QENS_ASSIGN_OR_RETURN(double node_id, node.GetNumber("node_id"));
-  stat.node_id = static_cast<size_t>(node_id);
-  QENS_ASSIGN_OR_RETURN(std::string fate, node.GetString("fate"));
-  QENS_ASSIGN_OR_RETURN(stat.fate, ParseNodeFate(fate));
-  QENS_ASSIGN_OR_RETURN(stat.train_seconds, node.GetNumber("train_seconds"));
-  QENS_ASSIGN_OR_RETURN(stat.comm_seconds, node.GetNumber("comm_seconds"));
-  QENS_ASSIGN_OR_RETURN(double samples, node.GetNumber("samples_used"));
-  stat.samples_used = static_cast<size_t>(samples);
-  QENS_ASSIGN_OR_RETURN(stat.straggler, node.GetBool("straggler"));
-  return stat;
+/// \name Value kinds
+/// One JSON and one CSV encode/decode pair per member type. Decoders return
+/// a bare reason; the field loops below prefix the field name.
+/// @{
+
+template <typename T>
+concept Number = std::is_arithmetic_v<T> && !std::same_as<T, bool>;
+template <typename T>
+concept Count = Number<T> && std::unsigned_integral<T>;
+
+Status ExpectKind(bool ok, const char* kind) {
+  return ok ? Status::OK()
+            : Status::InvalidArgument(StrFormat("is not a %s", kind));
 }
 
-Status WriteTextFile(const std::string& content, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << content;
-  if (!out) return Status::IOError("write failed: " + path);
+/// Counts and doubles: a JSON number, and a CSV cell that must be one
+/// whole token (no sign on counts, no padding, no trailing bytes).
+template <Number T>
+JsonValue ToJson(T v) {
+  return JsonValue::Number(static_cast<double>(v));
+}
+template <Number T>
+Status FromCsv(const std::string& cell, T* out) {
+  const char* end = cell.data() + cell.size();
+  const auto [stop, error] = std::from_chars(cell.data(), end, *out);
+  if (error != std::errc() || stop != end) {
+    return Status::InvalidArgument("bad number '" + cell + "'");
+  }
   return Status::OK();
+}
+
+template <Count T>
+Status FromJson(const JsonValue& json, T* out) {
+  QENS_RETURN_NOT_OK(ExpectKind(json.is_number(), "number"));
+  // Range-check before the cast: converting a double outside [0, 2^digits)
+  // to an unsigned integer is undefined behaviour.
+  const double v = json.AsNumber();
+  if (!(v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits)) ||
+      v != std::floor(v)) {
+    return Status::InvalidArgument("is not a count: " + JsonNumber(v));
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
+template <Count T>
+std::string ToCsv(T v) {
+  return std::to_string(v);
+}
+
+Status FromJson(const JsonValue& json, double* out) {
+  QENS_RETURN_NOT_OK(ExpectKind(json.is_number(), "number"));
+  *out = json.AsNumber();
+  return Status::OK();
+}
+std::string ToCsv(double v) { return JsonNumber(v); }
+
+JsonValue ToJson(bool v) { return JsonValue::Bool(v); }
+Status FromJson(const JsonValue& json, bool* out) {
+  QENS_RETURN_NOT_OK(ExpectKind(json.is_bool(), "bool"));
+  *out = json.AsBool();
+  return Status::OK();
+}
+std::string ToCsv(bool v) { return v ? "1" : "0"; }
+Status FromCsv(const std::string& cell, bool* out) {
+  if (cell != "0" && cell != "1") {
+    return Status::InvalidArgument("bad bool '" + cell + "'");
+  }
+  *out = cell == "1";
+  return Status::OK();
+}
+
+JsonValue ToJson(const std::string& v) { return JsonValue::String(v); }
+Status FromJson(const JsonValue& json, std::string* out) {
+  QENS_RETURN_NOT_OK(ExpectKind(json.is_string(), "string"));
+  *out = json.AsString();
+  return Status::OK();
+}
+std::string ToCsv(const std::string& v) { return v; }
+Status FromCsv(const std::string& cell, std::string* out) {
+  *out = cell;
+  return Status::OK();
+}
+
+JsonValue ToJson(NodeFate v) { return JsonValue::String(NodeFateName(v)); }
+std::string ToCsv(NodeFate v) { return NodeFateName(v); }
+Status FromCsv(const std::string& cell, NodeFate* out) {
+  QENS_ASSIGN_OR_RETURN(*out, ParseNodeFate(cell));
+  return Status::OK();
+}
+Status FromJson(const JsonValue& json, NodeFate* out) {
+  QENS_RETURN_NOT_OK(ExpectKind(json.is_string(), "string"));
+  return FromCsv(json.AsString(), out);
+}
+
+// The nodes list recurses into kNodeFields; defined after the field loops.
+JsonValue ToJson(const std::vector<NodeRoundStat>& nodes);
+Status FromJson(const JsonValue& json, std::vector<NodeRoundStat>* out);
+std::string ToCsv(const std::vector<NodeRoundStat>& nodes);
+Status FromCsv(const std::string& cell, std::vector<NodeRoundStat>* out);
+
+/// The kIfSet test: a count or duration above zero, a non-empty string.
+template <typename T>
+bool IsSet(const T& v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return v > T{};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return !v.empty();
+  } else {
+    return true;
+  }
+}
+/// @}
+
+Status Named(const char* field, const Status& status) {
+  if (status.ok()) return status;
+  return Status::InvalidArgument(
+      StrFormat("%s: %s", field, status.message().c_str()));
+}
+
+/// \name Field loops
+/// The four codecs, each one pass over a schema table.
+/// @{
+
+template <typename S, typename Fields>
+JsonValue ObjectToJson(const S& s, const Fields& fields) {
+  JsonValue out = JsonValue::Object();
+  ForEachField(fields, [&](const auto& f) {
+    const auto& value = s.*f.member;
+    if (f.json == kAlways ||
+        (f.json == kIfSet && IsSet(value)) ||
+        (f.json == kIfFlag && s.*f.flag)) {
+      out.Set(f.name, ToJson(value));
+    }
+  });
+  return out;
+}
+
+template <typename S, typename Fields>
+Status ObjectFromJson(const JsonValue& json, const Fields& fields, S* s) {
+  if (!json.is_object()) return Status::InvalidArgument("not a JSON object");
+  Status status;
+  ForEachField(fields, [&](const auto& f) {
+    if (!status.ok() || f.json == kNever) return;
+    if (const JsonValue* value = json.Find(f.name)) {
+      status = Named(f.name, FromJson(*value, &(s->*f.member)));
+      if (f.json == kIfFlag) s->*f.flag = true;
+    } else if (f.json == kAlways) {
+      status = Status::InvalidArgument(StrFormat("%s: missing", f.name));
+    }
+  });
+  return status;
+}
+
+template <typename S, typename Fields>
+std::string ObjectToCsv(const S& s, const Fields& fields, char separator) {
+  std::string out;
+  ForEachField(fields, [&](const auto& f) {
+    out += ToCsv(s.*f.member);
+    out.push_back(separator);
+  });
+  out.pop_back();
+  return out;
+}
+
+template <typename S, typename Fields>
+Status ObjectFromCsv(const std::string& row, const Fields& fields,
+                     char separator, S* s) {
+  const std::vector<std::string> cells = Split(row, separator);
+  if (cells.size() != std::tuple_size_v<Fields>) {
+    return Status::InvalidArgument(
+        StrFormat("expected %zu cells, got %zu", std::tuple_size_v<Fields>,
+                  cells.size()));
+  }
+  Status status;
+  size_t cell = 0;
+  ForEachField(fields, [&](const auto& f) {
+    if (status.ok()) {
+      status = Named(f.name, FromCsv(cells[cell], &(s->*f.member)));
+    }
+    ++cell;
+  });
+  return status;
+}
+/// @}
+
+JsonValue ToJson(const std::vector<NodeRoundStat>& nodes) {
+  JsonValue out = JsonValue::Array();
+  for (const NodeRoundStat& node : nodes) {
+    out.Append(ObjectToJson(node, kNodeFields));
+  }
+  return out;
+}
+
+Status FromJson(const JsonValue& json, std::vector<NodeRoundStat>* out) {
+  QENS_RETURN_NOT_OK(ExpectKind(json.is_array(), "array"));
+  for (const JsonValue& element : json.AsArray()) {
+    NodeRoundStat node;
+    QENS_RETURN_NOT_OK(ObjectFromJson(element, kNodeFields, &node));
+    out->push_back(node);
+  }
+  return Status::OK();
+}
+
+/// Segments joined by ';'; an empty cell is an empty list.
+std::string ToCsv(const std::vector<NodeRoundStat>& nodes) {
+  std::string out;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (i > 0) out.push_back(';');
+    out += ObjectToCsv(nodes[i], kNodeFields, ':');
+  }
+  return out;
+}
+
+Status FromCsv(const std::string& cell, std::vector<NodeRoundStat>* out) {
+  if (cell.empty()) return Status::OK();
+  for (const std::string& segment : Split(cell, ';')) {
+    NodeRoundStat node;
+    QENS_RETURN_NOT_OK(ObjectFromCsv(segment, kNodeFields, ':', &node));
+    out->push_back(node);
+  }
+  return Status::OK();
+}
+
+std::string CsvHeader() {
+  std::string out;
+  ForEachField(kRecordFields, [&out](const auto& f) {
+    out += f.name;
+    out.push_back(',');
+  });
+  out.pop_back();
+  return out;
 }
 
 }  // namespace
 
 std::string RoundRecordToJson(const RoundRecord& record) {
-  JsonValue root = JsonValue::Object();
-  // Emitted only for tagged (QueryServer) sessions so sequential JSONL
-  // stays byte-compatible with pre-serving consumers.
-  if (record.session > 0) {
-    root.Set("session", JsonValue::Number(static_cast<double>(record.session)));
-  }
-  root.Set("query_id", JsonValue::Number(static_cast<double>(record.query_id)));
-  root.Set("round", JsonValue::Number(static_cast<double>(record.round)));
-  root.Set("policy", JsonValue::String(record.policy));
-  root.Set("aggregation", JsonValue::String(record.aggregation));
-  root.Set("engaged", JsonValue::Number(static_cast<double>(record.engaged)));
-  root.Set("survivors",
-           JsonValue::Number(static_cast<double>(record.survivors)));
-  root.Set("quorum_met", JsonValue::Bool(record.quorum_met));
-  // Byzantine counters are emitted only when nonzero so fault-free JSONL
-  // stays byte-compatible with pre-robustness consumers.
-  if (record.rejected > 0) {
-    root.Set("rejected",
-             JsonValue::Number(static_cast<double>(record.rejected)));
-  }
-  if (record.quarantined > 0) {
-    root.Set("quarantined",
-             JsonValue::Number(static_cast<double>(record.quarantined)));
-  }
-  // Ranking-accelerator counters: nonzero-only, same byte-compatibility
-  // contract as the byzantine counters above.
-  if (record.rank_index_rankings > 0) {
-    root.Set("rank_index_rankings",
-             JsonValue::Number(static_cast<double>(record.rank_index_rankings)));
-  }
-  if (record.rank_cache_hits > 0) {
-    root.Set("rank_cache_hits",
-             JsonValue::Number(static_cast<double>(record.rank_cache_hits)));
-  }
-  if (record.rank_cache_misses > 0) {
-    root.Set("rank_cache_misses",
-             JsonValue::Number(static_cast<double>(record.rank_cache_misses)));
-  }
-  if (record.rank_candidate_nodes > 0) {
-    root.Set("rank_candidate_nodes",
-             JsonValue::Number(static_cast<double>(record.rank_candidate_nodes)));
-  }
-  // Wire-layer byte counters: nonzero-only, same byte-compatibility
-  // contract (the wire layer is opt-in; with it off nothing is emitted).
-  if (record.wire_down_bytes > 0) {
-    root.Set("wire_down_bytes",
-             JsonValue::Number(static_cast<double>(record.wire_down_bytes)));
-  }
-  if (record.wire_up_bytes > 0) {
-    root.Set("wire_up_bytes",
-             JsonValue::Number(static_cast<double>(record.wire_up_bytes)));
-  }
-  // Dynamic-fleet counters: nonzero-only, same byte-compatibility contract
-  // (with the dynamic layer off every one of these is zero).
-  if (record.fleet_epoch > 0) {
-    root.Set("fleet_epoch",
-             JsonValue::Number(static_cast<double>(record.fleet_epoch)));
-  }
-  if (record.nodes_joined > 0) {
-    root.Set("nodes_joined",
-             JsonValue::Number(static_cast<double>(record.nodes_joined)));
-  }
-  if (record.nodes_left > 0) {
-    root.Set("nodes_left",
-             JsonValue::Number(static_cast<double>(record.nodes_left)));
-  }
-  if (record.refreshes > 0) {
-    root.Set("refreshes",
-             JsonValue::Number(static_cast<double>(record.refreshes)));
-  }
-  if (record.stale_rounds > 0) {
-    root.Set("stale_rounds",
-             JsonValue::Number(static_cast<double>(record.stale_rounds)));
-  }
-  // Serving-pipeline telemetry: non-empty/nonzero-only, same
-  // byte-compatibility contract (the request pipeline is opt-in; batch
-  // serving emits none of these).
-  if (!record.query_class.empty()) {
-    root.Set("query_class", JsonValue::String(record.query_class));
-  }
-  if (record.vt_queue_seconds > 0.0) {
-    root.Set("vt_queue_seconds", JsonValue::Number(record.vt_queue_seconds));
-  }
-  if (record.vt_latency_seconds > 0.0) {
-    root.Set("vt_latency_seconds",
-             JsonValue::Number(record.vt_latency_seconds));
-  }
-  root.Set("parallel_seconds", JsonValue::Number(record.parallel_seconds));
-  root.Set("total_train_seconds",
-           JsonValue::Number(record.total_train_seconds));
-  root.Set("comm_seconds", JsonValue::Number(record.comm_seconds));
-  if (record.has_loss) root.Set("loss", JsonValue::Number(record.loss));
-  JsonValue nodes = JsonValue::Array();
-  for (const NodeRoundStat& stat : record.nodes) {
-    nodes.Append(NodeStatToJson(stat));
-  }
-  root.Set("nodes", std::move(nodes));
-  return root.Dump();
+  return ObjectToJson(record, kRecordFields).Dump();
 }
 
 std::string RoundRecordsToJsonl(const std::vector<RoundRecord>& records) {
@@ -192,118 +363,9 @@ Status WriteRoundRecordsJsonl(const std::vector<RoundRecord>& records,
 
 Result<RoundRecord> ParseRoundRecordJson(const std::string& line) {
   QENS_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(line));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("round record: not a JSON object");
-  }
   RoundRecord record;
-  if (const JsonValue* session = root.Find("session")) {
-    if (!session->is_number()) {
-      return Status::InvalidArgument("round record: session is not a number");
-    }
-    record.session = static_cast<uint64_t>(session->AsNumber());
-  }
-  QENS_ASSIGN_OR_RETURN(double query_id, root.GetNumber("query_id"));
-  record.query_id = static_cast<uint64_t>(query_id);
-  QENS_ASSIGN_OR_RETURN(double round, root.GetNumber("round"));
-  record.round = static_cast<size_t>(round);
-  QENS_ASSIGN_OR_RETURN(record.policy, root.GetString("policy"));
-  QENS_ASSIGN_OR_RETURN(record.aggregation, root.GetString("aggregation"));
-  QENS_ASSIGN_OR_RETURN(double engaged, root.GetNumber("engaged"));
-  record.engaged = static_cast<size_t>(engaged);
-  QENS_ASSIGN_OR_RETURN(double survivors, root.GetNumber("survivors"));
-  record.survivors = static_cast<size_t>(survivors);
-  QENS_ASSIGN_OR_RETURN(record.quorum_met, root.GetBool("quorum_met"));
-  if (const JsonValue* rejected = root.Find("rejected")) {
-    if (!rejected->is_number()) {
-      return Status::InvalidArgument("round record: rejected is not a number");
-    }
-    record.rejected = static_cast<size_t>(rejected->AsNumber());
-  }
-  if (const JsonValue* quarantined = root.Find("quarantined")) {
-    if (!quarantined->is_number()) {
-      return Status::InvalidArgument(
-          "round record: quarantined is not a number");
-    }
-    record.quarantined = static_cast<size_t>(quarantined->AsNumber());
-  }
-  auto parse_optional_count = [&root](const char* name,
-                                      size_t* out) -> Status {
-    if (const JsonValue* value = root.Find(name)) {
-      if (!value->is_number()) {
-        return Status::InvalidArgument(
-            StrFormat("round record: %s is not a number", name));
-      }
-      *out = static_cast<size_t>(value->AsNumber());
-    }
-    return Status::OK();
-  };
-  QENS_RETURN_NOT_OK(parse_optional_count("rank_index_rankings",
-                                          &record.rank_index_rankings));
-  QENS_RETURN_NOT_OK(
-      parse_optional_count("rank_cache_hits", &record.rank_cache_hits));
-  QENS_RETURN_NOT_OK(
-      parse_optional_count("rank_cache_misses", &record.rank_cache_misses));
-  QENS_RETURN_NOT_OK(parse_optional_count("rank_candidate_nodes",
-                                          &record.rank_candidate_nodes));
-  QENS_RETURN_NOT_OK(
-      parse_optional_count("wire_down_bytes", &record.wire_down_bytes));
-  QENS_RETURN_NOT_OK(
-      parse_optional_count("wire_up_bytes", &record.wire_up_bytes));
-  if (const JsonValue* epoch = root.Find("fleet_epoch")) {
-    if (!epoch->is_number()) {
-      return Status::InvalidArgument(
-          "round record: fleet_epoch is not a number");
-    }
-    record.fleet_epoch = static_cast<uint64_t>(epoch->AsNumber());
-  }
-  QENS_RETURN_NOT_OK(
-      parse_optional_count("nodes_joined", &record.nodes_joined));
-  QENS_RETURN_NOT_OK(parse_optional_count("nodes_left", &record.nodes_left));
-  QENS_RETURN_NOT_OK(parse_optional_count("refreshes", &record.refreshes));
-  QENS_RETURN_NOT_OK(
-      parse_optional_count("stale_rounds", &record.stale_rounds));
-  if (const JsonValue* query_class = root.Find("query_class")) {
-    if (!query_class->is_string()) {
-      return Status::InvalidArgument(
-          "round record: query_class is not a string");
-    }
-    record.query_class = query_class->AsString();
-  }
-  auto parse_optional_number = [&root](const char* name,
-                                       double* out) -> Status {
-    if (const JsonValue* value = root.Find(name)) {
-      if (!value->is_number()) {
-        return Status::InvalidArgument(
-            StrFormat("round record: %s is not a number", name));
-      }
-      *out = value->AsNumber();
-    }
-    return Status::OK();
-  };
-  QENS_RETURN_NOT_OK(
-      parse_optional_number("vt_queue_seconds", &record.vt_queue_seconds));
-  QENS_RETURN_NOT_OK(parse_optional_number("vt_latency_seconds",
-                                           &record.vt_latency_seconds));
-  QENS_ASSIGN_OR_RETURN(record.parallel_seconds,
-                        root.GetNumber("parallel_seconds"));
-  QENS_ASSIGN_OR_RETURN(record.total_train_seconds,
-                        root.GetNumber("total_train_seconds"));
-  QENS_ASSIGN_OR_RETURN(record.comm_seconds, root.GetNumber("comm_seconds"));
-  if (const JsonValue* loss = root.Find("loss")) {
-    if (!loss->is_number()) {
-      return Status::InvalidArgument("round record: loss is not a number");
-    }
-    record.has_loss = true;
-    record.loss = loss->AsNumber();
-  }
-  const JsonValue* nodes = root.Find("nodes");
-  if (nodes == nullptr || !nodes->is_array()) {
-    return Status::InvalidArgument("round record: missing nodes array");
-  }
-  for (const JsonValue& node : nodes->AsArray()) {
-    QENS_ASSIGN_OR_RETURN(NodeRoundStat stat, NodeStatFromJson(node));
-    record.nodes.push_back(std::move(stat));
-  }
+  QENS_RETURN_NOT_OK(Named("round record",
+                           ObjectFromJson(root, kRecordFields, &record)));
   return record;
 }
 
@@ -320,75 +382,12 @@ Result<std::vector<RoundRecord>> ParseRoundRecordsJsonl(
   return records;
 }
 
-namespace {
-
-constexpr char kCsvHeader[] =
-    "session,query_id,round,policy,aggregation,engaged,survivors,rejected,"
-    "quarantined,rank_index_rankings,rank_cache_hits,rank_cache_misses,"
-    "rank_candidate_nodes,wire_down_bytes,wire_up_bytes,fleet_epoch,"
-    "nodes_joined,nodes_left,refreshes,stale_rounds,query_class,"
-    "vt_queue_seconds,vt_latency_seconds,quorum_met,"
-    "parallel_seconds,total_train_seconds,comm_seconds,has_loss,loss,nodes";
-
-constexpr size_t kCsvColumns = 30;
-
-std::string NodesCell(const std::vector<NodeRoundStat>& nodes) {
-  std::string out;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) out.push_back(';');
-    out += StrFormat("%zu:%s:%s:%s:%zu:%d", nodes[i].node_id,
-                     NodeFateName(nodes[i].fate),
-                     JsonNumber(nodes[i].train_seconds).c_str(),
-                     JsonNumber(nodes[i].comm_seconds).c_str(),
-                     nodes[i].samples_used, nodes[i].straggler ? 1 : 0);
-  }
-  return out;
-}
-
-Result<std::vector<NodeRoundStat>> ParseNodesCell(const std::string& cell) {
-  std::vector<NodeRoundStat> nodes;
-  if (cell.empty()) return nodes;
-  for (const std::string& segment : Split(cell, ';')) {
-    const std::vector<std::string> fields = Split(segment, ':');
-    if (fields.size() != 6) {
-      return Status::InvalidArgument("round csv: bad node segment " + segment);
-    }
-    NodeRoundStat stat;
-    stat.node_id = static_cast<size_t>(std::strtoull(fields[0].c_str(),
-                                                     nullptr, 10));
-    QENS_ASSIGN_OR_RETURN(stat.fate, ParseNodeFate(fields[1]));
-    stat.train_seconds = std::strtod(fields[2].c_str(), nullptr);
-    stat.comm_seconds = std::strtod(fields[3].c_str(), nullptr);
-    stat.samples_used = static_cast<size_t>(std::strtoull(fields[4].c_str(),
-                                                          nullptr, 10));
-    stat.straggler = fields[5] == "1";
-    nodes.push_back(stat);
-  }
-  return nodes;
-}
-
-}  // namespace
-
 std::string RoundRecordsToCsv(const std::vector<RoundRecord>& records) {
-  std::string out = kCsvHeader;
+  std::string out = CsvHeader();
   out.push_back('\n');
-  for (const RoundRecord& r : records) {
-    out += StrFormat(
-        "%llu,%llu,%zu,%s,%s,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%llu,"
-        "%zu,%zu,%zu,%zu,%s,%s,%s,%d,%s,%s,%s,%d,%s,%s\n",
-        static_cast<unsigned long long>(r.session),
-        static_cast<unsigned long long>(r.query_id), r.round,
-        r.policy.c_str(), r.aggregation.c_str(), r.engaged, r.survivors,
-        r.rejected, r.quarantined, r.rank_index_rankings, r.rank_cache_hits,
-        r.rank_cache_misses, r.rank_candidate_nodes, r.wire_down_bytes,
-        r.wire_up_bytes, static_cast<unsigned long long>(r.fleet_epoch),
-        r.nodes_joined, r.nodes_left, r.refreshes, r.stale_rounds,
-        r.query_class.c_str(), JsonNumber(r.vt_queue_seconds).c_str(),
-        JsonNumber(r.vt_latency_seconds).c_str(),
-        r.quorum_met ? 1 : 0, JsonNumber(r.parallel_seconds).c_str(),
-        JsonNumber(r.total_train_seconds).c_str(),
-        JsonNumber(r.comm_seconds).c_str(), r.has_loss ? 1 : 0,
-        JsonNumber(r.loss).c_str(), NodesCell(r.nodes).c_str());
+  for (const RoundRecord& record : records) {
+    out += ObjectToCsv(record, kRecordFields, ',');
+    out.push_back('\n');
   }
   return out;
 }
@@ -399,6 +398,7 @@ Status WriteRoundRecordsCsv(const std::vector<RoundRecord>& records,
 }
 
 Result<std::vector<RoundRecord>> ParseRoundRecordsCsv(const std::string& text) {
+  const std::string header = CsvHeader();
   std::vector<RoundRecord> records;
   std::istringstream in(text);
   std::string line;
@@ -407,62 +407,15 @@ Result<std::vector<RoundRecord>> ParseRoundRecordsCsv(const std::string& text) {
     if (Trim(line).empty()) continue;
     if (first) {
       first = false;
-      if (Trim(line) != kCsvHeader) {
+      if (Trim(line) != header) {
         return Status::InvalidArgument("round csv: unexpected header " + line);
       }
       continue;
     }
-    const std::vector<std::string> cells = Split(line, ',');
-    if (cells.size() != kCsvColumns) {
-      return Status::InvalidArgument(
-          StrFormat("round csv: expected %zu cells, got %zu", kCsvColumns,
-                    cells.size()));
-    }
-    RoundRecord r;
-    r.session = std::strtoull(cells[0].c_str(), nullptr, 10);
-    r.query_id = std::strtoull(cells[1].c_str(), nullptr, 10);
-    r.round = static_cast<size_t>(std::strtoull(cells[2].c_str(), nullptr, 10));
-    r.policy = cells[3];
-    r.aggregation = cells[4];
-    r.engaged = static_cast<size_t>(std::strtoull(cells[5].c_str(), nullptr, 10));
-    r.survivors =
-        static_cast<size_t>(std::strtoull(cells[6].c_str(), nullptr, 10));
-    r.rejected =
-        static_cast<size_t>(std::strtoull(cells[7].c_str(), nullptr, 10));
-    r.quarantined =
-        static_cast<size_t>(std::strtoull(cells[8].c_str(), nullptr, 10));
-    r.rank_index_rankings =
-        static_cast<size_t>(std::strtoull(cells[9].c_str(), nullptr, 10));
-    r.rank_cache_hits =
-        static_cast<size_t>(std::strtoull(cells[10].c_str(), nullptr, 10));
-    r.rank_cache_misses =
-        static_cast<size_t>(std::strtoull(cells[11].c_str(), nullptr, 10));
-    r.rank_candidate_nodes =
-        static_cast<size_t>(std::strtoull(cells[12].c_str(), nullptr, 10));
-    r.wire_down_bytes =
-        static_cast<size_t>(std::strtoull(cells[13].c_str(), nullptr, 10));
-    r.wire_up_bytes =
-        static_cast<size_t>(std::strtoull(cells[14].c_str(), nullptr, 10));
-    r.fleet_epoch = std::strtoull(cells[15].c_str(), nullptr, 10);
-    r.nodes_joined =
-        static_cast<size_t>(std::strtoull(cells[16].c_str(), nullptr, 10));
-    r.nodes_left =
-        static_cast<size_t>(std::strtoull(cells[17].c_str(), nullptr, 10));
-    r.refreshes =
-        static_cast<size_t>(std::strtoull(cells[18].c_str(), nullptr, 10));
-    r.stale_rounds =
-        static_cast<size_t>(std::strtoull(cells[19].c_str(), nullptr, 10));
-    r.query_class = cells[20];
-    r.vt_queue_seconds = std::strtod(cells[21].c_str(), nullptr);
-    r.vt_latency_seconds = std::strtod(cells[22].c_str(), nullptr);
-    r.quorum_met = cells[23] == "1";
-    r.parallel_seconds = std::strtod(cells[24].c_str(), nullptr);
-    r.total_train_seconds = std::strtod(cells[25].c_str(), nullptr);
-    r.comm_seconds = std::strtod(cells[26].c_str(), nullptr);
-    r.has_loss = cells[27] == "1";
-    r.loss = std::strtod(cells[28].c_str(), nullptr);
-    QENS_ASSIGN_OR_RETURN(r.nodes, ParseNodesCell(cells[29]));
-    records.push_back(std::move(r));
+    RoundRecord record;
+    QENS_RETURN_NOT_OK(
+        Named("round csv", ObjectFromCsv(line, kRecordFields, ',', &record)));
+    records.push_back(std::move(record));
   }
   return records;
 }
