@@ -94,7 +94,6 @@ clip_norm = 1.0
 enabled = false          ; binary wire format + codec byte accounting
 codec = raw              ; raw | q8 | q4 | q2 | topk (docs/WIRE_FORMAT.md)
 top_k_fraction = 0.1     ; fraction of delta coords kept by topk
-strong_seed_mix = false  ; 64-bit model-init seed mixer (collision-free)
 
 [churn]
 enabled = false          ; dynamic fleet: nodes leave and rejoin mid-stream
@@ -282,8 +281,6 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
       wire.codec, ml::ParseWireCodecKind(ini.GetString("wire.codec", "raw")));
   QENS_ASSIGN_OR_RETURN(wire.top_k_fraction,
                         ini.GetDouble("wire.top_k_fraction", 0.1));
-  QENS_ASSIGN_OR_RETURN(config.federation.strong_seed_mix,
-                        ini.GetBool("wire.strong_seed_mix", false));
 
   // Dynamic-fleet layer: [churn] and [drift] each have their own enable so
   // churn-only and drift-only deployments read naturally; the layer itself

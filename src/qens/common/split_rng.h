@@ -14,9 +14,10 @@
 /// (key, i). Two consequences:
 ///
 ///  1. Any unit of work can reconstruct its exact stream from its logical
-///     coordinates alone — never from draw order or thread identity — which
-///     makes dynamic (work-stealing, size-adaptive) scheduling legal without
-///     giving up bit-identical replay. See ElasticOptions in thread_pool.h.
+///     coordinates alone — never from draw order or thread identity — so a
+///     stream is invariant to query arrival order as well as to scheduling.
+///     (Pool dispatch needs only the weaker per-unit seeding the legacy
+///     derivations already give; see ThreadPool::ParallelUnits.)
 ///  2. Streams can be audited: the full key path of every stream in the
 ///     system is documented in the purpose registry (docs/PERFORMANCE.md).
 ///

@@ -59,7 +59,6 @@ Result<QueryPlan> PlanQuery(
     if (input_features > 0) {
       Rng rng(options.session_seed.has_value()
                   ? ModelInitSeed(*options.session_seed, query.id,
-                                  options.strong_seed_mix,
                                   options.splittable_rng)
                   : 1);
       QENS_ASSIGN_OR_RETURN(ml::SequentialModel model,

@@ -51,10 +51,8 @@ struct PlannerOptions {
   /// the query: prices both link directions with the codec's closed-form
   /// sizes (down-link absolute codec, up-link delta codec).
   ml::WireOptions wire;
-  /// Must match FederationOptions::strong_seed_mix (see fl/seed_derivation.h).
-  bool strong_seed_mix = false;
-  /// Must match FederationOptions::splittable_rng: the splittable key-path
-  /// model-init derivation supersedes strong_seed_mix, and the dry-run must
+  /// Must match FederationOptions::splittable_rng: it selects the
+  /// model-init derivation (fl/seed_derivation.h), and the dry-run must
   /// agree with the session bit-for-bit.
   bool splittable_rng = false;
 };

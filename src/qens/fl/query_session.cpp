@@ -29,12 +29,6 @@ Result<std::shared_ptr<Fleet>> Fleet::Create(
     return Status::InvalidArgument(
         "federation: test_fraction must be in (0, 1)");
   }
-  if (options.elastic_scheduling && !options.splittable_rng) {
-    // Elastic execution reorders work across threads; it is only safe when
-    // every stream is coordinate-keyed (see docs/PERFORMANCE.md).
-    return Status::InvalidArgument(
-        "federation: elastic_scheduling requires splittable_rng");
-  }
 
   std::vector<data::Dataset> train_shards;
   std::vector<data::Dataset> test_shards;
@@ -172,12 +166,6 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
   }
   const FederationOptions& fopts = fleet->options;
   const size_t num_nodes = fleet->environment.num_nodes();
-  if (fopts.elastic_scheduling && !fopts.splittable_rng) {
-    // Elastic execution reorders work across threads; it is only safe when
-    // every stream is coordinate-keyed (see docs/PERFORMANCE.md).
-    return Status::InvalidArgument(
-        "federation: elastic_scheduling requires splittable_rng");
-  }
 
   // The session's leader starts from the fleet's published profiles and
   // accumulates its own reliability observations from there. The profiles
@@ -462,8 +450,7 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   };
 
   // Broadcast the initial global model w.
-  Rng init_rng(ModelInitSeed(seed_, query.id, options.strong_seed_mix,
-                             options.splittable_rng));
+  Rng init_rng(ModelInitSeed(seed_, query.id, options.splittable_rng));
   QENS_ASSIGN_OR_RETURN(
       ml::SequentialModel global,
       ml::BuildModel(options.hyper,

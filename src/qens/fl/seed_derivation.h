@@ -7,21 +7,17 @@
 /// dry-run model (and therefore its byte estimates under the text
 /// serializer) would diverge from the model the session actually trains.
 ///
-/// Three derivations coexist, selected by flags that default to the oldest:
+/// Two derivations coexist, selected by a flag that defaults to the older:
 ///
 ///  1. Historical affine map `seed * 1000003 + query_id`. NOT injective
 ///     across sessions: (seed, id) and (seed + 1, id - 1000003) collide
 ///     whenever ids reach 1000003, so two different sessions can initialize
 ///     identical models for different queries. Kept as the default for
 ///     byte-identical legacy outputs.
-///  2. `strong_seed_mix` (FederationOptions / PlannerOptions): a SplitMix64
-///     finalizer over the golden-ratio-separated pair — full avalanche, no
-///     collisions, but an ad-hoc formula outside the stream registry.
-///  3. `splittable` (FederationOptions::splittable_rng /
+///  2. `splittable` (FederationOptions::splittable_rng /
 ///     PlannerOptions::splittable_rng): the registered key path
 ///     `SplitRng(session_seed).Split(kModelInit).Split(query_id)`. This is
-///     the collision-free derivation the splittable-RNG mode uses; it takes
-///     precedence over `strong_seed_mix` (the mode implies strong mixing).
+///     the collision-free derivation the splittable-RNG mode uses.
 
 #include <cstdint>
 
@@ -33,7 +29,6 @@ namespace qens::fl {
 /// `session_seed`. Both the QuerySession round driver and the Planner's
 /// dry-run must call this — never inline the formula.
 inline uint64_t ModelInitSeed(uint64_t session_seed, uint64_t query_id,
-                              bool strong_mix = false,
                               bool splittable = false) {
   if (splittable) {
     // Registered key path (RngPurpose::kModelInit): collision-free across
@@ -43,18 +38,9 @@ inline uint64_t ModelInitSeed(uint64_t session_seed, uint64_t query_id,
         .Split(query_id)
         .key();
   }
-  if (!strong_mix) {
-    // Historical affine map (collision-prone across sessions, kept for
-    // byte-identical default outputs).
-    return session_seed * 1000003ull + query_id;
-  }
-  // SplitMix64 finalizer over the golden-ratio-separated pair: bijective in
-  // each argument, full avalanche, no cross-session collisions for
-  // distinct (seed, id) pairs within a session's id space.
-  uint64_t z = session_seed + 0x9e3779b97f4a7c15ull * (query_id + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  // Historical affine map (collision-prone across sessions, kept for
+  // byte-identical default outputs).
+  return session_seed * 1000003ull + query_id;
 }
 
 }  // namespace qens::fl

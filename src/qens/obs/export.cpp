@@ -1,10 +1,10 @@
 #include "qens/obs/export.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "qens/common/string_util.h"
+#include "qens/obs/decode.h"
 #include "qens/obs/json.h"
 
 namespace qens::obs {
@@ -88,10 +88,8 @@ Result<MetricsSnapshot> ParseMetricsSnapshotJson(const std::string& text) {
       return Status::InvalidArgument("metrics json: counters not an object");
     }
     for (const auto& [name, value] : counters->AsObject()) {
-      if (!value.is_number()) {
-        return Status::InvalidArgument("metrics json: counter " + name);
-      }
-      snapshot.counters[name] = static_cast<uint64_t>(value.AsNumber());
+      QENS_RETURN_NOT_OK(Named("metrics json: counter " + name,
+                               DecodeCount(value, &snapshot.counters[name])));
     }
   }
   if (const JsonValue* gauges = root.Find("gauges")) {
@@ -128,13 +126,14 @@ Result<MetricsSnapshot> ParseMetricsSnapshotJson(const std::string& text) {
         h.bounds.push_back(b.AsNumber());
       }
       for (const JsonValue& c : counts->AsArray()) {
-        if (!c.is_number()) {
-          return Status::InvalidArgument("metrics json: bad count in " + name);
-        }
-        h.counts.push_back(static_cast<uint64_t>(c.AsNumber()));
+        QENS_RETURN_NOT_OK(Named("metrics json: count in " + name,
+                                 DecodeCount(c, &h.counts.emplace_back())));
       }
-      QENS_ASSIGN_OR_RETURN(double total, value.GetNumber("total"));
-      h.total = static_cast<uint64_t>(total);
+      const JsonValue* total = value.Find("total");
+      QENS_RETURN_NOT_OK(Named(
+          "metrics json: total in " + name,
+          total == nullptr ? Status::InvalidArgument("missing")
+                           : DecodeCount(*total, &h.total)));
       QENS_ASSIGN_OR_RETURN(h.sum, value.GetNumber("sum"));
       QENS_ASSIGN_OR_RETURN(h.min, value.GetNumber("min"));
       QENS_ASSIGN_OR_RETURN(h.max, value.GetNumber("max"));
@@ -184,45 +183,52 @@ Result<MetricsSnapshot> ParseMetricsSnapshotCsv(const std::string& text) {
       continue;
     }
     const std::vector<std::string> cells = Split(line, ',');
-    if (cells.size() < 3) {
-      return Status::InvalidArgument("metrics csv: short row " + line);
+    const bool histogram = cells[0] == "histogram";
+    if (cells.size() != (histogram ? 5u : 3u)) {
+      return Status::InvalidArgument("metrics csv: bad row " + line);
     }
     if (cells[0] == "counter") {
-      snapshot.counters[cells[1]] = std::strtoull(cells[2].c_str(), nullptr, 10);
+      QENS_RETURN_NOT_OK(
+          Named("metrics csv: counter " + cells[1],
+                DecodeToken(cells[2], &snapshot.counters[cells[1]])));
     } else if (cells[0] == "gauge") {
-      snapshot.gauges[cells[1]] = std::strtod(cells[2].c_str(), nullptr);
-    } else if (cells[0] == "histogram") {
-      if (cells.size() != 5) {
-        return Status::InvalidArgument("metrics csv: bad histogram row " +
-                                       line);
-      }
+      QENS_RETURN_NOT_OK(
+          Named("metrics csv: gauge " + cells[1],
+                DecodeToken(cells[2], &snapshot.gauges[cells[1]])));
+    } else if (histogram) {
       HistogramSnapshot h;
       for (const std::string& kv : Split(cells[2], '|')) {
         const std::vector<std::string> parts = Split(kv, '=');
         if (parts.size() != 2) {
           return Status::InvalidArgument("metrics csv: bad stat " + kv);
         }
+        Status status;
         if (parts[0] == "total") {
-          h.total = std::strtoull(parts[1].c_str(), nullptr, 10);
+          status = DecodeToken(parts[1], &h.total);
         } else if (parts[0] == "sum") {
-          h.sum = std::strtod(parts[1].c_str(), nullptr);
+          status = DecodeToken(parts[1], &h.sum);
         } else if (parts[0] == "min") {
-          h.min = std::strtod(parts[1].c_str(), nullptr);
+          status = DecodeToken(parts[1], &h.min);
         } else if (parts[0] == "max") {
-          h.max = std::strtod(parts[1].c_str(), nullptr);
+          status = DecodeToken(parts[1], &h.max);
         } else {
           return Status::InvalidArgument("metrics csv: unknown stat " +
                                          parts[0]);
         }
+        QENS_RETURN_NOT_OK(Named("metrics csv: " + parts[0] + " in " +
+                                     cells[1],
+                                 status));
       }
       if (!cells[3].empty()) {
         for (const std::string& b : Split(cells[3], '|')) {
-          h.bounds.push_back(std::strtod(b.c_str(), nullptr));
+          QENS_RETURN_NOT_OK(Named("metrics csv: bound in " + cells[1],
+                                   DecodeToken(b, &h.bounds.emplace_back())));
         }
       }
       if (!cells[4].empty()) {
         for (const std::string& c : Split(cells[4], '|')) {
-          h.counts.push_back(std::strtoull(c.c_str(), nullptr, 10));
+          QENS_RETURN_NOT_OK(Named("metrics csv: count in " + cells[1],
+                                   DecodeToken(c, &h.counts.emplace_back())));
         }
       }
       snapshot.histograms[cells[1]] = std::move(h);

@@ -1,15 +1,12 @@
 #include "qens/obs/round_record.h"
 
-#include <charconv>
-#include <cmath>
-#include <concepts>
 #include <iterator>
-#include <limits>
 #include <sstream>
 #include <tuple>
 #include <type_traits>
 
 #include "qens/common/string_util.h"
+#include "qens/obs/decode.h"
 #include "qens/obs/export.h"
 #include "qens/obs/json.h"
 
@@ -113,11 +110,6 @@ void ForEachField(const Fields& fields, Fn fn) {
 /// a bare reason; the field loops below prefix the field name.
 /// @{
 
-template <typename T>
-concept Number = std::is_arithmetic_v<T> && !std::same_as<T, bool>;
-template <typename T>
-concept Count = Number<T> && std::unsigned_integral<T>;
-
 Status ExpectKind(bool ok, const char* kind) {
   return ok ? Status::OK()
             : Status::InvalidArgument(StrFormat("is not a %s", kind));
@@ -125,34 +117,20 @@ Status ExpectKind(bool ok, const char* kind) {
 
 /// Counts and doubles: a JSON number, and a CSV cell that must be one
 /// whole token (no sign on counts, no padding, no trailing bytes).
-template <Number T>
+template <Numeric T>
 JsonValue ToJson(T v) {
   return JsonValue::Number(static_cast<double>(v));
 }
-template <Number T>
+template <Numeric T>
 Status FromCsv(const std::string& cell, T* out) {
-  const char* end = cell.data() + cell.size();
-  const auto [stop, error] = std::from_chars(cell.data(), end, *out);
-  if (error != std::errc() || stop != end) {
-    return Status::InvalidArgument("bad number '" + cell + "'");
-  }
-  return Status::OK();
+  return DecodeToken(cell, out);
 }
 
-template <Count T>
+template <Unsigned T>
 Status FromJson(const JsonValue& json, T* out) {
-  QENS_RETURN_NOT_OK(ExpectKind(json.is_number(), "number"));
-  // Range-check before the cast: converting a double outside [0, 2^digits)
-  // to an unsigned integer is undefined behaviour.
-  const double v = json.AsNumber();
-  if (!(v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits)) ||
-      v != std::floor(v)) {
-    return Status::InvalidArgument("is not a count: " + JsonNumber(v));
-  }
-  *out = static_cast<T>(v);
-  return Status::OK();
+  return DecodeCount(json, out);
 }
-template <Count T>
+template <Unsigned T>
 std::string ToCsv(T v) {
   return std::to_string(v);
 }
@@ -220,12 +198,6 @@ bool IsSet(const T& v) {
   }
 }
 /// @}
-
-Status Named(const char* field, const Status& status) {
-  if (status.ok()) return status;
-  return Status::InvalidArgument(
-      StrFormat("%s: %s", field, status.message().c_str()));
-}
 
 /// \name Field loops
 /// The four codecs, each one pass over a schema table.

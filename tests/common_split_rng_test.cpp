@@ -136,10 +136,8 @@ TEST(SplitRngTest, ModelInitSeedCollisionRegression) {
   ASSERT_EQ(legacy_a, legacy_b);  // The bug being fixed, preserved bitwise.
 
   const uint64_t split_a = fl::ModelInitSeed(5, 1000003,
-                                             /*strong_mix=*/false,
                                              /*splittable=*/true);
-  const uint64_t split_b = fl::ModelInitSeed(6, 0, /*strong_mix=*/false,
-                                             /*splittable=*/true);
+  const uint64_t split_b = fl::ModelInitSeed(6, 0, /*splittable=*/true);
   EXPECT_NE(split_a, split_b);
   // Distinct keys yield distinct streams, not just distinct labels.
   EXPECT_NE(SplitRng(split_a).Draw(0), SplitRng(split_b).Draw(0));

@@ -1,10 +1,9 @@
-// Federation-level contract of the splittable-RNG + elastic-scheduling
-// modes: with splittable_rng on, every stream is a pure function of
-// logical coordinates, so outcomes are bit-identical across worker counts,
-// fixed vs elastic dispatch, and query arrival order — including under an
-// active fault plan. Also pins the option validation (elastic requires
-// splittable) and that legacy mode stays byte-identical by default (the
-// quickstart/bench outputs pin that end to end; here we pin the seeds).
+// Federation-level contract of the splittable-RNG mode: every stream is a
+// pure function of logical coordinates, so outcomes are bit-identical to the
+// sequential run at every pool worker count and across query arrival order
+// — including under an active fault plan. Also pins that legacy mode stays
+// byte-identical by default (the quickstart/bench outputs pin that end to
+// end; here we pin the seeds).
 
 #include <gtest/gtest.h>
 
@@ -71,36 +70,9 @@ void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
   EXPECT_DOUBLE_EQ(a.sim_time_comm, b.sim_time_comm);
 }
 
-TEST(SplittableElasticTest, ElasticSchedulingRequiresSplittableRng) {
-  FederationOptions options = SplittableOptions();
-  options.splittable_rng = false;
-  options.elastic_scheduling = true;
-  auto fleet = Fleet::Create(MakeNodes(), options);
-  ASSERT_FALSE(fleet.ok());
-  EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SplittableElasticTest, ElasticServingRequiresSplittableFleet) {
-  FederationOptions options = SplittableOptions();
-  options.splittable_rng = false;
-  auto fleet = Fleet::Create(MakeNodes(), options);
-  ASSERT_TRUE(fleet.ok());
-  ServingOptions serving;
-  serving.num_workers = 2;
-  serving.elastic = true;
-  auto server = QueryServer::Create(*fleet, serving);
-  ASSERT_TRUE(server.ok());
-  SessionSpec spec;
-  spec.queries.push_back(QueryOver(0, 10, 1));
-  auto results = server->Serve({spec, spec});
-  ASSERT_FALSE(results.ok());
-  EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SplittableElasticTest, TrainingFanOutBitIdenticalFixedVsElastic) {
-  // The same workload under every dispatch combination: sequential,
-  // fixed pooled, elastic pooled, at several worker counts. Splittable
-  // streams are coordinate-keyed, so every combination must agree.
+TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
+  // The same workload sequentially and pooled at several worker counts.
+  // Splittable streams are coordinate-keyed, so every run must agree.
   const std::vector<query::RangeQuery> queries = {
       QueryOver(0, 10, 1), QueryOver(2, 8, 2), QueryOver(0, 5, 3)};
 
@@ -116,30 +88,26 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalFixedVsElastic) {
     EXPECT_FALSE(expected[0].skipped);
   }
 
-  for (const bool elastic : {false, true}) {
-    for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
-      FederationOptions options = SplittableOptions();
-      options.parallel_local_training = true;
-      options.max_parallel_nodes = workers;
-      options.elastic_scheduling = elastic;
-      auto fed = Federation::Create(MakeNodes(), options);
-      ASSERT_TRUE(fed.ok()) << fed.status().ToString();
-      for (size_t i = 0; i < queries.size(); ++i) {
-        auto outcome = fed->RunQueryDriven(queries[i]);
-        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        SCOPED_TRACE(testing::Message() << "elastic=" << elastic
-                                        << " workers=" << workers
-                                        << " query=" << i);
-        ExpectIdenticalOutcomes(expected[i], *outcome);
-      }
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    FederationOptions options = SplittableOptions();
+    options.parallel_local_training = true;
+    options.max_parallel_nodes = workers;
+    auto fed = Federation::Create(MakeNodes(), options);
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto outcome = fed->RunQueryDriven(queries[i]);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      SCOPED_TRACE(testing::Message() << "workers=" << workers
+                                      << " query=" << i);
+      ExpectIdenticalOutcomes(expected[i], *outcome);
     }
   }
 }
 
-TEST(SplittableElasticTest, FaultyFanOutBitIdenticalFixedVsElastic) {
-  // Straggler-heavy fault plan: per-unit work is skewed, so the elastic
-  // path actually steals — and must still match the sequential run bit
-  // for bit (fault draws are coordinate-keyed too in splittable mode).
+TEST(SplittableElasticTest, FaultyFanOutBitIdenticalAcrossWorkerCounts) {
+  // Straggler-heavy fault plan: per-unit work is skewed, so the pool
+  // actually steals — and must still match the sequential run bit for bit
+  // (fault draws are coordinate-keyed too in splittable mode).
   auto faulty_options = [] {
     FederationOptions options = SplittableOptions();
     options.fault_tolerance.enabled = true;
@@ -164,28 +132,27 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalFixedVsElastic) {
     }
   }
 
-  for (const bool elastic : {false, true}) {
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
     FederationOptions options = faulty_options();
     options.parallel_local_training = true;
-    options.max_parallel_nodes = 4;
-    options.elastic_scheduling = elastic;
+    options.max_parallel_nodes = workers;
     auto fed = Federation::Create(MakeNodes(), options);
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (size_t i = 0; i < queries.size(); ++i) {
       auto outcome = fed->RunQueryMultiRound(queries[i], selection::PolicyKind::kQueryDriven,
                               /*data_selectivity=*/true, 3);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      SCOPED_TRACE(testing::Message() << "elastic=" << elastic << " query="
+      SCOPED_TRACE(testing::Message() << "workers=" << workers << " query="
                                       << i);
       ExpectIdenticalOutcomes(expected[i], *outcome);
     }
   }
 }
 
-TEST(SplittableElasticTest, ElasticServingBitIdenticalToSequential) {
+TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
   auto fleet = Fleet::Create(MakeNodes(), SplittableOptions());
   ASSERT_TRUE(fleet.ok());
-  // Mixed session sizes so elastic claiming actually redistributes.
+  // Mixed session sizes so dynamic claiming actually redistributes.
   std::vector<SessionSpec> specs;
   for (size_t s = 0; s < 5; ++s) {
     SessionSpec spec;
@@ -204,7 +171,6 @@ TEST(SplittableElasticTest, ElasticServingBitIdenticalToSequential) {
   for (const size_t workers : {size_t{2}, size_t{4}}) {
     ServingOptions serving;
     serving.num_workers = workers;
-    serving.elastic = true;
     auto server = QueryServer::Create(*fleet, serving);
     ASSERT_TRUE(server.ok());
     auto results = server->Serve(specs);

@@ -56,7 +56,6 @@ PlannerOptions MatchingPlanOptions(const FederationOptions& fed_options,
   plan_options.hyper = fed_options.hyper;
   plan_options.session_seed = session_seed;
   plan_options.wire = fed_options.wire;
-  plan_options.strong_seed_mix = fed_options.strong_seed_mix;
   return plan_options;
 }
 
@@ -230,36 +229,14 @@ TEST(SeedDerivationTest, DefaultMatchesHistoricalFormula) {
 
 TEST(SeedDerivationTest, HistoricalFormulaCollides) {
   // (s, id) and (s + 1, id - 1000003) alias under the affine formula; the
-  // opt-in strong mixer separates them.
+  // splittable key-path derivation separates them.
   const uint64_t a = ModelInitSeed(7, 1000003);
   const uint64_t b = ModelInitSeed(8, 0);
   EXPECT_EQ(a, b);
-  const uint64_t sa = ModelInitSeed(7, 1000003, /*strong_mix=*/true);
-  const uint64_t sb = ModelInitSeed(8, 0, /*strong_mix=*/true);
+  const uint64_t sa = ModelInitSeed(7, 1000003, /*splittable=*/true);
+  const uint64_t sb = ModelInitSeed(8, 0, /*splittable=*/true);
   EXPECT_NE(sa, sb);
-  EXPECT_NE(sa, a);  // The mixer is a different stream entirely.
-}
-
-TEST(SeedDerivationTest, StrongMixIsDeterministicAndSpreads) {
-  EXPECT_EQ(ModelInitSeed(42, 7, true), ModelInitSeed(42, 7, true));
-  // Nearby inputs land far apart (avalanche sanity, not a PRNG test).
-  const uint64_t x = ModelInitSeed(42, 7, true);
-  const uint64_t y = ModelInitSeed(42, 8, true);
-  EXPECT_NE(x, y);
-  EXPECT_NE(x ^ y, 1u);
-}
-
-TEST(WireTransportTest, StrongSeedMixKeepsPlannerAndSessionAgreed) {
-  // Planner and session must derive the same init model under the strong
-  // mixer too — est bytes stay exact.
-  FederationOptions fed_options = BaseOptions();
-  fed_options.wire.enabled = true;
-  fed_options.wire.codec = ml::WireCodecKind::kQuant8;
-  fed_options.strong_seed_mix = true;
-  WireRunResult r = RunPinned(fed_options, /*rounds=*/1);
-  ASSERT_GT(r.nodes, 0u);
-  EXPECT_EQ(r.down_bytes + r.up_bytes, r.est_comm_bytes);
-  EXPECT_TRUE(std::isfinite(r.outcome.loss_weighted));
+  EXPECT_NE(sa, a);  // The key path is a different stream entirely.
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "qens/common/string_util.h"
 #include "qens/obs/export.h"
@@ -508,6 +511,85 @@ TEST(MetricsSnapshotCsvTest, RoundTripsExactly) {
   auto parsed = ParseMetricsSnapshotCsv(csv);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ExpectSnapshotsEqual(snapshot, *parsed);
+}
+
+TEST(MetricsSnapshotJsonTest, RejectsCountsTheSnapshotCannotHold) {
+  // Counters, histogram counts and totals are unsigned. A negative,
+  // fractional, too-large or non-numeric JSON value must be refused (the
+  // cast would be undefined behaviour), never read as a wrapped count.
+  const std::string good = MetricsSnapshotToJson(SampleSnapshot());
+  ASSERT_TRUE(ParseMetricsSnapshotJson(good).ok());
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"federation.rounds\":12", "\"federation.rounds\":-1"},
+      {"\"federation.rounds\":12", "\"federation.rounds\":0.5"},
+      {"\"federation.rounds\":12", "\"federation.rounds\":1e300"},
+      {"\"federation.rounds\":12", "\"federation.rounds\":\"12\""},
+      {"\"counts\":[", "\"counts\":[-5,"},
+      {"\"counts\":[", "\"counts\":[1e300,"},
+      {"\"total\":3", "\"total\":-5"},
+      {"\"total\":3", "\"total\":1e300"},
+      {"\"total\":3", "\"total\":2.5"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string json = good;
+    const size_t at = json.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    json.replace(at, std::strlen(from), to);
+    auto parsed = ParseMetricsSnapshotJson(json);
+    ASSERT_FALSE(parsed.ok()) << to;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << parsed.status().ToString();
+  }
+}
+
+TEST(MetricsSnapshotCsvTest, RejectsMalformedCells) {
+  // Every value is consumed whole: counts are digits only, doubles admit no
+  // trailing junk or padding, and rows have exactly their kind's cells.
+  const std::string good = MetricsSnapshotToCsv(SampleSnapshot());
+  ASSERT_TRUE(ParseMetricsSnapshotCsv(good).ok());
+  auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string csv = good;
+    const size_t at = csv.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? csv
+                                   : csv.replace(at, from.size(), to);
+  };
+  std::vector<std::string> bad;
+  for (const char* cell : {"", "abc", "-12", "+12", "12x", " 12", "1.5",
+                           "18446744073709551616"}) {
+    bad.push_back(replaced("counter,federation.rounds,12",
+                           std::string("counter,federation.rounds,") + cell));
+  }
+  for (const char* cell : {"", "abc", "-1.5x", " -1.5", "-1.5 "}) {
+    bad.push_back(
+        replaced("gauge,test.gauge,-1.5", std::string("gauge,test.gauge,") +
+                                              cell));
+  }
+  for (const char* stat : {"total=-3", "total=3x", "total=", "sum=x",
+                           "min=0.002 ", "max=4000x"}) {
+    const std::string name = Split(stat, '=')[0];
+    const size_t begin = good.find(name + "=");
+    const size_t end = good.find_first_of("|,", begin);
+    bad.push_back(replaced(good.substr(begin, end - begin), stat));
+  }
+  // The bounds and counts cells (the histogram row's last two), then a row
+  // with a cell too many.
+  const size_t row_end = good.find('\n', good.find("histogram,"));
+  const size_t counts_cell = good.rfind(',', row_end) + 1;
+  const size_t bounds_cell = good.rfind(',', counts_cell - 2) + 1;
+  bad.push_back(std::string(good).insert(bounds_cell, "abc|"));
+  bad.push_back(std::string(good).insert(counts_cell, "-1|"));
+  bad.push_back(std::string(good).insert(counts_cell, "1x|"));
+  bad.push_back(replaced("counter,federation.rounds,12",
+                         "counter,federation.rounds,12,7"));
+  for (const std::string& csv : bad) {
+    auto parsed = ParseMetricsSnapshotCsv(csv);
+    EXPECT_FALSE(parsed.ok()) << csv;
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsInvalidArgument())
+          << parsed.status().ToString();
+    }
+  }
 }
 
 }  // namespace
