@@ -11,7 +11,9 @@
 //   kernels   — GEMM shapes from the paper's MLP (batch 32, 13 features,
 //               64 hidden units, Table III): forward X*W+b, dW = Xt*dZ,
 //               dX = dZ*Wt.
-//   step      — one full forward+backward training step of the MLP.
+//   step      — one full forward+backward training step of the MLP: the
+//               naive allocating chain vs the workspace step (fused MSE
+//               head, no allocation after the first batch).
 //   kmeans    — Lloyd assignment, sequential vs chunked pool path.
 //   round     — one 16-node federated round of local training, pre-PR
 //               (std::async per node + naive compute) vs pooled + fused.
@@ -326,21 +328,24 @@ void BenchTrainStep(BenchJson* json) {
   const Matrix xb = RandomMatrix(kBatch, kFeatures, &rng);
   const Matrix yb = RandomMatrix(kBatch, 1, &rng);
 
-  // One step each way, then assert every gradient is bitwise identical.
+  // One step each way, then assert the prediction and every gradient are
+  // bitwise identical. The workspace step runs the fused MSE head.
   NaiveCache cache;
+  ml::TrainWorkspace ws;
   {
     Matrix pred_naive = NaiveForward(naive_model, xb, &cache);
     Matrix grad =
         ValueOrDie(ml::ComputeLossGrad(hp.loss, pred_naive, yb), "dL");
     auto grads_naive = NaiveBackward(naive_model, grad, cache);
-    Matrix pred_fused = ValueOrDie(fused_model.Forward(xb), "fwd");
-    RequireBitIdentical(pred_naive.data(), pred_fused.data(), "pred differs");
-    auto grads_fused = ValueOrDie(fused_model.Backward(grad), "bwd");
-    if (grads_naive.size() != grads_fused.size()) Die("grad count");
+    CheckOk(fused_model.ForwardInto(xb, &ws), "fwd");
+    RequireBitIdentical(pred_naive.data(), ws.layers.back().out.data(),
+                        "pred differs");
+    ValueOrDie(fused_model.LossAndGradients(hp.loss, xb, yb, &ws), "step");
+    if (grads_naive.size() != ws.grads.size()) Die("grad count");
     for (size_t i = 0; i < grads_naive.size(); ++i) {
       RequireBitIdentical(grads_naive[i].d_weights.data(),
-                          grads_fused[i].d_weights.data(), "dW differs");
-      RequireBitIdentical(grads_naive[i].d_bias, grads_fused[i].d_bias,
+                          ws.grads[i].d_weights.data(), "dW differs");
+      RequireBitIdentical(grads_naive[i].d_bias, ws.grads[i].d_bias,
                           "db differs");
     }
   }
@@ -357,10 +362,9 @@ void BenchTrainStep(BenchJson* json) {
   const double naive_s = Seconds(naive_watch);
   Stopwatch fused_watch;
   for (double r = 0; r < reps; ++r) {
-    Matrix pred = ValueOrDie(fused_model.Forward(xb), "fwd");
-    Matrix grad = ValueOrDie(ml::ComputeLossGrad(hp.loss, pred, yb), "dL");
-    auto grads = ValueOrDie(fused_model.Backward(grad), "bwd");
-    sink += grads[0].d_weights(0, 0);
+    sink += ValueOrDie(fused_model.LossAndGradients(hp.loss, xb, yb, &ws),
+                       "step");
+    sink += ws.grads[0].d_weights(0, 0);
   }
   const double fused_s = Seconds(fused_watch);
   json->Add(SpeedupRecord("train_step_mlp", "step", naive_s, fused_s, reps));

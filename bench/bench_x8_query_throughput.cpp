@@ -132,8 +132,7 @@ int main(int argc, char** argv) {
   // Phase 1: the determinism contract, asserted before any timing.
   fl::QueryServer sequential = ValueOrDie(
       fl::QueryServer::Create(fleet, fl::ServingOptions{}), "build server");
-  const std::vector<fl::SessionResult> reference =
-      ValueOrDie(sequential.Serve(specs), "sequential serve");
+  const std::vector<fl::SessionResult> reference = sequential.Serve(specs);
   size_t ran = 0;
   for (const auto& session : reference) ran += session.queries_run;
   std::printf("sequential reference: %zu sessions, %zu/%zu queries run\n",
@@ -143,8 +142,7 @@ int main(int argc, char** argv) {
     options.num_workers = workers;
     fl::QueryServer server =
         ValueOrDie(fl::QueryServer::Create(fleet, options), "build server");
-    CheckIdentical(reference, ValueOrDie(server.Serve(specs), "serve"),
-                   workers);
+    CheckIdentical(reference, server.Serve(specs), workers);
     std::printf("workers=%zu: bitwise identical to sequential\n", workers);
     BenchRecord record;
     record.name = "equality_w" + std::to_string(workers);
@@ -162,7 +160,7 @@ int main(int argc, char** argv) {
     fl::QueryServer server =
         ValueOrDie(fl::QueryServer::Create(fleet, options), "build server");
     Stopwatch watch;
-    auto results = ValueOrDie(server.Serve(specs), "timed serve");
+    auto results = server.Serve(specs);
     const double seconds = watch.ElapsedSeconds();
     CheckIdentical(reference, results, workers);
     return seconds;

@@ -515,7 +515,7 @@ int main(int argc, char** argv) {
         }
         specs.push_back(std::move(spec));
       }
-      served = Die(pipeline_server.ServeRequests(specs), "serve requests");
+      served = pipeline_server.ServeRequests(specs);
       const fl::ServingTelemetry telemetry = fl::SummarizeServing(served);
       std::printf(
           "  %-12s %9s %9s %9s %9s %10s %10s %10s\n", "class", "requests",
@@ -541,7 +541,7 @@ int main(int argc, char** argv) {
         }
         specs.push_back(std::move(spec));
       }
-      served = Die(server.Serve(specs), "serve sessions");
+      served = server.Serve(specs);
     }
     size_t total_run = 0, total_skipped = 0, total_shed = 0,
            total_rejected = 0, total_bytes = 0;

@@ -42,6 +42,15 @@ Matrix MirrorTargets(const Matrix& y) {
   return flipped;
 }
 
+/// The targets a node trains on: the honest ones by reference (no copy per
+/// Fit), or for a label-poisoning node their mirror, built in `*poisoned`.
+const Matrix& TrainTargets(const Matrix& honest, bool poison,
+                           Matrix* poisoned) {
+  if (!poison) return honest;
+  *poisoned = MirrorTargets(honest);
+  return *poisoned;
+}
+
 }  // namespace
 
 Result<LocalTrainResult> TrainOnSupportingClusters(
@@ -67,12 +76,12 @@ Result<LocalTrainResult> TrainOnSupportingClusters(
 
   // Incremental pass: one Fit per supporting cluster, in ranking order as
   // provided — the model carries its weights from cluster to cluster.
+  Matrix poisoned;
   for (size_t cluster_id : supporting_clusters) {
     QENS_ASSIGN_OR_RETURN(data::Dataset cluster_data,
                           node.ClusterData(cluster_id));
-    const Matrix targets = options.poison_labels
-                               ? MirrorTargets(cluster_data.targets())
-                               : cluster_data.targets();
+    const Matrix& targets = TrainTargets(cluster_data.targets(),
+                                         options.poison_labels, &poisoned);
     QENS_ASSIGN_OR_RETURN(
         ml::TrainReport report,
         trainer->Fit(&result.model, cluster_data.features(), targets));
@@ -100,9 +109,9 @@ Result<LocalTrainResult> TrainOnFullData(const sim::EdgeNode& node,
       std::unique_ptr<ml::Trainer> trainer,
       LocalTrainer(options.hyper, options.hyper.epochs, options, node));
   const data::Dataset& local = node.local_data();
-  const Matrix targets = options.poison_labels
-                             ? MirrorTargets(local.targets())
-                             : local.targets();
+  Matrix poisoned;
+  const Matrix& targets =
+      TrainTargets(local.targets(), options.poison_labels, &poisoned);
   QENS_ASSIGN_OR_RETURN(
       ml::TrainReport report,
       trainer->Fit(&result.model, local.features(), targets));

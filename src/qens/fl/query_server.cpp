@@ -230,14 +230,14 @@ std::vector<SessionResult> QueryServer::ServeImpl(
   return results;
 }
 
-Result<std::vector<SessionResult>> QueryServer::Serve(
+std::vector<SessionResult> QueryServer::Serve(
     const std::vector<SessionSpec>& specs) {
   return ServeImpl(specs.size(), [this, &specs](size_t i) {
     return RunSession(specs[i], /*session_id=*/i + 1);
   });
 }
 
-Result<std::vector<SessionResult>> QueryServer::ServeRequests(
+std::vector<SessionResult> QueryServer::ServeRequests(
     const std::vector<RequestSessionSpec>& specs) {
   return ServeImpl(specs.size(), [this, &specs](size_t i) {
     return RunRequestSession(specs[i], /*session_id=*/i + 1);

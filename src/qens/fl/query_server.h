@@ -151,10 +151,9 @@ class QueryServer {
   /// run concurrently; outcomes are bit-identical to sequential execution.
   /// One session failing does NOT fail the batch: every spec gets a
   /// SessionResult, and a failed session carries the error in its `status`
-  /// (plus whatever queries completed before it). The call itself only
-  /// errors on setup-level problems.
-  Result<std::vector<SessionResult>> Serve(
-      const std::vector<SessionSpec>& specs);
+  /// (plus whatever queries completed before it), so the call itself
+  /// cannot fail.
+  std::vector<SessionResult> Serve(const std::vector<SessionSpec>& specs);
 
   /// The request pipeline: run one session per RequestSessionSpec, each
   /// replaying its timed request stream through an AdmissionQueue on a
@@ -169,7 +168,7 @@ class QueryServer {
   /// Every admission/shed decision and every vt_* field is therefore
   /// bit-identical at every worker count; only wall times vary. Session
   /// scheduling (workers / failure isolation) matches Serve().
-  Result<std::vector<SessionResult>> ServeRequests(
+  std::vector<SessionResult> ServeRequests(
       const std::vector<RequestSessionSpec>& specs);
 
   const ServingOptions& options() const { return options_; }

@@ -1,5 +1,6 @@
 #include "qens/ml/dense_layer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "qens/common/string_util.h"
@@ -33,42 +34,92 @@ Result<Matrix> DenseLayer::Apply(const Matrix& x) const {
   return z;
 }
 
-Result<Matrix> DenseLayer::Forward(const Matrix& x, bool cache) {
-  if (!cache) return Apply(x);
+Status DenseLayer::ForwardInto(const Matrix& x, LayerBuffers* buf) const {
   if (x.cols() != in_features_) {
-    return Status::InvalidArgument(
-        StrFormat("DenseLayer::Forward: input has %zu features, expected %zu",
-                  x.cols(), in_features_));
+    return Status::InvalidArgument(StrFormat(
+        "DenseLayer::ForwardInto: input has %zu features, expected %zu",
+        x.cols(), in_features_));
   }
-  QENS_RETURN_NOT_OK(x.MatMulAddBiasInto(weights_, bias_, &cached_pre_));
-  cached_input_ = &x;  // Zero-copy: the caller keeps x alive for Backward.
-  has_cache_ = true;
-  Matrix y;
-  ApplyActivation(activation_, cached_pre_, &y);
-  return y;
+  QENS_RETURN_NOT_OK(x.MatMulAddBiasInto(weights_, bias_, &buf->pre));
+  ApplyActivation(activation_, buf->pre, &buf->out);
+  return Status::OK();
 }
 
-Result<Matrix> DenseLayer::Backward(const Matrix& grad_out,
-                                    DenseGradients* grads) {
-  if (!has_cache_ || cached_input_ == nullptr) {
+Status DenseLayer::BackwardInto(const Matrix& x, const Matrix& grad_out,
+                                bool want_dx, LayerBuffers* buf,
+                                DenseGradients* grads) const {
+  if (x.cols() != in_features_ || buf->pre.rows() != x.rows() ||
+      buf->pre.cols() != out_features_) {
     return Status::FailedPrecondition(
-        "DenseLayer::Backward called without a cached Forward");
+        "DenseLayer::BackwardInto needs the ForwardInto of the same batch");
   }
-  if (grad_out.rows() != cached_pre_.rows() ||
-      grad_out.cols() != out_features_) {
-    return Status::InvalidArgument("DenseLayer::Backward: grad shape mismatch");
+  if (grad_out.rows() != x.rows() || grad_out.cols() != out_features_) {
+    return Status::InvalidArgument(
+        "DenseLayer::BackwardInto: grad shape mismatch");
   }
-  // dZ = dY (.) f'(Z), built in the layer-owned scratch buffer.
-  ApplyActivationGrad(activation_, cached_pre_, &dz_scratch_);
-  QENS_RETURN_NOT_OK(dz_scratch_.HadamardInPlace(grad_out));
+  // dZ = f'(Z) (.) dY.
+  ApplyActivationGrad(activation_, buf->pre, &buf->dz);
+  QENS_RETURN_NOT_OK(buf->dz.HadamardInPlace(grad_out));
   // dW = Xᵀ dZ ; db = column sums of dZ ; dX = dZ Wᵀ — both GEMMs via the
   // fused kernels, so no transposed copy of X or W is ever built.
-  QENS_RETURN_NOT_OK(
-      cached_input_->MatMulTransposedAInto(dz_scratch_, &grads->d_weights));
-  grads->d_bias = dz_scratch_.ColSums();
-  Matrix dx;
-  QENS_RETURN_NOT_OK(dz_scratch_.MatMulTransposedBInto(weights_, &dx));
-  return dx;
+  QENS_RETURN_NOT_OK(x.MatMulTransposedAInto(buf->dz, &grads->d_weights));
+  buf->dz.ColSumsInto(&grads->d_bias);
+  if (!want_dx) return Status::OK();
+  return buf->dz.MatMulTransposedBInto(weights_, &buf->dx);
+}
+
+Status DenseLayer::MseHeadInto(const Matrix& x, const Matrix& target,
+                               double* loss, DenseGradients* grads,
+                               Matrix* dx) const {
+  if (!IsLinearScalarHead()) {
+    return Status::FailedPrecondition(
+        "DenseLayer::MseHeadInto: not a 1-unit identity layer");
+  }
+  if (x.cols() != in_features_) {
+    return Status::InvalidArgument(StrFormat(
+        "DenseLayer::MseHeadInto: input has %zu features, expected %zu",
+        x.cols(), in_features_));
+  }
+  if (target.rows() != x.rows() || target.cols() != 1) {
+    return Status::InvalidArgument(
+        StrFormat("loss: pred %zux1 vs target %zux%zu", x.rows(),
+                  target.rows(), target.cols()));
+  }
+  if (x.rows() == 0) return Status::InvalidArgument("loss: empty inputs");
+
+  const size_t n = x.rows();
+  const size_t k_in = in_features_;
+  const double* w = weights_.data().data();  // (in x 1): one weight per row.
+  const double b = bias_[0];
+  const double* t = target.data().data();
+  const double inv_n = 1.0 / static_cast<double>(n);
+  grads->d_weights.ResizeUninitialized(k_in, 1);
+  double* dw = grads->d_weights.data().data();
+  std::fill(dw, dw + k_in, 0.0);
+  if (dx != nullptr) dx->ResizeUninitialized(n, k_in);
+
+  // Every accumulation below runs in the generic path's order (see the
+  // header), so the result is bit-identical to it.
+  double sq_sum = 0.0;
+  double db = 0.0;
+  for (size_t r = 0; r < n; ++r) {
+    const double* xr = x.RowPtr(r);
+    double z = 0.0;
+    for (size_t k = 0; k < k_in; ++k) z += xr[k] * w[k];
+    z += b;
+    const double d = z - t[r];
+    sq_sum += d * d;
+    const double g = 2.0 * d * inv_n;
+    for (size_t k = 0; k < k_in; ++k) dw[k] += xr[k] * g;
+    db += g;
+    if (dx != nullptr) {
+      double* o = dx->RowPtr(r);
+      for (size_t k = 0; k < k_in; ++k) o[k] = 0.0 + g * w[k];
+    }
+  }
+  grads->d_bias.assign(1, db);
+  *loss = sq_sum / static_cast<double>(n);
+  return Status::OK();
 }
 
 Status DenseLayer::ApplyDelta(double alpha, const DenseGradients& delta) {

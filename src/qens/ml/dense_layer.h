@@ -5,8 +5,10 @@
 /// Fully-connected layer: Y = f(X * W + b).
 ///
 /// Shapes: X is (batch x in), W is (in x out), b is (out), Y is (batch x out).
-/// The layer owns its parameters and, after a Forward with caching enabled,
-/// the activations needed for Backward.
+/// The layer holds only its parameters. Training passes are const and write
+/// into caller-owned buffers (a LayerBuffers, normally one slot of the
+/// Trainer's TrainWorkspace), so a layer can be copied, shared read-only or
+/// trained by several workspaces without carrying any per-batch state.
 
 #include <cstddef>
 #include <vector>
@@ -18,10 +20,19 @@
 
 namespace qens::ml {
 
-/// Gradients produced by one Backward pass through a layer.
+/// Gradients produced by one backward pass through a layer.
 struct DenseGradients {
   Matrix d_weights;             ///< Same shape as the layer's weight matrix.
   std::vector<double> d_bias;   ///< Same length as the layer's bias.
+};
+
+/// One layer's training buffers. Every pass resizes them in place, so after
+/// the first batch of a given shape no pass allocates.
+struct LayerBuffers {
+  Matrix pre;  ///< Z = X * W + b (batch x out).
+  Matrix out;  ///< Y = f(Z) (batch x out).
+  Matrix dz;   ///< dL/dZ (batch x out).
+  Matrix dx;   ///< dL/dX (batch x in); not written for the first layer.
 };
 
 /// A dense (fully connected) layer with an elementwise activation.
@@ -38,24 +49,39 @@ class DenseLayer {
   /// matching the paper's setup).
   void InitGlorot(Rng* rng);
 
-  /// Inference-only forward pass: Y = f(X * W + b) with no caching and no
-  /// layer mutation. Fails if x.cols() != in_features().
+  /// Inference forward pass: Y = f(X * W + b) in one fresh buffer.
+  /// Fails if x.cols() != in_features().
   Result<Matrix> Apply(const Matrix& x) const;
 
-  /// Forward pass. When `cache` is true, stores a VIEW of the input (a
-  /// pointer — zero-copy) plus the pre-activation for a subsequent Backward;
-  /// the caller must keep `x` alive and unmodified until Backward runs
-  /// (SequentialModel owns the inter-layer activations for exactly this).
+  /// Training forward pass: buf->pre = X * W + b, buf->out = f(pre).
   /// Fails if x.cols() != in_features().
-  Result<Matrix> Forward(const Matrix& x, bool cache);
+  Status ForwardInto(const Matrix& x, LayerBuffers* buf) const;
 
-  /// Backward pass given dL/dY (`grad_out`, batch x out). Returns parameter
-  /// gradients via `grads` and dL/dX as the function result. Computes
-  /// Xᵀ·dZ and dZ·Wᵀ through the fused transposed-operand kernels — no
-  /// transpose is ever materialized.
-  /// Requires a prior Forward(x, /*cache=*/true) on the same batch, with
-  /// that x still alive.
-  Result<Matrix> Backward(const Matrix& grad_out, DenseGradients* grads);
+  /// Training backward pass for the batch `x` whose ForwardInto filled
+  /// `buf`, given dL/dY (`grad_out`, batch x out). Writes dL/dZ to buf->dz,
+  /// the parameter gradients to `grads` (d_bias summed in place) and, when
+  /// `want_dx`, dL/dX to buf->dx — the first layer of a model skips it
+  /// because nothing reads it. Xᵀ·dZ and dZ·Wᵀ use the fused
+  /// transposed-operand kernels; no transpose is materialized.
+  Status BackwardInto(const Matrix& x, const Matrix& grad_out, bool want_dx,
+                      LayerBuffers* buf, DenseGradients* grads) const;
+
+  /// True for a 1-unit identity layer: the linear regression head every
+  /// paper model ends in, which MseHeadInto can train in one pass.
+  bool IsLinearScalarHead() const {
+    return out_features_ == 1 && activation_ == Activation::kIdentity;
+  }
+
+  /// Fused MSE training pass for a linear scalar head: one sweep over the
+  /// batch computes the prediction, the MSE loss, dW, db and (when `dx` is
+  /// non-null) dL/dX. Bit-identical to ForwardInto + ComputeLoss +
+  /// ComputeLossGradInto + BackwardInto: z accumulates from 0.0 in
+  /// ascending k before the bias is added; the loss sums d*d over ascending
+  /// rows and divides by n; the gradient is 2.0*(p-t)*(1/n); dW and db sum
+  /// over ascending rows from 0.0; dX is 0.0 + g*w. Requires
+  /// IsLinearScalarHead() and target (batch x 1).
+  Status MseHeadInto(const Matrix& x, const Matrix& target, double* loss,
+                     DenseGradients* grads, Matrix* dx) const;
 
   /// Apply a parameter delta: W += alpha * dW, b += alpha * db.
   Status ApplyDelta(double alpha, const DenseGradients& delta);
@@ -80,16 +106,6 @@ class DenseLayer {
   Activation activation_;
   Matrix weights_;            // (in x out)
   std::vector<double> bias_;  // (out)
-
-  // Cached by Forward(cache=true) for Backward. The input is held by
-  // pointer (zero-copy); it is only dereferenced inside Backward, and the
-  // Forward/Backward contract guarantees it is still alive there. The
-  // pre-activation and the dZ scratch are layer-owned buffers whose
-  // allocations are reused across batches.
-  bool has_cache_ = false;
-  const Matrix* cached_input_ = nullptr;  // (batch x in), caller-owned
-  Matrix cached_pre_;                     // (batch x out), pre-activation Z
-  Matrix dz_scratch_;                     // (batch x out), f'(Z) then dZ
 };
 
 }  // namespace qens::ml

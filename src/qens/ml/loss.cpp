@@ -70,11 +70,18 @@ Result<double> ComputeLoss(LossKind kind, const Matrix& pred,
 
 Result<Matrix> ComputeLossGrad(LossKind kind, const Matrix& pred,
                                const Matrix& target) {
+  Matrix grad;
+  QENS_RETURN_NOT_OK(ComputeLossGradInto(kind, pred, target, &grad));
+  return grad;
+}
+
+Status ComputeLossGradInto(LossKind kind, const Matrix& pred,
+                           const Matrix& target, Matrix* grad) {
   QENS_RETURN_NOT_OK(CheckShapes(pred, target));
-  Matrix grad(pred.rows(), pred.cols());
+  grad->ResizeUninitialized(pred.rows(), pred.cols());
   const auto& p = pred.data();
   const auto& t = target.data();
-  auto& g = grad.data();
+  auto& g = grad->data();
   const double inv_n = 1.0 / static_cast<double>(p.size());
   switch (kind) {
     case LossKind::kMse:
@@ -97,7 +104,7 @@ Result<Matrix> ComputeLossGrad(LossKind kind, const Matrix& pred,
       }
       break;
   }
-  return grad;
+  return Status::OK();
 }
 
 }  // namespace qens::ml

@@ -34,6 +34,11 @@ Result<double> ComputeLoss(LossKind kind, const Matrix& pred,
 Result<Matrix> ComputeLossGrad(LossKind kind, const Matrix& pred,
                                const Matrix& target);
 
+/// ComputeLossGrad into caller-owned scratch: `grad` is resized (reusing
+/// its allocation) and overwritten. `grad` must not alias pred or target.
+Status ComputeLossGradInto(LossKind kind, const Matrix& pred,
+                           const Matrix& target, Matrix* grad);
+
 }  // namespace qens::ml
 
 #endif  // QENS_ML_LOSS_H_

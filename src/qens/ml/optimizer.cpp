@@ -7,20 +7,18 @@
 namespace qens::ml {
 namespace {
 
-/// Flatten one layer's gradients (row-major weights then bias) into `out`.
-void FlattenGrads(const DenseGradients& g, std::vector<double>* out) {
-  out->clear();
-  out->reserve(g.d_weights.size() + g.d_bias.size());
-  out->insert(out->end(), g.d_weights.data().begin(), g.d_weights.data().end());
-  out->insert(out->end(), g.d_bias.begin(), g.d_bias.end());
-}
-
-/// Apply a flat delta (same layout as FlattenGrads) to a layer's parameters.
-void ApplyFlatDelta(DenseLayer* layer, const std::vector<double>& delta) {
-  auto& w = layer->weights().data();
-  for (size_t i = 0; i < w.size(); ++i) w[i] += delta[i];
-  auto& b = layer->bias();
-  for (size_t i = 0; i < b.size(); ++i) b[i] += delta[w.size() + i];
+/// Visit one layer's parameters with their gradients, in the flat order the
+/// optimizer state uses (row-major weights, then bias), as
+/// update(param, grad, flat_index). Nothing is copied or allocated.
+template <typename Update>
+void ForEachParam(DenseLayer* layer, const DenseGradients& g, Update update) {
+  std::vector<double>& w = layer->weights().data();
+  const std::vector<double>& gw = g.d_weights.data();
+  for (size_t i = 0; i < w.size(); ++i) update(w[i], gw[i], i);
+  std::vector<double>& b = layer->bias();
+  for (size_t i = 0; i < b.size(); ++i) {
+    update(b[i], g.d_bias[i], w.size() + i);
+  }
 }
 
 Status CheckGrads(const SequentialModel& model,
@@ -51,15 +49,16 @@ Status SgdOptimizer::Step(SequentialModel* model,
   if (velocity_.size() != grads.size()) {
     velocity_.assign(grads.size(), {});
   }
-  std::vector<double> flat;
   for (size_t li = 0; li < grads.size(); ++li) {
-    FlattenGrads(grads[li], &flat);
+    DenseLayer* layer = &model->layer(li);
     auto& vel = velocity_[li];
-    if (vel.size() != flat.size()) vel.assign(flat.size(), 0.0);
-    for (size_t i = 0; i < flat.size(); ++i) {
-      vel[i] = momentum_ * vel[i] - learning_rate_ * flat[i];
+    if (vel.size() != layer->ParameterCount()) {
+      vel.assign(layer->ParameterCount(), 0.0);
     }
-    ApplyFlatDelta(&model->layer(li), vel);
+    ForEachParam(layer, grads[li], [&](double& p, double g, size_t i) {
+      vel[i] = momentum_ * vel[i] - learning_rate_ * g;
+      p += vel[i];
+    });
   }
   return Status::OK();
 }
@@ -84,25 +83,21 @@ Status AdamOptimizer::Step(SequentialModel* model,
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  std::vector<double> flat;
-  std::vector<double> delta;
   for (size_t li = 0; li < grads.size(); ++li) {
-    FlattenGrads(grads[li], &flat);
+    DenseLayer* layer = &model->layer(li);
     auto& m = m_[li];
     auto& v = v_[li];
-    if (m.size() != flat.size()) {
-      m.assign(flat.size(), 0.0);
-      v.assign(flat.size(), 0.0);
+    if (m.size() != layer->ParameterCount()) {
+      m.assign(layer->ParameterCount(), 0.0);
+      v.assign(layer->ParameterCount(), 0.0);
     }
-    delta.resize(flat.size());
-    for (size_t i = 0; i < flat.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0 - beta1_) * flat[i];
-      v[i] = beta2_ * v[i] + (1.0 - beta2_) * flat[i] * flat[i];
+    ForEachParam(layer, grads[li], [&](double& p, double g, size_t i) {
+      m[i] = beta1_ * m[i] + (1.0 - beta1_) * g;
+      v[i] = beta2_ * v[i] + (1.0 - beta2_) * g * g;
       const double mhat = m[i] / bc1;
       const double vhat = v[i] / bc2;
-      delta[i] = -learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
-    }
-    ApplyFlatDelta(&model->layer(li), delta);
+      p += -learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
+    });
   }
   return Status::OK();
 }

@@ -20,8 +20,8 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Apply one update step. `grads` must have one entry per model layer with
-  /// matching shapes (as produced by SequentialModel::Backward).
+  /// Apply one update step in place. `grads` must have one entry per model
+  /// layer with matching shapes (a TrainWorkspace's `grads`).
   virtual Status Step(SequentialModel* model,
                       const std::vector<DenseGradients>& grads) = 0;
 

@@ -43,36 +43,82 @@ Result<Matrix> SequentialModel::Predict(const Matrix& x) const {
   return cur;
 }
 
-Result<Matrix> SequentialModel::Forward(const Matrix& x) {
-  if (layers_.empty()) {
-    return Status::FailedPrecondition("Forward: model has no layers");
-  }
-  // Each layer caches a pointer to its input, so the model must keep every
-  // inter-layer activation alive until Backward. The final output is not
-  // needed by Backward (layers cache the pre-activation) and is returned.
-  if (activations_.size() != layers_.size() - 1) {
-    activations_.resize(layers_.size() - 1);
-  }
-  const Matrix* cur = &x;
-  for (size_t i = 0;; ++i) {
-    QENS_ASSIGN_OR_RETURN(Matrix y, layers_[i].Forward(*cur, /*cache=*/true));
-    if (i + 1 == layers_.size()) return y;
-    activations_[i] = std::move(y);
-    cur = &activations_[i];
-  }
+namespace {
+
+/// The input of layer i in a training pass: x, or the previous layer's
+/// output buffer.
+const Matrix& LayerInput(size_t i, const Matrix& x, const TrainWorkspace& ws) {
+  return i == 0 ? x : ws.layers[i - 1].out;
 }
 
-Result<std::vector<DenseGradients>> SequentialModel::Backward(
-    const Matrix& grad_out) {
+}  // namespace
+
+Status SequentialModel::PrepareWorkspace(TrainWorkspace* ws) const {
   if (layers_.empty()) {
-    return Status::FailedPrecondition("Backward: model has no layers");
+    return Status::FailedPrecondition("training pass: model has no layers");
   }
-  std::vector<DenseGradients> grads(layers_.size());
-  Matrix cur = grad_out;
-  for (size_t i = layers_.size(); i-- > 0;) {
-    QENS_ASSIGN_OR_RETURN(cur, layers_[i].Backward(cur, &grads[i]));
+  if (ws->layers.size() != layers_.size()) {
+    ws->layers.resize(layers_.size());
+    ws->grads.resize(layers_.size());
   }
-  return grads;
+  return Status::OK();
+}
+
+Status SequentialModel::ForwardLayers(size_t count, const Matrix& x,
+                                      TrainWorkspace* ws) const {
+  for (size_t i = 0; i < count; ++i) {
+    QENS_RETURN_NOT_OK(
+        layers_[i].ForwardInto(LayerInput(i, x, *ws), &ws->layers[i]));
+  }
+  return Status::OK();
+}
+
+Status SequentialModel::BackwardLayers(size_t count, const Matrix& x,
+                                       const Matrix& grad_out,
+                                       TrainWorkspace* ws) const {
+  const Matrix* grad = &grad_out;
+  for (size_t i = count; i-- > 0;) {
+    // Layer 0's dX has no reader, so it is never computed.
+    QENS_RETURN_NOT_OK(layers_[i].BackwardInto(LayerInput(i, x, *ws), *grad,
+                                               /*want_dx=*/i > 0,
+                                               &ws->layers[i], &ws->grads[i]));
+    grad = &ws->layers[i].dx;
+  }
+  return Status::OK();
+}
+
+Status SequentialModel::ForwardInto(const Matrix& x, TrainWorkspace* ws) const {
+  QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  return ForwardLayers(layers_.size(), x, ws);
+}
+
+Status SequentialModel::BackwardInto(const Matrix& x, const Matrix& grad_out,
+                                     TrainWorkspace* ws) const {
+  QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  return BackwardLayers(layers_.size(), x, grad_out, ws);
+}
+
+Result<double> SequentialModel::LossAndGradients(LossKind loss,
+                                                 const Matrix& x,
+                                                 const Matrix& y,
+                                                 TrainWorkspace* ws) const {
+  QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  const size_t head = layers_.size() - 1;
+  if (loss == LossKind::kMse && layers_[head].IsLinearScalarHead()) {
+    QENS_RETURN_NOT_OK(ForwardLayers(head, x, ws));
+    double value = 0.0;
+    Matrix* head_dx = head > 0 ? &ws->layers[head].dx : nullptr;
+    QENS_RETURN_NOT_OK(layers_[head].MseHeadInto(
+        LayerInput(head, x, *ws), y, &value, &ws->grads[head], head_dx));
+    QENS_RETURN_NOT_OK(BackwardLayers(head, x, ws->layers[head].dx, ws));
+    return value;
+  }
+  QENS_RETURN_NOT_OK(ForwardLayers(layers_.size(), x, ws));
+  const Matrix& pred = ws->layers.back().out;
+  QENS_ASSIGN_OR_RETURN(double value, ComputeLoss(loss, pred, y));
+  QENS_RETURN_NOT_OK(ComputeLossGradInto(loss, pred, y, &ws->loss_grad));
+  QENS_RETURN_NOT_OK(BackwardLayers(layers_.size(), x, ws->loss_grad, ws));
+  return value;
 }
 
 size_t SequentialModel::ParameterCount() const {

@@ -7,17 +7,28 @@
 /// Table III). Exposes flat parameter access for serialization (the leader /
 /// participant exchange) and parameter-space aggregation (FedAvg extension).
 
-#include <memory>
 #include <vector>
 
 #include "qens/common/rng.h"
 #include "qens/common/status.h"
 #include "qens/ml/dense_layer.h"
+#include "qens/ml/loss.h"
 #include "qens/tensor/matrix.h"
 
 namespace qens::ml {
 
-/// Feed-forward network: layers applied in order.
+/// Training buffers for one model: each layer's LayerBuffers and
+/// DenseGradients plus the loss gradient. Owned by a Trainer, sized on first
+/// use and reused by every batch of every Fit, so steady-state training
+/// never touches the allocator. Not shareable between concurrent steps.
+struct TrainWorkspace {
+  std::vector<LayerBuffers> layers;
+  std::vector<DenseGradients> grads;
+  Matrix loss_grad;  ///< dL/dprediction on the generic (unfused) path.
+};
+
+/// Feed-forward network: layers applied in order. Holds only parameters;
+/// every training pass is const and writes into a TrainWorkspace.
 class SequentialModel {
  public:
   SequentialModel() = default;
@@ -37,18 +48,28 @@ class SequentialModel {
   /// Randomize all layer parameters (Glorot uniform, zero bias).
   void InitWeights(Rng* rng);
 
-  /// Forward pass without gradient caching (inference). Const and
-  /// allocation-light: no layer state is touched.
+  /// Inference forward pass: no workspace, one fresh buffer per layer.
   Result<Matrix> Predict(const Matrix& x) const;
 
-  /// Forward pass with caching for TrainBatch (internal use). The model
-  /// keeps the inter-layer activations alive, and each layer caches a
-  /// zero-copy view of its input; `x` itself must stay alive and unmodified
-  /// until the matching Backward.
-  Result<Matrix> Forward(const Matrix& x);
+  /// Training forward pass through every layer into `ws` (sized on first
+  /// use); the prediction lands in ws->layers.back().out.
+  Status ForwardInto(const Matrix& x, TrainWorkspace* ws) const;
 
-  /// Backprop dL/dOutput through all layers; fills per-layer gradients.
-  Result<std::vector<DenseGradients>> Backward(const Matrix& grad_out);
+  /// Backprop dL/dprediction (`grad_out`) through the ForwardInto that
+  /// filled `ws` for the same `x`; fills ws->grads, one entry per layer.
+  /// `grad_out` must not alias a dz or dx buffer of `ws`.
+  Status BackwardInto(const Matrix& x, const Matrix& grad_out,
+                      TrainWorkspace* ws) const;
+
+  /// One training batch: returns the loss of (x, y) under the current
+  /// parameters and writes the per-layer gradients to ws->grads. With MSE
+  /// and a linear scalar head (every paper model) the head's forward, loss
+  /// and backward run as one fused pass, bit-identical to the generic
+  /// ForwardInto + ComputeLoss + ComputeLossGradInto + BackwardInto path
+  /// that serves every other model and loss. The fused path leaves the
+  /// head's pre/out buffers unwritten: it never materializes the prediction.
+  Result<double> LossAndGradients(LossKind loss, const Matrix& x,
+                                  const Matrix& y, TrainWorkspace* ws) const;
 
   /// Total scalar parameter count across layers.
   size_t ParameterCount() const;
@@ -67,13 +88,15 @@ class SequentialModel {
   bool SameArchitecture(const SequentialModel& other) const;
 
  private:
+  /// Size `ws` for this model; fails on an empty model.
+  Status PrepareWorkspace(TrainWorkspace* ws) const;
+  /// Forward through layers [0, count).
+  Status ForwardLayers(size_t count, const Matrix& x, TrainWorkspace* ws) const;
+  /// Backward through layers [0, count) from dL/d(output of layer count-1).
+  Status BackwardLayers(size_t count, const Matrix& x, const Matrix& grad_out,
+                        TrainWorkspace* ws) const;
+
   std::vector<DenseLayer> layers_;
-  /// Inter-layer activations from the last caching Forward: activations_[i]
-  /// is the output of layer i and the input layer i+1 holds a view of. Kept
-  /// alive between Forward and Backward for the zero-copy backward pass;
-  /// buffers are reused across batches. A copied model must run its own
-  /// Forward before Backward (training always does).
-  std::vector<Matrix> activations_;
 };
 
 }  // namespace qens::ml

@@ -86,13 +86,17 @@ class Trainer {
                           const Matrix& y);
 
   /// One gradient step on a single batch (no split/shuffle). Returns the
-  /// batch loss before the update.
+  /// batch loss before the update. Computes in the trainer's workspace, so
+  /// after the first batch of a shape it makes no heap allocation.
   Result<double> TrainBatch(SequentialModel* model, const Matrix& x,
                             const Matrix& y);
 
  private:
   std::unique_ptr<Optimizer> optimizer_;
   TrainOptions options_;
+  /// Buffers of every training pass. A Trainer serves one model at a time;
+  /// concurrent training runs one Trainer (and workspace) per unit.
+  TrainWorkspace workspace_;
 };
 
 }  // namespace qens::ml

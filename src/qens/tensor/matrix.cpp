@@ -393,12 +393,18 @@ Status Matrix::AddRowBroadcast(const std::vector<double>& row) {
 }
 
 std::vector<double> Matrix::ColSums() const {
-  std::vector<double> sums(cols_, 0.0);
+  std::vector<double> sums;
+  ColSumsInto(&sums);
+  return sums;
+}
+
+void Matrix::ColSumsInto(std::vector<double>* sums) const {
+  sums->assign(cols_, 0.0);
+  double* dst = sums->data();
   for (size_t r = 0; r < rows_; ++r) {
     const double* src = RowPtr(r);
-    for (size_t c = 0; c < cols_; ++c) sums[c] += src[c];
+    for (size_t c = 0; c < cols_; ++c) dst[c] += src[c];
   }
-  return sums;
 }
 
 std::vector<double> Matrix::ColMeans() const {

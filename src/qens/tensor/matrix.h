@@ -142,6 +142,10 @@ class Matrix {
   /// Sum over rows: returns a length-cols() vector of column sums.
   std::vector<double> ColSums() const;
 
+  /// ColSums into caller-owned scratch (resized, reusing its allocation).
+  /// Each sum starts from 0.0 and adds the rows in ascending order.
+  void ColSumsInto(std::vector<double>* sums) const;
+
   /// Mean over rows: returns a length-cols() vector of column means.
   /// Returns zeros when the matrix has no rows.
   std::vector<double> ColMeans() const;

@@ -166,7 +166,6 @@ TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
   auto sequential = QueryServer::Create(*fleet, ServingOptions{});
   ASSERT_TRUE(sequential.ok());
   auto expected = sequential->Serve(specs);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   for (const size_t workers : {size_t{2}, size_t{4}}) {
     ServingOptions serving;
@@ -174,18 +173,16 @@ TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
     auto server = QueryServer::Create(*fleet, serving);
     ASSERT_TRUE(server.ok());
     auto results = server->Serve(specs);
-    ASSERT_TRUE(results.ok()) << results.status().ToString();
-    ASSERT_EQ(results->size(), expected->size());
-    for (size_t s = 0; s < results->size(); ++s) {
+    ASSERT_EQ(results.size(), expected.size());
+    for (size_t s = 0; s < results.size(); ++s) {
       SCOPED_TRACE(testing::Message() << "workers=" << workers
                                       << " session=" << s);
-      EXPECT_EQ((*results)[s].session_id, (*expected)[s].session_id);
-      EXPECT_EQ((*results)[s].comm_bytes, (*expected)[s].comm_bytes);
-      ASSERT_EQ((*results)[s].outcomes.size(),
-                (*expected)[s].outcomes.size());
-      for (size_t q = 0; q < (*results)[s].outcomes.size(); ++q) {
-        ExpectIdenticalOutcomes((*expected)[s].outcomes[q],
-                                (*results)[s].outcomes[q]);
+      EXPECT_EQ(results[s].session_id, expected[s].session_id);
+      EXPECT_EQ(results[s].comm_bytes, expected[s].comm_bytes);
+      ASSERT_EQ(results[s].outcomes.size(), expected[s].outcomes.size());
+      for (size_t q = 0; q < results[s].outcomes.size(); ++q) {
+        ExpectIdenticalOutcomes(expected[s].outcomes[q],
+                                results[s].outcomes[q]);
       }
     }
   }

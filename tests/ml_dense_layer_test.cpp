@@ -1,11 +1,12 @@
-// Tests for DenseLayer: forward math, backward vs numerical gradients,
-// parameter flattening.
+// Tests for DenseLayer: forward math, backward vs numerical gradients, the
+// fused MSE head vs the generic path, parameter flattening.
 
 #include "qens/ml/dense_layer.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "qens/ml/loss.h"
 
@@ -18,7 +19,7 @@ TEST(DenseLayerTest, ForwardLinearMath) {
   layer.weights()(1, 0) = -1.0;
   layer.bias()[0] = 0.5;
   Matrix x{{3, 4}};
-  auto y = layer.Forward(x, false);
+  auto y = layer.Apply(x);
   ASSERT_TRUE(y.ok());
   EXPECT_DOUBLE_EQ((*y)(0, 0), 2.0 * 3 - 1.0 * 4 + 0.5);
 }
@@ -28,7 +29,7 @@ TEST(DenseLayerTest, ForwardBatch) {
   layer.weights()(0, 0) = 1.0;
   layer.weights()(0, 1) = -1.0;
   Matrix x{{1}, {2}, {3}};
-  auto y = layer.Forward(x, false);
+  auto y = layer.Apply(x);
   ASSERT_TRUE(y.ok());
   EXPECT_EQ(y->rows(), 3u);
   EXPECT_EQ(y->cols(), 2u);
@@ -38,23 +39,36 @@ TEST(DenseLayerTest, ForwardBatch) {
 TEST(DenseLayerTest, ForwardShapeMismatch) {
   DenseLayer layer(3, 1, Activation::kIdentity);
   Matrix x(2, 2);
-  EXPECT_TRUE(layer.Forward(x, false).status().IsInvalidArgument());
+  EXPECT_TRUE(layer.Apply(x).status().IsInvalidArgument());
+  LayerBuffers buf;
+  EXPECT_TRUE(layer.ForwardInto(x, &buf).IsInvalidArgument());
 }
 
 TEST(DenseLayerTest, ReluClampsNegativePreactivations) {
   DenseLayer layer(1, 1, Activation::kRelu);
   layer.weights()(0, 0) = 1.0;
   Matrix x{{-5.0}};
-  auto y = layer.Forward(x, false);
+  auto y = layer.Apply(x);
   ASSERT_TRUE(y.ok());
   EXPECT_DOUBLE_EQ((*y)(0, 0), 0.0);
 }
 
-TEST(DenseLayerTest, BackwardRequiresCachedForward) {
+TEST(DenseLayerTest, BackwardRequiresForwardOfSameBatch) {
   DenseLayer layer(1, 1, Activation::kIdentity);
   DenseGradients grads;
+  LayerBuffers buf;
+  Matrix x{{2.0}};
   Matrix g{{1.0}};
-  EXPECT_TRUE(layer.Backward(g, &grads).status().IsFailedPrecondition());
+  EXPECT_TRUE(
+      layer.BackwardInto(x, g, true, &buf, &grads).IsFailedPrecondition());
+  ASSERT_TRUE(layer.ForwardInto(x, &buf).ok());
+  Matrix two_rows{{2.0}, {3.0}};
+  EXPECT_TRUE(layer.BackwardInto(two_rows, Matrix{{1.0}, {1.0}}, true, &buf,
+                                 &grads)
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(layer.BackwardInto(x, Matrix{{1.0, 1.0}}, true, &buf, &grads)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(layer.BackwardInto(x, g, true, &buf, &grads).ok());
 }
 
 TEST(DenseLayerTest, GlorotInitBounded) {
@@ -123,15 +137,17 @@ TEST_P(DenseLayerGradCheck, BackwardMatchesNumericalGradient) {
   for (double& v : target.data()) v = rng.Uniform(-1, 1);
 
   auto loss_of = [&](DenseLayer& l) -> double {
-    Matrix y = l.Forward(x, false).value();
+    Matrix y = l.Apply(x).value();
     return ComputeLoss(LossKind::kMse, y, target).value();
   };
 
   // Analytic gradients.
-  Matrix y = layer.Forward(x, true).value();
-  Matrix dl = ComputeLossGrad(LossKind::kMse, y, target).value();
+  LayerBuffers buf;
+  ASSERT_TRUE(layer.ForwardInto(x, &buf).ok());
+  Matrix dl;
+  ASSERT_TRUE(ComputeLossGradInto(LossKind::kMse, buf.out, target, &dl).ok());
   DenseGradients grads;
-  ASSERT_TRUE(layer.Backward(dl, &grads).ok());
+  ASSERT_TRUE(layer.BackwardInto(x, dl, false, &buf, &grads).ok());
 
   const double eps = 1e-6;
   // Check a spread of weight entries.
@@ -168,10 +184,13 @@ TEST(DenseLayerTest, BackwardInputGradientMatchesNumerical) {
   Matrix x{{0.4, -0.3}};
   Matrix target{{0.1, 0.9}};
 
-  Matrix y = layer.Forward(x, true).value();
-  Matrix dl = ComputeLossGrad(LossKind::kMse, y, target).value();
+  LayerBuffers buf;
+  ASSERT_TRUE(layer.ForwardInto(x, &buf).ok());
+  Matrix dl;
+  ASSERT_TRUE(ComputeLossGradInto(LossKind::kMse, buf.out, target, &dl).ok());
   DenseGradients grads;
-  Matrix dx = layer.Backward(dl, &grads).value();
+  ASSERT_TRUE(layer.BackwardInto(x, dl, true, &buf, &grads).ok());
+  const Matrix& dx = buf.dx;
 
   const double eps = 1e-6;
   for (size_t c = 0; c < 2; ++c) {
@@ -179,13 +198,111 @@ TEST(DenseLayerTest, BackwardInputGradientMatchesNumerical) {
     xlo(0, c) -= eps;
     xhi(0, c) += eps;
     const double lo =
-        ComputeLoss(LossKind::kMse, layer.Forward(xlo, false).value(), target)
-            .value();
+        ComputeLoss(LossKind::kMse, layer.Apply(xlo).value(), target).value();
     const double hi =
-        ComputeLoss(LossKind::kMse, layer.Forward(xhi, false).value(), target)
-            .value();
+        ComputeLoss(LossKind::kMse, layer.Apply(xhi).value(), target).value();
     EXPECT_NEAR(dx(0, c), (hi - lo) / (2 * eps), 1e-5);
   }
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// The generic path for a linear head under MSE: ForwardInto, loss, loss
+/// gradient, BackwardInto with dX.
+double GenericMseStep(const DenseLayer& layer, const Matrix& x,
+                      const Matrix& target, DenseGradients* grads,
+                      Matrix* dx) {
+  LayerBuffers buf;
+  EXPECT_TRUE(layer.ForwardInto(x, &buf).ok());
+  const double loss = ComputeLoss(LossKind::kMse, buf.out, target).value();
+  Matrix dl;
+  EXPECT_TRUE(ComputeLossGradInto(LossKind::kMse, buf.out, target, &dl).ok());
+  EXPECT_TRUE(layer.BackwardInto(x, dl, true, &buf, grads).ok());
+  *dx = buf.dx;
+  return loss;
+}
+
+TEST(DenseLayerTest, MseHeadIsBitIdenticalToGenericPath) {
+  // Widths around the generic kernels' 4-way unrolls, batch with a ragged
+  // tail of rows.
+  for (size_t in : {size_t{1}, size_t{3}, size_t{4}, size_t{13}, size_t{64}}) {
+    DenseLayer layer(in, 1, Activation::kIdentity);
+    Rng rng(31 + in);
+    layer.InitGlorot(&rng);
+    layer.bias()[0] = rng.Uniform(-0.5, 0.5);
+    Matrix x(7, in);
+    Matrix target(7, 1);
+    for (double& v : x.data()) v = rng.Uniform(-3, 3);
+    for (double& v : target.data()) v = rng.Uniform(-3, 3);
+
+    DenseGradients generic;
+    Matrix generic_dx;
+    const double generic_loss =
+        GenericMseStep(layer, x, target, &generic, &generic_dx);
+    DenseGradients fused;
+    Matrix fused_dx;
+    double fused_loss = 0.0;
+    ASSERT_TRUE(
+        layer.MseHeadInto(x, target, &fused_loss, &fused, &fused_dx).ok());
+
+    EXPECT_TRUE(SameBits({generic_loss}, {fused_loss})) << "in=" << in;
+    EXPECT_TRUE(SameBits(generic.d_weights.data(), fused.d_weights.data()))
+        << "in=" << in;
+    EXPECT_TRUE(SameBits(generic.d_bias, fused.d_bias)) << "in=" << in;
+    EXPECT_TRUE(SameBits(generic_dx.data(), fused_dx.data())) << "in=" << in;
+  }
+}
+
+TEST(DenseLayerTest, MseHeadKeepsTheGenericSignOfZero) {
+  // Targets equal to the predictions give g = +0.0, and g * w = -0.0 for a
+  // negative weight. The generic dX = 0.0 + g*w turns that into +0.0; the
+  // fused head must produce the same bits, not -0.0.
+  DenseLayer layer(2, 1, Activation::kIdentity);
+  layer.weights()(0, 0) = -0.75;
+  layer.weights()(1, 0) = 0.5;
+  const Matrix x{{1.0, 2.0}, {-1.0, 0.5}};
+  const Matrix target = layer.Apply(x).value();
+
+  DenseGradients generic;
+  Matrix generic_dx;
+  GenericMseStep(layer, x, target, &generic, &generic_dx);
+  DenseGradients fused;
+  Matrix fused_dx;
+  double loss = 1.0;
+  ASSERT_TRUE(layer.MseHeadInto(x, target, &loss, &fused, &fused_dx).ok());
+
+  EXPECT_EQ(loss, 0.0);
+  EXPECT_FALSE(std::signbit(generic_dx(0, 0)));
+  EXPECT_TRUE(SameBits(generic_dx.data(), fused_dx.data()));
+  EXPECT_TRUE(SameBits(generic.d_weights.data(), fused.d_weights.data()));
+  EXPECT_TRUE(SameBits(generic.d_bias, fused.d_bias));
+}
+
+TEST(DenseLayerTest, MseHeadValidatesItsInputs) {
+  DenseGradients grads;
+  double loss = 0.0;
+  DenseLayer relu_head(2, 1, Activation::kRelu);
+  EXPECT_FALSE(relu_head.IsLinearScalarHead());
+  EXPECT_TRUE(relu_head.MseHeadInto(Matrix(1, 2), Matrix(1, 1), &loss,
+                                    &grads, nullptr)
+                  .IsFailedPrecondition());
+  DenseLayer wide(2, 2, Activation::kIdentity);
+  EXPECT_FALSE(wide.IsLinearScalarHead());
+
+  DenseLayer head(2, 1, Activation::kIdentity);
+  EXPECT_TRUE(head.IsLinearScalarHead());
+  EXPECT_TRUE(head.MseHeadInto(Matrix(1, 3), Matrix(1, 1), &loss, &grads,
+                               nullptr)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(head.MseHeadInto(Matrix(2, 2), Matrix(3, 1), &loss, &grads,
+                               nullptr)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(head.MseHeadInto(Matrix(0, 2), Matrix(0, 1), &loss, &grads,
+                               nullptr)
+                  .IsInvalidArgument());
 }
 
 }  // namespace

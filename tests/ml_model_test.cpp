@@ -1,9 +1,12 @@
-// Tests for SequentialModel: layer chaining, predict/forward/backward,
-// flat parameter round trips, architecture comparison.
+// Tests for SequentialModel: layer chaining, predict, workspace
+// forward/backward and the fused training step, flat parameter round trips,
+// architecture comparison.
 
 #include "qens/ml/sequential_model.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "qens/ml/loss.h"
 
@@ -38,7 +41,11 @@ TEST(SequentialModelTest, EmptyModelFails) {
   SequentialModel m;
   Matrix x(1, 1);
   EXPECT_TRUE(m.Predict(x).status().IsFailedPrecondition());
-  EXPECT_TRUE(m.Forward(x).status().IsFailedPrecondition());
+  TrainWorkspace ws;
+  EXPECT_TRUE(m.ForwardInto(x, &ws).IsFailedPrecondition());
+  EXPECT_TRUE(m.LossAndGradients(LossKind::kMse, x, x, &ws)
+                  .status()
+                  .IsFailedPrecondition());
   EXPECT_EQ(m.input_features(), 0u);
 }
 
@@ -71,15 +78,89 @@ TEST(SequentialModelTest, ForwardThenBackwardShapes) {
   SequentialModel m = TwoLayerNet(&rng);
   Matrix x{{0.5, -0.5}, {1.0, 2.0}};
   Matrix target{{0.0}, {1.0}};
-  auto y = m.Forward(x);
-  ASSERT_TRUE(y.ok());
-  auto dl = ComputeLossGrad(LossKind::kMse, *y, target);
-  ASSERT_TRUE(dl.ok());
-  auto grads = m.Backward(*dl);
-  ASSERT_TRUE(grads.ok());
-  ASSERT_EQ(grads->size(), 2u);
-  EXPECT_TRUE((*grads)[0].d_weights.SameShape(m.layer(0).weights()));
-  EXPECT_EQ((*grads)[1].d_bias.size(), 1u);
+  TrainWorkspace ws;
+  ASSERT_TRUE(m.ForwardInto(x, &ws).ok());
+  const Matrix& y = ws.layers.back().out;
+  EXPECT_EQ(y, m.Predict(x).value());
+  Matrix dl;
+  ASSERT_TRUE(ComputeLossGradInto(LossKind::kMse, y, target, &dl).ok());
+  ASSERT_TRUE(m.BackwardInto(x, dl, &ws).ok());
+  ASSERT_EQ(ws.grads.size(), 2u);
+  EXPECT_TRUE(ws.grads[0].d_weights.SameShape(m.layer(0).weights()));
+  EXPECT_EQ(ws.grads[1].d_bias.size(), 1u);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SequentialModelTest, FusedStepIsBitIdenticalToGenericPath) {
+  // LR (the head is the first layer) and NN (the head feeds dX back into
+  // the hidden layer): LossAndGradients under MSE takes the fused head;
+  // the explicit ForwardInto / loss / BackwardInto chain is the generic
+  // path. Every gradient and the loss must agree bit for bit.
+  for (size_t hidden : {size_t{0}, size_t{5}, size_t{64}}) {
+    SequentialModel m;
+    if (hidden == 0) {
+      ASSERT_TRUE(m.AddLayer(3, 1, Activation::kIdentity).ok());
+    } else {
+      ASSERT_TRUE(m.AddLayer(3, hidden, Activation::kRelu).ok());
+      ASSERT_TRUE(m.AddLayer(hidden, 1, Activation::kIdentity).ok());
+    }
+    Rng rng(40 + hidden);
+    m.InitWeights(&rng);
+    Matrix x(9, 3);
+    Matrix y(9, 1);
+    for (double& v : x.data()) v = rng.Uniform(-2, 2);
+    for (double& v : y.data()) v = rng.Uniform(-2, 2);
+
+    TrainWorkspace generic;
+    ASSERT_TRUE(m.ForwardInto(x, &generic).ok());
+    const Matrix& pred = generic.layers.back().out;
+    const double generic_loss = ComputeLoss(LossKind::kMse, pred, y).value();
+    Matrix dl;
+    ASSERT_TRUE(ComputeLossGradInto(LossKind::kMse, pred, y, &dl).ok());
+    ASSERT_TRUE(m.BackwardInto(x, dl, &generic).ok());
+
+    TrainWorkspace fused;
+    const double fused_loss =
+        m.LossAndGradients(LossKind::kMse, x, y, &fused).value();
+    EXPECT_TRUE(SameBits({generic_loss}, {fused_loss})) << hidden;
+    ASSERT_EQ(fused.grads.size(), generic.grads.size());
+    for (size_t i = 0; i < fused.grads.size(); ++i) {
+      EXPECT_TRUE(SameBits(generic.grads[i].d_weights.data(),
+                           fused.grads[i].d_weights.data()))
+          << hidden << " layer " << i;
+      EXPECT_TRUE(SameBits(generic.grads[i].d_bias, fused.grads[i].d_bias))
+          << hidden << " layer " << i;
+    }
+  }
+}
+
+TEST(SequentialModelTest, WorkspaceIsReusedAcrossBatchShapes) {
+  // One workspace serves batches of different sizes (a ragged last batch,
+  // then a full one again) and gives the same gradients as a fresh one.
+  Rng rng(15);
+  SequentialModel m = TwoLayerNet(&rng);
+  Matrix big(6, 2), small(2, 2), ybig(6, 1), ysmall(2, 1);
+  for (double& v : big.data()) v = rng.Uniform(-1, 1);
+  for (double& v : small.data()) v = rng.Uniform(-1, 1);
+  for (double& v : ybig.data()) v = rng.Uniform(-1, 1);
+  for (double& v : ysmall.data()) v = rng.Uniform(-1, 1);
+  for (LossKind loss : {LossKind::kMse, LossKind::kHuber}) {
+    TrainWorkspace reused;
+    ASSERT_TRUE(m.LossAndGradients(loss, big, ybig, &reused).ok());
+    ASSERT_TRUE(m.LossAndGradients(loss, small, ysmall, &reused).ok());
+    const double reused_loss =
+        m.LossAndGradients(loss, big, ybig, &reused).value();
+    TrainWorkspace fresh;
+    EXPECT_EQ(reused_loss, m.LossAndGradients(loss, big, ybig, &fresh).value());
+    for (size_t i = 0; i < m.num_layers(); ++i) {
+      EXPECT_EQ(reused.grads[i].d_weights, fresh.grads[i].d_weights);
+      EXPECT_EQ(reused.grads[i].d_bias, fresh.grads[i].d_bias);
+    }
+  }
 }
 
 TEST(SequentialModelTest, ParameterCountAndRoundTrip) {

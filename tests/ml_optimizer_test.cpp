@@ -20,9 +20,9 @@ SequentialModel ScalarModel(double w, double b) {
 
 std::vector<DenseGradients> GradsOf(SequentialModel* m, const Matrix& x,
                                     const Matrix& y) {
-  Matrix pred = m->Forward(x).value();
-  Matrix dl = ComputeLossGrad(LossKind::kMse, pred, y).value();
-  return m->Backward(dl).value();
+  TrainWorkspace ws;
+  EXPECT_TRUE(m->LossAndGradients(LossKind::kMse, x, y, &ws).ok());
+  return ws.grads;
 }
 
 TEST(SgdTest, SingleStepMatchesHandMath) {
