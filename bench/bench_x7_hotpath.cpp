@@ -111,7 +111,9 @@ Matrix NaiveForward(const ml::SequentialModel& model, const Matrix& x,
 }
 
 /// Pre-PR model backward: materialized transposes for dW = Xt*dZ and
-/// dX = dZ*Wt, allocating Hadamard for dZ.
+/// dX = dZ*Wt, allocating Hadamard for dZ. f'(Z) and the product stay two
+/// passes here, so the bit check in the step section holds the one-pass
+/// ApplyActivationGradProduct to them.
 std::vector<ml::DenseGradients> NaiveBackward(const ml::SequentialModel& model,
                                               const Matrix& grad_out,
                                               const NaiveCache& cache) {

@@ -40,6 +40,51 @@ Status CheckSameArchitecture(const std::vector<ml::SequentialModel>& models,
   return Status::OK();
 }
 
+/// The normalized prediction weights lambda_i, after the checks every
+/// prediction-space rule shares.
+Result<std::vector<double>> PredictionWeights(
+    const std::vector<ml::SequentialModel>& models,
+    const std::vector<double>& weights) {
+  if (models.empty()) {
+    return Status::InvalidArgument("aggregate: no models");
+  }
+  if (weights.size() != models.size()) {
+    return Status::InvalidArgument(
+        StrFormat("aggregate: %zu weights for %zu models", weights.size(),
+                  models.size()));
+  }
+  return vec::NormalizeWeights(weights);
+}
+
+/// Each member's prediction over `x`, in member order; fails at the first
+/// member whose prediction fails or is non-finite.
+Result<std::vector<Matrix>> MemberPredictions(
+    const std::vector<ml::SequentialModel>& models, const Matrix& x) {
+  std::vector<Matrix> preds;
+  preds.reserve(models.size());
+  for (size_t i = 0; i < models.size(); ++i) {
+    QENS_ASSIGN_OR_RETURN(Matrix pred, models[i].Predict(x));
+    if (!AllFinite(pred.data())) {
+      return Status::InvalidArgument(StrFormat(
+          "aggregate: model %zu produced non-finite predictions", i));
+    }
+    preds.push_back(std::move(pred));
+  }
+  return preds;
+}
+
+/// sum_i lambda_i * preds[i]: the first prediction scaled by lambda_0, then
+/// one Axpy per later member, in member order.
+Result<Matrix> CombinePredictions(const std::vector<Matrix>& preds,
+                                  const std::vector<double>& lambda) {
+  Matrix acc = preds[0];
+  acc.Scale(lambda[0]);
+  for (size_t i = 1; i < preds.size(); ++i) {
+    QENS_RETURN_NOT_OK(acc.Axpy(lambda[i], preds[i]));
+  }
+  return acc;
+}
+
 }  // namespace
 
 const char* AggregationKindName(AggregationKind kind) {
@@ -92,32 +137,11 @@ Result<Matrix> AggregatePredictions(
 Result<Matrix> AggregatePredictionsWeighted(
     const std::vector<ml::SequentialModel>& models,
     const std::vector<double>& weights, const Matrix& x) {
-  if (models.empty()) {
-    return Status::InvalidArgument("aggregate: no models");
-  }
-  if (weights.size() != models.size()) {
-    return Status::InvalidArgument(
-        StrFormat("aggregate: %zu weights for %zu models", weights.size(),
-                  models.size()));
-  }
   QENS_ASSIGN_OR_RETURN(std::vector<double> lambda,
-                        vec::NormalizeWeights(weights));
-
-  Matrix acc;
-  for (size_t i = 0; i < models.size(); ++i) {
-    QENS_ASSIGN_OR_RETURN(Matrix pred, models[i].Predict(x));
-    if (!AllFinite(pred.data())) {
-      return Status::InvalidArgument(StrFormat(
-          "aggregate: model %zu produced non-finite predictions", i));
-    }
-    if (i == 0) {
-      pred.Scale(lambda[i]);
-      acc = std::move(pred);
-    } else {
-      QENS_RETURN_NOT_OK(acc.Axpy(lambda[i], pred));
-    }
-  }
-  return acc;
+                        PredictionWeights(models, weights));
+  QENS_ASSIGN_OR_RETURN(std::vector<Matrix> preds,
+                        MemberPredictions(models, x));
+  return CombinePredictions(preds, lambda);
 }
 
 Result<ml::SequentialModel> FedAvgParameters(
@@ -479,6 +503,22 @@ Result<EnsembleModel> EnsembleModel::Create(
     }
   }
   return EnsembleModel(std::move(models), std::move(weights));
+}
+
+Result<AveragedPredictions> EnsembleModel::PredictAveraged(
+    const Matrix& x) const {
+  QENS_ASSIGN_OR_RETURN(
+      std::vector<double> equal,
+      PredictionWeights(models_, std::vector<double>(models_.size(), 1.0)));
+  QENS_ASSIGN_OR_RETURN(std::vector<double> lambda,
+                        PredictionWeights(models_, weights_));
+  QENS_ASSIGN_OR_RETURN(std::vector<Matrix> preds,
+                        MemberPredictions(models_, x));
+  AveragedPredictions out;
+  QENS_ASSIGN_OR_RETURN(out.model_averaging, CombinePredictions(preds, equal));
+  QENS_ASSIGN_OR_RETURN(out.weighted_averaging,
+                        CombinePredictions(preds, lambda));
+  return out;
 }
 
 Result<Matrix> EnsembleModel::Predict(

@@ -160,6 +160,12 @@ struct RobustAggregationOptions {
   const ml::SequentialModel* reference = nullptr;
 };
 
+/// The paper's two prediction-space answers for one input.
+struct AveragedPredictions {
+  Matrix model_averaging;     ///< Eq. 6.
+  Matrix weighted_averaging;  ///< Eq. 7.
+};
+
 /// A trained ensemble the leader keeps per query: the l local models plus
 /// their rankings, able to answer with any aggregation rule.
 class EnsembleModel {
@@ -179,6 +185,12 @@ class EnsembleModel {
   Result<Matrix> Predict(const Matrix& x, AggregationKind kind,
                          const RobustAggregationOptions& robust =
                              RobustAggregationOptions()) const;
+
+  /// Eq. 6 and Eq. 7 together from one prediction per member: each member
+  /// predicts `x` once and both answers combine those predictions.
+  /// Bit-identical to Predict(x, kModelAveraging) and
+  /// Predict(x, kWeightedAveraging), failing where they fail.
+  Result<AveragedPredictions> PredictAveraged(const Matrix& x) const;
 
  private:
   EnsembleModel(std::vector<ml::SequentialModel> models,

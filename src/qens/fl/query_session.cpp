@@ -556,18 +556,16 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
 
   const Matrix& x_test = test->features();
   const Matrix& y_test = test->targets();
-  QENS_ASSIGN_OR_RETURN(Matrix pred_avg,
-                        ensemble.Predict(x_test,
-                                         AggregationKind::kModelAveraging));
+  // Eq. 6 and Eq. 7 share one prediction per member.
+  QENS_ASSIGN_OR_RETURN(AveragedPredictions averaged,
+                        ensemble.PredictAveraged(x_test));
   QENS_ASSIGN_OR_RETURN(
       outcome.loss_model_avg,
-      ml::ComputeLoss(ml::LossKind::kMse, pred_avg, y_test));
-  QENS_ASSIGN_OR_RETURN(
-      Matrix pred_weighted,
-      ensemble.Predict(x_test, AggregationKind::kWeightedAveraging));
+      ml::ComputeLoss(ml::LossKind::kMse, averaged.model_averaging, y_test));
   QENS_ASSIGN_OR_RETURN(
       outcome.loss_weighted,
-      ml::ComputeLoss(ml::LossKind::kMse, pred_weighted, y_test));
+      ml::ComputeLoss(ml::LossKind::kMse, averaged.weighted_averaging,
+                      y_test));
   QENS_ASSIGN_OR_RETURN(
       Matrix pred_fedavg,
       ensemble.Predict(x_test, AggregationKind::kFedAvgParameters));

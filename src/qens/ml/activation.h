@@ -32,8 +32,16 @@ void ApplyActivation(Activation a, const Matrix& z, Matrix* out);
 /// f'(z) applied elementwise, written into `out` (same shape; may alias).
 ///
 /// The ReLU derivative at exactly 0 is taken as 0 (the common subgradient
-/// choice, matching Keras/TensorFlow behaviour).
+/// choice, matching Keras/TensorFlow behaviour). Training uses the fused
+/// ApplyActivationGradProduct; this form is its reference.
 void ApplyActivationGrad(Activation a, const Matrix& z, Matrix* out);
+
+/// The backward pass through an activation in one sweep: out = f'(z) * grad
+/// elementwise, bit-identical to ApplyActivationGrad followed by an
+/// elementwise product with `grad`. `grad` must have z's shape; `out` is
+/// resized to it and may alias either input.
+void ApplyActivationGradProduct(Activation a, const Matrix& z,
+                                const Matrix& grad, Matrix* out);
 
 }  // namespace qens::ml
 

@@ -57,9 +57,8 @@ Status DenseLayer::BackwardInto(const Matrix& x, const Matrix& grad_out,
     return Status::InvalidArgument(
         "DenseLayer::BackwardInto: grad shape mismatch");
   }
-  // dZ = f'(Z) (.) dY.
-  ApplyActivationGrad(activation_, buf->pre, &buf->dz);
-  QENS_RETURN_NOT_OK(buf->dz.HadamardInPlace(grad_out));
+  // dZ = f'(Z) (.) dY, in one pass.
+  ApplyActivationGradProduct(activation_, buf->pre, grad_out, &buf->dz);
   // dW = Xᵀ dZ ; db = column sums of dZ ; dX = dZ Wᵀ — both GEMMs via the
   // fused kernels, so no transposed copy of X or W is ever built.
   QENS_RETURN_NOT_OK(x.MatMulTransposedAInto(buf->dz, &grads->d_weights));
@@ -99,23 +98,70 @@ Status DenseLayer::MseHeadInto(const Matrix& x, const Matrix& target,
   if (dx != nullptr) dx->ResizeUninitialized(n, k_in);
 
   // Every accumulation below runs in the generic path's order (see the
-  // header), so the result is bit-identical to it.
+  // header), so the result is bit-identical to it. The rows' dot products
+  // are independent add chains, so four rows' chains run at once; the rest
+  // of each row — loss, gradient, db, dW, dX — then follows in ascending
+  // row order, as in the one-row loop at the end.
   double sq_sum = 0.0;
   double db = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    const double* xr = x.RowPtr(r);
-    double z = 0.0;
-    for (size_t k = 0; k < k_in; ++k) z += xr[k] * w[k];
+  // The scalar tail of row r given its dot product z: the loss term and
+  // the gradient g = dL/dz, which db takes at once.
+  auto row_grad = [&](double z, size_t r) {
     z += b;
     const double d = z - t[r];
     sq_sum += d * d;
     const double g = 2.0 * d * inv_n;
-    for (size_t k = 0; k < k_in; ++k) dw[k] += xr[k] * g;
     db += g;
-    if (dx != nullptr) {
-      double* o = dx->RowPtr(r);
-      for (size_t k = 0; k < k_in; ++k) o[k] = 0.0 + g * w[k];
+    return g;
+  };
+  auto row_dx = [&](double g, size_t r) {
+    double* o = dx->RowPtr(r);
+    for (size_t k = 0; k < k_in; ++k) o[k] = 0.0 + g * w[k];
+  };
+  size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    const double* x0 = x.RowPtr(r);
+    const double* x1 = x.RowPtr(r + 1);
+    const double* x2 = x.RowPtr(r + 2);
+    const double* x3 = x.RowPtr(r + 3);
+    double z0 = 0.0;
+    double z1 = 0.0;
+    double z2 = 0.0;
+    double z3 = 0.0;
+    for (size_t k = 0; k < k_in; ++k) {
+      const double wk = w[k];
+      z0 += x0[k] * wk;
+      z1 += x1[k] * wk;
+      z2 += x2[k] * wk;
+      z3 += x3[k] * wk;
     }
+    const double g0 = row_grad(z0, r);
+    const double g1 = row_grad(z1, r + 1);
+    const double g2 = row_grad(z2, r + 2);
+    const double g3 = row_grad(z3, r + 3);
+    // Each dW element adds the four rows' terms in ascending row order.
+    for (size_t k = 0; k < k_in; ++k) {
+      double acc = dw[k];
+      acc += x0[k] * g0;
+      acc += x1[k] * g1;
+      acc += x2[k] * g2;
+      acc += x3[k] * g3;
+      dw[k] = acc;
+    }
+    if (dx != nullptr) {
+      row_dx(g0, r);
+      row_dx(g1, r + 1);
+      row_dx(g2, r + 2);
+      row_dx(g3, r + 3);
+    }
+  }
+  for (; r < n; ++r) {
+    const double* xr = x.RowPtr(r);
+    double z = 0.0;
+    for (size_t k = 0; k < k_in; ++k) z += xr[k] * w[k];
+    const double g = row_grad(z, r);
+    for (size_t k = 0; k < k_in; ++k) dw[k] += xr[k] * g;
+    if (dx != nullptr) row_dx(g, r);
   }
   grads->d_bias.assign(1, db);
   *loss = sq_sum / static_cast<double>(n);

@@ -262,10 +262,79 @@ Result<std::string> EncodeValues(const SequentialModel& model,
 struct DecodedMessage {
   SequentialModel architecture;       ///< Header architecture, params unset.
   std::vector<double> values;         ///< Flat absolute params or delta.
-  bool is_delta = false;
 };
 
-Result<DecodedMessage> DecodeMessage(const std::string& bytes) {
+/// Check the `num_layers` layer specs at `in`'s position and the parameter
+/// count after them, without building any layer: every width is positive,
+/// every activation known, each layer chains with the one before, the
+/// declared count equals the overflow-checked sum of in * out + out, and
+/// the payload after it has room for that many values.
+/// A delta message must also match `reference` layer for layer — a top-k
+/// payload may be far smaller than its parameter count, so the reference,
+/// not the byte count, bounds it. `in` is a copy: the caller's reader stays
+/// put. Returns the parameter count.
+Result<size_t> CheckHeader(Reader in, uint32_t num_layers, WireCodecKind kind,
+                           const SequentialModel* reference) {
+  if (reference != nullptr && reference->num_layers() != num_layers) {
+    return Status::InvalidArgument(
+        "wire decode: delta architecture does not match the reference");
+  }
+  size_t total = 0;
+  uint32_t prev_out = 0;
+  for (uint32_t i = 0; i < num_layers; ++i) {
+    const uint32_t in_f = in.U32();
+    const uint32_t out_f = in.U32();
+    const uint8_t act_byte = in.U8();
+    if (in_f == 0 || out_f == 0) {
+      return Status::InvalidArgument("wire decode: non-positive layer width");
+    }
+    if (act_byte > kMaxActivationByte) {
+      return Status::InvalidArgument(
+          StrFormat("wire decode: unknown activation %u", act_byte));
+    }
+    if (i > 0 && in_f != prev_out) {
+      return Status::InvalidArgument(StrFormat(
+          "wire decode: layer %u input width %u does not chain with the "
+          "previous output %u",
+          i, in_f, prev_out));
+    }
+    if (reference != nullptr) {
+      const DenseLayer& ref = reference->layer(i);
+      if (ref.in_features() != in_f || ref.out_features() != out_f ||
+          ref.activation() != static_cast<Activation>(act_byte)) {
+        return Status::InvalidArgument(
+            "wire decode: delta architecture does not match the reference");
+      }
+    }
+    if (!AddLayerParameterCount(in_f, out_f, &total)) {
+      return Status::InvalidArgument(
+          "wire decode: layer widths overflow the parameter count");
+    }
+    prev_out = out_f;
+  }
+  const uint64_t param_count = in.U64();
+  if (param_count != total) {
+    return Status::InvalidArgument(StrFormat(
+        "wire decode: param count %llu does not match the architecture (%zu)",
+        static_cast<unsigned long long>(param_count), total));
+  }
+  // Raw values take 64 bits each, quantized ones WireCodecBits; top-k
+  // deltas are bounded by the reference checked above.
+  const size_t bits = kind == WireCodecKind::kRawF64
+                          ? 64
+                          : static_cast<size_t>(WireCodecBits(kind));
+  if (kind != WireCodecKind::kTopK && total > in.remaining() * 8 / bits) {
+    return Status::InvalidArgument(StrFormat(
+        "wire decode: truncated payload (%zu parameters, %zu bytes left)",
+        total, in.remaining()));
+  }
+  return total;
+}
+
+/// Decode an absolute message (`reference` null) or a delta message against
+/// `reference`. The header is checked in full before any layer is built.
+Result<DecodedMessage> DecodeMessage(const std::string& bytes,
+                                     const SequentialModel* reference) {
   Reader in(bytes);
   QENS_RETURN_NOT_OK(in.Need(12, "header"));
   char magic[4];
@@ -294,38 +363,34 @@ Result<DecodedMessage> DecodeMessage(const std::string& bytes) {
     return Status::InvalidArgument(
         "wire decode: kTopK payload without the delta flag");
   }
+  if (is_delta && reference == nullptr) {
+    return Status::InvalidArgument(
+        "wire decode: delta payload passed to the absolute decoder (use "
+        "DecodeModelDelta with the reference model)");
+  }
+  if (!is_delta && reference != nullptr) {
+    return Status::InvalidArgument(
+        "wire decode: absolute payload passed to the delta decoder");
+  }
   const uint32_t num_layers = in.U32();
   if (num_layers > kMaxWireLayers) {
     return Status::InvalidArgument("wire decode: unreasonable layer count");
   }
   QENS_RETURN_NOT_OK(in.Need(9 * static_cast<size_t>(num_layers) + 8,
                              "layer specs"));
+  QENS_ASSIGN_OR_RETURN(const size_t param_count,
+                        CheckHeader(in, num_layers, kind, reference));
   DecodedMessage msg;
-  msg.is_delta = is_delta;
   for (uint32_t i = 0; i < num_layers; ++i) {
     const uint32_t in_f = in.U32();
     const uint32_t out_f = in.U32();
     const uint8_t act_byte = in.U8();
-    if (in_f == 0 || out_f == 0) {
-      return Status::InvalidArgument("wire decode: non-positive layer width");
-    }
-    if (act_byte > kMaxActivationByte) {
-      return Status::InvalidArgument(
-          StrFormat("wire decode: unknown activation %u", act_byte));
-    }
-    // AddLayer enforces the in == previous-out chain.
     QENS_RETURN_NOT_OK(msg.architecture.AddLayer(
         in_f, out_f, static_cast<Activation>(act_byte)));
   }
-  const uint64_t param_count = in.U64();
-  if (param_count != msg.architecture.ParameterCount()) {
-    return Status::InvalidArgument(StrFormat(
-        "wire decode: param count %llu does not match the architecture (%zu)",
-        static_cast<unsigned long long>(param_count),
-        msg.architecture.ParameterCount()));
-  }
+  in.U64();  // The parameter count, checked above.
 
-  msg.values.assign(static_cast<size_t>(param_count), 0.0);
+  msg.values.assign(param_count, 0.0);
   switch (kind) {
     case WireCodecKind::kRawF64: {
       QENS_RETURN_NOT_OK(in.Need(8 * msg.values.size(), "raw payload"));
@@ -487,12 +552,8 @@ Result<std::string> EncodeModel(const SequentialModel& model,
 }
 
 Result<SequentialModel> DecodeModel(const std::string& bytes) {
-  QENS_ASSIGN_OR_RETURN(DecodedMessage msg, DecodeMessage(bytes));
-  if (msg.is_delta) {
-    return Status::InvalidArgument(
-        "wire decode: delta payload passed to the absolute decoder (use "
-        "DecodeModelDelta with the reference model)");
-  }
+  QENS_ASSIGN_OR_RETURN(DecodedMessage msg,
+                        DecodeMessage(bytes, /*reference=*/nullptr));
   SequentialModel model = std::move(msg.architecture);
   QENS_RETURN_NOT_OK(model.SetParameters(msg.values));
   return model;
@@ -514,15 +575,7 @@ Result<std::string> EncodeModelDelta(const SequentialModel& model,
 
 Result<SequentialModel> DecodeModelDelta(const std::string& bytes,
                                          const SequentialModel& reference) {
-  QENS_ASSIGN_OR_RETURN(DecodedMessage msg, DecodeMessage(bytes));
-  if (!msg.is_delta) {
-    return Status::InvalidArgument(
-        "wire decode: absolute payload passed to the delta decoder");
-  }
-  if (!msg.architecture.SameArchitecture(reference)) {
-    return Status::InvalidArgument(
-        "wire decode: delta architecture does not match the reference");
-  }
+  QENS_ASSIGN_OR_RETURN(DecodedMessage msg, DecodeMessage(bytes, &reference));
   const std::vector<double> ref = reference.GetParameters();
   for (size_t i = 0; i < msg.values.size(); ++i) msg.values[i] += ref[i];
   SequentialModel model = reference.Clone();

@@ -1,10 +1,12 @@
 #include "qens/ml/model_io.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "qens/common/string_util.h"
 
@@ -73,7 +75,15 @@ Result<SequentialModel> DeserializeModel(const std::string& text) {
     return Status::InvalidArgument("model parse: unreasonable layer count");
   }
 
-  SequentialModel model;
+  // The whole header is checked before any layer is built, so a hostile
+  // width never sizes an allocation.
+  struct LayerSpec {
+    size_t in;
+    size_t out;
+    Activation act;
+  };
+  std::vector<LayerSpec> specs;
+  size_t total = 0;
   for (int64_t i = 0; i < n_layers; ++i) {
     if (!next_line(&cur) || !StartsWith(cur, "layer ")) {
       return Status::InvalidArgument("model parse: missing 'layer' line");
@@ -89,19 +99,43 @@ Result<SequentialModel> DeserializeModel(const std::string& text) {
       return Status::InvalidArgument("model parse: non-positive layer width");
     }
     QENS_ASSIGN_OR_RETURN(Activation act, ParseActivation(parts[3]));
-    QENS_RETURN_NOT_OK(model.AddLayer(static_cast<size_t>(in_f),
-                                      static_cast<size_t>(out_f), act));
+    const LayerSpec spec{static_cast<size_t>(in_f),
+                         static_cast<size_t>(out_f), act};
+    if (!specs.empty() && specs.back().out != spec.in) {
+      return Status::InvalidArgument(StrFormat(
+          "model parse: layer %lld input width %zu does not chain with the "
+          "previous output %zu",
+          static_cast<long long>(i), spec.in, specs.back().out));
+    }
+    if (!AddLayerParameterCount(spec.in, spec.out, &total)) {
+      return Status::InvalidArgument(
+          "model parse: layer widths overflow the parameter count");
+    }
+    specs.push_back(spec);
   }
 
   if (!next_line(&cur) || !StartsWith(cur, "params ")) {
     return Status::InvalidArgument("model parse: missing 'params' line");
   }
   QENS_ASSIGN_OR_RETURN(int64_t n_params, ParseInt(cur.substr(7)));
-  if (n_params < 0 ||
-      static_cast<size_t>(n_params) != model.ParameterCount()) {
+  if (n_params < 0 || static_cast<uint64_t>(n_params) != total) {
     return Status::InvalidArgument(
         StrFormat("model parse: params count %lld does not match model (%zu)",
-                  static_cast<long long>(n_params), model.ParameterCount()));
+                  static_cast<long long>(n_params), total));
+  }
+  // Every parameter is at least one character plus a separator.
+  const std::streamoff pos = in.tellg();
+  const size_t left = pos < 0 ? 0 : text.size() - static_cast<size_t>(pos);
+  if (total > (left + 1) / 2) {
+    return Status::InvalidArgument(StrFormat(
+        "model parse: truncated parameter block (%zu parameters, %zu bytes "
+        "left)",
+        total, left));
+  }
+
+  SequentialModel model;
+  for (const LayerSpec& spec : specs) {
+    QENS_RETURN_NOT_OK(model.AddLayer(spec.in, spec.out, spec.act));
   }
 
   std::vector<double> params;

@@ -91,6 +91,8 @@ Status AdamOptimizer::Step(SequentialModel* model,
       m.assign(layer->ParameterCount(), 0.0);
       v.assign(layer->ParameterCount(), 0.0);
     }
+    // Vectorized: this file builds with -fno-math-errno (see
+    // src/CMakeLists.txt), so std::sqrt is one sqrtpd lane per parameter.
     ForEachParam(layer, grads[li], [&](double& p, double g, size_t i) {
       m[i] = beta1_ * m[i] + (1.0 - beta1_) * g;
       v[i] = beta2_ * v[i] + (1.0 - beta2_) * g * g;

@@ -1,8 +1,22 @@
 #include "qens/ml/sequential_model.h"
 
+#include <limits>
+
 #include "qens/common/string_util.h"
 
 namespace qens::ml {
+
+bool AddLayerParameterCount(size_t in_features, size_t out_features,
+                            size_t* total) {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  if (in_features != 0 && out_features > kMax / in_features) return false;
+  const size_t weights = in_features * out_features;
+  if (weights > kMax - out_features) return false;
+  const size_t layer = weights + out_features;
+  if (*total > kMax - layer) return false;
+  *total += layer;
+  return true;
+}
 
 Status SequentialModel::AddLayer(size_t in_features, size_t out_features,
                                  Activation act) {

@@ -27,6 +27,12 @@ struct TrainWorkspace {
   Matrix loss_grad;  ///< dL/dprediction on the generic (unfused) path.
 };
 
+/// Add one layer's parameter count, in * out + out, to *total. Returns
+/// false and leaves *total unchanged when the sum does not fit a size_t.
+/// Decoders sum a header's layers with it before building any layer.
+bool AddLayerParameterCount(size_t in_features, size_t out_features,
+                            size_t* total);
+
 /// Feed-forward network: layers applied in order. Holds only parameters;
 /// every training pass is const and writes into a TrainWorkspace.
 class SequentialModel {

@@ -122,6 +122,44 @@ namespace {
 /// is bit-identical to the untiled loop.
 constexpr size_t kGemmColTile = 256;
 
+/// GemmAccumulate for a one-column rhs (a scalar output per row, as in a
+/// linear regression head): out[i] += a(i, :) · b. One row's dot product is
+/// a single dependent add chain, so four rows run at once to keep four
+/// chains in flight. Each chain still starts from out[i] and adds
+/// a(i, k) * b[k] in ascending k — the general loop's order — so the result
+/// is bit-identical to it.
+void GemvAccumulate(const double* a_data, size_t a_rows, size_t a_cols,
+                    const double* b, double* out) {
+  size_t i = 0;
+  for (; i + 4 <= a_rows; i += 4) {
+    const double* a0 = a_data + i * a_cols;
+    const double* a1 = a0 + a_cols;
+    const double* a2 = a1 + a_cols;
+    const double* a3 = a2 + a_cols;
+    double s0 = out[i];
+    double s1 = out[i + 1];
+    double s2 = out[i + 2];
+    double s3 = out[i + 3];
+    for (size_t k = 0; k < a_cols; ++k) {
+      const double bk = b[k];
+      s0 += a0[k] * bk;
+      s1 += a1[k] * bk;
+      s2 += a2[k] * bk;
+      s3 += a3[k] * bk;
+    }
+    out[i] = s0;
+    out[i + 1] = s1;
+    out[i + 2] = s2;
+    out[i + 3] = s3;
+  }
+  for (; i < a_rows; ++i) {
+    const double* a = a_data + i * a_cols;
+    double s = out[i];
+    for (size_t k = 0; k < a_cols; ++k) s += a[k] * b[k];
+    out[i] = s;
+  }
+}
+
 /// Shared ikj GEMM core: out(i, :) += a(i, :) * b. `out` must be
 /// zero-initialized (or hold the values being accumulated into). No skip on
 /// zero multiplicands: 0 * NaN and 0 * Inf must propagate per IEEE-754 (a
@@ -136,6 +174,10 @@ constexpr size_t kGemmColTile = 256;
 /// the vectorizer, which carries the k-chain inside one vector lane.
 void GemmAccumulate(const double* a_data, size_t a_rows, size_t a_cols,
                     const double* b_data, size_t b_cols, double* out_data) {
+  if (b_cols == 1) {
+    GemvAccumulate(a_data, a_rows, a_cols, b_data, out_data);
+    return;
+  }
   for (size_t j0 = 0; j0 < b_cols; j0 += kGemmColTile) {
     const size_t j1 = std::min(j0 + kGemmColTile, b_cols);
     for (size_t i = 0; i < a_rows; ++i) {
@@ -362,14 +404,6 @@ Result<Matrix> Matrix::Hadamard(const Matrix& rhs) const {
   Matrix out = *this;
   for (size_t i = 0; i < data_.size(); ++i) out.data_[i] *= rhs.data_[i];
   return out;
-}
-
-Status Matrix::HadamardInPlace(const Matrix& rhs) {
-  if (!SameShape(rhs)) {
-    return Status::InvalidArgument("HadamardInPlace: shape mismatch");
-  }
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= rhs.data_[i];
-  return Status::OK();
 }
 
 void Matrix::Scale(double s) {

@@ -127,9 +127,6 @@ class Matrix {
   Result<Matrix> Sub(const Matrix& rhs) const;
   Result<Matrix> Hadamard(const Matrix& rhs) const;
 
-  /// In-place Hadamard product: this *= rhs elementwise, no allocation.
-  Status HadamardInPlace(const Matrix& rhs);
-
   /// In-place multiply every element by s.
   void Scale(double s);
 

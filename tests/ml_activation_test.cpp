@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 namespace qens::ml {
 namespace {
@@ -79,6 +82,48 @@ TEST_P(ActivationGradParamTest, MatchesFiniteDifference) {
     const double analytic = Grad(act, z)(0, 0);
     EXPECT_NEAR(analytic, numeric, 1e-5) << "activation "
                                          << ActivationName(act) << " at " << x;
+  }
+}
+
+/// Same bits, or both NaN (the payload is not part of the contract).
+bool SameValue(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// The fused backward sweep must equal f'(z) from ApplyActivationGrad times
+// the upstream gradient, bit for bit: 0 * NaN stays NaN, 0 * Inf is NaN,
+// and a zero keeps the sign the product gives it.
+TEST_P(ActivationGradParamTest, FusedProductMatchesGradTimesUpstream) {
+  const Activation act = GetParam();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> zs = {-3.5, -1.0, -0.0, 0.0,  0.25,
+                                  2.0,  40.0, inf,  -inf, nan};
+  const std::vector<double> gs = {-2.0, -0.0, 0.0, 0.5, 3.0,
+                                  nan,  inf,  -inf};
+  Matrix z(zs.size(), gs.size());
+  Matrix upstream(zs.size(), gs.size());
+  for (size_t r = 0; r < zs.size(); ++r) {
+    for (size_t c = 0; c < gs.size(); ++c) {
+      z(r, c) = zs[r];
+      upstream(r, c) = gs[c];
+    }
+  }
+  const Matrix expected = Grad(act, z).Hadamard(upstream).value();
+
+  Matrix fused;
+  ApplyActivationGradProduct(act, z, upstream, &fused);
+  ASSERT_TRUE(fused.SameShape(z));
+  Matrix aliased = upstream;  // out may alias the upstream gradient.
+  ApplyActivationGradProduct(act, z, aliased, &aliased);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(SameValue(fused.data()[i], expected.data()[i]))
+        << ActivationName(act) << " z=" << z.data()[i]
+        << " g=" << upstream.data()[i];
+    EXPECT_TRUE(SameValue(aliased.data()[i], expected.data()[i]))
+        << ActivationName(act) << " z=" << z.data()[i]
+        << " g=" << upstream.data()[i];
   }
 }
 

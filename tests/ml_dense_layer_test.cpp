@@ -226,33 +226,39 @@ double GenericMseStep(const DenseLayer& layer, const Matrix& x,
 }
 
 TEST(DenseLayerTest, MseHeadIsBitIdenticalToGenericPath) {
-  // Widths around the generic kernels' 4-way unrolls, batch with a ragged
-  // tail of rows.
+  // Widths around the generic kernels' 4-way unrolls; row counts below, at
+  // and past the fused head's four-row blocks, with ragged tails.
   for (size_t in : {size_t{1}, size_t{3}, size_t{4}, size_t{13}, size_t{64}}) {
-    DenseLayer layer(in, 1, Activation::kIdentity);
-    Rng rng(31 + in);
-    layer.InitGlorot(&rng);
-    layer.bias()[0] = rng.Uniform(-0.5, 0.5);
-    Matrix x(7, in);
-    Matrix target(7, 1);
-    for (double& v : x.data()) v = rng.Uniform(-3, 3);
-    for (double& v : target.data()) v = rng.Uniform(-3, 3);
+    for (size_t rows : {size_t{1}, size_t{3}, size_t{5}, size_t{7},
+                        size_t{33}}) {
+      DenseLayer layer(in, 1, Activation::kIdentity);
+      Rng rng(31 + in + 100 * rows);
+      layer.InitGlorot(&rng);
+      layer.bias()[0] = rng.Uniform(-0.5, 0.5);
+      Matrix x(rows, in);
+      Matrix target(rows, 1);
+      for (double& v : x.data()) v = rng.Uniform(-3, 3);
+      for (double& v : target.data()) v = rng.Uniform(-3, 3);
 
-    DenseGradients generic;
-    Matrix generic_dx;
-    const double generic_loss =
-        GenericMseStep(layer, x, target, &generic, &generic_dx);
-    DenseGradients fused;
-    Matrix fused_dx;
-    double fused_loss = 0.0;
-    ASSERT_TRUE(
-        layer.MseHeadInto(x, target, &fused_loss, &fused, &fused_dx).ok());
+      DenseGradients generic;
+      Matrix generic_dx;
+      const double generic_loss =
+          GenericMseStep(layer, x, target, &generic, &generic_dx);
+      DenseGradients fused;
+      Matrix fused_dx;
+      double fused_loss = 0.0;
+      ASSERT_TRUE(
+          layer.MseHeadInto(x, target, &fused_loss, &fused, &fused_dx).ok());
 
-    EXPECT_TRUE(SameBits({generic_loss}, {fused_loss})) << "in=" << in;
-    EXPECT_TRUE(SameBits(generic.d_weights.data(), fused.d_weights.data()))
-        << "in=" << in;
-    EXPECT_TRUE(SameBits(generic.d_bias, fused.d_bias)) << "in=" << in;
-    EXPECT_TRUE(SameBits(generic_dx.data(), fused_dx.data())) << "in=" << in;
+      EXPECT_TRUE(SameBits({generic_loss}, {fused_loss}))
+          << "in=" << in << " rows=" << rows;
+      EXPECT_TRUE(SameBits(generic.d_weights.data(), fused.d_weights.data()))
+          << "in=" << in << " rows=" << rows;
+      EXPECT_TRUE(SameBits(generic.d_bias, fused.d_bias))
+          << "in=" << in << " rows=" << rows;
+      EXPECT_TRUE(SameBits(generic_dx.data(), fused_dx.data()))
+          << "in=" << in << " rows=" << rows;
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 namespace qens {
 namespace {
@@ -298,13 +300,75 @@ TEST(MatrixTest, SelectRowsIntoMatchesSelectRowsAndReusesBuffer) {
   EXPECT_FALSE(m.SelectRowsInto({10}, &out).ok());  // Out-of-range row.
 }
 
-TEST(MatrixTest, HadamardInPlaceMatchesHadamard) {
-  Matrix a = PseudoRandom(6, 5, 11);
-  Matrix b = PseudoRandom(6, 5, 12);
-  Matrix expected = a.Hadamard(b).value();
-  ASSERT_TRUE(a.HadamardInPlace(b).ok());
-  EXPECT_EQ(a.data(), expected.data());
-  EXPECT_FALSE(a.HadamardInPlace(PseudoRandom(5, 5, 13)).ok());
+/// The bits of `v`, with every NaN mapped to one value: NaN-ness is part of
+/// the kernels' contract, the payload is not.
+uint64_t Bits(double v) {
+  if (std::isnan(v)) return 0x7ff8000000000000ULL;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// A one-column rhs takes the GEMV path, which runs four rows' dot-product
+// chains at once. Every element must equal the rolled loop bit for bit —
+// 0.0 plus a(i, k) * b[k] in ascending k, then the bias — at row counts
+// around the four-row unroll and every depth, with NaN, +-Inf and -0.0 in
+// both operands.
+TEST(MatrixTest, ColumnGemvMatchesRolledLoopBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {nan, inf, -inf, -0.0, 0.0};
+  const std::vector<double> bias = {-0.25};
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (size_t depth = 0; depth <= 9; ++depth) {
+      // Finite operands spread over magnitudes (so the summation order
+      // shows in the low bits), then the same operands salted with
+      // specials.
+      Matrix a = PseudoRandom(rows, depth, 100 + 10 * rows + depth);
+      Matrix b = PseudoRandom(depth, 1, 200 + 10 * rows + depth);
+      for (size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] *= std::ldexp(1.0, static_cast<int>(i % 7) * 9 - 27);
+      }
+      for (bool salted : {false, true}) {
+        if (salted) {
+          for (size_t i = 0; i < a.size(); i += 3) {
+            a.data()[i] = specials[(i / 3 + rows) % 5];
+          }
+          for (size_t i = 0; i < b.size(); i += 4) {
+            b.data()[i] = specials[(i / 4 + depth) % 5];
+          }
+        }
+        Matrix prod;
+        Matrix biased;
+        ASSERT_TRUE(a.MatMulInto(b, &prod).ok());
+        ASSERT_TRUE(a.MatMulAddBiasInto(b, bias, &biased).ok());
+        ASSERT_EQ(prod.rows(), rows);
+        ASSERT_EQ(prod.cols(), 1u);
+        for (size_t i = 0; i < rows; ++i) {
+          double s = 0.0;
+          for (size_t k = 0; k < depth; ++k) s += a(i, k) * b(k, 0);
+          EXPECT_EQ(Bits(prod(i, 0)), Bits(s))
+              << "rows=" << rows << " depth=" << depth << " i=" << i
+              << " salted=" << salted;
+          EXPECT_EQ(Bits(biased(i, 0)), Bits(s + bias[0]))
+              << "rows=" << rows << " depth=" << depth << " i=" << i
+              << " salted=" << salted;
+        }
+      }
+
+      // 0 * NaN must reach every row's sum, whichever chain carries it.
+      if (depth == 0) continue;
+      Matrix zeros(rows, depth);
+      Matrix nan_b(depth, 1, 1.0);
+      nan_b(depth - 1, 0) = nan;
+      Matrix zero_prod;
+      ASSERT_TRUE(zeros.MatMulInto(nan_b, &zero_prod).ok());
+      for (size_t i = 0; i < rows; ++i) {
+        EXPECT_TRUE(std::isnan(zero_prod(i, 0)))
+            << "rows=" << rows << " depth=" << depth << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, MatMulIntoReusesDestination) {
