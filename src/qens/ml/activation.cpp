@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "qens/common/string_util.h"
 
@@ -36,45 +35,13 @@ void ApplyActivation(Activation a, const Matrix& z, Matrix* out) {
   const double* src = z.data().data();
   double* dst = out->data().data();
   const size_t n = z.size();
-  switch (a) {
-    case Activation::kIdentity:
-      if (dst != src) std::copy(src, src + n, dst);
-      break;
-    case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) dst[i] = src[i] > 0.0 ? src[i] : 0.0;
-      break;
-    case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0 / (1.0 + std::exp(-src[i]));
-      break;
-    case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) dst[i] = std::tanh(src[i]);
-      break;
+  if (a == Activation::kIdentity) {
+    if (dst != src) std::copy(src, src + n, dst);
+    return;
   }
-}
-
-void ApplyActivationGrad(Activation a, const Matrix& z, Matrix* out) {
-  if (out != &z) *out = z;
-  auto& d = out->data();
-  switch (a) {
-    case Activation::kIdentity:
-      for (double& v : d) v = 1.0;
-      break;
-    case Activation::kRelu:
-      for (double& v : d) v = v > 0.0 ? 1.0 : 0.0;
-      break;
-    case Activation::kSigmoid:
-      for (double& v : d) {
-        const double s = 1.0 / (1.0 + std::exp(-v));
-        v = s * (1.0 - s);
-      }
-      break;
-    case Activation::kTanh:
-      for (double& v : d) {
-        const double t = std::tanh(v);
-        v = 1.0 - t * t;
-      }
-      break;
-  }
+  DispatchActivation(a, [&]<Activation A>() {
+    for (size_t i = 0; i < n; ++i) dst[i] = ActivationValue<A>(src[i]);
+  });
 }
 
 void ApplyActivationGradProduct(Activation a, const Matrix& z,
@@ -85,31 +52,11 @@ void ApplyActivationGradProduct(Activation a, const Matrix& z,
   const double* gs = grad.data().data();
   double* dst = out->data().data();
   const size_t n = z.size();
-  // Each case multiplies ApplyActivationGrad's f'(z) value by the upstream
-  // gradient, the literal product, so 0.0 * NaN and the sign of a zero come
-  // out exactly as from the two-pass form.
-  switch (a) {
-    case Activation::kIdentity:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0 * gs[i];
-      break;
-    case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) {
-        dst[i] = (zs[i] > 0.0 ? 1.0 : 0.0) * gs[i];
-      }
-      break;
-    case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) {
-        const double s = 1.0 / (1.0 + std::exp(-zs[i]));
-        dst[i] = s * (1.0 - s) * gs[i];
-      }
-      break;
-    case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) {
-        const double t = std::tanh(zs[i]);
-        dst[i] = (1.0 - t * t) * gs[i];
-      }
-      break;
-  }
+  DispatchActivation(a, [&]<Activation A>() {
+    for (size_t i = 0; i < n; ++i) {
+      dst[i] = ActivationSlope<A>(ActivationValue<A>(zs[i])) * gs[i];
+    }
+  });
 }
 
 }  // namespace qens::ml

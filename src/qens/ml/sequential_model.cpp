@@ -48,6 +48,9 @@ Result<Matrix> SequentialModel::Predict(const Matrix& x) const {
   if (layers_.empty()) {
     return Status::FailedPrecondition("Predict: model has no layers");
   }
+  if (IsHiddenSweepModel()) {
+    return HiddenSweepPredict(layers_[0], layers_[1], x);
+  }
   // Apply is const and cache-free, so inference neither copies layers nor
   // touches training state.
   QENS_ASSIGN_OR_RETURN(Matrix cur, layers_[0].Apply(x));
@@ -117,6 +120,13 @@ Result<double> SequentialModel::LossAndGradients(LossKind loss,
                                                  const Matrix& y,
                                                  TrainWorkspace* ws) const {
   QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  if (loss == LossKind::kMse && IsHiddenSweepModel()) {
+    double value = 0.0;
+    QENS_RETURN_NOT_OK(HiddenSweepMseInto(layers_[0], layers_[1], x, y,
+                                          &ws->sweep_tile, &value,
+                                          &ws->grads[0], &ws->grads[1]));
+    return value;
+  }
   const size_t head = layers_.size() - 1;
   if (loss == LossKind::kMse && layers_[head].IsLinearScalarHead()) {
     QENS_RETURN_NOT_OK(ForwardLayers(head, x, ws));

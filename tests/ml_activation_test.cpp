@@ -18,9 +18,30 @@ Matrix Apply(Activation a, const Matrix& z) {
   return out;
 }
 
+/// f'(z) elementwise, written out independently of the library's
+/// ActivationSlope: the reference the fused backward is held to.
 Matrix Grad(Activation a, const Matrix& z) {
-  Matrix out;
-  ApplyActivationGrad(a, z, &out);
+  Matrix out = z;
+  for (double& v : out.data()) {
+    switch (a) {
+      case Activation::kIdentity:
+        v = 1.0;
+        break;
+      case Activation::kRelu:
+        v = v > 0.0 ? 1.0 : 0.0;
+        break;
+      case Activation::kSigmoid: {
+        const double s = 1.0 / (1.0 + std::exp(-v));
+        v = s * (1.0 - s);
+        break;
+      }
+      case Activation::kTanh: {
+        const double t = std::tanh(v);
+        v = 1.0 - t * t;
+        break;
+      }
+    }
+  }
   return out;
 }
 
@@ -91,7 +112,7 @@ bool SameValue(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
-// The fused backward sweep must equal f'(z) from ApplyActivationGrad times
+// The fused backward sweep must equal the reference f'(z) times
 // the upstream gradient, bit for bit: 0 * NaN stays NaN, 0 * Inf is NaN,
 // and a zero keeps the sign the product gives it.
 TEST_P(ActivationGradParamTest, FusedProductMatchesGradTimesUpstream) {
