@@ -4,14 +4,13 @@
 // closed-form sizes make possible.
 //
 // The correctness contract is asserted BEFORE anything is reported: for
-// every wire-enabled codec, the sum of the planner's est_comm_bytes over
-// the executed queries must equal the bytes the session's transport
-// actually recorded (model-down + model-up tags), EXACTLY — the codec's
-// sizes are architecture-determined, so the leader can price a query's
-// traffic to the byte before engaging a single node. The bench dies on any
-// mismatch. (The historical text format could not pin the up-link at all:
-// each trained model's hex-float digits drifted, which is also recorded
-// here as the "off" row's est/recorded gap.)
+// every run, wire off included, the sum of the planner's est_comm_bytes
+// over the executed queries must equal the bytes the session's transport
+// actually recorded (model-down + model-up tags), EXACTLY — every size is
+// architecture-determined, so the leader can price a query's traffic to
+// the byte before engaging a single node. The bench dies on any mismatch.
+// With the wire layer off, transfers are priced at the raw codec's size,
+// so the "off" and "raw" rows move the same bytes.
 //
 // Workload: the Section V-A air-quality deployment (10 stations,
 // heterogeneous regime, K = 5) serving range queries with the NN model —
@@ -21,8 +20,7 @@
 // Sections:
 //   sweep   — per codec: avg loss (raw PM2.5 units), recorded down/up
 //             bytes, reduction_vs_raw, rel_loss_vs_raw.
-//   pinning — per wire codec: planned vs recorded bytes (asserted equal);
-//             the "off" row shows the text format's up-link drift instead.
+//   pinning — per run: planned vs recorded bytes (asserted equal).
 //
 // Every record carries values["queries"] (tools/check_bench_json.py
 // enforces this).
@@ -104,7 +102,6 @@ CodecRun RunCodec(const std::string& label, bool wire_on,
   plan_options.selection = fed_options.query_driven;
   plan_options.epochs_per_cluster = fed_options.epochs_per_cluster;
   plan_options.hyper = fed_options.hyper;
-  plan_options.session_seed = session.seed();
   plan_options.wire = fed_options.wire;
 
   stats::RunningStats losses;
@@ -169,9 +166,8 @@ int main(int argc, char** argv) {
                             stations, queries));
   }
 
-  // Contract: wire-on planned bytes == recorded bytes, to the byte.
+  // Contract: planned bytes == recorded bytes, to the byte.
   for (const CodecRun& run : runs) {
-    if (!run.wire_on) continue;
     const size_t recorded = run.down_bytes + run.up_bytes;
     if (recorded != run.planned_bytes) {
       std::fprintf(stderr,
@@ -220,9 +216,7 @@ int main(int argc, char** argv) {
     pin.labels["section"] = "pinning";
     pin.labels["codec"] = run.label;
     pin.labels["exact"] =
-        run.wire_on && run.planned_bytes == run.down_bytes + run.up_bytes
-            ? "yes"
-            : "no";
+        run.planned_bytes == run.down_bytes + run.up_bytes ? "yes" : "no";
     pin.values["queries"] = static_cast<double>(run.queries_run);
     pin.values["planned_bytes"] = static_cast<double>(run.planned_bytes);
     pin.values["recorded_bytes"] =
@@ -231,10 +225,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\npinning: every wire codec's planned bytes matched the transport "
-      "exactly;\nthe text format ('off') planned %zu vs recorded %zu "
-      "(up-link drift).\n",
-      runs[0].planned_bytes, runs[0].down_bytes + runs[0].up_bytes);
+      "\npinning: every run's planned bytes matched the transport "
+      "exactly.\n");
 
   json.WriteOrDie();
   return 0;

@@ -4,7 +4,7 @@
 // The workload models one federated round's local-training fan-out at
 // scale: a batch of queries of mixed selection sizes (small / medium /
 // large) flattened into >10k independent (query, node) training units.
-// A splittable-RNG fault plan marks ~5% of units as stragglers that cost
+// A coordinate-keyed fault plan marks ~5% of units as stragglers that cost
 // ~40x the base work, so the per-unit durations are heavily skewed —
 // exactly the regime the elastic scheduler exists for.
 //
@@ -61,7 +61,7 @@ constexpr uint32_t kBaseIters = 64;
 constexpr uint32_t kStragglerIters = kBaseIters * 40;
 
 /// Whether the fault plan marks unit `u` a straggler — a pure function of
-/// the unit coordinate, as every draw is in splittable mode.
+/// the unit coordinate, as every fault-plan draw is.
 bool IsStraggler(size_t u) {
   const uint64_t draw =
       SplitRng(kPlanSeed)
@@ -76,10 +76,8 @@ bool IsStraggler(size_t u) {
 /// the compiler cannot elide the work and the equality section can compare
 /// results bit for bit.
 double UnitWork(size_t u) {
-  const uint64_t key = SplitRng(kPlanSeed)
-                           .Split(RngPurpose::kLocalTraining)
-                           .Split(static_cast<uint64_t>(u))
-                           .key();
+  const uint64_t key =
+      SplitRng(kPlanSeed).Split(static_cast<uint64_t>(u)).key();
   const uint32_t iters = IsStraggler(u) ? kStragglerIters : kBaseIters;
   double acc = static_cast<double>(key >> 11) * 0x1.0p-53;
   for (uint32_t i = 0; i < iters; ++i) {

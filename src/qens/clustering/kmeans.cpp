@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 
-#include "qens/common/split_rng.h"
 #include "qens/common/string_util.h"
 #include "qens/common/thread_pool.h"
 #include "qens/obs/metrics.h"
@@ -139,9 +138,7 @@ Result<KMeansResult> KMeans::Fit(const Matrix& data) const {
   const size_t d = data.cols();
   const size_t k = options_.k;
 
-  Rng rng = options_.split_seeding
-                ? SplitRng(options_.seed).Split(RngPurpose::kKMeansInit).ToRng()
-                : Rng(options_.seed);
+  Rng rng(options_.seed);
   KMeansResult result;
   result.centroids = Matrix(k, d);
   Initialize(data, &rng, &result.centroids);

@@ -39,11 +39,6 @@ struct KMeansOptions {
   /// (and identical to sequential whenever the data fits one chunk). A pool
   /// is created once per Fit invocation.
   size_t num_threads = 1;
-  /// Derive the seeding stream from the registered SplitRng kKMeansInit
-  /// purpose path instead of `Rng(seed)` directly. Changes which initial
-  /// centroids are drawn (default off keeps historical fits
-  /// byte-identical); the fit remains a pure function of (data, options).
-  bool split_seeding = false;
 };
 
 /// Result of a k-means fit.

@@ -16,8 +16,6 @@
 ///  1. Any unit of work can reconstruct its exact stream from its logical
 ///     coordinates alone — never from draw order or thread identity — so a
 ///     stream is invariant to query arrival order as well as to scheduling.
-///     (Pool dispatch needs only the weaker per-unit seeding the legacy
-///     derivations already give; see ThreadPool::ParallelUnits.)
 ///  2. Streams can be audited: the full key path of every stream in the
 ///     system is documented in the purpose registry (docs/PERFORMANCE.md).
 ///
@@ -40,15 +38,16 @@ namespace qens {
 
 /// Key-path purpose registry. Exactly one entry per documented stream
 /// consumer; values are permanent — never renumber or reuse one, append
-/// only. The authoritative table mapping each purpose to its consumer and
-/// full key path is in docs/PERFORMANCE.md ("Stream key-path registry").
+/// only. A retired purpose keeps its value and has no consumer. The
+/// authoritative table mapping each purpose to its consumer and full key
+/// path is in docs/PERFORMANCE.md ("Stream key-path registry").
 enum class RngPurpose : uint64_t {
   kModelInit = 1,             ///< fl/seed_derivation.h — per-query model init.
   kSessionSeed = 2,           ///< fl/query_server.cpp — per-session base seed.
-  kLocalTraining = 3,         ///< fl/query_session.cpp — local-train fan-out.
+  kLocalTraining = 3,         ///< Retired: local training roots at seed + id.
   kTrainOrderInit = 4,        ///< ml/trainer.cpp — initial sample order.
   kMinibatchShuffle = 5,      ///< ml/trainer.cpp — per-epoch minibatch order.
-  kKMeansInit = 6,            ///< clustering/kmeans.cpp — centroid seeding.
+  kKMeansInit = 6,            ///< Retired: k-means seeds from Rng(seed).
   kFaultCrash = 7,            ///< sim/fault_injection.cpp — crash-round draw.
   kFaultStraggler = 8,        ///< sim/fault_injection.cpp — slowdown draw.
   kFaultDropout = 9,          ///< sim/fault_injection.cpp — per-round dropout.

@@ -11,14 +11,6 @@
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
-namespace {
-
-// Fork stream for drift events; chained Fork(stream) -> Fork(node) ->
-// Fork(round) so every event is a pure function of (seed, node, round).
-constexpr uint64_t kDriftStream = 0xd21f;
-
-}  // namespace
-
 DynamicFleet::DynamicFleet(std::shared_ptr<const Fleet> fleet,
                            size_t num_nodes, std::vector<double> span)
     : fleet_(std::move(fleet)),
@@ -59,12 +51,8 @@ Result<DynamicFleet> DynamicFleet::Create(std::shared_ptr<const Fleet> fleet) {
   }
 
   // Always run the plan's validation; keep the plan only when churn is on.
-  // Splittable-RNG mode re-keys the schedule onto the registered purpose
-  // path (the plan stays a pure function of seed and node either way).
-  sim::ChurnPlanOptions churn_options = dyn.churn;
-  churn_options.use_split_rng |= fleet->options.splittable_rng;
   QENS_ASSIGN_OR_RETURN(sim::ChurnPlan plan,
-                        sim::ChurnPlan::Create(num_nodes, churn_options));
+                        sim::ChurnPlan::Create(num_nodes, dyn.churn));
   DynamicFleet dynamic(std::move(fleet), num_nodes, std::move(span));
   if (dyn.churn.churn_rate > 0.0) dynamic.churn_.emplace(std::move(plan));
   return dynamic;
@@ -182,14 +170,11 @@ Result<DynamicFleet::RoundStats> DynamicFleet::BeginRound(Leader* leader) {
   // Drift events: data drifts on the device whether or not the node is
   // currently participating (an absent node comes back with drifted data).
   if (dyn.drift.rate > 0.0) {
-    const bool split = dyn.drift.use_split_rng ||
-                       fleet_->options.splittable_rng;
-    const Rng base(dyn.drift.seed);
+    // Every event is a pure function of (seed, node, round).
     const SplitRng drift_stream =
         SplitRng(dyn.drift.seed).Split(RngPurpose::kDrift);
     for (size_t i = 0; i < num_nodes; ++i) {
-      Rng rng = split ? drift_stream.Split(i).Split(round).ToRng()
-                      : base.Fork(kDriftStream).Fork(i).Fork(round);
+      Rng rng = drift_stream.Split(i).Split(round).ToRng();
       if (!rng.Bernoulli(dyn.drift.rate)) continue;
       std::vector<double> offset(span_.size(), 0.0);
       for (size_t d = 0; d < span_.size(); ++d) {

@@ -19,12 +19,7 @@ Result<std::unique_ptr<ml::Trainer>> LocalTrainer(
   ml::HyperParams hp = hyper;
   hp.epochs = epochs;
   hp.validation_split = 0.0;
-  // Keyed mode derives the per-node stream from coordinates (collision-free
-  // across nodes/queries); legacy mode keeps the historical additive seed.
-  const uint64_t seed = options.keyed_streams
-                            ? SplitRng(options.seed).Split(node.id()).key()
-                            : options.seed + node.id();
-  return ml::BuildTrainer(hp, seed, options.keyed_streams);
+  return ml::BuildTrainer(hp, SplitRng(options.seed).Split(node.id()).key());
 }
 
 /// Mirror targets within their observed range: y' = lo + hi - y. Keeps the

@@ -26,14 +26,11 @@ struct LocalTrainOptions {
   /// of local iterations on each supporting cluster"). When training on the
   /// whole dataset (no selectivity), `hyper.epochs` is used instead.
   size_t epochs_per_cluster = 20;
+  /// Root of the query's local-training streams. A session passes
+  /// `session_seed + query.id`; node i's trainer seed is
+  /// `SplitRng(seed).Split(i)`, and the trainer keys its shuffles by
+  /// (trainer seed, epoch).
   uint64_t seed = 7;
-  /// Splittable-RNG mode (FederationOptions::splittable_rng): `seed` is a
-  /// SplitRng key (path seed -> kLocalTraining -> query), the per-node
-  /// trainer stream is `SplitRng(seed).Split(node_id)`, and minibatch
-  /// shuffles inside the trainer are keyed by epoch instead of drawn from a
-  /// linear generator. Off (default) keeps the historical
-  /// `seed + node_id` trainer seeds byte-identical.
-  bool keyed_streams = false;
   /// Byzantine label-flip poisoning (sim::CorruptionKind::kLabelFlipPoisoning):
   /// train honestly but on targets mirrored within their observed range
   /// (y' = lo + hi - y). The returned parameters are finite and

@@ -5,7 +5,6 @@
 
 #include "qens/common/rng.h"
 #include "qens/common/string_util.h"
-#include "qens/fl/seed_derivation.h"
 #include "qens/ml/model_codec.h"
 #include "qens/ml/model_io.h"
 #include "qens/query/selectivity_estimator.h"
@@ -46,21 +45,14 @@ Result<QueryPlan> PlanQuery(
       std::vector<selection::NodeRank> selected,
       selection::SelectQueryDriven(ranks, options.selection));
 
-  // Size of the model that would be broadcast / returned. Under the text
-  // serializer the size depends on the weight digits, so with a session
-  // seed we rebuild the exact model the session's init stream would
-  // produce; otherwise a representative fixed-seed instance. Under the
-  // binary codec both directions are closed-form from the architecture
-  // alone — exact regardless of the seed.
+  // Size of the model that would be broadcast / returned: closed-form from
+  // the architecture in both directions, so any instance prices it.
   size_t down_bytes = 0;
   size_t up_bytes = 0;
   if (!profiles.empty() && !profiles[0].clusters.empty()) {
     const size_t input_features = profiles[0].clusters[0].centroid.size();
     if (input_features > 0) {
-      Rng rng(options.session_seed.has_value()
-                  ? ModelInitSeed(*options.session_seed, query.id,
-                                  options.splittable_rng)
-                  : 1);
+      Rng rng(1);
       QENS_ASSIGN_OR_RETURN(ml::SequentialModel model,
                             ml::BuildModel(options.hyper, input_features,
                                            &rng));
@@ -72,7 +64,7 @@ Result<QueryPlan> PlanQuery(
                                          options.wire.top_k_fraction);
       } else {
         down_bytes = ml::SerializedModelBytes(model);
-        up_bytes = down_bytes;  // Same text format both ways.
+        up_bytes = down_bytes;
       }
     }
   }

@@ -15,7 +15,6 @@
 /// queries that would touch too little (or too much) data.
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,22 +38,13 @@ struct PlannerOptions {
   /// Model the round would train (prices the model transfer bytes).
   ml::HyperParams hyper = ml::PaperHyperParams(ml::ModelKind::kLinearRegression);
   sim::CostModelOptions cost;
-  /// Session seed the query would run under. When set, the plan prices the
-  /// EXACT model the session would broadcast (init stream from
-  /// fl::ModelInitSeed), so est_comm_bytes matches the executed transfer
-  /// byte-for-byte — under the text serializer the size depends on the
-  /// weight digits. Unset = a representative fixed-seed instance (close,
-  /// not exact). With `wire.enabled` the codec size is
-  /// architecture-determined, so the estimate is exact either way.
-  std::optional<uint64_t> session_seed;
   /// Must match FederationOptions::wire of the session that will execute
   /// the query: prices both link directions with the codec's closed-form
-  /// sizes (down-link absolute codec, up-link delta codec).
+  /// sizes (down-link absolute codec, up-link delta codec). With the wire
+  /// layer off both directions are the raw binary64 size. Either way the
+  /// size depends on the architecture alone, so est_comm_bytes matches the
+  /// executed transfer exactly.
   ml::WireOptions wire;
-  /// Must match FederationOptions::splittable_rng: it selects the
-  /// model-init derivation (fl/seed_derivation.h), and the dry-run must
-  /// agree with the session bit-for-bit.
-  bool splittable_rng = false;
 };
 
 /// One selected node's predicted contribution.

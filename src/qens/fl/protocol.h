@@ -82,11 +82,9 @@ struct DriftInjectionOptions {
   /// Magnitude of each per-dimension offset, as a fraction of that
   /// dimension's global feature span (drawn uniformly in ±this).
   double feature_shift = 0.05;
+  /// Root of the drift draws: node i in round r draws from the registered
+  /// path seed -> kDrift -> i -> r.
   uint64_t seed = 0;
-  /// Derive drift draws from the registered SplitRng kDrift purpose path
-  /// (set automatically by FederationOptions::splittable_rng); the default
-  /// keeps historical draws byte-identical.
-  bool use_split_rng = false;
 };
 
 /// Dynamic-fleet policy (opt-in). Strictly additive: with `enabled ==
@@ -151,21 +149,9 @@ struct FederationOptions {
   /// Node churn, data drift, online cluster refresh (opt-in).
   DynamicFleetOptions dynamic;
   /// Binary wire format + update compression (opt-in; docs/WIRE_FORMAT.md).
-  /// With it off, byte accounting uses the historical text serializer and
-  /// all outputs stay byte-identical to the pre-wire protocol.
+  /// With it off, no codec runs and every transfer is priced at the
+  /// lossless kRawF64 size, so off and raw wire move the same bytes.
   ml::WireOptions wire;
-  /// Splittable-RNG mode (opt-in): derive every per-query stream — model
-  /// init, local-training seeds, minibatch shuffles, Random/stochastic
-  /// policy picks, volatile dropouts, fault/churn/drift plan draws — from
-  /// registered coordinate key paths (common/split_rng.h) instead of linear
-  /// generator state. Implies collision-free model-init seeding (the
-  /// historical affine map collides across sessions — see
-  /// fl/seed_derivation.h). Changes stream values, so outputs differ from
-  /// the legacy derivations. Every mode is invariant to scheduling and
-  /// worker counts; within this one, results are a pure function of
-  /// logical coordinates and therefore also invariant to query arrival
-  /// order.
-  bool splittable_rng = false;
   uint64_t seed = 17;
 };
 

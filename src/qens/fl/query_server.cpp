@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "qens/common/rng.h"
 #include "qens/common/split_rng.h"
 #include "qens/common/stopwatch.h"
 #include "qens/common/thread_pool.h"
@@ -20,19 +19,11 @@ Result<QueryServer> QueryServer::Create(std::shared_ptr<const Fleet> fleet,
   return QueryServer(std::move(fleet), options);
 }
 
-uint64_t QueryServer::SessionSeed(uint64_t base_seed, uint64_t session_id,
-                                  bool splittable) {
-  // Independent stream per session id; both derivations depend only on
-  // (base_seed, session_id) — never on scheduling. Splittable mode uses
-  // the registered kSessionSeed purpose path; legacy keeps the historical
-  // xor-Fork stream byte-identical.
-  if (splittable) {
-    return SplitRng(base_seed)
-        .Split(RngPurpose::kSessionSeed)
-        .Split(session_id)
-        .key();
-  }
-  return Rng(base_seed ^ 0x5e5510ull).Fork(session_id).Next();
+uint64_t QueryServer::SessionSeed(uint64_t base_seed, uint64_t session_id) {
+  return SplitRng(base_seed)
+      .Split(RngPurpose::kSessionSeed)
+      .Split(session_id)
+      .key();
 }
 
 SessionResult QueryServer::RunSession(const SessionSpec& spec,
@@ -43,8 +34,7 @@ SessionResult QueryServer::RunSession(const SessionSpec& spec,
   QuerySessionOptions session_options;
   session_options.session_id = session_id;
   session_options.seed =
-      SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id,
-                  fleet_->options.splittable_rng);
+      SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id);
   session_options.network.record_messages = options_.record_session_messages;
   Result<QuerySession> session_or =
       QuerySession::Create(fleet_, session_options);
@@ -89,8 +79,7 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
   QuerySessionOptions session_options;
   session_options.session_id = session_id;
   session_options.seed =
-      SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id,
-                  fleet_->options.splittable_rng);
+      SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id);
   session_options.network.record_messages = options_.record_session_messages;
   Result<QuerySession> session_or =
       QuerySession::Create(fleet_, session_options);

@@ -138,13 +138,12 @@ class QueryServer {
   static Result<QueryServer> Create(std::shared_ptr<const Fleet> fleet,
                                     const ServingOptions& options = {});
 
-  /// The fixed per-session seed derivation: independent SplitMix64 streams
-  /// per session id, never dependent on scheduling order. `splittable`
-  /// (FederationOptions::splittable_rng) selects the registered SplitRng
-  /// key path seed -> kSessionSeed -> session; the default keeps the
-  /// historical xor-Fork stream byte-identical.
-  static uint64_t SessionSeed(uint64_t base_seed, uint64_t session_id,
-                              bool splittable = false);
+  /// The fixed per-session seed derivation: the registered SplitRng key
+  /// path base_seed -> kSessionSeed -> session_id, never dependent on
+  /// scheduling order. Session seeds are full-avalanche 64-bit keys, so the
+  /// additive local-training roots (session seed + query id) of different
+  /// sessions overlap only by chance, with negligible probability.
+  static uint64_t SessionSeed(uint64_t base_seed, uint64_t session_id);
 
   /// Run one session per spec (session ids 1..specs.size(), in order) and
   /// return their results in spec order. With num_workers > 1 the sessions

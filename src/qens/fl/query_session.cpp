@@ -207,12 +207,9 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
       return Status::InvalidArgument(
           "federation: min_quorum_frac must be in [0, 1]");
     }
-    sim::FaultPlanOptions faults = fopts.fault_tolerance.faults;
-    // Splittable mode re-keys every plan draw onto registered purpose
-    // paths; the plan stays a pure function of (seed, node, round).
-    faults.use_split_rng |= fopts.splittable_rng;
-    QENS_ASSIGN_OR_RETURN(sim::FaultPlan plan,
-                          sim::FaultPlan::Create(num_nodes, faults));
+    QENS_ASSIGN_OR_RETURN(
+        sim::FaultPlan plan,
+        sim::FaultPlan::Create(num_nodes, fopts.fault_tolerance.faults));
     session.fault_injector_.emplace(std::move(plan));
   }
   if (fopts.byzantine.enabled) {
@@ -265,16 +262,13 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
       return decision.SelectedNodeIds();
     }
     case selection::PolicyKind::kRandom: {
-      // A fresh stream per query keeps random draws independent across the
-      // workload but reproducible for the session seed. Splittable mode
-      // keys the stream by query id (order-invariant); legacy mode keys it
-      // by arrival order.
-      Rng rng = options.splittable_rng
-                    ? SplitRng(seed_)
-                          .Split(RngPurpose::kRandomSelection)
-                          .Split(query.id)
-                          .ToRng()
-                    : Rng(seed_ ^ 0x5eed).Fork(++random_stream_);
+      // A fresh stream per query, keyed by query id: independent across
+      // the workload, reproducible for the session seed, and invariant to
+      // query arrival order.
+      Rng rng = SplitRng(seed_)
+                    .Split(RngPurpose::kRandomSelection)
+                    .Split(query.id)
+                    .ToRng();
       const size_t l = std::min(options.random_l, n);
       return selection::SelectRandom(n, std::max<size_t>(1, l), &rng);
     }
@@ -299,17 +293,9 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
     case selection::PolicyKind::kStochastic: {
       // Fair stochastic selection [12]: ranking-weighted draw with a
       // fairness boost; stateful across the session's query stream.
-      if (!stochastic_.has_value()) {
-        selection::StochasticOptions so = options.stochastic;
-        // The selector's fairness state is inherently sequential over the
-        // query stream; only the seed derivation moves onto the registry.
-        so.seed = options.splittable_rng
-                      ? SplitRng(seed_)
-                            .Split(RngPurpose::kStochasticSelection)
-                            .key()
-                      : seed_ ^ 0xfa12;
-        stochastic_.emplace(n, so);
-      }
+      // The selector's fairness state is inherently sequential over the
+      // query stream; only its seed comes from the registry.
+      StochasticParticipation();  // Builds the selector on first use.
       QENS_ASSIGN_OR_RETURN(std::vector<selection::NodeRank> ranks,
                             leader_.Rank(query));
       return stochastic_->Select(ranks);
@@ -346,11 +332,7 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
 const std::vector<size_t>& QuerySession::StochasticParticipation() {
   if (!stochastic_.has_value()) {
     selection::StochasticOptions so = fleet_->options.stochastic;
-    so.seed = fleet_->options.splittable_rng
-                  ? SplitRng(seed_)
-                        .Split(RngPurpose::kStochasticSelection)
-                        .key()
-                  : seed_ ^ 0xfa12;
+    so.seed = SplitRng(seed_).Split(RngPurpose::kStochasticSelection).key();
     stochastic_.emplace(fleet_->environment.num_nodes(), so);
   }
   return stochastic_->participation_counts();
@@ -412,12 +394,10 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
     if (options.dropout_rate > 1.0) {
       return Status::InvalidArgument("dropout_rate must be in [0, 1]");
     }
-    Rng drop_rng = options.splittable_rng
-                       ? SplitRng(seed_)
-                             .Split(RngPurpose::kVolatileDropout)
-                             .Split(query.id)
-                             .ToRng()
-                       : Rng(seed_ ^ 0xd20f).Fork(++dropout_stream_);
+    Rng drop_rng = SplitRng(seed_)
+                       .Split(RngPurpose::kVolatileDropout)
+                       .Split(query.id)
+                       .ToRng();
     std::vector<size_t> alive;
     for (size_t id : chosen) {
       if (drop_rng.Bernoulli(options.dropout_rate)) {
@@ -450,38 +430,28 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   };
 
   // Broadcast the initial global model w.
-  Rng init_rng(ModelInitSeed(seed_, query.id, options.splittable_rng));
+  Rng init_rng(ModelInitSeed(seed_, query.id));
   QENS_ASSIGN_OR_RETURN(
       ml::SequentialModel global,
       ml::BuildModel(options.hyper,
                      environment.node(0).local_data().NumFeatures(),
                      &init_rng));
-  // Down-link price per broadcast. Under the binary codec the size is
-  // closed-form from the architecture, so one number is EXACT for every
-  // round — which also fixes the historical down/up asymmetry (the text
-  // down-link reused the initial model's size across rounds while the
-  // up-link remeasured each trained model's drifting hex-float length).
+  // Down-link price per broadcast: closed-form from the architecture (the
+  // codec's size, or the raw binary64 size with the wire layer off), so one
+  // number is exact for every round.
   const ml::WireOptions& wire = options.wire;
   const size_t model_bytes =
       wire.enabled ? ml::EncodedModelBytes(global, ml::DownlinkKind(wire),
                                            wire.top_k_fraction)
                    : ml::SerializedModelBytes(global);
 
+  // Per-node trainer streams hang off SplitRng(seed + query id) -> node
+  // (see participant.cpp); minibatch shuffles are pure functions of
+  // (trainer seed, epoch).
   LocalTrainOptions local_options;
   local_options.hyper = options.hyper;
   local_options.epochs_per_cluster = options.epochs_per_cluster;
-  if (options.splittable_rng) {
-    // Registered key path: per-node trainer streams hang off
-    // seed -> kLocalTraining -> query -> node (see participant.cpp), and
-    // minibatch shuffles become pure functions of (trainer seed, epoch).
-    local_options.seed = SplitRng(seed_)
-                             .Split(RngPurpose::kLocalTraining)
-                             .Split(query.id)
-                             .key();
-    local_options.keyed_streams = true;
-  } else {
-    local_options.seed = seed_ + query.id;
-  }
+  local_options.seed = seed_ + query.id;
 
   // Assemble the per-node training jobs once (node id, Eq. 7 weight, and
   // the supporting-cluster set under data selectivity).

@@ -17,15 +17,15 @@
 /// through — so two sessions never share mutable state and can run
 /// concurrently while each stays bit-identical to running alone.
 ///
-/// Seed contract: all per-query randomness derives from the session seed
-/// exactly as the historical Federation derived it from
-/// `FederationOptions::seed` (model init `fl::ModelInitSeed(seed, query.id)`
-/// — the historical `seed * 1000003 + query.id` map, see seed_derivation.h,
-/// local training `seed + query.id`, Random policy
-/// `Rng(seed ^ 0x5eed).Fork(stream)`, dropout `Rng(seed ^ 0xd20f)`,
-/// stochastic `seed ^ 0xfa12`, GT `seed + query.id`). A session seeded
-/// with `FederationOptions::seed` therefore reproduces the sequential
-/// Federation byte-for-byte.
+/// Seed contract: every per-query stream is a pure function of the session
+/// seed and the query's coordinates (docs/PERFORMANCE.md, "Stream key-path
+/// registry"): model init `fl::ModelInitSeed(seed, query.id)`, local
+/// training rooted at `seed + query.id`, and the Random, dropout and
+/// stochastic draws on registered SplitRng purpose paths keyed by query id
+/// (GT probes with `seed + query.id`). A session seeded with
+/// `FederationOptions::seed` therefore reproduces the sequential Federation
+/// byte for byte, and no stream depends on query arrival order except the
+/// stochastic policy's fairness state.
 
 #include <cstdint>
 #include <memory>
@@ -185,8 +185,6 @@ class QuerySession {
   Leader leader_;  ///< Session-local ranking + reliability state.
   std::unique_ptr<sim::Network> own_network_;  ///< Null when shared.
   std::unique_ptr<InProcessTransport> transport_;
-  uint64_t random_stream_ = 0;   ///< Advances per Random-policy query.
-  uint64_t dropout_stream_ = 0;  ///< Advances per query with dropout on.
   std::optional<selection::StochasticSelector> stochastic_;  ///< Lazy.
   std::optional<sim::FaultInjector> fault_injector_;  ///< When enabled.
   size_t fault_round_ = 0;  ///< Rounds executed under fault injection.

@@ -95,18 +95,18 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
   // and the quorum gate decides whether the partial update commits.
   const bool dyn_on = ctx_.dynamic != nullptr;
 
-  // Wire layer (opt-in): with it off, no codec is ever invoked and byte
-  // accounting uses the historical text-serializer sizes. With it on, both
-  // link directions are priced by the codec's closed-form size — O(layers),
-  // architecture-determined, identical for every trained model — which is
-  // what lets the planner pin its estimates exactly.
+  // Wire layer (opt-in): with it off, no codec is ever invoked and every
+  // transfer is priced at the raw binary64 size. Either way both link
+  // directions are closed-form sizes — O(layers), architecture-determined,
+  // identical for every trained model — which is what lets the planner pin
+  // its estimates exactly.
   const ml::WireOptions& wire = options.wire;
   const bool wire_on = wire.enabled;
   const ml::WireCodecKind down_kind = ml::DownlinkKind(wire);
   const ml::WireCodecKind up_kind = ml::UplinkKind(wire);
-  const size_t wire_up_bytes =
+  const size_t up_bytes =
       wire_on ? ml::EncodedModelBytes(global, up_kind, wire.top_k_fraction)
-              : 0;
+              : ml::SerializedModelBytes(global);
 
   // Per-job fate this round, precomputed from the injector's pure schedule
   // so training can still fan out in parallel.
@@ -279,11 +279,10 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
     if (parallel && *ctx_.pool != nullptr) {
       // Jobs are claimed off the shared pool (created once, reused across
       // rounds and queries) by ParallelUnits. Every job's randomness comes
-      // from its own coordinates (a per-node trainer seed, or SplitRng keys
-      // in splittable mode) and its result lands in its own slot; the
-      // accounting below reads the slots in ascending job order, so the
-      // outcome is independent of the worker count and of which thread
-      // ran which job.
+      // from its own coordinates (SplitRng keys of its node) and its result
+      // lands in its own slot; the accounting below reads the slots in
+      // ascending job order, so the outcome is independent of the worker
+      // count and of which thread ran which job.
       (*ctx_.pool)->ParallelUnits(jobs.size(), [&](size_t j) {
         if (!job_trains(j)) return;
         results[j] = run_job(jobs[j], fates[j].corruption);
@@ -392,12 +391,7 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
         continue;
       }
 
-      // Model-up transfer(s), with the same retry/backoff policy. Under the
-      // codec the size is closed-form and shared by every trained model
-      // (architecture-determined); the historical text path must measure
-      // each model because hex-float lengths drift with the values.
-      const size_t up_bytes =
-          wire_on ? wire_up_bytes : ml::SerializedModelBytes(result.model);
+      // Model-up transfer(s), with the same retry/backoff policy.
       bool up_delivered = true;
       size_t up_attempts = 1;
       if (injector) {

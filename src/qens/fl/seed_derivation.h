@@ -2,22 +2,14 @@
 #define QENS_FL_SEED_DERIVATION_H_
 
 /// \file seed_derivation.h
-/// The one place the per-query model-initialization seed is derived — the
-/// planner and the session MUST agree on it bit-for-bit, or the planner's
-/// dry-run model (and therefore its byte estimates under the text
-/// serializer) would diverge from the model the session actually trains.
+/// The one place the per-query model-initialization seed is derived. Every
+/// caller that rebuilds a query's initial global model (the session's
+/// round driver, a replay of it) must agree on it bit for bit.
 ///
-/// Two derivations coexist, selected by a flag that defaults to the older:
-///
-///  1. Historical affine map `seed * 1000003 + query_id`. NOT injective
-///     across sessions: (seed, id) and (seed + 1, id - 1000003) collide
-///     whenever ids reach 1000003, so two different sessions can initialize
-///     identical models for different queries. Kept as the default for
-///     byte-identical legacy outputs.
-///  2. `splittable` (FederationOptions::splittable_rng /
-///     PlannerOptions::splittable_rng): the registered key path
-///     `SplitRng(session_seed).Split(kModelInit).Split(query_id)`. This is
-///     the collision-free derivation the splittable-RNG mode uses.
+/// The seed is the registered key path
+/// `SplitRng(session_seed).Split(kModelInit).Split(query_id)`: a pure
+/// function of its coordinates, and collision-free across sessions and
+/// queries (see the stream key-path registry in docs/PERFORMANCE.md).
 
 #include <cstdint>
 
@@ -26,21 +18,12 @@
 namespace qens::fl {
 
 /// Seed for the global model's weight initialization for `query_id` under
-/// `session_seed`. Both the QuerySession round driver and the Planner's
-/// dry-run must call this — never inline the formula.
-inline uint64_t ModelInitSeed(uint64_t session_seed, uint64_t query_id,
-                              bool splittable = false) {
-  if (splittable) {
-    // Registered key path (RngPurpose::kModelInit): collision-free across
-    // sessions and auditable against the registry in docs/PERFORMANCE.md.
-    return SplitRng(session_seed)
-        .Split(RngPurpose::kModelInit)
-        .Split(query_id)
-        .key();
-  }
-  // Historical affine map (collision-prone across sessions, kept for
-  // byte-identical default outputs).
-  return session_seed * 1000003ull + query_id;
+/// `session_seed`. Never inline the key path.
+inline uint64_t ModelInitSeed(uint64_t session_seed, uint64_t query_id) {
+  return SplitRng(session_seed)
+      .Split(RngPurpose::kModelInit)
+      .Split(query_id)
+      .key();
 }
 
 }  // namespace qens::fl

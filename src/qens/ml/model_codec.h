@@ -68,11 +68,12 @@ int WireCodecBits(WireCodecKind kind);
 /// every other codec is lossy.
 bool WireCodecIsLossy(WireCodecKind kind);
 
-/// Opt-in wire configuration. Defaults keep the historical behavior: no
-/// payload bytes are formed and byte accounting uses the text serializer.
+/// Opt-in wire configuration. With the defaults no payload bytes are formed
+/// and every transfer is priced at the kRawF64 size.
 struct WireOptions {
-  /// Master switch. When false the codec is never invoked and federation
-  /// outputs are byte-identical to the pre-wire protocol.
+  /// Master switch. When false the codec is never invoked; byte accounting
+  /// uses the kRawF64 size, so federation outputs (losses and bytes) equal
+  /// those of the enabled raw codec.
   bool enabled = false;
   /// Update codec. Down-link broadcasts quantized *absolute* params (top-k
   /// falls back to raw — sparsifying an absolute model zeroes most of it);

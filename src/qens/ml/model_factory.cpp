@@ -73,8 +73,7 @@ Result<SequentialModel> BuildModel(ModelKind kind, size_t input_features,
 }
 
 Result<std::unique_ptr<Trainer>> BuildTrainer(const HyperParams& hp,
-                                              uint64_t seed,
-                                              bool keyed_shuffle) {
+                                              uint64_t seed) {
   QENS_ASSIGN_OR_RETURN(std::unique_ptr<Optimizer> opt,
                         MakeOptimizer(hp.optimizer, hp.learning_rate));
   TrainOptions options;
@@ -83,7 +82,6 @@ Result<std::unique_ptr<Trainer>> BuildTrainer(const HyperParams& hp,
   options.validation_split = hp.validation_split;
   options.loss = hp.loss;
   options.seed = seed;
-  options.keyed_shuffle = keyed_shuffle;
   return std::make_unique<Trainer>(std::move(opt), options);
 }
 

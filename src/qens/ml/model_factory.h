@@ -68,12 +68,9 @@ Result<SequentialModel> BuildModel(const HyperParams& hp,
 /// A Trainer configured per Table III for `kind` (optimizer + options).
 Result<std::unique_ptr<Trainer>> BuildTrainer(ModelKind kind, uint64_t seed);
 
-/// A Trainer from an explicit hyper-parameter record. `keyed_shuffle`
-/// selects coordinate-keyed minibatch shuffles (TrainOptions::keyed_shuffle;
-/// splittable-RNG mode) — the default keeps the historical linear stream.
+/// A Trainer from an explicit hyper-parameter record.
 Result<std::unique_ptr<Trainer>> BuildTrainer(const HyperParams& hp,
-                                              uint64_t seed,
-                                              bool keyed_shuffle = false);
+                                              uint64_t seed);
 
 }  // namespace qens::ml
 

@@ -1,34 +1,22 @@
 #include "qens/ml/model_io.h"
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "qens/common/string_util.h"
+#include "qens/ml/model_codec.h"
 
 namespace qens::ml {
 namespace {
 
 constexpr char kMagic[] = "qens-model v1";
 
-std::atomic<size_t> g_serialize_calls{0};
-
 }  // namespace
 
-namespace internal {
-
-size_t SerializeCallCountForTest() {
-  return g_serialize_calls.load(std::memory_order_relaxed);
-}
-
-}  // namespace internal
-
 std::string SerializeModel(const SequentialModel& model) {
-  g_serialize_calls.fetch_add(1, std::memory_order_relaxed);
   std::ostringstream out;
   out << kMagic << "\n";
   out << "layers " << model.num_layers() << "\n";
@@ -177,29 +165,7 @@ Result<SequentialModel> LoadModel(const std::string& path) {
 }
 
 size_t SerializedModelBytes(const SequentialModel& model) {
-  // Count exactly what SerializeModel would emit without materializing the
-  // string: snprintf with a null buffer returns the formatted length. The
-  // per-parameter "%a" lengths are value-dependent (that is the text
-  // format's nature — the binary codec in model_codec.h is the
-  // architecture-determined alternative), but no buffer is ever built.
-  size_t bytes = std::strlen(kMagic) + 1;  // magic + '\n'
-  bytes += static_cast<size_t>(
-      std::snprintf(nullptr, 0, "layers %zu\n", model.num_layers()));
-  for (size_t i = 0; i < model.num_layers(); ++i) {
-    const auto& layer = model.layer(i);
-    bytes += static_cast<size_t>(
-        std::snprintf(nullptr, 0, "layer %zu %zu %s\n", layer.in_features(),
-                      layer.out_features(), ActivationName(layer.activation())));
-  }
-  const std::vector<double> params = model.GetParameters();
-  bytes += static_cast<size_t>(
-      std::snprintf(nullptr, 0, "params %zu\n", params.size()));
-  for (const double p : params) {
-    // Each parameter is followed by ' ' or the final '\n': length + 1.
-    bytes += static_cast<size_t>(std::snprintf(nullptr, 0, "%a", p)) + 1;
-  }
-  if (params.empty()) bytes += 1;  // The lone '\n' after "params 0".
-  return bytes;
+  return EncodedModelBytes(model, WireCodecKind::kRawF64);
 }
 
 }  // namespace qens::ml

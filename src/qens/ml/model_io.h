@@ -2,10 +2,10 @@
 #define QENS_ML_MODEL_IO_H_
 
 /// \file model_io.h
-/// Text serialization of SequentialModel — the historical wire format
-/// exchanged between the leader and the participants in the federation (and
-/// used by the network substrate to account transferred bytes when the
-/// binary codec is off; see model_codec.h for the opt-in binary format).
+/// Text serialization of SequentialModel, for saving a model to a file and
+/// reading it back exactly (hex-float parameters). The federation's byte
+/// accounting does not use it: transfers are priced by the QENW codec's
+/// closed-form sizes (model_codec.h, SerializedModelBytes below).
 ///
 /// Format (line oriented, '#'-prefixed comments ignored; anything after the
 /// parameter block other than whitespace is rejected):
@@ -35,20 +35,10 @@ Status SaveModel(const SequentialModel& model, const std::string& path);
 /// Read and parse a model from `path`.
 Result<SequentialModel> LoadModel(const std::string& path);
 
-/// Size in bytes of the serialized form — the communication cost of sending
-/// this model over the (simulated) network when the binary codec is off.
-/// Computed by counting formatted lengths, never by building the serialized
-/// string; returns exactly SerializeModel(model).size().
+/// Size in bytes of this model on the wire when the binary codec is off:
+/// the lossless QENW kRawF64 message, EncodedModelBytes(model, kRawF64).
+/// Closed-form from the architecture, independent of parameter values.
 size_t SerializedModelBytes(const SequentialModel& model);
-
-namespace internal {
-
-/// Times SerializeModel has fully materialized a serialized string in this
-/// process. Test-only: lets regression tests assert that the byte-accounting
-/// path (SerializedModelBytes) performs no full serialization.
-size_t SerializeCallCountForTest();
-
-}  // namespace internal
 
 }  // namespace qens::ml
 

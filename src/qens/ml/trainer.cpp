@@ -81,7 +81,6 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
     return Status::InvalidArgument("Fit: epochs must be > 0");
   }
 
-  Rng rng(options_.seed);
   const SplitRng stream(options_.seed);
 
   // Initial shuffle, then hold out the tail as the validation set
@@ -89,12 +88,8 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   std::vector<size_t> order(x.rows());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (options_.shuffle) {
-    if (options_.keyed_shuffle) {
-      Rng init_rng = stream.Split(RngPurpose::kTrainOrderInit).ToRng();
-      init_rng.Shuffle(&order);
-    } else {
-      rng.Shuffle(&order);
-    }
+    Rng init_rng = stream.Split(RngPurpose::kTrainOrderInit).ToRng();
+    init_rng.Shuffle(&order);
   }
 
   size_t n_val = static_cast<size_t>(
@@ -137,15 +132,11 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
           base_lr / (1.0 + options_.lr_decay * static_cast<double>(epoch)));
     }
     if (options_.shuffle) {
-      if (options_.keyed_shuffle) {
-        // Pure function of (seed, epoch): replaying epoch e never depends
-        // on how many draws earlier epochs consumed.
-        Rng epoch_rng =
-            stream.Split(RngPurpose::kMinibatchShuffle).Split(epoch).ToRng();
-        epoch_rng.Shuffle(&train_idx);
-      } else {
-        rng.Shuffle(&train_idx);
-      }
+      // Pure function of (seed, epoch): replaying epoch e never depends on
+      // how many draws earlier epochs consumed.
+      Rng epoch_rng =
+          stream.Split(RngPurpose::kMinibatchShuffle).Split(epoch).ToRng();
+      epoch_rng.Shuffle(&train_idx);
     }
 
     double epoch_loss = 0.0;

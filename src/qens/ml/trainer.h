@@ -30,7 +30,12 @@ struct TrainOptions {
                                   ///< (shuffled) data, Keras-style.
   bool shuffle = true;            ///< Shuffle once before splitting and then
                                   ///< every epoch (training part only).
-  uint64_t seed = 42;             ///< Shuffling seed.
+  /// Shuffling seed. The initial sample order comes from stream
+  /// `SplitRng(seed).Split(kTrainOrderInit)` and epoch e's minibatch order
+  /// from `SplitRng(seed).Split(kMinibatchShuffle).Split(e)`: each a pure
+  /// function of (seed, epoch), so a fit can be replayed from any epoch
+  /// without tracking generator state.
+  uint64_t seed = 42;
   LossKind loss = LossKind::kMse;
   /// Stop early when validation loss fails to improve by more than
   /// `min_delta` for `patience` consecutive epochs (0 disables).
@@ -45,14 +50,6 @@ struct TrainOptions {
   /// Inverse-time learning-rate decay: epoch e trains at
   /// lr0 / (1 + lr_decay * e). 0 disables.
   double lr_decay = 0.0;
-  /// Coordinate-keyed shuffles (splittable-RNG mode): the initial sample
-  /// order comes from stream `SplitRng(seed).Split(kTrainOrderInit)` and
-  /// epoch e's minibatch order from
-  /// `SplitRng(seed).Split(kMinibatchShuffle).Split(e)` — each a pure
-  /// function of (seed, epoch), independent of draw history, so a fit can
-  /// be replayed or sharded without tracking generator state. Off (default)
-  /// keeps the historical single linear stream byte-identical.
-  bool keyed_shuffle = false;
 };
 
 /// Per-fit training history and counters.

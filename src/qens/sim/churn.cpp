@@ -7,15 +7,6 @@
 #include "qens/common/string_util.h"
 
 namespace qens::sim {
-namespace {
-
-// Fork stream for the churner draw + interval lengths; chained
-// Fork(stream) -> Fork(node) like the fault-plan draws, so the schedule is
-// a pure function of (seed, node).
-constexpr uint64_t kChurnStream = 0xc502;
-
-}  // namespace
-
 Result<ChurnPlan> ChurnPlan::Create(size_t num_nodes,
                                     const ChurnPlanOptions& options) {
   if (options.churn_rate < 0.0 || options.churn_rate > 1.0) {
@@ -39,16 +30,12 @@ Result<ChurnPlan> ChurnPlan::Create(size_t num_nodes,
       return Status::InvalidArgument(
           "churn plan: up-interval range must satisfy 1 <= min <= max");
     }
-    const Rng base(options.seed);
+    const SplitRng churn_stream =
+        SplitRng(options.seed).Split(RngPurpose::kChurn);
     for (size_t i = 0; i < num_nodes; ++i) {
-      // Splittable mode keys the node stream on the registered kChurn
-      // purpose path; legacy keeps the historical Fork chain byte-stable.
-      Rng rng = options.use_split_rng
-                    ? SplitRng(options.seed)
-                          .Split(RngPurpose::kChurn)
-                          .Split(i)
-                          .ToRng()
-                    : base.Fork(kChurnStream).Fork(i);
+      // The churner draw and interval lengths: a pure function of
+      // (seed, node).
+      Rng rng = churn_stream.Split(i).ToRng();
       if (!rng.Bernoulli(options.churn_rate)) continue;
       NodeChurnProfile& p = profiles[i];
       p.churner = true;

@@ -36,12 +36,9 @@ namespace qens::sim {
 
 /// Churn-schedule knobs. The defaults describe a static fleet.
 struct ChurnPlanOptions {
+  /// Root of the schedule; node i draws from the registered path
+  /// seed -> kChurn -> i.
   uint64_t seed = 0;
-  /// Derive the per-node schedule from the registered SplitRng kChurn
-  /// purpose path instead of the historical Fork-stream constant. Set
-  /// automatically by FederationOptions::splittable_rng; the default keeps
-  /// historical schedules byte-identical.
-  bool use_split_rng = false;
   /// Probability that a node churns at all (alternates up/down intervals).
   /// 0 = static fleet, no schedule is drawn.
   double churn_rate = 0.0;

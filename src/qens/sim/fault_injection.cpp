@@ -10,26 +10,12 @@
 namespace qens::sim {
 namespace {
 
-// Fork streams for the independent fault dimensions (legacy derivation).
-// Each per-event draw chains Fork(seed-stream) -> Fork(node) -> Fork(round)
-// [-> Fork(extra)], so every answer is a pure function of its coordinates.
-// Under FaultPlanOptions::use_split_rng the same coordinates key registered
-// SplitRng purpose paths instead.
-constexpr uint64_t kCrashStream = 0xc4a5;
-constexpr uint64_t kStragglerStream = 0x57a6;
-constexpr uint64_t kDropoutStream = 0xd409;
-constexpr uint64_t kLossStream = 0x1055;
-constexpr uint64_t kCorruptStream = 0xbad0;
-constexpr uint64_t kCorruptActiveStream = 0xbad1;
-
-/// The per-dimension stream for one node: registered purpose path in
-/// splittable mode, historical Fork chain otherwise.
+/// The per-dimension stream for one node: the registered purpose path
+/// seed -> purpose -> coord. Per-round and per-attempt draws fork it
+/// further, so every answer is a pure function of its coordinates.
 Rng DimensionRng(const FaultPlanOptions& options, RngPurpose purpose,
-                 uint64_t legacy_stream, uint64_t coord) {
-  if (options.use_split_rng) {
-    return SplitRng(options.seed).Split(purpose).Split(coord).ToRng();
-  }
-  return Rng(options.seed).Fork(legacy_stream).Fork(coord);
+                 uint64_t coord) {
+  return SplitRng(options.seed).Split(purpose).Split(coord).ToRng();
 }
 
 Status ValidateRate(double rate, const char* what) {
@@ -124,23 +110,20 @@ Result<FaultPlan> FaultPlan::Create(size_t num_nodes,
   std::vector<NodeFaultProfile> profiles(num_nodes);
   for (size_t i = 0; i < num_nodes; ++i) {
     NodeFaultProfile& p = profiles[i];
-    Rng crash_rng =
-        DimensionRng(options, RngPurpose::kFaultCrash, kCrashStream, i);
+    Rng crash_rng = DimensionRng(options, RngPurpose::kFaultCrash, i);
     if (crash_rng.Bernoulli(options.crash_rate)) {
       p.crashes = true;
       p.crash_round =
           static_cast<size_t>(crash_rng.UniformInt(options.crash_horizon));
     }
-    Rng straggler_rng = DimensionRng(options, RngPurpose::kFaultStraggler,
-                                     kStragglerStream, i);
+    Rng straggler_rng = DimensionRng(options, RngPurpose::kFaultStraggler, i);
     if (straggler_rng.Bernoulli(options.straggler_rate)) {
       p.straggler = true;
       p.slowdown = straggler_rng.Uniform(options.straggler_slowdown_min,
                                          options.straggler_slowdown_max);
     }
     if (options.corruption_rate > 0.0) {
-      Rng corrupt_rng =
-          DimensionRng(options, RngPurpose::kFaultCorrupt, kCorruptStream, i);
+      Rng corrupt_rng = DimensionRng(options, RngPurpose::kFaultCorrupt, i);
       if (corrupt_rng.Bernoulli(options.corruption_rate)) {
         p.byzantine = true;
         p.corruption = options.corruption_kinds[static_cast<size_t>(
@@ -189,8 +172,7 @@ bool FaultInjector::IsCrashed(size_t node, size_t round) const {
 bool FaultInjector::IsDroppedOut(size_t node, size_t round) const {
   const double rate = plan_.options().dropout_rate;
   if (rate <= 0.0) return false;
-  Rng rng = DimensionRng(plan_.options(), RngPurpose::kFaultDropout,
-                         kDropoutStream, node)
+  Rng rng = DimensionRng(plan_.options(), RngPurpose::kFaultDropout, node)
                 .Fork(round);
   const bool dropped = rng.Bernoulli(rate);
   if (dropped) obs::Count("faults.dropouts");
@@ -211,7 +193,7 @@ bool FaultInjector::LoseMessage(size_t from, size_t to, size_t round,
   const double rate = plan_.options().message_loss_rate;
   if (rate <= 0.0) return false;
   Rng rng = DimensionRng(plan_.options(), RngPurpose::kFaultMessageLoss,
-                         kLossStream, from * 0x10001 + to)
+                         from * 0x10001 + to)
                 .Fork(round)
                 .Fork(attempt);
   const bool lost = rng.Bernoulli(rate);
@@ -224,9 +206,9 @@ CorruptionKind FaultInjector::CorruptionFor(size_t node, size_t round) const {
   if (!p.byzantine) return CorruptionKind::kNone;
   const double active = plan_.options().corruption_active_rate;
   if (active < 1.0) {
-    Rng rng = DimensionRng(plan_.options(), RngPurpose::kFaultCorruptActive,
-                           kCorruptActiveStream, node)
-                  .Fork(round);
+    Rng rng =
+        DimensionRng(plan_.options(), RngPurpose::kFaultCorruptActive, node)
+            .Fork(round);
     if (!rng.Bernoulli(active)) return CorruptionKind::kNone;
   }
   obs::Count("faults.corruptions");

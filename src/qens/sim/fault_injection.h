@@ -57,14 +57,10 @@ Result<std::vector<CorruptionKind>> ParseCorruptionKinds(
 /// Fault-schedule knobs; all rates are probabilities in [0, 1]. The
 /// defaults describe a fault-free environment.
 struct FaultPlanOptions {
+  /// Root of every plan draw; each draw hangs off a registered SplitRng
+  /// purpose path (kFaultCrash, kFaultStraggler, ... — see the registry in
+  /// docs/PERFORMANCE.md).
   uint64_t seed = 0;
-  /// Derive every draw from registered SplitRng purpose paths
-  /// (kFaultCrash/kFaultStraggler/... — see common/split_rng.h and the
-  /// registry in docs/PERFORMANCE.md) instead of the historical ad-hoc
-  /// Fork-stream constants. Same purity guarantees, different stream
-  /// values; set automatically by FederationOptions::splittable_rng. The
-  /// default keeps historical plans byte-identical.
-  bool use_split_rng = false;
   /// Probability that a node permanently crashes at some round drawn
   /// uniformly from [0, crash_horizon).
   double crash_rate = 0.0;

@@ -1,8 +1,8 @@
 // SplitRng: counter-based, hierarchically splittable streams. Pins the
 // exact interop contract with the linear Rng (Split == Fork, Draw(i) ==
 // the i-th Next()), the purpose-subspace separation, key-path uniqueness
-// over large coordinate grids, the ModelInitSeed collision regression the
-// splittable derivation exists to fix, and statistical smoke bounds
+// over large coordinate grids, collision freedom of the model-init seed
+// derivation across sessions, and statistical smoke bounds
 // (chi-square uniformity + pairwise correlation) over sibling streams.
 
 #include <gtest/gtest.h>
@@ -22,11 +22,12 @@ namespace {
 
 TEST(SplitRngTest, SplitMatchesRngForkExactly) {
   // SplitRng(s).Split(c).ToRng() must be the same stream as Rng(s).Fork(c):
-  // elastic consumers re-derive by coordinates what legacy consumers got
-  // from Fork, so the equivalence must be exact, not just statistical.
+  // consumers that fork further from a split stream (per-round and
+  // per-attempt fault draws) rely on it, so the equivalence must be exact,
+  // not just statistical.
   for (const uint64_t seed : {0ull, 1ull, 17ull, 0xdeadbeefull,
                               0xffffffffffffffffull}) {
-    for (const uint64_t coord : {0ull, 1ull, 2ull, 1000003ull,
+    for (const uint64_t coord : {0ull, 1ull, 2ull, 999983ull,
                                  0x123456789abcdefull}) {
       Rng forked = Rng(seed).Fork(coord);
       Rng split = SplitRng(seed).Split(coord).ToRng();
@@ -128,23 +129,19 @@ TEST(SplitRngTest, SplitAvalanchesSingleBitCoordinateFlips) {
 }
 
 TEST(SplitRngTest, ModelInitSeedCollisionRegression) {
-  // The legacy affine derivation seed * 1000003 + query_id collides:
-  // (5, 1000003) and (6, 0) map to the same init seed. The splittable
-  // key-path derivation must keep them (and their streams) distinct.
-  const uint64_t legacy_a = fl::ModelInitSeed(5, 1000003);
-  const uint64_t legacy_b = fl::ModelInitSeed(6, 0);
-  ASSERT_EQ(legacy_a, legacy_b);  // The bug being fixed, preserved bitwise.
-
-  const uint64_t split_a = fl::ModelInitSeed(5, 1000003,
-                                             /*splittable=*/true);
-  const uint64_t split_b = fl::ModelInitSeed(6, 0, /*splittable=*/true);
-  EXPECT_NE(split_a, split_b);
-  // Distinct keys yield distinct streams, not just distinct labels.
-  EXPECT_NE(SplitRng(split_a).Draw(0), SplitRng(split_b).Draw(0));
-
-  // And the splittable derivation is the documented key path.
-  EXPECT_EQ(split_a,
-            SplitRng(5).Split(RngPurpose::kModelInit).Split(1000003).key());
+  // Model-init seeds are the registered key path, and distinct
+  // (session seed, query id) pairs never collide. The grid includes pairs
+  // an affine map seed * C + id would alias: (s, id) against (s + 1, id - C)
+  // for every C below 4096.
+  EXPECT_EQ(fl::ModelInitSeed(5, 999983),
+            SplitRng(5).Split(RngPurpose::kModelInit).Split(999983).key());
+  std::unordered_set<uint64_t> seeds;
+  for (uint64_t session = 0; session < 64; ++session) {
+    for (uint64_t query = 0; query < 4096; ++query) {
+      seeds.insert(fl::ModelInitSeed(session, query));
+    }
+  }
+  EXPECT_EQ(seeds.size(), size_t{64} * 4096);
 }
 
 TEST(SplitRngTest, SiblingStreamsPassChiSquareUniformitySmoke) {

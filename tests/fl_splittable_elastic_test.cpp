@@ -1,9 +1,8 @@
-// Federation-level contract of the splittable-RNG mode: every stream is a
-// pure function of logical coordinates, so outcomes are bit-identical to the
-// sequential run at every pool worker count and across query arrival order
-// — including under an active fault plan. Also pins that legacy mode stays
-// byte-identical by default (the quickstart/bench outputs pin that end to
-// end; here we pin the seeds).
+// Federation-level contract of the coordinate-keyed streams: every stream
+// is a pure function of logical coordinates, so outcomes are bit-identical
+// to the sequential run at every pool worker count and across query arrival
+// order — including under an active fault plan. Also pins the session seed
+// derivation.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "qens/common/split_rng.h"
 #include "qens/fl/federation.h"
 #include "qens/fl/query_server.h"
-#include "qens/fl/seed_derivation.h"
 
 namespace qens::fl {
 namespace {
@@ -35,7 +33,7 @@ std::vector<data::Dataset> MakeNodes() {
           MakeNodeData(3, 2.0, 5), MakeNodeData(1, 2.0, 6)};
 }
 
-FederationOptions SplittableOptions() {
+FederationOptions BaseOptions() {
   FederationOptions options;
   options.environment.kmeans.k = 3;
   options.ranking.epsilon = 0.1;
@@ -44,7 +42,6 @@ FederationOptions SplittableOptions() {
   options.hyper.epochs = 10;
   options.epochs_per_cluster = 5;
   options.seed = 77;
-  options.splittable_rng = true;
   return options;
 }
 
@@ -72,13 +69,13 @@ void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
 
 TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
   // The same workload sequentially and pooled at several worker counts.
-  // Splittable streams are coordinate-keyed, so every run must agree.
+  // Streams are coordinate-keyed, so every run must agree.
   const std::vector<query::RangeQuery> queries = {
       QueryOver(0, 10, 1), QueryOver(2, 8, 2), QueryOver(0, 5, 3)};
 
   std::vector<QueryOutcome> expected;
   {
-    auto fed = Federation::Create(MakeNodes(), SplittableOptions());
+    auto fed = Federation::Create(MakeNodes(), BaseOptions());
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (const auto& q : queries) {
       auto outcome = fed->RunQueryDriven(q);
@@ -89,7 +86,7 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
   }
 
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    FederationOptions options = SplittableOptions();
+    FederationOptions options = BaseOptions();
     options.parallel_local_training = true;
     options.max_parallel_nodes = workers;
     auto fed = Federation::Create(MakeNodes(), options);
@@ -107,9 +104,9 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
 TEST(SplittableElasticTest, FaultyFanOutBitIdenticalAcrossWorkerCounts) {
   // Straggler-heavy fault plan: per-unit work is skewed, so the pool
   // actually steals — and must still match the sequential run bit for bit
-  // (fault draws are coordinate-keyed too in splittable mode).
+  // (fault draws are coordinate-keyed too).
   auto faulty_options = [] {
-    FederationOptions options = SplittableOptions();
+    FederationOptions options = BaseOptions();
     options.fault_tolerance.enabled = true;
     options.fault_tolerance.faults.seed = 5;
     options.fault_tolerance.faults.straggler_rate = 0.4;
@@ -150,7 +147,7 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
-  auto fleet = Fleet::Create(MakeNodes(), SplittableOptions());
+  auto fleet = Fleet::Create(MakeNodes(), BaseOptions());
   ASSERT_TRUE(fleet.ok());
   // Mixed session sizes so dynamic claiming actually redistributes.
   std::vector<SessionSpec> specs;
@@ -189,12 +186,11 @@ TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
 }
 
 TEST(SplittableElasticTest, QueryOrderInvarianceOfRandomPolicy) {
-  // Legacy Random-policy streams are keyed by arrival order
-  // (++random_stream_); splittable mode keys them by query id, so the
-  // same query must select the same nodes regardless of stream position.
+  // Random-policy streams are keyed by query id, so the same query must
+  // select the same nodes regardless of its position in the stream.
   auto run_random = [](const std::vector<query::RangeQuery>& queries,
                        uint64_t want_id) {
-    auto fed = Federation::Create(MakeNodes(), SplittableOptions());
+    auto fed = Federation::Create(MakeNodes(), BaseOptions());
     EXPECT_TRUE(fed.ok());
     std::vector<size_t> selected;
     for (const auto& q : queries) {
@@ -213,14 +209,10 @@ TEST(SplittableElasticTest, QueryOrderInvarianceOfRandomPolicy) {
 }
 
 TEST(SplittableElasticTest, SessionSeedDerivationsPinned) {
-  // Legacy derivation unchanged byte-for-byte; splittable derivation is
-  // the registered key path.
-  EXPECT_EQ(QueryServer::SessionSeed(77, 3, /*splittable=*/false),
-            Rng(77 ^ 0x5e5510ull).Fork(3).Next());
-  EXPECT_EQ(QueryServer::SessionSeed(77, 3, /*splittable=*/true),
+  // The session seed is the registered key path.
+  EXPECT_EQ(QueryServer::SessionSeed(77, 3),
             SplitRng(77).Split(RngPurpose::kSessionSeed).Split(3).key());
-  EXPECT_NE(QueryServer::SessionSeed(77, 3, true),
-            QueryServer::SessionSeed(77, 4, true));
+  EXPECT_NE(QueryServer::SessionSeed(77, 3), QueryServer::SessionSeed(77, 4));
 }
 
 }  // namespace

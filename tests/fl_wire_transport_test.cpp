@@ -1,8 +1,7 @@
 // Tests for the wire codec running through the serving stack: planner
 // estimates pinned exactly against transport counters (single- and
-// multi-round), raw-wire runs bit-identical to wire-off runs, the
-// no-serialization accounting regression, and the shared seed-derivation
-// helper (fl::ModelInitSeed).
+// multi-round), and raw-wire runs identical to wire-off runs in losses and
+// in bytes.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +11,7 @@
 #include "qens/common/rng.h"
 #include "qens/fl/federation.h"
 #include "qens/fl/planner.h"
-#include "qens/fl/seed_derivation.h"
 #include "qens/ml/model_codec.h"
-#include "qens/ml/model_io.h"
 
 namespace qens::fl {
 namespace {
@@ -47,14 +44,12 @@ FederationOptions BaseOptions() {
   return fed_options;
 }
 
-PlannerOptions MatchingPlanOptions(const FederationOptions& fed_options,
-                                   uint64_t session_seed) {
+PlannerOptions MatchingPlanOptions(const FederationOptions& fed_options) {
   PlannerOptions plan_options;
   plan_options.ranking = fed_options.ranking;
   plan_options.selection = fed_options.query_driven;
   plan_options.epochs_per_cluster = fed_options.epochs_per_cluster;
   plan_options.hyper = fed_options.hyper;
-  plan_options.session_seed = session_seed;
   plan_options.wire = fed_options.wire;
   return plan_options;
 }
@@ -86,7 +81,7 @@ WireRunResult RunPinned(const FederationOptions& fed_options, size_t rounds) {
   auto profiles = (*fleet)->environment.Profiles();
   EXPECT_TRUE(profiles.ok());
   auto plan = PlanQuery(*profiles, {}, *internal,
-                        MatchingPlanOptions(fed_options, session->seed()));
+                        MatchingPlanOptions(fed_options));
   EXPECT_TRUE(plan.ok());
   EXPECT_TRUE(plan->executable);
 
@@ -109,8 +104,7 @@ WireRunResult RunPinned(const FederationOptions& fed_options, size_t rounds) {
 TEST(WireTransportTest, RawWirePinsPlannedBytesExactly) {
   // With the binary codec both directions are architecture-determined, so
   // the planner's est_comm_bytes must equal recorded down + up EXACTLY —
-  // including the up-link, which the text format could only remeasure
-  // after training.
+  // including the up-link, priced before any node trains.
   FederationOptions fed_options = BaseOptions();
   fed_options.wire.enabled = true;
   fed_options.wire.codec = ml::WireCodecKind::kRawF64;
@@ -146,8 +140,6 @@ TEST(WireTransportTest, QuantizedWirePinsPlannedBytesExactly) {
 TEST(WireTransportTest, MultiRoundRecordedBytesAreRoundsTimesPlan) {
   // The plan prices one round; with architecture-determined sizes every
   // round costs the same, so R rounds record exactly R x est_comm_bytes.
-  // (The historical text format broke this: each round's up-link length
-  // drifted with the trained weights' hex digits.)
   for (ml::WireCodecKind codec :
        {ml::WireCodecKind::kRawF64, ml::WireCodecKind::kQuant4}) {
     FederationOptions fed_options = BaseOptions();
@@ -178,9 +170,10 @@ TEST(WireTransportTest, TopKUplinkCheaperAndPinned) {
 }
 
 TEST(WireTransportTest, RawWireRunIsBitIdenticalToWireOff) {
-  // kRawF64 skips the lossy decode(encode(.)) round-trips entirely, so a
-  // raw-wire run must produce bit-identical losses and training volume to
-  // the historical (wire-off) protocol — only byte accounting changes.
+  // kRawF64 skips the lossy decode(encode(.)) round-trips entirely, and
+  // wire-off accounting prices every transfer at the raw size, so the two
+  // runs must agree bit for bit in losses and training volume and byte for
+  // byte in traffic.
   FederationOptions off_options = BaseOptions();
   FederationOptions raw_options = BaseOptions();
   raw_options.wire.enabled = true;
@@ -192,51 +185,11 @@ TEST(WireTransportTest, RawWireRunIsBitIdenticalToWireOff) {
   EXPECT_EQ(off.outcome.loss_model_avg, raw.outcome.loss_model_avg);
   EXPECT_EQ(off.outcome.loss_weighted, raw.outcome.loss_weighted);
   EXPECT_EQ(off.outcome.loss_fedavg, raw.outcome.loss_fedavg);
-  // The byte books differ by format, not by message count.
   EXPECT_EQ(off.messages, raw.messages);
-  EXPECT_NE(off.down_bytes, raw.down_bytes);
-}
-
-TEST(WireTransportTest, AccountingPathNeverSerializes) {
-  // Regression for the O(params) hot path: RunQuery's byte accounting must
-  // not build a single text serialization, wire on or off.
-  for (const bool wire_on : {false, true}) {
-    FederationOptions fed_options = BaseOptions();
-    fed_options.wire.enabled = wire_on;
-    auto fleet = Fleet::Create(
-        {MakeNodeData(0, 1), MakeNodeData(0, 2), MakeNodeData(50, 3)},
-        fed_options);
-    ASSERT_TRUE(fleet.ok());
-    auto session = QuerySession::Create(*fleet, QuerySessionOptions{});
-    ASSERT_TRUE(session.ok());
-    const size_t before = ml::internal::SerializeCallCountForTest();
-    auto outcome = session->RunQuery(MakeQuery(0, 10),
-                                     selection::PolicyKind::kQueryDriven,
-                                     /*data_selectivity=*/true);
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_EQ(ml::internal::SerializeCallCountForTest(), before)
-        << "wire_on=" << wire_on;
-  }
-}
-
-TEST(SeedDerivationTest, DefaultMatchesHistoricalFormula) {
-  // The default must stay bit-compatible with the formula both callers
-  // (query_session, planner) used before it was deduplicated.
-  EXPECT_EQ(ModelInitSeed(0, 0), 0u);
-  EXPECT_EQ(ModelInitSeed(17, 5), 17ull * 1000003ull + 5ull);
-  EXPECT_EQ(ModelInitSeed(9, 123), 9ull * 1000003ull + 123ull);
-}
-
-TEST(SeedDerivationTest, HistoricalFormulaCollides) {
-  // (s, id) and (s + 1, id - 1000003) alias under the affine formula; the
-  // splittable key-path derivation separates them.
-  const uint64_t a = ModelInitSeed(7, 1000003);
-  const uint64_t b = ModelInitSeed(8, 0);
-  EXPECT_EQ(a, b);
-  const uint64_t sa = ModelInitSeed(7, 1000003, /*splittable=*/true);
-  const uint64_t sb = ModelInitSeed(8, 0, /*splittable=*/true);
-  EXPECT_NE(sa, sb);
-  EXPECT_NE(sa, a);  // The key path is a different stream entirely.
+  EXPECT_EQ(off.down_bytes, raw.down_bytes);
+  EXPECT_EQ(off.up_bytes, raw.up_bytes);
+  EXPECT_EQ(off.est_comm_bytes, raw.est_comm_bytes);
+  EXPECT_EQ(off.outcome.sim_time_comm, raw.outcome.sim_time_comm);
 }
 
 }  // namespace

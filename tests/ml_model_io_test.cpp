@@ -1,5 +1,5 @@
-// Tests for model serialization: exact round trips, malformed input
-// rejection, file IO, byte accounting.
+// Tests for the text model format (exact round trips, malformed input
+// rejection, file IO) and the wire-off byte accounting.
 
 #include "qens/ml/model_io.h"
 
@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "qens/common/rng.h"
+#include "qens/ml/model_codec.h"
 
 namespace qens::ml {
 namespace {
@@ -118,15 +119,16 @@ TEST(ModelIoTest, RejectsTrailingGarbage) {
   EXPECT_TRUE(DeserializeModel(text + "  \n\t\n").ok());
 }
 
-TEST(ModelIoTest, SerializedBytesMatchesTextSize) {
+TEST(ModelIoTest, SerializedBytesMatchesRawWireSize) {
   SequentialModel m = RandomNet(6);
-  EXPECT_EQ(SerializedModelBytes(m), SerializeModel(m).size());
+  EXPECT_EQ(SerializedModelBytes(m),
+            EncodeModel(m, WireCodecKind::kRawF64)->size());
   EXPECT_GT(SerializedModelBytes(m), 0u);
 }
 
-TEST(ModelIoTest, SerializedBytesMatchesTextSizeOnSpecials) {
-  // The byte count is computed without materializing the string; it must
-  // stay exact for every hex-float width, specials included.
+TEST(ModelIoTest, SerializedBytesMatchesRawWireSizeOnSpecials) {
+  // The byte count is closed-form from the architecture: specials and the
+  // empty model price exactly like their raw encodings.
   SequentialModel m;
   ASSERT_TRUE(m.AddLayer(3, 2, Activation::kTanh).ok());
   ASSERT_TRUE(m
@@ -136,21 +138,11 @@ TEST(ModelIoTest, SerializedBytesMatchesTextSizeOnSpecials) {
                                   std::numeric_limits<double>::denorm_min(),
                                   -0.0, 0.0, 1e308, -1e-308})
                   .ok());
-  EXPECT_EQ(SerializedModelBytes(m), SerializeModel(m).size());
+  EXPECT_EQ(SerializedModelBytes(m),
+            EncodeModel(m, WireCodecKind::kRawF64)->size());
   SequentialModel empty;
-  EXPECT_EQ(SerializedModelBytes(empty), SerializeModel(empty).size());
-}
-
-TEST(ModelIoTest, ByteAccountingDoesNotSerialize) {
-  // Regression: SerializedModelBytes used to build the full text just to
-  // take .size(), turning the per-node accounting path into O(params)
-  // string churn. It must not invoke the serializer at all.
-  SequentialModel m = RandomNet(9);
-  const size_t before = internal::SerializeCallCountForTest();
-  for (int i = 0; i < 16; ++i) (void)SerializedModelBytes(m);
-  EXPECT_EQ(internal::SerializeCallCountForTest(), before);
-  (void)SerializeModel(m);
-  EXPECT_EQ(internal::SerializeCallCountForTest(), before + 1);
+  EXPECT_EQ(SerializedModelBytes(empty),
+            EncodeModel(empty, WireCodecKind::kRawF64)->size());
 }
 
 TEST(ModelIoTest, BiggerModelSerializesBigger) {
