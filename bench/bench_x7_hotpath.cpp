@@ -14,11 +14,12 @@
 //   step      — one full forward+backward training step of the MLP: the
 //               naive allocating chain vs the workspace step (fused MSE
 //               head, no allocation after the first batch).
-//   kmeans    — Lloyd assignment, sequential vs chunked pool path.
 //   round     — one 16-node federated round of local training, pre-PR
-//               (std::async per node + naive compute) vs pooled + fused.
-//               With 16 jobs on a bounded pool the round is oversubscribed
-//               on any machine with fewer than 16 hardware threads.
+//               (std::async per node + naive compute) vs pooled + fused:
+//               one ThreadPool::ParallelUnits unit per node, each writing
+//               its own model slot. With 16 units on a bounded pool the
+//               round is oversubscribed on any machine with fewer than 16
+//               hardware threads.
 //
 // Speedups on a single core are pure compute-path wins; multi-core machines
 // additionally overlap the pooled sections.
@@ -30,8 +31,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "qens/clustering/kmeans.h"
 #include "qens/common/rng.h"
+#include "qens/common/split_rng.h"
 #include "qens/common/stopwatch.h"
 #include "qens/common/thread_pool.h"
 #include "qens/ml/activation.h"
@@ -178,17 +179,20 @@ Matrix NaivePredict(const ml::SequentialModel& model, const Matrix& x) {
   return cur;
 }
 
-/// Pre-PR Trainer::Fit, step for step: same Rng sequence, same shuffles,
-/// same batching, same optimizer — but per-batch SelectRows allocations and
-/// the naive forward/backward/Predict above. With equal seeds this trains
-/// to BITWISE the same parameters as Trainer::Fit, which the bench asserts.
+/// Pre-overhaul Trainer::Fit, step for step: the trainer's SplitRng streams,
+/// same shuffles, same batching, same optimizer — but per-batch SelectRows
+/// allocations and the naive forward/backward/Predict above. With equal
+/// seeds this trains to BITWISE the same parameters as Trainer::Fit, which
+/// the bench asserts.
 void NaiveFit(ml::SequentialModel* model, ml::Optimizer* optimizer,
               const ml::TrainOptions& options, const Matrix& x,
               const Matrix& y) {
-  Rng rng(options.seed);
+  const SplitRng stream(options.seed);
   std::vector<size_t> order(x.rows());
   std::iota(order.begin(), order.end(), size_t{0});
-  if (options.shuffle) rng.Shuffle(&order);
+  if (options.shuffle) {
+    stream.Split(RngPurpose::kTrainOrderInit).ToRng().Shuffle(&order);
+  }
 
   size_t n_val = static_cast<size_t>(options.validation_split *
                                      static_cast<double>(x.rows()));
@@ -203,7 +207,10 @@ void NaiveFit(ml::SequentialModel* model, ml::Optimizer* optimizer,
 
   NaiveCache cache;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    if (options.shuffle) rng.Shuffle(&train_idx);
+    if (options.shuffle) {
+      stream.Split(RngPurpose::kMinibatchShuffle).Split(epoch).ToRng().Shuffle(
+          &train_idx);
+    }
     for (size_t start = 0; start < n_train; start += options.batch_size) {
       const size_t end = std::min(start + options.batch_size, n_train);
       std::vector<size_t> batch(
@@ -401,60 +408,6 @@ void BenchTrainStep(BenchJson* json) {
   if (sink == 12345.6789) std::printf("sink %f\n", sink);
 }
 
-// --- Section: kmeans -------------------------------------------------------
-
-void BenchKMeansAssign(BenchJson* json) {
-  PrintHeader("X7c. k-means Lloyd loop (6000x3, K = 5)");
-  Rng rng(47);
-  Matrix data(6000, 3);
-  for (size_t r = 0; r < data.rows(); ++r) {
-    const double base = 5.0 * static_cast<double>(r % 5);
-    for (size_t c = 0; c < data.cols(); ++c) {
-      data(r, c) = base + rng.Gaussian(0, 1.0);
-    }
-  }
-  clustering::KMeansOptions options;
-  options.k = 5;
-  options.max_iterations = 25;
-  options.tolerance = 0.0;
-  options.seed = 3;
-
-  const double reps = 10;
-  Stopwatch seq_watch;
-  clustering::KMeansResult seq_result;
-  for (double r = 0; r < reps; ++r) {
-    seq_result =
-        ValueOrDie(clustering::KMeans(options).Fit(data), "kmeans seq");
-  }
-  const double seq_s = Seconds(seq_watch);
-
-  options.num_threads = common::ThreadPool::DefaultThreadCount() > 1
-                            ? common::ThreadPool::DefaultThreadCount()
-                            : 2;
-  Stopwatch par_watch;
-  clustering::KMeansResult par_result;
-  for (double r = 0; r < reps; ++r) {
-    par_result =
-        ValueOrDie(clustering::KMeans(options).Fit(data), "kmeans par");
-  }
-  const double par_s = Seconds(par_watch);
-  if (seq_result.assignment != par_result.assignment) Die("kmeans differs");
-
-  BenchRecord record;
-  record.name = "kmeans_lloyd_6000x3";
-  record.labels["section"] = "kmeans";
-  record.values["sequential_seconds"] = seq_s;
-  record.values["parallel_seconds"] = par_s;
-  record.values["threads"] = static_cast<double>(options.num_threads);
-  record.values["speedup"] = par_s > 0 ? seq_s / par_s : 0.0;
-  record.values["reps"] = reps;
-  std::printf(
-      "  %-28s seq   %9.4f ms   pool  %9.4f ms   speedup %5.2fx (%zu thr)\n",
-      record.name.c_str(), 1e3 * seq_s, 1e3 * par_s,
-      par_s > 0 ? seq_s / par_s : 0.0, options.num_threads);
-  json->Add(std::move(record));
-}
-
 // --- Section: round --------------------------------------------------------
 
 /// One node's local-training job for the round bench.
@@ -464,7 +417,7 @@ struct NodeData {
 };
 
 void BenchFederationRound(BenchJson* json) {
-  PrintHeader("X7d. Federated round: 16 oversubscribed local-training jobs");
+  PrintHeader("X7c. Federated round: 16 oversubscribed local-training jobs");
   const size_t kNodes = 16;
   const size_t kRows = 320;
   ml::HyperParams hp = ml::PaperHyperParams(ml::ModelKind::kNeuralNetwork);
@@ -514,31 +467,28 @@ void BenchFederationRound(BenchJson* json) {
     return models;
   };
 
-  // This PR's round: bounded shared pool (jobs queue when oversubscribed),
-  // fused compute path via the real Trainer.
+  // Current round: one ParallelUnits unit per node on a bounded shared
+  // pool (units queue when oversubscribed), each training its own model
+  // slot on the fused compute path via the real Trainer.
   auto pooled_round = [&](common::ThreadPool* pool) {
     std::vector<ml::SequentialModel> models;
     models.reserve(kNodes);
     for (size_t n = 0; n < kNodes; ++n) models.push_back(fresh_model(n));
-    std::vector<std::future<void>> futures(kNodes);
-    for (size_t n = 0; n < kNodes; ++n) {
-      ml::SequentialModel* model = &models[n];
-      const NodeData* node = &nodes[n];
+    pool->ParallelUnits(kNodes, [&](size_t n) {
       ml::TrainOptions opts = train_options;
       opts.seed = 900 + n;
-      futures[n] = pool->Submit([model, node, opts, &hp] {
-        auto optimizer =
-            ValueOrDie(ml::MakeOptimizer(hp.optimizer, hp.learning_rate),
-                       "optimizer");
-        ml::Trainer trainer(std::move(optimizer), opts);
-        CheckOk(trainer.Fit(model, node->x, node->y).status(), "fit");
-      });
-    }
-    for (size_t n = 0; n < kNodes; ++n) futures[n].get();
+      auto optimizer = ValueOrDie(
+          ml::MakeOptimizer(hp.optimizer, hp.learning_rate), "optimizer");
+      ml::Trainer trainer(std::move(optimizer), opts);
+      CheckOk(trainer.Fit(&models[n], nodes[n].x, nodes[n].y).status(),
+              "fit");
+    });
     return models;
   };
 
-  common::ThreadPool pool(common::ThreadPool::DefaultThreadCount());
+  // The caller is a participant too, so W hardware threads run W units at
+  // once on a pool of W - 1 workers.
+  common::ThreadPool pool(common::ThreadPool::DefaultThreadCount() - 1);
 
   // Correctness first: both rounds must train to bitwise equal parameters.
   {
@@ -562,8 +512,7 @@ void BenchFederationRound(BenchJson* json) {
   BenchRecord record = SpeedupRecord("federation_round_16nodes", "round",
                                      naive_s, pooled_s, reps);
   record.values["nodes"] = static_cast<double>(kNodes);
-  record.values["pool_workers"] =
-      static_cast<double>(common::ThreadPool::DefaultThreadCount());
+  record.values["pool_workers"] = static_cast<double>(pool.num_threads());
   json->Add(std::move(record));
 }
 
@@ -578,7 +527,6 @@ int main(int argc, char** argv) {
               qens::common::ThreadPool::DefaultThreadCount());
   BenchKernels(&json);
   BenchTrainStep(&json);
-  BenchKMeansAssign(&json);
   BenchFederationRound(&json);
   json.WriteOrDie();
   return 0;

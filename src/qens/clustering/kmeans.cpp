@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "qens/common/string_util.h"
-#include "qens/common/thread_pool.h"
 #include "qens/obs/metrics.h"
 #include "qens/obs/trace.h"
 #include "qens/tensor/vector_ops.h"
@@ -41,37 +39,6 @@ size_t NearestCentroid(const Matrix& data, size_t r, const Matrix& centroids,
   }
   if (out_dist2 != nullptr) *out_dist2 = best_d;
   return best;
-}
-
-/// Fixed chunk height for the parallel Lloyd steps. Chunk boundaries depend
-/// only on the row count — never on the worker count — so per-chunk partial
-/// sums reduced in ascending chunk order are bit-identical across thread
-/// counts, and a dataset that fits one chunk reproduces the sequential
-/// accumulation exactly.
-constexpr size_t kAssignChunkRows = 2048;
-
-/// Per-chunk scratch for the fused assignment + partial-update step.
-struct ChunkPartial {
-  std::vector<size_t> counts;  ///< Rows assigned per cluster in this chunk.
-  Matrix sums;                 ///< (k x d) per-cluster row sums, this chunk.
-};
-
-/// Assign every row in [begin, end) to its nearest centroid, accumulating
-/// this chunk's per-cluster counts and coordinate sums.
-void AssignChunk(const Matrix& data, size_t begin, size_t end,
-                 const Matrix& centroids, std::vector<size_t>* assignment,
-                 ChunkPartial* partial) {
-  const size_t d = data.cols();
-  std::fill(partial->counts.begin(), partial->counts.end(), 0);
-  partial->sums.Fill(0.0);
-  for (size_t r = begin; r < end; ++r) {
-    const size_t c = NearestCentroid(data, r, centroids, nullptr);
-    (*assignment)[r] = c;
-    ++partial->counts[c];
-    const double* src = data.RowPtr(r);
-    double* dst = partial->sums.RowPtr(c);
-    for (size_t i = 0; i < d; ++i) dst[i] += src[i];
-  }
 }
 
 }  // namespace
@@ -147,59 +114,24 @@ Result<KMeansResult> KMeans::Fit(const Matrix& data) const {
   Matrix new_centroids(k, d);
   std::vector<size_t> counts(k, 0);
 
-  // Parallel Lloyd steps (opt-in): one pool per Fit invocation, reused
-  // across iterations. num_threads <= 1 keeps the exact sequential loops.
-  std::unique_ptr<common::ThreadPool> pool;
-  std::vector<ChunkPartial> partials;
-  if (options_.num_threads > 1 && m > 1) {
-    // The calling thread claims chunks too, hence one pool worker fewer.
-    pool = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
-    const size_t num_chunks = (m + kAssignChunkRows - 1) / kAssignChunkRows;
-    partials.resize(num_chunks);
-    for (ChunkPartial& partial : partials) {
-      partial.counts.assign(k, 0);
-      partial.sums = Matrix(k, d);
-    }
-  }
-
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
     ++result.iterations;
 
-    if (pool != nullptr) {
-      // Fused assignment + partial update: each chunk scans its contiguous
-      // row range; partials are then reduced in ascending chunk order
-      // (chunk 0 copied, later chunks added), which fixes the floating-
-      // point summation order independent of the worker count.
-      pool->ParallelChunks(
-          m, kAssignChunkRows, [&](size_t chunk, size_t begin, size_t end) {
-            AssignChunk(data, begin, end, result.centroids,
-                        &result.assignment, &partials[chunk]);
-          });
-      counts = partials[0].counts;
-      new_centroids = partials[0].sums;
-      for (size_t c = 1; c < partials.size(); ++c) {
-        for (size_t i = 0; i < k; ++i) counts[i] += partials[c].counts[i];
-        const std::vector<double>& src = partials[c].sums.data();
-        std::vector<double>& dst = new_centroids.data();
-        for (size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-      }
-    } else {
-      // Assignment step.
-      for (size_t r = 0; r < m; ++r) {
-        result.assignment[r] =
-            NearestCentroid(data, r, result.centroids, nullptr);
-      }
+    // Assignment step.
+    for (size_t r = 0; r < m; ++r) {
+      result.assignment[r] =
+          NearestCentroid(data, r, result.centroids, nullptr);
+    }
 
-      // Update step.
-      new_centroids.Fill(0.0);
-      std::fill(counts.begin(), counts.end(), 0);
-      for (size_t r = 0; r < m; ++r) {
-        const size_t c = result.assignment[r];
-        ++counts[c];
-        const double* src = data.RowPtr(r);
-        double* dst = new_centroids.RowPtr(c);
-        for (size_t i = 0; i < d; ++i) dst[i] += src[i];
-      }
+    // Update step.
+    new_centroids.Fill(0.0);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (size_t r = 0; r < m; ++r) {
+      const size_t c = result.assignment[r];
+      ++counts[c];
+      const double* src = data.RowPtr(r);
+      double* dst = new_centroids.RowPtr(c);
+      for (size_t i = 0; i < d; ++i) dst[i] += src[i];
     }
     // Repair distances must be snapshotted before any re-seed mutates
     // `assignment`: scanning against the mutated array re-measures a row

@@ -4,7 +4,8 @@
 /// \file kmeans.h
 /// Lloyd's k-means with k-means++ seeding — the node-local quantization step
 /// of Eq. (1): min over centroids of sum_k sum_j ||xi_j - u_k||^2. The paper
-/// uses K = 5 clusters per node (Section V-A).
+/// uses K = 5 clusters per node (Section V-A). Fit runs on the calling
+/// thread: each node quantizes only its own rows (hundreds at paper scale).
 
 #include <cstdint>
 #include <vector>
@@ -29,16 +30,6 @@ struct KMeansOptions {
   double tolerance = 1e-6;  ///< Stop when max centroid shift <= tolerance.
   KMeansInit init = KMeansInit::kKMeansPlusPlus;
   uint64_t seed = 7;
-  /// Threads for the Lloyd assignment step, the calling thread included
-  /// (a pool of num_threads - 1 workers). <= 1 keeps the exact
-  /// sequential path (bit-identical to the pre-threading implementation).
-  /// With > 1, rows are split into contiguous fixed-size chunks claimed
-  /// through ThreadPool::ParallelChunks; the assignment draws no random
-  /// numbers, and per-chunk partial sums are reduced in ascending chunk
-  /// order, so results are bit-identical across every thread count >= 2
-  /// (and identical to sequential whenever the data fits one chunk). A pool
-  /// is created once per Fit invocation.
-  size_t num_threads = 1;
 };
 
 /// Result of a k-means fit.

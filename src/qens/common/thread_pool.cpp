@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstdint>
 #include <exception>
+#include <memory>
+#include <utility>
 
 namespace qens::common {
 namespace {
@@ -138,14 +140,22 @@ void ThreadPool::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
-      // Drain remaining tasks even when stopping, so futures handed out
-      // before destruction always become ready.
+      // Drain remaining tasks even when stopping: a queued participant
+      // only finds its call's ranges drained and exits.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
     }
     task();
   }
+}
+
+void ThreadPool::Enqueue(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+  }
+  cv_.notify_one();
 }
 
 void ThreadPool::ParallelUnits(size_t num_units,
@@ -163,10 +173,10 @@ void ThreadPool::ParallelUnits(size_t num_units,
   // All scheduling state is heap-shared with the participant tasks. The
   // caller returns as soon as every unit has FINISHED (completed ==
   // num_units) — which can be long before a participant task queued behind
-  // unrelated pool work ever starts. Such a straggler later finds the
+  // other calls' participants ever starts. Such a straggler later finds the
   // ranges drained and exits touching only this shared block, so the call
   // neither blocks on a busy pool nor deadlocks when issued from inside a
-  // pool task.
+  // unit of another call.
   const size_t participants = workers_.size() + 1;
   auto state = std::make_shared<UnitsState>(participants, num_units, fn);
   {
@@ -183,9 +193,9 @@ void ThreadPool::ParallelUnits(size_t num_units,
 
   // Every pool worker gets a participant task; the caller runs the last
   // participant inline, so progress is guaranteed even when the pool's
-  // workers are busy with unrelated queued work.
+  // workers are busy with other calls' units.
   for (size_t p = 0; p < workers_.size(); ++p) {
-    Submit([state, p]() { RunParticipant(*state, p); });
+    Enqueue([state, p]() { RunParticipant(*state, p); });
   }
   RunParticipant(*state, participants - 1);
   // The caller's participant only returns once every range is drained, so
@@ -200,19 +210,6 @@ void ThreadPool::ParallelUnits(size_t num_units,
     });
   }
   if (state->error) std::rethrow_exception(state->error);
-}
-
-void ThreadPool::ParallelChunks(
-    size_t n, size_t chunk_rows,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  chunk_rows = std::max<size_t>(1, chunk_rows);
-  const size_t num_chunks = (n + chunk_rows - 1) / chunk_rows;
-  ParallelUnits(num_chunks, [&fn, n, chunk_rows](size_t chunk) {
-    const size_t begin = chunk * chunk_rows;
-    const size_t end = std::min(begin + chunk_rows, n);
-    fn(chunk, begin, end);
-  });
 }
 
 size_t ThreadPool::DefaultThreadCount() {

@@ -3,12 +3,12 @@
 
 /// \file thread_pool.h
 /// Fixed-size reusable worker pool — the one concurrency primitive under the
-/// parallel hot paths (federated local training, query serving, the k-means
-/// assignment step, bench harnesses).
+/// parallel hot paths (federated local training, query serving, bench
+/// harnesses).
 ///
-/// Every parallel fan-out in qens goes through ParallelUnits (or
-/// ParallelChunks, its fixed-grid wrapper): units are claimed dynamically,
-/// the caller participates, and each unit writes its own output slot.
+/// ParallelUnits is the pool's only dispatcher, and every parallel fan-out
+/// in qens goes through it: units are claimed dynamically, the caller
+/// participates, and each unit writes its own output slot.
 /// Determinism contract: a unit draws randomness only from its own logical
 /// coordinates and callers reduce per-unit slots in ascending unit order, so
 /// a pool of 1 worker, a pool of N workers, and a plain sequential loop all
@@ -18,12 +18,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace qens::common {
@@ -40,23 +36,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueue a callable; returns the future of its result. Tasks start in
-  /// FIFO order (completion order depends on scheduling — collect futures in
-  /// submission order for deterministic output). The building block of
-  /// ParallelUnits; library fan-outs use ParallelUnits, not Submit.
-  template <typename F>
-  std::future<std::invoke_result_t<F&>> Submit(F fn) {
-    using R = std::invoke_result_t<F&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.emplace_back([task]() { (*task)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
-
   /// Parallel execution of `num_units` independent logical units: run
   /// `fn(unit)` exactly once for every unit in [0, num_units) and block
   /// until all have finished. Units are claimed dynamically — each
@@ -64,7 +43,7 @@ class ThreadPool {
   /// its front, and steals from the back of the fullest remaining range
   /// when its own is drained — so stragglers no longer serialize a fixed
   /// partition. The caller thread participates, so the call also works on a
-  /// pool whose workers are busy (or from within a pool task).
+  /// pool whose workers are busy (or from within a unit of another call).
   ///
   /// Determinism: the pool guarantees each unit runs exactly once, nothing
   /// more. Bit-identical replay additionally requires the call site to (a)
@@ -85,20 +64,13 @@ class ThreadPool {
   /// W - 1 workers.
   void ParallelUnits(size_t num_units, const std::function<void(size_t)>& fn);
 
-  /// Run `fn(chunk_index, begin, end)` over [0, n) split into contiguous
-  /// chunks of `chunk_rows` (the last chunk may be short), one ParallelUnits
-  /// unit per chunk, and block until every chunk has finished. Chunk
-  /// boundaries depend only on n and chunk_rows — never on the worker count
-  /// — so per-chunk partials reduced in ascending chunk index are
-  /// bit-identical across thread counts.
-  void ParallelChunks(size_t n, size_t chunk_rows,
-                      const std::function<void(size_t, size_t, size_t)>& fn);
-
   /// Worker count to use when the caller passes 0: the hardware thread
   /// count, falling back to 1 when unknown.
   static size_t DefaultThreadCount();
 
  private:
+  /// Queue one participant task for the next free worker.
+  void Enqueue(std::function<void()> task);
   void WorkerLoop();
 
   std::mutex mu_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "qens/common/string_util.h"
-
 namespace qens::ml {
 
 const char* ActivationName(Activation a) {
@@ -19,15 +17,6 @@ const char* ActivationName(Activation a) {
       return "tanh";
   }
   return "unknown";
-}
-
-Result<Activation> ParseActivation(const std::string& name) {
-  const std::string n = ToLower(Trim(name));
-  if (n == "identity" || n == "linear") return Activation::kIdentity;
-  if (n == "relu") return Activation::kRelu;
-  if (n == "sigmoid") return Activation::kSigmoid;
-  if (n == "tanh") return Activation::kTanh;
-  return Status::InvalidArgument("unknown activation: '" + name + "'");
 }
 
 void ApplyActivation(Activation a, const Matrix& z, Matrix* out) {

@@ -6,9 +6,7 @@
 /// ReLU hidden activations and linear outputs (Table III).
 
 #include <cmath>
-#include <string>
 
-#include "qens/common/status.h"
 #include "qens/tensor/matrix.h"
 
 namespace qens::ml {
@@ -22,10 +20,6 @@ enum class Activation {
 
 /// Canonical lowercase name ("identity", "relu", ...).
 const char* ActivationName(Activation a);
-
-/// Parse a name produced by ActivationName; case-insensitive; "linear" is
-/// accepted as an alias of "identity".
-Result<Activation> ParseActivation(const std::string& name);
 
 /// f(z) for one value: the per-element formula of ApplyActivation.
 template <Activation A>

@@ -36,7 +36,7 @@
 #include "qens/ml/loss.h"
 #include "qens/ml/metrics.h"
 #include "qens/ml/model_factory.h"    // Table III LR / NN configurations.
-#include "qens/ml/model_io.h"         // Model wire format.
+#include "qens/ml/model_io.h"         // Raw QENW model wire size.
 #include "qens/ml/optimizer.h"        // SGD / Adam.
 #include "qens/ml/sequential_model.h"
 #include "qens/ml/trainer.h"          // Keras-style training loop.

@@ -3,8 +3,8 @@
 
 /// \file profile_io.h
 /// Text wire codec for NodeProfile — the actual payload a node ships to the
-/// leader in the selection protocol (Section III-C). Mirrors the model
-/// codec in ml/model_io.h: line oriented, hex floats for exact round trips.
+/// leader in the selection protocol (Section III-C): line oriented, hex
+/// floats for exact round trips.
 ///
 /// Format:
 ///   qens-profile v1

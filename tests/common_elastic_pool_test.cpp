@@ -1,10 +1,8 @@
 // ThreadPool::ParallelUnits, the pool's one dispatcher: every unit runs
-// exactly once under any steal schedule, outputs collected in per-unit
-// slots are bit-identical to a sequential loop at every worker count, and
-// ParallelChunks (one unit per chunk) keeps the count-independent chunk
-// grid so ascending-chunk reductions stay bit-identical to sequential. The
-// steal-heavy stress cases double as the TSan target for the claim/steal
-// atomics.
+// exactly once under any steal schedule, and outputs collected in per-unit
+// slots, also when reduced in ascending unit order, are bit-identical to a
+// sequential loop at every worker count. The steal-heavy stress cases
+// double as the TSan target for the claim/steal atomics.
 
 #include <gtest/gtest.h>
 
@@ -97,33 +95,10 @@ TEST(ElasticPoolTest, SkewedCostsPreserveExactlyOnce) {
   }
 }
 
-TEST(ElasticPoolTest, ParallelChunksKeepsTheSequentialChunkGrid) {
-  // Chunk boundaries depend only on (n, chunk_rows), never on the worker
-  // count or on which participant claimed the chunk, so per-chunk partials
-  // reduced in ascending chunk index are bit-identical to sequential.
-  for (const size_t workers : kWorkerCounts) {
-    ThreadPool pool(workers);
-    for (const auto& [n, rows] :
-         {std::pair<size_t, size_t>{100, 7}, {64, 64}, {65, 64}, {1, 3},
-          {0, 5}, {1000, 1}}) {
-      const size_t chunks = (n + rows - 1) / rows;
-      std::vector<std::pair<size_t, size_t>> sequential(chunks);
-      for (size_t c = 0; c < chunks; ++c) {
-        sequential[c] = {c * rows, std::min(n, (c + 1) * rows)};
-      }
-      std::vector<std::pair<size_t, size_t>> got(chunks, {0, 0});
-      pool.ParallelChunks(n, rows, [&](size_t c, size_t b, size_t e) {
-        got[c] = {b, e};
-      });
-      ASSERT_EQ(got, sequential) << "workers " << workers << " n " << n
-                                 << " rows " << rows;
-    }
-  }
-}
-
 TEST(ElasticPoolTest, AscendingChunkReductionBitIdenticalAcrossPaths) {
-  // The k-means pattern: per-chunk partial sums reduced in ascending chunk
-  // order. ParallelChunks and sequential must agree bit for bit.
+  // One unit per fixed chunk of rows writes its partial sum to its own
+  // slot; the slots are reduced in ascending unit order. Pooled and
+  // sequential runs must agree bit for bit.
   const size_t n = 4321;
   const size_t rows = 128;
   const size_t chunks = (n + rows - 1) / rows;
@@ -132,31 +107,27 @@ TEST(ElasticPoolTest, AscendingChunkReductionBitIdenticalAcrossPaths) {
     // An irrational-ish spread where reassociation would show.
     return static_cast<double>(root.Draw(i) >> 11) * 0x1.0p-53 * 3.7 - 1.85;
   };
-
-  auto reduce = [&](auto&& run) {
-    std::vector<double> partials(chunks, 0.0);
-    run([&](size_t c, size_t b, size_t e) {
-      double acc = 0.0;
-      for (size_t i = b; i < e; ++i) acc += row_value(i);
-      partials[c] = acc;
-    });
+  auto chunk_sum = [&](size_t c) {
+    double acc = 0.0;
+    for (size_t i = c * rows; i < std::min(n, (c + 1) * rows); ++i) {
+      acc += row_value(i);
+    }
+    return acc;
+  };
+  auto reduce = [](const std::vector<double>& partials) {
     double total = 0.0;
-    for (const double p : partials) total += p;  // Ascending chunk order.
+    for (const double p : partials) total += p;  // Ascending unit order.
     return total;
   };
 
-  const double sequential = reduce([&](auto&& fn) {
-    for (size_t c = 0; c * rows < n; ++c) {
-      fn(c, c * rows, std::min(n, (c + 1) * rows));
-    }
-  });
+  std::vector<double> sequential(chunks);
+  for (size_t c = 0; c < chunks; ++c) sequential[c] = chunk_sum(c);
   for (const size_t workers : kWorkerCounts) {
     ThreadPool pool(workers);
-    const double pooled = reduce([&](auto&& fn) {
-      pool.ParallelChunks(n, rows, fn);
-    });
-    ASSERT_EQ(std::bit_cast<uint64_t>(sequential),
-              std::bit_cast<uint64_t>(pooled))
+    std::vector<double> pooled(chunks, 0.0);
+    pool.ParallelUnits(chunks, [&](size_t c) { pooled[c] = chunk_sum(c); });
+    ASSERT_EQ(std::bit_cast<uint64_t>(reduce(sequential)),
+              std::bit_cast<uint64_t>(reduce(pooled)))
         << "workers " << workers;
   }
 }
@@ -195,26 +166,34 @@ TEST(ElasticPoolTest, StealHeavyStress) {
 }
 
 TEST(ElasticPoolTest, CallerParticipatesSoBusyPoolsStillFinish) {
-  // All pool workers blocked on slow Submit tasks: ParallelUnits must
-  // still complete via caller participation (it cannot deadlock waiting
-  // for a free worker).
+  // Both pool workers are held inside the units of an outer call made on
+  // another thread: a second ParallelUnits call must still complete via
+  // caller participation (it cannot deadlock waiting for a free worker).
   ThreadPool pool(2);
+  std::atomic<int> held{0};
   std::atomic<bool> release{false};
-  auto blocker = [&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  auto f1 = pool.Submit(blocker);
-  auto f2 = pool.Submit(blocker);
+  std::thread outer([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    // Three participants, one unit each. The outer caller's own unit waits
+    // until both workers sit in theirs, so it cannot steal them first.
+    pool.ParallelUnits(3, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        while (held.load() < 2) std::this_thread::yield();
+        return;
+      }
+      ++held;
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (held.load() < 2) std::this_thread::yield();
 
   std::vector<std::atomic<uint32_t>> hits(100);
   pool.ParallelUnits(100, [&](size_t u) { ++hits[u]; });
-  for (size_t u = 0; u < 100; ++u) ASSERT_EQ(hits[u].load(), 1u);
-
   release.store(true);
-  f1.get();
-  f2.get();
+  outer.join();
+  for (size_t u = 0; u < 100; ++u) ASSERT_EQ(hits[u].load(), 1u);
 }
 
 }  // namespace

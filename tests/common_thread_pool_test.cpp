@@ -1,20 +1,20 @@
-// Tests for the shared worker pool: futures arrive in submission order with
-// the right values, chunk grids cover the input exactly once with
-// worker-count-independent boundaries (also when issued from inside a pool
-// task), exceptions propagate through futures and out of ParallelUnits /
-// ParallelChunks, and destruction drains the queue.
+// Tests for the shared worker pool's one dispatcher, ParallelUnits: every
+// unit runs once also when the pool is oversubscribed, reused, or called
+// from inside a unit of another call on the same pool; unit exceptions
+// reach the caller only after every running unit has finished; and
+// destroying the pool right after a call is safe.
 
 #include "qens/common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -29,100 +29,66 @@ TEST(ThreadPoolTest, WorkerCountClampedToAtLeastOne) {
   EXPECT_EQ(pool4.num_threads(), 4u);
 }
 
-TEST(ThreadPoolTest, SubmitReturnsResultsInSubmissionOrder) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, OversubscribedSubmitsAllComplete) {
+TEST(ThreadPoolTest, OversubscribedUnitsAllComplete) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&count] { ++count; }));
-  }
-  for (auto& f : futures) f.get();
+  pool.ParallelUnits(64, [&count](size_t) { ++count; });
   EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.Submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelChunksCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  const size_t n = 10000;
-  const size_t chunk_rows = 256;
-  std::vector<int> hits(n, 0);
-  pool.ParallelChunks(n, chunk_rows, [&](size_t chunk, size_t begin,
-                                         size_t end) {
-    // Boundaries must come from the fixed grid, never the worker count.
-    EXPECT_EQ(begin, chunk * chunk_rows);
-    EXPECT_EQ(end, std::min(begin + chunk_rows, n));
-    for (size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-            static_cast<int>(n));
-  for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, ParallelChunksHandlesShortAndEmptyInputs) {
-  ThreadPool pool(4);
-  // n smaller than one chunk: exactly one call covering [0, n).
-  size_t calls = 0;
-  pool.ParallelChunks(5, 2048, [&](size_t chunk, size_t begin, size_t end) {
-    ++calls;
-    EXPECT_EQ(chunk, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 5u);
-  });
-  EXPECT_EQ(calls, 1u);
-  // n == 0: no calls at all.
-  pool.ParallelChunks(0, 16, [&](size_t, size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 1u);
-}
-
-TEST(ThreadPoolTest, ParallelChunksFromInsideAPoolTaskCompletes) {
-  // The only worker is busy running the outer task, so the nested fan-out
-  // finishes only because the calling thread claims the chunks itself.
-  auto pool = std::make_unique<ThreadPool>(1);
-  std::vector<int> hits(100, 0);
-  auto outer = pool->Submit([&] {
-    pool->ParallelChunks(hits.size(), 7, [&](size_t, size_t begin,
-                                             size_t end) {
-      for (size_t i = begin; i < end; ++i) ++hits[i];
-    });
-  });
-  if (outer.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
-    // Joining the stuck worker would hang the suite; leak the pool instead.
-    static_cast<void>(pool.release());
-    FAIL() << "nested ParallelChunks deadlocked on a 1-worker pool";
-  }
-  outer.get();
-  for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i], 1) << i;
-}
-
 /// Runs `call` on a separate thread and reports whether it finished within
-/// ten seconds. On a hang the helper pool is leaked: joining its stuck
-/// thread would hang the whole suite.
+/// ten seconds; an exception `call` throws is rethrown here. On a hang the
+/// thread is detached: joining it would hang the whole suite.
 bool FinishesInTime(const std::function<void()>& call) {
-  auto runner = std::make_unique<ThreadPool>(1);
-  auto done = runner->Submit(call);
-  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
-    static_cast<void>(runner.release());
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  std::thread runner([call, done] {
+    try {
+      call();
+      done->set_value();
+    } catch (...) {
+      done->set_exception(std::current_exception());
+    }
+  });
+  if (finished.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    runner.detach();
     return false;
   }
-  done.get();
+  runner.join();
+  finished.get();
   return true;
+}
+
+TEST(ThreadPoolTest, NestedParallelUnitsFromInsideAUnitCompletes) {
+  // The outer call's caller-side unit waits until the only worker has run
+  // a nested call from inside the other outer unit. That worker is busy
+  // running the outer unit, so the nested fan-out finishes only because
+  // its calling thread claims the nested units itself.
+  auto pool = std::make_unique<ThreadPool>(1);
+  std::vector<std::atomic<uint32_t>> hits(100);
+  std::atomic<uint32_t> nested_calls{0};
+  const bool finished = FinishesInTime([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool->ParallelUnits(2, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        while (nested_calls.load() == 0) std::this_thread::yield();
+        return;
+      }
+      pool->ParallelUnits(hits.size(), [&](size_t u) { ++hits[u]; });
+      ++nested_calls;
+    });
+  });
+  if (!finished) {
+    // Joining the stuck worker would hang the suite; leak the pool instead.
+    static_cast<void>(pool.release());
+    FAIL() << "nested ParallelUnits deadlocked on a 1-worker pool";
+  }
+  // A worker that also steals the caller's outer unit nests a second time.
+  ASSERT_GE(nested_calls.load(), 1u);
+  for (size_t u = 0; u < hits.size(); ++u) {
+    ASSERT_EQ(hits[u].load(), nested_calls.load()) << u;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelUnitsRethrowsAWorkerException) {
@@ -173,15 +139,15 @@ TEST(ThreadPoolTest, ParallelUnitsWaitsForWorkersBeforeRethrowing) {
   EXPECT_EQ(after_return.load(), 0);
 }
 
-TEST(ThreadPoolTest, ParallelChunksRethrowsAChunkException) {
+TEST(ThreadPoolTest, ParallelUnitsRethrowsAUnitException) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
   bool caught = false;
   ASSERT_TRUE(FinishesInTime([&] {
     try {
-      pool.ParallelChunks(1000, 10, [&](size_t chunk, size_t, size_t) {
+      pool.ParallelUnits(100, [&](size_t unit) {
         ++ran;
-        if (chunk == 57) throw std::length_error("chunk failed");
+        if (unit == 57) throw std::length_error("unit failed");
       });
     } catch (const std::length_error&) {
       caught = true;
@@ -191,26 +157,27 @@ TEST(ThreadPoolTest, ParallelChunksRethrowsAChunkException) {
   EXPECT_GE(ran.load(), 1);
 }
 
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
+TEST(ThreadPoolTest, DestructorDrainsPendingParticipants) {
+  // A call returns once every unit has finished, which can be before its
+  // participant tasks have left the queue; destroying the pool right away
+  // must drain those stragglers safely.
   std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&count] { ++count; });
-    }
-  }  // Destructor must run every queued task before joining.
-  EXPECT_EQ(count.load(), 32);
+  for (int round = 0; round < 32; ++round) {
+    ThreadPool pool(4);
+    pool.ParallelUnits(2, [&count](size_t) { ++count; });
+  }
+  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossBatchesOfWork) {
   ThreadPool pool(2);
   for (int batch = 0; batch < 5; ++batch) {
-    std::vector<std::future<int>> futures;
+    std::vector<int> slots(10, -1);
+    pool.ParallelUnits(slots.size(), [&slots, batch](size_t i) {
+      slots[i] = batch * 100 + static_cast<int>(i);
+    });
     for (int i = 0; i < 10; ++i) {
-      futures.push_back(pool.Submit([batch, i] { return batch * 100 + i; }));
-    }
-    for (int i = 0; i < 10; ++i) {
-      EXPECT_EQ(futures[static_cast<size_t>(i)].get(), batch * 100 + i);
+      EXPECT_EQ(slots[static_cast<size_t>(i)], batch * 100 + i);
     }
   }
 }

@@ -1,11 +1,11 @@
-// Randomized round-trip property sweeps for the two wire codecs (models
-// and node profiles): any structurally valid payload must serialize and
-// deserialize to a bit-identical value.
+// Randomized round-trip property sweeps for the two wire codecs (QENW
+// models at kRawF64 and node profiles): any structurally valid payload must
+// serialize and deserialize to a bit-identical value.
 
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/ml/model_io.h"
+#include "qens/ml/model_codec.h"
 #include "qens/selection/profile_io.h"
 
 namespace qens {
@@ -40,7 +40,9 @@ TEST_P(ModelIoPropertyTest, RandomWeightsRoundTripExactly) {
       params.back() = 4.9406564584124654e-324;  // Denormal min.
       ASSERT_TRUE(model.SetParameters(params).ok());
     }
-    auto back = ml::DeserializeModel(ml::SerializeModel(model));
+    auto bytes = ml::EncodeModel(model, ml::WireCodecKind::kRawF64);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto back = ml::DecodeModel(*bytes);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_TRUE(back->SameArchitecture(model));
     EXPECT_EQ(back->GetParameters(), model.GetParameters()) << "seed " << seed;

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "qens/ml/model_codec.h"
-#include "qens/ml/model_io.h"
 #include "qens/ml/sequential_model.h"
 
 namespace {
@@ -66,8 +65,8 @@ Allocations Measure(Fn&& fn) {
 }
 
 /// Decode `input` with `decode`, expecting InvalidArgument and no request
-/// above the input's size (+1: a copy of the input into a std::string, as
-/// the text parser's istringstream makes, carries a terminator).
+/// above the input's size (+1: a copy of the input into a std::string
+/// carries a terminator).
 template <typename Decode>
 void ExpectRejectedWithoutLargeAllocation(const std::string& input,
                                           Decode&& decode) {
@@ -80,10 +79,6 @@ void ExpectRejectedWithoutLargeAllocation(const std::string& input,
 
 Status DecodeQenw(const std::string& bytes) {
   return DecodeModel(bytes).status();
-}
-
-Status DecodeText(const std::string& text) {
-  return DeserializeModel(text).status();
 }
 
 void PutU32(std::string* out, uint32_t v) {
@@ -171,37 +166,6 @@ TEST(DecoderAllocTest, QenwTopKDeltaIsBoundedByTheReference) {
       [&](const std::string& bytes) {
         return DecodeModelDelta(bytes, reference).status();
       });
-}
-
-/// A text model document whose parameter block holds `tokens` zeros.
-std::string TextModel(const std::string& layer_lines, const std::string& count,
-                      size_t tokens) {
-  std::string text = "qens-model v1\n" + layer_lines + "params " + count + "\n";
-  for (size_t i = 0; i < tokens; ++i) text += i + 1 < tokens ? "0 " : "0\n";
-  return text;
-}
-
-TEST(DecoderAllocTest, TextHugeLayerIsRejectedBeforeAllocating) {
-  const std::string huge = "layers 1\nlayer 2147483648 2147483648 relu\n";
-  for (const std::string& count :
-       {std::to_string(k2Pow62 + k2Pow31), std::string("2")}) {
-    SCOPED_TRACE(count);
-    ExpectRejectedWithoutLargeAllocation(TextModel(huge, count, 64),
-                                         DecodeText);
-  }
-}
-
-TEST(DecoderAllocTest, TextChainedOverflowIsRejectedBeforeAllocating) {
-  // Widths of 2^32: the first product alone is 2^64. The second document
-  // wraps the sum to 2 exactly as the QENW case does.
-  for (const std::string& layers :
-       {std::string("layers 1\nlayer 4294967296 4294967296 relu\n"),
-        std::string("layers 3\nlayer 4294967295 4294967295 relu\n"
-                    "layer 4294967295 1 relu\nlayer 1 1 relu\n")}) {
-    SCOPED_TRACE(layers);
-    ExpectRejectedWithoutLargeAllocation(TextModel(layers, "2", 64),
-                                         DecodeText);
-  }
 }
 
 }  // namespace

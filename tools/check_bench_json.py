@@ -29,7 +29,7 @@ BENCH_REQUIREMENTS = {
         "record_values": {"avg_loss"},
     },
     "bench_x7_hotpath": {
-        "sections": {"kernels", "step", "kmeans", "round"},
+        "sections": {"kernels", "step", "round"},
         "record_values": {"speedup", "reps"},
     },
     "bench_x8_query_throughput": {
@@ -47,10 +47,6 @@ BENCH_REQUIREMENTS = {
     "bench_x11_churn_drift": {
         "sections": {"baseline", "sweep"},
         "record_values": {"avg_loss", "queries_run"},
-    },
-    "bench_x12_elastic_scheduling": {
-        "sections": {"equality", "straggler"},
-        "record_values": {"units"},
     },
     "bench_x13_serving_slo": {
         "sections": {"equality", "slo", "throughput"},
