@@ -93,10 +93,8 @@ inline PreTestResult RunPreTest(const data::AirQualityOptions& options,
       ValueOrDie(generator.GenerateAll(), "generate stations");
 
   // Global min-max scaling (in the protocol, from the shipped bounds).
-  data::Dataset pooled = stations[0];
-  for (size_t i = 1; i < stations.size(); ++i) {
-    pooled = ValueOrDie(pooled.Concat(stations[i]), "pool");
-  }
+  const data::Dataset pooled =
+      ValueOrDie(data::StackShards(stations), "pool");
   data::Normalizer fnorm = ValueOrDie(
       data::Normalizer::Fit(pooled.features(), data::ScalingKind::kMinMax),
       "feature norm");

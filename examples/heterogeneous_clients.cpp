@@ -64,10 +64,7 @@ void RunRegime(data::Heterogeneity regime, size_t num_stations) {
   // learning rates assume normalized data (the federation layer does this
   // automatically; here we probe stations directly). Probe losses below
   // are mapped back to raw PM2.5 units.
-  data::Dataset pooled = stations[0];
-  for (size_t s = 1; s < stations.size(); ++s) {
-    pooled = Die(pooled.Concat(stations[s]), "pool");
-  }
+  const data::Dataset pooled = Die(data::StackShards(stations), "pool");
   const data::Normalizer fnorm = Die(
       data::Normalizer::Fit(pooled.features(), data::ScalingKind::kMinMax),
       "feature norm");

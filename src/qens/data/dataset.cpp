@@ -1,5 +1,7 @@
 #include "qens/data/dataset.h"
 
+#include <algorithm>
+
 #include "qens/common/string_util.h"
 
 namespace qens::data {
@@ -37,30 +39,9 @@ Result<Dataset> Dataset::Create(Matrix features, Matrix targets) {
                 "target");
 }
 
-Result<Dataset> Dataset::SelectRows(const std::vector<size_t>& rows) const {
-  QENS_ASSIGN_OR_RETURN(Matrix f, features_.SelectRows(rows));
-  QENS_ASSIGN_OR_RETURN(Matrix t, targets_.SelectRows(rows));
-  return Create(std::move(f), std::move(t), feature_names_, target_name_);
-}
-
-Result<Dataset> Dataset::Concat(const Dataset& other) const {
-  if (other.NumFeatures() != NumFeatures()) {
-    return Status::InvalidArgument("Concat: feature width mismatch");
-  }
-  Matrix f(NumSamples() + other.NumSamples(), NumFeatures());
-  Matrix t(NumSamples() + other.NumSamples(), 1);
-  for (size_t r = 0; r < NumSamples(); ++r) {
-    std::copy(features_.RowPtr(r), features_.RowPtr(r) + NumFeatures(),
-              f.RowPtr(r));
-    t(r, 0) = targets_(r, 0);
-  }
-  for (size_t r = 0; r < other.NumSamples(); ++r) {
-    std::copy(other.features_.RowPtr(r),
-              other.features_.RowPtr(r) + NumFeatures(),
-              f.RowPtr(NumSamples() + r));
-    t(NumSamples() + r, 0) = other.targets_(r, 0);
-  }
-  return Create(std::move(f), std::move(t), feature_names_, target_name_);
+Result<Dataset> Dataset::SelectRows(std::span<const size_t> rows) const {
+  const RowView view{this, rows};
+  return GatherRows({&view, 1});
 }
 
 Result<query::HyperRectangle> Dataset::FeatureSpace() const {
@@ -72,6 +53,48 @@ Result<size_t> Dataset::FeatureIndex(const std::string& name) const {
     if (feature_names_[i] == name) return i;
   }
   return Status::NotFound("feature not found: '" + name + "'");
+}
+
+Result<Dataset> GatherRows(std::span<const RowView> views) {
+  if (views.empty()) return Status::InvalidArgument("GatherRows: no views");
+  const Dataset& first = *views[0].source;
+  const size_t cols = first.NumFeatures();
+  size_t total = 0;
+  for (const RowView& v : views) {
+    if (v.source->NumFeatures() != cols) {
+      return Status::InvalidArgument("GatherRows: feature width mismatch");
+    }
+    for (size_t r : v.rows) {
+      if (r >= v.source->NumSamples()) {
+        return Status::OutOfRange(StrFormat("GatherRows: row %zu >= %zu", r,
+                                            v.source->NumSamples()));
+      }
+    }
+    total += v.rows.size();
+  }
+  Matrix f(total, cols);
+  Matrix t(total, 1);
+  size_t out = 0;
+  for (const RowView& v : views) {
+    for (size_t r : v.rows) {
+      std::copy_n(v.source->features().RowPtr(r), cols, f.RowPtr(out));
+      t.data()[out++] = v.source->targets().data()[r];
+    }
+  }
+  return Dataset::Create(std::move(f), std::move(t), first.feature_names(),
+                         first.target_name());
+}
+
+Result<Dataset> StackShards(std::span<const Dataset> shards) {
+  std::vector<size_t> all;  // 0, 1, 2, ...: each shard's ids are a prefix.
+  for (const Dataset& s : shards) {
+    while (all.size() < s.NumSamples()) all.push_back(all.size());
+  }
+  std::vector<RowView> views;
+  for (const Dataset& s : shards) {
+    views.push_back({&s, std::span<const size_t>(all).first(s.NumSamples())});
+  }
+  return GatherRows(views);
 }
 
 }  // namespace qens::data

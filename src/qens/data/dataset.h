@@ -6,6 +6,7 @@
 /// and column names. This is what each edge node holds locally (the paper's
 /// D_k = {xi_1, ..., xi_m} with xi = (x, y)).
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,10 +45,7 @@ class Dataset {
   std::vector<double> TargetVector() const { return targets_.Col(0); }
 
   /// Subset by row indices (features and targets in lock-step).
-  Result<Dataset> SelectRows(const std::vector<size_t>& rows) const;
-
-  /// Concatenate another dataset with the same schema below this one.
-  Result<Dataset> Concat(const Dataset& other) const;
+  Result<Dataset> SelectRows(std::span<const size_t> rows) const;
 
   /// Tight bounding box of the features — the node's "data space".
   Result<query::HyperRectangle> FeatureSpace() const;
@@ -61,6 +59,23 @@ class Dataset {
   std::vector<std::string> feature_names_;
   std::string target_name_;
 };
+
+/// Rows of one dataset by id, in the given order: a view, not a copy.
+/// Selective data is named by views over one sample store and pooled by one
+/// GatherRows, never by appending copied subsets.
+struct RowView {
+  const Dataset* source = nullptr;  ///< Non-null; outlives the view's use.
+  std::span<const size_t> rows;
+};
+
+/// Pool every view's rows, view by view, into one dataset sized once, with
+/// one exact copy per row; names come from the first view. InvalidArgument
+/// on no views or a feature width differing from the first view's,
+/// OutOfRange on an id outside its source (both before copying).
+Result<Dataset> GatherRows(std::span<const RowView> views);
+
+/// Every row of every shard, shard by shard: GatherRows over whole shards.
+Result<Dataset> StackShards(std::span<const Dataset> shards);
 
 }  // namespace qens::data
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "qens/common/rng.h"
 #include "qens/common/string_util.h"
@@ -26,13 +27,10 @@ Result<TrainTestSplit> SplitTrainTest(const Dataset& dataset,
       test_fraction * static_cast<double>(dataset.NumSamples()));
   n_test = std::clamp<size_t>(n_test, 1, dataset.NumSamples() - 1);
 
-  std::vector<size_t> test_idx(order.begin(),
-                               order.begin() + static_cast<ptrdiff_t>(n_test));
-  std::vector<size_t> train_idx(order.begin() + static_cast<ptrdiff_t>(n_test),
-                                order.end());
+  const std::span<const size_t> rows(order);
   TrainTestSplit split;
-  QENS_ASSIGN_OR_RETURN(split.test, dataset.SelectRows(test_idx));
-  QENS_ASSIGN_OR_RETURN(split.train, dataset.SelectRows(train_idx));
+  QENS_ASSIGN_OR_RETURN(split.test, dataset.SelectRows(rows.first(n_test)));
+  QENS_ASSIGN_OR_RETURN(split.train, dataset.SelectRows(rows.subspan(n_test)));
   return split;
 }
 
@@ -49,6 +47,7 @@ Result<std::vector<Dataset>> PartitionIid(const Dataset& dataset, size_t n,
   std::iota(order.begin(), order.end(), 0);
   rng.Shuffle(&order);
 
+  const std::span<const size_t> rows(order);
   std::vector<Dataset> shards;
   shards.reserve(n);
   const size_t base = dataset.NumSamples() / n;
@@ -56,11 +55,9 @@ Result<std::vector<Dataset>> PartitionIid(const Dataset& dataset, size_t n,
   size_t cursor = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t take = base + (i < extra ? 1 : 0);
-    std::vector<size_t> idx(order.begin() + static_cast<ptrdiff_t>(cursor),
-                            order.begin() +
-                                static_cast<ptrdiff_t>(cursor + take));
+    QENS_ASSIGN_OR_RETURN(Dataset shard,
+                          dataset.SelectRows(rows.subspan(cursor, take)));
     cursor += take;
-    QENS_ASSIGN_OR_RETURN(Dataset shard, dataset.SelectRows(idx));
     shards.push_back(std::move(shard));
   }
   return shards;
@@ -89,6 +86,7 @@ Result<std::vector<Dataset>> PartitionByFeature(const Dataset& dataset,
            dataset.features()(b, feature_index);
   });
 
+  const std::span<const size_t> rows(order);
   std::vector<Dataset> shards;
   shards.reserve(n);
   const size_t base = dataset.NumSamples() / n;
@@ -96,11 +94,9 @@ Result<std::vector<Dataset>> PartitionByFeature(const Dataset& dataset,
   size_t cursor = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t take = base + (i < extra ? 1 : 0);
-    std::vector<size_t> idx(order.begin() + static_cast<ptrdiff_t>(cursor),
-                            order.begin() +
-                                static_cast<ptrdiff_t>(cursor + take));
+    QENS_ASSIGN_OR_RETURN(Dataset shard,
+                          dataset.SelectRows(rows.subspan(cursor, take)));
     cursor += take;
-    QENS_ASSIGN_OR_RETURN(Dataset shard, dataset.SelectRows(idx));
     shards.push_back(std::move(shard));
   }
   return shards;

@@ -11,6 +11,21 @@
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
+namespace {
+
+/// `data` with every row's features moved by `offset` (one per feature).
+Result<data::Dataset> Shifted(const data::Dataset& data,
+                              const std::vector<double>& offset) {
+  Matrix features = data.features();
+  for (size_t r = 0; r < features.rows(); ++r) {
+    for (size_t d = 0; d < offset.size(); ++d) features(r, d) += offset[d];
+  }
+  return data::Dataset::Create(std::move(features), data.targets(),
+                               data.feature_names(), data.target_name());
+}
+
+}  // namespace
+
 DynamicFleet::DynamicFleet(std::shared_ptr<const Fleet> fleet,
                            size_t num_nodes, std::vector<double> span)
     : fleet_(std::move(fleet)),
@@ -71,38 +86,18 @@ Result<data::Dataset> DynamicFleet::QueryRegionTestData(
     const query::RangeQuery& query) const {
   QENS_ASSIGN_OR_RETURN(query::RangeQuery internal,
                         fleet_->InternalQuery(query));
-  std::optional<data::Dataset> pooled;
-  for (size_t i = 0; i < fleet_->test_shards.size(); ++i) {
-    const data::Dataset& shard = fleet_->test_shards[i];
-    std::optional<data::Dataset> shifted;
-    if (drifted_[i].has_value()) {
-      Matrix features = shard.features();
-      const size_t rows = shard.NumSamples();
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t d = 0; d < cum_offset_[i].size(); ++d) {
-          features(r, d) += cum_offset_[i][d];
-        }
-      }
-      QENS_ASSIGN_OR_RETURN(
-          shifted, data::Dataset::Create(std::move(features), shard.targets(),
-                                         shard.feature_names(),
-                                         shard.target_name()));
-    }
-    const data::Dataset& current = shifted.has_value() ? *shifted : shard;
-    QENS_ASSIGN_OR_RETURN(std::vector<size_t> rows,
-                          internal.MatchingRows(current.features()));
-    if (rows.empty()) continue;
-    QENS_ASSIGN_OR_RETURN(data::Dataset subset, current.SelectRows(rows));
-    if (!pooled.has_value()) {
-      pooled = std::move(subset);
-    } else {
-      QENS_ASSIGN_OR_RETURN(pooled.value(), pooled->Concat(subset));
-    }
+  // A drifted node's test rows are matched and returned shifted by its
+  // accumulated offset; the shifted copies live until the pool is gathered.
+  const size_t n = fleet_->test_shards.size();
+  std::vector<std::optional<data::Dataset>> shifted(n);
+  std::vector<const data::Dataset*> shards(n);
+  for (size_t i = 0; i < n; ++i) {
+    shards[i] = &fleet_->test_shards[i];
+    if (!drifted_[i].has_value()) continue;
+    QENS_ASSIGN_OR_RETURN(shifted[i], Shifted(*shards[i], cum_offset_[i]));
+    shards[i] = &*shifted[i];
   }
-  if (!pooled.has_value()) {
-    return Status::NotFound("no test rows inside the query region");
-  }
-  return std::move(pooled.value());
+  return Fleet::PoolRegionRows(internal, shards);
 }
 
 Result<sim::EdgeNode*> DynamicFleet::MutableNode(size_t i) {
@@ -122,18 +117,7 @@ Status DynamicFleet::ApplyDrift(size_t i, const std::vector<double>& offset) {
         "dynamic fleet: node %zu has %zu features, drift has %zu offsets",
         i, data.NumFeatures(), offset.size()));
   }
-  Matrix features = data.features();
-  const size_t rows = data.NumSamples();
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t d = 0; d < offset.size(); ++d) {
-      features(r, d) += offset[d];
-    }
-  }
-  Matrix targets = data.targets();
-  QENS_ASSIGN_OR_RETURN(
-      data::Dataset replaced,
-      data::Dataset::Create(std::move(features), std::move(targets),
-                            data.feature_names(), data.target_name()));
+  QENS_ASSIGN_OR_RETURN(data::Dataset replaced, Shifted(data, offset));
   QENS_RETURN_NOT_OK(node->ReplaceLocalData(std::move(replaced)));
   for (size_t d = 0; d < offset.size(); ++d) {
     cum_offset_[i][d] += offset[d];

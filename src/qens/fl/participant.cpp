@@ -1,6 +1,8 @@
 #include "qens/fl/participant.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "qens/common/split_rng.h"
 #include "qens/common/stopwatch.h"
@@ -22,28 +24,33 @@ Result<std::unique_ptr<ml::Trainer>> LocalTrainer(
   return ml::BuildTrainer(hp, SplitRng(options.seed).Split(node.id()).key());
 }
 
-/// Mirror targets within their observed range: y' = lo + hi - y. Keeps the
-/// poisoned labels in-distribution while inverting every trend the honest
-/// fit would learn.
-Matrix MirrorTargets(const Matrix& y) {
-  double lo = y.data().empty() ? 0.0 : y.data()[0];
-  double hi = lo;
-  for (double v : y.data()) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+/// One Fit on rows `rows` of the node's data, added to `result`. A
+/// label-poisoning node trains on targets mirrored within the view's own
+/// range, y' = lo + hi - y with lo and hi over `rows` alone (per cluster, not
+/// per node): the labels stay in-distribution while every trend the honest
+/// fit would learn inverts.
+Status FitRows(ml::Trainer* trainer, const data::Dataset& local,
+               std::span<const size_t> rows, bool poison,
+               LocalTrainResult* result) {
+  const Matrix& honest = local.targets();  // One column (Dataset invariant).
+  Matrix poisoned;
+  if (poison && !rows.empty()) {
+    double lo = honest(rows[0], 0);
+    double hi = lo;
+    for (size_t r : rows) {
+      lo = std::min(lo, honest(r, 0));
+      hi = std::max(hi, honest(r, 0));
+    }
+    poisoned = honest;
+    for (size_t r : rows) poisoned(r, 0) = lo + hi - honest(r, 0);
   }
-  Matrix flipped = y;
-  for (double& v : flipped.data()) v = lo + hi - v;
-  return flipped;
-}
-
-/// The targets a node trains on: the honest ones by reference (no copy per
-/// Fit), or for a label-poisoning node their mirror, built in `*poisoned`.
-const Matrix& TrainTargets(const Matrix& honest, bool poison,
-                           Matrix* poisoned) {
-  if (!poison) return honest;
-  *poisoned = MirrorTargets(honest);
-  return *poisoned;
+  QENS_ASSIGN_OR_RETURN(ml::TrainReport report,
+                        trainer->Fit(&result->model, local.features(),
+                                     poison ? poisoned : honest, rows));
+  result->samples_used += rows.size();
+  result->samples_seen += report.samples_seen;
+  result->cluster_final_loss.push_back(report.final_train_loss());
+  return Status::OK();
 }
 
 }  // namespace
@@ -71,18 +78,11 @@ Result<LocalTrainResult> TrainOnSupportingClusters(
 
   // Incremental pass: one Fit per supporting cluster, in ranking order as
   // provided — the model carries its weights from cluster to cluster.
-  Matrix poisoned;
   for (size_t cluster_id : supporting_clusters) {
-    QENS_ASSIGN_OR_RETURN(data::Dataset cluster_data,
-                          node.ClusterData(cluster_id));
-    const Matrix& targets = TrainTargets(cluster_data.targets(),
-                                         options.poison_labels, &poisoned);
-    QENS_ASSIGN_OR_RETURN(
-        ml::TrainReport report,
-        trainer->Fit(&result.model, cluster_data.features(), targets));
-    result.samples_used += cluster_data.NumSamples();
-    result.samples_seen += report.samples_seen;
-    result.cluster_final_loss.push_back(report.final_train_loss());
+    QENS_ASSIGN_OR_RETURN(std::span<const size_t> rows,
+                          node.ClusterRows(cluster_id));
+    QENS_RETURN_NOT_OK(FitRows(trainer.get(), node.local_data(), rows,
+                               options.poison_labels, &result));
   }
 
   result.sim_train_seconds = cost_model.TrainingSeconds(
@@ -103,16 +103,10 @@ Result<LocalTrainResult> TrainOnFullData(const sim::EdgeNode& node,
   QENS_ASSIGN_OR_RETURN(
       std::unique_ptr<ml::Trainer> trainer,
       LocalTrainer(options.hyper, options.hyper.epochs, options, node));
-  const data::Dataset& local = node.local_data();
-  Matrix poisoned;
-  const Matrix& targets =
-      TrainTargets(local.targets(), options.poison_labels, &poisoned);
-  QENS_ASSIGN_OR_RETURN(
-      ml::TrainReport report,
-      trainer->Fit(&result.model, local.features(), targets));
-  result.samples_used = local.NumSamples();
-  result.samples_seen = report.samples_seen;
-  result.cluster_final_loss.push_back(report.final_train_loss());
+  std::vector<size_t> all(node.NumSamples());
+  std::iota(all.begin(), all.end(), 0);
+  QENS_RETURN_NOT_OK(FitRows(trainer.get(), node.local_data(), all,
+                             options.poison_labels, &result));
 
   result.sim_train_seconds = cost_model.TrainingSeconds(
       result.samples_used, options.hyper.epochs, node.capacity());

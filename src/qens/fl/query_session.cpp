@@ -60,10 +60,8 @@ Result<std::shared_ptr<Fleet>> Fleet::Create(
   if (options.normalize) {
     // Pool features/targets to fit the global bounds (numerically equal to
     // the hull of per-node bounds for min-max scaling).
-    data::Dataset pooled = train_shards[0];
-    for (size_t i = 1; i < train_shards.size(); ++i) {
-      QENS_ASSIGN_OR_RETURN(pooled, pooled.Concat(train_shards[i]));
-    }
+    QENS_ASSIGN_OR_RETURN(data::Dataset pooled,
+                          data::StackShards(train_shards));
     QENS_ASSIGN_OR_RETURN(
         data::Normalizer fn,
         data::Normalizer::Fit(pooled.features(), data::ScalingKind::kMinMax));
@@ -140,22 +138,25 @@ double Fleet::DenormalizeMse(double mse) const {
 Result<data::Dataset> Fleet::QueryRegionTestData(
     const query::RangeQuery& query) const {
   QENS_ASSIGN_OR_RETURN(query::RangeQuery internal, InternalQuery(query));
-  std::optional<data::Dataset> pooled;
-  for (const auto& shard : test_shards) {
-    QENS_ASSIGN_OR_RETURN(std::vector<size_t> rows,
-                          internal.MatchingRows(shard.features()));
-    if (rows.empty()) continue;
-    QENS_ASSIGN_OR_RETURN(data::Dataset subset, shard.SelectRows(rows));
-    if (!pooled.has_value()) {
-      pooled = std::move(subset);
-    } else {
-      QENS_ASSIGN_OR_RETURN(pooled.value(), pooled->Concat(subset));
-    }
+  std::vector<const data::Dataset*> shards;
+  for (const data::Dataset& shard : test_shards) shards.push_back(&shard);
+  return PoolRegionRows(internal, shards);
+}
+
+Result<data::Dataset> Fleet::PoolRegionRows(
+    const query::RangeQuery& internal,
+    std::span<const data::Dataset* const> shards) {
+  std::vector<std::vector<size_t>> matches(shards.size());
+  std::vector<data::RowView> views;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    QENS_ASSIGN_OR_RETURN(matches[i],
+                          internal.MatchingRows(shards[i]->features()));
+    if (!matches[i].empty()) views.push_back({shards[i], matches[i]});
   }
-  if (!pooled.has_value()) {
+  if (views.empty()) {
     return Status::NotFound("no test rows inside the query region");
   }
-  return std::move(pooled.value());
+  return data::GatherRows(views);
 }
 
 Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "qens/common/status.h"
@@ -91,6 +92,13 @@ struct Fleet {
   /// is in raw units; the returned dataset is in internal units.
   Result<data::Dataset> QueryRegionTestData(
       const query::RangeQuery& query) const;
+
+  /// Rows of `shards` inside the internal-space query `internal`: every
+  /// shard's matching row ids, then one data::GatherRows in shard-then-row
+  /// order. NotFound when no row matches.
+  static Result<data::Dataset> PoolRegionRows(
+      const query::RangeQuery& internal,
+      std::span<const data::Dataset* const> shards);
 };
 
 /// Session construction knobs.

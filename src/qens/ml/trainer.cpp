@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "qens/common/rng.h"
 #include "qens/common/split_rng.h"
@@ -53,10 +54,51 @@ Result<double> Trainer::TrainBatch(SequentialModel* model, const Matrix& x,
   return loss;
 }
 
+namespace {
+
+/// Rows `ids` of x and y into (*xb, *yb), in order: an exact copy of each
+/// row. Unchecked — every id was checked against x.rows() when the fit began.
+void GatherBatch(const Matrix& x, const Matrix& y, std::span<const size_t> ids,
+                 Matrix* xb, Matrix* yb) {
+  const size_t xc = x.cols();
+  const size_t yc = y.cols();
+  xb->ResizeUninitialized(ids.size(), xc);
+  yb->ResizeUninitialized(ids.size(), yc);
+  const double* xs = x.data().data();
+  const double* ys = y.data().data();
+  double* xd = xb->data().data();
+  double* yd = yb->data().data();
+  // One feature and one target (every paper model): two plain loads a row.
+  // With the generic loop below alone, paper_lr's whole training layer ran
+  // about 17 % slower (perfbench, x86-64, GCC 12).
+  if (xc == 1 && yc == 1) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      xd[i] = xs[ids[i]];
+      yd[i] = ys[ids[i]];
+    }
+    return;
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const size_t r = ids[i];
+    for (size_t c = 0; c < xc; ++c) xd[i * xc + c] = xs[r * xc + c];
+    for (size_t c = 0; c < yc; ++c) yd[i * yc + c] = ys[r * yc + c];
+  }
+}
+
+}  // namespace
+
 Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
                                  const Matrix& y) {
+  std::vector<size_t> all(x.rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  return Fit(model, x, y, all);
+}
+
+Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
+                                 const Matrix& y,
+                                 std::span<const size_t> rows) {
   obs::TraceSpan span("trainer.fit");
-  if (x.rows() == 0) return Status::InvalidArgument("Fit: empty dataset");
+  if (rows.empty()) return Status::InvalidArgument("Fit: empty dataset");
   if (x.rows() != y.rows()) {
     return Status::InvalidArgument(StrFormat(
         "Fit: %zu feature rows vs %zu target rows", x.rows(), y.rows()));
@@ -80,31 +122,40 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   if (options_.epochs == 0) {
     return Status::InvalidArgument("Fit: epochs must be > 0");
   }
+  for (size_t r : rows) {
+    if (r >= x.rows()) {
+      return Status::OutOfRange(
+          StrFormat("Fit: row id %zu >= %zu rows", r, x.rows()));
+    }
+  }
 
   const SplitRng stream(options_.seed);
+  const size_t m = rows.size();
 
-  // Initial shuffle, then hold out the tail as the validation set
-  // (Keras semantics: validation_split takes the last fraction).
-  std::vector<size_t> order(x.rows());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Initial shuffle of positions into the view, then hold out the tail as
+  // the validation set (Keras semantics: validation_split takes the last
+  // fraction). The draws depend on m alone, so they are those of a fit on
+  // the gathered subset; mapping each position to its row id keeps the
+  // order that fit would see.
+  std::vector<size_t> order(m);
+  for (size_t i = 0; i < m; ++i) order[i] = i;
   if (options_.shuffle) {
     Rng init_rng = stream.Split(RngPurpose::kTrainOrderInit).ToRng();
     init_rng.Shuffle(&order);
   }
+  for (size_t& i : order) i = rows[i];
 
-  size_t n_val = static_cast<size_t>(
-      options_.validation_split * static_cast<double>(x.rows()));
+  size_t n_val = static_cast<size_t>(options_.validation_split *
+                                     static_cast<double>(m));
   // Keep at least one training row.
-  n_val = std::min(n_val, x.rows() - 1);
-  const size_t n_train = x.rows() - n_val;
+  n_val = std::min(n_val, m - 1);
+  const size_t n_train = m - n_val;
 
-  std::vector<size_t> train_idx(order.begin(),
-                                order.begin() + static_cast<ptrdiff_t>(n_train));
-  std::vector<size_t> val_idx(order.begin() + static_cast<ptrdiff_t>(n_train),
-                              order.end());
-
-  QENS_ASSIGN_OR_RETURN(Matrix x_val, x.SelectRows(val_idx));
-  QENS_ASSIGN_OR_RETURN(Matrix y_val, y.SelectRows(val_idx));
+  std::vector<size_t> train_rows(
+      order.begin(), order.begin() + static_cast<ptrdiff_t>(n_train));
+  Matrix x_val, y_val;
+  GatherBatch(x, y, std::span<const size_t>(order).subspan(n_train), &x_val,
+              &y_val);
 
   TrainReport report;
   // Reserved up front so a Fit's allocation count does not grow with its
@@ -118,14 +169,6 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   size_t bad_epochs = 0;
   const double base_lr = optimizer_->learning_rate();
 
-  // Batch scratch hoisted out of the epoch loop: the index buffer and the
-  // (xb, yb) slices keep their allocations across every batch of every
-  // epoch (batch shapes repeat, so SelectRowsInto never reallocates in
-  // steady state).
-  std::vector<size_t> batch;
-  batch.reserve(options_.batch_size);
-  Matrix xb, yb;
-
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     if (options_.lr_decay > 0.0) {
       optimizer_->set_learning_rate(
@@ -136,21 +179,25 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
       // how many draws earlier epochs consumed.
       Rng epoch_rng =
           stream.Split(RngPurpose::kMinibatchShuffle).Split(epoch).ToRng();
-      epoch_rng.Shuffle(&train_idx);
+      epoch_rng.Shuffle(&train_rows);
     }
 
     double epoch_loss = 0.0;
     size_t batches = 0;
     for (size_t start = 0; start < n_train; start += options_.batch_size) {
       const size_t end = std::min(start + options_.batch_size, n_train);
-      batch.assign(train_idx.begin() + static_cast<ptrdiff_t>(start),
-                   train_idx.begin() + static_cast<ptrdiff_t>(end));
-      QENS_RETURN_NOT_OK(x.SelectRowsInto(batch, &xb));
-      QENS_RETURN_NOT_OK(y.SelectRowsInto(batch, &yb));
-      QENS_ASSIGN_OR_RETURN(double loss, TrainBatch(model, xb, yb));
+      // The workspace's batch buffers keep their allocation across every
+      // batch of every fit (batch shapes repeat).
+      GatherBatch(x, y,
+                  std::span<const size_t>(train_rows).subspan(start,
+                                                              end - start),
+                  &workspace_.batch_x, &workspace_.batch_y);
+      QENS_ASSIGN_OR_RETURN(
+          double loss,
+          TrainBatch(model, workspace_.batch_x, workspace_.batch_y));
       epoch_loss += loss;
       ++batches;
-      report.samples_seen += batch.size();
+      report.samples_seen += end - start;
     }
     report.train_loss.push_back(batches > 0 ? epoch_loss / batches : 0.0);
     ++report.epochs_run;

@@ -9,9 +9,15 @@
 /// data — this is exactly the paper's incremental per-cluster training
 /// (Section IV-A "each cluster represents a mini-batch"): the federation
 /// layer calls Fit once per supporting cluster, in sequence.
+///
+/// A fit can read its rows through a row-id view over one sample store
+/// (`Fit(model, x, y, rows)`): each cluster trains straight from the node's
+/// data, and no subset is copied. The view is exact: it is the same fit, bit
+/// for bit, as Fit on `x.SelectRows(rows)` and `y.SelectRows(rows)`.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "qens/common/status.h"
@@ -79,8 +85,19 @@ class Trainer {
 
   /// Train `model` on (x, y). x is (m x d); y is (m x out) or (m x 1).
   /// Fails on shape mismatch, empty data, or a model/feature width clash.
+  /// The same as the row-view Fit over every row, in order.
   Result<TrainReport> Fit(SequentialModel* model, const Matrix& x,
                           const Matrix& y);
+
+  /// Train `model` on rows `rows` of (x, y), in that order: the sample set
+  /// is the view, and the result equals Fit on the gathered subset bit for
+  /// bit. The shuffles draw exactly as for a subset of rows.size() rows;
+  /// each batch is gathered from the view into the trainer's workspace.
+  /// Every row id is checked once, on entry: an id >= x.rows() fails with
+  /// OutOfRange before any step, and an empty view with InvalidArgument.
+  /// Ids may repeat.
+  Result<TrainReport> Fit(SequentialModel* model, const Matrix& x,
+                          const Matrix& y, std::span<const size_t> rows);
 
   /// One gradient step on a single batch (no split/shuffle). Returns the
   /// batch loss before the update. Computes in the trainer's workspace, so

@@ -1,5 +1,7 @@
 #include "qens/selection/node_profile.h"
 
+#include <numeric>
+
 namespace qens::selection {
 
 double ReliabilityStats::SuccessRate() const {
@@ -41,31 +43,17 @@ Result<QuantizedNode> QuantizeNode(
   out.profile.name = name;
   out.profile.clusters = std::move(summaries);
   out.profile.total_samples = local_data.NumSamples();
-  out.assignment = std::move(fit.assignment);
+  // Counting sort of the rows by cluster id.
+  out.cluster_offsets.assign(kmeans_options.k + 1, 0);
+  for (size_t c : fit.assignment) ++out.cluster_offsets[c + 1];
+  std::partial_sum(out.cluster_offsets.begin(), out.cluster_offsets.end(),
+                   out.cluster_offsets.begin());
+  std::vector<size_t> next = out.cluster_offsets;
+  out.cluster_rows.resize(fit.assignment.size());
+  for (size_t r = 0; r < fit.assignment.size(); ++r) {
+    out.cluster_rows[next[fit.assignment[r]]++] = r;
+  }
   return out;
-}
-
-std::vector<size_t> QuantizedNode::RowsOfCluster(size_t cluster_id) const {
-  std::vector<size_t> rows;
-  for (size_t r = 0; r < assignment.size(); ++r) {
-    if (assignment[r] == cluster_id) rows.push_back(r);
-  }
-  return rows;
-}
-
-std::vector<size_t> QuantizedNode::RowsOfClusters(
-    const std::vector<size_t>& cluster_ids) const {
-  std::vector<bool> wanted;
-  for (size_t id : cluster_ids) {
-    if (id >= wanted.size()) wanted.resize(id + 1, false);
-    wanted[id] = true;
-  }
-  std::vector<size_t> rows;
-  for (size_t r = 0; r < assignment.size(); ++r) {
-    const size_t a = assignment[r];
-    if (a < wanted.size() && wanted[a]) rows.push_back(r);
-  }
-  return rows;
 }
 
 }  // namespace qens::selection

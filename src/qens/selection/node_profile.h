@@ -8,6 +8,7 @@
 /// samples (the paper's privacy constraint).
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,20 +71,26 @@ Result<NodeProfile> BuildNodeProfile(size_t node_id, const std::string& name,
                                          kmeans_options);
 
 /// Profile plus the private cluster membership (kept node-side; used by the
-/// data-selectivity mechanism to train only on supporting clusters).
+/// data-selectivity mechanism to train only on supporting clusters), held as
+/// a cluster -> rows CSR (compressed sparse row) table that QuantizeNode
+/// builds with the profile, so a re-quantization rebuilds both.
 struct QuantizedNode {
   NodeProfile profile;
-  std::vector<size_t> assignment;  ///< Row -> cluster id (node-private).
+  /// Cluster c's rows are cluster_rows[cluster_offsets[c], [c + 1]),
+  /// ascending; cluster_offsets has K + 1 entries.
+  std::vector<size_t> cluster_offsets;
+  std::vector<size_t> cluster_rows;
 
-  /// Row indices belonging to any of `cluster_ids`.
-  std::vector<size_t> RowsOfClusters(
-      const std::vector<size_t>& cluster_ids) const;
-
-  /// Row indices of a single cluster.
-  std::vector<size_t> RowsOfCluster(size_t cluster_id) const;
+  /// One cluster's row indices, ascending: a view into the table. Empty for
+  /// an empty or out-of-range cluster.
+  std::span<const size_t> RowsOfCluster(size_t c) const {
+    if (c >= profile.clusters.size()) return {};
+    return {cluster_rows.data() + cluster_offsets[c],
+            cluster_rows.data() + cluster_offsets[c + 1]};
+  }
 };
 
-/// Quantize a node's data keeping the private assignment.
+/// Quantize a node's data keeping the private cluster -> rows table.
 Result<QuantizedNode> QuantizeNode(size_t node_id, const std::string& name,
                                    const data::Dataset& local_data,
                                    const clustering::KMeansOptions&

@@ -38,37 +38,22 @@ Result<const selection::NodeProfile*> EdgeNode::profile() const {
   return &quantized_state_.profile;
 }
 
-Result<data::Dataset> EdgeNode::ClusterData(size_t cluster_id) const {
+Result<std::span<const size_t>> EdgeNode::ClusterRows(
+    size_t cluster_id) const {
   if (!quantized_) {
     return Status::FailedPrecondition(
-        StrFormat("node %zu: ClusterData() before Quantize()", id_));
+        StrFormat("node %zu: ClusterRows() before Quantize()", id_));
   }
   if (cluster_id >= quantized_state_.profile.clusters.size()) {
     return Status::OutOfRange(
         StrFormat("node %zu: cluster %zu out of range", id_, cluster_id));
   }
-  const std::vector<size_t> rows =
-      quantized_state_.RowsOfCluster(cluster_id);
+  const auto rows = quantized_state_.RowsOfCluster(cluster_id);
   if (rows.empty()) {
     return Status::NotFound(
         StrFormat("node %zu: cluster %zu is empty", id_, cluster_id));
   }
-  return data_.SelectRows(rows);
-}
-
-Result<data::Dataset> EdgeNode::ClustersData(
-    const std::vector<size_t>& cluster_ids) const {
-  if (!quantized_) {
-    return Status::FailedPrecondition(
-        StrFormat("node %zu: ClustersData() before Quantize()", id_));
-  }
-  const std::vector<size_t> rows =
-      quantized_state_.RowsOfClusters(cluster_ids);
-  if (rows.empty()) {
-    return Status::NotFound(
-        StrFormat("node %zu: no rows in requested clusters", id_));
-  }
-  return data_.SelectRows(rows);
+  return rows;
 }
 
 }  // namespace qens::sim

@@ -8,8 +8,8 @@
 /// its NodeProfile; raw data never crosses the node boundary.
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "qens/clustering/kmeans.h"
 #include "qens/common/status.h"
@@ -30,12 +30,12 @@ class EdgeNode {
   double capacity() const { return capacity_; }
   size_t NumSamples() const { return data_.NumSamples(); }
 
-  /// The node's private data (test-only accessor in production terms; the
-  /// federation layer uses the cluster-scoped accessors below).
+  /// The node's private data. Node-side training reads it through the row
+  /// ids of ClusterRows(); nothing of it crosses the node boundary.
   const data::Dataset& local_data() const { return data_; }
 
   /// Run (or re-run) the local quantization (Eq. 1). Must be called before
-  /// profile()/ClusterData(). K and seeding come from `options`.
+  /// profile()/ClusterRows(). K and seeding come from `options`.
   Status Quantize(const clustering::KMeansOptions& options);
 
   /// Swap the node's private data in place (models local data drift). The
@@ -50,14 +50,11 @@ class EdgeNode {
   /// The published digest. Fails when Quantize has not run.
   Result<const selection::NodeProfile*> profile() const;
 
-  /// The node-private rows of one cluster as a Dataset (data selectivity:
-  /// the model trains per supporting cluster). Fails when not quantized or
-  /// the cluster id is out of range / empty.
-  Result<data::Dataset> ClusterData(size_t cluster_id) const;
-
-  /// Union of rows of several clusters (order: ascending row index).
-  Result<data::Dataset> ClustersData(
-      const std::vector<size_t>& cluster_ids) const;
+  /// One cluster's row ids into local_data(), ascending (data selectivity:
+  /// the model trains per supporting cluster). A view into the cluster ->
+  /// rows table, valid until the next Quantize(). Fails when not quantized
+  /// or the cluster id is out of range / empty.
+  Result<std::span<const size_t>> ClusterRows(size_t cluster_id) const;
 
  private:
   size_t id_;

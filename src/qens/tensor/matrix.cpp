@@ -84,22 +84,15 @@ Status Matrix::SetRow(size_t r, const std::vector<double>& values) {
 
 Result<Matrix> Matrix::SelectRows(const std::vector<size_t>& indices) const {
   Matrix out;
-  QENS_RETURN_NOT_OK(SelectRowsInto(indices, &out));
-  return out;
-}
-
-Status Matrix::SelectRowsInto(const std::vector<size_t>& indices,
-                              Matrix* out) const {
-  assert(out != this);
-  out->ResizeUninitialized(indices.size(), cols_);
+  out.ResizeUninitialized(indices.size(), cols_);
   for (size_t i = 0; i < indices.size(); ++i) {
     if (indices[i] >= rows_) {
       return Status::OutOfRange(
           StrFormat("SelectRows: index %zu >= %zu", indices[i], rows_));
     }
-    std::copy(RowPtr(indices[i]), RowPtr(indices[i]) + cols_, out->RowPtr(i));
+    std::copy(RowPtr(indices[i]), RowPtr(indices[i]) + cols_, out.RowPtr(i));
   }
-  return Status::OK();
+  return out;
 }
 
 Matrix Matrix::Transposed() const {

@@ -85,12 +85,6 @@ class Matrix {
   /// Fails if any index is out of range.
   Result<Matrix> SelectRows(const std::vector<size_t>& indices) const;
 
-  /// SelectRows into caller-owned scratch: `out` is resized (reusing its
-  /// allocation) and overwritten. Hot-path variant — a training loop can
-  /// slice every mini-batch of every epoch without touching the allocator.
-  /// `out` must not alias this matrix.
-  Status SelectRowsInto(const std::vector<size_t>& indices, Matrix* out) const;
-
   /// Transposed copy.
   Matrix Transposed() const;
 

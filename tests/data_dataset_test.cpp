@@ -45,7 +45,7 @@ TEST(DatasetTest, TargetVector) {
 }
 
 TEST(DatasetTest, SelectRows) {
-  auto sel = Small().SelectRows({2, 0});
+  auto sel = Small().SelectRows(std::vector<size_t>{2, 0});
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel->NumSamples(), 2u);
   EXPECT_DOUBLE_EQ(sel->features()(0, 0), 3.0);
@@ -54,22 +54,57 @@ TEST(DatasetTest, SelectRows) {
 }
 
 TEST(DatasetTest, SelectRowsOutOfRange) {
-  EXPECT_FALSE(Small().SelectRows({5}).ok());
+  EXPECT_FALSE(Small().SelectRows(std::vector<size_t>{5}).ok());
 }
 
-TEST(DatasetTest, Concat) {
-  Dataset a = Small();
-  auto both = a.Concat(a);
+TEST(DatasetTest, StackShardsStacksInOrder) {
+  const std::vector<Dataset> shards = {Small(), Small()};
+  auto both = StackShards(shards);
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both->NumSamples(), 6u);
   EXPECT_DOUBLE_EQ(both->features()(3, 0), 1.0);
   EXPECT_DOUBLE_EQ(both->targets()(5, 0), 300.0);
+  EXPECT_EQ(both->feature_names(), Small().feature_names());
 }
 
-TEST(DatasetTest, ConcatWidthMismatch) {
+TEST(DatasetTest, GatherRowsMatchesSelectRowsPerView) {
+  const Dataset a = Small();
+  Matrix x(4, 2), y(4, 1);
+  for (size_t r = 0; r < 4; ++r) {
+    x(r, 0) = 10.0 + r;
+    x(r, 1) = -1.0 * r;
+    y(r, 0) = 0.5 * r;
+  }
+  const Dataset b = Dataset::Create(x, y).value();
+  const std::vector<size_t> ra = {2, 0, 2};
+  const std::vector<size_t> rb = {3, 1};
+  const std::vector<RowView> views = {{&a, ra}, {&b, rb}};
+  auto pooled = GatherRows(views);
+  ASSERT_TRUE(pooled.ok());
+  // Reference: each view copied by Matrix::SelectRows, then appended in
+  // view order.
+  std::vector<double> want_x = a.features().SelectRows(ra).value().data();
+  std::vector<double> want_y = a.targets().SelectRows(ra).value().data();
+  const std::vector<double> bx = b.features().SelectRows(rb).value().data();
+  const std::vector<double> by = b.targets().SelectRows(rb).value().data();
+  want_x.insert(want_x.end(), bx.begin(), bx.end());
+  want_y.insert(want_y.end(), by.begin(), by.end());
+  EXPECT_EQ(pooled->features().data(), want_x);
+  EXPECT_EQ(pooled->targets().data(), want_y);
+  EXPECT_EQ(pooled->NumSamples(), 5u);
+}
+
+TEST(DatasetTest, GatherRowsErrors) {
+  const Dataset a = Small();
+  EXPECT_TRUE(GatherRows({}).status().IsInvalidArgument());
+  const std::vector<size_t> bad = {3};
+  const std::vector<RowView> out_of_range = {{&a, bad}};
+  EXPECT_TRUE(GatherRows(out_of_range).status().IsOutOfRange());
   Matrix x(1, 3), y(1, 1);
-  Dataset other = Dataset::Create(x, y).value();
-  EXPECT_FALSE(Small().Concat(other).ok());
+  const Dataset wide = Dataset::Create(x, y).value();
+  const std::vector<size_t> zero = {0};
+  const std::vector<RowView> mismatch = {{&a, zero}, {&wide, zero}};
+  EXPECT_TRUE(GatherRows(mismatch).status().IsInvalidArgument());
 }
 
 TEST(DatasetTest, FeatureSpace) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "qens/common/rng.h"
+#include "qens/common/split_rng.h"
 
 namespace qens::fl {
 namespace {
@@ -149,6 +153,61 @@ TEST(ParticipantTest, Errors) {
   EXPECT_FALSE(TrainOnSupportingClusters(node, FreshModel(8), {99},
                                          FastOptions(), cost)
                    .ok());
+}
+
+/// A label-poisoning node's training, rebuilt from copies: each supporting
+/// cluster copied out with Matrix::SelectRows, its targets mirrored as
+/// y' = lo + hi - y with [lo, hi] the range of the cluster's own targets (or,
+/// for the contrast case, of the whole store's), then one Fit per cluster.
+std::vector<double> PoisonedReference(const sim::EdgeNode& node,
+                                      const std::vector<size_t>& clusters,
+                                      const LocalTrainOptions& options,
+                                      bool whole_store_range) {
+  ml::HyperParams hp = options.hyper;
+  hp.epochs = options.epochs_per_cluster;
+  hp.validation_split = 0.0;
+  auto trainer =
+      ml::BuildTrainer(hp, SplitRng(options.seed).Split(node.id()).key())
+          .value();
+  ml::SequentialModel model = FreshModel(9);
+  const data::Dataset& store = node.local_data();
+  for (size_t c : clusters) {
+    const auto view = node.ClusterRows(c).value();
+    const std::vector<size_t> rows(view.begin(), view.end());
+    const Matrix x = store.features().SelectRows(rows).value();
+    const Matrix y = store.targets().SelectRows(rows).value();
+    const Matrix& range = whole_store_range ? store.targets() : y;
+    const auto [lo, hi] =
+        std::minmax_element(range.data().begin(), range.data().end());
+    Matrix mirrored = y;
+    for (double& v : mirrored.data()) v = *lo + *hi - v;
+    EXPECT_TRUE(trainer->Fit(&model, x, mirrored).ok());
+  }
+  return model.GetParameters();
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ParticipantTest, PoisoningMirrorsEachClusterWithinItsOwnRange) {
+  sim::EdgeNode node = MakeNode(9);
+  // The two blobs' targets span about [0, 3] and [6, 9]: mirroring within
+  // each cluster differs from mirroring within the whole store.
+  const std::vector<size_t> clusters = {1, 0};
+  LocalTrainOptions options = FastOptions();
+  options.poison_labels = true;
+  const sim::CostModel cost;
+  auto result =
+      TrainOnSupportingClusters(node, FreshModel(9), clusters, options, cost);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->samples_used, node.NumSamples());
+  const std::vector<double> got = result->model.GetParameters();
+  EXPECT_TRUE(SameBits(got, PoisonedReference(node, clusters, options,
+                                              /*whole_store_range=*/false)));
+  EXPECT_FALSE(SameBits(got, PoisonedReference(node, clusters, options,
+                                               /*whole_store_range=*/true)));
 }
 
 }  // namespace

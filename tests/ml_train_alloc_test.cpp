@@ -7,7 +7,9 @@
 //     optimizer and with weight decay and clipping on, including a smaller
 //     ragged batch;
 //   - without early stopping, a Fit's allocation count is set-up only: a
-//     second Fit makes the same number of allocations at 5 epochs as at 50;
+//     second Fit makes the same number of allocations at 5 epochs as at 50,
+//     on whole matrices and on a row-id view (whose batches are gathered
+//     into the trainer's workspace);
 //   - Predict on the hidden-layer sweep (the paper NN's shape) allocates
 //     the same number of blocks for 1 row as for 1000, and at 1000 rows its
 //     largest block is the 1000 x 1 prediction: no batch x H intermediate,
@@ -25,6 +27,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "qens/common/rng.h"
 #include "qens/ml/optimizer.h"
@@ -198,6 +201,37 @@ TEST(TrainAllocTest, FitAllocationsDoNotGrowWithEpochs) {
                              << " loss=" << LossName(loss) << " val=" << val;
         EXPECT_GT(at5, 0u);  // Per-Fit set-up (index vectors, report).
       }
+    }
+  }
+}
+
+/// Allocations of the second row-view Fit of a trainer at `epochs` epochs:
+/// every third row of a 300-row store, scattered, ending in a ragged batch.
+uint64_t SecondRowViewFitAllocs(size_t features, size_t hidden,
+                                size_t epochs) {
+  SequentialModel model = MakeModel(features, hidden);
+  Matrix x, y;
+  RandomData(300, features, 14, &x, &y);
+  std::vector<size_t> rows;
+  for (size_t r = 299; r >= 3; r -= 3) rows.push_back(r);
+  TrainOptions options;
+  options.epochs = epochs;
+  options.validation_split = 0.0;
+  Trainer trainer(MakeOpt(Opt::kAdam), options);
+  EXPECT_TRUE(trainer.Fit(&model, x, y, rows).ok());
+  return CountAllocs(
+      [&] { EXPECT_TRUE(trainer.Fit(&model, x, y, rows).ok()); });
+}
+
+TEST(TrainAllocTest, RowViewFitMakesNoAllocationPerBatch) {
+  // 99 rows in batches of 32 is 4 batches an epoch, so 45 more epochs are
+  // 180 more batches: equal counts mean 0 allocations per batch.
+  for (size_t features : {size_t{1}, size_t{4}}) {
+    for (size_t hidden : {size_t{0}, size_t{16}}) {
+      const uint64_t at5 = SecondRowViewFitAllocs(features, hidden, 5);
+      const uint64_t at50 = SecondRowViewFitAllocs(features, hidden, 50);
+      EXPECT_EQ(at5, at50) << "features=" << features
+                           << " hidden=" << hidden;
     }
   }
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "qens/common/rng.h"
 #include "qens/sim/cost_model.h"
 #include "qens/sim/edge_environment.h"
@@ -125,34 +128,62 @@ TEST(EdgeNodeTest, QuantizeAndProfile) {
   EXPECT_EQ((*profile)->total_samples, 200u);
 }
 
-TEST(EdgeNodeTest, ClusterDataPartitionsNode) {
+TEST(EdgeNodeTest, ClusterRowsPartitionNode) {
   EdgeNode node(0, "n0", MakeData(150, 0.0, 2), 1.0);
   clustering::KMeansOptions km;
   km.k = 3;
   ASSERT_TRUE(node.Quantize(km).ok());
-  size_t total = 0;
+  const selection::NodeProfile& profile = *node.profile().value();
+  // Every row lands in exactly one cluster's view, each view ascending and
+  // as long as the published cluster size.
+  std::vector<int> seen(150, 0);
   for (size_t c = 0; c < 3; ++c) {
-    auto data = node.ClusterData(c);
-    if (data.ok()) total += data->NumSamples();
+    auto rows = node.ClusterRows(c);
+    if (profile.clusters[c].size == 0) {
+      EXPECT_TRUE(rows.status().IsNotFound());
+      continue;
+    }
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->size(), profile.clusters[c].size);
+    EXPECT_TRUE(std::is_sorted(rows->begin(), rows->end()));
+    for (size_t r : *rows) ++seen[r];
   }
-  EXPECT_EQ(total, 150u);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 150);
 }
 
-TEST(EdgeNodeTest, ClustersDataUnion) {
+TEST(EdgeNodeTest, ClusterRowsRebuiltOnRequantize) {
   EdgeNode node(0, "n0", MakeData(100, 0.0, 3), 1.0);
   clustering::KMeansOptions km;
+  km.k = 2;
+  ASSERT_TRUE(node.Quantize(km).ok());
   km.k = 4;
   ASSERT_TRUE(node.Quantize(km).ok());
-  auto all = node.ClustersData({0, 1, 2, 3});
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->NumSamples(), 100u);
-  EXPECT_TRUE(node.ClusterData(9).status().IsOutOfRange());
+  size_t total = 0;
+  for (size_t c = 0; c < 4; ++c) {
+    auto rows = node.ClusterRows(c);
+    if (rows.ok()) total += rows->size();
+  }
+  EXPECT_EQ(total, 100u);
+  EXPECT_TRUE(node.ClusterRows(4).status().IsOutOfRange());
 }
 
-TEST(EdgeNodeTest, AccessBeforeQuantizeFails) {
+TEST(EdgeNodeTest, ClusterRowsErrors) {
   EdgeNode node(0, "n0", MakeData(10, 0.0, 4), 1.0);
-  EXPECT_TRUE(node.ClusterData(0).status().IsFailedPrecondition());
-  EXPECT_TRUE(node.ClustersData({0}).status().IsFailedPrecondition());
+  EXPECT_TRUE(node.ClusterRows(0).status().IsFailedPrecondition());
+
+  // Two rows over three clusters: at least one cluster stays empty.
+  EdgeNode tiny(1, "n1", MakeData(2, 0.0, 5), 1.0);
+  clustering::KMeansOptions km;
+  km.k = 3;
+  ASSERT_TRUE(tiny.Quantize(km).ok());
+  EXPECT_TRUE(tiny.ClusterRows(9).status().IsOutOfRange());
+  size_t empty = 0;
+  for (size_t c = 0; c < 3; ++c) {
+    if ((*tiny.profile())->clusters[c].size != 0) continue;
+    EXPECT_TRUE(tiny.ClusterRows(c).status().IsNotFound());
+    ++empty;
+  }
+  EXPECT_GE(empty, 1u);
 }
 
 EnvironmentOptions SmallEnvOptions() {

@@ -287,17 +287,13 @@ TEST(MatrixTest, MatMulAddBiasMatchesComposition) {
   EXPECT_FALSE(x.MatMulAddBiasInto(PseudoRandom(12, 4, 9), bias, &fused).ok());
 }
 
-TEST(MatrixTest, SelectRowsIntoMatchesSelectRowsAndReusesBuffer) {
+TEST(MatrixTest, SelectRowsRepeatsAndReorders) {
   Matrix m = PseudoRandom(10, 4, 10);
   const std::vector<size_t> idx = {7, 0, 3, 3, 9};
-  Matrix out;
-  ASSERT_TRUE(m.SelectRowsInto(idx, &out).ok());
-  EXPECT_EQ(out.data(), m.SelectRows(idx).value().data());
-  const double* buffer = out.data().data();
-  ASSERT_TRUE(m.SelectRowsInto({1, 2, 4, 5, 6}, &out).ok());
-  // Same shape, same capacity: steady-state reuse must not reallocate.
-  EXPECT_EQ(out.data().data(), buffer);
-  EXPECT_FALSE(m.SelectRowsInto({10}, &out).ok());  // Out-of-range row.
+  const Matrix out = m.SelectRows(idx).value();
+  ASSERT_EQ(out.rows(), idx.size());
+  for (size_t i = 0; i < idx.size(); ++i) EXPECT_EQ(out.Row(i), m.Row(idx[i]));
+  EXPECT_TRUE(m.SelectRows({10}).status().IsOutOfRange());
 }
 
 /// The bits of `v`, with every NaN mapped to one value: NaN-ness is part of
