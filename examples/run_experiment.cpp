@@ -116,7 +116,6 @@ refresh_threshold = 0.1  ; unpublished |offset|/span that trips a refresh
 [metrics]
 enabled = false
 round_jsonl =        ; per-round records, one JSON object per line
-round_csv =          ; per-round records as CSV
 summary_json =       ; final counter/gauge/histogram snapshot
 
 [serving]
@@ -139,7 +138,6 @@ round_budget_batch = 0
 struct MetricsOutputs {
   bool enabled = false;
   std::string round_jsonl;
-  std::string round_csv;
   std::string summary_json;
 };
 
@@ -345,11 +343,9 @@ Result<MetricsOutputs> BuildMetricsOutputs(const Config& ini) {
   QENS_ASSIGN_OR_RETURN(outputs.enabled,
                         ini.GetBool("metrics.enabled", false));
   outputs.round_jsonl = ini.GetString("metrics.round_jsonl", "");
-  outputs.round_csv = ini.GetString("metrics.round_csv", "");
   outputs.summary_json = ini.GetString("metrics.summary_json", "");
   // Export destinations imply collection.
-  if (!outputs.round_jsonl.empty() || !outputs.round_csv.empty() ||
-      !outputs.summary_json.empty()) {
+  if (!outputs.round_jsonl.empty() || !outputs.summary_json.empty()) {
     outputs.enabled = true;
   }
   return outputs;
@@ -584,12 +580,6 @@ int main(int argc, char** argv) {
           "write round jsonl");
     std::printf("wrote %zu round records to %s\n", round_records.size(),
                 metrics.round_jsonl.c_str());
-  }
-  if (!metrics.round_csv.empty()) {
-    Check(obs::WriteRoundRecordsCsv(round_records, metrics.round_csv),
-          "write round csv");
-    std::printf("wrote %zu round records to %s\n", round_records.size(),
-                metrics.round_csv.c_str());
   }
   if (!metrics.summary_json.empty()) {
     if (const auto* registry = obs::MetricsRegistry::Get()) {

@@ -2,19 +2,18 @@
 #define QENS_OBS_DECODE_H_
 
 /// \file decode.h
-/// Strict value decoders shared by the obs text formats (round records,
-/// metrics snapshots). A CSV cell is consumed as one whole token, and a
-/// JSON count must be a whole number its destination can hold, so a
-/// malformed or hostile file fails with InvalidArgument instead of reading
-/// as 0 or wrapping around.
+/// Strict value decoders shared by the obs JSON formats (round records,
+/// metrics snapshots). A count is read from its number's literal text as
+/// one whole token, and a double is a number or one of the three strings
+/// JsonValue::Number writes for non-finite values, so a malformed or
+/// hostile file fails with InvalidArgument instead of reading as 0 or
+/// wrapping around.
 
 #include <charconv>
-#include <cmath>
 #include <concepts>
 #include <limits>
 #include <string>
 #include <system_error>
-#include <type_traits>
 
 #include "qens/common/status.h"
 #include "qens/obs/json.h"
@@ -22,33 +21,42 @@
 namespace qens::obs {
 
 template <typename T>
-concept Numeric = std::is_arithmetic_v<T> && !std::same_as<T, bool>;
-template <typename T>
-concept Unsigned = Numeric<T> && std::unsigned_integral<T>;
+concept Unsigned = std::unsigned_integral<T> && !std::same_as<T, bool>;
 
-/// Decodes `token` whole: no sign on counts, no padding, no trailing bytes.
-template <Numeric T>
+/// Decodes `token` whole: no sign, no fraction or exponent, no padding, no
+/// trailing bytes, nothing past the range of `T`.
+template <Unsigned T>
 Status DecodeToken(const std::string& token, T* out) {
   const char* end = token.data() + token.size();
   const auto [stop, error] = std::from_chars(token.data(), end, *out);
   if (error != std::errc() || stop != end) {
-    return Status::InvalidArgument("bad number '" + token + "'");
+    return Status::InvalidArgument("is not a count: '" + token + "'");
   }
   return Status::OK();
 }
 
-/// Decodes a JSON number as a count. The range is checked before the cast:
-/// converting a double outside [0, 2^digits) to an unsigned integer is
-/// undefined behaviour.
+/// Decodes a JSON number as a count, exactly, from its literal.
 template <Unsigned T>
 Status DecodeCount(const JsonValue& json, T* out) {
   if (!json.is_number()) return Status::InvalidArgument("is not a number");
-  const double v = json.AsNumber();
-  if (!(v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits)) ||
-      v != std::floor(v)) {
-    return Status::InvalidArgument("is not a count: " + JsonNumber(v));
+  return DecodeToken(json.Literal(), out);
+}
+
+/// Decodes a JSON number, or exactly "NaN", "Infinity" or "-Infinity", as a
+/// double.
+inline Status DecodeDouble(const JsonValue& json, double* out) {
+  using Limits = std::numeric_limits<double>;
+  if (json.is_number()) {
+    *out = json.AsNumber();
+  } else if (json.is_string() && json.AsString() == "NaN") {
+    *out = Limits::quiet_NaN();
+  } else if (json.is_string() && json.AsString() == "Infinity") {
+    *out = Limits::infinity();
+  } else if (json.is_string() && json.AsString() == "-Infinity") {
+    *out = -Limits::infinity();
+  } else {
+    return Status::InvalidArgument("is not a number");
   }
-  *out = static_cast<T>(v);
   return Status::OK();
 }
 

@@ -1,7 +1,9 @@
 #include "qens/obs/export.h"
 
+#include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <utility>
 
 #include "qens/common/string_util.h"
 #include "qens/obs/decode.h"
@@ -17,33 +19,11 @@ Status WriteTextFile(const std::string& content, const std::string& path) {
   return Status::OK();
 }
 
-namespace {
-
-std::string JoinNumbers(const std::vector<double>& values) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out.push_back('|');
-    out += JsonNumber(values[i]);
-  }
-  return out;
-}
-
-std::string JoinCounts(const std::vector<uint64_t>& values) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out.push_back('|');
-    out += StrFormat("%llu", static_cast<unsigned long long>(values[i]));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string MetricsSnapshotToJson(const MetricsSnapshot& snapshot) {
   JsonValue root = JsonValue::Object();
   JsonValue counters = JsonValue::Object();
   for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, JsonValue::Number(static_cast<double>(value)));
+    counters.Set(name, JsonValue::Count(value));
   }
   root.Set("counters", std::move(counters));
   JsonValue gauges = JsonValue::Object();
@@ -58,11 +38,9 @@ std::string MetricsSnapshotToJson(const MetricsSnapshot& snapshot) {
     for (double b : h.bounds) bounds.Append(JsonValue::Number(b));
     hist.Set("bounds", std::move(bounds));
     JsonValue counts = JsonValue::Array();
-    for (uint64_t c : h.counts) {
-      counts.Append(JsonValue::Number(static_cast<double>(c)));
-    }
+    for (uint64_t c : h.counts) counts.Append(JsonValue::Count(c));
     hist.Set("counts", std::move(counts));
-    hist.Set("total", JsonValue::Number(static_cast<double>(h.total)));
+    hist.Set("total", JsonValue::Count(h.total));
     hist.Set("sum", JsonValue::Number(h.sum));
     hist.Set("min", JsonValue::Number(h.min));
     hist.Set("max", JsonValue::Number(h.max));
@@ -76,6 +54,67 @@ Status WriteMetricsSnapshotJson(const MetricsSnapshot& snapshot,
                                 const std::string& path) {
   return WriteTextFile(MetricsSnapshotToJson(snapshot) + "\n", path);
 }
+
+namespace {
+
+/// Decodes one histogram and checks the invariant HistogramSnapshot
+/// documents: one count per bucket, strictly ascending bounds, counts that
+/// add up to `total`, and zero stats while `total` is zero.
+Status DecodeHistogram(const JsonValue& json, HistogramSnapshot* h) {
+  if (!json.is_object()) return Status::InvalidArgument("is not an object");
+  const JsonValue* bounds = json.Find("bounds");
+  const JsonValue* counts = json.Find("counts");
+  const JsonValue* total = json.Find("total");
+  if (bounds == nullptr || !bounds->is_array() || counts == nullptr ||
+      !counts->is_array() || total == nullptr) {
+    return Status::InvalidArgument("missing bounds/counts/total");
+  }
+  for (const JsonValue& b : bounds->AsArray()) {
+    QENS_RETURN_NOT_OK(
+        Named("bound", DecodeDouble(b, &h->bounds.emplace_back())));
+  }
+  for (const JsonValue& c : counts->AsArray()) {
+    QENS_RETURN_NOT_OK(
+        Named("count", DecodeCount(c, &h->counts.emplace_back())));
+  }
+  QENS_RETURN_NOT_OK(Named("total", DecodeCount(*total, &h->total)));
+  for (const auto& [key, out] : {std::pair{"sum", &h->sum},
+                                 std::pair{"min", &h->min},
+                                 std::pair{"max", &h->max}}) {
+    const JsonValue* value = json.Find(key);
+    QENS_RETURN_NOT_OK(Named(key, value == nullptr
+                                      ? Status::InvalidArgument("missing")
+                                      : DecodeDouble(*value, out)));
+  }
+  if (h->counts.size() != h->bounds.size() + 1) {
+    return Status::InvalidArgument(StrFormat(
+        "%zu counts for %zu bounds", h->counts.size(), h->bounds.size()));
+  }
+  for (size_t i = 1; i < h->bounds.size(); ++i) {
+    if (!(h->bounds[i - 1] < h->bounds[i])) {
+      return Status::InvalidArgument("bounds are not strictly ascending");
+    }
+  }
+  uint64_t observed = 0;
+  for (uint64_t c : h->counts) {
+    if (c > std::numeric_limits<uint64_t>::max() - observed) {
+      return Status::InvalidArgument("counts overflow");
+    }
+    observed += c;
+  }
+  if (observed != h->total) {
+    return Status::InvalidArgument(
+        StrFormat("counts add up to %llu, total is %llu",
+                  static_cast<unsigned long long>(observed),
+                  static_cast<unsigned long long>(h->total)));
+  }
+  if (h->total == 0 && (h->sum != 0 || h->min != 0 || h->max != 0)) {
+    return Status::InvalidArgument("stats of an empty histogram are not 0");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<MetricsSnapshot> ParseMetricsSnapshotJson(const std::string& text) {
   QENS_ASSIGN_OR_RETURN(JsonValue root, JsonValue::Parse(text));
@@ -97,10 +136,8 @@ Result<MetricsSnapshot> ParseMetricsSnapshotJson(const std::string& text) {
       return Status::InvalidArgument("metrics json: gauges not an object");
     }
     for (const auto& [name, value] : gauges->AsObject()) {
-      if (!value.is_number()) {
-        return Status::InvalidArgument("metrics json: gauge " + name);
-      }
-      snapshot.gauges[name] = value.AsNumber();
+      QENS_RETURN_NOT_OK(Named("metrics json: gauge " + name,
+                               DecodeDouble(value, &snapshot.gauges[name])));
     }
   }
   if (const JsonValue* histograms = root.Find("histograms")) {
@@ -108,132 +145,9 @@ Result<MetricsSnapshot> ParseMetricsSnapshotJson(const std::string& text) {
       return Status::InvalidArgument("metrics json: histograms not an object");
     }
     for (const auto& [name, value] : histograms->AsObject()) {
-      if (!value.is_object()) {
-        return Status::InvalidArgument("metrics json: histogram " + name);
-      }
-      HistogramSnapshot h;
-      const JsonValue* bounds = value.Find("bounds");
-      const JsonValue* counts = value.Find("counts");
-      if (bounds == nullptr || !bounds->is_array() || counts == nullptr ||
-          !counts->is_array()) {
-        return Status::InvalidArgument(
-            "metrics json: histogram " + name + " missing bounds/counts");
-      }
-      for (const JsonValue& b : bounds->AsArray()) {
-        if (!b.is_number()) {
-          return Status::InvalidArgument("metrics json: bad bound in " + name);
-        }
-        h.bounds.push_back(b.AsNumber());
-      }
-      for (const JsonValue& c : counts->AsArray()) {
-        QENS_RETURN_NOT_OK(Named("metrics json: count in " + name,
-                                 DecodeCount(c, &h.counts.emplace_back())));
-      }
-      const JsonValue* total = value.Find("total");
-      QENS_RETURN_NOT_OK(Named(
-          "metrics json: total in " + name,
-          total == nullptr ? Status::InvalidArgument("missing")
-                           : DecodeCount(*total, &h.total)));
-      QENS_ASSIGN_OR_RETURN(h.sum, value.GetNumber("sum"));
-      QENS_ASSIGN_OR_RETURN(h.min, value.GetNumber("min"));
-      QENS_ASSIGN_OR_RETURN(h.max, value.GetNumber("max"));
-      snapshot.histograms[name] = std::move(h);
-    }
-  }
-  return snapshot;
-}
-
-std::string MetricsSnapshotToCsv(const MetricsSnapshot& snapshot) {
-  std::string out = "kind,name,value\n";
-  for (const auto& [name, value] : snapshot.counters) {
-    out += StrFormat("counter,%s,%llu\n", name.c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += StrFormat("gauge,%s,%s\n", name.c_str(), JsonNumber(value).c_str());
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    out += StrFormat("histogram,%s,total=%llu|sum=%s|min=%s|max=%s,%s,%s\n",
-                     name.c_str(), static_cast<unsigned long long>(h.total),
-                     JsonNumber(h.sum).c_str(), JsonNumber(h.min).c_str(),
-                     JsonNumber(h.max).c_str(), JoinNumbers(h.bounds).c_str(),
-                     JoinCounts(h.counts).c_str());
-  }
-  return out;
-}
-
-Status WriteMetricsSnapshotCsv(const MetricsSnapshot& snapshot,
-                               const std::string& path) {
-  return WriteTextFile(MetricsSnapshotToCsv(snapshot), path);
-}
-
-Result<MetricsSnapshot> ParseMetricsSnapshotCsv(const std::string& text) {
-  MetricsSnapshot snapshot;
-  std::istringstream in(text);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (Trim(line).empty()) continue;
-    if (first) {
-      first = false;
-      if (Trim(line) != "kind,name,value") {
-        return Status::InvalidArgument("metrics csv: unexpected header " +
-                                       line);
-      }
-      continue;
-    }
-    const std::vector<std::string> cells = Split(line, ',');
-    const bool histogram = cells[0] == "histogram";
-    if (cells.size() != (histogram ? 5u : 3u)) {
-      return Status::InvalidArgument("metrics csv: bad row " + line);
-    }
-    if (cells[0] == "counter") {
       QENS_RETURN_NOT_OK(
-          Named("metrics csv: counter " + cells[1],
-                DecodeToken(cells[2], &snapshot.counters[cells[1]])));
-    } else if (cells[0] == "gauge") {
-      QENS_RETURN_NOT_OK(
-          Named("metrics csv: gauge " + cells[1],
-                DecodeToken(cells[2], &snapshot.gauges[cells[1]])));
-    } else if (histogram) {
-      HistogramSnapshot h;
-      for (const std::string& kv : Split(cells[2], '|')) {
-        const std::vector<std::string> parts = Split(kv, '=');
-        if (parts.size() != 2) {
-          return Status::InvalidArgument("metrics csv: bad stat " + kv);
-        }
-        Status status;
-        if (parts[0] == "total") {
-          status = DecodeToken(parts[1], &h.total);
-        } else if (parts[0] == "sum") {
-          status = DecodeToken(parts[1], &h.sum);
-        } else if (parts[0] == "min") {
-          status = DecodeToken(parts[1], &h.min);
-        } else if (parts[0] == "max") {
-          status = DecodeToken(parts[1], &h.max);
-        } else {
-          return Status::InvalidArgument("metrics csv: unknown stat " +
-                                         parts[0]);
-        }
-        QENS_RETURN_NOT_OK(Named("metrics csv: " + parts[0] + " in " +
-                                     cells[1],
-                                 status));
-      }
-      if (!cells[3].empty()) {
-        for (const std::string& b : Split(cells[3], '|')) {
-          QENS_RETURN_NOT_OK(Named("metrics csv: bound in " + cells[1],
-                                   DecodeToken(b, &h.bounds.emplace_back())));
-        }
-      }
-      if (!cells[4].empty()) {
-        for (const std::string& c : Split(cells[4], '|')) {
-          QENS_RETURN_NOT_OK(Named("metrics csv: count in " + cells[1],
-                                   DecodeToken(c, &h.counts.emplace_back())));
-        }
-      }
-      snapshot.histograms[cells[1]] = std::move(h);
-    } else {
-      return Status::InvalidArgument("metrics csv: unknown kind " + cells[0]);
+          Named("metrics json: histogram " + name,
+                DecodeHistogram(value, &snapshot.histograms[name])));
     }
   }
   return snapshot;

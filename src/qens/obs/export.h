@@ -3,8 +3,8 @@
 
 /// \file export.h
 /// Serialization of metric snapshots (counters, gauges, histograms) to
-/// machine-readable JSON and CSV, plus the inverse parsers used by the
-/// round-trip tests and downstream tooling. The formats are documented in
+/// machine-readable JSON, plus the inverse parser used by the round-trip
+/// tests and downstream tooling. The format is documented in
 /// docs/OBSERVABILITY.md.
 
 #include <string>
@@ -19,19 +19,15 @@ namespace qens::obs {
 Status WriteTextFile(const std::string& content, const std::string& path);
 
 /// One JSON object: {"counters": {...}, "gauges": {...},
-/// "histograms": {name: {bounds, counts, total, sum, min, max}}}.
+/// "histograms": {name: {bounds, counts, total, sum, min, max}}}. Counts
+/// are exact decimal digits; non-finite doubles are the strings "NaN",
+/// "Infinity" and "-Infinity".
 std::string MetricsSnapshotToJson(const MetricsSnapshot& snapshot);
 Status WriteMetricsSnapshotJson(const MetricsSnapshot& snapshot,
                                 const std::string& path);
+/// InvalidArgument on a malformed value or a histogram that breaks the
+/// HistogramSnapshot invariant.
 Result<MetricsSnapshot> ParseMetricsSnapshotJson(const std::string& text);
-
-/// CSV rows `kind,name,value` (counter/gauge) and
-/// `histogram,name,total,sum,min,max,bounds...,counts...` flattened with
-/// '|'-joined numeric lists.
-std::string MetricsSnapshotToCsv(const MetricsSnapshot& snapshot);
-Status WriteMetricsSnapshotCsv(const MetricsSnapshot& snapshot,
-                               const std::string& path);
-Result<MetricsSnapshot> ParseMetricsSnapshotCsv(const std::string& text);
 
 }  // namespace qens::obs
 

@@ -10,6 +10,24 @@
 
 namespace qens::obs {
 
+namespace {
+
+/// A finite double as a JSON number: the shortest form that round-trips,
+/// integral values below 1e15 without a fraction part.
+std::string JsonNumber(double v) {
+  if (std::floor(v) == v && std::abs(v) < 1e15) {
+    return StrFormat("%.0f", v);
+  }
+  // %.17g round-trips any double; trim to the shortest that still does.
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::string s = StrFormat("%.*g", precision, v);
+    if (std::strtod(s.c_str(), nullptr) == v) return s;
+  }
+  return StrFormat("%.17g", v);
+}
+
+}  // namespace
+
 JsonValue JsonValue::Bool(bool v) {
   JsonValue j;
   j.kind_ = Kind::kBool;
@@ -18,10 +36,23 @@ JsonValue JsonValue::Bool(bool v) {
 }
 
 JsonValue JsonValue::Number(double v) {
+  if (std::isnan(v)) return String("NaN");
+  if (std::isinf(v)) return String(v > 0 ? "Infinity" : "-Infinity");
   JsonValue j;
   j.kind_ = Kind::kNumber;
-  j.number_ = v;
+  j.string_ = JsonNumber(v);
   return j;
+}
+
+JsonValue JsonValue::Count(uint64_t v) {
+  JsonValue j;
+  j.kind_ = Kind::kNumber;
+  j.string_ = std::to_string(v);
+  return j;
+}
+
+double JsonValue::AsNumber() const {
+  return std::strtod(string_.c_str(), nullptr);
 }
 
 JsonValue JsonValue::String(std::string v) {
@@ -59,33 +90,6 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return it == object_.end() ? nullptr : &it->second;
 }
 
-Result<double> JsonValue::GetNumber(const std::string& key) const {
-  const JsonValue* v = Find(key);
-  if (v == nullptr) return Status::NotFound("json: missing key " + key);
-  if (!v->is_number()) {
-    return Status::InvalidArgument("json: key " + key + " is not a number");
-  }
-  return v->AsNumber();
-}
-
-Result<std::string> JsonValue::GetString(const std::string& key) const {
-  const JsonValue* v = Find(key);
-  if (v == nullptr) return Status::NotFound("json: missing key " + key);
-  if (!v->is_string()) {
-    return Status::InvalidArgument("json: key " + key + " is not a string");
-  }
-  return v->AsString();
-}
-
-Result<bool> JsonValue::GetBool(const std::string& key) const {
-  const JsonValue* v = Find(key);
-  if (v == nullptr) return Status::NotFound("json: missing key " + key);
-  if (!v->is_bool()) {
-    return Status::InvalidArgument("json: key " + key + " is not a bool");
-  }
-  return v->AsBool();
-}
-
 std::string JsonQuote(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -121,18 +125,6 @@ std::string JsonQuote(const std::string& s) {
   return out;
 }
 
-std::string JsonNumber(double v) {
-  if (std::floor(v) == v && std::abs(v) < 1e15) {
-    return StrFormat("%.0f", v);
-  }
-  // %.17g round-trips any double; trim to the shortest that still does.
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::string s = StrFormat("%.*g", precision, v);
-    if (std::strtod(s.c_str(), nullptr) == v) return s;
-  }
-  return StrFormat("%.17g", v);
-}
-
 std::string JsonValue::Dump() const {
   switch (kind_) {
     case Kind::kNull:
@@ -140,7 +132,7 @@ std::string JsonValue::Dump() const {
     case Kind::kBool:
       return bool_ ? "true" : "false";
     case Kind::kNumber:
-      return JsonNumber(number_);
+      return string_;
     case Kind::kString:
       return JsonQuote(string_);
     case Kind::kArray: {
@@ -169,12 +161,10 @@ std::string JsonValue::Dump() const {
   return "null";
 }
 
-namespace {
-
 /// Recursive-descent parser over a bounds-checked cursor.
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Result<JsonValue> ParseDocument() {
     SkipWhitespace();
@@ -231,7 +221,12 @@ class Parser {
       case 'n':
         return ParseLiteral("null", JsonValue::Null());
       default:
-        return ParseNumber();
+        if (text_[pos_] == '-' ||
+            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+          return ParseNumber();
+        }
+        return Status::InvalidArgument(
+            StrFormat("json: expected a value at offset %zu", pos_));
     }
   }
 
@@ -257,28 +252,36 @@ class Parser {
     return value;
   }
 
+  /// An RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   Result<JsonValue> ParseNumber() {
     const size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+    Consume('-');
+    const size_t integer = pos_;
+    bool ok =
+        SkipDigits() > 0 && (text_[integer] != '0' || pos_ == integer + 1);
+    if (ok && Consume('.')) ok = SkipDigits() > 0;
+    if (ok && (Consume('e') || Consume('E'))) {
+      if (!Consume('+')) Consume('-');
+      ok = SkipDigits() > 0;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
+    if (!ok) {
       return Status::InvalidArgument(
-          StrFormat("json: expected a value at offset %zu", start));
+          StrFormat("json: bad number at offset %zu", start));
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("json: bad number '" + token + "'");
+    JsonValue number;
+    number.kind_ = JsonValue::Kind::kNumber;
+    number.string_ = text_.substr(start, pos_ - start);
+    return number;
+  }
+
+  /// Advances past a run of ASCII digits; returns its length.
+  size_t SkipDigits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
     }
-    return JsonValue::Number(v);
+    return pos_ - start;
   }
 
   Result<std::string> ParseString() {
@@ -383,10 +386,8 @@ class Parser {
   size_t depth_ = 0;  ///< Arrays/objects open at pos_.
 };
 
-}  // namespace
-
 Result<JsonValue> JsonValue::Parse(const std::string& text) {
-  Parser parser(text);
+  JsonParser parser(text);
   return parser.ParseDocument();
 }
 

@@ -4,16 +4,19 @@
 /// \file json.h
 /// Minimal JSON reading/writing for the observability exporters.
 ///
-/// Scope: exactly what the JSONL/CSV exporters, their round-trip tests and
-/// the bench `--json` emitter need — objects, arrays, strings, finite
-/// numbers, booleans and null, parsed into a tree of `JsonValue`. Numbers
-/// are stored as double (every value the exporters emit fits); `Dump()`
-/// prints them with enough digits to round-trip. Not a general-purpose
-/// JSON library: no \uXXXX escapes beyond ASCII, no duplicate-key
-/// detection. Malformed input, nesting past `kMaxDepth` included, is
-/// rejected with a Status.
+/// Scope: exactly what the JSON/JSONL exporters, their round-trip tests and
+/// the bench `--json` emitter need — objects, arrays, strings, numbers,
+/// booleans and null, parsed into a tree of `JsonValue`. A number node keeps
+/// its literal text, so an unsigned count survives exactly over its whole
+/// range and a double prints with enough digits to round-trip. RFC 8259 has
+/// no literal for NaN or the infinities; `Number()` writes those as the
+/// strings "NaN", "Infinity" and "-Infinity". Not a general-purpose JSON
+/// library: no \uXXXX escapes beyond ASCII, no duplicate-key detection.
+/// Malformed input, a number outside the RFC 8259 grammar or nesting past
+/// `kMaxDepth` included, is rejected with a Status.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +26,8 @@
 
 namespace qens::obs {
 
+class JsonParser;
+
 /// One JSON document node.
 class JsonValue {
  public:
@@ -31,7 +36,12 @@ class JsonValue {
   JsonValue() : kind_(Kind::kNull) {}
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool v);
+  /// A number node spelled in the shortest form that round-trips `v`
+  /// (integral values below 1e15 without a fraction part); a non-finite `v`
+  /// becomes the string node "NaN", "Infinity" or "-Infinity".
   static JsonValue Number(double v);
+  /// A number node spelled as the decimal digits of `v`.
+  static JsonValue Count(uint64_t v);
   static JsonValue String(std::string v);
   static JsonValue Array();
   static JsonValue Object();
@@ -53,7 +63,10 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool AsBool() const { return bool_; }
-  double AsNumber() const { return number_; }
+  /// The number's value, rounded to the nearest double.
+  double AsNumber() const;
+  /// The number's text as written or parsed (an RFC 8259 number).
+  const std::string& Literal() const { return string_; }
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& AsArray() const { return array_; }
   const std::map<std::string, JsonValue>& AsObject() const { return object_; }
@@ -66,33 +79,22 @@ class JsonValue {
   /// Object member or nullptr (requires kObject).
   const JsonValue* Find(const std::string& key) const;
 
-  /// \name Checked typed member access for object nodes
-  /// NotFound when the key is absent, InvalidArgument on a kind mismatch.
-  /// @{
-  Result<double> GetNumber(const std::string& key) const;
-  Result<std::string> GetString(const std::string& key) const;
-  Result<bool> GetBool(const std::string& key) const;
-  /// @}
-
   /// Compact single-line serialization (object keys sorted — the map
   /// ordering — so output is deterministic).
   std::string Dump() const;
 
  private:
+  friend class JsonParser;  // Builds number nodes from checked literals.
+
   Kind kind_;
   bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< kString: the value; kNumber: the literal.
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
 
 /// `"`-quoted, escaped JSON string literal for `s`.
 std::string JsonQuote(const std::string& s);
-
-/// Format a finite double the way Dump() does (round-trippable; integral
-/// values print without a fraction part).
-std::string JsonNumber(double v);
 
 }  // namespace qens::obs
 

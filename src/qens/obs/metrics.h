@@ -15,7 +15,7 @@
 /// bit-identical either way.
 ///
 /// All registry methods are thread-safe: local training fans out through
-/// std::async and instruments from worker threads.
+/// ThreadPool::ParallelUnits and instruments from worker threads.
 
 #include <atomic>
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "qens/obs/round_record.h"
 
+#include <bit>
+#include <cstdint>
 #include <iterator>
 #include <sstream>
 #include <tuple>
@@ -34,17 +36,16 @@ Result<NodeFate> ParseNodeFate(const std::string& name) {
 
 namespace {
 
-/// When a field appears in JSON. Every field is a CSV column.
+/// When a field appears in JSON.
 enum class InJson {
   kAlways,  ///< Required key.
-  kIfSet,   ///< Only while above zero / non-empty, so records from runs with
-            ///< an opt-in layer off keep the schema from before that layer.
-  kNever,   ///< CSV-only.
+  kIfSet,   ///< Only while it differs from its default, so records from runs
+            ///< with an opt-in layer off keep the schema from before it.
   kIfFlag,  ///< Only while the row's `flag` member is true; parsing sets it.
 };
 using enum InJson;
 
-/// One schema row: a member of `S` and the name it goes by in both formats.
+/// One schema row: a member of `S` and its JSON key.
 template <typename S, typename T>
 struct Field {
   const char* name;
@@ -53,8 +54,7 @@ struct Field {
   bool S::*flag = nullptr;
 };
 
-/// NodeRoundStat schema: the keys of a `nodes[]` object and, in order, the
-/// ':'-separated parts of one CSV `nodes` segment.
+/// NodeRoundStat schema: the keys of a `nodes[]` object.
 constexpr std::tuple kNodeFields{
     Field{"node_id", &NodeRoundStat::node_id},
     Field{"fate", &NodeRoundStat::fate},
@@ -64,8 +64,8 @@ constexpr std::tuple kNodeFields{
     Field{"straggler", &NodeRoundStat::straggler},
 };
 
-/// RoundRecord schema in CSV column order (docs/OBSERVABILITY.md). A new
-/// field is one member in round_record.h plus one row here.
+/// RoundRecord schema (docs/OBSERVABILITY.md), checked on parse in this
+/// order. A new field is one member in round_record.h plus one row here.
 constexpr std::tuple kRecordFields{
     Field{"session", &RoundRecord::session, kIfSet},
     Field{"query_id", &RoundRecord::query_id},
@@ -94,7 +94,6 @@ constexpr std::tuple kRecordFields{
     Field{"parallel_seconds", &RoundRecord::parallel_seconds},
     Field{"total_train_seconds", &RoundRecord::total_train_seconds},
     Field{"comm_seconds", &RoundRecord::comm_seconds},
-    Field{"has_loss", &RoundRecord::has_loss, kNever},
     Field{"loss", &RoundRecord::loss, kIfFlag, &RoundRecord::has_loss},
     Field{"nodes", &RoundRecord::nodes},
 };
@@ -106,8 +105,8 @@ void ForEachField(const Fields& fields, Fn fn) {
 }
 
 /// \name Value kinds
-/// One JSON and one CSV encode/decode pair per member type. Decoders return
-/// a bare reason; the field loops below prefix the field name.
+/// One JSON encode/decode pair per member type. Decoders return a bare
+/// reason; the field loops below prefix the field name.
 /// @{
 
 Status ExpectKind(bool ok, const char* kind) {
@@ -115,45 +114,26 @@ Status ExpectKind(bool ok, const char* kind) {
             : Status::InvalidArgument(StrFormat("is not a %s", kind));
 }
 
-/// Counts and doubles: a JSON number, and a CSV cell that must be one
-/// whole token (no sign on counts, no padding, no trailing bytes).
-template <Numeric T>
+/// Counts as exact decimal digits; doubles as numbers, or "NaN",
+/// "Infinity" and "-Infinity" (JsonValue::Number).
+template <Unsigned T>
 JsonValue ToJson(T v) {
-  return JsonValue::Number(static_cast<double>(v));
+  return JsonValue::Count(v);
 }
-template <Numeric T>
-Status FromCsv(const std::string& cell, T* out) {
-  return DecodeToken(cell, out);
-}
-
 template <Unsigned T>
 Status FromJson(const JsonValue& json, T* out) {
   return DecodeCount(json, out);
 }
-template <Unsigned T>
-std::string ToCsv(T v) {
-  return std::to_string(v);
-}
 
+JsonValue ToJson(double v) { return JsonValue::Number(v); }
 Status FromJson(const JsonValue& json, double* out) {
-  QENS_RETURN_NOT_OK(ExpectKind(json.is_number(), "number"));
-  *out = json.AsNumber();
-  return Status::OK();
+  return DecodeDouble(json, out);
 }
-std::string ToCsv(double v) { return JsonNumber(v); }
 
 JsonValue ToJson(bool v) { return JsonValue::Bool(v); }
 Status FromJson(const JsonValue& json, bool* out) {
   QENS_RETURN_NOT_OK(ExpectKind(json.is_bool(), "bool"));
   *out = json.AsBool();
-  return Status::OK();
-}
-std::string ToCsv(bool v) { return v ? "1" : "0"; }
-Status FromCsv(const std::string& cell, bool* out) {
-  if (cell != "0" && cell != "1") {
-    return Status::InvalidArgument("bad bool '" + cell + "'");
-  }
-  *out = cell == "1";
   return Status::OK();
 }
 
@@ -163,34 +143,26 @@ Status FromJson(const JsonValue& json, std::string* out) {
   *out = json.AsString();
   return Status::OK();
 }
-std::string ToCsv(const std::string& v) { return v; }
-Status FromCsv(const std::string& cell, std::string* out) {
-  *out = cell;
-  return Status::OK();
-}
 
 JsonValue ToJson(NodeFate v) { return JsonValue::String(NodeFateName(v)); }
-std::string ToCsv(NodeFate v) { return NodeFateName(v); }
-Status FromCsv(const std::string& cell, NodeFate* out) {
-  QENS_ASSIGN_OR_RETURN(*out, ParseNodeFate(cell));
-  return Status::OK();
-}
 Status FromJson(const JsonValue& json, NodeFate* out) {
   QENS_RETURN_NOT_OK(ExpectKind(json.is_string(), "string"));
-  return FromCsv(json.AsString(), out);
+  QENS_ASSIGN_OR_RETURN(*out, ParseNodeFate(json.AsString()));
+  return Status::OK();
 }
 
 // The nodes list recurses into kNodeFields; defined after the field loops.
 JsonValue ToJson(const std::vector<NodeRoundStat>& nodes);
 Status FromJson(const JsonValue& json, std::vector<NodeRoundStat>* out);
-std::string ToCsv(const std::vector<NodeRoundStat>& nodes);
-Status FromCsv(const std::string& cell, std::vector<NodeRoundStat>* out);
 
-/// The kIfSet test: a count or duration above zero, a non-empty string.
+/// The kIfSet test: a value other than its default. Doubles compare
+/// bitwise, so -0.0 and NaN are set and survive the round trip.
 template <typename T>
 bool IsSet(const T& v) {
-  if constexpr (std::is_arithmetic_v<T>) {
-    return v > T{};
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<uint64_t>(v) != 0;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return v != T{};
   } else if constexpr (std::is_same_v<T, std::string>) {
     return !v.empty();
   } else {
@@ -200,7 +172,7 @@ bool IsSet(const T& v) {
 /// @}
 
 /// \name Field loops
-/// The four codecs, each one pass over a schema table.
+/// The two codecs, each one pass over a schema table.
 /// @{
 
 template <typename S, typename Fields>
@@ -222,44 +194,13 @@ Status ObjectFromJson(const JsonValue& json, const Fields& fields, S* s) {
   if (!json.is_object()) return Status::InvalidArgument("not a JSON object");
   Status status;
   ForEachField(fields, [&](const auto& f) {
-    if (!status.ok() || f.json == kNever) return;
+    if (!status.ok()) return;
     if (const JsonValue* value = json.Find(f.name)) {
       status = Named(f.name, FromJson(*value, &(s->*f.member)));
       if (f.json == kIfFlag) s->*f.flag = true;
     } else if (f.json == kAlways) {
       status = Status::InvalidArgument(StrFormat("%s: missing", f.name));
     }
-  });
-  return status;
-}
-
-template <typename S, typename Fields>
-std::string ObjectToCsv(const S& s, const Fields& fields, char separator) {
-  std::string out;
-  ForEachField(fields, [&](const auto& f) {
-    out += ToCsv(s.*f.member);
-    out.push_back(separator);
-  });
-  out.pop_back();
-  return out;
-}
-
-template <typename S, typename Fields>
-Status ObjectFromCsv(const std::string& row, const Fields& fields,
-                     char separator, S* s) {
-  const std::vector<std::string> cells = Split(row, separator);
-  if (cells.size() != std::tuple_size_v<Fields>) {
-    return Status::InvalidArgument(
-        StrFormat("expected %zu cells, got %zu", std::tuple_size_v<Fields>,
-                  cells.size()));
-  }
-  Status status;
-  size_t cell = 0;
-  ForEachField(fields, [&](const auto& f) {
-    if (status.ok()) {
-      status = Named(f.name, FromCsv(cells[cell], &(s->*f.member)));
-    }
-    ++cell;
   });
   return status;
 }
@@ -281,36 +222,6 @@ Status FromJson(const JsonValue& json, std::vector<NodeRoundStat>* out) {
     out->push_back(node);
   }
   return Status::OK();
-}
-
-/// Segments joined by ';'; an empty cell is an empty list.
-std::string ToCsv(const std::vector<NodeRoundStat>& nodes) {
-  std::string out;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (i > 0) out.push_back(';');
-    out += ObjectToCsv(nodes[i], kNodeFields, ':');
-  }
-  return out;
-}
-
-Status FromCsv(const std::string& cell, std::vector<NodeRoundStat>* out) {
-  if (cell.empty()) return Status::OK();
-  for (const std::string& segment : Split(cell, ';')) {
-    NodeRoundStat node;
-    QENS_RETURN_NOT_OK(ObjectFromCsv(segment, kNodeFields, ':', &node));
-    out->push_back(node);
-  }
-  return Status::OK();
-}
-
-std::string CsvHeader() {
-  std::string out;
-  ForEachField(kRecordFields, [&out](const auto& f) {
-    out += f.name;
-    out.push_back(',');
-  });
-  out.pop_back();
-  return out;
 }
 
 }  // namespace
@@ -349,44 +260,6 @@ Result<std::vector<RoundRecord>> ParseRoundRecordsJsonl(
   while (std::getline(in, line)) {
     if (Trim(line).empty()) continue;
     QENS_ASSIGN_OR_RETURN(RoundRecord record, ParseRoundRecordJson(line));
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
-std::string RoundRecordsToCsv(const std::vector<RoundRecord>& records) {
-  std::string out = CsvHeader();
-  out.push_back('\n');
-  for (const RoundRecord& record : records) {
-    out += ObjectToCsv(record, kRecordFields, ',');
-    out.push_back('\n');
-  }
-  return out;
-}
-
-Status WriteRoundRecordsCsv(const std::vector<RoundRecord>& records,
-                            const std::string& path) {
-  return WriteTextFile(RoundRecordsToCsv(records), path);
-}
-
-Result<std::vector<RoundRecord>> ParseRoundRecordsCsv(const std::string& text) {
-  const std::string header = CsvHeader();
-  std::vector<RoundRecord> records;
-  std::istringstream in(text);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (Trim(line).empty()) continue;
-    if (first) {
-      first = false;
-      if (Trim(line) != header) {
-        return Status::InvalidArgument("round csv: unexpected header " + line);
-      }
-      continue;
-    }
-    RoundRecord record;
-    QENS_RETURN_NOT_OK(
-        Named("round csv", ObjectFromCsv(line, kRecordFields, ',', &record)));
     records.push_back(std::move(record));
   }
   return records;

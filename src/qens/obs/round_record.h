@@ -12,9 +12,9 @@
 /// metrics layer is enabled (see obs::MetricsRegistry), so the fault-free
 /// hot path stays untouched when observability is off.
 ///
-/// The schema (field names, fate strings, CSV columns) is documented in
-/// docs/OBSERVABILITY.md; the exporters here and their parsers are the
-/// reference implementation and are round-trip tested.
+/// The JSONL schema (field names, fate strings, the spelling of non-finite
+/// doubles) is documented in docs/OBSERVABILITY.md; the exporter here and
+/// its parser are the reference implementation and are round-trip tested.
 
 #include <cstdint>
 #include <string>
@@ -119,6 +119,7 @@ struct RoundRecord {
   double comm_seconds = 0.0;         ///< Sum of per-node transfer seconds.
   /// Final-round evaluation loss (Eq. 7 / weighted). Only the last record
   /// of a query carries one; intermediate rounds have has_loss == false.
+  /// JSON has no `has_loss` key: the flag is the presence of `loss`.
   bool has_loss = false;
   double loss = 0.0;
   std::vector<NodeRoundStat> nodes;  ///< One entry per engaged node.
@@ -133,16 +134,6 @@ Status WriteRoundRecordsJsonl(const std::vector<RoundRecord>& records,
 Result<RoundRecord> ParseRoundRecordJson(const std::string& line);
 Result<std::vector<RoundRecord>> ParseRoundRecordsJsonl(
     const std::string& text);
-/// @}
-
-/// \name CSV export: header + one row per round
-/// Per-node stats are flattened into one cell of
-/// `id:fate:train_s:comm_s:samples:straggler` segments joined by ';'.
-/// @{
-std::string RoundRecordsToCsv(const std::vector<RoundRecord>& records);
-Status WriteRoundRecordsCsv(const std::vector<RoundRecord>& records,
-                            const std::string& path);
-Result<std::vector<RoundRecord>> ParseRoundRecordsCsv(const std::string& text);
 /// @}
 
 }  // namespace qens::obs

@@ -342,21 +342,15 @@ TEST(DynamicFleetTest, DynamicRoundRecordsRoundTripThroughExporters) {
   EXPECT_GT(joined, 0u);
   EXPECT_GT(refreshes, 0u);
 
-  auto from_json = obs::ParseRoundRecordsJsonl(obs::RoundRecordsToJsonl(records));
-  ASSERT_TRUE(from_json.ok()) << from_json.status().ToString();
-  auto from_csv = obs::ParseRoundRecordsCsv(obs::RoundRecordsToCsv(records));
-  ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
-  ASSERT_EQ(from_json->size(), records.size());
-  ASSERT_EQ(from_csv->size(), records.size());
+  auto parsed = obs::ParseRoundRecordsJsonl(obs::RoundRecordsToJsonl(records));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    for (const obs::RoundRecord* parsed :
-         {&(*from_json)[i], &(*from_csv)[i]}) {
-      EXPECT_EQ(parsed->fleet_epoch, records[i].fleet_epoch);
-      EXPECT_EQ(parsed->nodes_joined, records[i].nodes_joined);
-      EXPECT_EQ(parsed->nodes_left, records[i].nodes_left);
-      EXPECT_EQ(parsed->refreshes, records[i].refreshes);
-      EXPECT_EQ(parsed->stale_rounds, records[i].stale_rounds);
-    }
+    EXPECT_EQ((*parsed)[i].fleet_epoch, records[i].fleet_epoch);
+    EXPECT_EQ((*parsed)[i].nodes_joined, records[i].nodes_joined);
+    EXPECT_EQ((*parsed)[i].nodes_left, records[i].nodes_left);
+    EXPECT_EQ((*parsed)[i].refreshes, records[i].refreshes);
+    EXPECT_EQ((*parsed)[i].stale_rounds, records[i].stale_rounds);
   }
   obs::MetricsRegistry::Disable();
 }

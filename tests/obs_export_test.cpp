@@ -1,18 +1,18 @@
 // Round-trip tests for the observability exporters: RoundRecord JSONL and
-// CSV, and MetricsSnapshot JSON and CSV. Export -> parse must reproduce
-// every field exactly (doubles included: the writers emit full precision).
+// MetricsSnapshot JSON. Export -> parse must reproduce every field exactly:
+// doubles bit for bit (NaN as NaN), counts over their whole range.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "qens/common/string_util.h"
 #include "qens/obs/export.h"
 #include "qens/obs/json.h"
 #include "qens/obs/metrics.h"
@@ -80,6 +80,14 @@ std::vector<RoundRecord> SampleRecords() {
   return {first, second};
 }
 
+/// Same bits, or both NaN: the exporters carry every double exactly.
+bool SameDouble(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+#define EXPECT_SAME_DOUBLE(a, b) EXPECT_PRED2(SameDouble, a, b)
+
 void ExpectRecordsEqual(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.session, b.session);
   EXPECT_EQ(a.query_id, b.query_id);
@@ -102,22 +110,22 @@ void ExpectRecordsEqual(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.refreshes, b.refreshes);
   EXPECT_EQ(a.stale_rounds, b.stale_rounds);
   EXPECT_EQ(a.query_class, b.query_class);
-  EXPECT_DOUBLE_EQ(a.vt_queue_seconds, b.vt_queue_seconds);
-  EXPECT_DOUBLE_EQ(a.vt_latency_seconds, b.vt_latency_seconds);
+  EXPECT_SAME_DOUBLE(a.vt_queue_seconds, b.vt_queue_seconds);
+  EXPECT_SAME_DOUBLE(a.vt_latency_seconds, b.vt_latency_seconds);
   EXPECT_EQ(a.quorum_met, b.quorum_met);
-  EXPECT_DOUBLE_EQ(a.parallel_seconds, b.parallel_seconds);
-  EXPECT_DOUBLE_EQ(a.total_train_seconds, b.total_train_seconds);
-  EXPECT_DOUBLE_EQ(a.comm_seconds, b.comm_seconds);
+  EXPECT_SAME_DOUBLE(a.parallel_seconds, b.parallel_seconds);
+  EXPECT_SAME_DOUBLE(a.total_train_seconds, b.total_train_seconds);
+  EXPECT_SAME_DOUBLE(a.comm_seconds, b.comm_seconds);
   EXPECT_EQ(a.has_loss, b.has_loss);
   if (a.has_loss && b.has_loss) {
-    EXPECT_DOUBLE_EQ(a.loss, b.loss);
+    EXPECT_SAME_DOUBLE(a.loss, b.loss);
   }
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   for (size_t i = 0; i < a.nodes.size(); ++i) {
     EXPECT_EQ(a.nodes[i].node_id, b.nodes[i].node_id);
     EXPECT_EQ(a.nodes[i].fate, b.nodes[i].fate);
-    EXPECT_DOUBLE_EQ(a.nodes[i].train_seconds, b.nodes[i].train_seconds);
-    EXPECT_DOUBLE_EQ(a.nodes[i].comm_seconds, b.nodes[i].comm_seconds);
+    EXPECT_SAME_DOUBLE(a.nodes[i].train_seconds, b.nodes[i].train_seconds);
+    EXPECT_SAME_DOUBLE(a.nodes[i].comm_seconds, b.nodes[i].comm_seconds);
     EXPECT_EQ(a.nodes[i].samples_used, b.nodes[i].samples_used);
     EXPECT_EQ(a.nodes[i].straggler, b.nodes[i].straggler);
   }
@@ -204,35 +212,9 @@ TEST(RoundRecordJsonlTest, EmptyAndMalformedInput) {
   EXPECT_FALSE(ParseRoundRecordJson("[1,2,3]").ok());
 }
 
-TEST(RoundRecordCsvTest, RoundTripsExactly) {
-  const std::vector<RoundRecord> records = SampleRecords();
-  const std::string csv = RoundRecordsToCsv(records);
-  auto parsed = ParseRoundRecordsCsv(csv);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    ExpectRecordsEqual(records[i], (*parsed)[i]);
-  }
-}
-
-TEST(RoundRecordCsvTest, HeaderPinsThirtyColumns) {
-  // The CSV schema is strict (docs/OBSERVABILITY.md): adding a column is a
-  // deliberate schema change of one RoundRecord member plus one row in the
-  // field table, and this pin moves with it. 27 -> 30 added query_class +
-  // the two vt_* fields.
-  const std::string csv = RoundRecordsToCsv(SampleRecords());
-  const std::string header = csv.substr(0, csv.find('\n'));
-  size_t columns = 1;
-  for (char c : header) columns += (c == ',');
-  EXPECT_EQ(columns, 30u);
-  EXPECT_NE(header.find("query_class,vt_queue_seconds,vt_latency_seconds"),
-            std::string::npos);
-}
-
-// Exact bytes of SampleRecords() in both formats. Downstream tools parse
-// these files, so any difference here is a schema change: JSON keys sorted,
-// zero-valued optional counters omitted, numbers in the shortest
-// round-tripping form, CSV columns in schema order.
+// Exact bytes of SampleRecords(). Downstream tools parse these files, so any
+// difference here is a schema change: keys sorted, zero-valued optional
+// counters omitted, numbers in the shortest round-tripping form.
 constexpr char kSampleJsonl[] =
     R"({"aggregation":"fedavg","comm_seconds":0.0421875,"engaged":3,)"
     R"("nodes":[{"comm_seconds":0.02,"fate":"completed","node_id":0,)"
@@ -264,31 +246,14 @@ constexpr char kSampleJsonl[] =
     R"("vt_latency_seconds":0.6875,"vt_queue_seconds":0.0625,)"
     R"("wire_down_bytes":1024,"wire_up_bytes":212})" "\n";
 
-constexpr char kSampleCsv[] =
-    "session,query_id,round,policy,aggregation,engaged,survivors,"
-    "rejected,quarantined,rank_index_rankings,rank_cache_hits,"
-    "rank_cache_misses,rank_candidate_nodes,wire_down_bytes,"
-    "wire_up_bytes,fleet_epoch,nodes_joined,nodes_left,refreshes,"
-    "stale_rounds,query_class,vt_queue_seconds,vt_latency_seconds,"
-    "quorum_met,parallel_seconds,total_train_seconds,comm_seconds,"
-    "has_loss,loss,nodes\n"
-    "0,42,0,query_driven,fedavg,3,2,0,0,0,0,0,0,0,0,0,0,0,0,0,,0,0,1,"
-    "0.125,0.3,0.0421875,0,0,0:completed:0.15:0.02:120:0;"
-    "3:completed:0.15:0.0221875:96:1;5:unavailable:0:0:0:0\n"
-    "3,42,1,query_driven,ensemble,11,7,6,4,2,8,9,5,1024,212,13,14,15,"
-    "16,17,interactive,0.0625,0.6875,0,0.5,0.6,0.01,1,123.456789012345,"
-    "0:missed_deadline:0.45:0.01:120:1;3:rejected:0.15:0:96:0;"
-    "5:quarantined:0:0:0:0;7:completed:0:0:88:0\n";
-
 TEST(RoundRecordExportTest, OutputIsBytePinned) {
   EXPECT_EQ(RoundRecordsToJsonl(SampleRecords()), kSampleJsonl);
-  EXPECT_EQ(RoundRecordsToCsv(SampleRecords()), kSampleCsv);
 }
 
 TEST(RoundRecordJsonlTest, RejectsCountsTheMemberCannotHold) {
-  // A count arrives as a JSON double; casting a negative, non-finite,
-  // fractional or too-large double to an unsigned member is undefined
-  // behaviour, so the parser must refuse it and name the field.
+  // A count is read from its number's literal as one whole token: a
+  // negative, fractional, exponent-form or too-large number is refused,
+  // never rounded or wrapped, and the error names the field.
   const std::string good = RoundRecordToJson(SampleRecords()[0]);
   ASSERT_TRUE(ParseRoundRecordJson(good).ok());
   struct Case {
@@ -306,6 +271,10 @@ TEST(RoundRecordJsonlTest, RejectsCountsTheMemberCannotHold) {
       {"\"query_id\":42", "\"query_id\":42,\"rejected\":1e300", "rejected"},
       {"\"node_id\":3", "\"node_id\":-1", "node_id"},
       {"\"samples_used\":96", "\"samples_used\":1.5", "samples_used"},
+      {"\"engaged\":3", "\"engaged\":1e3", "engaged"},
+      {"\"engaged\":3", "\"engaged\":42.0", "engaged"},
+      {"\"engaged\":3", "\"engaged\":-0", "engaged"},
+      {"\"engaged\":3", "\"engaged\":\"3\"", "engaged"},
   };
   for (const Case& c : cases) {
     std::string line = good;
@@ -319,99 +288,115 @@ TEST(RoundRecordJsonlTest, RejectsCountsTheMemberCannotHold) {
     EXPECT_NE(parsed.status().message().find(c.field), std::string::npos)
         << parsed.status().ToString();
   }
-  // The largest double below 2^64 still fits a 64-bit count.
-  std::string line = good;
-  line.replace(line.find("\"query_id\":42"), std::strlen("\"query_id\":42"),
-               "\"query_id\":18446744073709549568");
-  auto parsed = ParseRoundRecordJson(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->query_id, 18446744073709549568ull);
+  // Every 64-bit count is exact, past 2^53 and up to the maximum.
+  for (const uint64_t id : {uint64_t{9007199254740993u}, UINT64_MAX}) {
+    std::string line = good;
+    line.replace(line.find("\"query_id\":42"),
+                 std::strlen("\"query_id\":42"),
+                 "\"query_id\":" + std::to_string(id));
+    auto parsed = ParseRoundRecordJson(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->query_id, id);
+  }
 }
 
-TEST(RoundRecordCsvTest, RejectsMalformedCells) {
-  // Every cell must be consumed whole: unsigned cells are digits only,
-  // doubles admit no trailing junk or padding, bools are exactly 0 or 1,
-  // and the same holds inside the nodes cell.
-  const std::string csv = RoundRecordsToCsv({SampleRecords()[1]});
-  const size_t eol = csv.find('\n');
-  const std::vector<std::string> names = Split(csv.substr(0, eol), ',');
-  const std::vector<std::string> row =
-      Split(csv.substr(eol + 1, csv.size() - eol - 2), ',');
-  ASSERT_EQ(names.size(), row.size());
-  auto parse_with = [&](const std::string& name, const std::string& cell) {
-    const auto column = std::find(names.begin(), names.end(), name);
-    EXPECT_NE(column, names.end()) << name;
-    std::vector<std::string> cells = row;
-    cells[column - names.begin()] = cell;
-    return ParseRoundRecordsCsv(csv.substr(0, eol + 1) + Join(cells, ",") +
-                                "\n");
+TEST(RoundRecordJsonlTest, RejectsMalformedValues) {
+  // Bools are JSON booleans, fates are known names, doubles are numbers or
+  // exactly "NaN", "Infinity" or "-Infinity", numbers follow RFC 8259, and
+  // the same holds inside `nodes`.
+  const std::string good = RoundRecordToJson(SampleRecords()[1]);
+  ASSERT_TRUE(ParseRoundRecordJson(good).ok());
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"quorum_met\":false", "\"quorum_met\":0"},
+      {"\"quorum_met\":false", "\"quorum_met\":\"false\""},
+      {"\"quorum_met\":false", "\"quorum_met\":null"},
+      {"\"straggler\":true", "\"straggler\":1"},
+      {"\"fate\":\"rejected\"", "\"fate\":\"exploded\""},
+      {"\"fate\":\"rejected\"", "\"fate\":\"Rejected\""},
+      {"\"fate\":\"rejected\"", "\"fate\":3"},
+      {"\"loss\":123.456789012345", "\"loss\":\"abc\""},
+      {"\"loss\":123.456789012345", "\"loss\":true"},
+      {"\"loss\":123.456789012345", "\"loss\":null"},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":\"0.5\""},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":\"NaN \""},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":\"nan\""},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":\"inf\""},
+      {"\"vt_queue_seconds\":0.0625", "\"vt_queue_seconds\":\" Infinity\""},
+      {"\"train_seconds\":0.45", "\"train_seconds\":\"+Infinity\""},
+      {"\"train_seconds\":0.45", "\"train_seconds\":\"-infinity\""},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":NaN"},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":-nan"},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":Infinity"},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":inf"},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":.5"},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":5."},
+      {"\"parallel_seconds\":0.5", "\"parallel_seconds\":+0.5"},
+      {"\"engaged\":11", "\"engaged\":011"},
+      {"\"nodes\":[", "\"nodes\":[1,"},
+      {"\"nodes\":[", "\"nodes\":{\"a\":[]},\"x\":["},
+      {"\"node_id\":7,", ""},
   };
-  ASSERT_TRUE(parse_with("session", "3").ok());
-  for (const char* name :
-       {"session", "query_id", "round", "engaged", "survivors", "rejected",
-        "quarantined", "rank_index_rankings", "rank_cache_hits",
-        "rank_cache_misses", "rank_candidate_nodes", "wire_down_bytes",
-        "wire_up_bytes", "fleet_epoch", "nodes_joined", "nodes_left",
-        "refreshes", "stale_rounds"}) {
-    for (const char* bad : {"", "abc", "-3", "+3", "3x", " 3", "1.5", "1e3",
-                            "18446744073709551616"}) {
-      EXPECT_FALSE(parse_with(name, bad).ok()) << name << "=" << bad;
-    }
-  }
-  for (const char* name :
-       {"vt_queue_seconds", "vt_latency_seconds", "parallel_seconds",
-        "total_train_seconds", "comm_seconds", "loss"}) {
-    for (const char* bad : {"", "abc", "NaNx", "0.5x", " 0.5", "0.5 "}) {
-      EXPECT_FALSE(parse_with(name, bad).ok()) << name << "=" << bad;
-    }
-  }
-  for (const char* name : {"quorum_met", "has_loss"}) {
-    for (const char* bad : {"", "maybe", "yes", "true", "2", "01"}) {
-      EXPECT_FALSE(parse_with(name, bad).ok()) << name << "=" << bad;
-    }
-  }
-  for (const char* bad :
-       {"-1:completed:0:0:0:0", "x:completed:0:0:0:0", "1:exploded:0:0:0:0",
-        "1:completed:0.5x:0:0:0", "1:completed:0:NaNx:0:0",
-        "1:completed:0:0:1.5:0", "1:completed:0:0:0:yes",
-        "1:completed:0:0:0", "1:completed:0:0:0:0:0", "1:completed:0:0:0:0;",
-        ";"}) {
-    EXPECT_FALSE(parse_with("nodes", bad).ok()) << "nodes=" << bad;
+  for (const auto& [from, to] : cases) {
+    std::string line = good;
+    const size_t at = line.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    line.replace(at, std::strlen(from), to);
+    auto parsed = ParseRoundRecordJson(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << parsed.status().ToString();
   }
 }
 
-TEST(RoundRecordCsvTest, ExtremeValuesTheWriterEmitsStillParse) {
+TEST(RoundRecordJsonlTest, ExtremeValuesTheWriterEmitsStillParse) {
+  // Counts past 2^53 and non-finite, signed-zero and subnormal doubles all
+  // come back exactly. The lines stay RFC 8259 JSON: the parser takes no
+  // bare nan or inf, so a round trip proves the writer wrote none.
+  using Limits = std::numeric_limits<double>;
+  constexpr uint64_t kPast53 = (uint64_t{1} << 53) + 1;
   RoundRecord record = SampleRecords()[1];
-  record.session = std::numeric_limits<uint64_t>::max();
-  record.engaged = std::numeric_limits<size_t>::max();
-  record.vt_queue_seconds = std::numeric_limits<double>::infinity();
-  record.vt_latency_seconds = std::numeric_limits<double>::denorm_min();
+  record.session = UINT64_MAX;
+  record.query_id = kPast53;
+  record.engaged = UINT64_MAX;
+  record.rank_cache_hits = kPast53;
+  record.vt_queue_seconds = Limits::infinity();
+  record.vt_latency_seconds = Limits::denorm_min();
   record.parallel_seconds = -0.0;
   record.total_train_seconds = -1e300;
-  record.comm_seconds = std::numeric_limits<double>::max();
-  record.loss = std::numeric_limits<double>::quiet_NaN();
-  record.nodes[0].node_id = std::numeric_limits<size_t>::max();
-  record.nodes[0].train_seconds = -std::numeric_limits<double>::infinity();
-  record.nodes[1].comm_seconds = -std::numeric_limits<double>::quiet_NaN();
-  auto parsed = ParseRoundRecordsCsv(RoundRecordsToCsv({record}));
+  record.comm_seconds = Limits::max();
+  record.loss = Limits::quiet_NaN();
+  record.nodes[0].node_id = UINT64_MAX;
+  record.nodes[0].train_seconds = -Limits::infinity();
+  record.nodes[1].comm_seconds = -Limits::quiet_NaN();
+  // Optional doubles are written whenever they are not +0.0.
+  RoundRecord optional = record;
+  optional.vt_queue_seconds = Limits::quiet_NaN();
+  optional.vt_latency_seconds = -0.0;
+  const std::vector<RoundRecord> records = {record, optional};
+  const std::string jsonl = RoundRecordsToJsonl(records);
+  for (const char* text :
+       {"\"query_id\":9007199254740993", "\"session\":18446744073709551615",
+        "\"loss\":\"NaN\"", "\"vt_queue_seconds\":\"Infinity\"",
+        "\"train_seconds\":\"-Infinity\"", "\"parallel_seconds\":-0",
+        "\"vt_latency_seconds\":-0"}) {
+    EXPECT_NE(jsonl.find(text), std::string::npos) << text;
+  }
+  auto parsed = ParseRoundRecordsJsonl(jsonl);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 1u);
-  RoundRecord back = (*parsed)[0];
-  EXPECT_TRUE(std::isnan(back.loss));
-  EXPECT_TRUE(std::isnan(back.nodes[1].comm_seconds));
-  EXPECT_TRUE(std::signbit(back.parallel_seconds));
-  back.loss = record.loss = 0.0;
-  back.nodes[1].comm_seconds = record.nodes[1].comm_seconds = 0.0;
-  ExpectRecordsEqual(record, back);
+  ASSERT_EQ(parsed->size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    ExpectRecordsEqual(records[i], (*parsed)[i]);
+  }
 }
 
-TEST(RoundRecordCsvTest, NoEngagedNodesStillRoundTrips) {
+TEST(RoundRecordJsonlTest, NoEngagedNodesStillRoundTrips) {
   RoundRecord record;
   record.query_id = 7;
   record.policy = "random";
   record.aggregation = "ensemble";
-  const std::string csv = RoundRecordsToCsv({record});
-  auto parsed = ParseRoundRecordsCsv(csv);
+  const std::string jsonl = RoundRecordsToJsonl({record});
+  EXPECT_NE(jsonl.find("\"nodes\":[]"), std::string::npos);
+  auto parsed = ParseRoundRecordsJsonl(jsonl);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 1u);
   ExpectRecordsEqual(record, (*parsed)[0]);
@@ -424,6 +409,30 @@ std::string Nested(size_t depth, const std::string& open,
   out += "0";
   for (size_t i = 0; i < depth; ++i) out += close;
   return out;
+}
+
+TEST(JsonValueTest, NumbersFollowRfc8259AndKeepTheirLiteral) {
+  for (const char* text : {"0", "-0", "7", "-12", "0.5", "1.5e-3", "1E+2",
+                           "2e10", "18446744073709551617"}) {
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_TRUE(parsed->is_number()) << text;
+    EXPECT_EQ(parsed->Literal(), text);
+    EXPECT_EQ(parsed->Dump(), text);
+  }
+  for (const char* text : {"+1", "01", "-01", ".5", "1.", "-", "1e", "1e+",
+                           "0x10", "- 1", "1.5.2", "NaN", "-NaN", "nan",
+                           "Infinity", "-Infinity", "inf", "-inf"}) {
+    EXPECT_FALSE(JsonValue::Parse(text).ok()) << text;
+  }
+  EXPECT_EQ(JsonValue::Count(UINT64_MAX).Dump(), "18446744073709551615");
+  EXPECT_EQ(JsonValue::Number(0.1).Dump(), "0.1");
+  EXPECT_EQ(JsonValue::Number(-0.0).Dump(), "-0");
+  using Limits = std::numeric_limits<double>;
+  EXPECT_EQ(JsonValue::Number(Limits::quiet_NaN()).Dump(), "\"NaN\"");
+  EXPECT_EQ(JsonValue::Number(-Limits::quiet_NaN()).Dump(), "\"NaN\"");
+  EXPECT_EQ(JsonValue::Number(Limits::infinity()).Dump(), "\"Infinity\"");
+  EXPECT_EQ(JsonValue::Number(-Limits::infinity()).Dump(), "\"-Infinity\"");
 }
 
 TEST(JsonValueTest, NestingDepthIsCapped) {
@@ -471,7 +480,7 @@ void ExpectSnapshotsEqual(const MetricsSnapshot& a, const MetricsSnapshot& b) {
   ASSERT_EQ(a.gauges.size(), b.gauges.size());
   for (const auto& [name, value] : a.gauges) {
     ASSERT_TRUE(b.gauges.count(name)) << name;
-    EXPECT_DOUBLE_EQ(value, b.gauges.at(name));
+    EXPECT_SAME_DOUBLE(value, b.gauges.at(name));
   }
   ASSERT_EQ(a.histograms.size(), b.histograms.size());
   for (const auto& [name, h] : a.histograms) {
@@ -479,12 +488,12 @@ void ExpectSnapshotsEqual(const MetricsSnapshot& a, const MetricsSnapshot& b) {
     const HistogramSnapshot& other = b.histograms.at(name);
     EXPECT_EQ(h.counts, other.counts);
     EXPECT_EQ(h.total, other.total);
-    EXPECT_DOUBLE_EQ(h.sum, other.sum);
-    EXPECT_DOUBLE_EQ(h.min, other.min);
-    EXPECT_DOUBLE_EQ(h.max, other.max);
+    EXPECT_SAME_DOUBLE(h.sum, other.sum);
+    EXPECT_SAME_DOUBLE(h.min, other.min);
+    EXPECT_SAME_DOUBLE(h.max, other.max);
     ASSERT_EQ(h.bounds.size(), other.bounds.size());
     for (size_t i = 0; i < h.bounds.size(); ++i) {
-      EXPECT_DOUBLE_EQ(h.bounds[i], other.bounds[i]);
+      EXPECT_SAME_DOUBLE(h.bounds[i], other.bounds[i]);
     }
   }
 }
@@ -505,18 +514,11 @@ TEST(MetricsSnapshotJsonTest, EmptySnapshotRoundTrips) {
   EXPECT_FALSE(ParseMetricsSnapshotJson("{{{").ok());
 }
 
-TEST(MetricsSnapshotCsvTest, RoundTripsExactly) {
-  const MetricsSnapshot snapshot = SampleSnapshot();
-  const std::string csv = MetricsSnapshotToCsv(snapshot);
-  auto parsed = ParseMetricsSnapshotCsv(csv);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ExpectSnapshotsEqual(snapshot, *parsed);
-}
-
-TEST(MetricsSnapshotJsonTest, RejectsCountsTheSnapshotCannotHold) {
-  // Counters, histogram counts and totals are unsigned. A negative,
-  // fractional, too-large or non-numeric JSON value must be refused (the
-  // cast would be undefined behaviour), never read as a wrapped count.
+TEST(MetricsSnapshotJsonTest, RejectsMalformedValues) {
+  // Counters, histogram counts and totals are plain digits: a negative,
+  // fractional, exponent-form, too-large or non-numeric value is refused,
+  // never rounded or wrapped. Gauges, bounds and histogram stats are
+  // numbers or exactly "NaN", "Infinity" or "-Infinity".
   const std::string good = MetricsSnapshotToJson(SampleSnapshot());
   ASSERT_TRUE(ParseMetricsSnapshotJson(good).ok());
   const std::pair<const char*, const char*> cases[] = {
@@ -529,6 +531,14 @@ TEST(MetricsSnapshotJsonTest, RejectsCountsTheSnapshotCannotHold) {
       {"\"total\":3", "\"total\":-5"},
       {"\"total\":3", "\"total\":1e300"},
       {"\"total\":3", "\"total\":2.5"},
+      {"\"total\":3", "\"total\":3e0"},
+      {"\"test.gauge\":-1.5", "\"test.gauge\":\"-1.5\""},
+      {"\"test.gauge\":-1.5", "\"test.gauge\":\"NaN \""},
+      {"\"test.gauge\":-1.5", "\"test.gauge\":\"-inf\""},
+      {"\"test.gauge\":-1.5", "\"test.gauge\":null"},
+      {"\"sum\":", "\"sum\":\"abc\",\"x\":"},
+      {"\"max\":", "\"max\":\"Infinite\",\"x\":"},
+      {"\"bounds\":[1e-06", "\"bounds\":[\"x\""},
   };
   for (const auto& [from, to] : cases) {
     std::string json = good;
@@ -542,53 +552,80 @@ TEST(MetricsSnapshotJsonTest, RejectsCountsTheSnapshotCannotHold) {
   }
 }
 
-TEST(MetricsSnapshotCsvTest, RejectsMalformedCells) {
-  // Every value is consumed whole: counts are digits only, doubles admit no
-  // trailing junk or padding, and rows have exactly their kind's cells.
-  const std::string good = MetricsSnapshotToCsv(SampleSnapshot());
-  ASSERT_TRUE(ParseMetricsSnapshotCsv(good).ok());
-  auto replaced = [&](const std::string& from, const std::string& to) {
-    std::string csv = good;
-    const size_t at = csv.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    return at == std::string::npos ? csv
-                                   : csv.replace(at, from.size(), to);
+TEST(MetricsSnapshotJsonTest, ExtremeValuesTheWriterEmitsStillParse) {
+  using Limits = std::numeric_limits<double>;
+  constexpr uint64_t kPast53 = (uint64_t{1} << 53) + 1;
+  MetricsRegistry::Enable();
+  MetricsRegistry* registry = MetricsRegistry::Get();
+  registry->Reset();
+  registry->IncrCounter("max", UINT64_MAX);
+  registry->IncrCounter("past53", kPast53);
+  registry->SetGauge("nan", Limits::quiet_NaN());
+  registry->SetGauge("negative_zero", -0.0);
+  registry->SetGauge("subnormal", Limits::denorm_min());
+  registry->Observe("span", Limits::infinity());   // max = +inf.
+  registry->Observe("span", -Limits::infinity());  // min = -inf, sum = NaN.
+  MetricsSnapshot snapshot = registry->Snapshot();
+  MetricsRegistry::Disable();
+  HistogramSnapshot& big = snapshot.histograms["big"];
+  big.bounds = {1.0};
+  big.counts = {kPast53, 0};
+  big.total = kPast53;
+  big.sum = 1e16;
+  big.min = big.max = 0.5;
+
+  const std::string json = MetricsSnapshotToJson(snapshot);
+  for (const char* text :
+       {"\"max\":18446744073709551615", "\"past53\":9007199254740993",
+        "\"nan\":\"NaN\"", "\"negative_zero\":-0", "\"max\":\"Infinity\"",
+        "\"min\":\"-Infinity\"", "\"sum\":\"NaN\"",
+        "\"total\":9007199254740993"}) {
+    EXPECT_NE(json.find(text), std::string::npos) << text;
+  }
+  auto parsed = ParseMetricsSnapshotJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ExpectSnapshotsEqual(snapshot, *parsed);
+}
+
+TEST(MetricsSnapshotJsonTest, RejectsHistogramsThatBreakTheInvariant) {
+  // HistogramSnapshot: one count per bucket (bounds + overflow), strictly
+  // ascending edges, counts adding up to `total`, zero stats when empty.
+  auto parse = [](const std::string& histogram) {
+    return ParseMetricsSnapshotJson(R"({"histograms":{"h":{)" + histogram +
+                                    "}}}");
   };
-  std::vector<std::string> bad;
-  for (const char* cell : {"", "abc", "-12", "+12", "12x", " 12", "1.5",
-                           "18446744073709551616"}) {
-    bad.push_back(replaced("counter,federation.rounds,12",
-                           std::string("counter,federation.rounds,") + cell));
-  }
-  for (const char* cell : {"", "abc", "-1.5x", " -1.5", "-1.5 "}) {
-    bad.push_back(
-        replaced("gauge,test.gauge,-1.5", std::string("gauge,test.gauge,") +
-                                              cell));
-  }
-  for (const char* stat : {"total=-3", "total=3x", "total=", "sum=x",
-                           "min=0.002 ", "max=4000x"}) {
-    const std::string name = Split(stat, '=')[0];
-    const size_t begin = good.find(name + "=");
-    const size_t end = good.find_first_of("|,", begin);
-    bad.push_back(replaced(good.substr(begin, end - begin), stat));
-  }
-  // The bounds and counts cells (the histogram row's last two), then a row
-  // with a cell too many.
-  const size_t row_end = good.find('\n', good.find("histogram,"));
-  const size_t counts_cell = good.rfind(',', row_end) + 1;
-  const size_t bounds_cell = good.rfind(',', counts_cell - 2) + 1;
-  bad.push_back(std::string(good).insert(bounds_cell, "abc|"));
-  bad.push_back(std::string(good).insert(counts_cell, "-1|"));
-  bad.push_back(std::string(good).insert(counts_cell, "1x|"));
-  bad.push_back(replaced("counter,federation.rounds,12",
-                         "counter,federation.rounds,12,7"));
-  for (const std::string& csv : bad) {
-    auto parsed = ParseMetricsSnapshotCsv(csv);
-    EXPECT_FALSE(parsed.ok()) << csv;
-    if (!parsed.ok()) {
-      EXPECT_TRUE(parsed.status().IsInvalidArgument())
-          << parsed.status().ToString();
-    }
+  ASSERT_TRUE(parse(R"("bounds":[1,2],"counts":[1,2,2],"total":5,)"
+                    R"("sum":9,"min":0.5,"max":3)")
+                  .ok());
+  ASSERT_TRUE(parse(R"("bounds":[],"counts":[0],"total":0,)"
+                    R"("sum":0,"min":0,"max":0)")
+                  .ok());
+  for (const char* histogram : {
+           R"("bounds":[1,2],"counts":[5],"total":5,"sum":9,"min":1,"max":3)",
+           R"("bounds":[1,2],"counts":[1,2,2,0],"total":5,)"
+           R"("sum":9,"min":1,"max":3)",
+           R"("bounds":[2,1],"counts":[1,2,2],"total":5,)"
+           R"("sum":9,"min":1,"max":3)",
+           R"("bounds":[1,1],"counts":[1,2,2],"total":5,)"
+           R"("sum":9,"min":1,"max":3)",
+           R"("bounds":["NaN",1],"counts":[1,2,2],"total":5,)"
+           R"("sum":9,"min":1,"max":3)",
+           R"("bounds":[1,2],"counts":[1,2,2],"total":0,)"
+           R"("sum":1,"min":0,"max":3)",
+           R"("bounds":[1,2],"counts":[1,2,2],"total":9,)"
+           R"("sum":9,"min":1,"max":3)",
+           // Wrapping would sum these to 0 and match the total.
+           R"("bounds":[1,2],"counts":[18446744073709551615,1,0],)"
+           R"("total":0,"sum":0,"min":0,"max":0)",
+           R"("bounds":[1,2],"counts":[0,0,0],"total":0,)"
+           R"("sum":1,"min":0,"max":3)",
+           R"("bounds":[1,2],"counts":[1,2,2],"sum":9,"min":1,"max":3)",
+           R"("bounds":[1,2],"counts":[1,2,2],"total":5,"min":1,"max":3)",
+       }) {
+    auto parsed = parse(histogram);
+    ASSERT_FALSE(parsed.ok()) << histogram;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << parsed.status().ToString();
   }
 }
 
