@@ -28,13 +28,17 @@ double Rng::Uniform(double lo, double hi) {
 
 uint64_t Rng::UniformInt(uint64_t n) {
   assert(n > 0);
-  // Rejection sampling to remove modulo bias.
-  const uint64_t limit = max() - max() % n;
+  // Rejection sampling to remove modulo bias: accept x iff it lies below
+  // the largest multiple of n, ⌊max/n⌋·n. x - x % n is x's own multiple of
+  // n, and it is below that bound iff it is at most max - n, so one
+  // division per draw decides both the test and the value.
   uint64_t x;
+  uint64_t r;
   do {
     x = Next();
-  } while (x >= limit);
-  return x % n;
+    r = x % n;
+  } while (x - r > max() - n);
+  return r;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

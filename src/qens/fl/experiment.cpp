@@ -1,6 +1,5 @@
 #include "qens/fl/experiment.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "qens/common/string_util.h"
@@ -122,32 +121,6 @@ std::string FormatMechanismTable(const std::vector<MechanismStats>& rows) {
                      r.queries_run, r.queries_skipped);
   }
   return out.str();
-}
-
-}  // namespace qens::fl
-
-namespace qens::fl {
-
-std::string FormatQueryRecordsCsv(const std::vector<QueryRecord>& records) {
-  std::ostringstream out;
-  out << "query_id,skipped,loss,sim_time_s,wall_seconds,data_fraction,"
-         "samples_used,selected_nodes\n";
-  for (const auto& r : records) {
-    out << StrFormat("%llu,%d,%.6f,%.6f,%.6f,%.6f,%zu,%zu\n",
-                     static_cast<unsigned long long>(r.query_id),
-                     r.skipped ? 1 : 0, r.loss, r.sim_time, r.wall_seconds,
-                     r.data_fraction_all, r.samples_used, r.selected_nodes);
-  }
-  return out.str();
-}
-
-Status WriteQueryRecordsCsv(const std::vector<QueryRecord>& records,
-                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << FormatQueryRecordsCsv(records);
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
 }
 
 }  // namespace qens::fl

@@ -114,14 +114,6 @@ class ExperimentRunner {
 /// data%") for printing by the bench binaries.
 std::string FormatMechanismTable(const std::vector<MechanismStats>& rows);
 
-/// Serialize per-query records as CSV (header + one row per query) — the
-/// raw series behind Figs. 8/9, for external plotting.
-std::string FormatQueryRecordsCsv(const std::vector<QueryRecord>& records);
-
-/// Write FormatQueryRecordsCsv output to `path`.
-Status WriteQueryRecordsCsv(const std::vector<QueryRecord>& records,
-                            const std::string& path);
-
 }  // namespace qens::fl
 
 #endif  // QENS_FL_EXPERIMENT_H_

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "qens/common/string_util.h"
+#include "qens/ml/kernel_isa.h"
 
 namespace qens::ml {
 
@@ -197,6 +198,8 @@ SweepParams ParamsOf(const DenseLayer& hidden, const DenseLayer& head) {
 // blocking changes no bit. Each half is a single loop over units, innermost
 // and branch-free, so it vectorizes.
 
+// Four, not eight: an 8-row tile keeps the bits too, but measured slower
+// on paper_nn on both instruction sets (docs/PERFORMANCE.md).
 constexpr size_t kSweepRows = 4;
 
 /// Calls block.template operator()<R>(r) for each row block of an n-row
@@ -306,6 +309,76 @@ void SweepPredict(const SweepParams& p, const Matrix& x, double* tile,
   });
 }
 
+/// A training sweep's operands; dw, db and dv must hold zeros.
+struct SweepMseJob {
+  SweepParams p;
+  const Matrix* x;
+  const double* t;
+  double* tile;
+  double* dw;
+  double* db;
+  double* dv;
+};
+
+/// A prediction sweep's operands.
+struct SweepPredictJob {
+  SweepParams p;
+  const Matrix* x;
+  double* tile;
+  double* pred;
+};
+
+// The one body of each sweep, compiled once per instruction set
+// (kernel_isa.h): inline here for the baseline copy, and flattened into
+// the target("avx2") copies below.
+
+inline double RunSweepMse(Activation a, const SweepMseJob& j, double* dc) {
+  return DispatchActivation(a, [&]<Activation A>() {
+    return SweepMse<A>(j.p, *j.x, j.t, j.tile, j.dw, j.db, j.dv, dc);
+  });
+}
+
+inline void RunSweepPredict(Activation a, const SweepPredictJob& j) {
+  DispatchActivation(a, [&]<Activation A>() {
+    SweepPredict<A>(j.p, *j.x, j.tile, j.pred);
+  });
+}
+
+#if QENS_ML_AVX2_KERNELS
+// `flatten` inlines the whole sweep, DispatchActivation's lambda included,
+// into these functions, so it is compiled for AVX2 here. Without it the
+// lambda stays out of line as baseline code and these copies hold no ymm
+// instruction (CI disassembles them to check).
+[[gnu::target("avx2"), gnu::flatten]] double SweepMseAvx2(
+    Activation a, const SweepMseJob& j, double* dc) {
+  return RunSweepMse(a, j, dc);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void SweepPredictAvx2(
+    Activation a, const SweepPredictJob& j) {
+  RunSweepPredict(a, j);
+}
+#endif
+
+double SweepMseOnActiveIsa(Activation a, const SweepMseJob& j, double* dc) {
+#if QENS_ML_AVX2_KERNELS
+  if (internal::ActiveKernelIsa() == internal::KernelIsa::kAvx2) {
+    return SweepMseAvx2(a, j, dc);
+  }
+#endif
+  return RunSweepMse(a, j, dc);
+}
+
+void SweepPredictOnActiveIsa(Activation a, const SweepPredictJob& j) {
+#if QENS_ML_AVX2_KERNELS
+  if (internal::ActiveKernelIsa() == internal::KernelIsa::kAvx2) {
+    SweepPredictAvx2(a, j);
+    return;
+  }
+#endif
+  RunSweepPredict(a, j);
+}
+
 Status CheckSweepInput(const char* who, const DenseLayer& hidden,
                        const DenseLayer& head, const Matrix& x) {
   if (!IsHiddenSweepPair(hidden, head)) {
@@ -345,27 +418,25 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
   dv.ResizeUninitialized(p.units, 1);
   std::fill(dv.data().begin(), dv.data().end(), 0.0);
   double dc = 0.0;
-  *loss = DispatchActivation(hidden.activation(), [&]<Activation A>() {
-    return SweepMse<A>(p, x, target.data().data(), tile->data().data(),
-                       dw.data().data(), hidden_grads->d_bias.data(),
-                       dv.data().data(), &dc);
-  });
+  *loss = SweepMseOnActiveIsa(
+      hidden.activation(),
+      {p, &x, target.data().data(), tile->data().data(), dw.data().data(),
+       hidden_grads->d_bias.data(), dv.data().data()},
+      &dc);
   head_grads->d_bias.assign(1, dc);
   return Status::OK();
 }
 
-Result<Matrix> HiddenSweepPredict(const DenseLayer& hidden,
-                                  const DenseLayer& head, const Matrix& x) {
-  QENS_RETURN_NOT_OK(CheckSweepInput("HiddenSweepPredict", hidden, head, x));
+Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
+                              const Matrix& x, Matrix* tile, Matrix* pred) {
+  QENS_RETURN_NOT_OK(
+      CheckSweepInput("HiddenSweepPredictInto", hidden, head, x));
   const SweepParams p = ParamsOf(hidden, head);
-  Matrix tile;
-  tile.ResizeUninitialized(kSweepRows, p.units);
-  Matrix pred;
-  pred.ResizeUninitialized(x.rows(), 1);
-  DispatchActivation(hidden.activation(), [&]<Activation A>() {
-    SweepPredict<A>(p, x, tile.data().data(), pred.data().data());
-  });
-  return pred;
+  tile->ResizeUninitialized(kSweepRows, p.units);
+  pred->ResizeUninitialized(x.rows(), 1);
+  SweepPredictOnActiveIsa(hidden.activation(),
+                          {p, &x, tile->data().data(), pred->data().data()});
+  return Status::OK();
 }
 
 Status DenseLayer::ApplyDelta(double alpha, const DenseGradients& delta) {

@@ -131,10 +131,12 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
                           DenseGradients* head_grads);
 
 /// Inference through a hidden-sweep pair with the forward half of the same
-/// sweep: (batch x 1) predictions, bit-identical to hidden.Apply followed
-/// by head.Apply, through a 4 x H tile instead of a batch x H intermediate.
-Result<Matrix> HiddenSweepPredict(const DenseLayer& hidden,
-                                  const DenseLayer& head, const Matrix& x);
+/// sweep: (batch x 1) predictions into `pred`, bit-identical to
+/// hidden.Apply followed by head.Apply, through a 4 x H `tile` instead of
+/// a batch x H intermediate. Both buffers are resized in place, so a
+/// caller that keeps them predicts without allocating once they have grown.
+Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
+                              const Matrix& x, Matrix* tile, Matrix* pred);
 
 }  // namespace qens::ml
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "qens/common/string_util.h"
+#include "qens/ml/kernel_isa.h"
 
 namespace qens::ml {
 namespace {
@@ -20,6 +21,44 @@ void ForEachParam(DenseLayer* layer, const DenseGradients& g, Update update) {
     update(b[i], g.d_bias[i], w.size() + i);
   }
 }
+
+/// One Adam step's scalars: the moment decays, the step's bias
+/// corrections 1 - beta^t, the learning rate and epsilon.
+struct AdamCoefficients {
+  double beta1;
+  double beta2;
+  double bc1;
+  double bc2;
+  double learning_rate;
+  double epsilon;
+};
+
+/// The Adam update of n parameters `p` from their gradients `g` and
+/// moments `m`, `v`. The one body of the update, compiled once per
+/// instruction set (kernel_isa.h): this is the baseline copy, and
+/// AdamUpdateAvx2 flattens it into an AVX2 one. A free function because a
+/// virtual one cannot be given a target. This file builds with
+/// -fno-math-errno (see src/CMakeLists.txt), so std::sqrt is one sqrtpd
+/// lane per parameter.
+inline void AdamUpdate(const AdamCoefficients& c, size_t n,
+                       double* __restrict p, const double* __restrict g,
+                       double* __restrict m, double* __restrict v) {
+  for (size_t i = 0; i < n; ++i) {
+    m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g[i];
+    v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g[i] * g[i];
+    const double mhat = m[i] / c.bc1;
+    const double vhat = v[i] / c.bc2;
+    p[i] += -c.learning_rate * mhat / (std::sqrt(vhat) + c.epsilon);
+  }
+}
+
+#if QENS_ML_AVX2_KERNELS
+[[gnu::target("avx2"), gnu::flatten]] void AdamUpdateAvx2(
+    const AdamCoefficients& c, size_t n, double* p, const double* g,
+    double* m, double* v) {
+  AdamUpdate(c, n, p, g, m, v);
+}
+#endif
 
 Status CheckGrads(const SequentialModel& model,
                   const std::vector<DenseGradients>& grads) {
@@ -81,8 +120,19 @@ Status AdamOptimizer::Step(SequentialModel* model,
     t_ = 0;
   }
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const AdamCoefficients c{
+      beta1_,
+      beta2_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_)),
+      learning_rate_,
+      epsilon_};
+  auto* update = &AdamUpdate;
+#if QENS_ML_AVX2_KERNELS
+  if (internal::ActiveKernelIsa() == internal::KernelIsa::kAvx2) {
+    update = &AdamUpdateAvx2;
+  }
+#endif
   for (size_t li = 0; li < grads.size(); ++li) {
     DenseLayer* layer = &model->layer(li);
     auto& m = m_[li];
@@ -91,15 +141,13 @@ Status AdamOptimizer::Step(SequentialModel* model,
       m.assign(layer->ParameterCount(), 0.0);
       v.assign(layer->ParameterCount(), 0.0);
     }
-    // Vectorized: this file builds with -fno-math-errno (see
-    // src/CMakeLists.txt), so std::sqrt is one sqrtpd lane per parameter.
-    ForEachParam(layer, grads[li], [&](double& p, double g, size_t i) {
-      m[i] = beta1_ * m[i] + (1.0 - beta1_) * g;
-      v[i] = beta2_ * v[i] + (1.0 - beta2_) * g * g;
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      p += -learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
-    });
+    // The flat order ForEachParam visits: weights, then bias.
+    std::vector<double>& w = layer->weights().data();
+    std::vector<double>& b = layer->bias();
+    update(c, w.size(), w.data(), grads[li].d_weights.data().data(),
+           m.data(), v.data());
+    update(c, b.size(), b.data(), grads[li].d_bias.data(),
+           m.data() + w.size(), v.data() + w.size());
   }
   return Status::OK();
 }

@@ -49,7 +49,11 @@ Result<Matrix> SequentialModel::Predict(const Matrix& x) const {
     return Status::FailedPrecondition("Predict: model has no layers");
   }
   if (IsHiddenSweepModel()) {
-    return HiddenSweepPredict(layers_[0], layers_[1], x);
+    Matrix tile;
+    Matrix pred;
+    QENS_RETURN_NOT_OK(
+        HiddenSweepPredictInto(layers_[0], layers_[1], x, &tile, &pred));
+    return pred;
   }
   // Apply is const and cache-free, so inference neither copies layers nor
   // touches training state.
@@ -106,6 +110,16 @@ Status SequentialModel::BackwardLayers(size_t count, const Matrix& x,
 
 Status SequentialModel::ForwardInto(const Matrix& x, TrainWorkspace* ws) const {
   QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  return ForwardLayers(layers_.size(), x, ws);
+}
+
+Status SequentialModel::PredictInto(const Matrix& x,
+                                    TrainWorkspace* ws) const {
+  QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  if (IsHiddenSweepModel()) {
+    return HiddenSweepPredictInto(layers_[0], layers_[1], x, &ws->sweep_tile,
+                                  &ws->layers[1].out);
+  }
   return ForwardLayers(layers_.size(), x, ws);
 }
 

@@ -67,6 +67,12 @@ class SequentialModel {
   /// use); the prediction lands in ws->layers.back().out.
   Status ForwardInto(const Matrix& x, TrainWorkspace* ws) const;
 
+  /// Predict into `ws`: the prediction lands in ws->layers.back().out, bit
+  /// for bit Predict's, with no allocation once the buffers have grown. A
+  /// hidden-sweep model writes only that buffer and ws->sweep_tile, so
+  /// this is not a training forward: BackwardInto needs ForwardInto.
+  Status PredictInto(const Matrix& x, TrainWorkspace* ws) const;
+
   /// Backprop dL/dprediction (`grad_out`) through the ForwardInto that
   /// filled `ws` for the same `x`; fills ws->grads, one entry per layer.
   /// `grad_out` must not alias a dz or dx buffer of `ws`.

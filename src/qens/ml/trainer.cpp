@@ -203,9 +203,10 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
     ++report.epochs_run;
 
     if (n_val > 0) {
-      // The validation forward reuses the workspace: same math as Predict,
-      // without a fresh buffer per layer per epoch.
-      QENS_RETURN_NOT_OK(model->ForwardInto(x_val, &workspace_));
+      // The validation forward reuses the workspace: Predict's math (the
+      // sweep's forward half on a sweep model), without a fresh buffer per
+      // epoch.
+      QENS_RETURN_NOT_OK(model->PredictInto(x_val, &workspace_));
       QENS_ASSIGN_OR_RETURN(
           double vl,
           ComputeLoss(options_.loss, workspace_.layers.back().out, y_val));

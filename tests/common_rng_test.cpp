@@ -64,6 +64,94 @@ TEST(RngTest, UniformIntCoversDomainWithoutBias) {
   }
 }
 
+// The two-modulo form UniformInt used to have: accept below
+// limit = max - max % n, return x % n. Counts the draws it rejects.
+uint64_t TwoModuloUniformInt(Rng* rng, uint64_t n, uint64_t* rejected) {
+  const uint64_t limit = Rng::max() - Rng::max() % n;
+  uint64_t x;
+  while ((x = rng->Next()) >= limit) ++*rejected;
+  return x % n;
+}
+
+/// The seed of the Rng whose first Next() returns x. SplitMix64's output
+/// mix is a bijection: undo each xor-shift and each odd multiplier (by its
+/// inverse mod 2^64), then the two golden-ratio steps that Rng(seed) and
+/// Next() add to the state.
+uint64_t SeedForFirstOutput(uint64_t x) {
+  auto unshift = [](uint64_t y, int s) {
+    uint64_t z = y;
+    for (int i = 0; i < 64 / s + 1; ++i) z = y ^ (z >> s);
+    return z;
+  };
+  auto inverse = [](uint64_t m) {
+    uint64_t inv = m;  // Newton's iteration doubles the correct low bits.
+    for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
+    return inv;
+  };
+  uint64_t z = unshift(x, 31);
+  z = unshift(z * inverse(0x94d049bb133111ebull), 27);
+  z = unshift(z * inverse(0xbf58476d1ce4e5b9ull), 30);
+  return z - 2 * 0x9e3779b97f4a7c15ull;
+}
+
+TEST(RngTest, UniformIntAcceptsExactlyBelowTheLastWholeMultiple) {
+  // The draws at the acceptance boundary, ⌊max/n⌋·n - 1 (the last value
+  // accepted) and ⌊max/n⌋·n (the first rejected), for n that divide max
+  // (1, 3, 5, 65537 and max itself, where the first rejected value is max),
+  // a power of two and the rejection-heavy sizes above.
+  const uint64_t max = Rng::max();
+  for (uint64_t n : {uint64_t{1}, uint64_t{3}, uint64_t{5}, uint64_t{7},
+                     uint64_t{1000}, uint64_t{65537}, uint64_t{1} << 32,
+                     (uint64_t{1} << 63) + 1, max / 3 * 2 + 1, max - 1,
+                     max}) {
+    const uint64_t limit = max / n * n;
+    for (uint64_t x : {limit - 1, limit}) {
+      const uint64_t seed = SeedForFirstOutput(x);
+      ASSERT_EQ(Rng(seed).Next(), x);
+      Rng a(seed);
+      Rng b(seed);
+      uint64_t rejected = 0;
+      // ASSERT: a form that rejects too much never returns for n = max.
+      ASSERT_EQ(a.UniformInt(n), TwoModuloUniformInt(&b, n, &rejected))
+          << "n = " << n << ", x = " << x;
+      // x = limit is rejected; later draws may be rejected too.
+      ASSERT_EQ(rejected > 0, x == limit) << "n = " << n;
+      ASSERT_EQ(a.Next(), b.Next()) << "n = " << n << ", x = " << x;
+    }
+  }
+}
+
+TEST(RngTest, UniformIntMatchesTheTwoModuloFormDrawForDraw) {
+  // Same values and same generator state after every draw, where
+  // rejections are rare (small n) and common (n just above 2^63 rejects
+  // about half of all draws, n near (2/3)·2^64 about a third). SplitMix64's
+  // output is a bijection of its state, so equal next outputs of copies
+  // mean equal states.
+  std::vector<uint64_t> ns;
+  for (uint64_t n = 1; n <= 1000; ++n) ns.push_back(n);
+  const uint64_t two_63 = uint64_t{1} << 63;
+  const uint64_t two_thirds = Rng::max() / 3 * 2;
+  for (uint64_t d = 0; d <= 4; ++d) {
+    ns.insert(ns.end(), {two_63 - d, two_63 + d, two_thirds - d,
+                         two_thirds + d, Rng::max() - d});
+  }
+  Rng a(41);
+  Rng b(41);
+  uint64_t rejected = 0;
+  for (uint64_t n : ns) {
+    const int draws = n <= 1000 ? 20 : 400;
+    for (int i = 0; i < draws; ++i) {
+      const uint64_t got = a.UniformInt(n);
+      ASSERT_EQ(got, TwoModuloUniformInt(&b, n, &rejected)) << "n = " << n;
+      ASSERT_LT(got, n);
+      Rng next_a = a;
+      Rng next_b = b;
+      ASSERT_EQ(next_a.Next(), next_b.Next()) << "n = " << n;
+    }
+  }
+  EXPECT_GT(rejected, 1000u);  // The rejection branch really ran.
+}
+
 TEST(RngTest, UniformIntInclusiveRange) {
   Rng rng(15);
   bool saw_lo = false, saw_hi = false;

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "qens/fl/experiment.h"
 
 namespace qens::fl {
@@ -161,27 +159,6 @@ TEST(IntegrationTest, FormatMechanismTableContainsRows) {
   const std::string table = FormatMechanismTable({s});
   EXPECT_NE(table.find("TestMech"), std::string::npos);
   EXPECT_NE(table.find("avg loss"), std::string::npos);
-}
-
-TEST(IntegrationTest, QueryRecordsCsvRoundTrip) {
-  auto runner = ExperimentRunner::Create(
-      SmallConfig(data::Heterogeneity::kHomogeneous));
-  ASSERT_TRUE(runner.ok());
-  Mechanism ours{"Averaging", selection::PolicyKind::kQueryDriven, true,
-                 AggregationKind::kModelAveraging};
-  auto records = runner->RunPerQuery(ours, 4);
-  ASSERT_TRUE(records.ok());
-  const std::string csv = FormatQueryRecordsCsv(*records);
-  // Header + one line per record.
-  size_t lines = 0;
-  for (char c : csv) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 1u + records->size());
-  EXPECT_NE(csv.find("query_id,skipped,loss"), std::string::npos);
-  EXPECT_TRUE(
-      WriteQueryRecordsCsv(*records, "/tmp/qens_records_test.csv").ok());
-  std::remove("/tmp/qens_records_test.csv");
-  EXPECT_TRUE(WriteQueryRecordsCsv(*records, "/no/such/dir/x.csv")
-                  .IsIOError());
 }
 
 TEST(IntegrationTest, PerQueryLimitRespected) {

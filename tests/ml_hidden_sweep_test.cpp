@@ -14,7 +14,9 @@
 // and -0.0 planted in the inputs, the hidden weights, the head weights and
 // the targets, plus targets equal to the predictions (zero gradients).
 // Malformed inputs must fail with the generic chain's status code before
-// any gradient buffer is written.
+// any gradient buffer is written. The bit-equality cases run on every copy
+// of the sweep kernels this build and CPU can run (qens/ml/kernel_isa.h),
+// and PredictInto (the trainer's validation pass) must match Predict.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "qens/common/rng.h"
+#include "qens/ml/kernel_isa.h"
 #include "qens/ml/loss.h"
 #include "qens/ml/sequential_model.h"
 
@@ -52,6 +55,19 @@ bool SameBitsOrBothNaN(const Matrix& a, const Matrix& b) {
     if (std::memcmp(&u, &v, sizeof(u)) != 0) return false;
   }
   return true;
+}
+
+/// Runs `fn` once on each kernel copy this build and CPU can run.
+template <typename Fn>
+void OnEveryKernelIsa(Fn&& fn) {
+  using internal::KernelIsa;
+  for (KernelIsa isa : {KernelIsa::kBaseline, KernelIsa::kAvx2}) {
+    if (isa == KernelIsa::kAvx2 && !internal::Avx2KernelsAvailable()) continue;
+    const internal::ScopedKernelIsa forced(isa);
+    SCOPED_TRACE(isa == KernelIsa::kAvx2 ? "avx2 kernels"
+                                         : "baseline kernels");
+    fn();
+  }
 }
 
 /// Where a special value is planted.
@@ -131,6 +147,9 @@ void ExpectSweepMatchesGeneric(const Case& c) {
   const Matrix generic_pred = GenericPredict(m, x).value();
   const Matrix sweep_pred = m.Predict(x).value();
   EXPECT_TRUE(SameBits(generic_pred, sweep_pred)) << c.Name();
+  TrainWorkspace pred_ws;
+  ASSERT_TRUE(m.PredictInto(x, &pred_ws).ok()) << c.Name();
+  EXPECT_TRUE(SameBits(generic_pred, pred_ws.layers.back().out)) << c.Name();
 
   StepResult generic;
   ASSERT_TRUE(GenericStep(m, x, y, &generic).ok()) << c.Name();
@@ -175,67 +194,75 @@ const Activation kActivations[] = {Activation::kIdentity, Activation::kRelu,
                                    Activation::kSigmoid, Activation::kTanh};
 
 TEST(HiddenSweepTest, MatchesGenericChainBitForBit) {
-  for (Activation act : kActivations) {
-    for (size_t d : {size_t{1}, size_t{3}, size_t{13}}) {
-      for (size_t units : {size_t{1}, size_t{5}, size_t{64}}) {
-        for (size_t rows : {1, 3, 4, 5, 32, 33}) {
-          ExpectSweepMatchesGeneric({rows, d, units, act, Plant::kNone, 0.0});
+  OnEveryKernelIsa([] {
+    for (Activation act : kActivations) {
+      for (size_t d : {size_t{1}, size_t{3}, size_t{13}}) {
+        for (size_t units : {size_t{1}, size_t{5}, size_t{64}}) {
+          for (size_t rows : {1, 3, 4, 5, 32, 33}) {
+            ExpectSweepMatchesGeneric(
+                {rows, d, units, act, Plant::kNone, 0.0});
+          }
         }
       }
     }
-  }
+  });
 }
 
 TEST(HiddenSweepTest, NonFiniteAndNegativeZeroPropagateAsInTheGenericChain) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (Activation act : kActivations) {
-    for (Plant plant : {Plant::kInput, Plant::kHiddenWeight,
-                        Plant::kHeadWeight, Plant::kTarget}) {
-      for (double special : {nan, inf, -inf, -0.0}) {
-        for (size_t d : {size_t{1}, size_t{3}, size_t{13}}) {
-          for (size_t units : {size_t{1}, size_t{5}, size_t{64}}) {
-            for (size_t rows : {1, 5, 33}) {
-              ExpectSweepMatchesGeneric({rows, d, units, act, plant, special});
+  OnEveryKernelIsa([&] {
+    for (Activation act : kActivations) {
+      for (Plant plant : {Plant::kInput, Plant::kHiddenWeight,
+                          Plant::kHeadWeight, Plant::kTarget}) {
+        for (double special : {nan, inf, -inf, -0.0}) {
+          for (size_t d : {size_t{1}, size_t{3}, size_t{13}}) {
+            for (size_t units : {size_t{1}, size_t{5}, size_t{64}}) {
+              for (size_t rows : {1, 5, 33}) {
+                ExpectSweepMatchesGeneric(
+                    {rows, d, units, act, plant, special});
+              }
             }
           }
         }
       }
     }
-  }
+  });
 }
 
 TEST(HiddenSweepTest, ExactFitGivesTheGenericSignedZeros) {
   // Targets equal to the predictions make every g = +0.0, so every
   // gradient is a signed zero (g * v is -0.0 for a negative head weight);
   // the sweep must produce the generic chain's zeros bit for bit.
-  for (Activation act : kActivations) {
-    for (size_t d : {size_t{1}, size_t{3}}) {
-      for (size_t rows : {1, 4, 33}) {
-        const Case c{rows, d, 5, act, Plant::kNone, 0.0};
-        Rng rng(77 + rows + d);
-        const SequentialModel m = MakeModel(c, &rng);
-        Matrix x(rows, d);
-        for (double& v : x.data()) v = rng.Uniform(-2, 2);
-        const Matrix y = GenericPredict(m, x).value();
+  OnEveryKernelIsa([] {
+    for (Activation act : kActivations) {
+      for (size_t d : {size_t{1}, size_t{3}}) {
+        for (size_t rows : {1, 4, 33}) {
+          const Case c{rows, d, 5, act, Plant::kNone, 0.0};
+          Rng rng(77 + rows + d);
+          const SequentialModel m = MakeModel(c, &rng);
+          Matrix x(rows, d);
+          for (double& v : x.data()) v = rng.Uniform(-2, 2);
+          const Matrix y = GenericPredict(m, x).value();
 
-        StepResult generic;
-        ASSERT_TRUE(GenericStep(m, x, y, &generic).ok());
-        TrainWorkspace ws;
-        const double loss = m.LossAndGradients(LossKind::kMse, x, y, &ws)
-                                .value();
-        EXPECT_EQ(loss, 0.0) << c.Name();
-        EXPECT_TRUE(SameBits({generic.loss}, {loss})) << c.Name();
-        for (size_t i = 0; i < 2; ++i) {
-          EXPECT_TRUE(
-              SameBits(generic.grads[i].d_weights, ws.grads[i].d_weights))
-              << c.Name() << " layer " << i;
-          EXPECT_TRUE(SameBits(generic.grads[i].d_bias, ws.grads[i].d_bias))
-              << c.Name() << " layer " << i;
+          StepResult generic;
+          ASSERT_TRUE(GenericStep(m, x, y, &generic).ok());
+          TrainWorkspace ws;
+          const double loss = m.LossAndGradients(LossKind::kMse, x, y, &ws)
+                                  .value();
+          EXPECT_EQ(loss, 0.0) << c.Name();
+          EXPECT_TRUE(SameBits({generic.loss}, {loss})) << c.Name();
+          for (size_t i = 0; i < 2; ++i) {
+            EXPECT_TRUE(
+                SameBits(generic.grads[i].d_weights, ws.grads[i].d_weights))
+                << c.Name() << " layer " << i;
+            EXPECT_TRUE(SameBits(generic.grads[i].d_bias, ws.grads[i].d_bias))
+                << c.Name() << " layer " << i;
+          }
         }
       }
     }
-  }
+  });
 }
 
 TEST(HiddenSweepTest, PredictOnZeroRows) {

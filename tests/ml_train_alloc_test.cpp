@@ -8,8 +8,9 @@
 //     ragged batch;
 //   - without early stopping, a Fit's allocation count is set-up only: a
 //     second Fit makes the same number of allocations at 5 epochs as at 50,
-//     on whole matrices and on a row-id view (whose batches are gathered
-//     into the trainer's workspace);
+//     on whole matrices (the sweep's per-epoch validation pass included)
+//     and on a row-id view (whose batches are gathered into the trainer's
+//     workspace);
 //   - Predict on the hidden-layer sweep (the paper NN's shape) allocates
 //     the same number of blocks for 1 row as for 1000, and at 1000 rows its
 //     largest block is the 1000 x 1 prediction: no batch x H intermediate,
@@ -176,12 +177,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// Allocations of the second Fit of a trainer at `epochs` epochs.
-uint64_t SecondFitAllocs(size_t hidden, LossKind loss, size_t epochs,
-                         double validation_split) {
-  constexpr size_t kFeatures = 4;
-  SequentialModel model = MakeModel(kFeatures, hidden);
+uint64_t SecondFitAllocs(size_t features, size_t hidden, LossKind loss,
+                         size_t epochs, double validation_split) {
+  SequentialModel model = MakeModel(features, hidden);
   Matrix x, y;
-  RandomData(100, kFeatures, 11, &x, &y);  // Ends in a ragged batch.
+  RandomData(100, features, 11, &x, &y);  // Ends in a ragged batch.
   TrainOptions options;
   options.epochs = epochs;
   options.loss = loss;
@@ -192,14 +192,20 @@ uint64_t SecondFitAllocs(size_t hidden, LossKind loss, size_t epochs,
 }
 
 TEST(TrainAllocTest, FitAllocationsDoNotGrowWithEpochs) {
-  for (size_t hidden : {size_t{0}, size_t{16}}) {
-    for (LossKind loss : {LossKind::kMse, LossKind::kMae}) {
-      for (double val : {0.0, 0.2}) {
-        const uint64_t at5 = SecondFitAllocs(hidden, loss, 5, val);
-        const uint64_t at50 = SecondFitAllocs(hidden, loss, 50, val);
-        EXPECT_EQ(at5, at50) << "hidden=" << hidden
-                             << " loss=" << LossName(loss) << " val=" << val;
-        EXPECT_GT(at5, 0u);  // Per-Fit set-up (index vectors, report).
+  // One feature into 16 units under MSE trains and validates through the
+  // hidden-layer sweep.
+  for (size_t features : {size_t{1}, size_t{4}}) {
+    for (size_t hidden : {size_t{0}, size_t{16}}) {
+      for (LossKind loss : {LossKind::kMse, LossKind::kMae}) {
+        for (double val : {0.0, 0.2}) {
+          const uint64_t at5 = SecondFitAllocs(features, hidden, loss, 5, val);
+          const uint64_t at50 =
+              SecondFitAllocs(features, hidden, loss, 50, val);
+          EXPECT_EQ(at5, at50)
+              << "features=" << features << " hidden=" << hidden
+              << " loss=" << LossName(loss) << " val=" << val;
+          EXPECT_GT(at5, 0u);  // Per-Fit set-up (index vectors, report).
+        }
       }
     }
   }

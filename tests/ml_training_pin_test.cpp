@@ -8,8 +8,15 @@
 // Coverage: LR and NN (ReLU, sigmoid, tanh hidden layers); SGD, SGD with
 // momentum 0.9 and Adam; MSE (the fused linear head), MAE and Huber (the
 // generic path); weight decay and clip norm on and off; a ragged last
-// batch, batch_size = 1, lr_decay, a validation split; and a degenerate
-// fit from all-zero weights whose targets equal the initial predictions.
+// batch, batch_size = 1, lr_decay, a validation split; a degenerate fit
+// from all-zero weights whose targets equal the initial predictions; and
+// the paper NN's shape, one input into 64 units at batch 32, which trains
+// and validates through the hidden-layer sweep.
+//
+// Every case runs on both copies of the NN kernels (qens/ml/kernel_isa.h),
+// the baseline and, where the build and CPU have it, AVX2, against the
+// same hash: the copies must agree bit for bit. The nn64 hashes were
+// recorded before the AVX2 copies existed.
 //
 // The constants assume IEEE-754 doubles without FMA contraction (the
 // project's default x86-64 flags) and glibc's exp/tanh for the sigmoid and
@@ -21,16 +28,21 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "qens/common/rng.h"
+#include "qens/ml/kernel_isa.h"
 #include "qens/ml/optimizer.h"
 #include "qens/ml/sequential_model.h"
 #include "qens/ml/trainer.h"
 
 namespace qens::ml {
 namespace {
+
+using internal::KernelIsa;
 
 enum class Opt { kSgd, kMomentum, kAdam };
 
@@ -48,9 +60,9 @@ struct PinCase {
   double validation_split;
   bool degenerate;  ///< Zero weights; targets equal initial predictions.
   uint64_t expected;
+  size_t features = 3;  ///< Input width; 1 takes the hidden-layer sweep.
 };
 
-constexpr size_t kFeatures = 3;
 constexpr size_t kEpochs = 4;
 
 uint64_t Fnv1a(uint64_t h, double v) {
@@ -66,9 +78,9 @@ uint64_t Fnv1a(uint64_t h, double v) {
 SequentialModel MakeModel(const PinCase& c) {
   SequentialModel m;
   if (c.hidden == 0) {
-    EXPECT_TRUE(m.AddLayer(kFeatures, 1, Activation::kIdentity).ok());
+    EXPECT_TRUE(m.AddLayer(c.features, 1, Activation::kIdentity).ok());
   } else {
-    EXPECT_TRUE(m.AddLayer(kFeatures, c.hidden, c.hidden_act).ok());
+    EXPECT_TRUE(m.AddLayer(c.features, c.hidden, c.hidden_act).ok());
     EXPECT_TRUE(m.AddLayer(c.hidden, 1, Activation::kIdentity).ok());
   }
   if (c.degenerate) return m;  // AddLayer leaves every parameter at +0.0.
@@ -97,15 +109,16 @@ std::unique_ptr<Optimizer> MakeOpt(Opt opt, size_t hidden) {
 uint64_t RunCase(const PinCase& c) {
   SequentialModel model = MakeModel(c);
   Rng rng(29);
-  Matrix x(c.rows, kFeatures);
+  Matrix x(c.rows, c.features);
   Matrix y(c.rows, 1);
   for (double& v : x.data()) v = rng.Uniform(-2.0, 2.0);
   if (c.degenerate) {
     y = model.Predict(x).value();
   } else {
     for (size_t r = 0; r < c.rows; ++r) {
-      y(r, 0) = 1.5 * x(r, 0) - 0.5 * x(r, 1) + 0.25 * x(r, 2) + 0.1 +
-                rng.Uniform(-0.3, 0.3);
+      double v = 1.5 * x(r, 0);
+      if (c.features == 3) v = v - 0.5 * x(r, 1) + 0.25 * x(r, 2);
+      y(r, 0) = v + 0.1 + rng.Uniform(-0.3, 0.3);
     }
   }
 
@@ -154,28 +167,73 @@ const PinCase kCases[] = {
   {"nn_sigmoid_adam_mae_wd_clip", 6, Activation::kSigmoid, Opt::kAdam,   LossKind::kMae,   0.01,  0.05, 45,  8, 0.0,  0.0, false, 0x33a5704fb4e95211ull},
   {"nn_relu_momentum_mse_batch1_decay", 6, Activation::kRelu, Opt::kMomentum, LossKind::kMse, 0.0, 0.0, 10, 1, 0.5, 0.0, false, 0x2e977418da32b0faull},
   {"nn_tanh_adam_mse_val",     6,  Activation::kTanh,    Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  40,  8, 0.0,  0.2, false, 0xdb80ad5fad0ca29bull},
+  // The paper NN's shape, [1 → 64] → [64 → 1] under MSE at batch 32: the
+  // hidden-layer sweep, with ragged batches and sweep row tails.
+  {"nn64_relu_adam_mse_val_sweep", 64, Activation::kRelu, Opt::kAdam,   LossKind::kMse,   0.0,   0.0,  203, 32, 0.0, 0.2, false, 0x93b293ab638d478dull, 1},
+  {"nn64_tanh_adam_mse_sweep", 64, Activation::kTanh,    Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  150, 32, 0.0, 0.0, false, 0x3a297c97993cfdc6ull, 1},
+  {"nn64_sigmoid_momentum_mse_sweep", 64, Activation::kSigmoid, Opt::kMomentum, LossKind::kMse, 0.0, 0.0, 150, 32, 0.0, 0.0, false, 0xdfd4740467518a6eull, 1},
   {"lr_sgd_mse_degenerate",    0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.0,   0.0,  20,  8, 0.0,  0.0, true,  0x0243cfa845185aa5ull},
   {"nn_relu_adam_mse_degenerate", 6, Activation::kRelu,  Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  20,  8, 0.0,  0.0, true,  0x5066f76b298ff985ull},
   {"nn_sigmoid_sgd_mse_degenerate", 6, Activation::kSigmoid, Opt::kSgd,  LossKind::kMse,   0.0,   0.0,  20,  8, 0.0,  0.0, true,  0x5066f76b298ff985ull},
 };
 // clang-format on
 
-class TrainingPinTest : public ::testing::TestWithParam<PinCase> {};
+const KernelIsa kIsas[] = {KernelIsa::kBaseline, KernelIsa::kAvx2};
 
-TEST_P(TrainingPinTest, FinalParametersAndLossesAreBitPinned) {
-  const PinCase& c = GetParam();
-  const uint64_t h = RunCase(c);
-  EXPECT_EQ(h, c.expected) << c.name << " hashed to 0x" << std::hex << h;
+const char* IsaName(KernelIsa isa) {
+  return isa == KernelIsa::kAvx2 ? "avx2" : "baseline";
 }
 
-TEST(TrainingPinDegenerateTest, FitStaysAtTheZeroFixedPoint) {
+// The case's name in gtest's failure messages, in place of its bytes.
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
+
+/// Skips the test when `isa` cannot run here.
+#define SKIP_UNLESS_RUNNABLE(isa)                                        \
+  if ((isa) == KernelIsa::kAvx2 && !internal::Avx2KernelsAvailable()) { \
+    GTEST_SKIP() << "no AVX2 kernels in this build or on this CPU";     \
+  }
+
+TEST(KernelIsaTest, ScopedOverrideForcesAndRestores) {
+  const KernelIsa native = internal::ActiveKernelIsa();
+  EXPECT_EQ(native, internal::Avx2KernelsAvailable() ? KernelIsa::kAvx2
+                                                     : KernelIsa::kBaseline);
+  {
+    const internal::ScopedKernelIsa outer(KernelIsa::kBaseline);
+    EXPECT_EQ(internal::ActiveKernelIsa(), KernelIsa::kBaseline);
+    if (internal::Avx2KernelsAvailable()) {
+      const internal::ScopedKernelIsa inner(KernelIsa::kAvx2);
+      EXPECT_EQ(internal::ActiveKernelIsa(), KernelIsa::kAvx2);
+    }
+    EXPECT_EQ(internal::ActiveKernelIsa(), KernelIsa::kBaseline);
+  }
+  EXPECT_EQ(internal::ActiveKernelIsa(), native);
+}
+
+class TrainingPinTest
+    : public ::testing::TestWithParam<std::tuple<PinCase, KernelIsa>> {};
+
+TEST_P(TrainingPinTest, FinalParametersAndLossesAreBitPinned) {
+  const auto& [c, isa] = GetParam();
+  SKIP_UNLESS_RUNNABLE(isa);
+  const internal::ScopedKernelIsa forced(isa);
+  const uint64_t h = RunCase(c);
+  EXPECT_EQ(h, c.expected) << c.name << " on " << IsaName(isa)
+                           << " hashed to 0x" << std::hex << h;
+}
+
+class TrainingPinDegenerateTest : public ::testing::TestWithParam<KernelIsa> {
+};
+
+TEST_P(TrainingPinDegenerateTest, FitStaysAtTheZeroFixedPoint) {
+  SKIP_UNLESS_RUNNABLE(GetParam());
+  const internal::ScopedKernelIsa forced(GetParam());
   // Zero weights predict exactly the targets, so every gradient is +0.0 and
   // no optimizer may move a parameter off +0.0 (a -0.0 would change bits).
   for (const PinCase& c : kCases) {
     if (!c.degenerate) continue;
     SequentialModel model = MakeModel(c);
     Rng rng(29);
-    Matrix x(c.rows, kFeatures);
+    Matrix x(c.rows, c.features);
     for (double& v : x.data()) v = rng.Uniform(-2.0, 2.0);
     const Matrix y = model.Predict(x).value();
     TrainOptions options;
@@ -194,9 +252,17 @@ TEST(TrainingPinDegenerateTest, FitStaysAtTheZeroFixedPoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, TrainingPinTest, ::testing::ValuesIn(kCases),
-    [](const ::testing::TestParamInfo<PinCase>& info) {
-      return std::string(info.param.name);
+    Cases, TrainingPinTest,
+    ::testing::Combine(::testing::ValuesIn(kCases), ::testing::ValuesIn(kIsas)),
+    [](const ::testing::TestParamInfo<std::tuple<PinCase, KernelIsa>>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             IsaName(std::get<1>(info.param));
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, TrainingPinDegenerateTest, ::testing::ValuesIn(kIsas),
+    [](const ::testing::TestParamInfo<KernelIsa>& info) {
+      return std::string(IsaName(info.param));
     });
 
 }  // namespace
