@@ -1,5 +1,6 @@
 #include "qens/common/rng.h"
 
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -102,7 +103,10 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
       clamped = true;
     }
   }
-  if (clamped) {
+  // Warn once per process: a caller with a bad weight usually repeats it on
+  // every draw, and the clamp itself is the documented behaviour.
+  static std::atomic<bool> warned{false};
+  if (clamped && !warned.exchange(true)) {
     QENS_LOG(Warning) << "Rng::WeightedIndex: negative or NaN weights "
                          "clamped to 0";
   }

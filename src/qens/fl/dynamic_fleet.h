@@ -20,8 +20,7 @@
 ///     node whose accumulated unpublished offset exceeds the detector
 ///     threshold re-runs k-means on its current data and publishes the new
 ///     summaries through Leader::PublishRefreshedProfile, bumping the
-///     session's fleet epoch (which invalidates the ranking cache and
-///     rebuilds the session's index — see docs/ROBUSTNESS.md).
+///     session's fleet epoch (see docs/ROBUSTNESS.md).
 ///
 /// Because a drift event shifts every row of a dimension by the same
 /// constant, the node's true per-dimension mean moves by exactly the

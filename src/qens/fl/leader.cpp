@@ -24,89 +24,13 @@ Result<std::vector<selection::NodeRank>> Leader::Rank(
     const query::RangeQuery& query) const {
   obs::TraceSpan span("leader.rank");
   obs::Count("leader.rankings");
-  if (cache_.has_value()) {
-    // Bind the cache to the live epoch: a refresh changed the geometry
-    // every cached ranking was computed over, so those entries are dropped
-    // (no-op while the epoch is unchanged).
-    cache_->SetEpoch(fleet_epoch_);
-    if (const std::vector<selection::NodeRank>* hit =
-            cache_->Lookup(query.region)) {
-      ++telemetry_.cache_hits;
-      obs::Count("leader.rank_cache_hits");
-      return *hit;
-    }
-    ++telemetry_.cache_misses;
-    obs::Count("leader.rank_cache_misses");
-  }
-  Result<std::vector<selection::NodeRank>> ranks = [&] {
-    // The index is consulted only while its epoch matches the live fleet
-    // state — an index built over pre-refresh geometry would silently rank
-    // the old boxes. PublishRefreshedProfile rebuilds it in lockstep, so a
-    // mismatch (only possible with a hand-wired stale index) falls back to
-    // the always-correct scan.
-    if (ranking_options_.use_index && index_ != nullptr &&
-        index_->epoch() == fleet_epoch_) {
-      selection::IndexQueryStats stats;
-      auto r = selection::RankNodesIndexed(*index_, profiles(), query,
-                                           ranking_options_, &scratch_,
-                                           &stats);
-      if (r.ok()) {
-        ++telemetry_.index_rankings;
-        telemetry_.candidate_nodes += stats.candidate_nodes;
-        telemetry_.pruned_clusters += stats.pruned_clusters;
-        obs::Count("leader.rank_index_rankings");
-      }
-      return r;
-    }
-    auto r = selection::RankNodes(profiles(), query, ranking_options_);
-    if (r.ok()) ++telemetry_.scan_rankings;
-    return r;
-  }();
-  if (!ranks.ok()) return ranks;
-  if (cache_.has_value()) {
-    // Failed rankings are never cached; successful ones are cached by the
-    // exact query rectangle (copy in, original returned).
-    cache_->Insert(query.region, *ranks);
-    telemetry_.cache_evictions = cache_->stats().evictions;
-  }
-  return ranks;
+  return selection::RankNodes(profiles(), query, ranking_options_);
 }
 
 Result<SelectionDecision> Leader::Decide(
     const query::RangeQuery& query) const {
   obs::TraceSpan span("leader.decide");
   SelectionDecision decision;
-  // top_l_only fast path: for a top-l cut served through a live index,
-  // materialize only the min(top_l, N) ranking prefix — bitwise identical
-  // to the same slice of the full ranking, so the selected set is
-  // unchanged (SelectTopL never reads past the first top_l usable
-  // entries, and with unique ids every zero-rank record past the prefix
-  // sorts after it). The ranking cache is bypassed: its entries are full
-  // rankings shared with Rank(), and a truncated insert would poison
-  // them. Threshold cuts (Eq. 5) scan every rank, so they keep the full
-  // path.
-  if (ranking_options_.top_l_only && !selection_options_.use_threshold &&
-      selection_options_.top_l > 0 && ranking_options_.use_index &&
-      index_ != nullptr && index_->epoch() == fleet_epoch_) {
-    obs::Count("leader.rankings");
-    selection::IndexQueryStats stats;
-    QENS_ASSIGN_OR_RETURN(
-        decision.all_ranks,
-        selection::RankNodesIndexedTopL(*index_, profiles(), query,
-                                        ranking_options_,
-                                        selection_options_.top_l, &scratch_,
-                                        &stats));
-    ++telemetry_.index_rankings;
-    telemetry_.candidate_nodes += stats.candidate_nodes;
-    telemetry_.pruned_clusters += stats.pruned_clusters;
-    obs::Count("leader.rank_index_rankings");
-    QENS_ASSIGN_OR_RETURN(
-        decision.selected,
-        selection::SelectQueryDriven(decision.all_ranks, selection_options_));
-    obs::Count("leader.decisions");
-    obs::Count("leader.nodes_selected", decision.selected.size());
-    return decision;
-  }
   QENS_ASSIGN_OR_RETURN(decision.all_ranks, Rank(query));
   QENS_ASSIGN_OR_RETURN(
       decision.selected,
@@ -145,9 +69,6 @@ void Leader::SetStaleRounds(size_t node_id, size_t stale_rounds) {
   if (at == static_cast<size_t>(-1)) return;
   if (profiles()[at].stale_rounds == stale_rounds) return;
   MutableProfiles()[at].stale_rounds = stale_rounds;
-  // stale_rounds is part of every NodeRank (and the ranking itself when
-  // staleness_weight > 0): cached rankings are now stale.
-  if (cache_.has_value()) cache_->Clear();
 }
 
 Status Leader::PublishRefreshedProfile(const selection::NodeProfile& fresh) {
@@ -162,19 +83,6 @@ Status Leader::PublishRefreshedProfile(const selection::NodeProfile& fresh) {
   profile.stale_rounds = 0;  // The digest matches the data again.
   // Reliability history is the leader's own observation — it survives.
   ++fleet_epoch_;
-  if (cache_.has_value()) cache_->SetEpoch(fleet_epoch_);
-  if (index_ != nullptr) {
-    // Rebuild the session-local index over the updated geometry, stamped
-    // with the new epoch so Rank() trusts it again.
-    selection::ClusterIndexOptions index_options;
-    index_options.bins_per_dim = index_->bins_per_dim();
-    index_options.epoch = fleet_epoch_;
-    QENS_ASSIGN_OR_RETURN(
-        selection::ClusterIndex rebuilt,
-        selection::ClusterIndex::Build(profiles(), index_options));
-    index_ = std::make_shared<const selection::ClusterIndex>(
-        std::move(rebuilt));
-  }
   obs::Count("leader.profile_refreshes");
   return Status::OK();
 }
@@ -182,9 +90,6 @@ Status Leader::PublishRefreshedProfile(const selection::NodeProfile& fresh) {
 void Leader::RecordRoundResult(size_t node_id, RoundResult result) {
   const size_t at = FindProfile(profiles(), node_id);
   if (at == static_cast<size_t>(-1)) return;
-  // Reliability feeds NodeRank (the record always, the ranking when
-  // reliability_weight > 0): any cached ranking is now stale.
-  if (cache_.has_value()) cache_->Clear();
   selection::NodeProfile& profile = MutableProfiles()[at];
   switch (result) {
     case RoundResult::kCompleted:

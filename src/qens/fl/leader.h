@@ -5,37 +5,25 @@
 /// The leader node's decision logic (Section III-A): receive a query, rank
 /// every participant's published profile against it (Eqs. 2–4), and cut the
 /// ranked list into the participant set N'(q) (top-l or Eq. 5 threshold).
-/// The leader never touches raw node data — only profiles.
-///
-/// Ranking is served through up to three bitwise-identical paths, chosen
-/// by RankingOptions (docs/INDEXING.md): the paper-exact scan (default), a
-/// shared cluster-rectangle spatial index (use_index, supplied at
-/// construction — typically Fleet's), and a leader-local exact-match
-/// ranking cache (use_cache). The cache is cleared whenever
-/// RecordRoundResult touches a profile, because reliability feeds the
-/// ranking record.
+/// The leader never touches raw node data — only profiles. Ranking is the
+/// paper's scan over every node's cluster boxes (selection::RankNodes).
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "qens/common/status.h"
 #include "qens/query/range_query.h"
-#include "qens/selection/cluster_index.h"
 #include "qens/selection/node_profile.h"
 #include "qens/selection/policies.h"
 #include "qens/selection/ranking.h"
-#include "qens/selection/ranking_cache.h"
 
 namespace qens::fl {
 
 /// The leader's per-query selection decision.
 struct SelectionDecision {
-  /// DESC by ranking (id-ascending tie-break). Normally all N nodes; under
-  /// RankingOptions::top_l_only (indexed top-l decisions) only the
-  /// min(top_l, N) prefix of that ranking is materialized — bitwise
-  /// identical to the same slice of the full ranking.
+  /// All N nodes, DESC by ranking (id-ascending tie-break).
   std::vector<selection::NodeRank> all_ranks;
   std::vector<selection::NodeRank> selected;   ///< The chosen N'(q).
 
@@ -47,35 +35,17 @@ struct SelectionDecision {
 /// Ranks profiles and applies the query-driven cut.
 class Leader {
  public:
-  /// How each ranking request was served (cumulative; diagnostics only).
-  struct RankingTelemetry {
-    uint64_t scan_rankings = 0;   ///< Full O(N*K) scans.
-    uint64_t index_rankings = 0;  ///< Served through the cluster index.
-    uint64_t cache_hits = 0;      ///< Served from the ranking cache.
-    uint64_t cache_misses = 0;    ///< Cache enabled but had to compute.
-    uint64_t cache_evictions = 0;
-    uint64_t candidate_nodes = 0;   ///< Nodes scored by the index (sum).
-    uint64_t pruned_clusters = 0;   ///< Clusters skipped by the index (sum).
-  };
-
-  /// `index` (optional) must have been built over exactly `profiles` (same
-  /// order, ids, and cluster counts); it is consulted only when
-  /// ranking_options.use_index is set. The cache is created here iff
-  /// ranking_options.use_cache. `fleet_epoch` is the fleet state version
-  /// the profiles (and index) represent; it advances on every
-  /// PublishRefreshedProfile.
+  /// `fleet_epoch` is the fleet-state version the profiles represent.
+  /// The unnamed std::nullptr_t only keeps perfbench's 5-argument call
+  /// compiling; the next benchmark PR removes it and Fleet::ranking_index.
   Leader(std::vector<selection::NodeProfile> profiles,
          selection::RankingOptions ranking_options,
          selection::QueryDrivenOptions selection_options,
-         std::shared_ptr<const selection::ClusterIndex> index = nullptr,
-         uint64_t fleet_epoch = 0)
+         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0)
       : owned_profiles_(std::move(profiles)),
         ranking_options_(ranking_options),
         selection_options_(selection_options),
-        index_(std::move(index)),
-        fleet_epoch_(fleet_epoch) {
-    MakeCache();
-  }
+        fleet_epoch_(fleet_epoch) {}
 
   /// Copy-on-write construction over a shared immutable profile vector
   /// (typically Fleet::profiles, built once per fleet). Ranking reads the
@@ -87,15 +57,11 @@ class Leader {
   Leader(std::shared_ptr<const std::vector<selection::NodeProfile>> shared,
          selection::RankingOptions ranking_options,
          selection::QueryDrivenOptions selection_options,
-         std::shared_ptr<const selection::ClusterIndex> index = nullptr,
-         uint64_t fleet_epoch = 0)
+         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0)
       : shared_profiles_(std::move(shared)),
         ranking_options_(ranking_options),
         selection_options_(selection_options),
-        index_(std::move(index)),
-        fleet_epoch_(fleet_epoch) {
-    MakeCache();
-  }
+        fleet_epoch_(fleet_epoch) {}
 
   const std::vector<selection::NodeProfile>& profiles() const {
     return shared_profiles_ != nullptr ? *shared_profiles_ : owned_profiles_;
@@ -123,51 +89,29 @@ class Leader {
 
   /// Record an engaged node's round outcome into its profile's observed
   /// reliability history (feeds the ranking's flaky-node penalty). Unknown
-  /// node ids are ignored. Invalidates the ranking cache: reliability is
-  /// part of every NodeRank, so stale entries must never be served.
+  /// node ids are ignored.
   void RecordRoundResult(size_t node_id, RoundResult result);
 
   /// \name Dynamic-fleet state (fl/dynamic_fleet.h)
   /// @{
   /// The fleet-state version this leader's profiles represent. Starts at
   /// the Fleet's base epoch and advances monotonically on every published
-  /// refresh; the index is consulted only while its epoch matches, and the
-  /// ranking cache is re-bound (dropping stale entries) on every change.
+  /// refresh.
   uint64_t fleet_epoch() const { return fleet_epoch_; }
 
   /// Update a node's rounds-of-unpublished-drift counter. stale_rounds is
   /// part of every NodeRank (and scales the ranking when staleness_weight
-  /// > 0), so a change invalidates the ranking cache. Unknown ids are
-  /// ignored.
+  /// > 0). Unknown ids are ignored.
   void SetStaleRounds(size_t node_id, size_t stale_rounds);
 
   /// Publish a node's refreshed digest (online cluster refresh): replaces
   /// the stored clusters/sample counts, keeps the observed reliability
-  /// history, zeroes stale_rounds, and bumps fleet_epoch. When this leader
-  /// ranks through an index, a fresh session-local index is rebuilt over
-  /// the updated profiles and stamped with the new epoch. Fails on an
-  /// unknown node id or an index rebuild error.
+  /// history, zeroes stale_rounds, and bumps fleet_epoch. Fails on an
+  /// unknown node id.
   Status PublishRefreshedProfile(const selection::NodeProfile& fresh);
   /// @}
 
-  /// The shared spatial index this leader ranks through, or nullptr.
-  const selection::ClusterIndex* cluster_index() const { return index_.get(); }
-  /// The leader-local ranking cache, or nullptr when use_cache is off.
-  const selection::RankingCache* ranking_cache() const {
-    return cache_.has_value() ? &*cache_ : nullptr;
-  }
-  const RankingTelemetry& ranking_telemetry() const { return telemetry_; }
-
  private:
-  void MakeCache() {
-    if (ranking_options_.use_cache && ranking_options_.cache_capacity > 0) {
-      selection::RankingCacheOptions cache_options;
-      cache_options.capacity = ranking_options_.cache_capacity;
-      cache_options.quantum = ranking_options_.cache_quantum;
-      cache_.emplace(cache_options);
-    }
-  }
-
   /// Copy-on-write seam: materializes a private copy of the shared
   /// profiles on first mutation (no-op once owned).
   std::vector<selection::NodeProfile>& MutableProfiles();
@@ -177,13 +121,7 @@ class Leader {
   std::vector<selection::NodeProfile> owned_profiles_;
   selection::RankingOptions ranking_options_;
   selection::QueryDrivenOptions selection_options_;
-  std::shared_ptr<const selection::ClusterIndex> index_;
   uint64_t fleet_epoch_ = 0;
-  /// Rank() is logically const; the accelerators below are memoization
-  /// and diagnostics only (never observable in results).
-  mutable selection::ClusterIndex::Scratch scratch_;
-  mutable std::optional<selection::RankingCache> cache_;
-  mutable RankingTelemetry telemetry_;
 };
 
 }  // namespace qens::fl

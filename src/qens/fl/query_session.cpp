@@ -99,24 +99,10 @@ Result<std::shared_ptr<Fleet>> Fleet::Create(
   auto profiles = std::make_shared<const std::vector<selection::NodeProfile>>(
       std::move(published));
 
-  // Opt-in sublinear ranking: one immutable spatial index over the
-  // published profiles, shared read-only by every session's leader.
-  std::shared_ptr<const selection::ClusterIndex> ranking_index;
-  if (options.ranking.use_index) {
-    selection::ClusterIndexOptions index_options;
-    index_options.bins_per_dim = options.ranking.index_bins_per_dim;
-    QENS_ASSIGN_OR_RETURN(
-        selection::ClusterIndex index,
-        selection::ClusterIndex::Build(*profiles, index_options));
-    ranking_index =
-        std::make_shared<const selection::ClusterIndex>(std::move(index));
-  }
-
   return std::make_shared<Fleet>(
       Fleet{std::move(environment), std::move(test_shards), options,
             std::move(raw_space), std::move(feature_norm),
-            std::move(target_norm), std::move(ranking_index),
-            std::move(profiles)});
+            std::move(target_norm), std::move(profiles)});
 }
 
 Result<query::RangeQuery> Fleet::InternalQuery(
@@ -178,12 +164,12 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
   std::optional<Leader> leader;
   if (fleet->profiles != nullptr) {
     leader.emplace(fleet->profiles, fopts.ranking, fopts.query_driven,
-                   fleet->ranking_index, fleet->fleet_epoch);
+                   nullptr, fleet->fleet_epoch);
   } else {
     QENS_ASSIGN_OR_RETURN(std::vector<selection::NodeProfile> profiles,
                           fleet->environment.Profiles());
     leader.emplace(std::move(profiles), fopts.ranking, fopts.query_driven,
-                   fleet->ranking_index, fleet->fleet_epoch);
+                   nullptr, fleet->fleet_epoch);
   }
 
   std::unique_ptr<sim::Network> own_network;
@@ -354,11 +340,6 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   obs::TraceSpan query_span("federation.query");
   obs::Count("federation.queries");
   Stopwatch watch;
-  // Snapshot the leader's ranking telemetry so this query's deltas can be
-  // attached to its first RoundRecord after the rounds run.
-  const bool metrics_on = obs::MetricsRegistry::Enabled();
-  const Leader::RankingTelemetry rank_before =
-      metrics_on ? leader_.ranking_telemetry() : Leader::RankingTelemetry{};
   const sim::EdgeEnvironment& environment = fleet_->environment;
   const FederationOptions& options = fleet_->options;
   QueryOutcome outcome;
@@ -571,19 +552,6 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
     // The final record carries the evaluated answer quality (Eq. 7 loss).
     outcome.round_records.back().has_loss = true;
     outcome.round_records.back().loss = outcome.loss_weighted;
-  }
-  if (metrics_on && !outcome.round_records.empty()) {
-    // Ranking happens before round 0, so the query's accelerator counters
-    // ride on its first record (zero — and omitted from exports — when
-    // the index and cache are off).
-    const Leader::RankingTelemetry& after = leader_.ranking_telemetry();
-    obs::RoundRecord& first = outcome.round_records.front();
-    first.rank_index_rankings =
-        after.index_rankings - rank_before.index_rankings;
-    first.rank_cache_hits = after.cache_hits - rank_before.cache_hits;
-    first.rank_cache_misses = after.cache_misses - rank_before.cache_misses;
-    first.rank_candidate_nodes =
-        after.candidate_nodes - rank_before.candidate_nodes;
   }
 
   outcome.wall_seconds = watch.ElapsedSeconds();

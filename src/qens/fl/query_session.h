@@ -27,6 +27,7 @@
 /// byte for byte, and no stream depends on query arrival order except the
 /// stochastic policy's fairness state.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -55,11 +56,8 @@ struct Fleet {
   query::HyperRectangle raw_space;  ///< Raw-unit global data space.
   std::optional<data::Normalizer> feature_norm;
   std::optional<data::Normalizer> target_norm;
-  /// Shared cluster-rectangle spatial index over the published profiles
-  /// (docs/INDEXING.md); built iff options.ranking.use_index, else null.
-  /// Immutable, shared read-only by every session's leader; each session
-  /// keeps its own scratch and ranking cache.
-  std::shared_ptr<const selection::ClusterIndex> ranking_index;
+  /// Always null: the next benchmark PR removes it and Leader's 4th param.
+  static constexpr std::nullptr_t ranking_index = nullptr;
   /// The published per-node profiles (cluster digests + sample counts),
   /// extracted from the environment ONCE at fleet build and shared
   /// read-only by every session's leader (copy-on-write: a leader only

@@ -76,10 +76,6 @@ constexpr std::tuple kRecordFields{
     Field{"survivors", &RoundRecord::survivors},
     Field{"rejected", &RoundRecord::rejected, kIfSet},
     Field{"quarantined", &RoundRecord::quarantined, kIfSet},
-    Field{"rank_index_rankings", &RoundRecord::rank_index_rankings, kIfSet},
-    Field{"rank_cache_hits", &RoundRecord::rank_cache_hits, kIfSet},
-    Field{"rank_cache_misses", &RoundRecord::rank_cache_misses, kIfSet},
-    Field{"rank_candidate_nodes", &RoundRecord::rank_candidate_nodes, kIfSet},
     Field{"wire_down_bytes", &RoundRecord::wire_down_bytes, kIfSet},
     Field{"wire_up_bytes", &RoundRecord::wire_up_bytes, kIfSet},
     Field{"fleet_epoch", &RoundRecord::fleet_epoch, kIfSet},

@@ -69,17 +69,6 @@ struct RoundRecord {
   size_t survivors = 0;     ///< Models aggregated.
   size_t rejected = 0;      ///< Updates rejected by the validator.
   size_t quarantined = 0;   ///< Engaged nodes skipped while quarantined.
-  /// \name Leader ranking-accelerator counters (docs/INDEXING.md)
-  /// How this query's rankings were served. Only the first record of a
-  /// query carries them (ranking happens once, before round 0); all four
-  /// are zero — and omitted from JSON for byte-compatibility — when the
-  /// index and cache are off.
-  /// @{
-  size_t rank_index_rankings = 0;   ///< Rankings served via the index.
-  size_t rank_cache_hits = 0;       ///< Rankings served from the cache.
-  size_t rank_cache_misses = 0;     ///< Cache lookups that had to compute.
-  size_t rank_candidate_nodes = 0;  ///< Nodes the index actually scored.
-  /// @}
   /// \name Wire-layer byte counters (docs/WIRE_FORMAT.md)
   /// Bytes offered to the transport this round, per direction, retries
   /// included. Populated only when FederationOptions::wire is enabled;

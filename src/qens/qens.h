@@ -63,14 +63,12 @@
 #include "qens/data/splitter.h"
 
 // Node selection (Eqs. 3-5) and baselines.
-#include "qens/selection/cluster_index.h"   // Sublinear ranking index.
 #include "qens/selection/data_centric.h"
 #include "qens/selection/game_theory.h"
 #include "qens/selection/node_profile.h"
 #include "qens/selection/policies.h"
 #include "qens/selection/profile_io.h"
 #include "qens/selection/ranking.h"
-#include "qens/selection/ranking_cache.h"   // Leader-side ranking memo.
 #include "qens/selection/stochastic.h"
 
 // Simulated edge platform.

@@ -37,35 +37,6 @@ struct RankingOptions {
   /// without a cluster refresh (see fl/dynamic_fleet.h). 0 (default)
   /// disables the discount and reproduces the paper's Eq. 4 exactly.
   double staleness_weight = 0.0;
-
-  /// \name Sublinear ranking accelerators (default off = paper-exact scan)
-  /// Both paths are bitwise identical to the scan (see docs/INDEXING.md
-  /// and selection/cluster_index.h); these flags trade memory for speed,
-  /// never results. Plain fields here to avoid an include cycle — the
-  /// structures live in cluster_index.h / ranking_cache.h.
-  /// @{
-  /// Rank through the shared cluster-rectangle spatial index when one is
-  /// available (fl::Fleet::Create builds one iff this is set).
-  bool use_index = false;
-  /// Grid resolution of that index (bins per dimension).
-  size_t index_bins_per_dim = 32;
-  /// Memoize rankings per exact query rectangle in a leader-local LRU
-  /// cache (quantized-key bucketing + exact-geometry verification).
-  bool use_cache = false;
-  size_t cache_capacity = 128;  ///< LRU entries per leader.
-  double cache_quantum = 1e-3;  ///< Hash-key quantization cell size.
-  /// Top-l-only decisions: when ranking through the index for a top-l cut
-  /// (fl::Leader::Decide, QueryDrivenOptions::use_threshold off), only the
-  /// min(top_l, N) ranking prefix is materialized (RankNodesIndexedTopL)
-  /// instead of all N NodeRank records — the prefix is bitwise identical
-  /// to the same slice of the full ranking, so the selected set is
-  /// unchanged; only SelectionDecision::all_ranks shrinks to that prefix.
-  /// Removes the O(N) full-output materialization floor the indexed path
-  /// pays at large fleets (BENCH_x9, 100k nodes). Requires use_index;
-  /// ignored by plain Rank() (the data-selectivity path needs full
-  /// rankings) and by threshold cuts.
-  bool top_l_only = false;
-  /// @}
 };
 
 /// One cluster's score against a query.

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace qens {
 namespace {
@@ -298,6 +300,20 @@ TEST(RngTest, WeightedIndexAllNegativeOrNaNFallsBackToUniform) {
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 40000; ++i) ++counts[rng.WeightedIndex(w)];
   for (int c : counts) EXPECT_GT(c, 8000);
+}
+
+TEST(RngTest, WeightedIndexWarnsAboutClampingAtMostOncePerProcess) {
+  Rng rng(47);
+  const std::vector<double> w{-1.0, 1.0, 2.0};
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 10000; ++i) rng.WeightedIndex(w);
+  const std::string err = testing::internal::GetCapturedStderr();
+  size_t warnings = 0;
+  for (size_t at = err.find("clamped to 0"); at != std::string::npos;
+       at = err.find("clamped to 0", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_LE(warnings, 1u);
 }
 
 TEST(RngTest, WeightedIndexValidWeightsDrawIdenticalToClampedRun) {

@@ -2,9 +2,8 @@
 // fleets"): with the layer enabled but every rate zero the protocol is
 // bit-identical to the layer being off; the full churn + drift + refresh
 // trajectory replays bit-identically from its seeds at every worker count;
-// churn feeds the quorum-gated failure path; refresh advances the fleet
-// epoch; and the accelerated (index + cache) leader stays bitwise-equal to
-// the paper-exact scan leader across refreshes (epoch invalidation).
+// churn feeds the quorum-gated failure path; and refresh advances the
+// fleet epoch.
 
 #include <gtest/gtest.h>
 
@@ -281,39 +280,6 @@ TEST(DynamicFleetTest, WithoutRefreshEpochStaysAtBaseAndStalenessGrows) {
   // Drift fires but nothing republishes, so staleness accumulates.
   EXPECT_GT(stale_seen, 0u);
   obs::MetricsRegistry::Disable();
-}
-
-TEST(DynamicFleetTest, AcceleratedLeaderMatchesScanLeaderAcrossRefreshes) {
-  // The epoch-invalidation differential: with online refreshes rewriting
-  // the cluster geometry mid-stream, a leader running the spatial index +
-  // ranking cache must stay bitwise-equal to the always-correct scan
-  // leader (stale cache entries dropped, index rebuilt in lockstep).
-  auto scan_fleet =
-      Fleet::Create(MakeNodes(), DynamicOptions(/*refresh=*/true));
-  ASSERT_TRUE(scan_fleet.ok());
-  FederationOptions accel = DynamicOptions(/*refresh=*/true);
-  accel.ranking.use_index = true;
-  accel.ranking.use_cache = true;
-  auto accel_fleet = Fleet::Create(MakeNodes(), accel);
-  ASSERT_TRUE(accel_fleet.ok());
-
-  auto scan_server = QueryServer::Create(*scan_fleet, ServingOptions{});
-  auto accel_server = QueryServer::Create(*accel_fleet, ServingOptions{});
-  ASSERT_TRUE(scan_server.ok());
-  ASSERT_TRUE(accel_server.ok());
-  auto expected = scan_server->Serve(MakeSpecs());
-  auto actual = accel_server->Serve(MakeSpecs());
-  ExpectIdenticalServes(expected, actual);
-
-  // The accelerated run refreshed (epoch moved) — the equality above was
-  // exercised across a geometry change, not on a static fleet.
-  size_t refreshes = 0;
-  for (const SessionResult& session : actual) {
-    for (const QueryOutcome& outcome : session.outcomes) {
-      refreshes += outcome.fleet_refreshes;
-    }
-  }
-  EXPECT_GT(refreshes, 0u);
 }
 
 TEST(DynamicFleetTest, DynamicRoundRecordsRoundTripThroughExporters) {

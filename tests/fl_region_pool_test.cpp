@@ -143,7 +143,7 @@ TEST(RegionPoolTest, DriftedShardsPoolShiftedRows) {
   auto dynamic = DynamicFleet::Create(fleet);
   ASSERT_TRUE(dynamic.ok());
   Leader leader(fleet->profiles, options.ranking, options.query_driven,
-                fleet->ranking_index, fleet->fleet_epoch);
+                nullptr, fleet->fleet_epoch);
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(dynamic->BeginRound(&leader).ok());
   }

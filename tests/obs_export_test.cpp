@@ -51,10 +51,6 @@ std::vector<RoundRecord> SampleRecords() {
   second.survivors = 7;
   second.rejected = 6;
   second.quarantined = 4;
-  second.rank_index_rankings = 2;  // Served through the cluster index.
-  second.rank_cache_hits = 8;
-  second.rank_cache_misses = 9;
-  second.rank_candidate_nodes = 5;
   second.wire_down_bytes = 1024;  // Wire layer on: codec-priced transfers.
   second.wire_up_bytes = 212;
   second.fleet_epoch = 13;  // Dynamic fleet on: churn and refreshes.
@@ -98,10 +94,6 @@ void ExpectRecordsEqual(const RoundRecord& a, const RoundRecord& b) {
   EXPECT_EQ(a.survivors, b.survivors);
   EXPECT_EQ(a.rejected, b.rejected);
   EXPECT_EQ(a.quarantined, b.quarantined);
-  EXPECT_EQ(a.rank_index_rankings, b.rank_index_rankings);
-  EXPECT_EQ(a.rank_cache_hits, b.rank_cache_hits);
-  EXPECT_EQ(a.rank_cache_misses, b.rank_cache_misses);
-  EXPECT_EQ(a.rank_candidate_nodes, b.rank_candidate_nodes);
   EXPECT_EQ(a.wire_down_bytes, b.wire_down_bytes);
   EXPECT_EQ(a.wire_up_bytes, b.wire_up_bytes);
   EXPECT_EQ(a.fleet_epoch, b.fleet_epoch);
@@ -162,17 +154,8 @@ TEST(RoundRecordJsonlTest, SessionFieldOnlyEmittedWhenTagged) {
             std::string::npos);
   EXPECT_NE(RoundRecordToJson(records[1]).find("\"session\":3"),
             std::string::npos);
-  // Same nonzero-only rule for the ranking-accelerator counters: scan-only
-  // records keep the pre-index schema byte-identical.
-  EXPECT_EQ(RoundRecordToJson(records[0]).find("rank_index_rankings"),
-            std::string::npos);
-  EXPECT_EQ(RoundRecordToJson(records[0]).find("rank_cache_hits"),
-            std::string::npos);
-  EXPECT_NE(RoundRecordToJson(records[1]).find("\"rank_index_rankings\":2"),
-            std::string::npos);
-  EXPECT_NE(RoundRecordToJson(records[1]).find("\"rank_candidate_nodes\":5"),
-            std::string::npos);
-  // And for the wire-layer byte counters (wire off = pre-wire schema).
+  // Same nonzero-only rule for the wire-layer byte counters (wire off =
+  // pre-wire schema).
   EXPECT_EQ(RoundRecordToJson(records[0]).find("wire_down_bytes"),
             std::string::npos);
   EXPECT_NE(RoundRecordToJson(records[1]).find("\"wire_down_bytes\":1024"),
@@ -239,9 +222,7 @@ constexpr char kSampleJsonl[] =
     R"("train_seconds":0}],"nodes_joined":14,"nodes_left":15,)"
     R"("parallel_seconds":0.5,"policy":"query_driven",)"
     R"("quarantined":4,"query_class":"interactive","query_id":42,)"
-    R"("quorum_met":false,"rank_cache_hits":8,"rank_cache_misses":9,)"
-    R"("rank_candidate_nodes":5,"rank_index_rankings":2,)"
-    R"("refreshes":16,"rejected":6,"round":1,"session":3,)"
+    R"("quorum_met":false,"refreshes":16,"rejected":6,"round":1,"session":3,)"
     R"("stale_rounds":17,"survivors":7,"total_train_seconds":0.6,)"
     R"("vt_latency_seconds":0.6875,"vt_queue_seconds":0.0625,)"
     R"("wire_down_bytes":1024,"wire_up_bytes":212})" "\n";
@@ -358,7 +339,7 @@ TEST(RoundRecordJsonlTest, ExtremeValuesTheWriterEmitsStillParse) {
   record.session = UINT64_MAX;
   record.query_id = kPast53;
   record.engaged = UINT64_MAX;
-  record.rank_cache_hits = kPast53;
+  record.wire_up_bytes = kPast53;
   record.vt_queue_seconds = Limits::infinity();
   record.vt_latency_seconds = Limits::denorm_min();
   record.parallel_seconds = -0.0;
@@ -376,6 +357,7 @@ TEST(RoundRecordJsonlTest, ExtremeValuesTheWriterEmitsStillParse) {
   const std::string jsonl = RoundRecordsToJsonl(records);
   for (const char* text :
        {"\"query_id\":9007199254740993", "\"session\":18446744073709551615",
+        "\"wire_up_bytes\":9007199254740993",
         "\"loss\":\"NaN\"", "\"vt_queue_seconds\":\"Infinity\"",
         "\"train_seconds\":\"-Infinity\"", "\"parallel_seconds\":-0",
         "\"vt_latency_seconds\":-0"}) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "qens/common/rng.h"
 
 namespace qens::selection {
@@ -114,6 +116,21 @@ TEST(RankNodeTest, Errors) {
   RangeQuery q2;
   q2.region = HyperRectangle::FromFlatBounds({0, 1, 0, 1}).value();
   EXPECT_FALSE(RankNode(p, q2, options).ok());
+
+  // Negative penalty exponents.
+  RankingOptions bad_reliability;
+  bad_reliability.reliability_weight = -1.0;
+  EXPECT_FALSE(RankNode(p, MakeQuery(0, 1), bad_reliability).ok());
+  RankingOptions bad_staleness;
+  bad_staleness.staleness_weight = -1.0;
+  EXPECT_FALSE(RankNode(p, MakeQuery(0, 1), bad_staleness).ok());
+
+  // An inverted interval and a zero-dimensional query region.
+  RangeQuery inverted = MakeQuery(0, 1);
+  inverted.region.dim(0) = query::Interval(2.0, 1.0);
+  EXPECT_FALSE(RankNode(p, inverted, options).ok());
+  RangeQuery zero_dim;
+  EXPECT_FALSE(RankNode(p, zero_dim, options).ok());
 }
 
 TEST(RankNodesTest, SortsByRankingDescending) {
@@ -143,6 +160,67 @@ TEST(RankNodesTest, TiesBreakByNodeId) {
   ASSERT_TRUE(ranks.ok());
   EXPECT_EQ((*ranks)[0].node_id, 3u);
   EXPECT_EQ((*ranks)[1].node_id, 7u);
+}
+
+TEST(RankNodesTest, AllEmptyClusterFleetRanksZeroForAnyQueryDimension) {
+  // Every cluster is empty, so Eq. 2 is never evaluated: even a query whose
+  // dimension matches no cluster box ranks every node zero and succeeds.
+  NodeProfile one;
+  one.node_id = 1;
+  one.clusters.resize(1);
+  NodeProfile two;
+  two.node_id = 0;
+  two.clusters.resize(2);
+  const std::vector<NodeProfile> profiles = {one, two};
+  RankingOptions options;
+  for (const std::vector<double>& flat :
+       {std::vector<double>{0, 1}, std::vector<double>{0, 1, 0, 1, 0, 1}}) {
+    RangeQuery q;
+    q.region = HyperRectangle::FromFlatBounds(flat).value();
+    auto ranks = RankNodes(profiles, q, options);
+    ASSERT_TRUE(ranks.ok()) << ranks.status().ToString();
+    ASSERT_EQ(ranks->size(), 2u);
+    EXPECT_EQ((*ranks)[0].node_id, 0u);
+    EXPECT_EQ((*ranks)[1].node_id, 1u);
+    for (const NodeRank& rank : *ranks) {
+      EXPECT_EQ(rank.ranking, 0.0);
+      EXPECT_EQ(rank.potential, 0.0);
+      EXPECT_EQ(rank.supporting_clusters, 0u);
+      EXPECT_EQ(rank.supporting_samples, 0u);
+      EXPECT_EQ(rank.cluster_scores.size(), rank.total_clusters);
+      for (const ClusterScore& score : rank.cluster_scores) {
+        EXPECT_EQ(score.overlap, 0.0);
+        EXPECT_FALSE(score.supporting);
+      }
+    }
+  }
+}
+
+TEST(RankNodesTest, DuplicateNodeIdsKeepProfileOrder) {
+  // Equal (ranking, id) pairs are left in profile order by the stable sort;
+  // the cluster sizes tell the two id-5 records apart.
+  const std::vector<NodeProfile> profiles = {
+      MakeProfile(5, {{0, 2}}, 4),
+      MakeProfile(5, {{0, 2}}, 6),
+      MakeProfile(2, {{10, 12}}, 3),
+  };
+  RankingOptions options;
+  auto covered = RankNodes(profiles, MakeQuery(0, 2), options);
+  ASSERT_TRUE(covered.ok());
+  ASSERT_EQ(covered->size(), 3u);
+  EXPECT_EQ((*covered)[0].node_id, 5u);
+  EXPECT_EQ((*covered)[0].total_samples, 4u);
+  EXPECT_EQ((*covered)[1].node_id, 5u);
+  EXPECT_EQ((*covered)[1].total_samples, 6u);
+  EXPECT_EQ((*covered)[2].node_id, 2u);
+
+  // All zero: id 2 sorts first, and the id-5 pair keeps profile order.
+  auto disjoint = RankNodes(profiles, MakeQuery(50, 51), options);
+  ASSERT_TRUE(disjoint.ok());
+  ASSERT_EQ(disjoint->size(), 3u);
+  EXPECT_EQ((*disjoint)[0].node_id, 2u);
+  EXPECT_EQ((*disjoint)[1].total_samples, 4u);
+  EXPECT_EQ((*disjoint)[2].total_samples, 6u);
 }
 
 TEST(RankingPropertyTest, MoreOverlapNeverLowersRanking) {

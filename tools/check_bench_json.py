@@ -36,10 +36,6 @@ BENCH_REQUIREMENTS = {
         "sections": {"equality", "throughput"},
         "record_values": {"queries"},
     },
-    "bench_x9_ranking_scalability": {
-        "sections": {"equality", "scaling"},
-        "record_values": {"nodes"},
-    },
     "bench_x10_wire_format": {
         "sections": {"sweep", "pinning"},
         "record_values": {"queries"},
