@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "qens/common/string_util.h"
+#include "qens/sim/fault_injection.h"
 
 using namespace qens;
 
@@ -25,8 +26,8 @@ fl::ExperimentConfig BaseConfig() {
   fl::ExperimentConfig config =
       bench::PaperConfig(data::Heterogeneity::kHeterogeneous);
   config.workload.num_queries = kQueries;
-  // A wider participant set keeps an honest majority per round under the
-  // 30% attacker draw (robust statistics need one).
+  // A wider participant set keeps an honest majority per round with 3 of
+  // the 10 nodes attacking (robust statistics need one).
   config.federation.query_driven.top_l = 5;
   // A single honest survivor may commit a round (validation can reject the
   // rest).
@@ -79,6 +80,7 @@ fl::ExperimentConfig MakeConfig(const Defense& defense, double attacker_frac,
 }
 
 struct SweepRow {
+  size_t attackers = 0;  ///< Nodes the fault plan marks Byzantine.
   stats::RunningStats loss;
   size_t queries_run = 0;
   size_t queries_failed = 0;  ///< Errored (diverged) or degraded to skip.
@@ -92,6 +94,14 @@ SweepRow RunSweep(const fl::ExperimentConfig& config,
       bench::ValueOrDie(fl::ExperimentRunner::Create(config), "build");
   const bool byz_on = config.federation.byzantine.enabled;
   SweepRow row;
+  // The plan the federation draws: the same options over the same nodes.
+  const sim::FaultPlan plan = bench::ValueOrDie(
+      sim::FaultPlan::Create(runner.federation().environment().num_nodes(),
+                             config.federation.fault_tolerance.faults),
+      "fault plan");
+  for (const sim::NodeFaultProfile& p : plan.profiles()) {
+    if (p.byzantine) ++row.attackers;
+  }
   for (const auto& q : runner.queries()) {
     auto outcome = runner.federation().RunQueryMultiRound(
         q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
@@ -139,7 +149,7 @@ int main(int argc, char** argv) {
   // (a) Attacker fraction x defense.
   std::printf("\n(a) attacker sweep (NaN + sign-flip mix), %zu rounds/query, "
               "%zu queries\n", kRounds, kQueries);
-  std::printf("%-20s %-9s %12s %9s %9s %9s %10s\n", "defense", "attackers",
+  std::printf("%-20s %-10s %12s %9s %9s %9s %10s\n", "defense", "attackers",
               "avg loss", "vs clean", "run", "diverged", "rejected");
   for (const Defense& defense : kDefenses) {
     double clean_loss = 0.0;
@@ -152,8 +162,8 @@ int main(int argc, char** argv) {
       const double ratio = clean_loss > 0.0 && row.queries_run > 0
                                ? row.loss.mean() / clean_loss
                                : -1.0;
-      std::printf("%-20s %-9.0f%% %11.2f %9.3f %6zu/%-2zu %9zu %10zu\n",
-                  defense.name, 100.0 * frac,
+      std::printf("%-20s %3.0f%% (%2zu) %12.2f %9.3f %6zu/%-2zu %9zu %10zu\n",
+                  defense.name, 100.0 * frac, row.attackers,
                   row.queries_run > 0 ? row.loss.mean() : -1.0, ratio,
                   row.queries_run, kQueries, row.queries_failed,
                   row.rejected);
@@ -165,6 +175,7 @@ int main(int argc, char** argv) {
       record.labels["aggregation"] =
           fl::AggregationKindName(defense.aggregator);
       record.values["attacker_frac"] = frac;
+      record.values["attackers"] = static_cast<double>(row.attackers);
       record.values["avg_loss"] =
           FiniteOr(row.queries_run > 0 ? row.loss.mean() : -1.0, -1.0);
       record.values["loss_ratio_vs_clean"] = FiniteOr(ratio, -1.0);
@@ -175,7 +186,9 @@ int main(int argc, char** argv) {
       bjson.Add(std::move(record));
     }
   }
-  std::printf("(vs clean = avg loss / the same defense's 0%%-attacker run; "
+  std::printf("(attackers = fraction of the nodes, then the count the "
+              "fault plan marks, ceil(fraction * nodes);\n"
+              " vs clean = avg loss / the same defense's 0%%-attacker run; "
               "-1 when no query survived.\n"
               " the unguarded pipeline must diverge or reject under NaN "
               "attackers; the robust rows should hold vs clean <= 1.10)\n");

@@ -59,6 +59,7 @@ enum class RngPurpose : uint64_t {
   kRandomSelection = 15,      ///< fl/query_session.cpp — Random policy picks.
   kVolatileDropout = 16,      ///< fl/query_session.cpp — volatile-node drops.
   kStochasticSelection = 17,  ///< fl/query_session.cpp — stochastic policy.
+  kFaultAttackers = 18,       ///< sim/fault_injection.cpp — attacker set.
 };
 
 /// An immutable stream key. Copy freely; all operations are const and

@@ -128,20 +128,18 @@ Result<AggregationKind> ParseAggregationKind(const std::string& name) {
   return Status::InvalidArgument("unknown aggregation: '" + name + "'");
 }
 
-Result<Matrix> AggregatePredictions(
-    const std::vector<ml::SequentialModel>& models, const Matrix& x) {
-  const std::vector<double> equal(models.size(), 1.0);
-  return AggregatePredictionsWeighted(models, equal, x);
-}
-
-Result<Matrix> AggregatePredictionsWeighted(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const Matrix& x) {
-  QENS_ASSIGN_OR_RETURN(std::vector<double> lambda,
-                        PredictionWeights(models, weights));
-  QENS_ASSIGN_OR_RETURN(std::vector<Matrix> preds,
-                        MemberPredictions(models, x));
-  return CombinePredictions(preds, lambda);
+bool IsParameterSpace(AggregationKind kind) {
+  switch (kind) {
+    case AggregationKind::kFedAvgParameters:
+    case AggregationKind::kCoordinateMedian:
+    case AggregationKind::kTrimmedMean:
+    case AggregationKind::kNormClippedFedAvg:
+      return true;
+    case AggregationKind::kModelAveraging:
+    case AggregationKind::kWeightedAveraging:
+      return false;
+  }
+  return false;
 }
 
 Result<ml::SequentialModel> FedAvgParameters(
@@ -199,16 +197,16 @@ double TrimmedMeanInPlace(std::vector<double>* column, size_t trim) {
   return sum / static_cast<double>(column->size() - 2 * trim);
 }
 
-Result<size_t> TrimCount(size_t n, double trim_beta, const char* what) {
+Result<size_t> TrimCount(size_t n, double trim_beta) {
   if (!(trim_beta >= 0.0) || trim_beta >= 0.5) {
     return Status::InvalidArgument(StrFormat(
-        "%s: trim_beta must be in [0, 0.5), got %g", what, trim_beta));
+        "trimmed-mean: trim_beta must be in [0, 0.5), got %g", trim_beta));
   }
   const size_t trim = static_cast<size_t>(trim_beta * static_cast<double>(n));
   if (2 * trim >= n) {
-    return Status::InvalidArgument(
-        StrFormat("%s: trimming %zu from each end leaves no values (n=%zu)",
-                  what, trim, n));
+    return Status::InvalidArgument(StrFormat(
+        "trimmed-mean: trimming %zu from each end leaves no values (n=%zu)",
+        trim, n));
   }
   return trim;
 }
@@ -231,59 +229,6 @@ Result<ml::SequentialModel> ReduceParameters(
   return out;
 }
 
-/// Per-cell reduce over the models' predictions on `x`.
-template <typename Reduce>
-Result<Matrix> ReducePredictions(const std::vector<ml::SequentialModel>& models,
-                                 const Matrix& x, const char* what,
-                                 Reduce reduce) {
-  if (models.empty()) {
-    return Status::InvalidArgument(StrFormat("%s: no models", what));
-  }
-  std::vector<Matrix> preds;
-  preds.reserve(models.size());
-  for (size_t i = 0; i < models.size(); ++i) {
-    QENS_ASSIGN_OR_RETURN(Matrix pred, models[i].Predict(x));
-    if (!AllFinite(pred.data())) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: model %zu produced non-finite predictions", what, i));
-    }
-    if (i > 0 && (pred.rows() != preds[0].rows() ||
-                  pred.cols() != preds[0].cols())) {
-      return Status::InvalidArgument(
-          StrFormat("%s: model %zu prediction shape differs", what, i));
-    }
-    preds.push_back(std::move(pred));
-  }
-  Matrix out(preds[0].rows(), preds[0].cols());
-  std::vector<double> column(models.size());
-  for (size_t c = 0; c < out.size(); ++c) {
-    for (size_t i = 0; i < models.size(); ++i) column[i] = preds[i].data()[c];
-    out.data()[c] = reduce(&column);
-  }
-  return out;
-}
-
-/// Clone the survivor subset (no weights involved).
-Result<std::vector<ml::SequentialModel>> FilterAlive(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, const char* what) {
-  if (models.size() != alive.size()) {
-    return Status::InvalidArgument(StrFormat("%s: %zu models, %zu flags",
-                                             what, models.size(),
-                                             alive.size()));
-  }
-  std::vector<ml::SequentialModel> survivors;
-  for (size_t i = 0; i < models.size(); ++i) {
-    if (alive[i]) survivors.push_back(models[i].Clone());
-  }
-  if (survivors.empty()) {
-    return Status::FailedPrecondition(StrFormat("%s: no survivors", what));
-  }
-  return survivors;
-}
-
-}  // namespace
-
 Result<ml::SequentialModel> CoordinateMedianParameters(
     const std::vector<ml::SequentialModel>& models) {
   QENS_RETURN_NOT_OK(CheckRobustInput(models, "coordinate-median"));
@@ -293,8 +238,7 @@ Result<ml::SequentialModel> CoordinateMedianParameters(
 Result<ml::SequentialModel> TrimmedMeanParameters(
     const std::vector<ml::SequentialModel>& models, double trim_beta) {
   QENS_RETURN_NOT_OK(CheckRobustInput(models, "trimmed-mean"));
-  QENS_ASSIGN_OR_RETURN(size_t trim,
-                        TrimCount(models.size(), trim_beta, "trimmed-mean"));
+  QENS_ASSIGN_OR_RETURN(size_t trim, TrimCount(models.size(), trim_beta));
   return ReduceParameters(models, [trim](std::vector<double>* column) {
     return TrimmedMeanInPlace(column, trim);
   });
@@ -339,21 +283,32 @@ Result<ml::SequentialModel> FedAvgNormClipped(
   return out;
 }
 
-Result<Matrix> AggregatePredictionsMedian(
-    const std::vector<ml::SequentialModel>& models, const Matrix& x) {
-  return ReducePredictions(models, x, "median-predictions", MedianInPlace);
-}
+}  // namespace
 
-Result<Matrix> AggregatePredictionsTrimmed(
-    const std::vector<ml::SequentialModel>& models, const Matrix& x,
-    double trim_beta) {
-  QENS_ASSIGN_OR_RETURN(
-      size_t trim,
-      TrimCount(models.size(), trim_beta, "trimmed-predictions"));
-  return ReducePredictions(models, x, "trimmed-predictions",
-                           [trim](std::vector<double>* column) {
-                             return TrimmedMeanInPlace(column, trim);
-                           });
+Result<ml::SequentialModel> MergeParameters(
+    AggregationKind kind, const std::vector<ml::SequentialModel>& models,
+    const std::vector<double>& weights,
+    const RobustAggregationOptions& robust) {
+  if (!IsParameterSpace(kind)) {
+    return Status::InvalidArgument(
+        StrFormat("merge: %s is not a parameter-space aggregation",
+                  AggregationKindName(kind)));
+  }
+  switch (kind) {
+    case AggregationKind::kCoordinateMedian:
+      return CoordinateMedianParameters(models);
+    case AggregationKind::kTrimmedMean:
+      return TrimmedMeanParameters(models, robust.trim_beta);
+    case AggregationKind::kNormClippedFedAvg:
+      if (robust.reference == nullptr) {
+        return Status::InvalidArgument(
+            "merge: norm-clipped-fedavg needs robust.reference");
+      }
+      return FedAvgNormClipped(models, weights, *robust.reference,
+                               robust.clip_norm);
+    default:
+      return FedAvgParameters(models, weights);
+  }
 }
 
 Result<std::vector<double>> PartialWeights(const std::vector<double>& weights,
@@ -399,96 +354,6 @@ bool MeetsQuorum(size_t survivors, size_t planned, double min_quorum_frac) {
   return survivors >= needed;
 }
 
-namespace {
-
-/// Compact the survivor subset of (models, weights) into dense vectors for
-/// the full-participation aggregators. Weights arrive pre-renormalized.
-struct SurvivorView {
-  std::vector<ml::SequentialModel> models;
-  std::vector<double> weights;
-};
-
-Result<SurvivorView> CompactSurvivors(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive) {
-  if (models.size() != weights.size() || models.size() != alive.size()) {
-    return Status::InvalidArgument(
-        StrFormat("partial aggregate: %zu models, %zu weights, %zu flags",
-                  models.size(), weights.size(), alive.size()));
-  }
-  QENS_ASSIGN_OR_RETURN(std::vector<double> lambda,
-                        PartialWeights(weights, alive));
-  SurvivorView view;
-  for (size_t i = 0; i < models.size(); ++i) {
-    if (!alive[i]) continue;
-    view.models.push_back(models[i].Clone());
-    view.weights.push_back(lambda[i]);
-  }
-  return view;
-}
-
-}  // namespace
-
-Result<Matrix> AggregatePredictionsPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive,
-    const Matrix& x) {
-  QENS_ASSIGN_OR_RETURN(SurvivorView view,
-                        CompactSurvivors(models, weights, alive));
-  return AggregatePredictionsWeighted(view.models, view.weights, x);
-}
-
-Result<ml::SequentialModel> FedAvgParametersPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive) {
-  QENS_ASSIGN_OR_RETURN(SurvivorView view,
-                        CompactSurvivors(models, weights, alive));
-  return FedAvgParameters(view.models, view.weights);
-}
-
-Result<ml::SequentialModel> CoordinateMedianParametersPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive) {
-  QENS_ASSIGN_OR_RETURN(std::vector<ml::SequentialModel> survivors,
-                        FilterAlive(models, alive, "partial median"));
-  return CoordinateMedianParameters(survivors);
-}
-
-Result<ml::SequentialModel> TrimmedMeanParametersPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, double trim_beta) {
-  QENS_ASSIGN_OR_RETURN(std::vector<ml::SequentialModel> survivors,
-                        FilterAlive(models, alive, "partial trimmed-mean"));
-  return TrimmedMeanParameters(survivors, trim_beta);
-}
-
-Result<ml::SequentialModel> FedAvgNormClippedPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive,
-    const ml::SequentialModel& reference, double clip_norm) {
-  QENS_ASSIGN_OR_RETURN(SurvivorView view,
-                        CompactSurvivors(models, weights, alive));
-  return FedAvgNormClipped(view.models, view.weights, reference, clip_norm);
-}
-
-Result<Matrix> AggregatePredictionsMedianPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, const Matrix& x) {
-  QENS_ASSIGN_OR_RETURN(
-      std::vector<ml::SequentialModel> survivors,
-      FilterAlive(models, alive, "partial median-predictions"));
-  return AggregatePredictionsMedian(survivors, x);
-}
-
-Result<Matrix> AggregatePredictionsTrimmedPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, const Matrix& x, double trim_beta) {
-  QENS_ASSIGN_OR_RETURN(
-      std::vector<ml::SequentialModel> survivors,
-      FilterAlive(models, alive, "partial trimmed-predictions"));
-  return AggregatePredictionsTrimmed(survivors, x, trim_beta);
-}
-
 Result<EnsembleModel> EnsembleModel::Create(
     std::vector<ml::SequentialModel> models, std::vector<double> weights) {
   if (models.empty()) return Status::InvalidArgument("ensemble: no models");
@@ -524,40 +389,20 @@ Result<AveragedPredictions> EnsembleModel::PredictAveraged(
 Result<Matrix> EnsembleModel::Predict(
     const Matrix& x, AggregationKind kind,
     const RobustAggregationOptions& robust) const {
-  switch (kind) {
-    case AggregationKind::kModelAveraging:
-      return AggregatePredictions(models_, x);
-    case AggregationKind::kWeightedAveraging:
-      return AggregatePredictionsWeighted(models_, weights_, x);
-    case AggregationKind::kFedAvgParameters: {
-      QENS_ASSIGN_OR_RETURN(ml::SequentialModel merged,
-                            FedAvgParameters(models_, weights_));
-      return merged.Predict(x);
-    }
-    case AggregationKind::kCoordinateMedian: {
-      QENS_ASSIGN_OR_RETURN(ml::SequentialModel merged,
-                            CoordinateMedianParameters(models_));
-      return merged.Predict(x);
-    }
-    case AggregationKind::kTrimmedMean: {
-      QENS_ASSIGN_OR_RETURN(
-          ml::SequentialModel merged,
-          TrimmedMeanParameters(models_, robust.trim_beta));
-      return merged.Predict(x);
-    }
-    case AggregationKind::kNormClippedFedAvg: {
-      if (robust.reference == nullptr) {
-        return Status::InvalidArgument(
-            "ensemble: norm-clipped-fedavg needs robust.reference");
-      }
-      QENS_ASSIGN_OR_RETURN(
-          ml::SequentialModel merged,
-          FedAvgNormClipped(models_, weights_, *robust.reference,
-                            robust.clip_norm));
-      return merged.Predict(x);
-    }
+  if (IsParameterSpace(kind)) {
+    QENS_ASSIGN_OR_RETURN(ml::SequentialModel merged,
+                          MergeParameters(kind, models_, weights_, robust));
+    return merged.Predict(x);
   }
-  return Status::Internal("ensemble: unhandled aggregation kind");
+  QENS_ASSIGN_OR_RETURN(
+      std::vector<double> lambda,
+      PredictionWeights(models_,
+                        kind == AggregationKind::kWeightedAveraging
+                            ? weights_
+                            : std::vector<double>(models_.size(), 1.0)));
+  QENS_ASSIGN_OR_RETURN(std::vector<Matrix> preds,
+                        MemberPredictions(models_, x));
+  return CombinePredictions(preds, lambda);
 }
 
 }  // namespace qens::fl

@@ -8,9 +8,11 @@
 ///   Model Averaging    (Eq. 6): y(q) = (1/l) * sum_i y_i(q)
 ///   Weighted Averaging (Eq. 7): y(q) = sum_i lambda_i y_i(q),
 ///                               lambda_i = r_i / sum_k r_k
-/// As an extension (ablated in bench_x2), parameter-space FedAvg is also
-/// provided: one model whose parameters are the (weighted) average of the
-/// local models' parameters — valid only across identical architectures.
+/// As extensions, parameter-space merges are also provided: FedAvg (ablated
+/// in bench_x2) and three Byzantine-robust rules, each yielding one model
+/// whose parameters combine the local models' parameters — valid only
+/// across identical architectures. EnsembleModel::Predict answers with
+/// either space; MergeParameters is the one parameter-space dispatcher.
 
 #include <string>
 #include <vector>
@@ -37,72 +39,58 @@ enum class AggregationKind {
 const char* AggregationKindName(AggregationKind kind);
 Result<AggregationKind> ParseAggregationKind(const std::string& name);
 
-/// Equal-weight prediction average (Eq. 6). Fails when `models` is empty,
-/// architectures/output widths are incompatible with `x`, or any Predict
-/// fails.
-Result<Matrix> AggregatePredictions(const std::vector<ml::SequentialModel>& models,
-                                    const Matrix& x);
-
-/// Ranking-weighted prediction average (Eq. 7). `weights` are the raw
-/// rankings r_i; they are normalized internally to lambda_i (must be
-/// non-negative with a positive sum; one weight per model).
-Result<Matrix> AggregatePredictionsWeighted(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const Matrix& x);
+/// True for the four kinds that merge the members into one model
+/// (kFedAvgParameters and the three robust kinds); false for the paper's
+/// prediction-space Eq. 6 and Eq. 7.
+bool IsParameterSpace(AggregationKind kind);
 
 /// Parameter-space weighted average into a single model. All models must
 /// share one architecture and carry only finite parameters (a single NaN
-/// weight would otherwise silently poison the global model). `weights` as
-/// in AggregatePredictionsWeighted; pass equal weights for plain FedAvg.
+/// weight would otherwise silently poison the global model). `weights` are
+/// raw, one per model, non-negative with a positive sum; pass equal weights
+/// for plain FedAvg.
 Result<ml::SequentialModel> FedAvgParameters(
     const std::vector<ml::SequentialModel>& models,
     const std::vector<double>& weights);
 
-/// \name Byzantine-robust aggregation
-/// Parameter-space aggregators that tolerate a bounded fraction of
-/// arbitrarily corrupted (but finite) updates. All require one shared
-/// architecture and reject non-finite parameters — run fl::UpdateValidator
-/// first to strip NaN/Inf updates. Weights are deliberately ignored: a
-/// weighted robust aggregate would let an attacker with a large ranking
-/// dominate the very statistic meant to bound its influence.
-/// @{
+/// Knobs for the robust AggregationKinds (ignored by the other kinds).
+struct RobustAggregationOptions {
+  double trim_beta = 0.1;  ///< kTrimmedMean trim fraction, in [0, 0.5).
+  double clip_norm = 1.0;  ///< kNormClippedFedAvg update-norm bound (> 0).
+  /// Reference model the clipped updates are measured against; required
+  /// for kNormClippedFedAvg (typically the round's incoming global model).
+  const ml::SequentialModel* reference = nullptr;
+};
 
-/// Coordinate-wise median of the models' parameters. Robust to < n/2
-/// corrupted updates per coordinate; the even-n median averages the two
-/// middle values.
-Result<ml::SequentialModel> CoordinateMedianParameters(
-    const std::vector<ml::SequentialModel>& models);
-
-/// Coordinate-wise trimmed mean: drop the floor(trim_beta * n) smallest and
-/// largest values of each coordinate, average the rest. Requires
-/// trim_beta in [0, 0.5) and at least one surviving value per coordinate.
-/// Robust to <= floor(trim_beta * n) corrupted updates.
-Result<ml::SequentialModel> TrimmedMeanParameters(
-    const std::vector<ml::SequentialModel>& models, double trim_beta);
-
-/// FedAvg over norm-clipped updates: each update (w_i - reference) with L2
-/// norm above `clip_norm` is rescaled to `clip_norm` before the weighted
-/// average is added back to `reference`. Bounds the displacement any
-/// single scaled/sign-flipped update can cause. clip_norm must be > 0.
-Result<ml::SequentialModel> FedAvgNormClipped(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const ml::SequentialModel& reference,
-    double clip_norm);
-
-/// Prediction-space robust variants of Eq. 6: per-sample (and per-output)
-/// median / trimmed mean over the models' predictions.
-Result<Matrix> AggregatePredictionsMedian(
-    const std::vector<ml::SequentialModel>& models, const Matrix& x);
-Result<Matrix> AggregatePredictionsTrimmed(
-    const std::vector<ml::SequentialModel>& models, const Matrix& x,
-    double trim_beta);
-
-/// @}
+/// The one parameter-space merge: every kind with IsParameterSpace(kind)
+/// goes through here; any other kind is rejected.
+///   kFedAvgParameters  — FedAvgParameters(models, weights).
+///   kCoordinateMedian  — coordinate-wise median; the even-n median
+///                        averages the two middle values. Robust to < n/2
+///                        corrupted updates per coordinate.
+///   kTrimmedMean       — coordinate-wise mean after dropping the
+///                        floor(trim_beta * n) smallest and largest values;
+///                        needs trim_beta in [0, 0.5). Robust to
+///                        <= floor(trim_beta * n) corrupted updates.
+///   kNormClippedFedAvg — each update (w_i - reference) with L2 norm above
+///                        clip_norm (finite, > 0) is rescaled to clip_norm
+///                        before the weighted average is added back to
+///                        *robust.reference, bounding the displacement any
+///                        single scaled or sign-flipped update can cause.
+/// Every kind needs at least one model, one shared architecture and finite
+/// parameters (run fl::UpdateValidator first to strip NaN/Inf updates).
+/// The median and the trimmed mean ignore `weights` on purpose: a weighted
+/// robust statistic would let an attacker with a large ranking dominate
+/// the very statistic meant to bound its influence.
+Result<ml::SequentialModel> MergeParameters(
+    AggregationKind kind, const std::vector<ml::SequentialModel>& models,
+    const std::vector<double>& weights,
+    const RobustAggregationOptions& robust = RobustAggregationOptions());
 
 /// \name Partial participation (fault tolerance)
-/// Under failures only a subset of the engaged nodes returns a model. The
-/// round's weights are renormalized over the survivors so the aggregate
-/// stays a convex combination (sum of surviving lambda_i == 1).
+/// Under failures only a subset of the engaged nodes returns a model; the
+/// round loop keeps the survivors' models densely, so only the weights and
+/// the quorum need survivor-aware helpers.
 /// @{
 
 /// Renormalize `weights` over the survivor subset: non-survivors get 0,
@@ -118,47 +106,7 @@ Result<std::vector<double>> PartialWeights(const std::vector<double>& weights,
 /// and at least one participant survived. frac is clamped into [0, 1].
 bool MeetsQuorum(size_t survivors, size_t planned, double min_quorum_frac);
 
-/// Prediction-space aggregation restricted to the survivors. Dead entries'
-/// models are never evaluated.
-Result<Matrix> AggregatePredictionsPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive,
-    const Matrix& x);
-
-/// Parameter-space FedAvg restricted to the survivors.
-Result<ml::SequentialModel> FedAvgParametersPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive);
-
-/// Survivor-aware overloads of the robust aggregators: dead entries'
-/// models are never read.
-Result<ml::SequentialModel> CoordinateMedianParametersPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive);
-Result<ml::SequentialModel> TrimmedMeanParametersPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, double trim_beta);
-Result<ml::SequentialModel> FedAvgNormClippedPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights, const std::vector<bool>& alive,
-    const ml::SequentialModel& reference, double clip_norm);
-Result<Matrix> AggregatePredictionsMedianPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, const Matrix& x);
-Result<Matrix> AggregatePredictionsTrimmedPartial(
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<bool>& alive, const Matrix& x, double trim_beta);
-
 /// @}
-
-/// Knobs for the robust AggregationKinds (ignored by the paper rules).
-struct RobustAggregationOptions {
-  double trim_beta = 0.1;  ///< kTrimmedMean trim fraction, in [0, 0.5).
-  double clip_norm = 1.0;  ///< kNormClippedFedAvg update-norm bound (> 0).
-  /// Reference model the clipped updates are measured against; required
-  /// for kNormClippedFedAvg (typically the round's incoming global model).
-  const ml::SequentialModel* reference = nullptr;
-};
 
 /// The paper's two prediction-space answers for one input.
 struct AveragedPredictions {
@@ -179,9 +127,11 @@ class EnsembleModel {
   const std::vector<ml::SequentialModel>& models() const { return models_; }
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Predict with the chosen rule. The robust parameter-space kinds take
-  /// their knobs from `robust`; kNormClippedFedAvg additionally needs
-  /// robust.reference set.
+  /// Predict with the chosen rule: Eq. 6 or Eq. 7 combine the members'
+  /// predictions (Eq. 7 needs a positive weight sum; any member prediction
+  /// that fails or is non-finite fails the call), and every
+  /// parameter-space kind predicts with MergeParameters(kind, models(),
+  /// weights(), robust).
   Result<Matrix> Predict(const Matrix& x, AggregationKind kind,
                          const RobustAggregationOptions& robust =
                              RobustAggregationOptions()) const;

@@ -94,7 +94,6 @@ class ExperimentRunner {
   const std::vector<obs::RoundRecord>& collected_round_records() const {
     return collected_round_records_;
   }
-  void ClearCollectedRoundRecords() { collected_round_records_.clear(); }
 
  private:
   ExperimentRunner(Federation federation,

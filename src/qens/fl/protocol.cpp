@@ -2,12 +2,6 @@
 
 namespace qens::fl {
 
-double QueryOutcome::DataFractionOfSelected() const {
-  return samples_selected > 0 ? static_cast<double>(samples_used) /
-                                    static_cast<double>(samples_selected)
-                              : 0.0;
-}
-
 double QueryOutcome::DataFractionOfAll() const {
   return samples_all_nodes > 0 ? static_cast<double>(samples_used) /
                                      static_cast<double>(samples_all_nodes)

@@ -186,7 +186,6 @@ struct QueryOutcome {
   size_t samples_used = 0;        ///< Rows actually trained on.
   size_t samples_selected = 0;    ///< Total rows held by selected nodes.
   size_t samples_all_nodes = 0;   ///< Total rows across the federation.
-  double DataFractionOfSelected() const;
   double DataFractionOfAll() const;
 
   /// Time accounting (Fig. 8).

@@ -189,7 +189,6 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
     }
     ro.outcome_index = result.outcomes.size();
     result.outcomes.push_back(std::move(outcome));
-    obs::Observe("serving.vt_latency_seconds", ro.vt_latency_s);
   }
 
   result.comm_messages = session.transport().total_messages();
@@ -228,9 +227,28 @@ std::vector<SessionResult> QueryServer::Serve(
 
 std::vector<SessionResult> QueryServer::ServeRequests(
     const std::vector<RequestSessionSpec>& specs) {
-  return ServeImpl(specs.size(), [this, &specs](size_t i) {
-    return RunRequestSession(specs[i], /*session_id=*/i + 1);
-  });
+  std::vector<SessionResult> results =
+      ServeImpl(specs.size(), [this, &specs](size_t i) {
+        return RunRequestSession(specs[i], /*session_id=*/i + 1);
+      });
+  if (obs::MetricsRegistry::Enabled()) {
+    // Observed after the pool joins, in session order and then execution
+    // order: the histogram's floating-point sum depends on the order of
+    // its observations, so this keeps it equal at every worker count.
+    std::vector<double> latencies;
+    for (const SessionResult& session : results) {
+      latencies.assign(session.outcomes.size(), 0.0);
+      for (const RequestOutcome& request : session.requests) {
+        if (request.executed()) {
+          latencies[request.outcome_index] = request.vt_latency_s;
+        }
+      }
+      for (double latency : latencies) {
+        obs::Observe("serving.vt_latency_seconds", latency);
+      }
+    }
+  }
+  return results;
 }
 
 ServingTelemetry SummarizeServing(const std::vector<SessionResult>& results) {

@@ -201,17 +201,11 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
   }
   if (fopts.byzantine.enabled) {
     const ByzantineOptions& byz = fopts.byzantine;
-    switch (byz.aggregator) {
-      case AggregationKind::kFedAvgParameters:
-      case AggregationKind::kCoordinateMedian:
-      case AggregationKind::kTrimmedMean:
-      case AggregationKind::kNormClippedFedAvg:
-        break;
-      default:
-        return Status::InvalidArgument(
-            StrFormat("federation: byzantine aggregator must be "
-                      "parameter-space, got %s",
-                      AggregationKindName(byz.aggregator)));
+    if (!IsParameterSpace(byz.aggregator)) {
+      return Status::InvalidArgument(
+          StrFormat("federation: byzantine aggregator must be "
+                    "parameter-space, got %s",
+                    AggregationKindName(byz.aggregator)));
     }
     if (!(byz.trim_beta >= 0.0) || byz.trim_beta >= 0.5) {
       return Status::InvalidArgument(
@@ -486,11 +480,6 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   const ByzantineOptions& byz = options.byzantine;
   const bool byz_on = byz.enabled;
 
-  if (local_models.empty()) {
-    outcome.skipped = true;
-    outcome.wall_seconds = watch.ElapsedSeconds();
-    return outcome;
-  }
   outcome.selected_nodes = chosen;
 
   // Eq. 7 weights: rankings when ranked selection produced them; otherwise

@@ -49,26 +49,6 @@ void ApplyModelCorruption(ml::SequentialModel* model,
   (void)model->SetParameters(params);  // Same size: cannot fail.
 }
 
-/// Inter-round merge under the configured robust aggregator.
-Result<ml::SequentialModel> MergeRobust(
-    const ByzantineOptions& byz,
-    const std::vector<ml::SequentialModel>& models,
-    const std::vector<double>& weights,
-    const ml::SequentialModel& reference) {
-  switch (byz.aggregator) {
-    case AggregationKind::kFedAvgParameters:
-      return FedAvgParameters(models, weights);
-    case AggregationKind::kCoordinateMedian:
-      return CoordinateMedianParameters(models);
-    case AggregationKind::kTrimmedMean:
-      return TrimmedMeanParameters(models, byz.trim_beta);
-    case AggregationKind::kNormClippedFedAvg:
-      return FedAvgNormClipped(models, weights, reference, byz.clip_norm);
-    default:
-      return Status::Internal("MergeRobust: non-parameter-space aggregator");
-  }
-}
-
 }  // namespace
 
 Result<RoundEngine::RoundSetResult> RoundEngine::Run(
@@ -565,7 +545,6 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
     if (obs_on) {
       record.survivors = local_models.size();
       record.quorum_met =
-          (!injector && !byz_on && !dyn_on) ||
           MeetsQuorum(local_models.size(), jobs.size(), ft.min_quorum_frac);
       record.fleet_epoch = dyn_stats.fleet_epoch;
       record.nodes_joined = dyn_stats.nodes_joined;
@@ -581,8 +560,7 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
       outcome->round_records.push_back(std::move(record));
     }
 
-    if ((injector || byz_on || dyn_on) &&
-        !MeetsQuorum(local_models.size(), jobs.size(), ft.min_quorum_frac)) {
+    if (!MeetsQuorum(local_models.size(), jobs.size(), ft.min_quorum_frac)) {
       // Below quorum: discard the partial update; the previous global
       // model carries into the next round (or becomes the final answer).
       ++outcome->degraded_rounds;
@@ -594,25 +572,21 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
       std::fill(final_alive.begin(), final_alive.end(), false);
       continue;
     }
-    if (local_models.empty()) {
-      if (!injector && !byz_on && !dyn_on) break;
-      continue;  // A later round may still gather survivors.
-    }
     if (round + 1 < rounds) {
       // Merge the locals into the next round's global model: FedAvg on the
       // paper path, the configured robust aggregator under the byzantine
-      // layer.
-      if (byz_on) {
-        QENS_ASSIGN_OR_RETURN(
-            global, MergeRobust(byz, local_models, fedavg_weights, global));
-      } else {
-        QENS_ASSIGN_OR_RETURN(global,
-                              FedAvgParameters(local_models, fedavg_weights));
-      }
+      // layer (norm clipping is measured against the incoming global).
+      const RobustAggregationOptions robust{byz.trim_beta, byz.clip_norm,
+                                            &global};
+      QENS_ASSIGN_OR_RETURN(
+          global,
+          MergeParameters(
+              byz_on ? byz.aggregator : AggregationKind::kFedAvgParameters,
+              local_models, fedavg_weights, robust));
     }
   }
 
-  if ((injector || byz_on || dyn_on) && local_models.empty()) {
+  if (local_models.empty()) {
     // Graceful degradation: answer with the last committed global model
     // rather than failing the query outright.
     local_models.push_back(global.Clone());

@@ -75,14 +75,15 @@ class RoundEngine {
   /// ensemble (already graceful-degraded to the last committed global
   /// model when faults wiped out every survivor), their Eq. 7 weights, and
   /// the last committed global model (the robust clipping reference).
-  /// `local_models` is empty only when the query is unanswerable.
+  /// `local_models` is never empty.
   struct RoundSetResult {
     std::vector<ml::SequentialModel> local_models;
     std::vector<double> eq7_weights;
     ml::SequentialModel global;
   };
 
-  /// Execute the round loop. `jobs` is the fixed per-query assignment,
+  /// Execute the round loop. `jobs` is the fixed per-query assignment
+  /// (non-empty, and `rounds` > 0: QuerySession guarantees both),
   /// `global` the broadcast initial model (consumed), `holdout` the pooled
   /// query-region test rows (used only by a holdout-screening validator;
   /// may be null otherwise). `query_id`/`policy` label telemetry records.

@@ -34,22 +34,6 @@ double MaskedMedian(const std::vector<double>& values,
 
 }  // namespace
 
-const char* RejectReasonName(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kNone:
-      return "accepted";
-    case RejectReason::kNonFinite:
-      return "non_finite";
-    case RejectReason::kAbsNormBound:
-      return "abs_norm";
-    case RejectReason::kNormOutlier:
-      return "norm_outlier";
-    case RejectReason::kHoldoutLoss:
-      return "holdout_loss";
-  }
-  return "accepted";
-}
-
 std::string ValidationReport::Summary() const {
   std::string out = StrFormat("accepted %zu/%zu", accepted, verdicts.size());
   if (rejected() == 0) return out;

@@ -23,9 +23,9 @@
 ///                          attacker-majority rounds where median statistics
 ///                          are unavailable or corrupted.
 ///
-/// Each check is individually opt-in (0 disables the bounds); rejected
-/// updates are meant to be dropped via the existing alive/PartialWeights
-/// machinery and the offending nodes quarantined by the federation loop.
+/// Each check is individually opt-in (0 disables the bounds); the round
+/// engine drops rejected updates from its survivor set before any merge
+/// and quarantines the offending nodes.
 
 #include <cstddef>
 #include <string>
@@ -46,10 +46,6 @@ enum class RejectReason {
   kNormOutlier,   ///< Update norm a median/MAD outlier within the round.
   kHoldoutLoss,   ///< Holdout loss far above the round median.
 };
-
-/// Stable wire name ("accepted", "non_finite", "abs_norm", "norm_outlier",
-/// "holdout_loss").
-const char* RejectReasonName(RejectReason reason);
 
 /// Validation knobs. Defaults enable only the finite check; every bound is
 /// opt-in so a fault-free configuration never rejects an honest update.

@@ -1,6 +1,8 @@
 #include "qens/sim/fault_injection.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "qens/common/rng.h"
 #include "qens/common/split_rng.h"
@@ -16,6 +18,15 @@ namespace {
 Rng DimensionRng(const FaultPlanOptions& options, RngPurpose purpose,
                  uint64_t coord) {
   return SplitRng(options.seed).Split(purpose).Split(coord).ToRng();
+}
+
+/// ceil(rate * num_nodes) for a rate in [0, 1]. The product is shrunk by
+/// a few ulps first: 0.07 * 100 evaluates to 7.000000000000001 in
+/// binary64, and seven attackers are meant, not eight.
+size_t AttackerCount(size_t num_nodes, double rate) {
+  const double scaled = rate * static_cast<double>(num_nodes) *
+                        (1.0 - 4.0 * std::numeric_limits<double>::epsilon());
+  return std::min(num_nodes, static_cast<size_t>(std::ceil(scaled)));
 }
 
 Status ValidateRate(double rate, const char* what) {
@@ -122,14 +133,18 @@ Result<FaultPlan> FaultPlan::Create(size_t num_nodes,
       p.slowdown = straggler_rng.Uniform(options.straggler_slowdown_min,
                                          options.straggler_slowdown_max);
     }
-    if (options.corruption_rate > 0.0) {
-      Rng corrupt_rng = DimensionRng(options, RngPurpose::kFaultCorrupt, i);
-      if (corrupt_rng.Bernoulli(options.corruption_rate)) {
-        p.byzantine = true;
-        p.corruption = options.corruption_kinds[static_cast<size_t>(
-            corrupt_rng.UniformInt(options.corruption_kinds.size()))];
-      }
-    }
+  }
+  // The attackers are the first AttackerCount() entries of a keyed
+  // permutation of the node ids; each draws its mode from its own stream.
+  Rng attacker_rng =
+      SplitRng(options.seed).Split(RngPurpose::kFaultAttackers).ToRng();
+  for (size_t i : attacker_rng.SampleWithoutReplacement(
+           num_nodes, AttackerCount(num_nodes, options.corruption_rate))) {
+    NodeFaultProfile& p = profiles[i];
+    Rng corrupt_rng = DimensionRng(options, RngPurpose::kFaultCorrupt, i);
+    p.byzantine = true;
+    p.corruption = options.corruption_kinds[static_cast<size_t>(
+        corrupt_rng.UniformInt(options.corruption_kinds.size()))];
   }
   return FaultPlan(std::move(profiles), options);
 }

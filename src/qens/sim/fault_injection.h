@@ -76,9 +76,12 @@ struct FaultPlanOptions {
   double straggler_slowdown_max = 8.0;
   /// Per-transmission probability that a message is lost in flight.
   double message_loss_rate = 0.0;
-  /// Probability that a node is Byzantine (a persistent attacker). Each
-  /// attacker is assigned one corruption mode drawn uniformly from
-  /// `corruption_kinds` at plan time.
+  /// Fraction of the nodes that are Byzantine (persistent attackers): the
+  /// plan marks exactly ceil(corruption_rate * num_nodes) of them, chosen
+  /// by a keyed permutation of the node ids (rounding noise in the product
+  /// is ignored, so 0.07 of 100 nodes is 7, not 8). Each attacker is
+  /// assigned one corruption mode drawn uniformly from `corruption_kinds`
+  /// at plan time.
   double corruption_rate = 0.0;
   /// Attack modes to mix across attackers. Must be non-empty and must not
   /// contain kNone when corruption_rate > 0.

@@ -1,5 +1,6 @@
-// Tests for the aggregation rules: Eq. 6 (equal prediction average), Eq. 7
-// (ranking-weighted, lambda normalization), FedAvg parameters, ensemble.
+// Tests for the aggregation rules: Eq. 6 (equal prediction average) and
+// Eq. 7 (ranking-weighted, lambda normalization) as EnsembleModel answers,
+// FedAvg parameters, and the ensemble's construction.
 
 #include "qens/fl/aggregation.h"
 
@@ -19,59 +20,82 @@ ml::SequentialModel Linear(double w, double b) {
   return m;
 }
 
+/// One ensemble answer; the ensemble must build.
+Result<Matrix> Answer(std::vector<ml::SequentialModel> models,
+                      std::vector<double> weights, const Matrix& x,
+                      AggregationKind kind) {
+  QENS_ASSIGN_OR_RETURN(EnsembleModel ensemble,
+                        EnsembleModel::Create(std::move(models),
+                                              std::move(weights)));
+  return ensemble.Predict(x, kind);
+}
+
 TEST(AggregationTest, Eq6EqualAverage) {
-  // Models y = 2x and y = 4x at x = 1: average 3.
-  std::vector<ml::SequentialModel> models = {Linear(2, 0), Linear(4, 0)};
+  // Models y = 2x and y = 4x at x = 1: average 3, whatever the rankings.
   Matrix x{{1.0}};
-  auto pred = AggregatePredictions(models, x);
+  auto pred = Answer({Linear(2, 0), Linear(4, 0)}, {1.0, 9.0}, x,
+                     AggregationKind::kModelAveraging);
   ASSERT_TRUE(pred.ok());
   EXPECT_DOUBLE_EQ((*pred)(0, 0), 3.0);
 }
 
 TEST(AggregationTest, Eq6SingleModelIsIdentity) {
-  std::vector<ml::SequentialModel> models = {Linear(5, 1)};
   Matrix x{{2.0}};
-  auto pred = AggregatePredictions(models, x);
+  auto pred =
+      Answer({Linear(5, 1)}, {1.0}, x, AggregationKind::kModelAveraging);
   ASSERT_TRUE(pred.ok());
   EXPECT_DOUBLE_EQ((*pred)(0, 0), 11.0);
 }
 
 TEST(AggregationTest, Eq7WeightsNormalizeToLambda) {
   // Rankings 1 and 3 -> lambdas 0.25 / 0.75.
-  std::vector<ml::SequentialModel> models = {Linear(0, 0), Linear(0, 4)};
   Matrix x{{1.0}};
-  auto pred = AggregatePredictionsWeighted(models, {1.0, 3.0}, x);
+  auto pred = Answer({Linear(0, 0), Linear(0, 4)}, {1.0, 3.0}, x,
+                     AggregationKind::kWeightedAveraging);
   ASSERT_TRUE(pred.ok());
   EXPECT_DOUBLE_EQ((*pred)(0, 0), 0.25 * 0.0 + 0.75 * 4.0);
 }
 
 TEST(AggregationTest, Eq7EqualWeightsMatchEq6) {
-  std::vector<ml::SequentialModel> models = {Linear(1, 1), Linear(3, -1)};
   Matrix x{{0.5}, {2.0}};
-  auto a = AggregatePredictions(models, x);
-  auto b = AggregatePredictionsWeighted(models, {2.0, 2.0}, x);
+  auto a = Answer({Linear(1, 1), Linear(3, -1)}, {2.0, 2.0}, x,
+                  AggregationKind::kModelAveraging);
+  auto b = Answer({Linear(1, 1), Linear(3, -1)}, {2.0, 2.0}, x,
+                  AggregationKind::kWeightedAveraging);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LT(a->MaxAbsDiff(*b), 1e-12);
 }
 
 TEST(AggregationTest, Eq7ScaleInvariantInWeights) {
-  std::vector<ml::SequentialModel> models = {Linear(1, 0), Linear(2, 0)};
   Matrix x{{1.0}};
-  auto a = AggregatePredictionsWeighted(models, {1.0, 4.0}, x);
-  auto b = AggregatePredictionsWeighted(models, {10.0, 40.0}, x);
+  auto a = Answer({Linear(1, 0), Linear(2, 0)}, {1.0, 4.0}, x,
+                  AggregationKind::kWeightedAveraging);
+  auto b = Answer({Linear(1, 0), Linear(2, 0)}, {10.0, 40.0}, x,
+                  AggregationKind::kWeightedAveraging);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ((*a)(0, 0), (*b)(0, 0));
 }
 
 TEST(AggregationTest, WeightErrors) {
-  std::vector<ml::SequentialModel> models = {Linear(1, 0), Linear(2, 0)};
   Matrix x{{1.0}};
-  EXPECT_FALSE(AggregatePredictionsWeighted(models, {1.0}, x).ok());
-  EXPECT_FALSE(AggregatePredictionsWeighted(models, {0.0, 0.0}, x).ok());
-  EXPECT_FALSE(AggregatePredictionsWeighted(models, {1.0, -1.0}, x).ok());
-  EXPECT_FALSE(AggregatePredictions({}, x).ok());
+  const auto models = [] {
+    return std::vector<ml::SequentialModel>{Linear(1, 0), Linear(2, 0)};
+  };
+  // Wrong count and negative weights never build an ensemble.
+  EXPECT_FALSE(
+      Answer(models(), {1.0}, x, AggregationKind::kWeightedAveraging).ok());
+  EXPECT_FALSE(Answer(models(), {1.0, -1.0}, x,
+                      AggregationKind::kWeightedAveraging)
+                   .ok());
+  EXPECT_FALSE(Answer({}, {}, x, AggregationKind::kModelAveraging).ok());
+  // An all-zero ranking has no lambda: Eq. 7 fails, Eq. 6 still answers.
+  EXPECT_FALSE(Answer(models(), {0.0, 0.0}, x,
+                      AggregationKind::kWeightedAveraging)
+                   .ok());
+  EXPECT_TRUE(
+      Answer(models(), {0.0, 0.0}, x, AggregationKind::kModelAveraging).ok());
 }
 
 TEST(FedAvgTest, ParameterAverage) {
@@ -97,7 +121,8 @@ TEST(FedAvgTest, ForLinearModelsMatchesPredictionAverage) {
   auto merged = FedAvgParameters(models, {1.0, 1.0});
   ASSERT_TRUE(merged.ok());
   auto from_params = merged->Predict(x);
-  auto from_preds = AggregatePredictions(models, x);
+  auto from_preds =
+      Answer(models, {1.0, 1.0}, x, AggregationKind::kModelAveraging);
   ASSERT_TRUE(from_params.ok());
   ASSERT_TRUE(from_preds.ok());
   EXPECT_LT(from_params->MaxAbsDiff(*from_preds), 1e-12);
@@ -156,9 +181,13 @@ TEST(FedAvgTest, NonFiniteParametersRejected) {
   std::vector<ml::SequentialModel> models = {
       Linear(std::numeric_limits<double>::quiet_NaN(), 0), Linear(2, 0)};
   EXPECT_FALSE(FedAvgParameters(models, {1.0, 1.0}).ok());
+  // A NaN member predicts NaN, which both prediction-space answers refuse.
   Matrix x{{1.0}};
-  EXPECT_FALSE(AggregatePredictions(models, x).ok());
-  EXPECT_FALSE(AggregatePredictionsWeighted(models, {1.0, 1.0}, x).ok());
+  EXPECT_FALSE(
+      Answer(models, {1.0, 1.0}, x, AggregationKind::kModelAveraging).ok());
+  EXPECT_FALSE(
+      Answer(models, {1.0, 1.0}, x, AggregationKind::kWeightedAveraging)
+          .ok());
 }
 
 }  // namespace

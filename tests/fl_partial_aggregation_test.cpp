@@ -1,7 +1,7 @@
 // Tests for partial-participation aggregation (fault tolerance): survivor
 // weight renormalization, quorum edge cases (all fail / exactly-quorum /
-// one straggler), survivor-restricted prediction & parameter aggregation,
-// and the federation-level deadline/quorum/degradation behavior.
+// one straggler), and the federation-level deadline/quorum/degradation
+// behavior.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +11,6 @@
 
 namespace qens::fl {
 namespace {
-
-/// A 1-feature linear model y = w x + b.
-ml::SequentialModel Linear(double w, double b) {
-  ml::SequentialModel m;
-  EXPECT_TRUE(m.AddLayer(1, 1, ml::Activation::kIdentity).ok());
-  m.layer(0).weights()(0, 0) = w;
-  m.layer(0).bias()[0] = b;
-  return m;
-}
 
 // ----- PartialWeights -----
 
@@ -119,42 +110,6 @@ TEST(MeetsQuorumTest, OneStragglerCut) {
 TEST(MeetsQuorumTest, FracIsClamped) {
   EXPECT_TRUE(MeetsQuorum(4, 4, 7.0));    // Clamped to 1.
   EXPECT_TRUE(MeetsQuorum(1, 4, -3.0));   // Clamped to 0.
-}
-
-// ----- Survivor-restricted aggregation -----
-
-TEST(PartialAggregationTest, MatchesFullAggregationOverSurvivors) {
-  std::vector<ml::SequentialModel> models = {Linear(2, 0), Linear(100, 100),
-                                             Linear(4, 0)};
-  Matrix x{{1.0}, {2.0}};
-  // Middle model dead: expect the plain weighted average of models 0 and 2.
-  auto partial = AggregatePredictionsPartial(models, {1.0, 5.0, 3.0},
-                                             {true, false, true}, x);
-  ASSERT_TRUE(partial.ok());
-  std::vector<ml::SequentialModel> survivors;
-  survivors.push_back(Linear(2, 0));
-  survivors.push_back(Linear(4, 0));
-  auto full = AggregatePredictionsWeighted(survivors, {1.0, 3.0}, x);
-  ASSERT_TRUE(full.ok());
-  EXPECT_LT(partial->MaxAbsDiff(*full), 1e-12);
-}
-
-TEST(PartialAggregationTest, FedAvgPartialIgnoresDeadModels) {
-  std::vector<ml::SequentialModel> models = {Linear(2, 0), Linear(1000, -7),
-                                             Linear(4, 2)};
-  auto merged =
-      FedAvgParametersPartial(models, {1.0, 1.0, 1.0}, {true, false, true});
-  ASSERT_TRUE(merged.ok());
-  EXPECT_DOUBLE_EQ(merged->layer(0).weights()(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(merged->layer(0).bias()[0], 1.0);
-}
-
-TEST(PartialAggregationTest, NoSurvivorsFails) {
-  std::vector<ml::SequentialModel> models = {Linear(1, 0)};
-  Matrix x{{1.0}};
-  EXPECT_FALSE(
-      AggregatePredictionsPartial(models, {1.0}, {false}, x).ok());
-  EXPECT_FALSE(FedAvgParametersPartial(models, {1.0}, {false}).ok());
 }
 
 // ----- Federation-level behavior under faults -----

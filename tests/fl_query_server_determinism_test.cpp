@@ -2,8 +2,13 @@
 // fleet are bit-identical at EVERY worker count (0 = sequential inline,
 // 1, 2, 4, 8 = pooled), because each session's seed derives only from
 // (base seed, session id) and every piece of mutable state is private to
-// the session. Also pins the session-id tagging of RoundRecords and that
-// serving leaves a concurrently used sequential Federation untouched.
+// the session. Also pins the session-id tagging of RoundRecords, that
+// serving leaves a concurrently used sequential Federation untouched, and
+// that the request pipeline's virtual-latency histogram is equal at every
+// worker count.
+
+#include <bit>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -245,6 +250,62 @@ TEST(QueryServerTest, ServingLeavesSequentialFederationUntouched) {
 
   EXPECT_EQ(fed->environment().network().total_bytes(), network_bytes);
   check_lockstep();
+}
+
+/// Four request sessions: six requests each, arriving 5 virtual ms apart
+/// with the classes cycled, so requests queue and priority scheduling
+/// executes them out of request order.
+std::vector<RequestSessionSpec> MakeRequestSpecs() {
+  constexpr QueryClass kPattern[] = {QueryClass::kBatch, QueryClass::kStandard,
+                                     QueryClass::kInteractive};
+  std::vector<RequestSessionSpec> specs;
+  for (size_t s = 0; s < 4; ++s) {
+    RequestSessionSpec spec;
+    spec.rounds = 1 + s % 2;
+    for (size_t q = 0; q < 6; ++q) {
+      QueryRequest request;
+      request.query = QueryOver(0, 6.0 + static_cast<double>(s + q % 3),
+                                100 * (s + 1) + q);
+      request.query_class = kPattern[q % 3];
+      request.arrival_s = 0.005 * static_cast<double>(q);
+      spec.requests.push_back(std::move(request));
+    }
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+TEST(QueryServerTest, VirtualLatencyHistogramEqualAtEveryWorkerCount) {
+  // Workers finish sessions in any order; the histogram must not depend on
+  // it, down to the bits of its floating-point sum.
+  auto fleet = Fleet::Create(MakeNodes(), FastOptions());
+  ASSERT_TRUE(fleet.ok());
+  auto latency_histogram = [&](size_t workers) {
+    obs::MetricsRegistry::Enable();
+    obs::MetricsRegistry::Get()->Reset();
+    ServingOptions options;
+    options.num_workers = workers;
+    auto server = QueryServer::Create(*fleet, options);
+    EXPECT_TRUE(server.ok());
+    const std::vector<SessionResult> results =
+        server->ServeRequests(MakeRequestSpecs());
+    for (const SessionResult& session : results) {
+      EXPECT_TRUE(session.status.ok());
+    }
+    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get()->Snapshot();
+    obs::MetricsRegistry::Disable();
+    return snapshot.histograms["serving.vt_latency_seconds"];
+  };
+  const obs::HistogramSnapshot sequential = latency_histogram(1);
+  const obs::HistogramSnapshot pooled = latency_histogram(4);
+  EXPECT_EQ(sequential.total, 24u);
+  EXPECT_EQ(sequential.total, pooled.total);
+  EXPECT_EQ(std::bit_cast<uint64_t>(sequential.sum),
+            std::bit_cast<uint64_t>(pooled.sum));
+  EXPECT_EQ(sequential.bounds, pooled.bounds);
+  EXPECT_EQ(sequential.counts, pooled.counts);
+  EXPECT_EQ(sequential.min, pooled.min);
+  EXPECT_EQ(sequential.max, pooled.max);
 }
 
 }  // namespace

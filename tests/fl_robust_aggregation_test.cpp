@@ -1,8 +1,9 @@
-// Tests for the Byzantine-robust aggregators: coordinate median, trimmed
-// mean, norm-clipped FedAvg, their prediction-space and partial variants,
-// and the central robustness property — with at most floor(beta * n)
-// corrupted (finite, arbitrary) updates, the trimmed mean and the
-// coordinate median stay inside the honest coordinate envelope.
+// Tests for the Byzantine-robust aggregators behind MergeParameters —
+// coordinate median, trimmed mean, norm-clipped FedAvg — the dispatcher's
+// own contract, the robust EnsembleModel answers, and the central
+// robustness property: with at most floor(beta * n) corrupted (finite,
+// arbitrary) updates, the trimmed mean and the coordinate median stay
+// inside the honest coordinate envelope.
 
 #include "qens/fl/aggregation.h"
 
@@ -39,6 +40,33 @@ ml::SequentialModel ModelWithParams(const std::vector<double>& params) {
 
 constexpr size_t kParamCount = 3 * 2 + 2 + 2 * 1 + 1;  // 11
 
+/// The three robust merges through the one dispatcher. The median and the
+/// trimmed mean ignore weights, so they get equal ones.
+Result<ml::SequentialModel> Median(
+    const std::vector<ml::SequentialModel>& models) {
+  return MergeParameters(AggregationKind::kCoordinateMedian, models,
+                         std::vector<double>(models.size(), 1.0));
+}
+
+Result<ml::SequentialModel> Trimmed(
+    const std::vector<ml::SequentialModel>& models, double trim_beta) {
+  RobustAggregationOptions robust;
+  robust.trim_beta = trim_beta;
+  return MergeParameters(AggregationKind::kTrimmedMean, models,
+                         std::vector<double>(models.size(), 1.0), robust);
+}
+
+Result<ml::SequentialModel> Clipped(
+    const std::vector<ml::SequentialModel>& models,
+    const std::vector<double>& weights, const ml::SequentialModel& reference,
+    double clip_norm) {
+  RobustAggregationOptions robust;
+  robust.clip_norm = clip_norm;
+  robust.reference = &reference;
+  return MergeParameters(AggregationKind::kNormClippedFedAvg, models,
+                         weights, robust);
+}
+
 std::vector<double> RandomParams(std::mt19937_64& rng, double lo, double hi) {
   std::uniform_real_distribution<double> dist(lo, hi);
   std::vector<double> params(kParamCount);
@@ -63,8 +91,7 @@ void CheckWithinHonestEnvelope(size_t n, size_t n_corrupt, double trim_beta,
     if (!corrupt) honest_params.push_back(params);
     models.push_back(ModelWithParams(params));
   }
-  auto merged = use_median ? CoordinateMedianParameters(models)
-                           : TrimmedMeanParameters(models, trim_beta);
+  auto merged = use_median ? Median(models) : Trimmed(models, trim_beta);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   const std::vector<double> result = merged->GetParameters();
   ASSERT_EQ(result.size(), kParamCount);
@@ -98,7 +125,7 @@ TEST(RobustPropertyTest, TrimmedMeanWithinHonestEnvelope) {
 TEST(CoordinateMedianTest, ExactForKnownValues) {
   std::vector<ml::SequentialModel> models = {Linear(1, 10), Linear(2, 20),
                                              Linear(1000, -5)};
-  auto merged = CoordinateMedianParameters(models);
+  auto merged = Median(models);
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ(merged->layer(0).weights()(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(merged->layer(0).bias()[0], 10.0);
@@ -107,7 +134,7 @@ TEST(CoordinateMedianTest, ExactForKnownValues) {
 TEST(CoordinateMedianTest, EvenCountAveragesMiddlePair) {
   std::vector<ml::SequentialModel> models = {Linear(1, 0), Linear(3, 0),
                                              Linear(5, 0), Linear(100, 0)};
-  auto merged = CoordinateMedianParameters(models);
+  auto merged = Median(models);
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ(merged->layer(0).weights()(0, 0), 4.0);
 }
@@ -116,18 +143,18 @@ TEST(TrimmedMeanTest, TrimsBothEnds) {
   // beta = 0.25, n = 4 -> trim 1 from each end: mean(2, 3) = 2.5.
   std::vector<ml::SequentialModel> models = {Linear(-50, 0), Linear(2, 0),
                                              Linear(3, 0), Linear(90, 0)};
-  auto merged = TrimmedMeanParameters(models, 0.25);
+  auto merged = Trimmed(models, 0.25);
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ(merged->layer(0).weights()(0, 0), 2.5);
 }
 
 TEST(TrimmedMeanTest, BetaValidation) {
   std::vector<ml::SequentialModel> models = {Linear(1, 0), Linear(2, 0)};
-  EXPECT_FALSE(TrimmedMeanParameters(models, -0.1).ok());
-  EXPECT_FALSE(TrimmedMeanParameters(models, 0.5).ok());
-  EXPECT_FALSE(TrimmedMeanParameters(models, std::nan("")).ok());
+  EXPECT_FALSE(Trimmed(models, -0.1).ok());
+  EXPECT_FALSE(Trimmed(models, 0.5).ok());
+  EXPECT_FALSE(Trimmed(models, std::nan("")).ok());
   // n = 2 with beta = 0.49 still trims 0, so it must succeed.
-  EXPECT_TRUE(TrimmedMeanParameters(models, 0.49).ok());
+  EXPECT_TRUE(Trimmed(models, 0.49).ok());
 }
 
 TEST(NormClippedTest, BoundsDisplacementFromReference) {
@@ -135,8 +162,7 @@ TEST(NormClippedTest, BoundsDisplacementFromReference) {
   // One honest small update, one wildly scaled one.
   std::vector<ml::SequentialModel> models = {Linear(1.1, 1.0),
                                              Linear(5000, -4000)};
-  auto merged =
-      FedAvgNormClipped(models, {1.0, 1.0}, reference, /*clip_norm=*/1.0);
+  auto merged = Clipped(models, {1.0, 1.0}, reference, /*clip_norm=*/1.0);
   ASSERT_TRUE(merged.ok());
   const double displacement = vec::Norm2(
       vec::Sub(merged->GetParameters(), reference.GetParameters()));
@@ -147,7 +173,7 @@ TEST(NormClippedTest, SmallUpdatesUnclippedMatchFedAvg) {
   const ml::SequentialModel reference = Linear(0, 0);
   std::vector<ml::SequentialModel> models = {Linear(0.1, 0.0),
                                              Linear(0.0, 0.3)};
-  auto clipped = FedAvgNormClipped(models, {1.0, 1.0}, reference, 10.0);
+  auto clipped = Clipped(models, {1.0, 1.0}, reference, 10.0);
   auto fedavg = FedAvgParameters(models, {1.0, 1.0});
   ASSERT_TRUE(clipped.ok());
   ASSERT_TRUE(fedavg.ok());
@@ -159,68 +185,83 @@ TEST(NormClippedTest, SmallUpdatesUnclippedMatchFedAvg) {
 TEST(NormClippedTest, InvalidClipNorm) {
   const ml::SequentialModel reference = Linear(0, 0);
   std::vector<ml::SequentialModel> models = {Linear(1, 0)};
-  EXPECT_FALSE(FedAvgNormClipped(models, {1.0}, reference, 0.0).ok());
-  EXPECT_FALSE(FedAvgNormClipped(models, {1.0}, reference,
-                                 std::numeric_limits<double>::infinity())
+  EXPECT_FALSE(Clipped(models, {1.0}, reference, 0.0).ok());
+  EXPECT_FALSE(Clipped(models, {1.0}, reference,
+                       std::numeric_limits<double>::infinity())
                    .ok());
+  EXPECT_FALSE(Clipped(models, {1.0}, reference, std::nan("")).ok());
 }
 
 TEST(RobustAggregationTest, NonFiniteParametersRejected) {
   std::vector<ml::SequentialModel> models = {
       Linear(std::numeric_limits<double>::quiet_NaN(), 0), Linear(1, 0)};
-  EXPECT_FALSE(CoordinateMedianParameters(models).ok());
-  EXPECT_FALSE(TrimmedMeanParameters(models, 0.1).ok());
-  EXPECT_FALSE(
-      FedAvgNormClipped(models, {1.0, 1.0}, Linear(0, 0), 1.0).ok());
+  EXPECT_FALSE(Median(models).ok());
+  EXPECT_FALSE(Trimmed(models, 0.1).ok());
+  EXPECT_FALSE(Clipped(models, {1.0, 1.0}, Linear(0, 0), 1.0).ok());
+  // The ensemble's robust answers refuse the same members.
+  auto ensemble = EnsembleModel::Create(models, {1.0, 1.0});
+  ASSERT_TRUE(ensemble.ok());
+  const ml::SequentialModel reference = Linear(0, 0);
+  RobustAggregationOptions robust;
+  robust.reference = &reference;
   Matrix x{{1.0}};
-  EXPECT_FALSE(AggregatePredictionsMedian(models, x).ok());
-  EXPECT_FALSE(AggregatePredictionsTrimmed(models, x, 0.1).ok());
+  for (AggregationKind kind :
+       {AggregationKind::kCoordinateMedian, AggregationKind::kTrimmedMean,
+        AggregationKind::kNormClippedFedAvg}) {
+    EXPECT_FALSE(ensemble->Predict(x, kind, robust).ok())
+        << AggregationKindName(kind);
+  }
 }
 
 TEST(RobustAggregationTest, EmptyInputRejected) {
-  EXPECT_FALSE(CoordinateMedianParameters({}).ok());
-  EXPECT_FALSE(TrimmedMeanParameters({}, 0.1).ok());
+  const ml::SequentialModel reference = Linear(0, 0);
+  RobustAggregationOptions robust;
+  robust.reference = &reference;
+  for (AggregationKind kind :
+       {AggregationKind::kFedAvgParameters, AggregationKind::kCoordinateMedian,
+        AggregationKind::kTrimmedMean, AggregationKind::kNormClippedFedAvg}) {
+    EXPECT_FALSE(MergeParameters(kind, {}, {}, robust).ok())
+        << AggregationKindName(kind);
+  }
 }
 
-TEST(PredictionMedianTest, PerSampleMedian) {
-  std::vector<ml::SequentialModel> models = {Linear(1, 0), Linear(2, 0),
-                                             Linear(500, 0)};
-  Matrix x{{1.0}, {-1.0}};
-  auto pred = AggregatePredictionsMedian(models, x);
-  ASSERT_TRUE(pred.ok());
-  EXPECT_DOUBLE_EQ((*pred)(0, 0), 2.0);     // median(1, 2, 500)
-  EXPECT_DOUBLE_EQ((*pred)(1, 0), -2.0);    // median(-1, -2, -500)
+TEST(MergeParametersTest, ParameterSpaceKindsPartitionTheRules) {
+  EXPECT_FALSE(IsParameterSpace(AggregationKind::kModelAveraging));
+  EXPECT_FALSE(IsParameterSpace(AggregationKind::kWeightedAveraging));
+  EXPECT_TRUE(IsParameterSpace(AggregationKind::kFedAvgParameters));
+  EXPECT_TRUE(IsParameterSpace(AggregationKind::kCoordinateMedian));
+  EXPECT_TRUE(IsParameterSpace(AggregationKind::kTrimmedMean));
+  EXPECT_TRUE(IsParameterSpace(AggregationKind::kNormClippedFedAvg));
 }
 
-TEST(PartialRobustTest, DeadModelsNeverRead) {
-  // The dead entry carries NaN parameters: any read would error, so a
-  // passing aggregate proves it was skipped.
-  std::vector<ml::SequentialModel> models = {
-      Linear(1, 0), Linear(std::numeric_limits<double>::quiet_NaN(), 0),
-      Linear(3, 0)};
-  const std::vector<bool> alive = {true, false, true};
-  auto median = CoordinateMedianParametersPartial(models, alive);
-  ASSERT_TRUE(median.ok());
-  EXPECT_DOUBLE_EQ(median->layer(0).weights()(0, 0), 2.0);
-  auto trimmed = TrimmedMeanParametersPartial(models, alive, 0.1);
-  ASSERT_TRUE(trimmed.ok());
-  EXPECT_DOUBLE_EQ(trimmed->layer(0).weights()(0, 0), 2.0);
-  auto clipped = FedAvgNormClippedPartial(models, {1.0, 1.0, 1.0}, alive,
-                                          Linear(2, 0), 100.0);
-  ASSERT_TRUE(clipped.ok());
-  EXPECT_DOUBLE_EQ(clipped->layer(0).weights()(0, 0), 2.0);
-  Matrix x{{1.0}};
-  auto pred = AggregatePredictionsMedianPartial(models, alive, x);
-  ASSERT_TRUE(pred.ok());
-  EXPECT_DOUBLE_EQ((*pred)(0, 0), 2.0);
-  auto pred_trim = AggregatePredictionsTrimmedPartial(models, alive, x, 0.1);
-  ASSERT_TRUE(pred_trim.ok());
-  EXPECT_DOUBLE_EQ((*pred_trim)(0, 0), 2.0);
+TEST(MergeParametersTest, RejectsPredictionSpaceKinds) {
+  std::vector<ml::SequentialModel> models = {Linear(1, 0), Linear(3, 0)};
+  EXPECT_FALSE(MergeParameters(AggregationKind::kModelAveraging, models,
+                               {1.0, 1.0})
+                   .ok());
+  EXPECT_FALSE(MergeParameters(AggregationKind::kWeightedAveraging, models,
+                               {1.0, 1.0})
+                   .ok());
 }
 
-TEST(PartialRobustTest, NoSurvivorsFails) {
+TEST(MergeParametersTest, FedAvgKindIsFedAvgParametersBitForBit) {
+  std::vector<ml::SequentialModel> models = {Linear(0.1, 0.7),
+                                             Linear(-2.3, 0.4),
+                                             Linear(5.9, -1.1)};
+  const std::vector<double> weights = {3.0, 1.0, 7.0};
+  auto merged =
+      MergeParameters(AggregationKind::kFedAvgParameters, models, weights);
+  auto direct = FedAvgParameters(models, weights);
+  ASSERT_TRUE(merged.ok());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(merged->GetParameters(), direct->GetParameters());
+}
+
+TEST(MergeParametersTest, NormClippedNeedsReference) {
   std::vector<ml::SequentialModel> models = {Linear(1, 0)};
-  EXPECT_FALSE(CoordinateMedianParametersPartial(models, {false}).ok());
+  EXPECT_FALSE(MergeParameters(AggregationKind::kNormClippedFedAvg, models,
+                               {1.0})
+                   .ok());
 }
 
 TEST(EnsembleRobustTest, RobustKindsPredict) {

@@ -1,9 +1,12 @@
 // Tests for the seeded fault-injection substrate: schedule determinism
 // (same seed => identical fault schedule, any query order), crash
-// permanence, straggler slowdown bounds, link-loss determinism, and
-// option validation.
+// permanence, straggler slowdown bounds, link-loss determinism, exact
+// attacker counts, and option validation.
 
 #include "qens/sim/fault_injection.h"
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +99,74 @@ TEST(FaultPlanTest, StragglerSlowdownWithinConfiguredRange) {
     EXPECT_GE(p.slowdown, options.straggler_slowdown_min);
     EXPECT_LE(p.slowdown, options.straggler_slowdown_max);
   }
+}
+
+/// The plan's attacker set as a per-node mask.
+std::vector<bool> AttackerMask(const FaultPlan& plan) {
+  std::vector<bool> mask;
+  for (const NodeFaultProfile& p : plan.profiles()) mask.push_back(p.byzantine);
+  return mask;
+}
+
+FaultPlanOptions AttackOptions(uint64_t seed, double corruption_rate) {
+  FaultPlanOptions options;
+  options.seed = seed;
+  options.corruption_rate = corruption_rate;
+  options.corruption_kinds = {CorruptionKind::kNanUpdate,
+                              CorruptionKind::kSignFlip};
+  return options;
+}
+
+TEST(FaultPlanTest, MarksExactlyCeilRateTimesNodesAttackers) {
+  // Each rate as the fraction num/den, so the expected count is integer
+  // arithmetic: ceil(num * n / den).
+  struct Rate {
+    double value;
+    size_t num;
+    size_t den;
+  };
+  const Rate kRates[] = {
+      {0.05, 1, 20}, {0.1, 1, 10}, {0.3, 3, 10}, {0.5, 1, 2}, {1.0, 1, 1}};
+  for (const Rate& rate : kRates) {
+    for (size_t n = 1; n <= 64; ++n) {
+      const FaultPlanOptions options = AttackOptions(100 + n, rate.value);
+      auto a = FaultPlan::Create(n, options);
+      auto b = FaultPlan::Create(n, options);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      size_t attackers = 0;
+      for (const NodeFaultProfile& p : a->profiles()) {
+        if (p.byzantine) ++attackers;
+        EXPECT_EQ(p.byzantine, p.corruption != CorruptionKind::kNone);
+      }
+      EXPECT_EQ(attackers, (rate.num * n + rate.den - 1) / rate.den)
+          << "rate " << rate.value << ", " << n << " nodes";
+      // The same seed marks the same set with the same modes.
+      EXPECT_EQ(AttackerMask(*a), AttackerMask(*b));
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(a->node(i).corruption, b->node(i).corruption);
+      }
+    }
+  }
+  // 0.07 * 100 is 7.000000000000001 in binary64; seven attackers are meant.
+  auto seven = FaultPlan::Create(100, AttackOptions(5, 0.07));
+  ASSERT_TRUE(seven.ok());
+  const std::vector<bool> mask = AttackerMask(*seven);
+  EXPECT_EQ(std::count(mask.begin(), mask.end(), true), 7);
+  // No corruption, no attacker.
+  auto none = FaultPlan::Create(16, BusyOptions());
+  ASSERT_TRUE(none.ok());
+  for (const NodeFaultProfile& p : none->profiles()) EXPECT_FALSE(p.byzantine);
+}
+
+TEST(FaultPlanTest, AttackerSetDependsOnTheSeed) {
+  // A keyed permutation, not the lowest ids: two seeds pick different sets
+  // of the same size.
+  auto a = FaultPlan::Create(64, AttackOptions(1, 0.3));
+  auto b = FaultPlan::Create(64, AttackOptions(2, 0.3));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(AttackerMask(*a), AttackerMask(*b));
 }
 
 TEST(FaultPlanTest, DescribeMentionsFaults) {

@@ -27,6 +27,9 @@ BENCH_REQUIREMENTS = {
     "bench_x6_byzantine": {
         "sections": {"attacker_sweep", "quarantine"},
         "record_values": {"avg_loss"},
+        "section_values": {
+            "attacker_sweep": {"attacker_frac", "attackers"},
+        },
     },
     "bench_x7_hotpath": {
         "sections": {"kernels", "step", "round"},
