@@ -1,11 +1,11 @@
 // X10: the binary wire format — quality vs bytes on the air-quality
 // workload, swept over the payload codecs (raw f64, 8/4/2-bit quantized,
-// top-k sparsified), plus the exact planner-vs-transport byte pinning the
+// top-k sparsified), plus the exact planner-vs-network byte pinning the
 // closed-form sizes make possible.
 //
 // The correctness contract is asserted BEFORE anything is reported: for
 // every run, wire off included, the sum of the planner's est_comm_bytes
-// over the executed queries must equal the bytes the session's transport
+// over the executed queries must equal the bytes the session's network
 // actually recorded (model-down + model-up tags), EXACTLY — every size is
 // architecture-determined, so the leader can price a query's traffic to
 // the byte before engaging a single node. The bench dies on any mismatch.
@@ -73,8 +73,8 @@ struct CodecRun {
   size_t queries_run = 0;
   size_t queries_skipped = 0;
   double avg_loss = 0.0;        ///< Raw PM2.5 units, weighted aggregation.
-  size_t down_bytes = 0;        ///< Transport "model-down" total.
-  size_t up_bytes = 0;          ///< Transport "model-up" total.
+  size_t down_bytes = 0;        ///< Network "model-down" total.
+  size_t up_bytes = 0;          ///< Network "model-up" total.
   size_t planned_bytes = 0;     ///< Sum of est_comm_bytes over run queries.
 };
 
@@ -123,8 +123,8 @@ CodecRun RunCodec(const std::string& label, bool wire_on,
     losses.Add(fleet->DenormalizeMse(outcome.loss_weighted));
   }
   run.avg_loss = losses.mean();
-  run.down_bytes = session.transport().BytesWithTag("model-down");
-  run.up_bytes = session.transport().BytesWithTag("model-up");
+  run.down_bytes = session.network().BytesWithTag("model-down");
+  run.up_bytes = session.network().BytesWithTag("model-up");
   return run;
 }
 

@@ -64,7 +64,7 @@ SweepRow RunSweep(const fl::ExperimentConfig& config) {
       bench::ValueOrDie(fl::ExperimentRunner::Create(config), "build");
   SweepRow row;
   for (const auto& q : runner.queries()) {
-    auto outcome = runner.federation().RunQueryMultiRound(
+    auto outcome = runner.session().RunQueryMultiRound(
         q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
         kRounds);
     bench::CheckOk(outcome.status(), "query");

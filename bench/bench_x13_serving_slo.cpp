@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
 
   fl::ExperimentRunner runner = ValueOrDie(
       fl::ExperimentRunner::Create(ServingConfig()), "build experiment");
-  std::shared_ptr<const fl::Fleet> fleet = runner.federation().fleet();
+  std::shared_ptr<const fl::Fleet> fleet = runner.fleet();
   const std::vector<fl::RequestSessionSpec> specs = MakeSpecs(runner.queries());
   size_t total_requests = 0;
   for (const auto& spec : specs) total_requests += spec.requests.size();

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     stats::RunningStats loss, time;
     size_t run = 0;
     for (const auto& q : runner.queries()) {
-      auto outcome = runner.federation().RunQueryMultiRound(
+      auto outcome = runner.session().RunQueryMultiRound(
           q, selection::PolicyKind::kQueryDriven, true, rounds);
       bench::CheckOk(outcome.status(), "multi-round query");
       if (outcome->skipped) continue;
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
     stats::RunningStats loss, dropped;
     size_t run = 0, skipped = 0;
     for (const auto& q : runner.queries()) {
-      auto outcome = runner.federation().RunQueryDriven(q);
+      auto outcome = runner.session().RunQuery(
+          q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
       bench::CheckOk(outcome.status(), "dropout query");
       dropped.Add(static_cast<double>(outcome->dropped_nodes.size()));
       if (outcome->skipped) {

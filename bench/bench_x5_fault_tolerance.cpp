@@ -40,7 +40,7 @@ SweepRow RunSweep(fl::ExperimentConfig config, selection::PolicyKind policy,
       bench::ValueOrDie(fl::ExperimentRunner::Create(config), "build");
   SweepRow row;
   for (const auto& q : runner.queries()) {
-    auto outcome = runner.federation().RunQueryMultiRound(
+    auto outcome = runner.session().RunQueryMultiRound(
         q, policy, selectivity, kRounds);
     bench::CheckOk(outcome.status(), "query");
     if (outcome->skipped) continue;
@@ -131,7 +131,8 @@ int main(int argc, char** argv) {
         fl::ExperimentRunner::Create(probe_config), "probe build");
     stats::RunningStats probe_round;
     for (const auto& q : probe.queries()) {
-      auto outcome = probe.federation().RunQueryDriven(q);
+      auto outcome = probe.session().RunQuery(
+          q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
       bench::CheckOk(outcome.status(), "probe query");
       if (!outcome->skipped) probe_round.Add(outcome->sim_time_parallel);
     }
@@ -145,7 +146,7 @@ int main(int argc, char** argv) {
     size_t run = 0, degraded = 0, lost = 0, retries = 0, failed = 0,
            deadline_cut = 0;
     for (const auto& q : runner.queries()) {
-      auto outcome = runner.federation().RunQueryMultiRound(
+      auto outcome = runner.session().RunQueryMultiRound(
           q, selection::PolicyKind::kQueryDriven, true, kRounds);
       bench::CheckOk(outcome.status(), "cocktail query");
       if (outcome->skipped) continue;
@@ -201,7 +202,8 @@ int main(int argc, char** argv) {
     stats::RunningStats loss;
     size_t run = 0, failed = 0;
     for (const auto& q : runner.queries()) {
-      auto outcome = runner.federation().RunQueryDriven(q);
+      auto outcome = runner.session().RunQuery(
+          q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
       bench::CheckOk(outcome.status(), "reliability query");
       failed += outcome->failed_nodes.size();
       if (outcome->skipped) continue;

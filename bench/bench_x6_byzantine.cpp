@@ -96,14 +96,14 @@ SweepRow RunSweep(const fl::ExperimentConfig& config,
   SweepRow row;
   // The plan the federation draws: the same options over the same nodes.
   const sim::FaultPlan plan = bench::ValueOrDie(
-      sim::FaultPlan::Create(runner.federation().environment().num_nodes(),
+      sim::FaultPlan::Create(runner.fleet()->environment.num_nodes(),
                              config.federation.fault_tolerance.faults),
       "fault plan");
   for (const sim::NodeFaultProfile& p : plan.profiles()) {
     if (p.byzantine) ++row.attackers;
   }
   for (const auto& q : runner.queries()) {
-    auto outcome = runner.federation().RunQueryMultiRound(
+    auto outcome = runner.session().RunQueryMultiRound(
         q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
         kRounds);
     if (!outcome.ok()) {

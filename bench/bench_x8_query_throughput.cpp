@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   fl::ExperimentRunner runner =
       ValueOrDie(fl::ExperimentRunner::Create(ServingConfig()),
                  "build experiment");
-  std::shared_ptr<const fl::Fleet> fleet = runner.federation().fleet();
+  std::shared_ptr<const fl::Fleet> fleet = runner.fleet();
   const std::vector<fl::SessionSpec> specs = MakeSpecs(runner.queries());
   size_t total_queries = 0;
   for (const auto& spec : specs) total_queries += spec.queries.size();

@@ -76,11 +76,11 @@ int main(int argc, char** argv) {
       Die(fl::ExperimentRunner::Create(config), "build experiment");
 
   std::printf("global data space: %s\n",
-              runner.federation().RawDataSpace().ToString().c_str());
+              runner.fleet()->raw_space.ToString().c_str());
   std::printf(
       "profile exchange: %zu messages, %zu bytes total (O(1) per node)\n\n",
-      runner.federation().environment().network().total_messages(),
-      runner.federation().environment().network().total_bytes());
+      runner.fleet()->environment.network().total_messages(),
+      runner.fleet()->environment.network().total_bytes());
 
   std::vector<fl::MechanismStats> rows;
   for (const fl::Mechanism& mechanism : fl::Figure7Mechanisms()) {

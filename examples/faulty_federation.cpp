@@ -17,7 +17,7 @@
 #include <cstdlib>
 
 #include "qens/data/air_quality_generator.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 using namespace qens;
 
@@ -30,7 +30,7 @@ void Check(const Status& status) {
   }
 }
 
-Result<fl::Federation> BuildFederation(uint64_t fault_seed) {
+Result<fl::QuerySession> BuildSession(uint64_t fault_seed) {
   data::AirQualityOptions data_options;
   data_options.num_stations = 6;
   data_options.samples_per_station = 800;
@@ -62,7 +62,9 @@ Result<fl::Federation> BuildFederation(uint64_t fault_seed) {
   ft.max_send_attempts = 3;
   ft.retry_backoff_s = 0.005;
   ft.min_quorum_frac = 0.5;
-  return fl::Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<fl::Fleet> fleet,
+                        fl::Fleet::Create(std::move(nodes), options));
+  return fl::QuerySession::Create(std::move(fleet), fl::QuerySessionOptions{});
 }
 
 struct RunSummary {
@@ -73,12 +75,12 @@ struct RunSummary {
   std::vector<size_t> survivors;  ///< Flattened per-query, per-round.
 };
 
-RunSummary RunWorkload(fl::Federation* federation, bool verbose) {
+RunSummary RunWorkload(fl::QuerySession* session, bool verbose) {
   RunSummary summary;
   for (int i = 0; i < 4; ++i) {
     query::RangeQuery q;
     q.id = static_cast<uint64_t>(i + 1);
-    const auto& space = federation->RawDataSpace();
+    const auto& space = session->fleet().raw_space;
     const double lo = space.dim(0).lo, hi = space.dim(0).hi;
     const double width = (hi - lo) * 0.4;
     const double start = lo + (hi - lo) * 0.15 * static_cast<double>(i);
@@ -86,9 +88,9 @@ RunSummary RunWorkload(fl::Federation* federation, bool verbose) {
         query::Interval(start, std::min(hi, start + width))});
 
     Result<fl::QueryOutcome> outcome =
-        federation->RunQueryMultiRound(q, selection::PolicyKind::kQueryDriven,
-                                       /*data_selectivity=*/true,
-                                       /*rounds=*/3);
+        session->RunQueryMultiRound(q, selection::PolicyKind::kQueryDriven,
+                                    /*data_selectivity=*/true,
+                                    /*rounds=*/3);
     Check(outcome.status());
     if (outcome->skipped) {
       if (verbose) std::printf("query %d: skipped (no data in region)\n", i + 1);
@@ -137,20 +139,20 @@ int main(int argc, char** argv) {
   const uint64_t seed =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1337u;
 
-  Result<fl::Federation> federation = BuildFederation(seed);
-  Check(federation.status());
+  Result<fl::QuerySession> session = BuildSession(seed);
+  Check(session.status());
 
   std::printf("=== fault schedule (seed %llu) ===\n",
               static_cast<unsigned long long>(seed));
-  std::printf("%s\n", federation->fault_injector()->plan().Describe().c_str());
+  std::printf("%s\n", session->fault_injector()->plan().Describe().c_str());
 
   std::printf("\n=== workload: 4 queries x 3 rounds, deadline+quorum ===\n");
-  RunSummary first = RunWorkload(&*federation, /*verbose=*/true);
+  RunSummary first = RunWorkload(&*session, /*verbose=*/true);
   std::printf("\n%zu/4 queries answered, %zu degraded rounds, %zu messages "
               "lost\n", first.run, first.degraded, first.lost);
 
   // Reproduce the exact scenario from the seed alone.
-  Result<fl::Federation> replay = BuildFederation(seed);
+  Result<fl::QuerySession> replay = BuildSession(seed);
   Check(replay.status());
   RunSummary second = RunWorkload(&*replay, /*verbose=*/false);
   const bool identical = first.run == second.run &&

@@ -15,7 +15,7 @@
 #include <cstdlib>
 
 #include "qens/data/hospital_generator.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 using namespace qens;
 
@@ -67,14 +67,16 @@ int main(int argc, char** argv) {
   options.epochs_per_cluster = 15;
   options.random_l = 3;
   options.seed = 3;
-  fl::Federation federation = Die(
-      fl::Federation::Create(Die(generator.GenerateAll(), "generate"),
-                             options),
-      "federation");
+  std::shared_ptr<fl::Fleet> fleet = Die(
+      fl::Fleet::Create(Die(generator.GenerateAll(), "generate"), options),
+      "fleet");
+  fl::QuerySession session =
+      Die(fl::QuerySession::Create(fleet, fl::QuerySessionOptions{}),
+          "session");
 
   // The paper's example query: risk model for ages 20-50 (BMI/SBP
   // unconstrained — the full observed ranges).
-  const query::HyperRectangle space = federation.RawDataSpace();
+  const query::HyperRectangle& space = fleet->raw_space;
   query::RangeQuery q;
   q.id = 1;
   q.region = query::HyperRectangle(std::vector<query::Interval>{
@@ -84,16 +86,14 @@ int main(int argc, char** argv) {
   });
   std::printf("\nquery: RISK model over AGE in [20, 50] (%zu test rows in "
               "region)\n",
-              Die(federation.QueryRegionTestData(q), "test data")
-                  .NumSamples());
+              Die(fleet->QueryRegionTestData(q), "test data").NumSamples());
 
-  fl::QueryOutcome ours = Die(federation.RunQueryDriven(q), "ours");
+  fl::QueryOutcome ours = Die(
+      session.RunQuery(q, selection::PolicyKind::kQueryDriven, true), "ours");
   fl::QueryOutcome random = Die(
-      federation.RunQuery(q, selection::PolicyKind::kRandom, false),
-      "random");
+      session.RunQuery(q, selection::PolicyKind::kRandom, false), "random");
   fl::QueryOutcome all = Die(
-      federation.RunQuery(q, selection::PolicyKind::kAllNodes, false),
-      "all");
+      session.RunQuery(q, selection::PolicyKind::kAllNodes, false), "all");
 
   auto print_outcome = [&](const char* label, const fl::QueryOutcome& o) {
     if (o.skipped) {

@@ -16,7 +16,7 @@
 #include <cstdlib>
 
 #include "qens/data/air_quality_generator.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 using namespace qens;
 
@@ -42,8 +42,9 @@ int main() {
   Result<std::vector<data::Dataset>> nodes = generator.GenerateAll();
   Check(nodes.status());
 
-  // 2. Build the federation: quantization, profile exchange, train/test
-  //    split and leader-coordinated normalization all happen here.
+  // 2. Build the fleet: quantization, profile exchange, train/test split
+  //    and leader-coordinated normalization all happen here. A session is
+  //    one query stream over it.
   fl::FederationOptions options;
   options.environment.kmeans.k = 5;
   options.ranking.epsilon = 0.15;
@@ -51,9 +52,12 @@ int main() {
   options.hyper = ml::PaperHyperParams(ml::ModelKind::kLinearRegression);
   options.hyper.epochs = 40;
   options.epochs_per_cluster = 15;
-  Result<fl::Federation> federation =
-      fl::Federation::Create(std::move(nodes).value(), options);
-  Check(federation.status());
+  Result<std::shared_ptr<fl::Fleet>> fleet =
+      fl::Fleet::Create(std::move(nodes).value(), options);
+  Check(fleet.status());
+  Result<fl::QuerySession> session =
+      fl::QuerySession::Create(*fleet, fl::QuerySessionOptions{});
+  Check(session.status());
 
   // 3. An analytics query: "learn PM2.5 over TEMP in [5, 20] deg C".
   query::RangeQuery q;
@@ -62,10 +66,11 @@ int main() {
       std::vector<query::Interval>{query::Interval(5.0, 20.0)});
   std::printf("query: %s over global data space %s\n",
               q.ToString().c_str(),
-              federation->RawDataSpace().ToString().c_str());
+              (*fleet)->raw_space.ToString().c_str());
 
   // 4.+5. Rank, select, train, aggregate, evaluate.
-  Result<fl::QueryOutcome> outcome = federation->RunQueryDriven(q);
+  Result<fl::QueryOutcome> outcome = session->RunQuery(
+      q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
   Check(outcome.status());
   if (outcome->skipped) {
     std::printf("query skipped: no data in the requested region\n");

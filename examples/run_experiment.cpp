@@ -392,7 +392,7 @@ int main(int argc, char** argv) {
   fl::ExperimentRunner runner =
       Die(fl::ExperimentRunner::Create(config), "build experiment");
 
-  if (const auto* injector = runner.federation().fault_injector()) {
+  if (const auto* injector = runner.session().fault_injector()) {
     std::printf("%s\n", injector->plan().Describe().c_str());
   }
 
@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
     stats::RunningStats loss, time;
     size_t run = 0, skipped = 0;
     for (const auto& q : runner.queries()) {
-      auto outcome = runner.federation().RunQueryMultiRound(
+      auto outcome = runner.session().RunQueryMultiRound(
           q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
           static_cast<size_t>(rounds));
       if (!outcome.ok()) {
@@ -450,7 +450,7 @@ int main(int argc, char** argv) {
     fl::ServingOptions serving_options;
     serving_options.num_workers = static_cast<size_t>(workers);
     fl::QueryServer server =
-        Die(fl::QueryServer::Create(runner.federation().fleet(),
+        Die(fl::QueryServer::Create(runner.fleet(),
                                     serving_options),
             "build query server");
     std::printf("\nserving %lld session(s) x %lld queries, %lld worker(s)\n",
@@ -493,7 +493,7 @@ int main(int argc, char** argv) {
       }
       if (classes.empty()) classes.push_back(fl::QueryClass::kStandard);
       fl::QueryServer pipeline_server =
-          Die(fl::QueryServer::Create(runner.federation().fleet(),
+          Die(fl::QueryServer::Create(runner.fleet(),
                                       serving_options),
               "build query server");
       std::vector<fl::RequestSessionSpec> specs;

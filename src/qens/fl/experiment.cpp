@@ -42,16 +42,17 @@ Result<ExperimentRunner> ExperimentRunner::Create(
   data::AirQualityGenerator generator(config.data);
   QENS_ASSIGN_OR_RETURN(std::vector<data::Dataset> node_data,
                         generator.GenerateAll());
-  QENS_ASSIGN_OR_RETURN(Federation federation,
-                        Federation::Create(std::move(node_data),
-                                           config.federation));
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(node_data), config.federation));
+  QENS_ASSIGN_OR_RETURN(QuerySession session,
+                        QuerySession::Create(fleet, QuerySessionOptions{}));
   // Queries are issued in raw units over the raw global data space; the
-  // federation maps them into its internal space per query.
-  query::WorkloadGenerator workload(federation.RawDataSpace(),
-                                    config.workload);
+  // session maps them into the fleet's internal space per query.
+  query::WorkloadGenerator workload(fleet->raw_space, config.workload);
   QENS_ASSIGN_OR_RETURN(std::vector<query::RangeQuery> queries,
                         workload.Generate());
-  return ExperimentRunner(std::move(federation), std::move(queries), config);
+  return ExperimentRunner(std::move(fleet), std::move(session),
+                          std::move(queries), config);
 }
 
 Result<MechanismStats> ExperimentRunner::RunMechanism(
@@ -61,8 +62,7 @@ Result<MechanismStats> ExperimentRunner::RunMechanism(
   for (const auto& q : queries_) {
     QENS_ASSIGN_OR_RETURN(
         QueryOutcome outcome,
-        federation_.RunQuery(q, mechanism.policy,
-                             mechanism.data_selectivity));
+        session_.RunQuery(q, mechanism.policy, mechanism.data_selectivity));
     for (auto& record : outcome.round_records) {
       collected_round_records_.push_back(std::move(record));
     }
@@ -88,8 +88,8 @@ Result<std::vector<QueryRecord>> ExperimentRunner::RunPerQuery(
   for (size_t i = 0; i < n; ++i) {
     QENS_ASSIGN_OR_RETURN(
         QueryOutcome outcome,
-        federation_.RunQuery(queries_[i], mechanism.policy,
-                             mechanism.data_selectivity));
+        session_.RunQuery(queries_[i], mechanism.policy,
+                          mechanism.data_selectivity));
     for (auto& record : outcome.round_records) {
       collected_round_records_.push_back(std::move(record));
     }

@@ -3,17 +3,19 @@
 
 /// \file experiment.h
 /// High-level experiment harness shared by the bench binaries and examples:
-/// build a federation from the synthetic multi-site air-quality data, issue
-/// a [18]-style query workload, execute each query under the mechanisms the
-/// paper compares (GT, Random, Averaging = ours + Eq. 6, Weighted = ours +
-/// Eq. 7), and accumulate the statistics behind Tables I–II and Figs. 7–9.
+/// build a fleet and one query session from the synthetic multi-site
+/// air-quality data, issue a [18]-style query workload, execute each query
+/// under the mechanisms the paper compares (GT, Random, Averaging = ours +
+/// Eq. 6, Weighted = ours + Eq. 7), and accumulate the statistics behind
+/// Tables I–II and Figs. 7–9.
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "qens/common/status.h"
 #include "qens/data/air_quality_generator.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 #include "qens/query/workload_generator.h"
 #include "qens/tensor/stats.h"
 
@@ -66,15 +68,19 @@ struct QueryRecord {
   size_t selected_nodes = 0;
 };
 
-/// Owns a federation plus a generated workload and runs mechanisms over it.
+/// Owns a fleet, one query session over it (seeded with the fleet's
+/// FederationOptions::seed) and a generated workload, and runs mechanisms
+/// over them.
 class ExperimentRunner {
  public:
-  /// Generate the node datasets, build the federation, and generate the
-  /// workload over the environment's global data space.
+  /// Generate the node datasets, build the fleet and its session, and
+  /// generate the workload over the fleet's raw global data space.
   static Result<ExperimentRunner> Create(const ExperimentConfig& config);
 
-  Federation& federation() { return federation_; }
-  const Federation& federation() const { return federation_; }
+  /// The immutable deployment, shareable with a QueryServer.
+  const std::shared_ptr<const Fleet>& fleet() const { return fleet_; }
+  QuerySession& session() { return session_; }
+  const QuerySession& session() const { return session_; }
   const std::vector<query::RangeQuery>& queries() const { return queries_; }
   const ExperimentConfig& config() const { return config_; }
 
@@ -90,20 +96,22 @@ class ExperimentRunner {
 
   /// Per-round records accumulated across Run* calls. Empty unless the
   /// obs metrics registry was enabled while the queries ran (the
-  /// federation only populates QueryOutcome::round_records then).
+  /// session only populates QueryOutcome::round_records then).
   const std::vector<obs::RoundRecord>& collected_round_records() const {
     return collected_round_records_;
   }
 
  private:
-  ExperimentRunner(Federation federation,
+  ExperimentRunner(std::shared_ptr<const Fleet> fleet, QuerySession session,
                    std::vector<query::RangeQuery> queries,
                    ExperimentConfig config)
-      : federation_(std::move(federation)),
+      : fleet_(std::move(fleet)),
+        session_(std::move(session)),
         queries_(std::move(queries)),
         config_(std::move(config)) {}
 
-  Federation federation_;
+  std::shared_ptr<const Fleet> fleet_;
+  QuerySession session_;
   std::vector<query::RangeQuery> queries_;
   ExperimentConfig config_;
   std::vector<obs::RoundRecord> collected_round_records_;

@@ -6,9 +6,9 @@
 /// every layer reads (FederationOptions and its opt-in fault-tolerance /
 /// Byzantine sub-policies), the per-node training assignment entering a
 /// round (TrainJob), and everything recorded about one query execution
-/// (QueryOutcome). Splitting these out of the Federation facade lets the
-/// Transport / RoundEngine / QuerySession / QueryServer layers share them
-/// without include cycles — see docs/ARCHITECTURE.md.
+/// (QueryOutcome). Keeping them in one header lets the RoundEngine /
+/// QuerySession / QueryServer layers share them without include cycles —
+/// see docs/ARCHITECTURE.md.
 
 #include <cstdint>
 #include <vector>

@@ -35,7 +35,7 @@ SessionResult QueryServer::RunSession(const SessionSpec& spec,
   session_options.session_id = session_id;
   session_options.seed =
       SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id);
-  session_options.network.record_messages = options_.record_session_messages;
+  session_options.network.record_messages = false;
   Result<QuerySession> session_or =
       QuerySession::Create(fleet_, session_options);
   if (!session_or.ok()) {
@@ -63,9 +63,9 @@ SessionResult QueryServer::RunSession(const SessionSpec& spec,
     }
     result.outcomes.push_back(std::move(outcome));
   }
-  result.comm_messages = session.transport().total_messages();
-  result.comm_bytes = session.transport().total_bytes();
-  result.comm_seconds = session.transport().total_transfer_seconds();
+  result.comm_messages = session.network().total_messages();
+  result.comm_bytes = session.network().total_bytes();
+  result.comm_seconds = session.network().total_transfer_seconds();
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -80,7 +80,7 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
   session_options.session_id = session_id;
   session_options.seed =
       SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id);
-  session_options.network.record_messages = options_.record_session_messages;
+  session_options.network.record_messages = false;
   Result<QuerySession> session_or =
       QuerySession::Create(fleet_, session_options);
   if (!session_or.ok()) {
@@ -191,9 +191,9 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
     result.outcomes.push_back(std::move(outcome));
   }
 
-  result.comm_messages = session.transport().total_messages();
-  result.comm_bytes = session.transport().total_bytes();
-  result.comm_seconds = session.transport().total_transfer_seconds();
+  result.comm_messages = session.network().total_messages();
+  result.comm_bytes = session.network().total_bytes();
+  result.comm_seconds = session.network().total_transfer_seconds();
   result.wall_seconds = watch.ElapsedSeconds();
   return result;
 }

@@ -83,10 +83,6 @@ struct ServingOptions {
   /// Base seed the per-session seeds derive from. Unset = the fleet's
   /// FederationOptions::seed.
   std::optional<uint64_t> seed;
-  /// Keep per-message logs in the session-private networks (the counters
-  /// are always kept). Off by default: a serving workload only needs the
-  /// totals, and the logs grow per transfer.
-  bool record_session_messages = false;
   /// Admission control for the request pipeline (ServeRequests only; the
   /// batch Serve path ignores both fields). Off = every request is
   /// admitted and nothing is shed (priority ordering still applies);

@@ -1,6 +1,7 @@
 #include "qens/fl/query_session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "qens/common/rng.h"
@@ -146,8 +147,7 @@ Result<data::Dataset> Fleet::PoolRegionRows(
 }
 
 Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
-                                          const QuerySessionOptions& options,
-                                          sim::Network* shared_network) {
+                                          const QuerySessionOptions& options) {
   if (fleet == nullptr) {
     return Status::InvalidArgument("query session: null fleet");
   }
@@ -158,31 +158,13 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
   // accumulates its own reliability observations from there. The profiles
   // are SHARED (copy-on-write): no per-session rebuild of the immutable
   // cluster metadata, and no copy at all until this leader first mutates.
-  // A hand-built Fleet without the shared vector (aggregate construction
-  // outside Fleet::Create) falls back to the historical per-session
-  // extraction.
-  std::optional<Leader> leader;
-  if (fleet->profiles != nullptr) {
-    leader.emplace(fleet->profiles, fopts.ranking, fopts.query_driven,
-                   nullptr, fleet->fleet_epoch);
-  } else {
-    QENS_ASSIGN_OR_RETURN(std::vector<selection::NodeProfile> profiles,
-                          fleet->environment.Profiles());
-    leader.emplace(std::move(profiles), fopts.ranking, fopts.query_driven,
-                   nullptr, fleet->fleet_epoch);
-  }
-
-  std::unique_ptr<sim::Network> own_network;
-  sim::Network* network = shared_network;
-  if (network == nullptr) {
-    own_network = std::make_unique<sim::Network>(
-        sim::CostModel(fopts.environment.cost), options.network);
-    network = own_network.get();
-  }
-
+  Leader leader(fleet->profiles, fopts.ranking, fopts.query_driven, nullptr,
+                fleet->fleet_epoch);
+  sim::Network network(sim::CostModel(fopts.environment.cost),
+                       options.network);
   QuerySession session(std::move(fleet), options.session_id,
-                       options.seed.value_or(fopts.seed), std::move(*leader),
-                       std::move(own_network), network);
+                       options.seed.value_or(fopts.seed), std::move(leader),
+                       std::move(network));
 
   if (fopts.fault_tolerance.enabled) {
     if (fopts.fault_tolerance.max_send_attempts == 0) {
@@ -212,9 +194,9 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
           "federation: byzantine trim_beta must be in [0, 0.5)");
     }
     if (byz.aggregator == AggregationKind::kNormClippedFedAvg &&
-        byz.clip_norm <= 0.0) {
+        !(byz.clip_norm > 0.0 && std::isfinite(byz.clip_norm))) {
       return Status::InvalidArgument(
-          "federation: byzantine clip_norm must be > 0");
+          "federation: byzantine clip_norm must be finite and > 0");
     }
     QENS_ASSIGN_OR_RETURN(UpdateValidator validator,
                           UpdateValidator::Create(byz.validator));
@@ -457,7 +439,7 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   // Drive the rounds through the shared engine.
   RoundEngineContext ctx;
   ctx.environment = &environment;
-  ctx.transport = transport_.get();
+  ctx.network = &network_;
   ctx.leader = &leader_;
   ctx.options = &options;
   ctx.injector = fault_injector_.has_value() ? &*fault_injector_ : nullptr;

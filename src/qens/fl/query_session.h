@@ -2,7 +2,8 @@
 #define QENS_FL_QUERY_SESSION_H_
 
 /// \file query_session.h
-/// The per-stream query driver of the serving engine.
+/// The query driver of the serving engine: a shared, immutable `Fleet` and
+/// any number of `QuerySession` streams over it.
 ///
 /// A `Fleet` is the immutable part of a deployment: the environment (nodes,
 /// train shards, cost model), the held-out test shards, the configuration,
@@ -13,19 +14,44 @@
 /// owns every piece of mutable state the protocol touches — the leader's
 /// reliability bookkeeping, the RNG streams (random policy, dropout,
 /// stochastic selection), the fault injector, the Byzantine quarantine
-/// ledger, the training pool, and the Transport its traffic is accounted
-/// through — so two sessions never share mutable state and can run
+/// ledger, the training pool, and the sim::Network its traffic is
+/// accounted in — so two sessions never share mutable state and can run
 /// concurrently while each stays bit-identical to running alone.
+///
+/// One RunQuery call executes the paper's end-to-end per-query protocol
+/// (Section IV-B), layered as (see docs/ARCHITECTURE.md):
+///
+///   1. the session maps the query into internal units, pools the
+///      ground-truth test rows, and picks N'(q) — the leader's ranked cut
+///      (query-driven) or a baseline policy (random / all / game-theory /
+///      data-centric / stochastic);
+///   2. the session builds one TrainJob per contributing node (supporting
+///      clusters only under data selectivity) and initializes the global
+///      model w;
+///   3. the RoundEngine drives the round(s): broadcast w over the
+///      session's network, train locally on every node (optionally in
+///      parallel), collect the returning models, screen/quarantine them
+///      when the Byzantine layer is on, gate them on deadlines/quorum when
+///      the fault layer is on, and FedAvg-merge between rounds;
+///   4. the session aggregates the surviving local models (Eq. 6/7 or
+///      FedAvg) and answers the query;
+///   5. the outcome is evaluated on held-out test rows that fall inside the
+///      query region, pooled across ALL nodes (ground truth independent of
+///      the selection decision).
+///
+/// Every message is accounted through the session's network, and training
+/// time through the cost model, so Fig. 7/8/9-style records fall out of
+/// each RunQuery call.
 ///
 /// Seed contract: every per-query stream is a pure function of the session
 /// seed and the query's coordinates (docs/PERFORMANCE.md, "Stream key-path
 /// registry"): model init `fl::ModelInitSeed(seed, query.id)`, local
 /// training rooted at `seed + query.id`, and the Random, dropout and
 /// stochastic draws on registered SplitRng purpose paths keyed by query id
-/// (GT probes with `seed + query.id`). A session seeded with
-/// `FederationOptions::seed` therefore reproduces the sequential Federation
-/// byte for byte, and no stream depends on query arrival order except the
-/// stochastic policy's fairness state.
+/// (GT probes with `seed + query.id`). Two sessions with the same seed over
+/// the same fleet therefore produce the same outcomes byte for byte, and no
+/// stream depends on query arrival order except the stochastic policy's
+/// fairness state.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,14 +67,15 @@
 #include "qens/fl/dynamic_fleet.h"
 #include "qens/fl/leader.h"
 #include "qens/fl/protocol.h"
-#include "qens/fl/transport.h"
+#include "qens/sim/network.h"
 
 namespace qens::fl {
 
 /// The immutable, shareable part of a deployment. Built once by
-/// Fleet::Create; sessions hold it through shared_ptr<const Fleet> and
-/// never mutate it (the environment-owned network is mutated only by the
-/// sequential Federation facade, which owns the fleet non-const).
+/// Fleet::Create; nothing writes to it afterwards. Sessions hold it through
+/// shared_ptr<const Fleet>; the environment-owned network holds only the
+/// profile shipping of EdgeEnvironment::Create, and each session accounts
+/// its own traffic in its own network.
 struct Fleet {
   sim::EdgeEnvironment environment;
   std::vector<data::Dataset> test_shards;  ///< By node id, internal units.
@@ -101,36 +128,41 @@ struct Fleet {
 
 /// Session construction knobs.
 struct QuerySessionOptions {
-  /// Tags this session's RoundRecords; 0 is the sequential Federation API.
+  /// Tags this session's RoundRecords; 0 (the default) is left out of
+  /// their JSON.
   uint64_t session_id = 0;
   /// Seed all the session's RNG streams derive from. Unset = the fleet's
-  /// FederationOptions::seed (the historical sequential behavior).
+  /// FederationOptions::seed.
   std::optional<uint64_t> seed;
-  /// Accounting options for the session-private network (ignored when a
-  /// shared network is supplied).
+  /// Accounting options for the session's network.
   sim::NetworkOptions network;
 };
 
 /// One independent query stream over a shared fleet.
 class QuerySession {
  public:
-  /// Build a session over `fleet`. With `shared_network == nullptr` the
-  /// session accounts its traffic in a private sim::Network (isolated
-  /// counters, zeroed at creation); otherwise it sends through the supplied
-  /// network, which must outlive the session (the Federation facade passes
-  /// the environment-owned network so historical counters keep working).
-  /// Validates the fault-tolerance and Byzantine options.
+  /// Build a session over `fleet`, with its own network (priced by the
+  /// fleet's cost model, counters zeroed). Validates the fault-tolerance
+  /// and Byzantine options.
   static Result<QuerySession> Create(std::shared_ptr<const Fleet> fleet,
-                                     const QuerySessionOptions& options,
-                                     sim::Network* shared_network = nullptr);
+                                     const QuerySessionOptions& options);
 
-  /// Execute one query under `policy`. See Federation::RunQuery.
+  /// Execute one query under `policy`. `data_selectivity` controls whether
+  /// selected nodes train only on supporting clusters (the paper's
+  /// mechanism: kQueryDriven with selectivity) or on their whole local
+  /// data. Random/All/GT policies ignore rankings and always train on full
+  /// node data unless selectivity is explicitly requested AND the node has
+  /// supporting clusters.
   Result<QueryOutcome> RunQuery(const query::RangeQuery& query,
                                 selection::PolicyKind policy,
                                 bool data_selectivity);
 
-  /// Multi-round extension; rounds == 1 is the paper's protocol. See
-  /// Federation::RunQueryMultiRound.
+  /// Multi-round extension: repeat the leader -> participants -> leader
+  /// exchange `rounds` times over ONE node selection, FedAvg-merging the
+  /// local models (weighted by samples trained) between rounds — the
+  /// standard federated loop, with the paper's single-round protocol as
+  /// rounds == 1. The final round is aggregated and evaluated exactly like
+  /// RunQuery.
   Result<QueryOutcome> RunQueryMultiRound(const query::RangeQuery& query,
                                           selection::PolicyKind policy,
                                           bool data_selectivity,
@@ -144,12 +176,8 @@ class QuerySession {
   const Fleet& fleet() const { return *fleet_; }
   const Leader& leader() const { return leader_; }
 
-  /// The channel this session's traffic goes through.
-  const Transport& transport() const { return *transport_; }
-
-  /// The session-private network, or nullptr when sending through a shared
-  /// one.
-  const sim::Network* own_network() const { return own_network_.get(); }
+  /// The network this session's traffic is accounted in.
+  const sim::Network& network() const { return network_; }
 
   /// The active fault injector, or nullptr when fault tolerance is off.
   const sim::FaultInjector* fault_injector() const {
@@ -169,15 +197,12 @@ class QuerySession {
 
  private:
   QuerySession(std::shared_ptr<const Fleet> fleet, uint64_t session_id,
-               uint64_t seed, Leader leader,
-               std::unique_ptr<sim::Network> own_network,
-               sim::Network* network)
+               uint64_t seed, Leader leader, sim::Network network)
       : fleet_(std::move(fleet)),
         session_id_(session_id),
         seed_(seed),
         leader_(std::move(leader)),
-        own_network_(std::move(own_network)),
-        transport_(std::make_unique<InProcessTransport>(network)) {}
+        network_(std::move(network)) {}
 
   /// Per-policy node choice; fills rankings for ranked policies. The query
   /// must already be in internal units.
@@ -189,8 +214,7 @@ class QuerySession {
   uint64_t session_id_ = 0;
   uint64_t seed_ = 0;
   Leader leader_;  ///< Session-local ranking + reliability state.
-  std::unique_ptr<sim::Network> own_network_;  ///< Null when shared.
-  std::unique_ptr<InProcessTransport> transport_;
+  sim::Network network_;  ///< This session's traffic only.
   std::optional<selection::StochasticSelector> stochastic_;  ///< Lazy.
   std::optional<sim::FaultInjector> fault_injector_;  ///< When enabled.
   size_t fault_round_ = 0;  ///< Rounds executed under fault injection.

@@ -311,7 +311,7 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
         const bool lost =
             attempt + 1 < fate.down_attempts || !fate.down_delivered;
         if (wire_on && obs_on) round_wire_down += model_bytes;
-        down_seconds += ctx_.transport->Send(
+        down_seconds += ctx_.network->Send(
             leader_id, node_id, model_bytes,
             lost ? "model-down-lost" : "model-down");
         if (lost) {
@@ -390,7 +390,7 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
       for (size_t attempt = 0; attempt < up_attempts; ++attempt) {
         const bool lost = attempt + 1 < up_attempts || !up_delivered;
         if (wire_on && obs_on) round_wire_up += up_bytes;
-        up_seconds += ctx_.transport->Send(
+        up_seconds += ctx_.network->Send(
             node_id, leader_id, up_bytes, lost ? "model-up-lost" : "model-up");
         if (lost) {
           up_seconds += ft.retry_backoff_s;

@@ -2,14 +2,13 @@
 #define QENS_FL_ROUND_ENGINE_H_
 
 /// \file round_engine.h
-/// The per-round protocol state machine of the federated loop, shared by
-/// every query driver (Federation's sequential API and each concurrent
-/// QuerySession): broadcast -> local train -> collect -> validate /
+/// The per-round protocol state machine of the federated loop, driven by
+/// every QuerySession: broadcast -> local train -> collect -> validate /
 /// quarantine -> aggregate -> commit-or-degrade, repeated `rounds` times
 /// over one fixed node selection.
 ///
 /// The engine owns no state of its own — it operates on a
-/// RoundEngineContext of borrowed pointers (environment, transport, leader,
+/// RoundEngineContext of borrowed pointers (environment, network, leader,
 /// fault/Byzantine state, thread-pool slot) so the same code path serves
 /// the fault-free paper protocol, the fault-tolerant loop, and the
 /// Byzantine-robust loop bit-for-bit identically to the historical
@@ -25,7 +24,7 @@
 #include "qens/fl/leader.h"
 #include "qens/fl/participant.h"
 #include "qens/fl/protocol.h"
-#include "qens/fl/transport.h"
+#include "qens/sim/network.h"
 
 namespace qens::fl {
 
@@ -37,8 +36,9 @@ class DynamicFleet;
 /// exactly when `validator` is.
 struct RoundEngineContext {
   const sim::EdgeEnvironment* environment = nullptr;
-  /// Channel every model-down / model-up transfer goes through.
-  Transport* transport = nullptr;
+  /// The session's network: every model-down / model-up transfer is
+  /// accounted and priced here.
+  sim::Network* network = nullptr;
   /// Ranking + reliability bookkeeping (RecordRoundResult).
   Leader* leader = nullptr;
   const FederationOptions* options = nullptr;
@@ -59,8 +59,8 @@ struct RoundEngineContext {
   /// Slot for the session's lazily-created training pool (created on the
   /// first parallel round, reused across rounds and queries).
   std::unique_ptr<common::ThreadPool>* pool = nullptr;
-  /// Tags emitted RoundRecords with the owning session (0 = untagged, the
-  /// sequential Federation API).
+  /// Tags emitted RoundRecords with the owning session (0 = the default
+  /// session id, left out of the JSON).
   uint64_t session_id = 0;
 };
 

@@ -3,8 +3,9 @@
 
 /// \file model_codec.h
 /// Versioned binary wire format for SequentialModel exchange — the payload
-/// that crosses the fl::Transport seam when FederationOptions::wire is
-/// enabled (see docs/WIRE_FORMAT.md for the byte-level spec).
+/// of every model transfer a query session sends when
+/// FederationOptions::wire is enabled (see docs/WIRE_FORMAT.md for the
+/// byte-level spec).
 ///
 /// Layout (all integers little-endian):
 ///
@@ -35,7 +36,7 @@
 ///
 /// Every payload size is architecture-determined — EncodedModelBytes() is
 /// closed-form and needs no buffer — which is what lets the planner pin
-/// its per-tag byte estimates *exactly* against transport counters.
+/// its per-tag byte estimates *exactly* against network counters.
 
 #include <cstddef>
 #include <cstdint>

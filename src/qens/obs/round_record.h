@@ -58,8 +58,8 @@ struct NodeRoundStat {
 
 /// One federation round.
 struct RoundRecord {
-  /// Owning QuerySession (QueryServer sessions are 1-based; 0 = the
-  /// sequential Federation API, omitted from JSON for byte-compatibility).
+  /// Owning QuerySession (QueryServer sessions are 1-based; 0 is the
+  /// default session id and is omitted from JSON).
   uint64_t session = 0;
   uint64_t query_id = 0;
   size_t round = 0;         ///< 0-based within the query.
@@ -70,7 +70,7 @@ struct RoundRecord {
   size_t rejected = 0;      ///< Updates rejected by the validator.
   size_t quarantined = 0;   ///< Engaged nodes skipped while quarantined.
   /// \name Wire-layer byte counters (docs/WIRE_FORMAT.md)
-  /// Bytes offered to the transport this round, per direction, retries
+  /// Bytes sent on the session's network this round, per direction, retries
   /// included. Populated only when FederationOptions::wire is enabled;
   /// both zero — and omitted from JSON for byte-compatibility — otherwise.
   /// @{

@@ -80,9 +80,9 @@
 // Federated orchestration (Section IV) and the experiment harness.
 #include "qens/fl/aggregation.h"
 #include "qens/fl/experiment.h"
-#include "qens/fl/federation.h"
 #include "qens/fl/leader.h"
 #include "qens/fl/participant.h"
 #include "qens/fl/planner.h"
+#include "qens/fl/query_session.h"
 
 #endif  // QENS_QENS_H_

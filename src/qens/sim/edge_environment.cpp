@@ -35,7 +35,7 @@ Result<EdgeEnvironment> EdgeEnvironment::Create(
                        capacity);
   }
 
-  Network network{CostModel(options.cost), options.network};
+  Network network{CostModel(options.cost)};
 
   // Quantize every node with a node-specific k-means seed (deterministic,
   // decorrelated) and account the profile upload to the leader.

@@ -24,8 +24,6 @@ struct EnvironmentOptions {
   /// Per-node k-means quantization (paper: K = 5).
   clustering::KMeansOptions kmeans;
   CostModelOptions cost;
-  /// Accounting options for the environment-owned network.
-  NetworkOptions network;
   /// Relative capacities; cycled when fewer entries than nodes. Empty means
   /// all nodes at capacity 1.0.
   std::vector<double> capacities;
@@ -50,7 +48,8 @@ class EdgeEnvironment {
   EdgeNode& node(size_t i) { return nodes_[i]; }
   const std::vector<EdgeNode>& nodes() const { return nodes_; }
 
-  Network& network() { return network_; }
+  /// The profile shipping of Create; nothing is sent here afterwards
+  /// (query sessions account their traffic in their own networks).
   const Network& network() const { return network_; }
   const CostModel& cost_model() const { return network_.cost_model(); }
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 #include "qens/tensor/stats.h"
 
 namespace qens::data {
@@ -128,14 +128,18 @@ TEST(HospitalFederationTest, AgeRangeQuerySelectsMatchingHospitals) {
   fed_options.hyper.epochs = 15;
   fed_options.epochs_per_cluster = 6;
   fed_options.seed = 5;
-  auto fed = fl::Federation::Create(gen.GenerateAll().value(), fed_options);
-  ASSERT_TRUE(fed.ok());
+  auto fleet = fl::Fleet::Create(gen.GenerateAll().value(), fed_options);
+  ASSERT_TRUE(fleet.ok());
+  auto session = fl::QuerySession::Create(*fleet, fl::QuerySessionOptions{});
+  ASSERT_TRUE(session.ok());
 
-  const query::HyperRectangle space = fed->RawDataSpace();
+  const query::HyperRectangle& space = (*fleet)->raw_space;
   query::RangeQuery geriatric;
   geriatric.region = query::HyperRectangle(std::vector<query::Interval>{
       query::Interval(70.0, 95.0), space.dim(1), space.dim(2)});
-  auto outcome = fed->RunQueryDriven(geriatric);
+  auto outcome = session->RunQuery(geriatric,
+                                   selection::PolicyKind::kQueryDriven,
+                                   /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   if (!outcome->skipped) {
     // Hospital 0 is the youngest cohort (center < 20y): it must not rank

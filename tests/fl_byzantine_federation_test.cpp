@@ -4,6 +4,7 @@
 // disabled layer leaves the fault-free path untouched.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -48,7 +49,7 @@ RunTotals RunAll(const ExperimentConfig& config, size_t rounds) {
   EXPECT_TRUE(runner.ok()) << runner.status().ToString();
   RunTotals totals;
   for (const auto& q : runner->queries()) {
-    auto outcome = runner->federation().RunQueryMultiRound(
+    auto outcome = runner->session().RunQueryMultiRound(
         q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
         rounds);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
@@ -127,9 +128,9 @@ TEST(ByzantineFederationTest, DisabledLayerMatchesPlainRun) {
   ASSERT_TRUE(runner_a.ok());
   ASSERT_TRUE(runner_b.ok());
   for (size_t i = 0; i < runner_a->queries().size(); ++i) {
-    auto a = runner_a->federation().RunQueryMultiRound(
+    auto a = runner_a->session().RunQueryMultiRound(
         runner_a->queries()[i], selection::PolicyKind::kQueryDriven, true, 2);
-    auto b = runner_b->federation().RunQueryMultiRound(
+    auto b = runner_b->session().RunQueryMultiRound(
         runner_b->queries()[i], selection::PolicyKind::kQueryDriven, true, 2);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
@@ -157,6 +158,21 @@ TEST(ByzantineFederationTest, CreateRejectsBadTrimBeta) {
   config.federation.byzantine.aggregator = AggregationKind::kTrimmedMean;
   config.federation.byzantine.trim_beta = 0.6;
   EXPECT_FALSE(ExperimentRunner::Create(config).ok());
+}
+
+TEST(ByzantineFederationTest, CreateRejectsBadClipNorm) {
+  // The clipping radius must be finite and positive: NaN and inf would
+  // build a session whose first multi-round merge then fails.
+  for (const double clip_norm :
+       {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    ExperimentConfig config = SmallConfig();
+    config.federation.byzantine.enabled = true;
+    config.federation.byzantine.aggregator =
+        AggregationKind::kNormClippedFedAvg;
+    config.federation.byzantine.clip_norm = clip_norm;
+    EXPECT_FALSE(ExperimentRunner::Create(config).ok())
+        << "clip_norm " << clip_norm;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 namespace qens::fl {
 namespace {
@@ -34,11 +34,13 @@ FederationOptions FastOptions() {
   return options;
 }
 
-Result<Federation> MakeFederation(FederationOptions options = FastOptions()) {
+Result<QuerySession> MakeSession(FederationOptions options = FastOptions()) {
   std::vector<data::Dataset> nodes = {
       MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
       MakeNodeData(20, 2.0, 3), MakeNodeData(20, 2.0, 4)};
-  return Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(nodes), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 query::RangeQuery QueryOver(double lo, double hi) {
@@ -49,7 +51,7 @@ query::RangeQuery QueryOver(double lo, double hi) {
 }
 
 TEST(MultiRoundTest, RunsRequestedRounds) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kQueryDriven,
@@ -60,8 +62,8 @@ TEST(MultiRoundTest, RunsRequestedRounds) {
 }
 
 TEST(MultiRoundTest, MoreRoundsMoreSimTimeSameDataFootprint) {
-  auto fed1 = MakeFederation();
-  auto fed3 = MakeFederation();
+  auto fed1 = MakeSession();
+  auto fed3 = MakeSession();
   ASSERT_TRUE(fed1.ok());
   ASSERT_TRUE(fed3.ok());
   auto one = fed1->RunQueryMultiRound(QueryOver(0, 10),
@@ -80,7 +82,7 @@ TEST(MultiRoundTest, MoreRoundsMoreSimTimeSameDataFootprint) {
 }
 
 TEST(MultiRoundTest, ZeroRoundsRejected) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   EXPECT_FALSE(fed->RunQueryMultiRound(QueryOver(0, 10),
                                        selection::PolicyKind::kQueryDriven,
@@ -95,13 +97,13 @@ TEST(MultiRoundTest, MultiRoundLossStaysReasonable) {
   // generator's noise variance: near the noise floor the two tie. The
   // absolute loss is no check: short local fits on a region 1/3 of the
   // normalized range leave the LR slope near its initial draw.
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kQueryDriven, true, 3);
   ASSERT_TRUE(outcome.ok());
   ASSERT_FALSE(outcome->skipped);
-  auto baseline_fed = MakeFederation();
+  auto baseline_fed = MakeSession();
   ASSERT_TRUE(baseline_fed.ok());
   auto baseline = baseline_fed->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kAllNodes, false, 3);
@@ -114,18 +116,22 @@ TEST(MultiRoundTest, MultiRoundLossStaysReasonable) {
 TEST(DropoutTest, FullDropoutSkipsQuery) {
   FederationOptions options = FastOptions();
   options.dropout_rate = 1.0;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->skipped);
   EXPECT_FALSE(outcome->dropped_nodes.empty());
 }
 
 TEST(DropoutTest, ZeroDropoutDropsNobody) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->dropped_nodes.empty());
 }
@@ -134,12 +140,14 @@ TEST(DropoutTest, PartialDropoutDegradesGracefully) {
   FederationOptions options = FastOptions();
   options.dropout_rate = 0.5;
   options.query_driven.top_l = 4;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   // Over several queries some must survive and produce results.
   size_t executed = 0, any_dropped = 0;
   for (int i = 0; i < 12; ++i) {
-    auto outcome = fed->RunQueryDriven(QueryOver(0, 30));
+    auto outcome = fed->RunQuery(QueryOver(0, 30),
+                                 selection::PolicyKind::kQueryDriven,
+                                 /*data_selectivity=*/true);
     ASSERT_TRUE(outcome.ok());
     if (!outcome->skipped) ++executed;
     if (!outcome->dropped_nodes.empty()) ++any_dropped;
@@ -151,15 +159,17 @@ TEST(DropoutTest, PartialDropoutDegradesGracefully) {
 TEST(DropoutTest, InvalidRateRejected) {
   FederationOptions options = FastOptions();
   options.dropout_rate = 1.5;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
-  EXPECT_FALSE(fed->RunQueryDriven(QueryOver(0, 10)).ok());
+  EXPECT_FALSE(fed->RunQuery(QueryOver(0, 10),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true).ok());
 }
 
 TEST(PolicyExtensionTest, DataCentricPolicyRuns) {
   FederationOptions options = FastOptions();
   options.data_centric.top_l = 2;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 30),
                                selection::PolicyKind::kDataCentric,
@@ -172,7 +182,7 @@ TEST(PolicyExtensionTest, DataCentricPolicyRuns) {
 TEST(PolicyExtensionTest, DataCentricIsQueryAgnostic) {
   FederationOptions options = FastOptions();
   options.data_centric.top_l = 2;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   auto a = fed->RunQuery(QueryOver(0, 10),
                          selection::PolicyKind::kDataCentric, false);
@@ -189,7 +199,7 @@ TEST(PolicyExtensionTest, StochasticPolicyTracksParticipation) {
   FederationOptions options = FastOptions();
   options.stochastic.draw_l = 2;
   options.stochastic.alpha = 0.5;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   for (int i = 0; i < 6; ++i) {
     auto outcome = fed->RunQuery(QueryOver(0, 30),
@@ -208,12 +218,16 @@ TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
   FederationOptions seq_options = FastOptions();
   FederationOptions par_options = FastOptions();
   par_options.parallel_local_training = true;
-  auto seq = MakeFederation(seq_options);
-  auto par = MakeFederation(par_options);
+  auto seq = MakeSession(seq_options);
+  auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
-  auto o_seq = seq->RunQueryDriven(QueryOver(0, 30));
-  auto o_par = par->RunQueryDriven(QueryOver(0, 30));
+  auto o_seq = seq->RunQuery(QueryOver(0, 30),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true);
+  auto o_par = par->RunQuery(QueryOver(0, 30),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true);
   ASSERT_TRUE(o_seq.ok());
   ASSERT_TRUE(o_par.ok());
   ASSERT_FALSE(o_seq->skipped);
@@ -228,7 +242,7 @@ TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
 TEST(ParallelTrainingTest, WorksWithAllNodesPolicy) {
   FederationOptions options = FastOptions();
   options.parallel_local_training = true;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 30),
                                selection::PolicyKind::kAllNodes, false);

@@ -1,7 +1,7 @@
-// Tests for the Federation orchestrator: leader decisions, per-policy query
+// Tests for a query session over a fleet: leader decisions, per-policy query
 // execution, accounting, skip paths.
 
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 #include <gtest/gtest.h>
 
@@ -37,11 +37,16 @@ FederationOptions FastOptions() {
 }
 
 /// Four nodes: two in x-region [0, 10] (slope 2), two in [50, 60] (slope 2).
-Result<Federation> MakeFederation() {
-  std::vector<data::Dataset> nodes = {
-      MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
-      MakeNodeData(50, 2.0, 3), MakeNodeData(50, 2.0, 4)};
-  return Federation::Create(std::move(nodes), FastOptions());
+std::vector<data::Dataset> MakeNodes() {
+  return {MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
+          MakeNodeData(50, 2.0, 3), MakeNodeData(50, 2.0, 4)};
+}
+
+Result<QuerySession> MakeSession(
+    const FederationOptions& options = FastOptions()) {
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(MakeNodes(), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 query::RangeQuery QueryOver(double lo, double hi) {
@@ -52,23 +57,20 @@ query::RangeQuery QueryOver(double lo, double hi) {
 }
 
 TEST(FederationTest, CreateSplitsTrainTest) {
-  auto fed = MakeFederation();
-  ASSERT_TRUE(fed.ok());
+  auto fleet = Fleet::Create(MakeNodes(), FastOptions());
+  ASSERT_TRUE(fleet.ok());
   // 250 rows per node, 20% test -> 200 train per node in the environment.
-  EXPECT_EQ(fed->environment().num_nodes(), 4u);
-  EXPECT_EQ(fed->environment().TotalSamples(), 4u * 200u);
+  EXPECT_EQ((*fleet)->environment.num_nodes(), 4u);
+  EXPECT_EQ((*fleet)->environment.TotalSamples(), 4u * 200u);
 }
 
 TEST(FederationTest, QueryRegionTestDataPoolsAcrossNodes) {
   // Run without normalization so returned features are in raw units.
   FederationOptions options = FastOptions();
   options.normalize = false;
-  std::vector<data::Dataset> nodes = {
-      MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
-      MakeNodeData(50, 2.0, 3), MakeNodeData(50, 2.0, 4)};
-  auto fed = Federation::Create(std::move(nodes), options);
-  ASSERT_TRUE(fed.ok());
-  auto test = fed->QueryRegionTestData(QueryOver(0, 10));
+  auto fleet = Fleet::Create(MakeNodes(), options);
+  ASSERT_TRUE(fleet.ok());
+  auto test = (*fleet)->QueryRegionTestData(QueryOver(0, 10));
   ASSERT_TRUE(test.ok());
   EXPECT_GT(test->NumSamples(), 0u);
   // Everything pooled lies inside the region.
@@ -77,7 +79,7 @@ TEST(FederationTest, QueryRegionTestDataPoolsAcrossNodes) {
     EXPECT_LE(test->features()(i, 0), 10.0);
   }
   // A region with no data fails.
-  EXPECT_TRUE(fed->QueryRegionTestData(QueryOver(1000, 1010))
+  EXPECT_TRUE((*fleet)->QueryRegionTestData(QueryOver(1000, 1010))
                   .status()
                   .IsNotFound());
 }
@@ -85,39 +87,41 @@ TEST(FederationTest, QueryRegionTestDataPoolsAcrossNodes) {
 TEST(FederationTest, NormalizedFederationHandlesRawQueries) {
   // With normalization on (the default), raw-unit queries still pool the
   // right rows and the internal query maps into the unit cube.
-  auto fed = MakeFederation();
-  ASSERT_TRUE(fed.ok());
-  auto test = fed->QueryRegionTestData(QueryOver(0, 10));
+  auto fleet = Fleet::Create(MakeNodes(), FastOptions());
+  ASSERT_TRUE(fleet.ok());
+  auto test = (*fleet)->QueryRegionTestData(QueryOver(0, 10));
   ASSERT_TRUE(test.ok());
   EXPECT_GT(test->NumSamples(), 0u);
-  auto internal = fed->InternalQuery(QueryOver(0, 60));
+  auto internal = (*fleet)->InternalQuery(QueryOver(0, 60));
   ASSERT_TRUE(internal.ok());
   EXPECT_GE(internal->region.dim(0).lo, -0.1);
   EXPECT_LE(internal->region.dim(0).hi, 1.1);
 }
 
 TEST(FederationTest, RawDataSpaceStaysInRawUnits) {
-  auto fed = MakeFederation();
-  ASSERT_TRUE(fed.ok());
-  const auto& space = fed->RawDataSpace();
+  auto fleet = Fleet::Create(MakeNodes(), FastOptions());
+  ASSERT_TRUE(fleet.ok());
+  const auto& space = (*fleet)->raw_space;
   EXPECT_GT(space.dim(0).hi, 40.0);  // Covers the [50, 60] node region.
   EXPECT_LT(space.dim(0).lo, 10.0);
 }
 
 TEST(FederationTest, DenormalizeMseRoundTrips) {
-  auto fed = MakeFederation();
-  ASSERT_TRUE(fed.ok());
+  auto fleet = Fleet::Create(MakeNodes(), FastOptions());
+  ASSERT_TRUE(fleet.ok());
   // The raw target range is ~[0, 120]; a normalized MSE of 1 maps to
   // roughly range^2.
-  const double raw = fed->DenormalizeMse(1.0);
+  const double raw = (*fleet)->DenormalizeMse(1.0);
   EXPECT_GT(raw, 100.0);
-  EXPECT_DOUBLE_EQ(fed->DenormalizeMse(0.0), 0.0);
+  EXPECT_DOUBLE_EQ((*fleet)->DenormalizeMse(0.0), 0.0);
 }
 
 TEST(FederationTest, QueryDrivenSelectsMatchingNodes) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   ASSERT_FALSE(outcome->skipped);
   // Only nodes 0/1 hold [0, 10] data.
@@ -140,12 +144,14 @@ TEST(FederationTest, QueryDrivenLossIsReasonable) {
   // check: the query spans 1/6 of the normalized range, so at lr 0.03 the
   // LR slope barely moves from its initial draw, and the loss depends on
   // that draw (>= 10 at about 70 % of federation seeds).
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   ASSERT_FALSE(outcome->skipped);
-  auto baseline_fed = MakeFederation();
+  auto baseline_fed = MakeSession();
   ASSERT_TRUE(baseline_fed.ok());
   auto baseline = baseline_fed->RunQuery(QueryOver(0, 10),
                                          selection::PolicyKind::kAllNodes,
@@ -159,7 +165,7 @@ TEST(FederationTest, QueryDrivenLossIsReasonable) {
 }
 
 TEST(FederationTest, AllNodesPolicyEngagesEveryone) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 10),
                                selection::PolicyKind::kAllNodes,
@@ -167,12 +173,12 @@ TEST(FederationTest, AllNodesPolicyEngagesEveryone) {
   ASSERT_TRUE(outcome.ok());
   ASSERT_FALSE(outcome->skipped);
   EXPECT_EQ(outcome->selected_nodes.size(), 4u);
-  EXPECT_EQ(outcome->samples_used, fed->environment().TotalSamples());
+  EXPECT_EQ(outcome->samples_used, fed->fleet().environment.TotalSamples());
   EXPECT_DOUBLE_EQ(outcome->DataFractionOfAll(), 1.0);
 }
 
 TEST(FederationTest, RandomPolicyRespectsL) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 60),
                                selection::PolicyKind::kRandom,
@@ -184,7 +190,7 @@ TEST(FederationTest, RandomPolicyRespectsL) {
 }
 
 TEST(FederationTest, GameTheoryPolicyRunsPreRound) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 60),
                                selection::PolicyKind::kGameTheory,
@@ -196,10 +202,12 @@ TEST(FederationTest, GameTheoryPolicyRunsPreRound) {
 }
 
 TEST(FederationTest, SelectivityUsesFewerSamplesThanFull) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
   // Narrow query inside node 0/1's space.
-  auto selective = fed->RunQueryDriven(QueryOver(2, 6));
+  auto selective = fed->RunQuery(QueryOver(2, 6),
+                                 selection::PolicyKind::kQueryDriven,
+                                 /*data_selectivity=*/true);
   auto full = fed->RunQuery(QueryOver(2, 6), selection::PolicyKind::kAllNodes,
                             /*data_selectivity=*/false);
   ASSERT_TRUE(selective.ok());
@@ -211,17 +219,21 @@ TEST(FederationTest, SelectivityUsesFewerSamplesThanFull) {
 }
 
 TEST(FederationTest, SkipsQueryOutsideAllData) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(1000, 1010));
+  auto outcome = fed->RunQuery(QueryOver(1000, 1010),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->skipped);
 }
 
 TEST(FederationTest, WeightedAggregationWeightsMatchRankings) {
-  auto fed = MakeFederation();
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   ASSERT_FALSE(outcome->skipped);
   ASSERT_EQ(outcome->selected_rankings.size(),
@@ -230,22 +242,31 @@ TEST(FederationTest, WeightedAggregationWeightsMatchRankings) {
 }
 
 TEST(FederationTest, NetworkTrafficRecorded) {
-  auto fed = MakeFederation();
+  // Model traffic goes to the session's network; the environment network
+  // keeps only the profile shipping of the fleet build.
+  auto fed = MakeSession();
   ASSERT_TRUE(fed.ok());
-  const size_t before = fed->environment().network().total_messages();
-  ASSERT_TRUE(fed->RunQueryDriven(QueryOver(0, 10)).ok());
-  const auto& net = fed->environment().network();
-  EXPECT_GT(net.total_messages(), before);
+  const sim::Network& env_net = fed->fleet().environment.network();
+  const size_t profile_messages = env_net.total_messages();
+  EXPECT_EQ(fed->network().total_messages(), 0u);
+  ASSERT_TRUE(fed->RunQuery(QueryOver(0, 10),
+                            selection::PolicyKind::kQueryDriven,
+                            /*data_selectivity=*/true).ok());
+  const sim::Network& net = fed->network();
+  EXPECT_GT(net.total_messages(), 0u);
   EXPECT_GT(net.BytesWithTag("model-down"), 0u);
   EXPECT_GT(net.BytesWithTag("model-up"), 0u);
+  EXPECT_EQ(net.BytesWithTag("profile"), 0u);
+  EXPECT_EQ(env_net.total_messages(), profile_messages);
+  EXPECT_EQ(env_net.BytesWithTag("model-down"), 0u);
 }
 
 TEST(FederationTest, CreateErrors) {
-  EXPECT_FALSE(Federation::Create({}, FastOptions()).ok());
+  EXPECT_FALSE(Fleet::Create({}, FastOptions()).ok());
   FederationOptions bad = FastOptions();
   bad.test_fraction = 0.0;
-  EXPECT_FALSE(
-      Federation::Create({MakeNodeData(0, 1, 1)}, bad).ok());
+  EXPECT_FALSE(Fleet::Create({MakeNodeData(0, 1, 1)}, bad).ok());
+  EXPECT_FALSE(QuerySession::Create(nullptr, QuerySessionOptions{}).ok());
 }
 
 }  // namespace

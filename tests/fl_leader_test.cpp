@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
 #include "qens/fl/leader.h"
+#include "qens/fl/query_session.h"
 
 namespace qens::fl {
 namespace {
@@ -91,7 +91,7 @@ data::Dataset MakeNodeData(double offset, uint64_t seed) {
   return data::Dataset::Create(x, y).value();
 }
 
-Result<Federation> MakeFederation(uint64_t seed) {
+Result<QuerySession> MakeSession(uint64_t seed) {
   FederationOptions options;
   options.environment.kmeans.k = 3;
   options.hyper = ml::PaperHyperParams(ml::ModelKind::kLinearRegression);
@@ -100,19 +100,23 @@ Result<Federation> MakeFederation(uint64_t seed) {
   options.seed = seed;
   std::vector<data::Dataset> nodes = {MakeNodeData(0, 1), MakeNodeData(5, 2),
                                       MakeNodeData(10, 3)};
-  return Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(nodes), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 TEST(FederationDeterminismTest, SameSeedSameOutcome) {
-  auto fed1 = MakeFederation(42);
-  auto fed2 = MakeFederation(42);
+  auto fed1 = MakeSession(42);
+  auto fed2 = MakeSession(42);
   ASSERT_TRUE(fed1.ok());
   ASSERT_TRUE(fed2.ok());
   query::RangeQuery q;
   q.id = 9;
   q.region = query::HyperRectangle::FromFlatBounds({2, 12}).value();
-  auto o1 = fed1->RunQueryDriven(q);
-  auto o2 = fed2->RunQueryDriven(q);
+  auto o1 = fed1->RunQuery(
+      q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
+  auto o2 = fed2->RunQuery(
+      q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o2.ok());
   ASSERT_FALSE(o1->skipped);
@@ -123,14 +127,16 @@ TEST(FederationDeterminismTest, SameSeedSameOutcome) {
 }
 
 TEST(FederationDeterminismTest, DifferentSeedsMayDiffer) {
-  auto fed1 = MakeFederation(1);
-  auto fed2 = MakeFederation(2);
+  auto fed1 = MakeSession(1);
+  auto fed2 = MakeSession(2);
   ASSERT_TRUE(fed1.ok());
   ASSERT_TRUE(fed2.ok());
   query::RangeQuery q;
   q.region = query::HyperRectangle::FromFlatBounds({2, 12}).value();
-  auto o1 = fed1->RunQueryDriven(q);
-  auto o2 = fed2->RunQueryDriven(q);
+  auto o1 = fed1->RunQuery(
+      q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
+  auto o2 = fed2->RunQuery(
+      q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o2.ok());
   // Different splits/initializations: losses almost surely differ.
@@ -138,7 +144,7 @@ TEST(FederationDeterminismTest, DifferentSeedsMayDiffer) {
 }
 
 TEST(FederationDeterminismTest, RandomPolicyStreamAdvances) {
-  auto fed = MakeFederation(7);
+  auto fed = MakeSession(7);
   ASSERT_TRUE(fed.ok());
   query::RangeQuery q;
   q.region = query::HyperRectangle::FromFlatBounds({0, 20}).value();

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
@@ -37,20 +37,24 @@ FederationOptions FastOptions() {
   return options;
 }
 
-Result<Federation> MakeFederation(const FederationOptions& options) {
+Result<QuerySession> MakeSession(const FederationOptions& options) {
   std::vector<data::Dataset> nodes = {
       MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
       MakeNodeData(0, 2.0, 3), MakeNodeData(0, 2.0, 4)};
-  return Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(nodes), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
-Result<Federation> MakeFederationN(size_t n, const FederationOptions& options) {
+Result<QuerySession> MakeSessionN(size_t n, const FederationOptions& options) {
   std::vector<data::Dataset> nodes;
   nodes.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     nodes.push_back(MakeNodeData(0, 2.0, i + 1));
   }
-  return Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(nodes), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 query::RangeQuery QueryOver(double lo, double hi) {
@@ -110,8 +114,8 @@ TEST(ParallelDeterminismTest, MultiRoundMatchesSequential) {
   FederationOptions seq_options = FastOptions();
   FederationOptions par_options = FastOptions();
   par_options.parallel_local_training = true;
-  auto seq = MakeFederation(seq_options);
-  auto par = MakeFederation(par_options);
+  auto seq = MakeSession(seq_options);
+  auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   auto o_seq = seq->RunQueryMultiRound(
@@ -128,13 +132,17 @@ TEST(ParallelDeterminismTest, HoldsAcrossConsecutiveQueries) {
   FederationOptions seq_options = FastOptions();
   FederationOptions par_options = FastOptions();
   par_options.parallel_local_training = true;
-  auto seq = MakeFederation(seq_options);
-  auto par = MakeFederation(par_options);
+  auto seq = MakeSession(seq_options);
+  auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   for (int i = 0; i < 3; ++i) {
-    auto o_seq = seq->RunQueryDriven(QueryOver(0, 10));
-    auto o_par = par->RunQueryDriven(QueryOver(0, 10));
+    auto o_seq = seq->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
+    auto o_par = par->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
     ASSERT_TRUE(o_seq.ok());
     ASSERT_TRUE(o_par.ok());
     ExpectIdenticalOutcomes(*o_seq, *o_par);
@@ -151,8 +159,8 @@ TEST(ParallelDeterminismTest, HoldsUnderFaultInjection) {
   base.fault_tolerance.min_quorum_frac = 0.25;
   FederationOptions par_options = base;
   par_options.parallel_local_training = true;
-  auto seq = MakeFederation(base);
-  auto par = MakeFederation(par_options);
+  auto seq = MakeSession(base);
+  auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   for (int i = 0; i < 4; ++i) {
@@ -177,21 +185,27 @@ TEST(ParallelDeterminismTest, HoldsUnderDeadlineCuts) {
   // from one fault-free run.
   FederationOptions calibrate = FastOptions();
   calibrate.fault_tolerance.enabled = true;
-  auto cal_fed = MakeFederation(calibrate);
+  auto cal_fed = MakeSession(calibrate);
   ASSERT_TRUE(cal_fed.ok());
-  auto cal = cal_fed->RunQueryDriven(QueryOver(0, 10));
+  auto cal = cal_fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(cal.ok());
   ASSERT_FALSE(cal->skipped);
   base.fault_tolerance.round_deadline_s = 2.0 * cal->sim_time_parallel;
 
   FederationOptions par_options = base;
   par_options.parallel_local_training = true;
-  auto seq = MakeFederation(base);
-  auto par = MakeFederation(par_options);
+  auto seq = MakeSession(base);
+  auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
-  auto o_seq = seq->RunQueryDriven(QueryOver(0, 10));
-  auto o_par = par->RunQueryDriven(QueryOver(0, 10));
+  auto o_seq = seq->RunQuery(QueryOver(0, 10),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true);
+  auto o_par = par->RunQuery(QueryOver(0, 10),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true);
   ASSERT_TRUE(o_seq.ok());
   ASSERT_TRUE(o_par.ok());
   ExpectIdenticalOutcomes(*o_seq, *o_par);
@@ -215,9 +229,11 @@ TEST(ParallelDeterminismTest, RoundRecordTimingMatchesSequential) {
 
   FederationOptions calibrate = FastOptions();
   calibrate.fault_tolerance.enabled = true;
-  auto cal_fed = MakeFederation(calibrate);
+  auto cal_fed = MakeSession(calibrate);
   ASSERT_TRUE(cal_fed.ok());
-  auto cal = cal_fed->RunQueryDriven(QueryOver(0, 10));
+  auto cal = cal_fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(cal.ok());
   ASSERT_FALSE(cal->skipped);
   const double deadline = 2.0 * cal->sim_time_parallel;
@@ -225,8 +241,8 @@ TEST(ParallelDeterminismTest, RoundRecordTimingMatchesSequential) {
 
   FederationOptions par_options = base;
   par_options.parallel_local_training = true;
-  auto seq = MakeFederation(base);
-  auto par = MakeFederation(par_options);
+  auto seq = MakeSession(base);
+  auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   const size_t rounds = 3;
@@ -259,7 +275,7 @@ TEST(ParallelDeterminismTest, RoundRecordTimingMatchesSequential) {
 TEST(ParallelDeterminismTest, WorkerCountInvariantWithOversubscribedPool) {
   FederationOptions base = FastOptions();
   base.query_driven.top_l = 6;  // Select all six nodes.
-  auto seq_fed = MakeFederationN(6, base);
+  auto seq_fed = MakeSessionN(6, base);
   ASSERT_TRUE(seq_fed.ok());
   std::vector<QueryOutcome> expected;
   for (int i = 0; i < 2; ++i) {
@@ -274,7 +290,7 @@ TEST(ParallelDeterminismTest, WorkerCountInvariantWithOversubscribedPool) {
     FederationOptions par_options = base;
     par_options.parallel_local_training = true;
     par_options.max_parallel_nodes = workers;  // 1 and 2 oversubscribe 6 jobs.
-    auto par_fed = MakeFederationN(6, par_options);
+    auto par_fed = MakeSessionN(6, par_options);
     ASSERT_TRUE(par_fed.ok());
     for (int i = 0; i < 2; ++i) {
       auto o = par_fed->RunQueryMultiRound(
@@ -300,8 +316,8 @@ TEST(ParallelDeterminismTest, OversubscribedPoolSurvivesFaultInjection) {
   FederationOptions par_options = base;
   par_options.parallel_local_training = true;
   par_options.max_parallel_nodes = 2;  // Fewer workers than nodes.
-  auto seq = MakeFederationN(6, base);
-  auto par = MakeFederationN(6, par_options);
+  auto seq = MakeSessionN(6, base);
+  auto par = MakeSessionN(6, par_options);
   ASSERT_TRUE(seq.ok());
   ASSERT_TRUE(par.ok());
   for (int i = 0; i < 3; ++i) {

@@ -7,7 +7,7 @@
 
 #include "qens/common/rng.h"
 #include "qens/fl/aggregation.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 namespace qens::fl {
 namespace {
@@ -112,7 +112,7 @@ TEST(MeetsQuorumTest, FracIsClamped) {
   EXPECT_TRUE(MeetsQuorum(1, 4, -3.0));   // Clamped to 0.
 }
 
-// ----- Federation-level behavior under faults -----
+// ----- Session-level behavior under faults -----
 
 data::Dataset MakeNodeData(double offset, double slope, uint64_t seed,
                            size_t n = 220) {
@@ -138,11 +138,13 @@ FederationOptions FastOptions() {
   return options;
 }
 
-Result<Federation> MakeFederation(FederationOptions options = FastOptions()) {
+Result<QuerySession> MakeSession(FederationOptions options = FastOptions()) {
   std::vector<data::Dataset> nodes = {
       MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
       MakeNodeData(0, 2.0, 3), MakeNodeData(0, 2.0, 4)};
-  return Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(nodes), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 query::RangeQuery QueryOver(double lo, double hi) {
@@ -156,12 +158,16 @@ TEST(FaultFederationTest, EnabledWithZeroRatesBehavesLikeFaultFree) {
   FederationOptions plain = FastOptions();
   FederationOptions faulty = FastOptions();
   faulty.fault_tolerance.enabled = true;  // All fault rates stay 0.
-  auto a = MakeFederation(plain);
-  auto b = MakeFederation(faulty);
+  auto a = MakeSession(plain);
+  auto b = MakeSession(faulty);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  auto oa = a->RunQueryDriven(QueryOver(0, 10));
-  auto ob = b->RunQueryDriven(QueryOver(0, 10));
+  auto oa = a->RunQuery(QueryOver(0, 10),
+                        selection::PolicyKind::kQueryDriven,
+                        /*data_selectivity=*/true);
+  auto ob = b->RunQuery(QueryOver(0, 10),
+                        selection::PolicyKind::kQueryDriven,
+                        /*data_selectivity=*/true);
   ASSERT_TRUE(oa.ok());
   ASSERT_TRUE(ob.ok());
   ASSERT_FALSE(oa->skipped);
@@ -187,7 +193,7 @@ TEST(FaultFederationTest, AllNodesFailingDegradesGracefully) {
   options.fault_tolerance.enabled = true;
   options.fault_tolerance.faults.seed = 9;
   options.fault_tolerance.faults.dropout_rate = 1.0;  // Everyone offline.
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kQueryDriven, true, 3);
@@ -206,9 +212,11 @@ TEST(FaultFederationTest, StragglersCutByDeadline) {
   // round's critical path, then slow every node 5x with a deadline at 2x.
   FederationOptions calibrate = FastOptions();
   calibrate.fault_tolerance.enabled = true;
-  auto cal_fed = MakeFederation(calibrate);
+  auto cal_fed = MakeSession(calibrate);
   ASSERT_TRUE(cal_fed.ok());
-  auto cal = cal_fed->RunQueryDriven(QueryOver(0, 10));
+  auto cal = cal_fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(cal.ok());
   ASSERT_FALSE(cal->skipped);
   const double baseline = cal->sim_time_parallel;
@@ -221,9 +229,11 @@ TEST(FaultFederationTest, StragglersCutByDeadline) {
   options.fault_tolerance.faults.straggler_slowdown_min = 5.0;
   options.fault_tolerance.faults.straggler_slowdown_max = 5.0;
   options.fault_tolerance.round_deadline_s = 2.0 * baseline;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   // Every node straggles past the deadline: the round degrades, the query
   // still completes, and the leader never waits past the deadline.
@@ -240,7 +250,7 @@ TEST(FaultFederationTest, QuorumHoldsWhenEnoughSurvive) {
   options.fault_tolerance.faults.seed = 11;
   options.fault_tolerance.faults.dropout_rate = 0.3;
   options.fault_tolerance.min_quorum_frac = 0.25;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   size_t completed = 0;
   for (int i = 0; i < 8; ++i) {
@@ -267,11 +277,13 @@ TEST(FaultFederationTest, MessageLossRetriesAndAccounts) {
   options.fault_tolerance.faults.seed = 2;
   options.fault_tolerance.faults.message_loss_rate = 0.4;
   options.fault_tolerance.max_send_attempts = 3;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   size_t lost = 0;
   for (int i = 0; i < 6; ++i) {
-    auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+    auto outcome = fed->RunQuery(QueryOver(0, 10),
+                                 selection::PolicyKind::kQueryDriven,
+                                 /*data_selectivity=*/true);
     ASSERT_TRUE(outcome.ok());
     lost += outcome->messages_lost;
     // Every retry follows a loss, but a message can be lost on its final
@@ -288,13 +300,17 @@ TEST(FaultFederationTest, SameSeedSameFaultOutcome) {
   options.fault_tolerance.faults.dropout_rate = 0.3;
   options.fault_tolerance.faults.straggler_rate = 0.3;
   options.fault_tolerance.faults.message_loss_rate = 0.2;
-  auto fed_a = MakeFederation(options);
-  auto fed_b = MakeFederation(options);
+  auto fed_a = MakeSession(options);
+  auto fed_b = MakeSession(options);
   ASSERT_TRUE(fed_a.ok());
   ASSERT_TRUE(fed_b.ok());
   for (int i = 0; i < 4; ++i) {
-    auto a = fed_a->RunQueryDriven(QueryOver(0, 10));
-    auto b = fed_b->RunQueryDriven(QueryOver(0, 10));
+    auto a = fed_a->RunQuery(QueryOver(0, 10),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true);
+    auto b = fed_b->RunQuery(QueryOver(0, 10),
+                             selection::PolicyKind::kQueryDriven,
+                             /*data_selectivity=*/true);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->skipped, b->skipped);
@@ -314,9 +330,11 @@ TEST(FaultFederationTest, CrashedNodesPenalizedInReliability) {
   options.fault_tolerance.faults.seed = 6;
   options.fault_tolerance.faults.crash_rate = 1.0;
   options.fault_tolerance.faults.crash_horizon = 1;  // Crash at round 0.
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQueryDriven(QueryOver(0, 10));
+  auto outcome = fed->RunQuery(QueryOver(0, 10),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
   ASSERT_TRUE(outcome.ok());
   // Everyone crashed before round 0: the leader observed only failures.
   bool any_failure_recorded = false;
@@ -331,15 +349,15 @@ TEST(FaultFederationTest, InvalidPolicyOptionsRejectedAtCreate) {
   FederationOptions options = FastOptions();
   options.fault_tolerance.enabled = true;
   options.fault_tolerance.max_send_attempts = 0;
-  EXPECT_FALSE(MakeFederation(options).ok());
+  EXPECT_FALSE(MakeSession(options).ok());
   options = FastOptions();
   options.fault_tolerance.enabled = true;
   options.fault_tolerance.min_quorum_frac = 1.5;
-  EXPECT_FALSE(MakeFederation(options).ok());
+  EXPECT_FALSE(MakeSession(options).ok());
   options = FastOptions();
   options.fault_tolerance.enabled = true;
   options.fault_tolerance.faults.message_loss_rate = -0.5;
-  EXPECT_FALSE(MakeFederation(options).ok());
+  EXPECT_FALSE(MakeSession(options).ok());
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <algorithm>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 
 namespace qens::fl {
 namespace {
@@ -104,64 +104,11 @@ TEST(PlannerTest, CapacityMismatchRejected) {
           .ok());
 }
 
-TEST(PlannerTest, PlanAgreesWithFederationExecution) {
-  // Build a real federation and check the plan's node choice and sample
-  // counts match what RunQueryDriven actually does.
-  Rng rng(3);
-  auto make_node = [&](double offset, uint64_t seed) {
-    Rng r(seed);
-    Matrix x(200, 1), y(200, 1);
-    for (size_t i = 0; i < 200; ++i) {
-      x(i, 0) = offset + r.Uniform(0, 10);
-      y(i, 0) = 2 * x(i, 0) + r.Gaussian(0, 0.1);
-    }
-    return data::Dataset::Create(x, y).value();
-  };
-  FederationOptions fed_options;
-  fed_options.environment.kmeans.k = 3;
-  fed_options.ranking.epsilon = 0.1;
-  fed_options.query_driven.top_l = 2;
-  fed_options.hyper = ml::PaperHyperParams(ml::ModelKind::kLinearRegression);
-  fed_options.hyper.epochs = 10;
-  fed_options.epochs_per_cluster = 5;
-  fed_options.seed = 9;
-  auto fed = Federation::Create(
-      {make_node(0, 1), make_node(0, 2), make_node(50, 3)}, fed_options);
-  ASSERT_TRUE(fed.ok());
-
-  query::RangeQuery q = MakeQuery(0, 10);
-  auto internal = fed->InternalQuery(q);
-  ASSERT_TRUE(internal.ok());
-
-  PlannerOptions plan_options;
-  plan_options.ranking = fed_options.ranking;
-  plan_options.selection = fed_options.query_driven;
-  plan_options.epochs_per_cluster = fed_options.epochs_per_cluster;
-  plan_options.hyper = fed_options.hyper;
-  auto profiles = fed->environment().Profiles();
-  ASSERT_TRUE(profiles.ok());
-  auto plan = PlanQuery(*profiles, {}, *internal, plan_options);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan->executable);
-
-  auto outcome = fed->RunQueryDriven(q);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_FALSE(outcome->skipped);
-  // Same node set...
-  std::vector<size_t> planned;
-  for (const auto& n : plan->nodes) planned.push_back(n.node_id);
-  std::sort(planned.begin(), planned.end());
-  std::vector<size_t> executed = outcome->selected_nodes;
-  std::sort(executed.begin(), executed.end());
-  EXPECT_EQ(planned, executed);
-  // ...and the same training volume.
-  EXPECT_EQ(plan->total_supporting_samples, outcome->samples_used);
-}
-
 TEST(PlannerTest, PlanBytesMatchTransportAccounting) {
-  // The plan's est_comm_bytes must equal the model traffic a fault-free
-  // RunQuery actually pushes through the Transport seam. A session-private
-  // network isolates the deltas (no profile traffic mixed in).
+  // The plan's node choice and sample counts must match what a fault-free
+  // query-driven RunQuery does, and its est_comm_bytes the model traffic
+  // the run records in the session's network (which holds no profile
+  // traffic: that stays in the environment network of the fleet build).
   auto make_node = [&](double offset, uint64_t seed) {
     Rng r(seed);
     Matrix x(200, 1), y(200, 1);
@@ -216,15 +163,15 @@ TEST(PlannerTest, PlanBytesMatchTransportAccounting) {
   // ...and exactly the predicted bytes on the wire, in both directions:
   // every transfer is priced at a size that depends on the architecture
   // alone, so the planner knows the up-link of a model not yet trained.
-  const Transport& transport = session->transport();
-  const size_t down_bytes = transport.BytesWithTag("model-down");
-  const size_t up_bytes = transport.BytesWithTag("model-up");
+  const sim::Network& network = session->network();
+  const size_t down_bytes = network.BytesWithTag("model-down");
+  const size_t up_bytes = network.BytesWithTag("model-up");
   EXPECT_EQ(down_bytes, plan->est_comm_bytes / 2);
   EXPECT_EQ(up_bytes, plan->est_comm_bytes / 2);
-  // One down + one up per selected node, nothing else on the private
-  // network (profile traffic was accounted at fleet build, elsewhere).
-  EXPECT_EQ(transport.total_messages(), 2 * plan->nodes.size());
-  EXPECT_EQ(transport.total_bytes(), plan->est_comm_bytes);
+  // One down + one up per selected node, nothing else in the session's
+  // network.
+  EXPECT_EQ(network.total_messages(), 2 * plan->nodes.size());
+  EXPECT_EQ(network.total_bytes(), plan->est_comm_bytes);
 }
 
 }  // namespace

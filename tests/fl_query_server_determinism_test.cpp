@@ -3,7 +3,7 @@
 // 1, 2, 4, 8 = pooled), because each session's seed derives only from
 // (base seed, session id) and every piece of mutable state is private to
 // the session. Also pins the session-id tagging of RoundRecords, that
-// serving leaves a concurrently used sequential Federation untouched, and
+// serving leaves a default session over the same fleet untouched, and
 // that the request pipeline's virtual-latency histogram is equal at every
 // worker count.
 
@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
 #include "qens/fl/query_server.h"
+#include "qens/fl/query_session.h"
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
@@ -225,30 +225,41 @@ TEST(QueryServerTest, SessionFailureIsIsolatedToItsResult) {
   }
 }
 
-TEST(QueryServerTest, ServingLeavesSequentialFederationUntouched) {
-  // Twin federations, one interleaved with a serve over its fleet: the
-  // interleaved one must stay in lockstep with the undisturbed twin, and
-  // its environment-owned network must not record any serving traffic
-  // (server sessions account in private networks).
-  auto fed = Federation::Create(MakeNodes(), FastOptions());
-  auto twin = Federation::Create(MakeNodes(), FastOptions());
-  ASSERT_TRUE(fed.ok());
+TEST(QueryServerTest, ServingLeavesDefaultSessionUntouched) {
+  // Twin fleets with a default session each, one fleet also served: its
+  // session must stay in lockstep with the undisturbed twin, and neither
+  // its network nor the fleet's environment network may record any
+  // serving traffic (server sessions account in their own networks).
+  auto fleet = Fleet::Create(MakeNodes(), FastOptions());
+  auto twin_fleet = Fleet::Create(MakeNodes(), FastOptions());
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_TRUE(twin_fleet.ok());
+  auto session = QuerySession::Create(*fleet, QuerySessionOptions{});
+  auto twin = QuerySession::Create(*twin_fleet, QuerySessionOptions{});
+  ASSERT_TRUE(session.ok());
   ASSERT_TRUE(twin.ok());
   auto check_lockstep = [&] {
-    auto a = fed->RunQueryDriven(QueryOver(0, 10, 3));
-    auto b = twin->RunQueryDriven(QueryOver(0, 10, 3));
+    auto a = session->RunQuery(QueryOver(0, 10, 3),
+                               selection::PolicyKind::kQueryDriven,
+                               /*data_selectivity=*/true);
+    auto b = twin->RunQuery(QueryOver(0, 10, 3),
+                            selection::PolicyKind::kQueryDriven,
+                            /*data_selectivity=*/true);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ExpectIdenticalOutcomes(*a, *b);
   };
   check_lockstep();
-  const size_t network_bytes = fed->environment().network().total_bytes();
+  const size_t environment_bytes =
+      (*fleet)->environment.network().total_bytes();
+  const size_t session_bytes = session->network().total_bytes();
 
-  auto server = QueryServer::Create(fed->fleet(), ServingOptions{});
+  auto server = QueryServer::Create(*fleet, ServingOptions{});
   ASSERT_TRUE(server.ok());
   server->Serve(MakeSpecs());
 
-  EXPECT_EQ(fed->environment().network().total_bytes(), network_bytes);
+  EXPECT_EQ((*fleet)->environment.network().total_bytes(), environment_bytes);
+  EXPECT_EQ(session->network().total_bytes(), session_bytes);
   check_lockstep();
 }
 

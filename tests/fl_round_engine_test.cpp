@@ -3,13 +3,13 @@
 // 1-round configuration they must produce bit-identical outcomes and
 // bit-identical per-round telemetry — on the fault-free path and with the
 // fault-injection and Byzantine layers active. Also pins that a
-// QuerySession seeded with FederationOptions::seed reproduces the
-// Federation facade exactly (the facade IS such a session).
+// QuerySession without an explicit seed is seeded with
+// FederationOptions::seed.
 
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
@@ -42,6 +42,12 @@ FederationOptions FastOptions() {
 std::vector<data::Dataset> MakeNodes() {
   return {MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
           MakeNodeData(0, 2.0, 3), MakeNodeData(0, 2.0, 4)};
+}
+
+Result<QuerySession> MakeSession(const FederationOptions& options) {
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(MakeNodes(), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 query::RangeQuery QueryOver(double lo, double hi) {
@@ -138,12 +144,12 @@ void ExpectIdenticalRoundRecords(const QueryOutcome& a,
 }
 
 // RunQuery and RunQueryMultiRound(..., 1) drive the same RoundEngine, so
-// on identically built federations a 1-round config must match bit for
+// on identically built sessions a 1-round config must match bit for
 // bit — outcomes AND per-round telemetry.
 TEST(RoundEngineTest, RunQueryMatchesOneRoundMultiRound) {
   obs::MetricsRegistry::Enable();
-  auto fed_a = Federation::Create(MakeNodes(), FastOptions());
-  auto fed_b = Federation::Create(MakeNodes(), FastOptions());
+  auto fed_a = MakeSession(FastOptions());
+  auto fed_b = MakeSession(FastOptions());
   ASSERT_TRUE(fed_a.ok());
   ASSERT_TRUE(fed_b.ok());
   for (int i = 0; i < 3; ++i) {
@@ -157,7 +163,7 @@ TEST(RoundEngineTest, RunQueryMatchesOneRoundMultiRound) {
     EXPECT_EQ(a->rounds, b->rounds);
     ExpectIdenticalOutcomes(*a, *b);
     ASSERT_EQ(a->round_records.size(), 1u);
-    EXPECT_EQ(a->round_records[0].session, 0u);  // Sequential facade.
+    EXPECT_EQ(a->round_records[0].session, 0u);  // Default session id.
     ExpectIdenticalRoundRecords(*a, *b);
   }
   obs::MetricsRegistry::Disable();
@@ -168,8 +174,8 @@ TEST(RoundEngineTest, RunQueryMatchesOneRoundMultiRound) {
 // the validator identically.
 TEST(RoundEngineTest, FaultAndByzantinePlumbingIsShared) {
   obs::MetricsRegistry::Enable();
-  auto fed_a = Federation::Create(MakeNodes(), FaultyByzantineOptions());
-  auto fed_b = Federation::Create(MakeNodes(), FaultyByzantineOptions());
+  auto fed_a = MakeSession(FaultyByzantineOptions());
+  auto fed_b = MakeSession(FaultyByzantineOptions());
   ASSERT_TRUE(fed_a.ok());
   ASSERT_TRUE(fed_b.ok());
   for (int i = 0; i < 4; ++i) {
@@ -186,18 +192,21 @@ TEST(RoundEngineTest, FaultAndByzantinePlumbingIsShared) {
   obs::MetricsRegistry::Disable();
 }
 
-// A QuerySession seeded with the fleet's FederationOptions::seed IS the
-// sequential Federation: same selections, same losses, same accounting.
-// (The session uses a private network here, so only relative byte deltas
-// are comparable, not the profile traffic recorded at fleet build.)
-TEST(RoundEngineTest, SessionSeededWithOptionsSeedMatchesFederation) {
-  auto fed = Federation::Create(MakeNodes(), FastOptions());
+// A QuerySession without an explicit seed uses the fleet's
+// FederationOptions::seed: it matches a session seeded with that value
+// explicitly (and tagged differently) over a separately built fleet — same
+// selections, same losses, same accounting.
+TEST(RoundEngineTest, SessionSeededWithOptionsSeedMatchesDefaultSession) {
+  auto fed = MakeSession(FastOptions());
   ASSERT_TRUE(fed.ok());
+  EXPECT_EQ(fed->seed(), FastOptions().seed);
   auto fleet = Fleet::Create(MakeNodes(), FastOptions());
   ASSERT_TRUE(fleet.ok());
-  auto session = QuerySession::Create(*fleet, QuerySessionOptions{});
+  QuerySessionOptions seeded;
+  seeded.session_id = 7;
+  seeded.seed = FastOptions().seed;
+  auto session = QuerySession::Create(*fleet, seeded);
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session->seed(), FastOptions().seed);
   for (int i = 0; i < 2; ++i) {
     auto from_fed = fed->RunQueryMultiRound(
         QueryOver(0, 10), selection::PolicyKind::kQueryDriven, true, 2);
@@ -207,13 +216,16 @@ TEST(RoundEngineTest, SessionSeededWithOptionsSeedMatchesFederation) {
     ASSERT_TRUE(from_session.ok());
     ExpectIdenticalOutcomes(*from_fed, *from_session);
   }
+  EXPECT_EQ(fed->network().total_bytes(), session->network().total_bytes());
+  EXPECT_EQ(fed->network().total_messages(),
+            session->network().total_messages());
 }
 
 // The Random policy's per-query stream advance must also be shared: after
-// interleaving both drivers, two federations stay in lockstep.
+// interleaving both drivers, two sessions stay in lockstep.
 TEST(RoundEngineTest, RandomPolicyStreamAdvanceIsShared) {
-  auto fed_a = Federation::Create(MakeNodes(), FastOptions());
-  auto fed_b = Federation::Create(MakeNodes(), FastOptions());
+  auto fed_a = MakeSession(FastOptions());
+  auto fed_b = MakeSession(FastOptions());
   ASSERT_TRUE(fed_a.ok());
   ASSERT_TRUE(fed_b.ok());
   for (int i = 0; i < 3; ++i) {

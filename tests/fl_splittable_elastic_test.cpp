@@ -1,4 +1,4 @@
-// Federation-level contract of the coordinate-keyed streams: every stream
+// Session-level contract of the coordinate-keyed streams: every stream
 // is a pure function of logical coordinates, so outcomes are bit-identical
 // to the sequential run at every pool worker count and across query arrival
 // order — including under an active fault plan. Also pins the session seed
@@ -10,8 +10,8 @@
 
 #include "qens/common/rng.h"
 #include "qens/common/split_rng.h"
-#include "qens/fl/federation.h"
 #include "qens/fl/query_server.h"
+#include "qens/fl/query_session.h"
 
 namespace qens::fl {
 namespace {
@@ -31,6 +31,12 @@ std::vector<data::Dataset> MakeNodes() {
   return {MakeNodeData(0, 2.0, 1), MakeNodeData(2, 2.0, 2),
           MakeNodeData(4, 2.0, 3), MakeNodeData(0, 2.0, 4),
           MakeNodeData(3, 2.0, 5), MakeNodeData(1, 2.0, 6)};
+}
+
+Result<QuerySession> MakeSession(const FederationOptions& options) {
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(MakeNodes(), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 FederationOptions BaseOptions() {
@@ -75,10 +81,11 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
 
   std::vector<QueryOutcome> expected;
   {
-    auto fed = Federation::Create(MakeNodes(), BaseOptions());
+    auto fed = MakeSession(BaseOptions());
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (const auto& q : queries) {
-      auto outcome = fed->RunQueryDriven(q);
+      auto outcome = fed->RunQuery(
+          q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       expected.push_back(*outcome);
     }
@@ -89,10 +96,12 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
     FederationOptions options = BaseOptions();
     options.parallel_local_training = true;
     options.max_parallel_nodes = workers;
-    auto fed = Federation::Create(MakeNodes(), options);
+    auto fed = MakeSession(options);
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto outcome = fed->RunQueryDriven(queries[i]);
+      auto outcome = fed->RunQuery(queries[i],
+                                   selection::PolicyKind::kQueryDriven,
+                                   /*data_selectivity=*/true);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       SCOPED_TRACE(testing::Message() << "workers=" << workers
                                       << " query=" << i);
@@ -119,7 +128,7 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalAcrossWorkerCounts) {
 
   std::vector<QueryOutcome> expected;
   {
-    auto fed = Federation::Create(MakeNodes(), faulty_options());
+    auto fed = MakeSession(faulty_options());
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (const auto& q : queries) {
       auto outcome = fed->RunQueryMultiRound(q, selection::PolicyKind::kQueryDriven,
@@ -133,7 +142,7 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalAcrossWorkerCounts) {
     FederationOptions options = faulty_options();
     options.parallel_local_training = true;
     options.max_parallel_nodes = workers;
-    auto fed = Federation::Create(MakeNodes(), options);
+    auto fed = MakeSession(options);
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
     for (size_t i = 0; i < queries.size(); ++i) {
       auto outcome = fed->RunQueryMultiRound(queries[i], selection::PolicyKind::kQueryDriven,
@@ -190,7 +199,7 @@ TEST(SplittableElasticTest, QueryOrderInvarianceOfRandomPolicy) {
   // select the same nodes regardless of its position in the stream.
   auto run_random = [](const std::vector<query::RangeQuery>& queries,
                        uint64_t want_id) {
-    auto fed = Federation::Create(MakeNodes(), BaseOptions());
+    auto fed = MakeSession(BaseOptions());
     EXPECT_TRUE(fed.ok());
     std::vector<size_t> selected;
     for (const auto& q : queries) {

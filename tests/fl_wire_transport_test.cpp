@@ -9,8 +9,8 @@
 #include <cmath>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
 #include "qens/fl/planner.h"
+#include "qens/fl/query_session.h"
 #include "qens/ml/model_codec.h"
 
 namespace qens::fl {
@@ -91,13 +91,13 @@ WireRunResult RunPinned(const FederationOptions& fed_options, size_t rounds) {
   EXPECT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->skipped);
 
-  const Transport& transport = session->transport();
+  const sim::Network& network = session->network();
   out.outcome = *outcome;
-  out.down_bytes = transport.BytesWithTag("model-down");
-  out.up_bytes = transport.BytesWithTag("model-up");
+  out.down_bytes = network.BytesWithTag("model-down");
+  out.up_bytes = network.BytesWithTag("model-up");
   out.est_comm_bytes = plan->est_comm_bytes;
   out.nodes = plan->nodes.size();
-  out.messages = transport.total_messages();
+  out.messages = network.total_messages();
   return out;
 }
 

@@ -70,11 +70,11 @@ TEST(MultiFeatureTest, RankingsAverageAcrossFourDimensions) {
   auto runner = ExperimentRunner::Create(MultiFeatureConfig());
   ASSERT_TRUE(runner.ok());
   // Per Eq. 2, every node ranking is bounded by K (each h_ik <= 1).
-  const auto& fed = runner->federation();
+  const QuerySession& session = runner->session();
   for (const auto& q : runner->queries()) {
-    auto internal = fed.InternalQuery(q);
+    auto internal = session.fleet().InternalQuery(q);
     ASSERT_TRUE(internal.ok());
-    auto ranks = fed.leader().Rank(*internal);
+    auto ranks = session.leader().Rank(*internal);
     ASSERT_TRUE(ranks.ok());
     for (const auto& r : *ranks) {
       EXPECT_GE(r.ranking, 0.0);

@@ -42,7 +42,7 @@ TEST(IntegrationTest, RunnerBuildsAndGeneratesWorkload) {
       SmallConfig(data::Heterogeneity::kHeterogeneous));
   ASSERT_TRUE(runner.ok());
   EXPECT_EQ(runner->queries().size(), 8u);
-  EXPECT_EQ(runner->federation().environment().num_nodes(), 5u);
+  EXPECT_EQ(runner->fleet()->environment.num_nodes(), 5u);
 }
 
 TEST(IntegrationTest, QueryDrivenMechanismCompletesWorkload) {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
-#include "qens/fl/federation.h"
+#include "qens/fl/query_session.h"
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
@@ -36,11 +36,13 @@ FederationOptions FastOptions() {
   return options;
 }
 
-Result<Federation> MakeFederation(const FederationOptions& options) {
+Result<QuerySession> MakeSession(const FederationOptions& options) {
   std::vector<data::Dataset> nodes = {
       MakeNodeData(0, 2.0, 1), MakeNodeData(0, 2.0, 2),
       MakeNodeData(0, 2.0, 3), MakeNodeData(0, 2.0, 4)};
-  return Federation::Create(std::move(nodes), options);
+  QENS_ASSIGN_OR_RETURN(std::shared_ptr<Fleet> fleet,
+                        Fleet::Create(std::move(nodes), options));
+  return QuerySession::Create(std::move(fleet), QuerySessionOptions{});
 }
 
 query::RangeQuery QueryOver(double lo, double hi) {
@@ -57,7 +59,7 @@ class ObsFederationTest : public ::testing::Test {
 
 TEST_F(ObsFederationTest, DisabledMeansNoRegistryAndNoRoundRecords) {
   ASSERT_FALSE(obs::MetricsRegistry::Enabled());
-  auto fed = MakeFederation(FastOptions());
+  auto fed = MakeSession(FastOptions());
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kQueryDriven, true, 2);
@@ -68,7 +70,7 @@ TEST_F(ObsFederationTest, DisabledMeansNoRegistryAndNoRoundRecords) {
 }
 
 TEST_F(ObsFederationTest, EnablingMetricsChangesNoOutcome) {
-  auto fed_off = MakeFederation(FastOptions());
+  auto fed_off = MakeSession(FastOptions());
   ASSERT_TRUE(fed_off.ok());
   auto off = fed_off->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kQueryDriven, true, 3);
@@ -76,7 +78,7 @@ TEST_F(ObsFederationTest, EnablingMetricsChangesNoOutcome) {
   ASSERT_FALSE(off->skipped);
 
   obs::MetricsRegistry::Enable();
-  auto fed_on = MakeFederation(FastOptions());
+  auto fed_on = MakeSession(FastOptions());
   ASSERT_TRUE(fed_on.ok());
   auto on = fed_on->RunQueryMultiRound(
       QueryOver(0, 10), selection::PolicyKind::kQueryDriven, true, 3);
@@ -102,7 +104,7 @@ TEST_F(ObsFederationTest, EnablingMetricsChangesNoOutcome) {
 
 TEST_F(ObsFederationTest, RoundRecordsAreInternallyConsistent) {
   obs::MetricsRegistry::Enable();
-  auto fed = MakeFederation(FastOptions());
+  auto fed = MakeSession(FastOptions());
   ASSERT_TRUE(fed.ok());
   const size_t rounds = 3;
   auto outcome = fed->RunQueryMultiRound(
@@ -156,7 +158,7 @@ TEST_F(ObsFederationTest, FaultPathsLandInRecordsAndCounters) {
   options.fault_tolerance.faults.dropout_rate = 0.4;
   options.fault_tolerance.faults.message_loss_rate = 0.3;
   options.fault_tolerance.min_quorum_frac = 0.25;
-  auto fed = MakeFederation(options);
+  auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
 
   size_t unavailable = 0, engaged = 0;
