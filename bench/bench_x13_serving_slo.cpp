@@ -55,27 +55,26 @@ fl::ExperimentConfig ServingConfig() {
 fl::ServingOptions PipelineOptions(size_t workers) {
   fl::ServingOptions options;
   options.num_workers = workers;
-  options.admission = true;
   fl::AdmissionOptions& adm = options.admission_options;
   adm.queue_capacity = 24;
   adm.interactive_deadline_s = 0.1;
   adm.standard_deadline_s = 0.2;
   adm.batch_deadline_s = 0.35;
-  adm.interactive_budget.max_rounds = 24;
-  adm.standard_budget.max_rounds = 18;
-  adm.batch_budget.max_rounds = 12;
+  adm.interactive_round_budget = 24;
+  adm.standard_round_budget = 18;
+  adm.batch_round_budget = 12;
   return options;
 }
 
-std::vector<fl::RequestSessionSpec> MakeSpecs(
+std::vector<fl::SessionSpec> MakeSpecs(
     const std::vector<query::RangeQuery>& pool) {
   constexpr fl::QueryClass kPattern[] = {fl::QueryClass::kInteractive,
                                          fl::QueryClass::kStandard,
                                          fl::QueryClass::kBatch};
-  std::vector<fl::RequestSessionSpec> specs;
+  std::vector<fl::SessionSpec> specs;
   size_t next = 0;
   for (size_t s = 0; s < kSessions; ++s) {
-    fl::RequestSessionSpec spec;
+    fl::SessionSpec spec;
     spec.rounds = 1;
     for (size_t q = 0; q < kRequestsPerSession; ++q) {
       fl::QueryRequest request;
@@ -90,7 +89,7 @@ std::vector<fl::RequestSessionSpec> MakeSpecs(
   return specs;
 }
 
-/// Bitwise comparison of two pipeline serve results; aborts the bench on
+/// Bitwise comparison of two serve results; aborts the bench on
 /// the first divergence (a broken determinism contract invalidates every
 /// timing and every SLO number).
 void CheckIdentical(const std::vector<fl::SessionResult>& a,
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
   fl::ExperimentRunner runner = ValueOrDie(
       fl::ExperimentRunner::Create(ServingConfig()), "build experiment");
   std::shared_ptr<const fl::Fleet> fleet = runner.fleet();
-  const std::vector<fl::RequestSessionSpec> specs = MakeSpecs(runner.queries());
+  const std::vector<fl::SessionSpec> specs = MakeSpecs(runner.queries());
   size_t total_requests = 0;
   for (const auto& spec : specs) total_requests += spec.requests.size();
 
@@ -179,8 +178,7 @@ int main(int argc, char** argv) {
   // Phase 1: the determinism contract, asserted before any timing.
   fl::QueryServer sequential = ValueOrDie(
       fl::QueryServer::Create(fleet, PipelineOptions(0)), "build server");
-  const std::vector<fl::SessionResult> reference =
-      sequential.ServeRequests(specs);
+  const std::vector<fl::SessionResult> reference = sequential.Serve(specs);
   const fl::ServingTelemetry telemetry = fl::SummarizeServing(reference);
   std::printf(
       "sequential reference: %zu sessions, %zu requests (%zu executed, "
@@ -191,7 +189,7 @@ int main(int argc, char** argv) {
     fl::QueryServer server = ValueOrDie(
         fl::QueryServer::Create(fleet, PipelineOptions(workers)),
         "build server");
-    CheckIdentical(reference, server.ServeRequests(specs), workers);
+    CheckIdentical(reference, server.Serve(specs), workers);
     std::printf("workers=%zu: bitwise identical to sequential\n", workers);
     BenchRecord record;
     record.name = "equality_w" + std::to_string(workers);
@@ -237,7 +235,7 @@ int main(int argc, char** argv) {
         fl::QueryServer::Create(fleet, PipelineOptions(workers)),
         "build server");
     Stopwatch watch;
-    auto results = server.ServeRequests(specs);
+    auto results = server.Serve(specs);
     const double seconds = watch.ElapsedSeconds();
     CheckIdentical(reference, results, workers);
     return seconds;

@@ -51,7 +51,7 @@ std::vector<fl::SessionSpec> MakeSpecs(
   for (size_t s = 0; s < kSessions; ++s) {
     fl::SessionSpec spec;
     for (size_t q = 0; q < kQueriesPerSession; ++q) {
-      spec.queries.push_back(pool[next++ % pool.size()]);
+      spec.requests.push_back({pool[next++ % pool.size()]});
     }
     specs.push_back(std::move(spec));
   }
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   std::shared_ptr<const fl::Fleet> fleet = runner.fleet();
   const std::vector<fl::SessionSpec> specs = MakeSpecs(runner.queries());
   size_t total_queries = 0;
-  for (const auto& spec : specs) total_queries += spec.queries.size();
+  for (const auto& spec : specs) total_queries += spec.requests.size();
 
   const bool degraded = json.MarkThroughputSensitive();
   const size_t hw = HardwareThreads();

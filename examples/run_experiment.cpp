@@ -122,8 +122,7 @@ summary_json =       ; final counter/gauge/histogram snapshot
 sessions = 0             ; concurrent query sessions (0 = no serving phase)
 workers = 0              ; session worker threads (0 or 1 = sequential)
 queries_per_session = 8  ; workload queries each session serves (cycled)
-admission = false        ; request pipeline: admission + deadline classes
-queue_capacity = 1024    ; pending requests held per session (0 = none)
+queue_capacity = 1024    ; pending requests per session (0 = none; unset = inf)
 arrival_spacing_s = 0.0  ; virtual seconds between request arrivals
 class_pattern = standard ; csv of interactive|standard|batch, cycled
 deadline_interactive_s = 0.0 ; per-class virtual SLO deadline (0 = none)
@@ -153,29 +152,28 @@ T Die(Result<T> result, const char* what) {
 
 Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
   fl::ExperimentConfig config;
-  QENS_ASSIGN_OR_RETURN(int64_t stations, ini.GetInt("data.stations", 10));
-  QENS_ASSIGN_OR_RETURN(int64_t samples,
-                        ini.GetInt("data.samples_per_station", 1500));
+  QENS_ASSIGN_OR_RETURN(config.data.num_stations,
+                        ini.GetCount("data.stations", 10));
+  QENS_ASSIGN_OR_RETURN(config.data.samples_per_station,
+                        ini.GetCount("data.samples_per_station", 1500));
   QENS_ASSIGN_OR_RETURN(bool heterogeneous,
                         ini.GetBool("data.heterogeneous", true));
   QENS_ASSIGN_OR_RETURN(bool single_feature,
                         ini.GetBool("data.single_feature", true));
   QENS_ASSIGN_OR_RETURN(int64_t data_seed, ini.GetInt("data.seed", 2023));
-  config.data.num_stations = static_cast<size_t>(stations);
-  config.data.samples_per_station = static_cast<size_t>(samples);
   config.data.heterogeneity = heterogeneous
                                   ? data::Heterogeneity::kHeterogeneous
                                   : data::Heterogeneity::kHomogeneous;
   config.data.single_feature = single_feature;
   config.data.seed = static_cast<uint64_t>(data_seed);
 
-  QENS_ASSIGN_OR_RETURN(int64_t k, ini.GetInt("quantization.k", 5));
-  config.federation.environment.kmeans.k = static_cast<size_t>(k);
+  QENS_ASSIGN_OR_RETURN(config.federation.environment.kmeans.k,
+                        ini.GetCount("quantization.k", 5));
 
   QENS_ASSIGN_OR_RETURN(config.federation.ranking.epsilon,
                         ini.GetDouble("selection.epsilon", 0.15));
-  QENS_ASSIGN_OR_RETURN(int64_t top_l, ini.GetInt("selection.top_l", 3));
-  config.federation.query_driven.top_l = static_cast<size_t>(top_l);
+  QENS_ASSIGN_OR_RETURN(config.federation.query_driven.top_l,
+                        ini.GetCount("selection.top_l", 3));
   QENS_ASSIGN_OR_RETURN(config.federation.query_driven.use_threshold,
                         ini.GetBool("selection.use_threshold", false));
   QENS_ASSIGN_OR_RETURN(config.federation.query_driven.psi,
@@ -184,15 +182,13 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
   QENS_ASSIGN_OR_RETURN(ml::ModelKind kind,
                         ml::ParseModelKind(ini.GetString("model.kind", "lr")));
   config.federation.hyper = ml::PaperHyperParams(kind);
-  QENS_ASSIGN_OR_RETURN(int64_t epochs, ini.GetInt("model.epochs", 40));
-  config.federation.hyper.epochs = static_cast<size_t>(epochs);
-  QENS_ASSIGN_OR_RETURN(int64_t epc,
-                        ini.GetInt("model.epochs_per_cluster", 15));
-  config.federation.epochs_per_cluster = static_cast<size_t>(epc);
+  QENS_ASSIGN_OR_RETURN(config.federation.hyper.epochs,
+                        ini.GetCount("model.epochs", 40));
+  QENS_ASSIGN_OR_RETURN(config.federation.epochs_per_cluster,
+                        ini.GetCount("model.epochs_per_cluster", 15));
 
-  QENS_ASSIGN_OR_RETURN(int64_t random_l,
-                        ini.GetInt("federation.random_l", 3));
-  config.federation.random_l = static_cast<size_t>(random_l);
+  QENS_ASSIGN_OR_RETURN(config.federation.random_l,
+                        ini.GetCount("federation.random_l", 3));
   QENS_ASSIGN_OR_RETURN(config.federation.test_fraction,
                         ini.GetDouble("federation.test_fraction", 0.2));
   QENS_ASSIGN_OR_RETURN(config.federation.dropout_rate,
@@ -200,8 +196,8 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
   QENS_ASSIGN_OR_RETURN(int64_t fed_seed, ini.GetInt("federation.seed", 7));
   config.federation.seed = static_cast<uint64_t>(fed_seed);
 
-  QENS_ASSIGN_OR_RETURN(int64_t queries, ini.GetInt("workload.queries", 60));
-  config.workload.num_queries = static_cast<size_t>(queries);
+  QENS_ASSIGN_OR_RETURN(config.workload.num_queries,
+                        ini.GetCount("workload.queries", 60));
   QENS_ASSIGN_OR_RETURN(config.workload.min_width_frac,
                         ini.GetDouble("workload.min_width_frac", 0.15));
   QENS_ASSIGN_OR_RETURN(config.workload.max_width_frac,
@@ -215,9 +211,8 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
   ft.faults.seed = static_cast<uint64_t>(fault_seed);
   QENS_ASSIGN_OR_RETURN(ft.faults.crash_rate,
                         ini.GetDouble("faults.crash_rate", 0.0));
-  QENS_ASSIGN_OR_RETURN(int64_t crash_horizon,
-                        ini.GetInt("faults.crash_horizon", 20));
-  ft.faults.crash_horizon = static_cast<size_t>(crash_horizon);
+  QENS_ASSIGN_OR_RETURN(ft.faults.crash_horizon,
+                        ini.GetCount("faults.crash_horizon", 20));
   QENS_ASSIGN_OR_RETURN(ft.faults.dropout_rate,
                         ini.GetDouble("faults.dropout_rate", 0.0));
   QENS_ASSIGN_OR_RETURN(ft.faults.straggler_rate,
@@ -230,9 +225,8 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
                         ini.GetDouble("faults.message_loss_rate", 0.0));
   QENS_ASSIGN_OR_RETURN(ft.round_deadline_s,
                         ini.GetDouble("faults.round_deadline_s", 0.0));
-  QENS_ASSIGN_OR_RETURN(int64_t attempts,
-                        ini.GetInt("faults.max_send_attempts", 3));
-  ft.max_send_attempts = static_cast<size_t>(attempts);
+  QENS_ASSIGN_OR_RETURN(ft.max_send_attempts,
+                        ini.GetCount("faults.max_send_attempts", 3));
   QENS_ASSIGN_OR_RETURN(ft.retry_backoff_s,
                         ini.GetDouble("faults.retry_backoff_s", 0.005));
   QENS_ASSIGN_OR_RETURN(ft.min_quorum_frac,
@@ -258,12 +252,10 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
   QENS_ASSIGN_OR_RETURN(
       byz.validator.holdout_loss_factor,
       ini.GetDouble("byzantine.holdout_loss_factor", 0.0));
-  QENS_ASSIGN_OR_RETURN(int64_t holdout_rows,
-                        ini.GetInt("byzantine.holdout_max_rows", 256));
-  byz.validator.holdout_max_rows = static_cast<size_t>(holdout_rows);
-  QENS_ASSIGN_OR_RETURN(int64_t quarantine,
-                        ini.GetInt("byzantine.quarantine_rounds", 0));
-  byz.quarantine_rounds = static_cast<size_t>(quarantine);
+  QENS_ASSIGN_OR_RETURN(byz.validator.holdout_max_rows,
+                        ini.GetCount("byzantine.holdout_max_rows", 256));
+  QENS_ASSIGN_OR_RETURN(byz.quarantine_rounds,
+                        ini.GetCount("byzantine.quarantine_rounds", 0));
   QENS_ASSIGN_OR_RETURN(
       byz.aggregator,
       fl::ParseAggregationKind(
@@ -290,19 +282,16 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
   dyn.churn.seed = static_cast<uint64_t>(churn_seed);
   QENS_ASSIGN_OR_RETURN(dyn.churn.churn_rate,
                         ini.GetDouble("churn.rate", 0.0));
-  QENS_ASSIGN_OR_RETURN(int64_t churn_horizon,
-                        ini.GetInt("churn.horizon", 64));
-  dyn.churn.churn_horizon = static_cast<size_t>(churn_horizon);
-  QENS_ASSIGN_OR_RETURN(int64_t min_down,
-                        ini.GetInt("churn.min_down_rounds", 1));
-  dyn.churn.min_down_rounds = static_cast<size_t>(min_down);
-  QENS_ASSIGN_OR_RETURN(int64_t max_down,
-                        ini.GetInt("churn.max_down_rounds", 4));
-  dyn.churn.max_down_rounds = static_cast<size_t>(max_down);
-  QENS_ASSIGN_OR_RETURN(int64_t min_up, ini.GetInt("churn.min_up_rounds", 2));
-  dyn.churn.min_up_rounds = static_cast<size_t>(min_up);
-  QENS_ASSIGN_OR_RETURN(int64_t max_up, ini.GetInt("churn.max_up_rounds", 8));
-  dyn.churn.max_up_rounds = static_cast<size_t>(max_up);
+  QENS_ASSIGN_OR_RETURN(dyn.churn.churn_horizon,
+                        ini.GetCount("churn.horizon", 64));
+  QENS_ASSIGN_OR_RETURN(dyn.churn.min_down_rounds,
+                        ini.GetCount("churn.min_down_rounds", 1));
+  QENS_ASSIGN_OR_RETURN(dyn.churn.max_down_rounds,
+                        ini.GetCount("churn.max_down_rounds", 4));
+  QENS_ASSIGN_OR_RETURN(dyn.churn.min_up_rounds,
+                        ini.GetCount("churn.min_up_rounds", 2));
+  QENS_ASSIGN_OR_RETURN(dyn.churn.max_up_rounds,
+                        ini.GetCount("churn.max_up_rounds", 8));
   if (!churn_enabled) dyn.churn.churn_rate = 0.0;
   QENS_ASSIGN_OR_RETURN(bool drift_enabled,
                         ini.GetBool("drift.enabled", false));
@@ -351,6 +340,31 @@ Result<MetricsOutputs> BuildMetricsOutputs(const Config& ini) {
   return outputs;
 }
 
+/// The [serving] worker count and admission gates. A gate whose key is
+/// absent stays off (AdmissionOptions{} admits everything).
+Result<fl::ServingOptions> BuildServingOptions(const Config& ini) {
+  fl::ServingOptions options;
+  QENS_ASSIGN_OR_RETURN(options.num_workers,
+                        ini.GetCount("serving.workers", 0));
+  fl::AdmissionOptions& adm = options.admission_options;
+  QENS_ASSIGN_OR_RETURN(
+      adm.queue_capacity,
+      ini.GetCount("serving.queue_capacity", adm.queue_capacity));
+  QENS_ASSIGN_OR_RETURN(adm.interactive_deadline_s,
+                        ini.GetDouble("serving.deadline_interactive_s", 0.0));
+  QENS_ASSIGN_OR_RETURN(adm.standard_deadline_s,
+                        ini.GetDouble("serving.deadline_standard_s", 0.0));
+  QENS_ASSIGN_OR_RETURN(adm.batch_deadline_s,
+                        ini.GetDouble("serving.deadline_batch_s", 0.0));
+  QENS_ASSIGN_OR_RETURN(adm.interactive_round_budget,
+                        ini.GetCount("serving.round_budget_interactive", 0));
+  QENS_ASSIGN_OR_RETURN(adm.standard_round_budget,
+                        ini.GetCount("serving.round_budget_standard", 0));
+  QENS_ASSIGN_OR_RETURN(adm.batch_round_budget,
+                        ini.GetCount("serving.round_budget_batch", 0));
+  return options;
+}
+
 void Check(const Status& status, const char* what) {
   if (!status.ok()) {
     std::fprintf(stderr, "error (%s): %s\n", what,
@@ -375,19 +389,35 @@ int main(int argc, char** argv) {
   Config ini = Die(Config::Load(argv[1]), "load config");
   Check(ValidateConfigKeys(ini), "validate config");
   fl::ExperimentConfig config = Die(BuildConfig(ini), "build config");
-  const int64_t rounds = Die(ini.GetInt("federation.rounds", 1), "rounds");
+  const size_t rounds = Die(ini.GetCount("federation.rounds", 1), "rounds");
   const MetricsOutputs metrics = Die(BuildMetricsOutputs(ini), "metrics");
+  // [serving] is parsed up front so a bad value fails before any training.
+  const size_t sessions = Die(ini.GetCount("serving.sessions", 0), "serving");
+  const size_t per_session =
+      Die(ini.GetCount("serving.queries_per_session", 8), "serving");
+  const fl::ServingOptions serving_options =
+      Die(BuildServingOptions(ini), "serving");
+  const double spacing =
+      Die(ini.GetDouble("serving.arrival_spacing_s", 0.0), "serving");
+  std::vector<fl::QueryClass> classes;
+  for (const std::string& name :
+       Split(ini.GetString("serving.class_pattern", "standard"), ',')) {
+    const std::string trimmed = Trim(name);
+    if (trimmed.empty()) continue;
+    classes.push_back(Die(fl::ParseQueryClass(trimmed), "class_pattern"));
+  }
+  if (classes.empty()) classes.push_back(fl::QueryClass::kStandard);
+
   if (metrics.enabled) obs::MetricsRegistry::Enable();
 
   std::printf("loaded %s (%zu keys)\n", argv[1], ini.size());
   std::printf(
       "environment: %zu stations x %zu samples (%s), K = %zu, %zu queries, "
-      "model = %s, rounds = %lld\n",
+      "model = %s, rounds = %zu\n",
       config.data.num_stations, config.data.samples_per_station,
       data::HeterogeneityName(config.data.heterogeneity),
       config.federation.environment.kmeans.k, config.workload.num_queries,
-      ml::ModelKindName(config.federation.hyper.kind),
-      static_cast<long long>(rounds));
+      ml::ModelKindName(config.federation.hyper.kind), rounds);
 
   fl::ExperimentRunner runner =
       Die(fl::ExperimentRunner::Create(config), "build experiment");
@@ -412,7 +442,7 @@ int main(int argc, char** argv) {
     for (const auto& q : runner.queries()) {
       auto outcome = runner.session().RunQueryMultiRound(
           q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
-          static_cast<size_t>(rounds));
+          rounds);
       if (!outcome.ok()) {
         std::fprintf(stderr, "query failed: %s\n",
                      outcome.status().ToString().c_str());
@@ -430,114 +460,52 @@ int main(int argc, char** argv) {
       time.Add(outcome->sim_time_total + outcome->sim_time_comm);
     }
     std::printf(
-        "\nquery-driven x %lld rounds: avg loss %.3f, avg sim time %.4fs "
+        "\nquery-driven x %zu rounds: avg loss %.3f, avg sim time %.4fs "
         "(%zu run, %zu skipped)\n",
-        static_cast<long long>(rounds), loss.mean(), time.mean(), run,
-        skipped);
+        rounds, loss.mean(), time.mean(), run, skipped);
   }
 
-  // Optional serving phase: schedule the workload as concurrent sessions
-  // over the same fleet. Outcomes are bit-identical at every worker count;
-  // round records are tagged with their 1-based session id.
-  const int64_t sessions = Die(ini.GetInt("serving.sessions", 0), "serving");
+  // Optional serving phase: replay the workload as concurrent sessions of
+  // timed, classed requests over the same fleet. Arrivals, classes and
+  // admission gates come from [serving]; every decision runs on the
+  // deterministic virtual clock, so outcomes are bit-identical at every
+  // worker count. Round records are tagged with their 1-based session id.
   if (sessions > 0) {
-    const int64_t workers = Die(ini.GetInt("serving.workers", 0), "serving");
-    const int64_t per_session =
-        Die(ini.GetInt("serving.queries_per_session", 8), "serving");
-    const bool admission =
-        Die(ini.GetBool("serving.admission", false), "serving");
     const auto& pool = runner.queries();
-    fl::ServingOptions serving_options;
-    serving_options.num_workers = static_cast<size_t>(workers);
+    std::vector<fl::SessionSpec> specs;
+    size_t next = 0;
+    for (size_t s = 0; s < sessions; ++s) {
+      fl::SessionSpec spec;
+      spec.rounds = rounds;
+      for (size_t q = 0; q < per_session && !pool.empty(); ++q) {
+        fl::QueryRequest request;
+        request.query = pool[next % pool.size()];
+        request.query_class = classes[next % classes.size()];
+        request.arrival_s = spacing * static_cast<double>(q);
+        spec.requests.push_back(std::move(request));
+        ++next;
+      }
+      specs.push_back(std::move(spec));
+    }
+
     fl::QueryServer server =
-        Die(fl::QueryServer::Create(runner.fleet(),
-                                    serving_options),
+        Die(fl::QueryServer::Create(runner.fleet(), serving_options),
             "build query server");
-    std::printf("\nserving %lld session(s) x %lld queries, %lld worker(s)\n",
-                static_cast<long long>(sessions),
-                static_cast<long long>(per_session),
-                static_cast<long long>(workers));
-    std::vector<fl::SessionResult> served;
-    if (admission) {
-      // Request pipeline: timed, classed requests through the admission
-      // queue. Arrivals, classes, and deadlines come from the config; all
-      // decisions run on the deterministic virtual clock.
-      serving_options.admission = true;
-      fl::AdmissionOptions& adm = serving_options.admission_options;
-      const int64_t capacity =
-          Die(ini.GetInt("serving.queue_capacity", 1024), "serving");
-      adm.queue_capacity = static_cast<size_t>(capacity);
-      adm.interactive_deadline_s =
-          Die(ini.GetDouble("serving.deadline_interactive_s", 0.0), "serving");
-      adm.standard_deadline_s =
-          Die(ini.GetDouble("serving.deadline_standard_s", 0.0), "serving");
-      adm.batch_deadline_s =
-          Die(ini.GetDouble("serving.deadline_batch_s", 0.0), "serving");
-      const int64_t rb_i =
-          Die(ini.GetInt("serving.round_budget_interactive", 0), "serving");
-      const int64_t rb_s =
-          Die(ini.GetInt("serving.round_budget_standard", 0), "serving");
-      const int64_t rb_b =
-          Die(ini.GetInt("serving.round_budget_batch", 0), "serving");
-      adm.interactive_budget.max_rounds = static_cast<size_t>(rb_i);
-      adm.standard_budget.max_rounds = static_cast<size_t>(rb_s);
-      adm.batch_budget.max_rounds = static_cast<size_t>(rb_b);
-      const double spacing =
-          Die(ini.GetDouble("serving.arrival_spacing_s", 0.0), "serving");
-      std::vector<fl::QueryClass> classes;
-      for (const std::string& name :
-           Split(ini.GetString("serving.class_pattern", "standard"), ',')) {
-        const std::string trimmed = Trim(name);
-        if (trimmed.empty()) continue;
-        classes.push_back(Die(fl::ParseQueryClass(trimmed), "class_pattern"));
-      }
-      if (classes.empty()) classes.push_back(fl::QueryClass::kStandard);
-      fl::QueryServer pipeline_server =
-          Die(fl::QueryServer::Create(runner.fleet(),
-                                      serving_options),
-              "build query server");
-      std::vector<fl::RequestSessionSpec> specs;
-      size_t next = 0;
-      for (int64_t s = 0; s < sessions; ++s) {
-        fl::RequestSessionSpec spec;
-        spec.rounds = static_cast<size_t>(rounds);
-        for (int64_t q = 0; q < per_session && !pool.empty(); ++q) {
-          fl::QueryRequest request;
-          request.query = pool[next % pool.size()];
-          request.query_class = classes[next % classes.size()];
-          request.arrival_s = spacing * static_cast<double>(q);
-          spec.requests.push_back(std::move(request));
-          ++next;
-        }
-        specs.push_back(std::move(spec));
-      }
-      served = pipeline_server.ServeRequests(specs);
-      const fl::ServingTelemetry telemetry = fl::SummarizeServing(served);
-      std::printf(
-          "  %-12s %9s %9s %9s %9s %10s %10s %10s\n", "class", "requests",
-          "executed", "rejected", "shed", "vt_p50_s", "vt_p95_s", "vt_p99_s");
-      for (size_t cls = 0; cls < fl::kNumQueryClasses; ++cls) {
-        const fl::QueryClassStats& stats = telemetry.per_class[cls];
-        if (stats.requests == 0) continue;
-        std::printf("  %-12s %9zu %9zu %9zu %9zu %10.4f %10.4f %10.4f\n",
-                    fl::QueryClassName(static_cast<fl::QueryClass>(cls)),
-                    stats.requests, stats.executed, stats.rejected,
-                    stats.shed, stats.virtual_latency.p50,
-                    stats.virtual_latency.p95, stats.virtual_latency.p99);
-      }
-    } else {
-      std::vector<fl::SessionSpec> specs;
-      size_t next = 0;
-      for (int64_t s = 0; s < sessions; ++s) {
-        fl::SessionSpec spec;
-        spec.rounds = static_cast<size_t>(rounds);
-        for (int64_t q = 0; q < per_session && !pool.empty(); ++q) {
-          spec.queries.push_back(pool[next % pool.size()]);
-          ++next;
-        }
-        specs.push_back(std::move(spec));
-      }
-      served = server.Serve(specs);
+    std::printf("\nserving %zu session(s) x %zu queries, %zu worker(s)\n",
+                sessions, per_session, serving_options.num_workers);
+    const std::vector<fl::SessionResult> served = server.Serve(specs);
+    const fl::ServingTelemetry telemetry = fl::SummarizeServing(served);
+    std::printf(
+        "  %-12s %9s %9s %9s %9s %10s %10s %10s\n", "class", "requests",
+        "executed", "rejected", "shed", "vt_p50_s", "vt_p95_s", "vt_p99_s");
+    for (size_t cls = 0; cls < fl::kNumQueryClasses; ++cls) {
+      const fl::QueryClassStats& stats = telemetry.per_class[cls];
+      if (stats.requests == 0) continue;
+      std::printf("  %-12s %9zu %9zu %9zu %9zu %10.4f %10.4f %10.4f\n",
+                  fl::QueryClassName(static_cast<fl::QueryClass>(cls)),
+                  stats.requests, stats.executed, stats.rejected, stats.shed,
+                  stats.virtual_latency.p50, stats.virtual_latency.p95,
+                  stats.virtual_latency.p99);
     }
     size_t total_run = 0, total_skipped = 0, total_shed = 0,
            total_rejected = 0, total_bytes = 0;
@@ -564,15 +532,10 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (admission) {
-      std::printf(
-          "served %zu queries (%zu skipped, %zu shed, %zu rejected), "
-          "%zu bytes total\n",
-          total_run, total_skipped, total_shed, total_rejected, total_bytes);
-    } else {
-      std::printf("served %zu queries (%zu skipped), %zu bytes total\n",
-                  total_run, total_skipped, total_bytes);
-    }
+    std::printf(
+        "served %zu queries (%zu skipped, %zu shed, %zu rejected), "
+        "%zu bytes total\n",
+        total_run, total_skipped, total_shed, total_rejected, total_bytes);
   }
 
   if (!metrics.round_jsonl.empty()) {

@@ -89,6 +89,18 @@ Result<int64_t> Config::GetInt(const std::string& key,
   return parsed;
 }
 
+Result<size_t> Config::GetCount(const std::string& key,
+                                size_t fallback) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  Result<int64_t> parsed = ParseInt(it->second);
+  if (!parsed.ok() || *parsed < 0) {
+    return Status::InvalidArgument("config: key '" + key +
+                                   "' is not a count: '" + it->second + "'");
+  }
+  return static_cast<size_t>(*parsed);
+}
+
 Result<double> Config::GetDouble(const std::string& key,
                                  double fallback) const {
   auto it = values_.find(key);

@@ -39,6 +39,8 @@ class Config {
   /// Typed access with defaults. A present-but-unparseable value is an
   /// error (surfaced as InvalidArgument), never silently defaulted.
   Result<int64_t> GetInt(const std::string& key, int64_t fallback) const;
+  /// A size or count: an int that must not be negative.
+  Result<size_t> GetCount(const std::string& key, size_t fallback) const;
   Result<double> GetDouble(const std::string& key, double fallback) const;
   /// Accepts true/false, yes/no, on/off, 1/0 (case-insensitive).
   Result<bool> GetBool(const std::string& key, bool fallback) const;

@@ -47,39 +47,24 @@ double AdmissionOptions::DeadlineFor(QueryClass query_class) const {
   return 0.0;
 }
 
-const ClassBudget& AdmissionOptions::BudgetFor(QueryClass query_class) const {
+size_t AdmissionOptions::RoundBudgetFor(QueryClass query_class) const {
   switch (query_class) {
     case QueryClass::kInteractive:
-      return interactive_budget;
+      return interactive_round_budget;
     case QueryClass::kStandard:
-      return standard_budget;
+      return standard_round_budget;
     case QueryClass::kBatch:
-      return batch_budget;
+      return batch_round_budget;
   }
-  return standard_budget;
-}
-
-AdmissionOptions AdmissionOptions::Unlimited() {
-  AdmissionOptions options;
-  // Effectively unbounded: a session stream can never hold more pending
-  // requests than it has requests.
-  options.queue_capacity = static_cast<size_t>(-1);
-  return options;
+  return standard_round_budget;
 }
 
 AdmissionOutcome AdmissionQueue::Offer(const QueryRequest& request,
                                        size_t index, size_t rounds) {
   const size_t cls = static_cast<size_t>(request.query_class);
-  const ClassBudget& budget = options_.BudgetFor(request.query_class);
-  const bool over_capacity = pending_count_ >= options_.queue_capacity;
-  const bool over_rounds =
-      budget.max_rounds > 0 &&
-      rounds_admitted_[cls] + rounds > budget.max_rounds;
-  const bool over_cost =
-      budget.max_cost_s > 0.0 &&
-      cost_admitted_[cls] + request.est_cost_s > budget.max_cost_s;
-  if (over_capacity || over_rounds || over_cost) {
-    ++counters_.rejected[cls];
+  const size_t budget = options_.RoundBudgetFor(request.query_class);
+  if (pending_count_ >= options_.queue_capacity ||
+      (budget > 0 && rounds_admitted_[cls] + rounds > budget)) {
     obs::Count("serving.requests_rejected");
     return AdmissionOutcome::kRejected;
   }
@@ -87,16 +72,12 @@ AdmissionOutcome AdmissionQueue::Offer(const QueryRequest& request,
   pending.index = index;
   pending.query_class = request.query_class;
   pending.arrival_s = request.arrival_s;
-  const double deadline = request.deadline_s > 0.0
-                              ? request.deadline_s
-                              : options_.DeadlineFor(request.query_class);
+  const double deadline = options_.DeadlineFor(request.query_class);
   pending.deadline_at_s =
       deadline > 0.0 ? request.arrival_s + deadline : 0.0;
   pending_[cls].push_back(pending);
   ++pending_count_;
   rounds_admitted_[cls] += rounds;
-  cost_admitted_[cls] += request.est_cost_s;
-  ++counters_.admitted[cls];
   obs::Count("serving.requests_admitted");
   return AdmissionOutcome::kAdmitted;
 }
@@ -110,7 +91,6 @@ std::optional<PendingRequest> AdmissionQueue::Pop(
       queue.pop_front();
       --pending_count_;
       if (front.deadline_at_s > 0.0 && now >= front.deadline_at_s) {
-        ++counters_.shed[cls];
         obs::Count("serving.requests_shed");
         if (shed != nullptr) shed->push_back(front);
         continue;

@@ -4,11 +4,12 @@
 /// \file admission.h
 /// Traffic-aware admission control for the serving engine.
 ///
-/// A `QueryRequest` wraps a range query with the traffic metadata the batch
-/// API never had: a priority class, a virtual arrival time, and a relative
-/// deadline. An `AdmissionQueue` holds the pending requests of ONE session
-/// stream, bounded by capacity and per-class round/cost budgets, and hands
-/// them out highest-priority-first with deterministic tie-breaks.
+/// A `QueryRequest` wraps a range query with its traffic metadata: a
+/// priority class and a virtual arrival time. An `AdmissionQueue` holds the
+/// pending requests of ONE session stream, bounded by capacity and
+/// per-class round budgets and deadlines, and hands them out
+/// highest-priority-first with deterministic tie-breaks. The default
+/// AdmissionOptions sets no gate: everything is admitted, nothing is shed.
 ///
 /// Every admission decision is made in DETERMINISTIC VIRTUAL TIME: the
 /// clock the server advances is built from the sim::CostModel seconds each
@@ -46,51 +47,36 @@ const char* QueryClassName(QueryClass query_class);
 /// Inverse of QueryClassName; InvalidArgument on an unknown name.
 Result<QueryClass> ParseQueryClass(const std::string& name);
 
-/// One serving request: a query plus its traffic metadata.
+/// One serving request: a query plus its traffic metadata. A plain query
+/// is `QueryRequest{query}`: standard class, arriving at 0.
 struct QueryRequest {
   query::RangeQuery query;
   QueryClass query_class = QueryClass::kStandard;
   /// Virtual arrival time (sim seconds since the session stream started).
   double arrival_s = 0.0;
-  /// Relative deadline (sim seconds after arrival) after which the request
-  /// is shed instead of run. 0 = use the class default from
-  /// AdmissionOptions (which may itself be 0 = no deadline).
-  double deadline_s = 0.0;
-  /// Caller-side cost estimate (sim seconds) counted against the class
-  /// cost budget at admission time. 0 when the caller has no estimate.
-  double est_cost_s = 0.0;
 };
 
-/// Per-class admission budgets. A zero budget means "unlimited"; the
-/// zero-capacity degenerate lives on AdmissionOptions::queue_capacity.
-struct ClassBudget {
-  /// Total federated rounds this class may admit (requests are charged
-  /// their spec's rounds-per-query at Offer time). 0 = unlimited.
-  size_t max_rounds = 0;
-  /// Total QueryRequest::est_cost_s this class may admit. 0 = unlimited.
-  double max_cost_s = 0.0;
-};
-
-/// Admission-control knobs (ServingOptions::admission_options).
+/// Admission-control gates (ServingOptions::admission_options). Every gate
+/// defaults to off, so `AdmissionOptions{}` admits everything and sheds
+/// nothing (priority ordering still applies).
 struct AdmissionOptions {
   /// Pending requests the queue holds across all classes. An arrival that
-  /// finds the queue full is kRejected. 0 admits nothing (every request is
-  /// rejected — the explicit drain-everything degenerate).
-  size_t queue_capacity = 1024;
-  /// Class-default relative deadlines (sim seconds); 0 = no deadline.
+  /// finds the queue full is kRejected. Default unbounded; 0 admits
+  /// nothing (every request is rejected).
+  size_t queue_capacity = static_cast<size_t>(-1);
+  /// Class relative deadlines (sim seconds after arrival) after which a
+  /// queued request is shed instead of run; 0 = no deadline.
   double interactive_deadline_s = 0.0;
   double standard_deadline_s = 0.0;
   double batch_deadline_s = 0.0;
-  ClassBudget interactive_budget;
-  ClassBudget standard_budget;
-  ClassBudget batch_budget;
+  /// Total federated rounds each class may admit (a request is charged its
+  /// spec's rounds-per-query at Offer time); 0 = unlimited.
+  size_t interactive_round_budget = 0;
+  size_t standard_round_budget = 0;
+  size_t batch_round_budget = 0;
 
   double DeadlineFor(QueryClass query_class) const;
-  const ClassBudget& BudgetFor(QueryClass query_class) const;
-
-  /// The no-gates configuration the request pipeline runs under when
-  /// admission control is off: everything is admitted, nothing is shed.
-  static AdmissionOptions Unlimited();
+  size_t RoundBudgetFor(QueryClass query_class) const;
 };
 
 /// How the pipeline disposed of one request.
@@ -109,8 +95,7 @@ struct PendingRequest {
   size_t index = 0;  ///< Index into the caller's request vector.
   QueryClass query_class = QueryClass::kStandard;
   double arrival_s = 0.0;
-  /// Absolute virtual shed deadline (arrival + effective relative
-  /// deadline); 0 = none.
+  /// Absolute virtual shed deadline (arrival + class deadline); 0 = none.
   double deadline_at_s = 0.0;
 };
 
@@ -123,20 +108,13 @@ struct PendingRequest {
 /// Not thread-safe; each session owns its queue (sessions share nothing).
 class AdmissionQueue {
  public:
-  /// Cumulative per-class dispositions (indexed by QueryClass).
-  struct Counters {
-    size_t admitted[kNumQueryClasses] = {0, 0, 0};
-    size_t rejected[kNumQueryClasses] = {0, 0, 0};
-    size_t shed[kNumQueryClasses] = {0, 0, 0};
-  };
-
   explicit AdmissionQueue(const AdmissionOptions& options)
       : options_(options) {}
 
   /// Offer the request at caller index `index`, charging `rounds` federated
   /// rounds against its class budget. Returns kAdmitted and enqueues, or
-  /// kRejected when the queue is full / a class budget is exhausted
-  /// (budgets are only charged on admission).
+  /// kRejected when the queue is full / the class round budget is
+  /// exhausted (budgets are only charged on admission).
   AdmissionOutcome Offer(const QueryRequest& request, size_t index,
                          size_t rounds);
 
@@ -149,8 +127,6 @@ class AdmissionQueue {
 
   size_t pending() const { return pending_count_; }
   bool empty() const { return pending_count_ == 0; }
-  const Counters& counters() const { return counters_; }
-  const AdmissionOptions& options() const { return options_; }
 
  private:
   AdmissionOptions options_;
@@ -158,8 +134,6 @@ class AdmissionQueue {
   std::deque<PendingRequest> pending_[kNumQueryClasses];
   size_t pending_count_ = 0;
   size_t rounds_admitted_[kNumQueryClasses] = {0, 0, 0};
-  double cost_admitted_[kNumQueryClasses] = {0.0, 0.0, 0.0};
-  Counters counters_;
 };
 
 }  // namespace qens::fl

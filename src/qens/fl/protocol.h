@@ -131,16 +131,13 @@ struct FederationOptions {
   /// Volatile clients ([12]): probability that a selected node is offline
   /// for a given query and silently contributes no model. 0 disables.
   double dropout_rate = 0.0;
-  /// Train the selected participants concurrently on a shared thread pool,
-  /// as they would run on real hardware. Outcomes are bit-identical to the
-  /// sequential path (per-node seeds; each job writes its own slot and the
-  /// slots are consumed in job order). Jobs are claimed dynamically through
-  /// ThreadPool::ParallelUnits. The pool is created lazily on the first
-  /// parallel round and reused across rounds and queries.
-  bool parallel_local_training = false;
-  /// Most nodes trained at once by parallel local training, the calling
-  /// thread included. 0 = one per hardware thread; 1 trains sequentially.
-  /// Ignored when parallel_local_training is false.
+  /// Most selected participants trained at once, the calling thread
+  /// included, as they would run on real hardware. 0 or 1 = train
+  /// sequentially (no pool). Outcomes are bit-identical either way
+  /// (per-node seeds; each job writes its own slot and the slots are
+  /// consumed in job order). Jobs are claimed dynamically through
+  /// ThreadPool::ParallelUnits on a pool of W - 1 workers, created lazily
+  /// on the first parallel round and reused across rounds and queries.
   size_t max_parallel_nodes = 0;
   /// Fault injection + deadline/retry/quorum policy (opt-in).
   FaultToleranceOptions fault_tolerance;

@@ -30,50 +30,6 @@ SessionResult QueryServer::RunSession(const SessionSpec& spec,
                                       uint64_t session_id) const {
   SessionResult result;
   result.session_id = session_id;
-
-  QuerySessionOptions session_options;
-  session_options.session_id = session_id;
-  session_options.seed =
-      SessionSeed(options_.seed.value_or(fleet_->options.seed), session_id);
-  session_options.network.record_messages = false;
-  Result<QuerySession> session_or =
-      QuerySession::Create(fleet_, session_options);
-  if (!session_or.ok()) {
-    result.status = session_or.status();
-    return result;
-  }
-  QuerySession& session = session_or.value();
-
-  Stopwatch watch;
-  result.outcomes.reserve(spec.queries.size());
-  for (const query::RangeQuery& query : spec.queries) {
-    Result<QueryOutcome> outcome_or = session.RunQueryMultiRound(
-        query, spec.policy, spec.data_selectivity, spec.rounds);
-    if (!outcome_or.ok()) {
-      // The stream stops at the failing query; everything already run is
-      // kept so callers can see how far the session got.
-      result.status = outcome_or.status();
-      break;
-    }
-    QueryOutcome& outcome = outcome_or.value();
-    if (outcome.skipped) {
-      ++result.queries_skipped;
-    } else {
-      ++result.queries_run;
-    }
-    result.outcomes.push_back(std::move(outcome));
-  }
-  result.comm_messages = session.network().total_messages();
-  result.comm_bytes = session.network().total_bytes();
-  result.comm_seconds = session.network().total_transfer_seconds();
-  result.wall_seconds = watch.ElapsedSeconds();
-  return result;
-}
-
-SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
-                                             uint64_t session_id) const {
-  SessionResult result;
-  result.session_id = session_id;
   result.requests.resize(spec.requests.size());
 
   QuerySessionOptions session_options;
@@ -97,8 +53,7 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
     return spec.requests[a].arrival_s < spec.requests[b].arrival_s;
   });
 
-  AdmissionQueue queue(options_.admission ? options_.admission_options
-                                          : AdmissionOptions::Unlimited());
+  AdmissionQueue queue(options_.admission_options);
   Stopwatch watch;
   // The virtual clock. Admission, scheduling, and shedding all read this —
   // never the wall clock — so the replay is deterministic.
@@ -153,8 +108,8 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
         request.query, spec.policy, spec.data_selectivity, spec.rounds);
     ro.wall_seconds = query_watch.ElapsedSeconds();
     if (!outcome_or.ok()) {
-      // The stream stops at the failing query (matching Serve); requests
-      // not yet disposed of keep processed == false.
+      // The stream stops at the failing query; everything already run is
+      // kept, and requests not yet disposed of keep processed == false.
       result.status = outcome_or.status();
       break;
     }
@@ -167,12 +122,7 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
     ro.vt_complete_s = vt;
     ro.vt_latency_s = vt - request.arrival_s;
     const double deadline =
-        request.deadline_s > 0.0
-            ? request.deadline_s
-            : (options_.admission
-                   ? options_.admission_options.DeadlineFor(
-                         request.query_class)
-                   : 0.0);
+        options_.admission_options.DeadlineFor(request.query_class);
     ro.deadline_missed = deadline > 0.0 && ro.vt_latency_s > deadline;
     if (outcome.skipped) {
       ++result.queries_skipped;
@@ -198,39 +148,26 @@ SessionResult QueryServer::RunRequestSession(const RequestSessionSpec& spec,
   return result;
 }
 
-std::vector<SessionResult> QueryServer::ServeImpl(
-    size_t count, const std::function<SessionResult(size_t)>& run) {
-  std::vector<SessionResult> results(count);
-  if (options_.num_workers <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) results[i] = run(i);
-    return results;
-  }
-  // Sessions are claimed dynamically, so a queue of mixed-size sessions
-  // does not serialize behind a fixed partition. Each result lands in its
-  // own slot and the slots are returned in session order; every session's
-  // stream is a pure function of (base seed, session id), so outcomes are
-  // bit-identical to sequential serving. A session failure stays inside
-  // its own SessionResult::status — the other sessions run regardless.
-  // The calling thread serves sessions too, hence one pool worker fewer.
-  common::ThreadPool pool(std::min(options_.num_workers, count) - 1);
-  pool.ParallelUnits(count,
-                     [&run, &results](size_t i) { results[i] = run(i); });
-  return results;
-}
-
 std::vector<SessionResult> QueryServer::Serve(
     const std::vector<SessionSpec>& specs) {
-  return ServeImpl(specs.size(), [this, &specs](size_t i) {
-    return RunSession(specs[i], /*session_id=*/i + 1);
-  });
-}
-
-std::vector<SessionResult> QueryServer::ServeRequests(
-    const std::vector<RequestSessionSpec>& specs) {
-  std::vector<SessionResult> results =
-      ServeImpl(specs.size(), [this, &specs](size_t i) {
-        return RunRequestSession(specs[i], /*session_id=*/i + 1);
-      });
+  const size_t count = specs.size();
+  std::vector<SessionResult> results(count);
+  auto run = [this, &specs, &results](size_t i) {
+    results[i] = RunSession(specs[i], /*session_id=*/i + 1);
+  };
+  if (options_.num_workers <= 1 || count <= 1) {
+    for (size_t i = 0; i < count; ++i) run(i);
+  } else {
+    // Sessions are claimed dynamically, so a queue of mixed-size sessions
+    // does not serialize behind a fixed partition. Each result lands in its
+    // own slot and the slots are returned in session order; every session's
+    // stream is a pure function of (base seed, session id), so outcomes are
+    // bit-identical to sequential serving. A session failure stays inside
+    // its own SessionResult::status — the other sessions run regardless.
+    // The calling thread serves sessions too, hence one pool worker fewer.
+    common::ThreadPool pool(std::min(options_.num_workers, count) - 1);
+    pool.ParallelUnits(count, run);
+  }
   if (obs::MetricsRegistry::Enabled()) {
     // Observed after the pool joins, in session order and then execution
     // order: the histogram's floating-point sum depends on the order of

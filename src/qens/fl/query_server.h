@@ -11,11 +11,10 @@
 /// derived from (base seed, session id) — independent of scheduling — plus
 /// a private network for traffic accounting and its own leader/fault/
 /// Byzantine/RNG state, so sessions share nothing mutable. Results are
-/// collected in submission order. Only SessionResult::wall_seconds varies
-/// across runs.
+/// collected in submission order. Only the wall_seconds fields vary across
+/// runs.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -27,17 +26,10 @@
 
 namespace qens::fl {
 
-/// One session's workload: a query stream executed under a single policy.
+/// One session's workload: a timed, classed request stream executed under a
+/// single policy. A plain query list is one `QueryRequest{query}` per query
+/// (standard class, all arriving at 0), which runs in list order.
 struct SessionSpec {
-  std::vector<query::RangeQuery> queries;
-  selection::PolicyKind policy = selection::PolicyKind::kQueryDriven;
-  bool data_selectivity = true;
-  size_t rounds = 1;
-};
-
-/// One session's workload for the request pipeline (ServeRequests): timed,
-/// classed QueryRequests instead of a bare query list.
-struct RequestSessionSpec {
   std::vector<QueryRequest> requests;
   selection::PolicyKind policy = selection::PolicyKind::kQueryDriven;
   bool data_selectivity = true;
@@ -46,7 +38,7 @@ struct RequestSessionSpec {
 
 /// The request pipeline's per-request disposition and timing, all in
 /// deterministic virtual time (wall_seconds is the one measured field).
-/// One per RequestSessionSpec request, in request order.
+/// One per SessionSpec request, in request order.
 struct RequestOutcome {
   QueryClass query_class = QueryClass::kStandard;
   AdmissionOutcome admission = AdmissionOutcome::kAdmitted;
@@ -83,14 +75,11 @@ struct ServingOptions {
   /// Base seed the per-session seeds derive from. Unset = the fleet's
   /// FederationOptions::seed.
   std::optional<uint64_t> seed;
-  /// Admission control for the request pipeline (ServeRequests only; the
-  /// batch Serve path ignores both fields). Off = every request is
-  /// admitted and nothing is shed (priority ordering still applies);
-  /// on = admission_options gates arrivals by capacity, per-class budgets,
-  /// and virtual-time deadlines. All decisions run on the deterministic
-  /// virtual clock, so shed/reject outcomes are bit-identical at every
-  /// worker count.
-  bool admission = false;
+  /// Admission gates: capacity, per-class round budgets and virtual-time
+  /// deadlines. The default sets none, so every request is admitted and
+  /// nothing is shed. All decisions run on the deterministic virtual
+  /// clock, so shed/reject outcomes are bit-identical at every worker
+  /// count.
   AdmissionOptions admission_options;
 };
 
@@ -101,23 +90,19 @@ struct SessionResult {
   /// of the queries that completed before the error; the other sessions in
   /// the batch are unaffected (fault isolation between streams).
   Status status = Status::OK();
-  /// Executed queries' outcomes. Batch Serve: one per query, in spec
-  /// order. Request pipeline: executed requests only, in execution order
+  /// Executed requests' outcomes, in execution order
   /// (RequestOutcome::outcome_index maps a request to its slot here).
   std::vector<QueryOutcome> outcomes;
   size_t queries_run = 0;
   /// Queries the POLICY skipped (no test rows in region / no trainable
   /// node — QueryOutcome::skipped). Server-side load shedding is counted
-  /// separately in queries_shed, never here: with admission off this field
-  /// is byte-identical to its historical (pre-pipeline) value.
+  /// separately in queries_shed, never here.
   size_t queries_skipped = 0;
-  /// Requests shed at their virtual deadline before running (pipeline
-  /// only; always 0 for batch Serve).
+  /// Requests shed at their virtual deadline before running.
   size_t queries_shed = 0;
-  /// Requests refused admission — queue full or class budget spent
-  /// (pipeline only; always 0 for batch Serve).
+  /// Requests refused admission — queue full or class budget spent.
   size_t queries_rejected = 0;
-  /// Per-request dispositions (pipeline only; empty for batch Serve).
+  /// Per-request dispositions, one per SessionSpec request.
   std::vector<RequestOutcome> requests;
   /// Session-private network totals (model/profile traffic of this stream).
   size_t comm_messages = 0;
@@ -142,18 +127,10 @@ class QueryServer {
   static uint64_t SessionSeed(uint64_t base_seed, uint64_t session_id);
 
   /// Run one session per spec (session ids 1..specs.size(), in order) and
-  /// return their results in spec order. With num_workers > 1 the sessions
-  /// run concurrently; outcomes are bit-identical to sequential execution.
-  /// One session failing does NOT fail the batch: every spec gets a
-  /// SessionResult, and a failed session carries the error in its `status`
-  /// (plus whatever queries completed before it), so the call itself
-  /// cannot fail.
-  std::vector<SessionResult> Serve(const std::vector<SessionSpec>& specs);
-
-  /// The request pipeline: run one session per RequestSessionSpec, each
-  /// replaying its timed request stream through an AdmissionQueue on a
-  /// deterministic virtual clock (admit -> schedule -> rounds -> export;
-  /// see docs/ARCHITECTURE.md "The serving pipeline").
+  /// return their results in spec order. Each session replays its timed
+  /// request stream through an AdmissionQueue on a deterministic virtual
+  /// clock (admit -> schedule -> rounds -> export; see docs/ARCHITECTURE.md
+  /// "The serving pipeline").
   ///
   /// Per session: requests are offered in arrival order (stable ties by
   /// request index); the scheduler repeatedly pops the highest-priority
@@ -161,10 +138,13 @@ class QueryServer {
   /// the query, and advances the clock by the query's leader-side critical
   /// path (QueryOutcome::sim_time_parallel — pure sim::CostModel seconds).
   /// Every admission/shed decision and every vt_* field is therefore
-  /// bit-identical at every worker count; only wall times vary. Session
-  /// scheduling (workers / failure isolation) matches Serve().
-  std::vector<SessionResult> ServeRequests(
-      const std::vector<RequestSessionSpec>& specs);
+  /// bit-identical at every worker count; only wall times vary.
+  ///
+  /// With num_workers > 1 the sessions run concurrently. One session
+  /// failing does NOT fail the batch: every spec gets a SessionResult, and
+  /// a failed session carries the error in its `status` (plus whatever
+  /// queries completed before it), so the call itself cannot fail.
+  std::vector<SessionResult> Serve(const std::vector<SessionSpec>& specs);
 
   const ServingOptions& options() const { return options_; }
   const Fleet& fleet() const { return *fleet_; }
@@ -173,24 +153,15 @@ class QueryServer {
   QueryServer(std::shared_ptr<const Fleet> fleet, ServingOptions options)
       : fleet_(std::move(fleet)), options_(options) {}
 
-  /// Build and run the session for `specs[index]` start to finish. Errors
-  /// land in the returned result's `status`, never escape it.
+  /// Build and replay one session start to finish. Errors land in the
+  /// returned result's `status`, never escape it.
   SessionResult RunSession(const SessionSpec& spec, uint64_t session_id) const;
-
-  /// Request-pipeline counterpart of RunSession (virtual-time replay).
-  SessionResult RunRequestSession(const RequestSessionSpec& spec,
-                                  uint64_t session_id) const;
-
-  /// Shared scheduling skeleton for Serve/ServeRequests: runs `run(i)` for
-  /// i in [0, count), sequentially or on a pool per options_.
-  std::vector<SessionResult> ServeImpl(
-      size_t count, const std::function<SessionResult(size_t)>& run);
 
   std::shared_ptr<const Fleet> fleet_;
   ServingOptions options_;
 };
 
-/// Per-class serving telemetry aggregated over a ServeRequests result set.
+/// Per-class serving telemetry aggregated over a Serve result set.
 struct QueryClassStats {
   size_t requests = 0;         ///< Requests carrying this class.
   size_t executed = 0;         ///< Admitted and run.
@@ -210,7 +181,7 @@ struct ServingTelemetry {
 };
 
 /// Aggregate per-class latency percentiles and shed/reject counts from a
-/// ServeRequests result set. Pure function of the results: summarizing a
+/// Serve result set. Pure function of the results: summarizing a
 /// deterministic result set is itself deterministic (wall_latency aside).
 ServingTelemetry SummarizeServing(const std::vector<SessionResult>& results);
 

@@ -244,19 +244,14 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
                              environment.cost_model());
     };
     std::vector<std::optional<Result<LocalTrainResult>>> results(jobs.size());
-    const bool parallel = options.parallel_local_training && jobs.size() > 1;
+    const bool parallel = options.max_parallel_nodes > 1 && jobs.size() > 1;
     if (parallel && *ctx_.pool == nullptr) {
       // The calling thread claims jobs too, so at most W jobs at once takes
-      // a pool of W - 1 workers; W == 1 keeps the sequential loop.
-      const size_t max_parallel =
-          options.max_parallel_nodes > 0
-              ? options.max_parallel_nodes
-              : common::ThreadPool::DefaultThreadCount();
-      if (max_parallel > 1) {
-        *ctx_.pool = std::make_unique<common::ThreadPool>(max_parallel - 1);
-      }
+      // a pool of W - 1 workers.
+      *ctx_.pool =
+          std::make_unique<common::ThreadPool>(options.max_parallel_nodes - 1);
     }
-    if (parallel && *ctx_.pool != nullptr) {
+    if (parallel) {
       // Jobs are claimed off the shared pool (created once, reused across
       // rounds and queries) by ParallelUnits. Every job's randomness comes
       // from its own coordinates (SplitRng keys of its node) and its result

@@ -32,7 +32,6 @@ class Optimizer {
   virtual std::string Name() const = 0;
 
   double learning_rate() const { return learning_rate_; }
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
 
  protected:
   explicit Optimizer(double learning_rate) : learning_rate_(learning_rate) {}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <span>
 
 #include "qens/common/rng.h"
@@ -22,35 +21,7 @@ Result<double> Trainer::TrainBatch(SequentialModel* model, const Matrix& x,
                                    const Matrix& y) {
   QENS_ASSIGN_OR_RETURN(
       double loss, model->LossAndGradients(options_.loss, x, y, &workspace_));
-  std::vector<DenseGradients>& grads = workspace_.grads;
-
-  // L2 weight decay on weights (not biases).
-  if (options_.weight_decay > 0.0) {
-    for (size_t li = 0; li < grads.size(); ++li) {
-      QENS_RETURN_NOT_OK(
-          grads[li].d_weights.Axpy(options_.weight_decay,
-                                   model->layer(li).weights()));
-    }
-  }
-
-  // Global gradient-norm clipping across all layers.
-  if (options_.clip_norm > 0.0) {
-    double norm_sq = 0.0;
-    for (const auto& g : grads) {
-      for (double v : g.d_weights.data()) norm_sq += v * v;
-      for (double v : g.d_bias) norm_sq += v * v;
-    }
-    const double norm = std::sqrt(norm_sq);
-    if (norm > options_.clip_norm) {
-      const double scale = options_.clip_norm / norm;
-      for (auto& g : grads) {
-        g.d_weights.Scale(scale);
-        for (double& v : g.d_bias) v *= scale;
-      }
-    }
-  }
-
-  QENS_RETURN_NOT_OK(optimizer_->Step(model, grads));
+  QENS_RETURN_NOT_OK(optimizer_->Step(model, workspace_.grads));
   return loss;
 }
 
@@ -167,13 +138,8 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   }
   double best_val = 0.0;
   size_t bad_epochs = 0;
-  const double base_lr = optimizer_->learning_rate();
 
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    if (options_.lr_decay > 0.0) {
-      optimizer_->set_learning_rate(
-          base_lr / (1.0 + options_.lr_decay * static_cast<double>(epoch)));
-    }
     if (options_.shuffle) {
       // Pure function of (seed, epoch): replaying epoch e never depends on
       // how many draws earlier epochs consumed.
@@ -226,9 +192,6 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
       }
     }
   }
-  // Restore the base learning rate so successive Fit calls (per-cluster
-  // incremental training) all start from the configured rate.
-  optimizer_->set_learning_rate(base_lr);
   obs::Count("trainer.fits");
   obs::Count("trainer.epochs", report.epochs_run);
   obs::Count("trainer.samples_seen", report.samples_seen);

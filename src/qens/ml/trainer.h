@@ -47,15 +47,6 @@ struct TrainOptions {
   /// `min_delta` for `patience` consecutive epochs (0 disables).
   size_t early_stopping_patience = 0;
   double min_delta = 0.0;
-  /// L2 weight decay coefficient: adds `weight_decay * W` to the weight
-  /// gradients (biases excluded, the standard convention). 0 disables.
-  double weight_decay = 0.0;
-  /// Global gradient-norm clipping: when the L2 norm of all gradients
-  /// exceeds this, they are rescaled to it. 0 disables.
-  double clip_norm = 0.0;
-  /// Inverse-time learning-rate decay: epoch e trains at
-  /// lr0 / (1 + lr_decay * e). 0 disables.
-  double lr_decay = 0.0;
 };
 
 /// Per-fit training history and counters.

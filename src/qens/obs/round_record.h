@@ -89,12 +89,12 @@ struct RoundRecord {
   size_t stale_rounds = 0;   ///< Sum of per-node unpublished-drift ages.
   /// @}
   /// \name Serving-pipeline telemetry (docs/ARCHITECTURE.md)
-  /// Filled by QueryServer::ServeRequests on a query's FIRST record only
+  /// Filled by QueryServer::Serve on a served query's FIRST record only
   /// (admission/queueing happen once, before round 0). query_class is the
   /// request's priority class name; the vt_* fields are the request's
   /// deterministic virtual-time queueing delay and end-to-end latency.
-  /// Empty/zero — and omitted from JSON for byte-compatibility — outside
-  /// the request pipeline.
+  /// Empty/zero — and omitted from JSON — on every other record and for
+  /// queries run on a QuerySession directly.
   /// @{
   std::string query_class;
   double vt_queue_seconds = 0.0;

@@ -88,6 +88,21 @@ TEST(ConfigTest, PresentButUnparseableIsError) {
   EXPECT_TRUE(config->GetBool("b", false).status().IsInvalidArgument());
 }
 
+TEST(ConfigTest, CountsAreNotNegative) {
+  auto config = Config::Parse(
+      "neg = -1\nzero = 0\nlarge = 9000000000\nbad = 3x\nhuge = "
+      "99999999999999999999\n");
+  ASSERT_TRUE(config.ok());
+  EXPECT_TRUE(config->GetCount("neg", 5).status().IsInvalidArgument());
+  EXPECT_EQ(config->GetCount("zero", 5).value(), 0u);
+  EXPECT_EQ(config->GetCount("large", 5).value(), size_t{9000000000});
+  EXPECT_TRUE(config->GetCount("bad", 5).status().IsInvalidArgument());
+  EXPECT_TRUE(config->GetCount("huge", 5).status().IsInvalidArgument());
+  EXPECT_EQ(config->GetCount("missing", 5).value(), 5u);
+  EXPECT_EQ(config->GetCount("missing", static_cast<size_t>(-1)).value(),
+            static_cast<size_t>(-1));
+}
+
 TEST(ConfigTest, GetStringMissing) {
   Config config;
   EXPECT_TRUE(config.GetString("x").status().IsNotFound());

@@ -1,16 +1,17 @@
 // Pins the traffic-aware request pipeline: the AdmissionQueue's bounded
-// capacity, priority ordering with deterministic ties, per-class budgets,
-// and virtual-time deadline shedding; the ServeRequests end-to-end
-// contract (bit-identical at every worker count, shed/reject counted
-// separately from policy skips, legacy Serve untouched); and the
-// cross-session amortization of the fleet's shared node profiles
-// (counter-pinned: one profile build per fleet, zero leader copies for
-// sessions that never execute a round).
+// capacity, priority ordering with deterministic ties, per-class round
+// budgets, and virtual-time deadline shedding; the QueryServer::Serve
+// end-to-end contract (bit-identical at every worker count, shed/reject
+// counted separately from policy skips, no gate set = the queries run on
+// a plain QuerySession); and the cross-session amortization of the fleet's
+// shared node profiles (counter-pinned: one profile build per fleet, zero
+// leader copies for sessions that never execute a round).
 
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
 #include "qens/fl/query_server.h"
+#include "qens/fl/query_session.h"
 #include "qens/obs/metrics.h"
 
 namespace qens::fl {
@@ -53,13 +54,8 @@ query::RangeQuery QueryOver(double lo, double hi, uint64_t id) {
 }
 
 QueryRequest MakeRequest(uint64_t id, QueryClass query_class,
-                         double arrival_s = 0.0, double deadline_s = 0.0) {
-  QueryRequest request;
-  request.query = QueryOver(0, 8, id);
-  request.query_class = query_class;
-  request.arrival_s = arrival_s;
-  request.deadline_s = deadline_s;
-  return request;
+                         double arrival_s = 0.0) {
+  return QueryRequest{QueryOver(0, 8, id), query_class, arrival_s};
 }
 
 uint64_t Counter(const obs::MetricsSnapshot& snapshot,
@@ -103,9 +99,6 @@ TEST(AdmissionTest, BoundedQueueRejectsOverflowAndFreesOnPop) {
   // Popping frees capacity: the next offer fits again.
   EXPECT_EQ(queue.Offer(MakeRequest(4, QueryClass::kStandard), 3, 1),
             AdmissionOutcome::kAdmitted);
-  const auto& counters = queue.counters();
-  EXPECT_EQ(counters.admitted[static_cast<size_t>(QueryClass::kStandard)], 3u);
-  EXPECT_EQ(counters.rejected[static_cast<size_t>(QueryClass::kStandard)], 1u);
 }
 
 TEST(AdmissionTest, ZeroCapacityRejectsEverything) {
@@ -152,8 +145,6 @@ TEST(AdmissionTest, PopShedsPastDeadlineEntriesInVirtualTime) {
   EXPECT_EQ(pick->index, 1u);
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0].index, 0u);
-  EXPECT_EQ(queue.counters().shed[static_cast<size_t>(QueryClass::kStandard)],
-            1u);
 }
 
 TEST(AdmissionTest, AllShedDegenerateDrainsToEmpty) {
@@ -168,25 +159,11 @@ TEST(AdmissionTest, AllShedDegenerateDrainsToEmpty) {
   EXPECT_FALSE(queue.Pop(10.0, &shed).has_value());
   EXPECT_EQ(shed.size(), 4u);
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.counters().shed[static_cast<size_t>(QueryClass::kBatch)],
-            4u);
-}
-
-TEST(AdmissionTest, PerRequestDeadlineOverridesClassDefault) {
-  AdmissionOptions options;
-  options.standard_deadline_s = 100.0;
-  AdmissionQueue queue(options);
-  queue.Offer(MakeRequest(1, QueryClass::kStandard, /*arrival_s=*/0.0,
-                          /*deadline_s=*/0.25),
-              0, 1);
-  std::vector<PendingRequest> shed;
-  EXPECT_FALSE(queue.Pop(0.5, &shed).has_value());
-  EXPECT_EQ(shed.size(), 1u);
 }
 
 TEST(AdmissionTest, RoundBudgetCapsAdmissionPerClass) {
   AdmissionOptions options;
-  options.batch_budget.max_rounds = 3;
+  options.batch_round_budget = 3;
   AdmissionQueue queue(options);
   // Each request charges 2 rounds: first fits (2 <= 3), second would
   // overshoot (4 > 3). Other classes are not affected by batch's budget.
@@ -198,25 +175,8 @@ TEST(AdmissionTest, RoundBudgetCapsAdmissionPerClass) {
             AdmissionOutcome::kAdmitted);
 }
 
-TEST(AdmissionTest, CostBudgetCapsAdmissionPerClass) {
-  AdmissionOptions options;
-  options.interactive_budget.max_cost_s = 1.0;
-  AdmissionQueue queue(options);
-  QueryRequest cheap = MakeRequest(1, QueryClass::kInteractive);
-  cheap.est_cost_s = 0.6;
-  QueryRequest pricey = MakeRequest(2, QueryClass::kInteractive);
-  pricey.est_cost_s = 0.6;
-  EXPECT_EQ(queue.Offer(cheap, 0, 1), AdmissionOutcome::kAdmitted);
-  // 0.6 + 0.6 > 1.0: the budget is charged only on admission, so the
-  // rejected request leaves room for a later cheaper one.
-  EXPECT_EQ(queue.Offer(pricey, 1, 1), AdmissionOutcome::kRejected);
-  QueryRequest tiny = MakeRequest(3, QueryClass::kInteractive);
-  tiny.est_cost_s = 0.3;
-  EXPECT_EQ(queue.Offer(tiny, 2, 1), AdmissionOutcome::kAdmitted);
-}
-
 // ---------------------------------------------------------------------------
-// ServeRequests end-to-end.
+// QueryServer::Serve end-to-end.
 
 void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
   EXPECT_EQ(a.skipped, b.skipped);
@@ -265,14 +225,14 @@ void ExpectIdenticalPipelineResults(const SessionResult& a,
 
 /// Mixed-class sessions: arrivals every 5 virtual ms, classes cycled so
 /// priority scheduling visibly reorders execution.
-std::vector<RequestSessionSpec> MakeRequestSpecs(size_t sessions = 4,
+std::vector<SessionSpec> MakeRequestSpecs(size_t sessions = 4,
                                                  size_t per_session = 6) {
   constexpr QueryClass kPattern[] = {QueryClass::kBatch, QueryClass::kStandard,
                                      QueryClass::kInteractive};
-  std::vector<RequestSessionSpec> specs;
+  std::vector<SessionSpec> specs;
   uint64_t id = 1;
   for (size_t s = 0; s < sessions; ++s) {
-    RequestSessionSpec spec;
+    SessionSpec spec;
     spec.rounds = 1;
     for (size_t q = 0; q < per_session; ++q, ++id) {
       spec.requests.push_back(
@@ -287,7 +247,6 @@ std::vector<RequestSessionSpec> MakeRequestSpecs(size_t sessions = 4,
 ServingOptions PipelineOptions(size_t workers) {
   ServingOptions options;
   options.num_workers = workers;
-  options.admission = true;
   options.admission_options.queue_capacity = 4;
   options.admission_options.interactive_deadline_s = 0.4;
   options.admission_options.standard_deadline_s = 0.6;
@@ -295,14 +254,14 @@ ServingOptions PipelineOptions(size_t workers) {
   return options;
 }
 
-TEST(ServeRequestsTest, BitIdenticalAtEveryWorkerCount) {
+TEST(ServeTest, BitIdenticalAtEveryWorkerCount) {
   auto fleet = Fleet::Create(MakeNodes(), FastOptions());
   ASSERT_TRUE(fleet.ok());
-  const std::vector<RequestSessionSpec> specs = MakeRequestSpecs();
+  const std::vector<SessionSpec> specs = MakeRequestSpecs();
 
   auto sequential = QueryServer::Create(*fleet, PipelineOptions(0));
   ASSERT_TRUE(sequential.ok());
-  auto expected = sequential->ServeRequests(specs);
+  auto expected = sequential->Serve(specs);
   ASSERT_EQ(expected.size(), specs.size());
   size_t executed = 0, shed = 0, rejected = 0;
   for (const SessionResult& session : expected) {
@@ -323,7 +282,7 @@ TEST(ServeRequestsTest, BitIdenticalAtEveryWorkerCount) {
   for (size_t workers : {size_t{2}, size_t{4}}) {
     auto server = QueryServer::Create(*fleet, PipelineOptions(workers));
     ASSERT_TRUE(server.ok());
-    auto results = server->ServeRequests(specs);
+    auto results = server->Serve(specs);
     ASSERT_EQ(results.size(), expected.size());
     for (size_t s = 0; s < results.size(); ++s) {
       ExpectIdenticalPipelineResults(expected[s], results[s]);
@@ -332,22 +291,20 @@ TEST(ServeRequestsTest, BitIdenticalAtEveryWorkerCount) {
   (void)rejected;
 }
 
-TEST(ServeRequestsTest, PriorityClassesExecuteBeforeLowerClasses) {
+TEST(ServeTest, PriorityClassesExecuteBeforeLowerClasses) {
   auto fleet = Fleet::Create(MakeNodes(), FastOptions());
   ASSERT_TRUE(fleet.ok());
   // All requests arrive at t = 0: execution order must be class order, and
   // outcome_index must map each executed request to its outcome slot.
-  RequestSessionSpec spec;
+  SessionSpec spec;
   spec.rounds = 1;
   spec.requests.push_back(MakeRequest(1, QueryClass::kBatch));
   spec.requests.push_back(MakeRequest(2, QueryClass::kStandard));
   spec.requests.push_back(MakeRequest(3, QueryClass::kInteractive));
 
-  ServingOptions options;
-  options.admission = true;
-  auto server = QueryServer::Create(*fleet, options);
+  auto server = QueryServer::Create(*fleet, ServingOptions{});
   ASSERT_TRUE(server.ok());
-  auto results = server->ServeRequests({spec});
+  auto results = server->Serve({spec});
   const SessionResult& session = results[0];
   ASSERT_TRUE(session.status.ok()) << session.status.ToString();
   ASSERT_EQ(session.requests.size(), 3u);
@@ -359,61 +316,78 @@ TEST(ServeRequestsTest, PriorityClassesExecuteBeforeLowerClasses) {
   EXPECT_EQ(session.requests[2].vt_queue_s, 0.0);
 }
 
-TEST(ServeRequestsTest, AdmissionOffMatchesBatchServeAndLegacySkipCount) {
-  // Satellite regression: queries_skipped counts POLICY skips only. With
-  // admission off, ServeRequests must reproduce Serve's outcomes and its
-  // historical queries_skipped value; shed/rejected stay zero.
+TEST(ServeTest, AdmissionOffMatchesBatchServeAndLegacySkipCount) {
+  // With no gate set, Serve must run a plain query list exactly as a
+  // QuerySession created directly with the server's session seed and id:
+  // outcome for outcome and byte for byte. queries_skipped counts POLICY
+  // skips only; shed/rejected stay zero.
+  const AdmissionOptions no_gates;
+  EXPECT_EQ(no_gates.queue_capacity, static_cast<size_t>(-1));
+  for (size_t cls = 0; cls < kNumQueryClasses; ++cls) {
+    EXPECT_EQ(no_gates.DeadlineFor(static_cast<QueryClass>(cls)), 0.0);
+    EXPECT_EQ(no_gates.RoundBudgetFor(static_cast<QueryClass>(cls)), 0u);
+  }
   auto fleet = Fleet::Create(MakeNodes(), FastOptions());
   ASSERT_TRUE(fleet.ok());
 
-  SessionSpec batch_spec;
-  batch_spec.rounds = 1;
-  batch_spec.queries.push_back(QueryOver(0, 8, 1));
-  // Region far outside the data (spans ~[0, 10]): the policy skips it.
-  batch_spec.queries.push_back(QueryOver(400, 500, 2));
-  batch_spec.queries.push_back(QueryOver(0, 6, 3));
-
-  RequestSessionSpec request_spec;
-  request_spec.rounds = 1;
-  for (const query::RangeQuery& query : batch_spec.queries) {
-    QueryRequest request;
-    request.query = query;
-    request_spec.requests.push_back(std::move(request));
+  const std::vector<query::RangeQuery> queries = {
+      QueryOver(0, 8, 1),
+      // Region far outside the data (spans ~[0, 10]): the policy skips it.
+      QueryOver(400, 500, 2),
+      QueryOver(0, 6, 3),
+  };
+  SessionSpec spec;
+  spec.rounds = 1;
+  for (const query::RangeQuery& query : queries) {
+    spec.requests.push_back({query});
   }
 
   auto server = QueryServer::Create(*fleet, ServingOptions{});
   ASSERT_TRUE(server.ok());
-  auto batch = server->Serve({batch_spec});
-  auto pipeline = server->ServeRequests({request_spec});
+  auto served = server->Serve({spec});
+  const SessionResult& result = served[0];
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
 
-  const SessionResult& a = batch[0];
-  const SessionResult& b = pipeline[0];
-  // The policy skip is visible and pinned: exactly one query skipped, in
-  // both paths, and never misattributed to shedding.
-  EXPECT_EQ(a.queries_skipped, 1u);
-  EXPECT_EQ(b.queries_skipped, 1u);
-  EXPECT_EQ(a.queries_run, 2u);
-  EXPECT_EQ(b.queries_run, 2u);
-  EXPECT_EQ(a.queries_shed, 0u);
-  EXPECT_EQ(b.queries_shed, 0u);
-  EXPECT_EQ(a.queries_rejected, 0u);
-  EXPECT_EQ(b.queries_rejected, 0u);
-  EXPECT_EQ(a.comm_bytes, b.comm_bytes);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (size_t q = 0; q < a.outcomes.size(); ++q) {
-    ExpectIdenticalOutcomes(a.outcomes[q], b.outcomes[q]);
+  QuerySessionOptions session_options;
+  session_options.session_id = 1;
+  session_options.seed = QueryServer::SessionSeed((*fleet)->options.seed, 1);
+  session_options.network.record_messages = false;
+  auto session = QuerySession::Create(*fleet, session_options);
+  ASSERT_TRUE(session.ok());
+  std::vector<QueryOutcome> reference;
+  for (const query::RangeQuery& query : queries) {
+    auto outcome = session->RunQueryMultiRound(
+        query, spec.policy, spec.data_selectivity, spec.rounds);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    reference.push_back(*std::move(outcome));
+  }
+
+  // The policy skip is visible and pinned: exactly one query skipped, and
+  // never misattributed to shedding.
+  EXPECT_EQ(result.queries_skipped, 1u);
+  EXPECT_TRUE(reference[1].skipped);
+  EXPECT_EQ(result.queries_run, 2u);
+  EXPECT_EQ(result.queries_shed, 0u);
+  EXPECT_EQ(result.queries_rejected, 0u);
+  EXPECT_EQ(result.comm_messages, session->network().total_messages());
+  EXPECT_EQ(result.comm_bytes, session->network().total_bytes());
+  EXPECT_DOUBLE_EQ(result.comm_seconds,
+                   session->network().total_transfer_seconds());
+  ASSERT_EQ(result.outcomes.size(), reference.size());
+  for (size_t q = 0; q < reference.size(); ++q) {
+    EXPECT_EQ(result.requests[q].outcome_index, q);
+    ExpectIdenticalOutcomes(result.outcomes[q], reference[q]);
   }
 }
 
-TEST(ServeRequestsTest, ZeroCapacityRejectsEveryRequest) {
+TEST(ServeTest, ZeroCapacityRejectsEveryRequest) {
   auto fleet = Fleet::Create(MakeNodes(), FastOptions());
   ASSERT_TRUE(fleet.ok());
   ServingOptions options;
-  options.admission = true;
   options.admission_options.queue_capacity = 0;
   auto server = QueryServer::Create(*fleet, options);
   ASSERT_TRUE(server.ok());
-  auto results = server->ServeRequests(MakeRequestSpecs(2, 4));
+  auto results = server->Serve(MakeRequestSpecs(2, 4));
   for (const SessionResult& session : results) {
     EXPECT_EQ(session.queries_rejected, session.requests.size());
     EXPECT_EQ(session.queries_run, 0u);
@@ -429,7 +403,7 @@ TEST(ServeRequestsTest, ZeroCapacityRejectsEveryRequest) {
 // ---------------------------------------------------------------------------
 // Cross-session profile amortization (counter-pinned).
 
-TEST(ServeRequestsTest, FleetProfilesBuiltOnceAndNeverCopiedWhenIdle) {
+TEST(ServeTest, FleetProfilesBuiltOnceAndNeverCopiedWhenIdle) {
   obs::MetricsRegistry::Enable();
   obs::MetricsRegistry::Get()->Reset();
 
@@ -448,11 +422,10 @@ TEST(ServeRequestsTest, FleetProfilesBuiltOnceAndNeverCopiedWhenIdle) {
   // leaders never execute a round, so the shared profile vector must never
   // be copied — the overload path does no per-session profile work.
   ServingOptions rejecting;
-  rejecting.admission = true;
   rejecting.admission_options.queue_capacity = 0;
   auto server = QueryServer::Create(*fleet, rejecting);
   ASSERT_TRUE(server.ok());
-  server->ServeRequests(MakeRequestSpecs(8, 4));
+  server->Serve(MakeRequestSpecs(8, 4));
   {
     const obs::MetricsSnapshot snapshot =
         obs::MetricsRegistry::Get()->Snapshot();
@@ -467,8 +440,8 @@ TEST(ServeRequestsTest, FleetProfilesBuiltOnceAndNeverCopiedWhenIdle) {
   ASSERT_TRUE(executing.ok());
   SessionSpec spec;
   spec.rounds = 1;
-  spec.queries.push_back(QueryOver(0, 8, 1));
-  spec.queries.push_back(QueryOver(0, 6, 2));
+  spec.requests.push_back({QueryOver(0, 8, 1)});
+  spec.requests.push_back({QueryOver(0, 6, 2)});
   executing->Serve({spec, spec, spec});
   {
     const obs::MetricsSnapshot snapshot =

@@ -77,9 +77,11 @@ std::vector<SessionSpec> MakeSpecs(size_t rounds = 3) {
   std::vector<SessionSpec> specs;
   for (size_t s = 0; s < 3; ++s) {
     SessionSpec spec;
-    spec.queries.push_back(QueryOver(0, 6.0 + static_cast<double>(s), 100 + s));
-    spec.queries.push_back(QueryOver(0, 4.0, 200 + s));
-    spec.queries.push_back(QueryOver(0, 6.0 + static_cast<double>(s), 100 + s));
+    spec.requests.push_back(
+        {QueryOver(0, 6.0 + static_cast<double>(s), 100 + s)});
+    spec.requests.push_back({QueryOver(0, 4.0, 200 + s)});
+    spec.requests.push_back(
+        {QueryOver(0, 6.0 + static_cast<double>(s), 100 + s)});
     spec.rounds = rounds;
     specs.push_back(std::move(spec));
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
+#include "qens/common/thread_pool.h"
 #include "qens/fl/query_session.h"
 
 namespace qens::fl {
@@ -217,7 +218,7 @@ TEST(PolicyExtensionTest, StochasticPolicyTracksParticipation) {
 TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
   FederationOptions seq_options = FastOptions();
   FederationOptions par_options = FastOptions();
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto seq = MakeSession(seq_options);
   auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
@@ -241,7 +242,7 @@ TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
 
 TEST(ParallelTrainingTest, WorksWithAllNodesPolicy) {
   FederationOptions options = FastOptions();
-  options.parallel_local_training = true;
+  options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto fed = MakeSession(options);
   ASSERT_TRUE(fed.ok());
   auto outcome = fed->RunQuery(QueryOver(0, 30),

@@ -1,12 +1,13 @@
 // Regression tests pinning the parallel-training determinism contract:
-// `parallel_local_training` true vs false under the same seed must yield
-// identical selected-node sets, per-round survivor counts, and losses —
-// in the single-round protocol, across multiple FedAvg rounds, and with
-// the fault-injection layer active.
+// pooled (`max_parallel_nodes` > 1) vs sequential training under the same
+// seed must yield identical selected-node sets, per-round survivor counts,
+// and losses — in the single-round protocol, across multiple FedAvg
+// rounds, and with the fault-injection layer active.
 
 #include <gtest/gtest.h>
 
 #include "qens/common/rng.h"
+#include "qens/common/thread_pool.h"
 #include "qens/fl/query_session.h"
 #include "qens/obs/metrics.h"
 
@@ -113,7 +114,7 @@ void ExpectIdenticalRoundRecords(const QueryOutcome& seq,
 TEST(ParallelDeterminismTest, MultiRoundMatchesSequential) {
   FederationOptions seq_options = FastOptions();
   FederationOptions par_options = FastOptions();
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto seq = MakeSession(seq_options);
   auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
@@ -131,7 +132,7 @@ TEST(ParallelDeterminismTest, MultiRoundMatchesSequential) {
 TEST(ParallelDeterminismTest, HoldsAcrossConsecutiveQueries) {
   FederationOptions seq_options = FastOptions();
   FederationOptions par_options = FastOptions();
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto seq = MakeSession(seq_options);
   auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
@@ -158,7 +159,7 @@ TEST(ParallelDeterminismTest, HoldsUnderFaultInjection) {
   base.fault_tolerance.faults.message_loss_rate = 0.2;
   base.fault_tolerance.min_quorum_frac = 0.25;
   FederationOptions par_options = base;
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto seq = MakeSession(base);
   auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
@@ -195,7 +196,7 @@ TEST(ParallelDeterminismTest, HoldsUnderDeadlineCuts) {
   base.fault_tolerance.round_deadline_s = 2.0 * cal->sim_time_parallel;
 
   FederationOptions par_options = base;
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto seq = MakeSession(base);
   auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
@@ -240,7 +241,7 @@ TEST(ParallelDeterminismTest, RoundRecordTimingMatchesSequential) {
   base.fault_tolerance.round_deadline_s = deadline;
 
   FederationOptions par_options = base;
-  par_options.parallel_local_training = true;
+  par_options.max_parallel_nodes = common::ThreadPool::DefaultThreadCount();
   auto seq = MakeSession(base);
   auto par = MakeSession(par_options);
   ASSERT_TRUE(seq.ok());
@@ -288,7 +289,6 @@ TEST(ParallelDeterminismTest, WorkerCountInvariantWithOversubscribedPool) {
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
     FederationOptions par_options = base;
-    par_options.parallel_local_training = true;
     par_options.max_parallel_nodes = workers;  // 1 and 2 oversubscribe 6 jobs.
     auto par_fed = MakeSessionN(6, par_options);
     ASSERT_TRUE(par_fed.ok());
@@ -314,7 +314,6 @@ TEST(ParallelDeterminismTest, OversubscribedPoolSurvivesFaultInjection) {
   base.fault_tolerance.faults.message_loss_rate = 0.15;
   base.fault_tolerance.min_quorum_frac = 0.25;
   FederationOptions par_options = base;
-  par_options.parallel_local_training = true;
   par_options.max_parallel_nodes = 2;  // Fewer workers than nodes.
   auto seq = MakeSessionN(6, base);
   auto par = MakeSessionN(6, par_options);

@@ -4,8 +4,7 @@
 // (base seed, session id) and every piece of mutable state is private to
 // the session. Also pins the session-id tagging of RoundRecords, that
 // serving leaves a default session over the same fleet untouched, and
-// that the request pipeline's virtual-latency histogram is equal at every
-// worker count.
+// that the virtual-latency histogram is equal at every worker count.
 
 #include <bit>
 #include <cstdint>
@@ -63,8 +62,8 @@ std::vector<SessionSpec> MakeSpecs() {
   for (size_t s = 0; s < 4; ++s) {
     SessionSpec spec;
     for (uint64_t q = 0; q < 2; ++q) {
-      spec.queries.push_back(
-          QueryOver(0, 6.0 + static_cast<double>(s), 10 * (s + 1) + q));
+      spec.requests.push_back(
+          {QueryOver(0, 6.0 + static_cast<double>(s), 10 * (s + 1) + q)});
     }
     spec.rounds = 1 + s % 2;
     specs.push_back(std::move(spec));
@@ -121,7 +120,7 @@ TEST(QueryServerTest, BitIdenticalAtEveryWorkerCount) {
   ASSERT_EQ(expected.size(), specs.size());
   for (size_t s = 0; s < specs.size(); ++s) {
     EXPECT_EQ(expected[s].session_id, s + 1);
-    EXPECT_EQ(expected[s].outcomes.size(), specs[s].queries.size());
+    EXPECT_EQ(expected[s].outcomes.size(), specs[s].requests.size());
     EXPECT_GT(expected[s].queries_run, 0u);
     EXPECT_GT(expected[s].comm_bytes, 0u);
   }
@@ -183,9 +182,10 @@ TEST(QueryServerTest, SessionsAreIsolatedFromEachOther) {
   auto session = QuerySession::Create(*fleet, session_options);
   ASSERT_TRUE(session.ok());
   const SessionSpec& spec = specs[1];
-  for (size_t q = 0; q < spec.queries.size(); ++q) {
+  for (size_t q = 0; q < spec.requests.size(); ++q) {
     auto outcome = session->RunQueryMultiRound(
-        spec.queries[q], spec.policy, spec.data_selectivity, spec.rounds);
+        spec.requests[q].query, spec.policy, spec.data_selectivity,
+        spec.rounds);
     ASSERT_TRUE(outcome.ok());
     ExpectIdenticalOutcomes(all[1].outcomes[q], *outcome);
   }
@@ -218,7 +218,7 @@ TEST(QueryServerTest, SessionFailureIsIsolatedToItsResult) {
         EXPECT_EQ(session.queries_run, 0u);
       } else {
         EXPECT_TRUE(session.status.ok()) << session.status.ToString();
-        EXPECT_EQ(session.outcomes.size(), specs[s].queries.size());
+        EXPECT_EQ(session.outcomes.size(), specs[s].requests.size());
         EXPECT_GT(session.queries_run, 0u);
       }
     }
@@ -266,12 +266,12 @@ TEST(QueryServerTest, ServingLeavesDefaultSessionUntouched) {
 /// Four request sessions: six requests each, arriving 5 virtual ms apart
 /// with the classes cycled, so requests queue and priority scheduling
 /// executes them out of request order.
-std::vector<RequestSessionSpec> MakeRequestSpecs() {
+std::vector<SessionSpec> MakeRequestSpecs() {
   constexpr QueryClass kPattern[] = {QueryClass::kBatch, QueryClass::kStandard,
                                      QueryClass::kInteractive};
-  std::vector<RequestSessionSpec> specs;
+  std::vector<SessionSpec> specs;
   for (size_t s = 0; s < 4; ++s) {
-    RequestSessionSpec spec;
+    SessionSpec spec;
     spec.rounds = 1 + s % 2;
     for (size_t q = 0; q < 6; ++q) {
       QueryRequest request;
@@ -299,7 +299,7 @@ TEST(QueryServerTest, VirtualLatencyHistogramEqualAtEveryWorkerCount) {
     auto server = QueryServer::Create(*fleet, options);
     EXPECT_TRUE(server.ok());
     const std::vector<SessionResult> results =
-        server->ServeRequests(MakeRequestSpecs());
+        server->Serve(MakeRequestSpecs());
     for (const SessionResult& session : results) {
       EXPECT_TRUE(session.status.ok());
     }

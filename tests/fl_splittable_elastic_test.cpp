@@ -94,7 +94,6 @@ TEST(SplittableElasticTest, TrainingFanOutBitIdenticalAcrossWorkerCounts) {
 
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     FederationOptions options = BaseOptions();
-    options.parallel_local_training = true;
     options.max_parallel_nodes = workers;
     auto fed = MakeSession(options);
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
@@ -140,7 +139,6 @@ TEST(SplittableElasticTest, FaultyFanOutBitIdenticalAcrossWorkerCounts) {
 
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
     FederationOptions options = faulty_options();
-    options.parallel_local_training = true;
     options.max_parallel_nodes = workers;
     auto fed = MakeSession(options);
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
@@ -163,8 +161,8 @@ TEST(SplittableElasticTest, PooledServingBitIdenticalToSequential) {
   for (size_t s = 0; s < 5; ++s) {
     SessionSpec spec;
     for (uint64_t q = 0; q <= s; ++q) {
-      spec.queries.push_back(
-          QueryOver(0, 4.0 + static_cast<double>(s), 100 * (s + 1) + q));
+      spec.requests.push_back(
+          {QueryOver(0, 4.0 + static_cast<double>(s), 100 * (s + 1) + q)});
     }
     specs.push_back(std::move(spec));
   }

@@ -126,8 +126,6 @@ TEST(OptimizerFactoryTest, MakeByName) {
 TEST(OptimizerTest, LearningRateAccessors) {
   SgdOptimizer sgd(0.25);
   EXPECT_DOUBLE_EQ(sgd.learning_rate(), 0.25);
-  sgd.set_learning_rate(0.5);
-  EXPECT_DOUBLE_EQ(sgd.learning_rate(), 0.5);
 }
 
 }  // namespace

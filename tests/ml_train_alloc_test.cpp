@@ -4,8 +4,7 @@
 //   - after one warm-up batch, Trainer::TrainBatch makes zero heap
 //     allocations per batch, on the fused MSE head (LR and NN), on the
 //     hidden-layer sweep and on the generic path (MAE, Huber), with every
-//     optimizer and with weight decay and clipping on, including a smaller
-//     ragged batch;
+//     optimizer, including a smaller ragged batch;
 //   - without early stopping, a Fit's allocation count is set-up only: a
 //     second Fit makes the same number of allocations at 5 epochs as at 50,
 //     on whole matrices (the sweep's per-epoch validation pass included)
@@ -93,8 +92,6 @@ struct StepCase {
   size_t hidden;  ///< 0 = LR.
   LossKind loss;
   Opt opt;
-  double weight_decay;
-  double clip_norm;
   size_t features = 13;
 };
 
@@ -139,8 +136,6 @@ TEST_P(TrainBatchAllocTest, ZeroAllocationsPerBatchAfterWarmUp) {
   SequentialModel model = MakeModel(c.features, c.hidden);
   TrainOptions options;
   options.loss = c.loss;
-  options.weight_decay = c.weight_decay;
-  options.clip_norm = c.clip_norm;
   Trainer trainer(MakeOpt(c.opt), options);
   Matrix x, y, x_tail, y_tail;
   RandomData(32, c.features, 7, &x, &y);
@@ -157,17 +152,14 @@ TEST_P(TrainBatchAllocTest, ZeroAllocationsPerBatchAfterWarmUp) {
 }
 
 const StepCase kStepCases[] = {
-    {"lr_mse_sgd_fused", 0, LossKind::kMse, Opt::kSgd, 0.0, 0.0},
-    {"nn_mse_adam_fused", 64, LossKind::kMse, Opt::kAdam, 0.0, 0.0},
-    {"nn_mse_momentum_wd_clip_fused", 64, LossKind::kMse, Opt::kMomentum,
-     0.01, 0.5},
-    {"nn_mse_adam_sweep", 64, LossKind::kMse, Opt::kAdam, 0.0, 0.0, 1},
-    {"nn_mse_momentum_wd_clip_sweep", 64, LossKind::kMse, Opt::kMomentum,
-     0.01, 0.5, 1},
-    {"lr_mae_sgd_generic", 0, LossKind::kMae, Opt::kSgd, 0.0, 0.0},
-    {"nn_mae_adam_generic", 64, LossKind::kMae, Opt::kAdam, 0.0, 0.0},
-    {"nn_huber_momentum_wd_clip_generic", 64, LossKind::kHuber,
-     Opt::kMomentum, 0.01, 0.5},
+    {"lr_mse_sgd_fused", 0, LossKind::kMse, Opt::kSgd},
+    {"nn_mse_adam_fused", 64, LossKind::kMse, Opt::kAdam},
+    {"nn_mse_momentum_fused", 64, LossKind::kMse, Opt::kMomentum},
+    {"nn_mse_adam_sweep", 64, LossKind::kMse, Opt::kAdam, 1},
+    {"nn_mse_momentum_sweep", 64, LossKind::kMse, Opt::kMomentum, 1},
+    {"lr_mae_sgd_generic", 0, LossKind::kMae, Opt::kSgd},
+    {"nn_mae_adam_generic", 64, LossKind::kMae, Opt::kAdam},
+    {"nn_huber_momentum_generic", 64, LossKind::kHuber, Opt::kMomentum},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,9 +7,8 @@
 //
 // Coverage: LR and NN (ReLU, sigmoid, tanh hidden layers); SGD, SGD with
 // momentum 0.9 and Adam; MSE (the fused linear head), MAE and Huber (the
-// generic path); weight decay and clip norm on and off; a ragged last
-// batch, batch_size = 1, lr_decay, a validation split; a degenerate fit
-// from all-zero weights whose targets equal the initial predictions; and
+// generic path); a ragged last batch, batch_size = 1, a validation
+// split; a degenerate fit from all-zero weights whose targets equal the initial predictions; and
 // the paper NN's shape, one input into 64 units at batch 32, which trains
 // and validates through the hidden-layer sweep.
 //
@@ -52,11 +51,8 @@ struct PinCase {
   Activation hidden_act;
   Opt opt;
   LossKind loss;
-  double weight_decay;
-  double clip_norm;
   size_t rows;
   size_t batch_size;
-  double lr_decay;
   double validation_split;
   bool degenerate;  ///< Zero weights; targets equal initial predictions.
   uint64_t expected;
@@ -128,9 +124,6 @@ uint64_t RunCase(const PinCase& c) {
   options.validation_split = c.validation_split;
   options.seed = 5;
   options.loss = c.loss;
-  options.weight_decay = c.weight_decay;
-  options.clip_norm = c.clip_norm;
-  options.lr_decay = c.lr_decay;
   Trainer trainer(MakeOpt(c.opt, c.hidden), options);
   // Two Fits on the same trainer: the second starts from carried optimizer
   // state, as the per-cluster incremental training does.
@@ -148,33 +141,27 @@ uint64_t RunCase(const PinCase& c) {
 
 // clang-format off
 const PinCase kCases[] = {
-  // name                      hid act                  opt            loss             wd     clip  rows bs  decay val  degen expected
-  {"lr_sgd_mse_ragged",        0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.0,   0.0,  45,  8, 0.0,  0.0, false, 0xb64277356bc00e26ull},
-  {"lr_momentum_mse",          0,  Activation::kRelu,    Opt::kMomentum, LossKind::kMse,   0.0,   0.0,  40,  8, 0.0,  0.0, false, 0x9c6b7883282317fdull},
-  {"lr_adam_mse_val",          0,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  40,  8, 0.0,  0.2, false, 0xa5a29070b4376dd2ull},
-  {"lr_sgd_mae",               0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMae,   0.0,   0.0,  45,  8, 0.0,  0.0, false, 0x71bc46c879f434bcull},
-  {"lr_momentum_huber",        0,  Activation::kRelu,    Opt::kMomentum, LossKind::kHuber, 0.0,   0.0,  45,  8, 0.0,  0.0, false, 0x5dc3a454aa0a9590ull},
-  {"lr_sgd_mse_wd_clip",       0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.01,  0.5,  45,  8, 0.0,  0.0, false, 0xb16030377859b57eull},
-  {"lr_sgd_mse_batch1",        0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.0,   0.0,  12,  1, 0.0,  0.0, false, 0xaed991d3aeef4a88ull},
-  {"lr_sgd_mse_lr_decay",      0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.0,   0.0,  45,  8, 0.5,  0.0, false, 0xeb22b1d55b3d783eull},
-  {"nn_relu_adam_mse",         6,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  45,  8, 0.0,  0.0, false, 0xfe6a1aaf63459c11ull},
-  {"nn_sigmoid_sgd_mse",       6,  Activation::kSigmoid, Opt::kSgd,      LossKind::kMse,   0.0,   0.0,  45,  8, 0.0,  0.0, false, 0x0ee52b15c26ae926ull},
-  {"nn_tanh_momentum_mse",     6,  Activation::kTanh,    Opt::kMomentum, LossKind::kMse,   0.0,   0.0,  45,  8, 0.0,  0.0, false, 0x10661f358e6b9539ull},
-  {"nn_relu_adam_huber",       6,  Activation::kRelu,    Opt::kAdam,     LossKind::kHuber, 0.0,   0.0,  45,  8, 0.0,  0.0, false, 0xb07d23c83031e0c9ull},
-  {"nn_tanh_sgd_mae",          6,  Activation::kTanh,    Opt::kSgd,      LossKind::kMae,   0.0,   0.0,  45,  8, 0.0,  0.0, false, 0x5d633c5c43b1e5e3ull},
-  {"nn_relu_sgd_mse_wd",       6,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.01,  0.0,  45,  8, 0.0,  0.0, false, 0xb4fb6e5c5e593c00ull},
-  {"nn_relu_adam_mse_clip",    6,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,   0.0,   0.05, 45,  8, 0.0,  0.0, false, 0xaed96d36f43c5dc1ull},
-  {"nn_sigmoid_adam_mae_wd_clip", 6, Activation::kSigmoid, Opt::kAdam,   LossKind::kMae,   0.01,  0.05, 45,  8, 0.0,  0.0, false, 0x33a5704fb4e95211ull},
-  {"nn_relu_momentum_mse_batch1_decay", 6, Activation::kRelu, Opt::kMomentum, LossKind::kMse, 0.0, 0.0, 10, 1, 0.5, 0.0, false, 0x2e977418da32b0faull},
-  {"nn_tanh_adam_mse_val",     6,  Activation::kTanh,    Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  40,  8, 0.0,  0.2, false, 0xdb80ad5fad0ca29bull},
+  // name                      hid act                   opt             loss             rows bs  val  degen  expected
+  {"lr_sgd_mse_ragged",        0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,  45,  8,  0.0, false, 0xb64277356bc00e26ull},
+  {"lr_momentum_mse",          0,  Activation::kRelu,    Opt::kMomentum, LossKind::kMse,  40,  8,  0.0, false, 0x9c6b7883282317fdull},
+  {"lr_adam_mse_val",          0,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,  40,  8,  0.2, false, 0xa5a29070b4376dd2ull},
+  {"lr_sgd_mae",               0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMae,  45,  8,  0.0, false, 0x71bc46c879f434bcull},
+  {"lr_momentum_huber",        0,  Activation::kRelu,    Opt::kMomentum, LossKind::kHuber, 45,  8,  0.0, false, 0x5dc3a454aa0a9590ull},
+  {"lr_sgd_mse_batch1",        0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,  12,  1,  0.0, false, 0xaed991d3aeef4a88ull},
+  {"nn_relu_adam_mse",         6,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,  45,  8,  0.0, false, 0xfe6a1aaf63459c11ull},
+  {"nn_sigmoid_sgd_mse",       6,  Activation::kSigmoid, Opt::kSgd,      LossKind::kMse,  45,  8,  0.0, false, 0x0ee52b15c26ae926ull},
+  {"nn_tanh_momentum_mse",     6,  Activation::kTanh,    Opt::kMomentum, LossKind::kMse,  45,  8,  0.0, false, 0x10661f358e6b9539ull},
+  {"nn_relu_adam_huber",       6,  Activation::kRelu,    Opt::kAdam,     LossKind::kHuber, 45,  8,  0.0, false, 0xb07d23c83031e0c9ull},
+  {"nn_tanh_sgd_mae",          6,  Activation::kTanh,    Opt::kSgd,      LossKind::kMae,  45,  8,  0.0, false, 0x5d633c5c43b1e5e3ull},
+  {"nn_tanh_adam_mse_val",     6,  Activation::kTanh,    Opt::kAdam,     LossKind::kMse,  40,  8,  0.2, false, 0xdb80ad5fad0ca29bull},
   // The paper NN's shape, [1 → 64] → [64 → 1] under MSE at batch 32: the
   // hidden-layer sweep, with ragged batches and sweep row tails.
-  {"nn64_relu_adam_mse_val_sweep", 64, Activation::kRelu, Opt::kAdam,   LossKind::kMse,   0.0,   0.0,  203, 32, 0.0, 0.2, false, 0x93b293ab638d478dull, 1},
-  {"nn64_tanh_adam_mse_sweep", 64, Activation::kTanh,    Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  150, 32, 0.0, 0.0, false, 0x3a297c97993cfdc6ull, 1},
-  {"nn64_sigmoid_momentum_mse_sweep", 64, Activation::kSigmoid, Opt::kMomentum, LossKind::kMse, 0.0, 0.0, 150, 32, 0.0, 0.0, false, 0xdfd4740467518a6eull, 1},
-  {"lr_sgd_mse_degenerate",    0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,   0.0,   0.0,  20,  8, 0.0,  0.0, true,  0x0243cfa845185aa5ull},
-  {"nn_relu_adam_mse_degenerate", 6, Activation::kRelu,  Opt::kAdam,     LossKind::kMse,   0.0,   0.0,  20,  8, 0.0,  0.0, true,  0x5066f76b298ff985ull},
-  {"nn_sigmoid_sgd_mse_degenerate", 6, Activation::kSigmoid, Opt::kSgd,  LossKind::kMse,   0.0,   0.0,  20,  8, 0.0,  0.0, true,  0x5066f76b298ff985ull},
+  {"nn64_relu_adam_mse_val_sweep", 64, Activation::kRelu,    Opt::kAdam,     LossKind::kMse,  203, 32, 0.2, false, 0x93b293ab638d478dull, 1},
+  {"nn64_tanh_adam_mse_sweep", 64, Activation::kTanh,    Opt::kAdam,     LossKind::kMse,  150, 32, 0.0, false, 0x3a297c97993cfdc6ull, 1},
+  {"nn64_sigmoid_momentum_mse_sweep", 64, Activation::kSigmoid, Opt::kMomentum, LossKind::kMse,  150, 32, 0.0, false, 0xdfd4740467518a6eull, 1},
+  {"lr_sgd_mse_degenerate",    0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,  20,  8,  0.0, true,  0x0243cfa845185aa5ull},
+  {"nn_relu_adam_mse_degenerate", 6,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,  20,  8,  0.0, true,  0x5066f76b298ff985ull},
+  {"nn_sigmoid_sgd_mse_degenerate", 6,  Activation::kSigmoid, Opt::kSgd,      LossKind::kMse,  20,  8,  0.0, true,  0x5066f76b298ff985ull},
 };
 // clang-format on
 
