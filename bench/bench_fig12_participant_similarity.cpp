@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   std::printf("  random pick: slope %+.3f intercept %+.2f R2 %.3f\n",
               fit_h7.slope, fit_h7.intercept, fit_h7.r_squared);
   std::printf("  shape check: same slope sign (%s), relative slope gap %.2f\n",
-              fit_h0.slope * fit_h7.slope > 0 ? "yes" : "NO",
+              bench::ShapeCheck("fig1: same slope sign",
+                                fit_h0.slope * fit_h7.slope > 0),
               std::abs(fit_h0.slope - fit_h7.slope) /
                   std::max(1e-9, std::abs(fit_h0.slope)));
 
@@ -78,7 +79,8 @@ int main(int argc, char** argv) {
   std::printf("  dissimilar node: slope %+.3f intercept %+.2f R2 %.3f\n",
               fit_cold.slope, fit_cold.intercept, fit_cold.r_squared);
   std::printf("  shape check: opposite slope signs (%s)\n",
-              fit_cold.slope * fit_warm.slope < 0 ? "yes" : "NO");
+              bench::ShapeCheck("fig2: opposite slope signs",
+                                fit_cold.slope * fit_warm.slope < 0));
 
   std::printf("\n");
   EmitSample("fig1_selected", h0, 40);
@@ -99,5 +101,5 @@ int main(int argc, char** argv) {
   bjson.Add(fit_record("fig2_similar", fit_warm));
   bjson.Add(fit_record("fig2_dissimilar", fit_cold));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nshape check: the query needs a strict subset of the data "
       "(%s)\n",
-      total_needed < total_all ? "yes" : "NO");
+      bench::ShapeCheck("fig6: the query needs a strict subset",
+                        total_needed < total_all));
 
   // Leader-side row estimates from cluster digests alone (uniform-density
   // assumption) vs the true per-node matching-row counts — what Fig. 6b
@@ -140,5 +141,5 @@ int main(int argc, char** argv) {
       static_cast<double>(total_needed) / static_cast<double>(total_all);
   bjson.Add(std::move(totals));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -47,9 +47,11 @@ void RunModel(ml::ModelKind kind, size_t queries, size_t epochs,
   std::printf(
       "shape checks: ours(Averaging) < Random: %s | ours(Weighted) < Random: "
       "%s | ours(Weighted) <= ours(Averaging): %s | ours < GT: %s\n",
-      averaging < random ? "yes" : "NO", weighted < random ? "yes" : "NO",
-      weighted <= averaging * 1.05 ? "yes" : "NO",
-      weighted < gt ? "yes" : "NO");
+      bench::ShapeCheck("fig7: ours(Averaging) < Random", averaging < random),
+      bench::ShapeCheck("fig7: ours(Weighted) < Random", weighted < random),
+      bench::ShapeCheck("fig7: ours(Weighted) <= ours(Averaging)",
+                        weighted <= averaging * 1.05),
+      bench::ShapeCheck("fig7: ours < GT", weighted < gt));
 }
 
 }  // namespace
@@ -64,5 +66,5 @@ int main(int argc, char** argv) {
   RunModel(ml::ModelKind::kLinearRegression, 200, 40, 15, &bjson);
   RunModel(ml::ModelKind::kNeuralNetwork, 30, 25, 8, &bjson);
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -69,6 +69,27 @@ inline T ValueOrDie(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
+/// Failed shape checks so far in this process.
+inline int& ShapeCheckFailures() {
+  static int failures = 0;
+  return failures;
+}
+
+/// A shape check: one of the paper's qualitative claims, verified by the
+/// bench. Returns the "yes" or "NO" the bench prints for it, so its text
+/// stays as it was; a failure is also named on stderr and counted, and
+/// ShapeCheckExitCode() then ends main non-zero.
+inline const char* ShapeCheck(const char* name, bool ok) {
+  if (!ok) {
+    ++ShapeCheckFailures();
+    std::fprintf(stderr, "shape check failed: %s\n", name);
+  }
+  return ok ? "yes" : "NO";
+}
+
+/// main's exit code: 1 when any shape check failed, else 0.
+inline int ShapeCheckExitCode() { return ShapeCheckFailures() == 0 ? 0 : 1; }
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n==============================================================\n");
   std::printf("%s\n", title.c_str());

@@ -9,14 +9,6 @@
 
 namespace qens {
 
-uint64_t Rng::Next() {
-  state_ += kGolden;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 double Rng::Uniform() {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -27,25 +19,17 @@ double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * Uniform();
 }
 
-uint64_t Rng::UniformInt(uint64_t n) {
-  assert(n > 0);
-  // Rejection sampling to remove modulo bias: accept x iff it lies below
-  // the largest multiple of n, ⌊max/n⌋·n. x - x % n is x's own multiple of
-  // n, and it is below that bound iff it is at most max - n, so one
-  // division per draw decides both the test and the value.
-  uint64_t x;
-  uint64_t r;
-  do {
-    x = Next();
-    r = x % n;
-  } while (x - r > max() - n);
-  return r;
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(UniformInt(span));
+  // In uint64 arithmetic, where wraparound is defined: hi - lo is the
+  // span less one even when the span exceeds INT64_MAX, and lo + r wraps
+  // back into [lo, hi]. A range that fits draws what it always drew; the
+  // full range, whose span 2^64 does not fit, is lo plus one raw draw.
+  const uint64_t span_less_one =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  const uint64_t r =
+      span_less_one == max() ? Next() : UniformInt(span_less_one + 1);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + r);
 }
 
 double Rng::Gaussian() {

@@ -10,6 +10,7 @@
 /// wraps a SplitMix64 core (small state, excellent statistical quality for
 /// non-cryptographic use) with the distributions the library needs.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -31,8 +32,16 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
 
-  /// Next raw 64-bit output (SplitMix64).
-  uint64_t Next();
+  /// Next raw 64-bit output (SplitMix64). Inline, as is UniformInt(n):
+  /// a shuffle makes one draw per element, and a call per draw costs more
+  /// than the draw.
+  uint64_t Next() {
+    state_ += kGolden;
+    uint64_t z = state_;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
   result_type operator()() { return Next(); }
 
   /// Uniform double in [0, 1).
@@ -42,9 +51,23 @@ class Rng {
   double Uniform(double lo, double hi);
 
   /// Uniform integer in [0, n). Requires n > 0.
-  uint64_t UniformInt(uint64_t n);
+  uint64_t UniformInt(uint64_t n) {
+    assert(n > 0);
+    // Rejection sampling to remove modulo bias: accept x iff it lies below
+    // the largest multiple of n, ⌊max/n⌋·n. x - x % n is x's own multiple
+    // of n, and it is below that bound iff it is at most max - n, so one
+    // division per draw decides both the test and the value.
+    uint64_t x;
+    uint64_t r;
+    do {
+      x = Next();
+      r = x % n;
+    } while (x - r > max() - n);
+    return r;
+  }
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
+  /// Uniform integer in [lo, hi] inclusive, for any lo <= hi, the full
+  /// int64 range included.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Standard normal via Box–Muller (cached second value).

@@ -102,6 +102,63 @@ Status SgdOptimizer::Step(SequentialModel* model,
   return Status::OK();
 }
 
+double SgdOptimizer::LinearHeadMseStep(DenseLayer* head, const Matrix& x,
+                                       const Matrix& y,
+                                       std::span<const size_t> ids) {
+  // The velocity Step sizes for a one-layer model: weights, then bias.
+  const size_t d = head->in_features();
+  if (velocity_.size() != 1) velocity_.assign(1, {});
+  std::vector<double>& vel = velocity_[0];
+  if (vel.size() != d + 1) vel.assign(d + 1, 0.0);
+
+  const size_t n = ids.size();
+  const double inv_n = 1.0 / static_cast<double>(n);
+  const double* xs = x.data().data();
+  const double* ys = y.data().data();
+  double* w = head->weights().data().data();
+  double& b = head->bias()[0];
+  const double bias = b;
+  double sq_sum = 0.0;
+  double db = 0.0;
+  // Each row: its loss term and g = dL/dz, which db takes at once.
+  auto row_grad = [&](double z, size_t r) {
+    const double diff = (z + bias) - ys[r];
+    sq_sum += diff * diff;
+    const double g = 2.0 * diff * inv_n;
+    db += g;
+    return g;
+  };
+  if (d == 1) {
+    // The paper's LR: w and dW stay in registers.
+    const double w0 = w[0];
+    double dw = 0.0;
+    for (const size_t r : ids) {
+      const double xr = xs[r];
+      const double g = row_grad(0.0 + xr * w0, r);
+      dw += xr * g;
+    }
+    vel[0] = momentum_ * vel[0] - learning_rate_ * dw;
+    w[0] += vel[0];
+  } else {
+    head_dw_.assign(d, 0.0);
+    double* dw = head_dw_.data();
+    for (const size_t r : ids) {
+      const double* xr = xs + r * d;
+      double z = 0.0;
+      for (size_t k = 0; k < d; ++k) z += xr[k] * w[k];
+      const double g = row_grad(z, r);
+      for (size_t k = 0; k < d; ++k) dw[k] += xr[k] * g;
+    }
+    for (size_t k = 0; k < d; ++k) {
+      vel[k] = momentum_ * vel[k] - learning_rate_ * dw[k];
+      w[k] += vel[k];
+    }
+  }
+  vel[d] = momentum_ * vel[d] - learning_rate_ * db;
+  b += vel[d];
+  return sq_sum / static_cast<double>(n);
+}
+
 void SgdOptimizer::Reset() { velocity_.clear(); }
 
 AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,

@@ -7,6 +7,7 @@
 /// (Adam, the Keras default optimizer).
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,7 @@ class Optimizer {
 };
 
 /// Stochastic gradient descent with optional classical momentum.
-class SgdOptimizer : public Optimizer {
+class SgdOptimizer final : public Optimizer {
  public:
   explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
 
@@ -48,11 +49,25 @@ class SgdOptimizer : public Optimizer {
   void Reset() override;
   std::string Name() const override { return "sgd"; }
 
+  /// The fused LR fit step: one MSE training step of the one-layer model
+  /// whose layer is `head` (IsLinearScalarHead()) on rows `ids` of (x, y),
+  /// read in place. Bit for bit the gather of those rows, the model's
+  /// LossAndGradients (MseHeadInto's order: z = (0.0 + Σₖ x·w) + b, the
+  /// loss and dW, db over ascending rows from 0.0) and Step, on the same
+  /// velocity Step keeps. Returns the batch loss before the update.
+  /// Unchecked: ids is non-empty, every id < x.rows(), x has
+  /// head->in_features() columns and y one. After the first step of a
+  /// width it makes no allocation.
+  double LinearHeadMseStep(DenseLayer* head, const Matrix& x, const Matrix& y,
+                           std::span<const size_t> ids);
+
  private:
   double momentum_;
   // Velocity buffers, one flat vector per layer (weights then bias), lazily
   // sized on first Step.
   std::vector<std::vector<double>> velocity_;
+  // LinearHeadMseStep's weight-gradient sums for more than one input.
+  std::vector<double> head_dw_;
 };
 
 /// Adam (Kingma & Ba, 2015) with the standard bias correction.

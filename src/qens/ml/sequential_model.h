@@ -26,7 +26,8 @@ struct TrainWorkspace {
   std::vector<DenseGradients> grads;
   Matrix loss_grad;  ///< dL/dprediction on the generic (unfused) path.
   Matrix sweep_tile;  ///< The hidden-layer sweep's 4 x H row-block tile.
-  Matrix batch_x;     ///< Trainer::Fit's gathered mini-batch features.
+  Matrix batch_x;     ///< Trainer::Fit's gathered mini-batch features
+                      ///< (the fused LR fit gathers none).
   Matrix batch_y;     ///< Trainer::Fit's gathered mini-batch targets.
 };
 

@@ -39,9 +39,10 @@ void GatherBatch(const Matrix& x, const Matrix& y, std::span<const size_t> ids,
   const double* ys = y.data().data();
   double* xd = xb->data().data();
   double* yd = yb->data().data();
-  // One feature and one target (every paper model): two plain loads a row.
-  // With the generic loop below alone, paper_lr's whole training layer ran
-  // about 17 % slower (perfbench, x86-64, GCC 12).
+  // One feature and one target (the paper NN; the paper's LR reads its
+  // rows in place): two plain loads a row. The generic loop below cost
+  // about 17 % of paper_lr's training layer while LR still gathered its
+  // batches (perfbench, x86-64, GCC 12).
   if (xc == 1 && yc == 1) {
     for (size_t i = 0; i < ids.size(); ++i) {
       xd[i] = xs[ids[i]];
@@ -124,6 +125,15 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
 
   std::vector<size_t> train_rows(
       order.begin(), order.begin() + static_cast<ptrdiff_t>(n_train));
+  // The paper's LR under its own loss and optimizer (Table III: one linear
+  // scalar head, MSE, SGD) trains through the optimizer's fused step,
+  // straight from the view. Every other model, loss or optimizer gathers
+  // each batch and takes TrainBatch.
+  SgdOptimizer* fused_lr = nullptr;
+  if (model->num_layers() == 1 && model->layer(0).IsLinearScalarHead() &&
+      options_.loss == LossKind::kMse) {
+    fused_lr = dynamic_cast<SgdOptimizer*>(optimizer_.get());
+  }
   Matrix x_val, y_val;
   GatherBatch(x, y, std::span<const size_t>(order).subspan(n_train), &x_val,
               &y_val);
@@ -152,15 +162,18 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
     size_t batches = 0;
     for (size_t start = 0; start < n_train; start += options_.batch_size) {
       const size_t end = std::min(start + options_.batch_size, n_train);
-      // The workspace's batch buffers keep their allocation across every
-      // batch of every fit (batch shapes repeat).
-      GatherBatch(x, y,
-                  std::span<const size_t>(train_rows).subspan(start,
-                                                              end - start),
-                  &workspace_.batch_x, &workspace_.batch_y);
-      QENS_ASSIGN_OR_RETURN(
-          double loss,
-          TrainBatch(model, workspace_.batch_x, workspace_.batch_y));
+      const std::span<const size_t> ids =
+          std::span<const size_t>(train_rows).subspan(start, end - start);
+      double loss;
+      if (fused_lr != nullptr) {
+        loss = fused_lr->LinearHeadMseStep(&model->layer(0), x, y, ids);
+      } else {
+        // The workspace's batch buffers keep their allocation across every
+        // batch of every fit (batch shapes repeat).
+        GatherBatch(x, y, ids, &workspace_.batch_x, &workspace_.batch_y);
+        QENS_ASSIGN_OR_RETURN(
+            loss, TrainBatch(model, workspace_.batch_x, workspace_.batch_y));
+      }
       epoch_loss += loss;
       ++batches;
       report.samples_seen += end - start;
@@ -193,6 +206,7 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
     }
   }
   obs::Count("trainer.fits");
+  if (fused_lr != nullptr) obs::Count("trainer.fused_lr_fits");
   obs::Count("trainer.epochs", report.epochs_run);
   obs::Count("trainer.samples_seen", report.samples_seen);
   if (report.early_stopped) obs::Count("trainer.early_stops");

@@ -82,8 +82,11 @@ class Trainer {
 
   /// Train `model` on rows `rows` of (x, y), in that order: the sample set
   /// is the view, and the result equals Fit on the gathered subset bit for
-  /// bit. The shuffles draw exactly as for a subset of rows.size() rows;
-  /// each batch is gathered from the view into the trainer's workspace.
+  /// bit. The shuffles draw exactly as for a subset of rows.size() rows.
+  /// The paper's LR (a one-layer linear scalar head under MSE and an
+  /// SgdOptimizer) trains each batch straight from the view through
+  /// SgdOptimizer::LinearHeadMseStep; every other fit gathers each batch
+  /// into the trainer's workspace and takes TrainBatch's path.
   /// Every row id is checked once, on entry: an id >= x.rows() fails with
   /// OutOfRange before any step, and an empty view with InvalidArgument.
   /// Ids may repeat.

@@ -20,6 +20,30 @@ TEST(RngTest, SameSeedSameStream) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
+// Known answers, recorded before Next and UniformInt(n) moved inline into
+// the header: no change to the generator may move a draw unseen.
+TEST(RngTest, FirstOutputsAreKnown) {
+  Rng zero(0);
+  EXPECT_EQ(zero.Next(), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(zero.Next(), 0x06c45d188009454full);
+  EXPECT_EQ(zero.Next(), 0xf88bb8a8724c81ecull);
+  EXPECT_EQ(zero.Next(), 0x1b39896a51a8749bull);
+  Rng answer(42);
+  EXPECT_EQ(answer.Next(), 0x28efe333b266f103ull);
+  EXPECT_EQ(answer.Next(), 0x47526757130f9f52ull);
+  EXPECT_EQ(answer.Next(), 0x581ce1ff0e4ae394ull);
+  EXPECT_EQ(answer.Next(), 0x09bc585a244823f2ull);
+}
+
+TEST(RngTest, UniformIntDrawsAreKnown) {
+  Rng rng(42);
+  EXPECT_EQ(rng.UniformInt(uint64_t{10}), 1u);
+  EXPECT_EQ(rng.UniformInt(uint64_t{1000}), 858u);
+  EXPECT_EQ(rng.UniformInt(uint64_t{3}), 0u);
+  EXPECT_EQ(rng.UniformInt(uint64_t{1} << 63), 701532786141963250u);
+  EXPECT_EQ(rng.UniformInt(~uint64_t{0} - 5), 16015981125662989062u);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int differing = 0;
@@ -166,6 +190,54 @@ TEST(RngTest, UniformIntInclusiveRange) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+// Ranges whose span fits an int64 draw what they drew before UniformInt
+// moved to uint64 arithmetic (recorded then), up to both ends of int64.
+TEST(RngTest, UniformIntRangeDrawsAreKnown) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(7);
+  EXPECT_EQ(rng.UniformInt(int64_t{-2}, int64_t{2}), 2);
+  EXPECT_EQ(rng.UniformInt(int64_t{-1000000007}, int64_t{5}), -193710551);
+  EXPECT_EQ(rng.UniformInt(kMin / 2, kMax / 2), 3734393827073335770);
+  EXPECT_EQ(rng.UniformInt(kMax - 3, kMax), 9223372036854775805);
+  EXPECT_EQ(rng.UniformInt(kMin, kMin + 3), -9223372036854775806);
+}
+
+// The full int64 range has 2^64 values: its span does not fit a uint64,
+// and hi - lo overflows an int64. Each value is lo plus one raw draw.
+TEST(RngTest, UniformIntFullRangeIsOneRawDraw) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(21), twin(21);
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t v = rng.UniformInt(kMin, kMax);
+    EXPECT_EQ(static_cast<uint64_t>(v) - static_cast<uint64_t>(kMin),
+              twin.Next());
+    saw_negative |= v < 0;
+    saw_positive |= v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+}
+
+// [INT64_MIN, 0] spans 2^63 + 1 values: more than INT64_MAX, so hi - lo
+// overflows an int64, but the span fits a uint64.
+TEST(RngTest, UniformIntRangeWiderThanInt64Max) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Rng rng(23), twin(23);
+  const uint64_t span = (uint64_t{1} << 63) + 1;
+  bool saw_upper_half = false;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t v = rng.UniformInt(kMin, int64_t{0});
+    EXPECT_LE(v, 0);
+    EXPECT_EQ(static_cast<uint64_t>(v) - static_cast<uint64_t>(kMin),
+              twin.UniformInt(span));
+    saw_upper_half |= v > kMin / 2;
+  }
+  EXPECT_TRUE(saw_upper_half);
 }
 
 TEST(RngTest, GaussianMoments) {

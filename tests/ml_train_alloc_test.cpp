@@ -8,8 +8,9 @@
 //   - without early stopping, a Fit's allocation count is set-up only: a
 //     second Fit makes the same number of allocations at 5 epochs as at 50,
 //     on whole matrices (the sweep's per-epoch validation pass included)
-//     and on a row-id view (whose batches are gathered into the trainer's
-//     workspace);
+//     and on a row-id view (whose batches the fused LR fit reads in place
+//     and every other fit gathers into the trainer's workspace), under
+//     SGD, momentum and Adam;
 //   - Predict on the hidden-layer sweep (the paper NN's shape) allocates
 //     the same number of blocks for 1 row as for 1000, and at 1000 rows its
 //     largest block is the 1000 x 1 prediction: no batch x H intermediate,
@@ -170,7 +171,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Allocations of the second Fit of a trainer at `epochs` epochs.
 uint64_t SecondFitAllocs(size_t features, size_t hidden, LossKind loss,
-                         size_t epochs, double validation_split) {
+                         Opt opt, size_t epochs, double validation_split) {
   SequentialModel model = MakeModel(features, hidden);
   Matrix x, y;
   RandomData(100, features, 11, &x, &y);  // Ends in a ragged batch.
@@ -178,25 +179,29 @@ uint64_t SecondFitAllocs(size_t features, size_t hidden, LossKind loss,
   options.epochs = epochs;
   options.loss = loss;
   options.validation_split = validation_split;
-  Trainer trainer(MakeOpt(Opt::kAdam), options);
+  Trainer trainer(MakeOpt(opt), options);
   EXPECT_TRUE(trainer.Fit(&model, x, y).ok());
   return CountAllocs([&] { EXPECT_TRUE(trainer.Fit(&model, x, y).ok()); });
 }
 
 TEST(TrainAllocTest, FitAllocationsDoNotGrowWithEpochs) {
   // One feature into 16 units under MSE trains and validates through the
-  // hidden-layer sweep.
+  // hidden-layer sweep; LR under MSE and SGD through the fused LR fit.
   for (size_t features : {size_t{1}, size_t{4}}) {
     for (size_t hidden : {size_t{0}, size_t{16}}) {
       for (LossKind loss : {LossKind::kMse, LossKind::kMae}) {
-        for (double val : {0.0, 0.2}) {
-          const uint64_t at5 = SecondFitAllocs(features, hidden, loss, 5, val);
-          const uint64_t at50 =
-              SecondFitAllocs(features, hidden, loss, 50, val);
-          EXPECT_EQ(at5, at50)
-              << "features=" << features << " hidden=" << hidden
-              << " loss=" << LossName(loss) << " val=" << val;
-          EXPECT_GT(at5, 0u);  // Per-Fit set-up (index vectors, report).
+        for (Opt opt : {Opt::kSgd, Opt::kMomentum, Opt::kAdam}) {
+          for (double val : {0.0, 0.2}) {
+            const uint64_t at5 =
+                SecondFitAllocs(features, hidden, loss, opt, 5, val);
+            const uint64_t at50 =
+                SecondFitAllocs(features, hidden, loss, opt, 50, val);
+            EXPECT_EQ(at5, at50)
+                << "features=" << features << " hidden=" << hidden
+                << " loss=" << LossName(loss)
+                << " opt=" << static_cast<int>(opt) << " val=" << val;
+            EXPECT_GT(at5, 0u);  // Per-Fit set-up (index vectors, report).
+          }
         }
       }
     }
@@ -205,7 +210,7 @@ TEST(TrainAllocTest, FitAllocationsDoNotGrowWithEpochs) {
 
 /// Allocations of the second row-view Fit of a trainer at `epochs` epochs:
 /// every third row of a 300-row store, scattered, ending in a ragged batch.
-uint64_t SecondRowViewFitAllocs(size_t features, size_t hidden,
+uint64_t SecondRowViewFitAllocs(size_t features, size_t hidden, Opt opt,
                                 size_t epochs) {
   SequentialModel model = MakeModel(features, hidden);
   Matrix x, y;
@@ -215,7 +220,7 @@ uint64_t SecondRowViewFitAllocs(size_t features, size_t hidden,
   TrainOptions options;
   options.epochs = epochs;
   options.validation_split = 0.0;
-  Trainer trainer(MakeOpt(Opt::kAdam), options);
+  Trainer trainer(MakeOpt(opt), options);
   EXPECT_TRUE(trainer.Fit(&model, x, y, rows).ok());
   return CountAllocs(
       [&] { EXPECT_TRUE(trainer.Fit(&model, x, y, rows).ok()); });
@@ -223,13 +228,17 @@ uint64_t SecondRowViewFitAllocs(size_t features, size_t hidden,
 
 TEST(TrainAllocTest, RowViewFitMakesNoAllocationPerBatch) {
   // 99 rows in batches of 32 is 4 batches an epoch, so 45 more epochs are
-  // 180 more batches: equal counts mean 0 allocations per batch.
+  // 180 more batches: equal counts mean 0 allocations per batch. LR under
+  // SGD reads its batches through the fused LR fit, the rest gather them.
   for (size_t features : {size_t{1}, size_t{4}}) {
     for (size_t hidden : {size_t{0}, size_t{16}}) {
-      const uint64_t at5 = SecondRowViewFitAllocs(features, hidden, 5);
-      const uint64_t at50 = SecondRowViewFitAllocs(features, hidden, 50);
-      EXPECT_EQ(at5, at50) << "features=" << features
-                           << " hidden=" << hidden;
+      for (Opt opt : {Opt::kSgd, Opt::kMomentum, Opt::kAdam}) {
+        const uint64_t at5 = SecondRowViewFitAllocs(features, hidden, opt, 5);
+        const uint64_t at50 =
+            SecondRowViewFitAllocs(features, hidden, opt, 50);
+        EXPECT_EQ(at5, at50) << "features=" << features << " hidden=" << hidden
+                             << " opt=" << static_cast<int>(opt);
+      }
     }
   }
 }

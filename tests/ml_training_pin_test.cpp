@@ -6,11 +6,14 @@
 // optimizer update — however small — fails here.
 //
 // Coverage: LR and NN (ReLU, sigmoid, tanh hidden layers); SGD, SGD with
-// momentum 0.9 and Adam; MSE (the fused linear head), MAE and Huber (the
-// generic path); a ragged last batch, batch_size = 1, a validation
-// split; a degenerate fit from all-zero weights whose targets equal the initial predictions; and
-// the paper NN's shape, one input into 64 units at batch 32, which trains
-// and validates through the hidden-layer sweep.
+// momentum 0.9 and Adam; MSE, MAE and Huber. LR under MSE and SGD trains
+// through the fused LR fit, every other MSE case through the fused linear
+// head, and MAE and Huber through the generic path. Also a ragged last
+// batch, batch_size = 1, a validation split; a degenerate fit from all-zero
+// weights whose targets equal the initial predictions; the paper LR's
+// shape, one input at batch 32; and the paper NN's shape, one input into
+// 64 units at batch 32, which trains and validates through the
+// hidden-layer sweep.
 //
 // Every case runs on both copies of the NN kernels (qens/ml/kernel_isa.h),
 // the baseline and, where the build and CPU have it, AVX2, against the
@@ -56,7 +59,9 @@ struct PinCase {
   double validation_split;
   bool degenerate;  ///< Zero weights; targets equal initial predictions.
   uint64_t expected;
-  size_t features = 3;  ///< Input width; 1 takes the hidden-layer sweep.
+  /// Input width; 1 is the paper's shape (an NN then takes the hidden-layer
+  /// sweep).
+  size_t features = 3;
 };
 
 constexpr size_t kEpochs = 4;
@@ -159,6 +164,10 @@ const PinCase kCases[] = {
   {"nn64_relu_adam_mse_val_sweep", 64, Activation::kRelu,    Opt::kAdam,     LossKind::kMse,  203, 32, 0.2, false, 0x93b293ab638d478dull, 1},
   {"nn64_tanh_adam_mse_sweep", 64, Activation::kTanh,    Opt::kAdam,     LossKind::kMse,  150, 32, 0.0, false, 0x3a297c97993cfdc6ull, 1},
   {"nn64_sigmoid_momentum_mse_sweep", 64, Activation::kSigmoid, Opt::kMomentum, LossKind::kMse,  150, 32, 0.0, false, 0xdfd4740467518a6eull, 1},
+  // The paper's LR shape, [1 → 1] under MSE at batch 32 with ragged last
+  // batches: the fused LR fit. Recorded before that fit existed.
+  {"lr_sgd_mse_d1",            0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,  203, 32, 0.2, false, 0xd6f5ae0dd5859f64ull, 1},
+  {"lr_momentum_mse_d1",       0,  Activation::kRelu,    Opt::kMomentum, LossKind::kMse,  150, 32, 0.0, false, 0x373c1945167ca7e7ull, 1},
   {"lr_sgd_mse_degenerate",    0,  Activation::kRelu,    Opt::kSgd,      LossKind::kMse,  20,  8,  0.0, true,  0x0243cfa845185aa5ull},
   {"nn_relu_adam_mse_degenerate", 6,  Activation::kRelu,    Opt::kAdam,     LossKind::kMse,  20,  8,  0.0, true,  0x5066f76b298ff985ull},
   {"nn_sigmoid_sgd_mse_degenerate", 6,  Activation::kSigmoid, Opt::kSgd,      LossKind::kMse,  20,  8,  0.0, true,  0x5066f76b298ff985ull},
