@@ -1,6 +1,10 @@
 // Reproduces Figures 3 & 4: the five per-dimension overlapping cases, with
 // a worked value table for each configuration, plus google-benchmark
 // micro-timings verifying the O(d) per-cluster cost claim of Section III-C.
+// Each table row must land in its figure's case with its exact h
+// (bench::ShapeCheck); a miss names the row on stderr and main returns 1.
+// Run with --benchmark_filter=^$ to skip the micro-timings (the tier-1
+// ctest does).
 
 #include <benchmark/benchmark.h>
 
@@ -28,14 +32,23 @@ void PrintCaseTable() {
     const char* description;
     Interval query;
     Interval cluster;
+    query::OverlapCase kase;  ///< The figure's case.
+    double h;                 ///< Its Eq. 2 ratio, exactly.
   };
+  using query::OverlapCase;
   const Row rows[] = {
-      {"3a", "query inside cluster", {2, 4}, {0, 10}},
-      {"3b", "only query min inside cluster", {6, 14}, {0, 10}},
-      {"3c", "only query max inside cluster", {-4, 6}, {0, 10}},
-      {"4a", "disjoint, query right of cluster", {20, 30}, {0, 10}},
-      {"4b", "disjoint, query left of cluster", {-30, -20}, {0, 10}},
-      {"--", "cluster inside query (extension)", {0, 10}, {3, 5}},
+      {"3a", "query inside cluster", {2, 4}, {0, 10},
+       OverlapCase::kQueryInsideCluster, 2.0 / 10.0},
+      {"3b", "only query min inside cluster", {6, 14}, {0, 10},
+       OverlapCase::kQueryMinInside, 4.0 / 14.0},
+      {"3c", "only query max inside cluster", {-4, 6}, {0, 10},
+       OverlapCase::kQueryMaxInside, 6.0 / 14.0},
+      {"4a", "disjoint, query right of cluster", {20, 30}, {0, 10},
+       OverlapCase::kDisjointQueryRight, 0.0},
+      {"4b", "disjoint, query left of cluster", {-30, -20}, {0, 10},
+       OverlapCase::kDisjointQueryLeft, 0.0},
+      {"--", "cluster inside query (extension)", {0, 10}, {3, 5},
+       OverlapCase::kClusterInsideQuery, 1.0},
   };
   std::printf("%-4s %-36s %-12s %-12s %-26s %8s\n", "fig", "configuration",
               "query", "cluster", "case", "h");
@@ -46,6 +59,11 @@ void PrintCaseTable() {
                 row.figure, row.description, row.query.lo, row.query.hi,
                 row.cluster.lo, row.cluster.hi, OverlapCaseName(d.kase),
                 d.value);
+    bench::ShapeCheck(
+        StrFormat("fig %s: %s, h = %.17g", row.figure,
+                  OverlapCaseName(row.kase), row.h)
+            .c_str(),
+        d.kase == row.kase && d.value == row.h);
   }
   std::printf("\n");
 }
@@ -117,5 +135,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -370,20 +370,96 @@ Result<EnsembleModel> EnsembleModel::Create(
   return EnsembleModel(std::move(models), std::move(weights));
 }
 
-Result<AveragedPredictions> EnsembleModel::PredictAveraged(
-    const Matrix& x) const {
+namespace {
+
+/// `model`'s one-column prediction over `x` into out[0, x.rows()): a linear
+/// scalar head in MatMulAddBiasInto's order, any other model through
+/// PredictInto on `ws`. Bit for bit model.Predict(x).
+Status PredictColumnInto(const ml::SequentialModel& model, const Matrix& x,
+                         ml::TrainWorkspace* ws, double* out) {
+  if (model.num_layers() == 1 && model.layer(0).IsLinearScalarHead()) {
+    const ml::DenseLayer& head = model.layer(0);
+    if (x.cols() != head.in_features()) {
+      return Status::InvalidArgument(
+          StrFormat("DenseLayer::Apply: input has %zu features, expected %zu",
+                    x.cols(), head.in_features()));
+    }
+    const double* w = head.weights().data().data();
+    const double b = head.bias()[0];
+    for (size_t r = 0; r < x.rows(); ++r) {
+      const double* row = x.RowPtr(r);
+      double z = 0.0;
+      for (size_t k = 0; k < x.cols(); ++k) z += row[k] * w[k];
+      out[r] = z + b;
+    }
+    return Status::OK();
+  }
+  QENS_RETURN_NOT_OK(model.PredictInto(x, ws));
+  const Matrix& pred = ws->layers.back().out;
+  if (pred.cols() != 1) {
+    return Status::InvalidArgument(
+        StrFormat("loss: pred %zux%zu vs target %zux1", pred.rows(),
+                  pred.cols(), x.rows()));
+  }
+  std::copy(pred.data().begin(), pred.data().end(), out);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<EnsembleLosses> EnsembleModel::ScoreMse(const Matrix& x,
+                                               const Matrix& y) const {
   QENS_ASSIGN_OR_RETURN(
       std::vector<double> equal,
       PredictionWeights(models_, std::vector<double>(models_.size(), 1.0)));
   QENS_ASSIGN_OR_RETURN(std::vector<double> lambda,
                         PredictionWeights(models_, weights_));
-  QENS_ASSIGN_OR_RETURN(std::vector<Matrix> preds,
-                        MemberPredictions(models_, x));
-  AveragedPredictions out;
-  QENS_ASSIGN_OR_RETURN(out.model_averaging, CombinePredictions(preds, equal));
-  QENS_ASSIGN_OR_RETURN(out.weighted_averaging,
-                        CombinePredictions(preds, lambda));
-  return out;
+  const size_t members = models_.size();
+  const size_t n = x.rows();
+  // Member i's predictions are preds[i * n, (i + 1) * n); the merged
+  // model's follow the last member's.
+  std::vector<double> preds((members + 1) * n);
+  ml::TrainWorkspace ws;
+  for (size_t i = 0; i < members; ++i) {
+    double* p = preds.data() + i * n;
+    QENS_RETURN_NOT_OK(PredictColumnInto(models_[i], x, &ws, p));
+    if (!std::all_of(p, p + n, [](double v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument(StrFormat(
+          "aggregate: model %zu produced non-finite predictions", i));
+    }
+  }
+  if (y.rows() != n || y.cols() != 1) {
+    return Status::InvalidArgument(StrFormat(
+        "loss: pred %zux1 vs target %zux%zu", n, y.rows(), y.cols()));
+  }
+  if (n == 0) return Status::InvalidArgument("loss: empty inputs");
+  QENS_ASSIGN_OR_RETURN(
+      ml::SequentialModel merged,
+      MergeParameters(AggregationKind::kFedAvgParameters, models_, weights_));
+  double* fed = preds.data() + members * n;
+  QENS_RETURN_NOT_OK(PredictColumnInto(merged, x, &ws, fed));
+
+  const double* t = y.data().data();
+  double sum_avg = 0.0;
+  double sum_weighted = 0.0;
+  double sum_fedavg = 0.0;
+  for (size_t r = 0; r < n; ++r) {
+    double avg = preds[r] * equal[0];
+    double weighted = preds[r] * lambda[0];
+    for (size_t i = 1; i < members; ++i) {
+      avg += equal[i] * preds[i * n + r];
+      weighted += lambda[i] * preds[i * n + r];
+    }
+    const double d_avg = avg - t[r];
+    const double d_weighted = weighted - t[r];
+    const double d_fedavg = fed[r] - t[r];
+    sum_avg += d_avg * d_avg;
+    sum_weighted += d_weighted * d_weighted;
+    sum_fedavg += d_fedavg * d_fedavg;
+  }
+  const double rows = static_cast<double>(n);
+  return EnsembleLosses{sum_avg / rows, sum_weighted / rows,
+                        sum_fedavg / rows};
 }
 
 Result<Matrix> EnsembleModel::Predict(

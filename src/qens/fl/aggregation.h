@@ -108,10 +108,12 @@ bool MeetsQuorum(size_t survivors, size_t planned, double min_quorum_frac);
 
 /// @}
 
-/// The paper's two prediction-space answers for one input.
-struct AveragedPredictions {
-  Matrix model_averaging;     ///< Eq. 6.
-  Matrix weighted_averaging;  ///< Eq. 7.
+/// The session's three answers to one query, each scored by its mean
+/// squared error against the same held-out rows.
+struct EnsembleLosses {
+  double model_averaging = 0.0;     ///< Eq. 6.
+  double weighted_averaging = 0.0;  ///< Eq. 7.
+  double fedavg = 0.0;              ///< The kFedAvgParameters merge.
 };
 
 /// A trained ensemble the leader keeps per query: the l local models plus
@@ -136,11 +138,19 @@ class EnsembleModel {
                          const RobustAggregationOptions& robust =
                              RobustAggregationOptions()) const;
 
-  /// Eq. 6 and Eq. 7 together from one prediction per member: each member
-  /// predicts `x` once and both answers combine those predictions.
-  /// Bit-identical to Predict(x, kModelAveraging) and
-  /// Predict(x, kWeightedAveraging), failing where they fail.
-  Result<AveragedPredictions> PredictAveraged(const Matrix& x) const;
+  /// Eq. 6, Eq. 7 and FedAvg scored together against targets `y`. Each
+  /// member predicts `x` once into one members x rows buffer: a linear
+  /// scalar head directly, z = (0.0 + x·w) + b (MatMulAddBiasInto's
+  /// order), and any other model through PredictInto with one workspace
+  /// (the hidden-layer sweep with one reused tile). The FedAvg merge is
+  /// built and predicts once. One ascending pass over the rows then adds
+  /// up the three squared-error sums, combining members in
+  /// CombinePredictions' order (p₀·λ₀, then += λᵢ·pᵢ) and each sum in
+  /// ComputeLoss's (from 0.0, divided by the row count). Every loss is bit
+  /// for bit ComputeLoss(kMse, Predict(x, kind), y), and the call fails
+  /// where those fail: the weights, a member's prediction or a non-finite
+  /// one (MemberPredictions' InvalidArgument), the shapes, then the merge.
+  Result<EnsembleLosses> ScoreMse(const Matrix& x, const Matrix& y) const;
 
  private:
   EnsembleModel(std::vector<ml::SequentialModel> models,

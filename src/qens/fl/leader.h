@@ -6,7 +6,9 @@
 /// every participant's published profile against it (Eqs. 2–4), and cut the
 /// ranked list into the participant set N'(q) (top-l or Eq. 5 threshold).
 /// The leader never touches raw node data — only profiles. Ranking is the
-/// paper's scan over every node's cluster boxes (selection::RankNodes).
+/// paper's scan over every node's cluster boxes: selection::ScanRanks over
+/// the leader's flat BoxTable, built from the profiles at construction and
+/// rebuilt by PublishRefreshedProfile.
 
 #include <cstddef>
 #include <cstdint>
@@ -23,9 +25,11 @@ namespace qens::fl {
 
 /// The leader's per-query selection decision.
 struct SelectionDecision {
-  /// All N nodes, DESC by ranking (id-ascending tie-break).
+  /// All N nodes, DESC by ranking (id-ascending tie-break), without their
+  /// cluster_scores.
   std::vector<selection::NodeRank> all_ranks;
-  std::vector<selection::NodeRank> selected;   ///< The chosen N'(q).
+  /// The chosen N'(q), a prefix of all_ranks, with their cluster_scores.
+  std::vector<selection::NodeRank> selected;
 
   /// Raw rankings of the selected nodes (Eq. 7 weights, pre-normalization).
   std::vector<double> SelectedRankings() const;
@@ -41,11 +45,7 @@ class Leader {
   Leader(std::vector<selection::NodeProfile> profiles,
          selection::RankingOptions ranking_options,
          selection::QueryDrivenOptions selection_options,
-         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0)
-      : owned_profiles_(std::move(profiles)),
-        ranking_options_(ranking_options),
-        selection_options_(selection_options),
-        fleet_epoch_(fleet_epoch) {}
+         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0);
 
   /// Copy-on-write construction over a shared immutable profile vector
   /// (typically Fleet::profiles, built once per fleet). Ranking reads the
@@ -57,11 +57,7 @@ class Leader {
   Leader(std::shared_ptr<const std::vector<selection::NodeProfile>> shared,
          selection::RankingOptions ranking_options,
          selection::QueryDrivenOptions selection_options,
-         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0)
-      : shared_profiles_(std::move(shared)),
-        ranking_options_(ranking_options),
-        selection_options_(selection_options),
-        fleet_epoch_(fleet_epoch) {}
+         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0);
 
   const std::vector<selection::NodeProfile>& profiles() const {
     return shared_profiles_ != nullptr ? *shared_profiles_ : owned_profiles_;
@@ -77,12 +73,16 @@ class Leader {
     return selection_options_;
   }
 
-  /// Rank all nodes for `query` (no cut applied).
+  /// Rank all nodes for `query` (no cut applied), each with its
+  /// cluster_scores.
   Result<std::vector<selection::NodeRank>> Rank(
       const query::RangeQuery& query) const;
 
-  /// Rank and select per the configured query-driven policy.
-  Result<SelectionDecision> Decide(const query::RangeQuery& query) const;
+  /// Rank and select per the configured query-driven policy. Scans into
+  /// the leader's reused buffers, so once they have grown its allocations
+  /// do not depend on the number of nodes or clusters: all_ranks and
+  /// selected, plus one cluster_scores per selected node.
+  Result<SelectionDecision> Decide(const query::RangeQuery& query);
 
   /// How one engaged node ended a round, for the reliability history.
   enum class RoundResult { kCompleted, kFailed, kMissedDeadline, kRejected };
@@ -119,6 +119,10 @@ class Leader {
   /// Non-null while profiles are still the shared immutable vector.
   std::shared_ptr<const std::vector<selection::NodeProfile>> shared_profiles_;
   std::vector<selection::NodeProfile> owned_profiles_;
+  /// Every profile's cluster boxes; rebuilt whenever a profile's clusters
+  /// change.
+  selection::BoxTable table_;
+  selection::RankScan scan_;  ///< Decide's buffers, reused across queries.
   selection::RankingOptions ranking_options_;
   selection::QueryDrivenOptions selection_options_;
   uint64_t fleet_epoch_ = 0;

@@ -125,25 +125,50 @@ double Fleet::DenormalizeMse(double mse) const {
 Result<data::Dataset> Fleet::QueryRegionTestData(
     const query::RangeQuery& query) const {
   QENS_ASSIGN_OR_RETURN(query::RangeQuery internal, InternalQuery(query));
-  std::vector<const data::Dataset*> shards;
-  for (const data::Dataset& shard : test_shards) shards.push_back(&shard);
+  std::vector<const data::Dataset*> shards(test_shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) shards[i] = &test_shards[i];
   return PoolRegionRows(internal, shards);
 }
 
 Result<data::Dataset> Fleet::PoolRegionRows(
     const query::RangeQuery& internal,
     std::span<const data::Dataset* const> shards) {
-  std::vector<std::vector<size_t>> matches(shards.size());
-  std::vector<data::RowView> views;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    QENS_ASSIGN_OR_RETURN(matches[i],
-                          internal.MatchingRows(shards[i]->features()));
-    if (!matches[i].empty()) views.push_back({shards[i], matches[i]});
+  // One pass: every row is copied to the pool's next free slot, which
+  // advances only past a matching row, so the pool is sized once for every
+  // shard row and trimmed to the matches afterwards.
+  const size_t cols = internal.dims();
+  size_t capacity = 0;
+  for (const data::Dataset* shard : shards) {
+    const Matrix& x = shard->features();
+    if (x.cols() != cols) return internal.MatchingRows(x).status();
+    capacity += x.rows();
   }
-  if (views.empty()) {
+  Matrix features(capacity, cols);
+  Matrix targets(capacity, 1);
+  double* f = features.data().data();
+  double* t = targets.data().data();
+  size_t out = 0;
+  const data::Dataset* first = nullptr;  // Names the pool's columns.
+  for (const data::Dataset* shard : shards) {
+    const double* x = shard->features().data().data();
+    const double* y = shard->targets().data().data();
+    const size_t rows = shard->NumSamples();
+    const size_t before = out;
+    for (size_t r = 0; r < rows; ++r) {
+      const double* row = x + r * cols;
+      for (size_t d = 0; d < cols; ++d) f[out * cols + d] = row[d];
+      t[out] = y[r];
+      out += internal.ContainsRow(row) ? 1 : 0;
+    }
+    if (first == nullptr && out != before) first = shard;
+  }
+  if (out == 0) {
     return Status::NotFound("no test rows inside the query region");
   }
-  return data::GatherRows(views);
+  features.ResizeUninitialized(out, cols);
+  targets.ResizeUninitialized(out, 1);
+  return data::Dataset::Create(std::move(features), std::move(targets),
+                               first->feature_names(), first->target_name());
 }
 
 Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
@@ -213,7 +238,7 @@ Result<QuerySession> QuerySession::Create(std::shared_ptr<const Fleet> fleet,
 
 Result<std::vector<size_t>> QuerySession::ChooseNodes(
     const query::RangeQuery& query, selection::PolicyKind policy,
-    QueryOutcome* outcome) {
+    QueryOutcome* outcome, std::vector<selection::NodeRank>* ranks) {
   const sim::EdgeEnvironment& environment = fleet_->environment;
   const FederationOptions& options = fleet_->options;
   const size_t n = environment.num_nodes();
@@ -222,7 +247,9 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
       QENS_ASSIGN_OR_RETURN(SelectionDecision decision,
                             leader_.Decide(query));
       outcome->selected_rankings = decision.SelectedRankings();
-      return decision.SelectedNodeIds();
+      std::vector<size_t> ids = decision.SelectedNodeIds();
+      *ranks = std::move(decision.selected);
+      return ids;
     }
     case selection::PolicyKind::kRandom: {
       // A fresh stream per query, keyed by query id: independent across
@@ -259,9 +286,8 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
       // The selector's fairness state is inherently sequential over the
       // query stream; only its seed comes from the registry.
       StochasticParticipation();  // Builds the selector on first use.
-      QENS_ASSIGN_OR_RETURN(std::vector<selection::NodeRank> ranks,
-                            leader_.Rank(query));
-      return stochastic_->Select(ranks);
+      QENS_ASSIGN_OR_RETURN(*ranks, leader_.Rank(query));
+      return stochastic_->Select(*ranks);
     }
     case selection::PolicyKind::kGameTheory: {
       // GT probes with the leader's local (train) data against every node's
@@ -344,8 +370,9 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   }
   outcome.test_rows = test->NumSamples();
 
+  std::vector<selection::NodeRank> ranks;
   QENS_ASSIGN_OR_RETURN(std::vector<size_t> chosen,
-                        ChooseNodes(internal, policy, &outcome));
+                        ChooseNodes(internal, policy, &outcome, &ranks));
 
   // Volatile clients: selected nodes may be offline for this query.
   if (options.dropout_rate > 0.0) {
@@ -373,15 +400,15 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
     return outcome;
   }
 
-  // Rankings for selectivity: the query-driven policy computed them in
-  // ChooseNodes; for baselines with selectivity requested we still need
-  // per-node supporting clusters, so rank on demand.
-  std::vector<selection::NodeRank> all_ranks;
-  if (data_selectivity) {
-    QENS_ASSIGN_OR_RETURN(all_ranks, leader_.Rank(internal));
+  // Rankings for selectivity: a ranked policy left its candidates' records
+  // in `ranks` (never empty once a node is chosen); for baselines with
+  // selectivity requested we still need per-node supporting clusters, so
+  // rank on demand.
+  if (data_selectivity && ranks.empty()) {
+    QENS_ASSIGN_OR_RETURN(ranks, leader_.Rank(internal));
   }
   auto rank_of_node = [&](size_t node_id) -> const selection::NodeRank* {
-    for (const auto& r : all_ranks) {
+    for (const auto& r : ranks) {
       if (r.node_id == node_id) return &r;
     }
     return nullptr;
@@ -479,22 +506,13 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
 
   const Matrix& x_test = test->features();
   const Matrix& y_test = test->targets();
-  // Eq. 6 and Eq. 7 share one prediction per member.
-  QENS_ASSIGN_OR_RETURN(AveragedPredictions averaged,
-                        ensemble.PredictAveraged(x_test));
-  QENS_ASSIGN_OR_RETURN(
-      outcome.loss_model_avg,
-      ml::ComputeLoss(ml::LossKind::kMse, averaged.model_averaging, y_test));
-  QENS_ASSIGN_OR_RETURN(
-      outcome.loss_weighted,
-      ml::ComputeLoss(ml::LossKind::kMse, averaged.weighted_averaging,
-                      y_test));
-  QENS_ASSIGN_OR_RETURN(
-      Matrix pred_fedavg,
-      ensemble.Predict(x_test, AggregationKind::kFedAvgParameters));
-  QENS_ASSIGN_OR_RETURN(
-      outcome.loss_fedavg,
-      ml::ComputeLoss(ml::LossKind::kMse, pred_fedavg, y_test));
+  // Eq. 6, Eq. 7 and FedAvg in one pass: one prediction per member and one
+  // of the merged model.
+  QENS_ASSIGN_OR_RETURN(EnsembleLosses losses,
+                        ensemble.ScoreMse(x_test, y_test));
+  outcome.loss_model_avg = losses.model_averaging;
+  outcome.loss_weighted = losses.weighted_averaging;
+  outcome.loss_fedavg = losses.fedavg;
 
   if (byz_on) {
     // Robust final answer under the configured aggregator, against the

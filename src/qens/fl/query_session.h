@@ -118,9 +118,12 @@ struct Fleet {
   Result<data::Dataset> QueryRegionTestData(
       const query::RangeQuery& query) const;
 
-  /// Rows of `shards` inside the internal-space query `internal`: every
-  /// shard's matching row ids, then one data::GatherRows in shard-then-row
-  /// order. NotFound when no row matches.
+  /// Rows of `shards` inside the internal-space query `internal`, in
+  /// shard-then-row order, with the column names of the first shard that
+  /// matches. One pass counts the matches and a second copies them into a
+  /// pool sized once, so the allocations do not depend on the number of
+  /// shards or matches. InvalidArgument (MatchingRows') when a shard's
+  /// width differs from the query's; NotFound when no row matches.
   static Result<data::Dataset> PoolRegionRows(
       const query::RangeQuery& internal,
       std::span<const data::Dataset* const> shards);
@@ -205,10 +208,12 @@ class QuerySession {
         network_(std::move(network)) {}
 
   /// Per-policy node choice; fills rankings for ranked policies. The query
-  /// must already be in internal units.
-  Result<std::vector<size_t>> ChooseNodes(const query::RangeQuery& query,
-                                          selection::PolicyKind policy,
-                                          QueryOutcome* outcome);
+  /// must already be in internal units. A ranked policy (query-driven,
+  /// stochastic) also leaves the ranking records of its candidates, with
+  /// their cluster scores, in *ranks; the others leave it empty.
+  Result<std::vector<size_t>> ChooseNodes(
+      const query::RangeQuery& query, selection::PolicyKind policy,
+      QueryOutcome* outcome, std::vector<selection::NodeRank>* ranks);
 
   std::shared_ptr<const Fleet> fleet_;
   uint64_t session_id_ = 0;

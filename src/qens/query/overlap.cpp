@@ -104,9 +104,9 @@ DimensionOverlap ComputeDimensionOverlap(const Interval& q, const Interval& k,
   return out;
 }
 
-Result<OverlapBreakdown> ComputeOverlapBreakdown(const HyperRectangle& query,
-                                                 const HyperRectangle& cluster,
-                                                 OverlapMode mode) {
+Result<double> ComputeOverlapRate(const HyperRectangle& query,
+                                  const HyperRectangle& cluster,
+                                  OverlapMode mode) {
   if (query.dims() == 0 || cluster.dims() == 0) {
     return Status::InvalidArgument("overlap: zero-dimensional box");
   }
@@ -118,24 +118,11 @@ Result<OverlapBreakdown> ComputeOverlapBreakdown(const HyperRectangle& query,
   if (!query.valid() || !cluster.valid()) {
     return Status::InvalidArgument("overlap: invalid box (min > max)");
   }
-  OverlapBreakdown out;
-  out.per_dimension.resize(query.dims());
   double acc = 0.0;
   for (size_t d = 0; d < query.dims(); ++d) {
-    out.per_dimension[d] =
-        ComputeDimensionOverlap(query.dim(d), cluster.dim(d), mode);
-    acc += out.per_dimension[d].value;
+    acc += ComputeDimensionOverlap(query.dim(d), cluster.dim(d), mode).value;
   }
-  out.rate = acc / static_cast<double>(query.dims());  // Eq. 2.
-  return out;
-}
-
-Result<double> ComputeOverlapRate(const HyperRectangle& query,
-                                  const HyperRectangle& cluster,
-                                  OverlapMode mode) {
-  QENS_ASSIGN_OR_RETURN(OverlapBreakdown b,
-                        ComputeOverlapBreakdown(query, cluster, mode));
-  return b.rate;
+  return acc / static_cast<double>(query.dims());  // Eq. 2.
 }
 
 }  // namespace qens::query

@@ -68,22 +68,12 @@ DimensionOverlap ComputeDimensionOverlap(const Interval& query,
                                          const Interval& cluster,
                                          OverlapMode mode);
 
-/// The paper's Eq. 2: h_ik = (1/d) * sum_d h_ik^d.
-/// Fails when dimensionalities differ, are zero, or a box is invalid.
+/// The paper's Eq. 2: h_ik = (1/d) * sum_d h_ik^d, the sum from 0.0 in
+/// ascending d. Fails when dimensionalities differ, are zero, or a box is
+/// invalid.
 Result<double> ComputeOverlapRate(const HyperRectangle& query,
                                   const HyperRectangle& cluster,
                                   OverlapMode mode = OverlapMode::kFaithful);
-
-/// Per-dimension breakdown alongside the Eq. 2 aggregate (for diagnostics
-/// and the Fig. 3/4 reproduction bench).
-struct OverlapBreakdown {
-  std::vector<DimensionOverlap> per_dimension;
-  double rate = 0.0;  ///< Eq. 2 average.
-};
-
-Result<OverlapBreakdown> ComputeOverlapBreakdown(
-    const HyperRectangle& query, const HyperRectangle& cluster,
-    OverlapMode mode = OverlapMode::kFaithful);
 
 }  // namespace qens::query
 

@@ -15,15 +15,7 @@ Result<std::vector<size_t>> RangeQuery::MatchingRows(
   }
   std::vector<size_t> rows;
   for (size_t r = 0; r < features.rows(); ++r) {
-    const double* p = features.RowPtr(r);
-    bool inside = true;
-    for (size_t d = 0; d < region.dims(); ++d) {
-      if (!region.dim(d).Contains(p[d])) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) rows.push_back(r);
+    if (ContainsRow(features.RowPtr(r))) rows.push_back(r);
   }
   return rows;
 }

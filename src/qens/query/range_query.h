@@ -24,6 +24,18 @@ struct RangeQuery {
 
   size_t dims() const { return region.dims(); }
 
+  /// True iff the row of dims() values at `row` lies inside the region
+  /// (closed intervals). Tests every dimension without branching, so a
+  /// scan over rows pays no misprediction on the outcome.
+  bool ContainsRow(const double* row) const {
+    bool inside = true;
+    for (size_t d = 0; d < region.dims(); ++d) {
+      const Interval& iv = region.dim(d);
+      inside &= (iv.lo <= row[d]) & (row[d] <= iv.hi);
+    }
+    return inside;
+  }
+
   /// Indices of rows of `features` lying inside the query region.
   /// Fails when the feature width does not match the query dimensionality.
   Result<std::vector<size_t>> MatchingRows(const Matrix& features) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "qens/common/string_util.h"
 
@@ -15,9 +16,65 @@ std::vector<size_t> NodeRank::SupportingClusterIds() const {
   return ids;
 }
 
-Result<NodeRank> RankNode(const NodeProfile& profile,
-                          const query::RangeQuery& query,
-                          const RankingOptions& options) {
+BoxTable::BoxTable(std::span<const NodeProfile> profiles) {
+  size_t total = 0;
+  bool have_dims = false;
+  for (const NodeProfile& profile : profiles) {
+    for (const auto& cluster : profile.clusters) {
+      if (!have_dims && cluster.size != 0) {
+        dims = cluster.bounds.dims();
+        have_dims = true;
+      }
+    }
+    total += profile.clusters.size();
+  }
+  node_offsets.reserve(profiles.size() + 1);
+  node_offsets.push_back(0);
+  sizes.reserve(total);
+  box_ok.reserve(total);
+  bounds.resize(total * dims);
+  for (const NodeProfile& profile : profiles) {
+    for (const auto& cluster : profile.clusters) {
+      const bool ok = cluster.bounds.dims() == dims && cluster.bounds.valid();
+      if (ok) {
+        std::copy(cluster.bounds.intervals().begin(),
+                  cluster.bounds.intervals().end(),
+                  bounds.begin() + static_cast<ptrdiff_t>(sizes.size() * dims));
+      }
+      sizes.push_back(cluster.size);
+      box_ok.push_back(ok ? 1 : 0);
+    }
+    node_offsets.push_back(sizes.size());
+  }
+}
+
+namespace {
+
+/// The Status of a non-empty cluster the scan cannot score: the one
+/// ComputeOverlapRate returns for the same pair of boxes.
+Status BoxError(const query::HyperRectangle& query,
+                const query::HyperRectangle& cluster,
+                query::OverlapMode mode) {
+  const Result<double> rate = query::ComputeOverlapRate(query, cluster, mode);
+  if (rate.ok()) return Status::Internal("ranking: box table out of date");
+  return rate.status();
+}
+
+}  // namespace
+
+Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
+                 const query::RangeQuery& query, const RankingOptions& options,
+                 RankScan* scan) {
+  const size_t n = profiles.size();
+  if (table.num_nodes() != n) {
+    return Status::Internal(
+        StrFormat("ranking: box table has %zu nodes, %zu profiles",
+                  table.num_nodes(), n));
+  }
+  scan->nodes.resize(n);
+  scan->clusters.resize(table.sizes.size());
+  scan->order.resize(n);
+  if (n == 0) return Status::OK();
   if (options.epsilon <= 0.0) {
     return Status::InvalidArgument("RankNode: epsilon must be > 0");
   }
@@ -29,79 +86,135 @@ Result<NodeRank> RankNode(const NodeProfile& profile,
     return Status::InvalidArgument(
         "RankNode: staleness_weight must be >= 0");
   }
-  if (profile.clusters.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("RankNode: node %zu has no clusters", profile.node_id));
-  }
-  NodeRank rank;
-  rank.node_id = profile.node_id;
-  rank.total_clusters = profile.clusters.size();
-  rank.total_samples = profile.total_samples;
-  rank.cluster_scores.reserve(profile.clusters.size());
+  const size_t dims = table.dims;
+  const bool query_ok =
+      dims > 0 && query.dims() == dims && query.region.valid();
+  const query::Interval* q = query.region.intervals().data();
 
-  for (size_t k = 0; k < profile.clusters.size(); ++k) {
-    const auto& cluster = profile.clusters[k];
-    ClusterScore score;
-    score.cluster_id = k;
-    if (cluster.size == 0) {
-      // Empty cluster (possible after k > m quantization): never supports.
+  for (size_t p = 0; p < n; ++p) {
+    const NodeProfile& profile = profiles[p];
+    const size_t begin = table.node_offsets[p];
+    const size_t end = table.node_offsets[p + 1];
+    if (begin == end) {
+      return Status::InvalidArgument(
+          StrFormat("RankNode: node %zu has no clusters", profile.node_id));
+    }
+    NodeRank& rank = scan->nodes[p];
+    rank.node_id = profile.node_id;
+    rank.potential = 0.0;
+    rank.supporting_clusters = 0;
+    rank.total_clusters = end - begin;
+    rank.supporting_samples = 0;
+    rank.total_samples = profile.total_samples;
+
+    for (size_t c = begin; c < end; ++c) {
+      ClusterScore& score = scan->clusters[c];
+      score.cluster_id = c - begin;
       score.overlap = 0.0;
       score.supporting = false;
-    } else {
-      QENS_ASSIGN_OR_RETURN(
-          score.overlap,
-          query::ComputeOverlapRate(query.region, cluster.bounds,
-                                    options.overlap_mode));
+      // Empty cluster (possible after k > m quantization): never supports.
+      if (table.sizes[c] == 0) continue;
+      if (!query_ok || table.box_ok[c] == 0) {
+        return BoxError(query.region, profile.clusters[c - begin].bounds,
+                        options.overlap_mode);
+      }
+      const query::Interval* k = table.bounds.data() + c * dims;
+      double acc = 0.0;
+      for (size_t d = 0; d < dims; ++d) {
+        acc += query::ComputeDimensionOverlap(q[d], k[d], options.overlap_mode)
+                   .value;
+      }
+      score.overlap = acc / static_cast<double>(dims);  // Eq. 2.
       score.supporting = score.overlap >= options.epsilon;
+      if (score.supporting) {
+        rank.potential += score.overlap;  // Eq. 3.
+        ++rank.supporting_clusters;
+        rank.supporting_samples += table.sizes[c];
+      }
     }
-    if (score.supporting) {
-      rank.potential += score.overlap;             // Eq. 3.
-      ++rank.supporting_clusters;
-      rank.supporting_samples += cluster.size;
+
+    // Eq. 4: r_i = p_i * K'/K.
+    rank.ranking = rank.potential *
+                   static_cast<double>(rank.supporting_clusters) /
+                   static_cast<double>(rank.total_clusters);
+
+    // Flaky-node penalty: scale by the observed success rate. With the
+    // default weight of 0 the factor is exactly 1 (pow(x, 0) == 1) and the
+    // paper's ranking is untouched.
+    rank.reliability = profile.reliability.SuccessRate();
+    if (options.reliability_weight > 0.0) {
+      rank.ranking *= std::pow(rank.reliability, options.reliability_weight);
     }
-    rank.cluster_scores.push_back(score);
+
+    // Stale-digest discount: a node whose data drifted s rounds ago without
+    // a refresh is ranked on geometry that no longer matches its samples;
+    // decay its score by (1/(1+s))^w. Weight 0 (default) leaves Eq. 4
+    // untouched.
+    rank.stale_rounds = profile.stale_rounds;
+    if (options.staleness_weight > 0.0) {
+      rank.ranking *=
+          std::pow(1.0 / (1.0 + static_cast<double>(rank.stale_rounds)),
+                   options.staleness_weight);
+    }
   }
 
-  // Eq. 4: r_i = p_i * K'/K.
-  rank.ranking = rank.potential *
-                 static_cast<double>(rank.supporting_clusters) /
-                 static_cast<double>(rank.total_clusters);
+  // DESC by ranking, ties by node id, then by profile order: a total order,
+  // so the in-place sort gives the stable sort's permutation.
+  std::iota(scan->order.begin(), scan->order.end(), size_t{0});
+  const std::vector<NodeRank>& nodes = scan->nodes;
+  std::sort(scan->order.begin(), scan->order.end(),
+            [&nodes](size_t a, size_t b) {
+              const NodeRank& x = nodes[a];
+              const NodeRank& y = nodes[b];
+              if (x.ranking != y.ranking) return x.ranking > y.ranking;
+              if (x.node_id != y.node_id) return x.node_id < y.node_id;
+              return a < b;
+            });
+  return Status::OK();
+}
 
-  // Flaky-node penalty: scale by the observed success rate. With the
-  // default weight of 0 the factor is exactly 1 (pow(x, 0) == 1) and the
-  // paper's ranking is untouched.
-  rank.reliability = profile.reliability.SuccessRate();
-  if (options.reliability_weight > 0.0) {
-    rank.ranking *= std::pow(rank.reliability, options.reliability_weight);
-  }
+std::span<const ClusterScore> ClusterScoresOf(const BoxTable& table,
+                                              const RankScan& scan, size_t p) {
+  return std::span<const ClusterScore>(scan.clusters)
+      .subspan(table.node_offsets[p],
+               table.node_offsets[p + 1] - table.node_offsets[p]);
+}
 
-  // Stale-digest discount: a node whose data drifted s rounds ago without a
-  // refresh is ranked on geometry that no longer matches its samples; decay
-  // its score by (1/(1+s))^w. Weight 0 (default) leaves Eq. 4 untouched.
-  rank.stale_rounds = profile.stale_rounds;
-  if (options.staleness_weight > 0.0) {
-    rank.ranking *=
-        std::pow(1.0 / (1.0 + static_cast<double>(rank.stale_rounds)),
-                 options.staleness_weight);
-  }
+namespace {
+
+NodeRank FullRank(const BoxTable& table, const RankScan& scan, size_t p) {
+  NodeRank rank = scan.nodes[p];
+  const std::span<const ClusterScore> scores = ClusterScoresOf(table, scan, p);
+  rank.cluster_scores.assign(scores.begin(), scores.end());
   return rank;
+}
+
+}  // namespace
+
+std::vector<NodeRank> FullRanks(const BoxTable& table, const RankScan& scan) {
+  std::vector<NodeRank> ranks;
+  ranks.reserve(scan.order.size());
+  for (size_t p : scan.order) ranks.push_back(FullRank(table, scan, p));
+  return ranks;
+}
+
+Result<NodeRank> RankNode(const NodeProfile& profile,
+                          const query::RangeQuery& query,
+                          const RankingOptions& options) {
+  const std::span<const NodeProfile> one(&profile, 1);
+  const BoxTable table(one);
+  RankScan scan;
+  QENS_RETURN_NOT_OK(ScanRanks(table, one, query, options, &scan));
+  return FullRank(table, scan, 0);
 }
 
 Result<std::vector<NodeRank>> RankNodes(
     const std::vector<NodeProfile>& profiles, const query::RangeQuery& query,
     const RankingOptions& options) {
-  std::vector<NodeRank> ranks;
-  ranks.reserve(profiles.size());
-  for (const auto& profile : profiles) {
-    QENS_ASSIGN_OR_RETURN(NodeRank r, RankNode(profile, query, options));
-    ranks.push_back(std::move(r));
-  }
-  std::stable_sort(ranks.begin(), ranks.end(),
-                   [](const NodeRank& a, const NodeRank& b) {
-                     if (a.ranking != b.ranking) return a.ranking > b.ranking;
-                     return a.node_id < b.node_id;
-                   });
-  return ranks;
+  const BoxTable table(profiles);
+  RankScan scan;
+  QENS_RETURN_NOT_OK(ScanRanks(table, profiles, query, options, &scan));
+  return FullRanks(table, scan);
 }
 
 }  // namespace qens::selection

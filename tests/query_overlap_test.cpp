@@ -167,16 +167,17 @@ TEST(OverlapRateTest, AveragesAcrossDimensions) {
   EXPECT_DOUBLE_EQ(ComputeOverlapRate(q, k).value(), 0.1);
 }
 
-TEST(OverlapRateTest, BreakdownMatchesRate) {
+TEST(OverlapRateTest, RateAveragesDimensionOverlaps) {
   auto q = HyperRectangle::FromFlatBounds({2, 4, 6, 14}).value();
   auto k = HyperRectangle::FromFlatBounds({0, 10, 0, 10}).value();
-  auto b = ComputeOverlapBreakdown(q, k);
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(b->per_dimension.size(), 2u);
-  EXPECT_EQ(b->per_dimension[0].kase, OverlapCase::kQueryInsideCluster);
-  EXPECT_EQ(b->per_dimension[1].kase, OverlapCase::kQueryMinInside);
-  EXPECT_DOUBLE_EQ(
-      b->rate, (b->per_dimension[0].value + b->per_dimension[1].value) / 2.0);
+  const DimensionOverlap d0 =
+      ComputeDimensionOverlap(q.dim(0), k.dim(0), OverlapMode::kFaithful);
+  const DimensionOverlap d1 =
+      ComputeDimensionOverlap(q.dim(1), k.dim(1), OverlapMode::kFaithful);
+  EXPECT_EQ(d0.kase, OverlapCase::kQueryInsideCluster);
+  EXPECT_EQ(d1.kase, OverlapCase::kQueryMinInside);
+  EXPECT_EQ(ComputeOverlapRate(q, k).value(),
+            ((0.0 + d0.value) + d1.value) / 2.0);
 }
 
 TEST(OverlapRateTest, Errors) {
