@@ -372,28 +372,10 @@ Result<EnsembleModel> EnsembleModel::Create(
 
 namespace {
 
-/// `model`'s one-column prediction over `x` into out[0, x.rows()): a linear
-/// scalar head in MatMulAddBiasInto's order, any other model through
+/// `model`'s one-column prediction over `x` into out[0, x.rows()), through
 /// PredictInto on `ws`. Bit for bit model.Predict(x).
 Status PredictColumnInto(const ml::SequentialModel& model, const Matrix& x,
                          ml::TrainWorkspace* ws, double* out) {
-  if (model.num_layers() == 1 && model.layer(0).IsLinearScalarHead()) {
-    const ml::DenseLayer& head = model.layer(0);
-    if (x.cols() != head.in_features()) {
-      return Status::InvalidArgument(
-          StrFormat("DenseLayer::Apply: input has %zu features, expected %zu",
-                    x.cols(), head.in_features()));
-    }
-    const double* w = head.weights().data().data();
-    const double b = head.bias()[0];
-    for (size_t r = 0; r < x.rows(); ++r) {
-      const double* row = x.RowPtr(r);
-      double z = 0.0;
-      for (size_t k = 0; k < x.cols(); ++k) z += row[k] * w[k];
-      out[r] = z + b;
-    }
-    return Status::OK();
-  }
   QENS_RETURN_NOT_OK(model.PredictInto(x, ws));
   const Matrix& pred = ws->layers.back().out;
   if (pred.cols() != 1) {

@@ -139,11 +139,9 @@ class EnsembleModel {
                              RobustAggregationOptions()) const;
 
   /// Eq. 6, Eq. 7 and FedAvg scored together against targets `y`. Each
-  /// member predicts `x` once into one members x rows buffer: a linear
-  /// scalar head directly, z = (0.0 + x·w) + b (MatMulAddBiasInto's
-  /// order), and any other model through PredictInto with one workspace
-  /// (the hidden-layer sweep with one reused tile). The FedAvg merge is
-  /// built and predicts once. One ascending pass over the rows then adds
+  /// member predicts `x` once, through PredictInto with one shared
+  /// workspace, into one members x rows buffer. The FedAvg merge is built
+  /// and predicts once. One ascending pass over the rows then adds
   /// up the three squared-error sums, combining members in
   /// CombinePredictions' order (p₀·λ₀, then += λᵢ·pᵢ) and each sum in
   /// ComputeLoss's (from 0.0, divided by the row count). Every loss is bit

@@ -20,35 +20,14 @@ std::vector<size_t> SelectionDecision::SelectedNodeIds() const {
   return out;
 }
 
-Leader::Leader(std::vector<selection::NodeProfile> profiles,
-               selection::RankingOptions ranking_options,
-               selection::QueryDrivenOptions selection_options,
-               std::nullptr_t, uint64_t fleet_epoch)
-    : owned_profiles_(std::move(profiles)),
-      table_(owned_profiles_),
-      ranking_options_(ranking_options),
-      selection_options_(selection_options),
-      fleet_epoch_(fleet_epoch) {}
-
-Leader::Leader(
-    std::shared_ptr<const std::vector<selection::NodeProfile>> shared,
-    selection::RankingOptions ranking_options,
-    selection::QueryDrivenOptions selection_options, std::nullptr_t,
-    uint64_t fleet_epoch)
-    : shared_profiles_(std::move(shared)),
-      table_(*shared_profiles_),
-      ranking_options_(ranking_options),
-      selection_options_(selection_options),
-      fleet_epoch_(fleet_epoch) {}
-
 Result<std::vector<selection::NodeRank>> Leader::Rank(
     const query::RangeQuery& query) const {
   obs::TraceSpan span("leader.rank");
   obs::Count("leader.rankings");
   selection::RankScan scan;
-  QENS_RETURN_NOT_OK(selection::ScanRanks(table_, profiles(), query,
-                                          ranking_options_, &scan));
-  return selection::FullRanks(table_, scan);
+  QENS_RETURN_NOT_OK(
+      selection::ScanRanks(profiles(), query, ranking_options_, &scan));
+  return selection::FullRanks(scan);
 }
 
 Result<SelectionDecision> Leader::Decide(const query::RangeQuery& query) {
@@ -56,25 +35,21 @@ Result<SelectionDecision> Leader::Decide(const query::RangeQuery& query) {
   {
     obs::TraceSpan rank_span("leader.rank");
     obs::Count("leader.rankings");
-    QENS_RETURN_NOT_OK(selection::ScanRanks(table_, profiles(), query,
-                                            ranking_options_, &scan_));
+    QENS_RETURN_NOT_OK(
+        selection::ScanRanks(profiles(), query, ranking_options_, &scan_));
   }
   SelectionDecision decision;
   decision.all_ranks.reserve(scan_.order.size());
   for (size_t p : scan_.order) decision.all_ranks.push_back(scan_.nodes[p]);
   QENS_ASSIGN_OR_RETURN(
-      decision.selected,
-      selection::SelectQueryDriven(decision.all_ranks, selection_options_));
-  // Both cuts keep a prefix of the descending list (rankings are >= 0, so
-  // the zero-ranked nodes top-l drops are its tail): selected[i] is the
-  // profile at scan_.order[i].
-  for (size_t i = 0; i < decision.selected.size(); ++i) {
-    selection::NodeRank& rank = decision.selected[i];
-    if (rank.node_id != decision.all_ranks[i].node_id) {
-      return Status::Internal("Leader::Decide: the cut is not a prefix");
-    }
+      const size_t kept,
+      selection::QueryDrivenCutLength(decision.all_ranks, selection_options_));
+  decision.selected.reserve(kept);
+  for (size_t i = 0; i < kept; ++i) {
+    selection::NodeRank& rank = decision.selected.emplace_back(
+        decision.all_ranks[i]);
     const std::span<const selection::ClusterScore> scores =
-        selection::ClusterScoresOf(table_, scan_, scan_.order[i]);
+        selection::ClusterScoresOf(scan_, scan_.order[i]);
     rank.cluster_scores.assign(scores.begin(), scores.end());
   }
   obs::Count("leader.decisions");
@@ -124,7 +99,6 @@ Status Leader::PublishRefreshedProfile(const selection::NodeProfile& fresh) {
   profile.total_samples = fresh.total_samples;
   profile.stale_rounds = 0;  // The digest matches the data again.
   // Reliability history is the leader's own observation — it survives.
-  table_ = selection::BoxTable(profiles());
   ++fleet_epoch_;
   obs::Count("leader.profile_refreshes");
   return Status::OK();

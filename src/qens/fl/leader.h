@@ -6,9 +6,7 @@
 /// every participant's published profile against it (Eqs. 2–4), and cut the
 /// ranked list into the participant set N'(q) (top-l or Eq. 5 threshold).
 /// The leader never touches raw node data — only profiles. Ranking is the
-/// paper's scan over every node's cluster boxes: selection::ScanRanks over
-/// the leader's flat BoxTable, built from the profiles at construction and
-/// rebuilt by PublishRefreshedProfile.
+/// paper's scan over every node's cluster boxes (selection::ScanRanks).
 
 #include <cstddef>
 #include <cstdint>
@@ -26,9 +24,10 @@ namespace qens::fl {
 /// The leader's per-query selection decision.
 struct SelectionDecision {
   /// All N nodes, DESC by ranking (id-ascending tie-break), without their
-  /// cluster_scores.
+  /// cluster_scores: SupportingClusterIds() is empty on these records.
   std::vector<selection::NodeRank> all_ranks;
-  /// The chosen N'(q), a prefix of all_ranks, with their cluster_scores.
+  /// The chosen N'(q), the cut's prefix of all_ranks, each with its
+  /// cluster_scores.
   std::vector<selection::NodeRank> selected;
 
   /// Raw rankings of the selected nodes (Eq. 7 weights, pre-normalization).
@@ -45,7 +44,11 @@ class Leader {
   Leader(std::vector<selection::NodeProfile> profiles,
          selection::RankingOptions ranking_options,
          selection::QueryDrivenOptions selection_options,
-         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0);
+         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0)
+      : owned_profiles_(std::move(profiles)),
+        ranking_options_(ranking_options),
+        selection_options_(selection_options),
+        fleet_epoch_(fleet_epoch) {}
 
   /// Copy-on-write construction over a shared immutable profile vector
   /// (typically Fleet::profiles, built once per fleet). Ranking reads the
@@ -57,7 +60,11 @@ class Leader {
   Leader(std::shared_ptr<const std::vector<selection::NodeProfile>> shared,
          selection::RankingOptions ranking_options,
          selection::QueryDrivenOptions selection_options,
-         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0);
+         std::nullptr_t = nullptr, uint64_t fleet_epoch = 0)
+      : shared_profiles_(std::move(shared)),
+        ranking_options_(ranking_options),
+        selection_options_(selection_options),
+        fleet_epoch_(fleet_epoch) {}
 
   const std::vector<selection::NodeProfile>& profiles() const {
     return shared_profiles_ != nullptr ? *shared_profiles_ : owned_profiles_;
@@ -119,9 +126,6 @@ class Leader {
   /// Non-null while profiles are still the shared immutable vector.
   std::shared_ptr<const std::vector<selection::NodeProfile>> shared_profiles_;
   std::vector<selection::NodeProfile> owned_profiles_;
-  /// Every profile's cluster boxes; rebuilt whenever a profile's clusters
-  /// change.
-  selection::BoxTable table_;
   selection::RankScan scan_;  ///< Decide's buffers, reused across queries.
   selection::RankingOptions ranking_options_;
   selection::QueryDrivenOptions selection_options_;

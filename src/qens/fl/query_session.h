@@ -120,9 +120,12 @@ struct Fleet {
 
   /// Rows of `shards` inside the internal-space query `internal`, in
   /// shard-then-row order, with the column names of the first shard that
-  /// matches. One pass counts the matches and a second copies them into a
-  /// pool sized once, so the allocations do not depend on the number of
-  /// shards or matches. InvalidArgument (MatchingRows') when a shard's
+  /// matches. One branch-free pass copies every shard row to the pool's
+  /// next free slot, which advances only past a match, then drops the
+  /// trailing rows (Matrix::ResizeUninitialized keeps the leading ones). The
+  /// pool is sized for every shard row and keeps that allocation, so the
+  /// allocations do not depend on the number of shards or matches, but each
+  /// query writes and holds the whole test set. InvalidArgument (MatchingRows') when a shard's
   /// width differs from the query's; NotFound when no row matches.
   static Result<data::Dataset> PoolRegionRows(
       const query::RangeQuery& internal,

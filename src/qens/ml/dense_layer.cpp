@@ -46,6 +46,29 @@ Status DenseLayer::ForwardInto(const Matrix& x, LayerBuffers* buf) const {
   return Status::OK();
 }
 
+Status DenseLayer::ScalarHeadPredictInto(const Matrix& x, Matrix* out) const {
+  if (!IsLinearScalarHead()) {
+    return Status::FailedPrecondition(
+        "DenseLayer::ScalarHeadPredictInto: not a 1-unit identity layer");
+  }
+  if (x.cols() != in_features_) {
+    return Status::InvalidArgument(StrFormat(
+        "DenseLayer::ForwardInto: input has %zu features, expected %zu",
+        x.cols(), in_features_));
+  }
+  out->ResizeUninitialized(x.rows(), 1);
+  const double* w = weights_.data().data();  // (in x 1): one weight per row.
+  const double b = bias_[0];
+  double* z = out->data().data();
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const double* row = x.RowPtr(r);
+    double acc = 0.0;
+    for (size_t k = 0; k < in_features_; ++k) acc += row[k] * w[k];
+    z[r] = acc + b;
+  }
+  return Status::OK();
+}
+
 Status DenseLayer::BackwardInto(const Matrix& x, const Matrix& grad_out,
                                 bool want_dx, LayerBuffers* buf,
                                 DenseGradients* grads) const {

@@ -83,6 +83,12 @@ class DenseLayer {
   Status MseHeadInto(const Matrix& x, const Matrix& target, double* loss,
                      DenseGradients* grads, Matrix* dx) const;
 
+  /// Inference for a linear scalar head in one pass: out (batch x 1) gets
+  /// z = (0.0 + Σ_k x(r, k)·w_k) + b per row, with k ascending. Bit for bit
+  /// ForwardInto's output (MatMulAddBiasInto, then the identity), failing
+  /// where it fails. Requires IsLinearScalarHead().
+  Status ScalarHeadPredictInto(const Matrix& x, Matrix* out) const;
+
   /// Apply a parameter delta: W += alpha * dW, b += alpha * db.
   Status ApplyDelta(double alpha, const DenseGradients& delta);
 

@@ -120,6 +120,9 @@ Status SequentialModel::PredictInto(const Matrix& x,
     return HiddenSweepPredictInto(layers_[0], layers_[1], x, &ws->sweep_tile,
                                   &ws->layers[1].out);
   }
+  if (layers_.size() == 1 && layers_[0].IsLinearScalarHead()) {
+    return layers_[0].ScalarHeadPredictInto(x, &ws->layers[0].out);
+  }
   return ForwardLayers(layers_.size(), x, ws);
 }
 

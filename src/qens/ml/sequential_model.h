@@ -70,8 +70,10 @@ class SequentialModel {
 
   /// Predict into `ws`: the prediction lands in ws->layers.back().out, bit
   /// for bit Predict's, with no allocation once the buffers have grown. A
-  /// hidden-sweep model writes only that buffer and ws->sweep_tile, so
-  /// this is not a training forward: BackwardInto needs ForwardInto.
+  /// hidden-sweep model writes only that buffer and ws->sweep_tile, and a
+  /// lone linear scalar head (the paper LR) only that buffer, in one pass
+  /// (DenseLayer::ScalarHeadPredictInto), so this is not a training
+  /// forward: BackwardInto needs ForwardInto.
   Status PredictInto(const Matrix& x, TrainWorkspace* ws) const;
 
   /// Backprop dL/dprediction (`grad_out`) through the ForwardInto that

@@ -37,37 +37,51 @@ Result<PolicyKind> ParsePolicyKind(const std::string& name) {
   return Status::InvalidArgument("unknown policy: '" + name + "'");
 }
 
-Result<std::vector<NodeRank>> SelectTopL(const std::vector<NodeRank>& ranked,
-                                         size_t l, bool drop_zero_rank) {
-  if (l == 0) return Status::InvalidArgument("SelectTopL: l must be > 0");
-  std::vector<NodeRank> out;
-  out.reserve(std::min(l, ranked.size()));
-  for (const auto& r : ranked) {
-    if (out.size() >= l) break;
-    if (drop_zero_rank && r.ranking <= 0.0) continue;
-    out.push_back(r);
+Result<size_t> QueryDrivenCutLength(std::span<const NodeRank> ranked,
+                                    const QueryDrivenOptions& options) {
+  size_t kept = 0;
+  if (options.use_threshold) {
+    if (options.psi <= 0.0) {
+      return Status::InvalidArgument("SelectByThreshold: psi must be > 0");
+    }
+    while (kept < ranked.size() && ranked[kept].ranking >= options.psi) {
+      ++kept;
+    }
+    return kept;
   }
-  return out;
-}
-
-Result<std::vector<NodeRank>> SelectByThreshold(
-    const std::vector<NodeRank>& ranked, double psi) {
-  if (psi <= 0.0) {
-    return Status::InvalidArgument("SelectByThreshold: psi must be > 0");
+  if (options.top_l == 0) {
+    return Status::InvalidArgument("SelectTopL: l must be > 0");
   }
-  std::vector<NodeRank> out;
-  for (const auto& r : ranked) {
-    if (r.ranking >= psi) out.push_back(r);
+  const size_t limit = std::min(options.top_l, ranked.size());
+  while (kept < limit &&
+         !(options.drop_zero_rank && ranked[kept].ranking <= 0.0)) {
+    ++kept;
   }
-  return out;
+  return kept;
 }
 
 Result<std::vector<NodeRank>> SelectQueryDriven(
     const std::vector<NodeRank>& ranked, const QueryDrivenOptions& options) {
-  if (options.use_threshold) {
-    return SelectByThreshold(ranked, options.psi);
-  }
-  return SelectTopL(ranked, options.top_l, options.drop_zero_rank);
+  QENS_ASSIGN_OR_RETURN(const size_t kept,
+                        QueryDrivenCutLength(ranked, options));
+  return std::vector<NodeRank>(ranked.begin(),
+                               ranked.begin() + static_cast<ptrdiff_t>(kept));
+}
+
+Result<std::vector<NodeRank>> SelectTopL(const std::vector<NodeRank>& ranked,
+                                         size_t l, bool drop_zero_rank) {
+  QueryDrivenOptions options;
+  options.top_l = l;
+  options.drop_zero_rank = drop_zero_rank;
+  return SelectQueryDriven(ranked, options);
+}
+
+Result<std::vector<NodeRank>> SelectByThreshold(
+    const std::vector<NodeRank>& ranked, double psi) {
+  QueryDrivenOptions options;
+  options.use_threshold = true;
+  options.psi = psi;
+  return SelectQueryDriven(ranked, options);
 }
 
 Result<std::vector<size_t>> SelectRandom(size_t num_nodes, size_t l,

@@ -9,7 +9,9 @@
 ///   - AllNodes: every node, full local data;
 ///   - GameTheory: see game_theory.h (requires a training pre-round).
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,19 +46,27 @@ struct QueryDrivenOptions {
   bool drop_zero_rank = true;
 };
 
-/// Select from a DESC-sorted rank list (as produced by RankNodes) by top-l.
-/// Fails if l == 0.
+/// The cuts below read a rank list sorted DESC by ranking, with rankings
+/// >= 0, as RankNodes produces; on such a list each keeps a prefix.
+
+/// Select the top-l: the first l records, stopping at the first zero
+/// ranking when drop_zero_rank. Fails if l == 0.
 Result<std::vector<NodeRank>> SelectTopL(const std::vector<NodeRank>& ranked,
                                          size_t l,
                                          bool drop_zero_rank = true);
 
-/// Select N'(q) per Eq. 5. Fails if psi <= 0.
+/// Select N'(q) per Eq. 5: the records with r_i >= psi. Fails if psi <= 0.
 Result<std::vector<NodeRank>> SelectByThreshold(
     const std::vector<NodeRank>& ranked, double psi);
 
 /// Apply a QueryDrivenOptions cut to the ranked list.
 Result<std::vector<NodeRank>> SelectQueryDriven(
     const std::vector<NodeRank>& ranked, const QueryDrivenOptions& options);
+
+/// How many leading records of `ranked` the QueryDrivenOptions cut keeps:
+/// the length of SelectQueryDriven's prefix, failing where it fails.
+Result<size_t> QueryDrivenCutLength(std::span<const NodeRank> ranked,
+                                    const QueryDrivenOptions& options);
 
 /// Uniformly select l node ids out of [0, num_nodes). Fails when l == 0 or
 /// l > num_nodes. Deterministic in *rng.

@@ -16,63 +16,17 @@ std::vector<size_t> NodeRank::SupportingClusterIds() const {
   return ids;
 }
 
-BoxTable::BoxTable(std::span<const NodeProfile> profiles) {
-  size_t total = 0;
-  bool have_dims = false;
-  for (const NodeProfile& profile : profiles) {
-    for (const auto& cluster : profile.clusters) {
-      if (!have_dims && cluster.size != 0) {
-        dims = cluster.bounds.dims();
-        have_dims = true;
-      }
-    }
-    total += profile.clusters.size();
-  }
-  node_offsets.reserve(profiles.size() + 1);
-  node_offsets.push_back(0);
-  sizes.reserve(total);
-  box_ok.reserve(total);
-  bounds.resize(total * dims);
-  for (const NodeProfile& profile : profiles) {
-    for (const auto& cluster : profile.clusters) {
-      const bool ok = cluster.bounds.dims() == dims && cluster.bounds.valid();
-      if (ok) {
-        std::copy(cluster.bounds.intervals().begin(),
-                  cluster.bounds.intervals().end(),
-                  bounds.begin() + static_cast<ptrdiff_t>(sizes.size() * dims));
-      }
-      sizes.push_back(cluster.size);
-      box_ok.push_back(ok ? 1 : 0);
-    }
-    node_offsets.push_back(sizes.size());
-  }
-}
-
-namespace {
-
-/// The Status of a non-empty cluster the scan cannot score: the one
-/// ComputeOverlapRate returns for the same pair of boxes.
-Status BoxError(const query::HyperRectangle& query,
-                const query::HyperRectangle& cluster,
-                query::OverlapMode mode) {
-  const Result<double> rate = query::ComputeOverlapRate(query, cluster, mode);
-  if (rate.ok()) return Status::Internal("ranking: box table out of date");
-  return rate.status();
-}
-
-}  // namespace
-
-Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
+Status ScanRanks(std::span<const NodeProfile> profiles,
                  const query::RangeQuery& query, const RankingOptions& options,
                  RankScan* scan) {
   const size_t n = profiles.size();
-  if (table.num_nodes() != n) {
-    return Status::Internal(
-        StrFormat("ranking: box table has %zu nodes, %zu profiles",
-                  table.num_nodes(), n));
-  }
   scan->nodes.resize(n);
-  scan->clusters.resize(table.sizes.size());
+  scan->offsets.resize(n + 1);
+  scan->offsets[0] = 0;
+  for (size_t p = 0; p < n; ++p) {
+    scan->offsets[p + 1] = scan->offsets[p] + profiles[p].clusters.size();
+  }
+  scan->clusters.resize(scan->offsets[n]);
   scan->order.resize(n);
   if (n == 0) return Status::OK();
   if (options.epsilon <= 0.0) {
@@ -86,15 +40,14 @@ Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
     return Status::InvalidArgument(
         "RankNode: staleness_weight must be >= 0");
   }
-  const size_t dims = table.dims;
-  const bool query_ok =
-      dims > 0 && query.dims() == dims && query.region.valid();
+  const size_t dims = query.dims();
+  const bool query_ok = dims > 0 && query.region.valid();
   const query::Interval* q = query.region.intervals().data();
 
   for (size_t p = 0; p < n; ++p) {
     const NodeProfile& profile = profiles[p];
-    const size_t begin = table.node_offsets[p];
-    const size_t end = table.node_offsets[p + 1];
+    const size_t begin = scan->offsets[p];
+    const size_t end = scan->offsets[p + 1];
     if (begin == end) {
       return Status::InvalidArgument(
           StrFormat("RankNode: node %zu has no clusters", profile.node_id));
@@ -108,17 +61,22 @@ Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
     rank.total_samples = profile.total_samples;
 
     for (size_t c = begin; c < end; ++c) {
+      const clustering::ClusterSummary& cluster =
+          profile.clusters[c - begin];
       ClusterScore& score = scan->clusters[c];
       score.cluster_id = c - begin;
       score.overlap = 0.0;
       score.supporting = false;
       // Empty cluster (possible after k > m quantization): never supports.
-      if (table.sizes[c] == 0) continue;
-      if (!query_ok || table.box_ok[c] == 0) {
-        return BoxError(query.region, profile.clusters[c - begin].bounds,
-                        options.overlap_mode);
+      if (cluster.size == 0) continue;
+      if (!query_ok || cluster.bounds.dims() != dims ||
+          !cluster.bounds.valid()) {
+        // The pair ComputeOverlapRate rejects, with its Status.
+        return query::ComputeOverlapRate(query.region, cluster.bounds,
+                                         options.overlap_mode)
+            .status();
       }
-      const query::Interval* k = table.bounds.data() + c * dims;
+      const query::Interval* k = cluster.bounds.intervals().data();
       double acc = 0.0;
       for (size_t d = 0; d < dims; ++d) {
         acc += query::ComputeDimensionOverlap(q[d], k[d], options.overlap_mode)
@@ -129,7 +87,7 @@ Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
       if (score.supporting) {
         rank.potential += score.overlap;  // Eq. 3.
         ++rank.supporting_clusters;
-        rank.supporting_samples += table.sizes[c];
+        rank.supporting_samples += cluster.size;
       }
     }
 
@@ -173,48 +131,44 @@ Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
   return Status::OK();
 }
 
-std::span<const ClusterScore> ClusterScoresOf(const BoxTable& table,
-                                              const RankScan& scan, size_t p) {
+std::span<const ClusterScore> ClusterScoresOf(const RankScan& scan, size_t p) {
   return std::span<const ClusterScore>(scan.clusters)
-      .subspan(table.node_offsets[p],
-               table.node_offsets[p + 1] - table.node_offsets[p]);
+      .subspan(scan.offsets[p], scan.offsets[p + 1] - scan.offsets[p]);
 }
 
 namespace {
 
-NodeRank FullRank(const BoxTable& table, const RankScan& scan, size_t p) {
+NodeRank FullRank(const RankScan& scan, size_t p) {
   NodeRank rank = scan.nodes[p];
-  const std::span<const ClusterScore> scores = ClusterScoresOf(table, scan, p);
+  const std::span<const ClusterScore> scores = ClusterScoresOf(scan, p);
   rank.cluster_scores.assign(scores.begin(), scores.end());
   return rank;
 }
 
 }  // namespace
 
-std::vector<NodeRank> FullRanks(const BoxTable& table, const RankScan& scan) {
+std::vector<NodeRank> FullRanks(const RankScan& scan) {
   std::vector<NodeRank> ranks;
   ranks.reserve(scan.order.size());
-  for (size_t p : scan.order) ranks.push_back(FullRank(table, scan, p));
+  for (size_t p : scan.order) ranks.push_back(FullRank(scan, p));
   return ranks;
 }
 
 Result<NodeRank> RankNode(const NodeProfile& profile,
                           const query::RangeQuery& query,
                           const RankingOptions& options) {
-  const std::span<const NodeProfile> one(&profile, 1);
-  const BoxTable table(one);
   RankScan scan;
-  QENS_RETURN_NOT_OK(ScanRanks(table, one, query, options, &scan));
-  return FullRank(table, scan, 0);
+  QENS_RETURN_NOT_OK(ScanRanks(std::span<const NodeProfile>(&profile, 1),
+                               query, options, &scan));
+  return FullRank(scan, 0);
 }
 
 Result<std::vector<NodeRank>> RankNodes(
     const std::vector<NodeProfile>& profiles, const query::RangeQuery& query,
     const RankingOptions& options) {
-  const BoxTable table(profiles);
   RankScan scan;
-  QENS_RETURN_NOT_OK(ScanRanks(table, profiles, query, options, &scan));
-  return FullRanks(table, scan);
+  QENS_RETURN_NOT_OK(ScanRanks(profiles, query, options, &scan));
+  return FullRanks(scan);
 }
 
 }  // namespace qens::selection

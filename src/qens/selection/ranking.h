@@ -8,19 +8,17 @@
 ///   p_i   = sum of h_ik over supporting clusters (Eq. 3);
 ///   r_i(q) = p_i * K'/K (Eq. 4), K' = number of supporting clusters.
 ///
-/// There is one implementation, ScanRanks: one pass over a flat BoxTable of
-/// every node's cluster boxes, validating the options and the query once
-/// per call (the boxes once per table build) and writing into a reused
+/// There is one implementation, ScanRanks: one pass over every node's
+/// cluster boxes, validating the options and the query once per call and
+/// each non-empty cluster's box as it is reached, and writing into a reused
 /// RankScan. It costs O(d) per cluster, O(K d) per node and O(N K d + N log
 /// N) per query, independent of the nodes' data sizes (the paper's
 /// "negligible calculations" claim, verified by
 /// bench_x1_selection_scalability), and allocates nothing once the scan's
 /// buffers have grown. RankNode and RankNodes are wrappers over it that
-/// build a table per call and return per-node records with every cluster's
-/// score.
+/// return per-node records with every cluster's score.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -69,7 +67,9 @@ struct NodeRank {
   size_t stale_rounds = 0;         ///< Rounds of unpublished drift (0 = fresh).
   std::vector<ClusterScore> cluster_scores;  ///< One per cluster, in order.
 
-  /// Ids of supporting clusters (the data-selectivity set).
+  /// Ids of supporting clusters (the data-selectivity set), read from
+  /// cluster_scores: empty on a record that carries none, such as
+  /// fl::SelectionDecision::all_ranks.
   std::vector<size_t> SupportingClusterIds() const;
 
   /// Samples the node would train on under data selectivity (sum of
@@ -78,60 +78,36 @@ struct NodeRank {
   size_t total_samples = 0;
 };
 
-/// Every node's cluster boxes in one flat table, in the CSR (compressed
-/// sparse row) layout of QuantizedNode's rows: node i's clusters are
-/// [node_offsets[i], node_offsets[i + 1]) and cluster c's box is the `dims`
-/// intervals at bounds[c * dims]. Built from a profile vector and valid for
-/// it until a profile's clusters change; reliability and stale_rounds are
-/// read from the profiles at scan time, so their bookkeeping needs no
-/// rebuild.
-struct BoxTable {
-  BoxTable() = default;
-  explicit BoxTable(std::span<const NodeProfile> profiles);
-
-  size_t num_nodes() const {
-    return node_offsets.empty() ? 0 : node_offsets.size() - 1;
-  }
-
-  /// The dimensionality of the first non-empty cluster (0 when there is
-  /// none): the only one a query can be ranked in.
-  size_t dims = 0;
-  std::vector<size_t> node_offsets;  ///< N + 1 entries.
-  std::vector<size_t> sizes;         ///< Per cluster: its sample count.
-  /// Per cluster: its box has `dims` dimensions and lo <= hi in each. A
-  /// non-empty cluster without one fails every scan that reaches it.
-  std::vector<uint8_t> box_ok;
-  std::vector<query::Interval> bounds;  ///< dims intervals per cluster.
-};
-
 /// One scan's output, kept by the caller and reused across queries.
 struct RankScan {
   /// Per profile, in profile order, with cluster_scores left empty.
   std::vector<NodeRank> nodes;
-  /// Per table cluster: node i's scores are at the table's node_offsets.
+  /// N + 1 entries: profile p's cluster scores are clusters[offsets[p],
+  /// offsets[p + 1]), in the CSR (compressed sparse row) layout of
+  /// QuantizedNode's rows.
+  std::vector<size_t> offsets;
+  /// Every cluster's score, profile after profile.
   std::vector<ClusterScore> clusters;
   /// Profile indices, DESC by ranking, ties by ascending node id and then
   /// profile order (RankNodes' stable order).
   std::vector<size_t> order;
 };
 
-/// Rank every node of `table` (built from `profiles`) against `query`: Eq.
-/// 2 per cluster through query::ComputeDimensionOverlap, Eq. 3 and 4 per
-/// node in cluster order, then the penalty factors, then the sort. Fails,
-/// with the Status RankNodes has always returned, on epsilon <= 0, a
-/// negative weight, a node with no clusters, or a non-empty cluster whose
-/// box does not match the query (zero or differing dimensions, lo > hi).
-/// No profiles is not an error.
-Status ScanRanks(const BoxTable& table, std::span<const NodeProfile> profiles,
+/// Rank every node of `profiles` against `query`: Eq. 2 per cluster through
+/// query::ComputeDimensionOverlap, Eq. 3 and 4 per node in cluster order,
+/// then the penalty factors, then the sort. Fails, with the Status
+/// RankNodes has always returned, on epsilon <= 0, a negative weight, a
+/// node with no clusters, or a non-empty cluster whose box does not match
+/// the query (ComputeOverlapRate's Status). No profiles is not an error.
+Status ScanRanks(std::span<const NodeProfile> profiles,
                  const query::RangeQuery& query, const RankingOptions& options,
                  RankScan* scan);
 
 /// The scan's cluster scores of profile `p`: a view into scan.clusters.
-std::span<const ClusterScore> ClusterScoresOf(const BoxTable& table,
-                                              const RankScan& scan, size_t p);
+std::span<const ClusterScore> ClusterScoresOf(const RankScan& scan, size_t p);
 
 /// Every node's record with its cluster_scores, in the scan's order.
-std::vector<NodeRank> FullRanks(const BoxTable& table, const RankScan& scan);
+std::vector<NodeRank> FullRanks(const RankScan& scan);
 
 /// Rank one node against one query. Fails on dimensional mismatch between
 /// the query and the node's cluster boundaries, or epsilon <= 0.

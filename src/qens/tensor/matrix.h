@@ -75,7 +75,9 @@ class Matrix {
   std::vector<double> Col(size_t c) const;
 
   /// Resize to rows x cols, reusing the existing allocation when capacity
-  /// allows. Element values are unspecified afterwards — callers overwrite.
+  /// allows. The leading min(old, new) elements of the row-major buffer
+  /// keep their values, so dropping trailing rows at an unchanged column
+  /// count keeps the leading rows; every other element is unspecified.
   void ResizeUninitialized(size_t rows, size_t cols);
 
   /// Overwrite row r with `values` (size must equal cols()).

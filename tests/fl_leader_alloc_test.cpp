@@ -96,15 +96,14 @@ query::RangeQuery Query1D(double lo, double hi) {
 
 TEST(LeaderAllocTest, WarmScanAllocatesNothing) {
   const std::vector<selection::NodeProfile> fleet = Fleet1D(96, 5);
-  const selection::BoxTable table(fleet);
   selection::RankScan scan;
   selection::RankingOptions options;
   options.epsilon = 0.1;
   const query::RangeQuery q = Query1D(0, 3);
-  ASSERT_TRUE(selection::ScanRanks(table, fleet, q, options, &scan).ok());
+  ASSERT_TRUE(selection::ScanRanks(fleet, q, options, &scan).ok());
   EXPECT_EQ(CountAllocs([&] {
               ASSERT_TRUE(
-                  selection::ScanRanks(table, fleet, q, options, &scan).ok());
+                  selection::ScanRanks(fleet, q, options, &scan).ok());
             }),
             0u);
 }

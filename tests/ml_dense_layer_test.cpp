@@ -1,5 +1,6 @@
 // Tests for DenseLayer: forward math, backward vs numerical gradients, the
-// fused MSE head vs the generic path, parameter flattening.
+// fused MSE head and the one-pass scalar-head prediction vs the generic
+// path, parameter flattening.
 
 #include "qens/ml/dense_layer.h"
 
@@ -206,8 +207,10 @@ TEST(DenseLayerTest, BackwardInputGradientMatchesNumerical) {
 }
 
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  // memcmp must not see the null data() of an empty vector.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// The generic path for a linear head under MSE: ForwardInto, loss, loss
@@ -309,6 +312,42 @@ TEST(DenseLayerTest, MseHeadValidatesItsInputs) {
   EXPECT_TRUE(head.MseHeadInto(Matrix(0, 2), Matrix(0, 1), &loss, &grads,
                                nullptr)
                   .IsInvalidArgument());
+}
+
+TEST(DenseLayerTest, ScalarHeadPredictIsBitIdenticalToForward) {
+  // One output buffer across every case, so it both grows and shrinks.
+  Matrix out;
+  for (size_t in : {size_t{1}, size_t{3}, size_t{4}, size_t{13}}) {
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{5}, size_t{33}}) {
+      DenseLayer layer(in, 1, Activation::kIdentity);
+      Rng rng(7 + in + 100 * rows);
+      layer.InitGlorot(&rng);
+      layer.bias()[0] = rng.Uniform(-0.5, 0.5);
+      Matrix x(rows, in);
+      for (double& v : x.data()) v = rng.Uniform(-3, 3);
+
+      LayerBuffers buf;
+      ASSERT_TRUE(layer.ForwardInto(x, &buf).ok());
+      ASSERT_TRUE(layer.ScalarHeadPredictInto(x, &out).ok());
+      EXPECT_EQ(out.rows(), rows);
+      EXPECT_EQ(out.cols(), 1u);
+      EXPECT_TRUE(SameBits(buf.out.data(), out.data()))
+          << "in=" << in << " rows=" << rows;
+    }
+  }
+}
+
+TEST(DenseLayerTest, ScalarHeadPredictFailsWhereForwardFails) {
+  Matrix out;
+  DenseLayer relu_head(2, 1, Activation::kRelu);
+  EXPECT_TRUE(relu_head.ScalarHeadPredictInto(Matrix(1, 2), &out)
+                  .IsFailedPrecondition());
+  DenseLayer head(2, 1, Activation::kIdentity);
+  LayerBuffers buf;
+  const Status forward = head.ForwardInto(Matrix(1, 3), &buf);
+  const Status predict = head.ScalarHeadPredictInto(Matrix(1, 3), &out);
+  EXPECT_TRUE(predict.IsInvalidArgument());
+  EXPECT_EQ(predict.ToString(), forward.ToString());
 }
 
 }  // namespace

@@ -103,6 +103,57 @@ TEST(SelectQueryDrivenTest, SwitchesOnOptions) {
   EXPECT_EQ(s2->size(), 2u);
 }
 
+TEST(QueryDrivenCutLengthTest, KeepsTheFilteredPrefixOfASortedList) {
+  // Reference: the cuts as filters over the whole list. On a DESC-sorted
+  // list with rankings >= 0 (zeros and ties included) each keeps a prefix.
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> rankings(rng.UniformInt(uint64_t{12}));
+    for (double& r : rankings) {
+      r = static_cast<double>(rng.UniformInt(uint64_t{4})) * 0.5;
+    }
+    const std::vector<NodeRank> ranked = RankedList(rankings);
+    QueryDrivenOptions options;
+    options.top_l = 1 + rng.UniformInt(uint64_t{6});
+    options.drop_zero_rank = rng.UniformInt(uint64_t{2}) == 0;
+    options.use_threshold = rng.UniformInt(uint64_t{2}) == 0;
+    options.psi = 0.5 + static_cast<double>(rng.UniformInt(uint64_t{3}));
+    std::vector<size_t> want;
+    for (const NodeRank& r : ranked) {
+      if (options.use_threshold) {
+        if (r.ranking >= options.psi) want.push_back(r.node_id);
+        continue;
+      }
+      if (want.size() >= options.top_l) break;
+      if (options.drop_zero_rank && r.ranking <= 0.0) continue;
+      want.push_back(r.node_id);
+    }
+    const auto kept = QueryDrivenCutLength(ranked, options);
+    ASSERT_TRUE(kept.ok());
+    ASSERT_EQ(*kept, want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(ranked[i].node_id, want[i]);
+    }
+    const auto selected = SelectQueryDriven(ranked, options);
+    ASSERT_TRUE(selected.ok());
+    EXPECT_EQ(selected->size(), want.size());
+  }
+}
+
+TEST(QueryDrivenCutLengthTest, FailsLikeTheCuts) {
+  const std::vector<NodeRank> ranked = RankedList({1.0});
+  QueryDrivenOptions top;
+  top.top_l = 0;
+  EXPECT_EQ(QueryDrivenCutLength(ranked, top).status().code(),
+            SelectTopL(ranked, 0).status().code());
+  QueryDrivenOptions thresh;
+  thresh.use_threshold = true;
+  thresh.psi = 0.0;
+  EXPECT_EQ(QueryDrivenCutLength(ranked, thresh).status().code(),
+            SelectByThreshold(ranked, 0.0).status().code());
+  EXPECT_FALSE(QueryDrivenCutLength(ranked, thresh).ok());
+}
+
 TEST(SelectRandomTest, SizeBoundsAndDistinctness) {
   Rng rng(1);
   for (int trial = 0; trial < 100; ++trial) {

@@ -89,6 +89,13 @@ TEST(MatrixTest, SelectRowsEmptyIndexList) {
   EXPECT_EQ(sel->cols(), 2u);
 }
 
+TEST(MatrixTest, ResizeUninitializedDroppingRowsKeepsTheLeadingRows) {
+  Matrix m{{1, 2}, {3, 4}, {5, 6}};
+  m.ResizeUninitialized(2, 2);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.data(), (std::vector<double>{1, 2, 3, 4}));
+}
+
 TEST(MatrixTest, Transposed) {
   Matrix m{{1, 2, 3}, {4, 5, 6}};
   Matrix t = m.Transposed();
