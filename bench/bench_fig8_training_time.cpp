@@ -60,6 +60,8 @@ int main(int argc, char** argv) {
   std::printf("shape check: query-driven faster on %zu/%zu queries (paper: "
               "all)\n",
               wins, compared);
+  bench::ShapeCheck("fig8: query-driven faster on every comparable query",
+                    compared > 0 && wins == compared);
   std::printf("(times from the deterministic cost model: samples x epochs / "
               "capacity + transfer; wall-clock shape matches)\n");
 
@@ -72,5 +74,5 @@ int main(int argc, char** argv) {
   record.values["query_driven_wins"] = static_cast<double>(wins);
   bjson.Add(std::move(record));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -60,6 +60,8 @@ int main(int argc, char** argv) {
   std::printf("shape check: below the full-data bar on %zu/%zu queries "
               "(paper: all)\n",
               below, compared);
+  bench::ShapeCheck("fig9: below the full-data bar on every query",
+                    compared > 0 && below == compared);
 
   bench::BenchRecord record;
   record.name = "data_fraction";
@@ -68,5 +70,5 @@ int main(int argc, char** argv) {
   record.values["below_full_bar"] = static_cast<double>(below);
   bjson.Add(std::move(record));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -42,6 +42,9 @@ int main(int argc, char** argv) {
       "\nshape check: (random - all)/all = %.3f (paper: 0.010; expect a "
       "near-tie, << 1)\n",
       rel);
+  // The gate's tolerance: a near-tie is a gap well under a quarter of the
+  // all-node loss (Table II's gap is a multiple of it).
+  bench::ShapeCheck("table1: (random - all)/all < 0.25", rel < 0.25);
 
   bench::BenchRecord record;
   record.name = "pretest";
@@ -52,5 +55,5 @@ int main(int argc, char** argv) {
   record.values["relative_gap"] = rel;
   bjson.Add(std::move(record));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -41,6 +41,9 @@ int main(int argc, char** argv) {
       "\nshape check: random / all-node = %.2fx (paper: 18.4x; expect >> "
       "1)\n",
       ratio);
+  // The gate's tolerance: random selection must cost at least 5x the
+  // all-node loss (paper: 18.4x), far outside Table I's near-tie.
+  bench::ShapeCheck("table2: random / all-node >= 5", ratio >= 5.0);
 
   bench::BenchRecord record;
   record.name = "pretest";
@@ -51,5 +54,5 @@ int main(int argc, char** argv) {
   record.values["loss_ratio"] = ratio;
   bjson.Add(std::move(record));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }
