@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "qens/common/string_util.h"
 #include "qens/tensor/vector_ops.h"
@@ -372,19 +373,17 @@ Result<EnsembleModel> EnsembleModel::Create(
 
 namespace {
 
-/// `model`'s one-column prediction over `x` into out[0, x.rows()), through
-/// PredictInto on `ws`. Bit for bit model.Predict(x).
+/// `model`'s one-column prediction over `x`, straight into out[0, x.rows())
+/// (SequentialModel::PredictColumnInto on `ws`). Bit for bit
+/// model.Predict(x); a model with more outputs fails as ComputeLoss would.
 Status PredictColumnInto(const ml::SequentialModel& model, const Matrix& x,
                          ml::TrainWorkspace* ws, double* out) {
-  QENS_RETURN_NOT_OK(model.PredictInto(x, ws));
-  const Matrix& pred = ws->layers.back().out;
-  if (pred.cols() != 1) {
+  if (model.output_features() != 1) {
     return Status::InvalidArgument(
-        StrFormat("loss: pred %zux%zu vs target %zux1", pred.rows(),
-                  pred.cols(), x.rows()));
+        StrFormat("loss: pred %zux%zu vs target %zux1", x.rows(),
+                  model.output_features(), x.rows()));
   }
-  std::copy(pred.data().begin(), pred.data().end(), out);
-  return Status::OK();
+  return model.PredictColumnInto(x, ws, std::span<double>(out, x.rows()));
 }
 
 }  // namespace

@@ -46,7 +46,8 @@ Status DenseLayer::ForwardInto(const Matrix& x, LayerBuffers* buf) const {
   return Status::OK();
 }
 
-Status DenseLayer::ScalarHeadPredictInto(const Matrix& x, Matrix* out) const {
+Status DenseLayer::ScalarHeadPredictInto(const Matrix& x,
+                                         std::span<double> out) const {
   if (!IsLinearScalarHead()) {
     return Status::FailedPrecondition(
         "DenseLayer::ScalarHeadPredictInto: not a 1-unit identity layer");
@@ -56,10 +57,14 @@ Status DenseLayer::ScalarHeadPredictInto(const Matrix& x, Matrix* out) const {
         "DenseLayer::ForwardInto: input has %zu features, expected %zu",
         x.cols(), in_features_));
   }
-  out->ResizeUninitialized(x.rows(), 1);
+  if (out.size() != x.rows()) {
+    return Status::InvalidArgument(
+        StrFormat("DenseLayer::ScalarHeadPredictInto: %zu outputs for %zu rows",
+                  out.size(), x.rows()));
+  }
   const double* w = weights_.data().data();  // (in x 1): one weight per row.
   const double b = bias_[0];
-  double* z = out->data().data();
+  double* z = out.data();
   for (size_t r = 0; r < x.rows(); ++r) {
     const double* row = x.RowPtr(r);
     double acc = 0.0;
@@ -451,14 +456,19 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
 }
 
 Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
-                              const Matrix& x, Matrix* tile, Matrix* pred) {
+                              const Matrix& x, Matrix* tile,
+                              std::span<double> pred) {
   QENS_RETURN_NOT_OK(
       CheckSweepInput("HiddenSweepPredictInto", hidden, head, x));
+  if (pred.size() != x.rows()) {
+    return Status::InvalidArgument(
+        StrFormat("HiddenSweepPredictInto: %zu outputs for %zu rows",
+                  pred.size(), x.rows()));
+  }
   const SweepParams p = ParamsOf(hidden, head);
   tile->ResizeUninitialized(kSweepRows, p.units);
-  pred->ResizeUninitialized(x.rows(), 1);
   SweepPredictOnActiveIsa(hidden.activation(),
-                          {p, &x, tile->data().data(), pred->data().data()});
+                          {p, &x, tile->data().data(), pred.data()});
   return Status::OK();
 }
 

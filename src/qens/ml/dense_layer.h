@@ -11,6 +11,7 @@
 /// trained by several workspaces without carrying any per-batch state.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "qens/common/rng.h"
@@ -83,11 +84,12 @@ class DenseLayer {
   Status MseHeadInto(const Matrix& x, const Matrix& target, double* loss,
                      DenseGradients* grads, Matrix* dx) const;
 
-  /// Inference for a linear scalar head in one pass: out (batch x 1) gets
-  /// z = (0.0 + Σ_k x(r, k)·w_k) + b per row, with k ascending. Bit for bit
-  /// ForwardInto's output (MatMulAddBiasInto, then the identity), failing
-  /// where it fails. Requires IsLinearScalarHead().
-  Status ScalarHeadPredictInto(const Matrix& x, Matrix* out) const;
+  /// Inference for a linear scalar head in one pass: out[r] gets
+  /// z = (0.0 + Σ_k x(r, k)·w_k) + b for each row r of x, with k ascending.
+  /// Bit for bit ForwardInto's output (MatMulAddBiasInto, then the
+  /// identity), failing where it fails. Requires IsLinearScalarHead() and
+  /// out.size() == x.rows().
+  Status ScalarHeadPredictInto(const Matrix& x, std::span<double> out) const;
 
   /// Apply a parameter delta: W += alpha * dW, b += alpha * db.
   Status ApplyDelta(double alpha, const DenseGradients& delta);
@@ -137,12 +139,14 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
                           DenseGradients* head_grads);
 
 /// Inference through a hidden-sweep pair with the forward half of the same
-/// sweep: (batch x 1) predictions into `pred`, bit-identical to
-/// hidden.Apply followed by head.Apply, through a 4 x H `tile` instead of
-/// a batch x H intermediate. Both buffers are resized in place, so a
-/// caller that keeps them predicts without allocating once they have grown.
+/// sweep: one prediction per row of x into `pred` (x.rows() values),
+/// bit-identical to hidden.Apply followed by head.Apply, through a 4 x H
+/// `tile` instead of a batch x H intermediate. The tile is resized in
+/// place, so a caller that keeps it predicts without allocating once it
+/// has grown.
 Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
-                              const Matrix& x, Matrix* tile, Matrix* pred);
+                              const Matrix& x, Matrix* tile,
+                              std::span<double> pred);
 
 }  // namespace qens::ml
 

@@ -1,5 +1,6 @@
 #include "qens/ml/sequential_model.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "qens/common/string_util.h"
@@ -50,9 +51,9 @@ Result<Matrix> SequentialModel::Predict(const Matrix& x) const {
   }
   if (IsHiddenSweepModel()) {
     Matrix tile;
-    Matrix pred;
+    Matrix pred(x.rows(), 1);
     QENS_RETURN_NOT_OK(
-        HiddenSweepPredictInto(layers_[0], layers_[1], x, &tile, &pred));
+        HiddenSweepPredictInto(layers_[0], layers_[1], x, &tile, pred.data()));
     return pred;
   }
   // Apply is const and cache-free, so inference neither copies layers nor
@@ -116,14 +117,31 @@ Status SequentialModel::ForwardInto(const Matrix& x, TrainWorkspace* ws) const {
 Status SequentialModel::PredictInto(const Matrix& x,
                                     TrainWorkspace* ws) const {
   QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
-  if (IsHiddenSweepModel()) {
-    return HiddenSweepPredictInto(layers_[0], layers_[1], x, &ws->sweep_tile,
-                                  &ws->layers[1].out);
-  }
-  if (layers_.size() == 1 && layers_[0].IsLinearScalarHead()) {
-    return layers_[0].ScalarHeadPredictInto(x, &ws->layers[0].out);
+  if (IsHiddenSweepModel() || IsLoneScalarHead()) {
+    Matrix& out = ws->layers.back().out;
+    out.ResizeUninitialized(x.rows(), 1);
+    return PredictColumnInto(x, ws, out.data());
   }
   return ForwardLayers(layers_.size(), x, ws);
+}
+
+Status SequentialModel::PredictColumnInto(const Matrix& x, TrainWorkspace* ws,
+                                          std::span<double> out) const {
+  QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
+  if (IsHiddenSweepModel()) {
+    return HiddenSweepPredictInto(layers_[0], layers_[1], x, &ws->sweep_tile,
+                                  out);
+  }
+  if (IsLoneScalarHead()) return layers_[0].ScalarHeadPredictInto(x, out);
+  QENS_RETURN_NOT_OK(ForwardLayers(layers_.size(), x, ws));
+  const Matrix& pred = ws->layers.back().out;
+  if (pred.cols() != 1 || pred.rows() != out.size()) {
+    return Status::InvalidArgument(
+        StrFormat("PredictColumnInto: %zux%zu prediction for %zu outputs",
+                  pred.rows(), pred.cols(), out.size()));
+  }
+  std::copy(pred.data().begin(), pred.data().end(), out.begin());
+  return Status::OK();
 }
 
 Status SequentialModel::BackwardInto(const Matrix& x, const Matrix& grad_out,

@@ -7,6 +7,7 @@
 /// Table III). Exposes flat parameter access for serialization (the leader /
 /// participant exchange) and parameter-space aggregation (FedAvg extension).
 
+#include <span>
 #include <vector>
 
 #include "qens/common/rng.h"
@@ -76,6 +77,13 @@ class SequentialModel {
   /// forward: BackwardInto needs ForwardInto.
   Status PredictInto(const Matrix& x, TrainWorkspace* ws) const;
 
+  /// PredictInto for a one-output model, into `out` (x.rows() values)
+  /// instead of ws->layers.back().out, bit for bit. The hidden sweep and a
+  /// lone linear scalar head write `out` directly; any other model runs
+  /// ForwardInto's pass in `ws` and copies its one column.
+  Status PredictColumnInto(const Matrix& x, TrainWorkspace* ws,
+                           std::span<double> out) const;
+
   /// Backprop dL/dprediction (`grad_out`) through the ForwardInto that
   /// filled `ws` for the same `x`; fills ws->grads, one entry per layer.
   /// `grad_out` must not alias a dz or dx buffer of `ws`.
@@ -118,6 +126,10 @@ class SequentialModel {
   /// True for a [1 → H, act] → [H → 1, identity] model.
   bool IsHiddenSweepModel() const {
     return layers_.size() == 2 && IsHiddenSweepPair(layers_[0], layers_[1]);
+  }
+  /// True for a lone linear scalar head (the paper LR).
+  bool IsLoneScalarHead() const {
+    return layers_.size() == 1 && layers_[0].IsLinearScalarHead();
   }
   /// Size `ws` for this model; fails on an empty model.
   Status PrepareWorkspace(TrainWorkspace* ws) const;

@@ -328,7 +328,8 @@ TEST(DenseLayerTest, ScalarHeadPredictIsBitIdenticalToForward) {
 
       LayerBuffers buf;
       ASSERT_TRUE(layer.ForwardInto(x, &buf).ok());
-      ASSERT_TRUE(layer.ScalarHeadPredictInto(x, &out).ok());
+      out.ResizeUninitialized(rows, 1);
+      ASSERT_TRUE(layer.ScalarHeadPredictInto(x, out.data()).ok());
       EXPECT_EQ(out.rows(), rows);
       EXPECT_EQ(out.cols(), 1u);
       EXPECT_TRUE(SameBits(buf.out.data(), out.data()))
@@ -338,14 +339,14 @@ TEST(DenseLayerTest, ScalarHeadPredictIsBitIdenticalToForward) {
 }
 
 TEST(DenseLayerTest, ScalarHeadPredictFailsWhereForwardFails) {
-  Matrix out;
+  Matrix out(1, 1);
   DenseLayer relu_head(2, 1, Activation::kRelu);
-  EXPECT_TRUE(relu_head.ScalarHeadPredictInto(Matrix(1, 2), &out)
+  EXPECT_TRUE(relu_head.ScalarHeadPredictInto(Matrix(1, 2), out.data())
                   .IsFailedPrecondition());
   DenseLayer head(2, 1, Activation::kIdentity);
   LayerBuffers buf;
   const Status forward = head.ForwardInto(Matrix(1, 3), &buf);
-  const Status predict = head.ScalarHeadPredictInto(Matrix(1, 3), &out);
+  const Status predict = head.ScalarHeadPredictInto(Matrix(1, 3), out.data());
   EXPECT_TRUE(predict.IsInvalidArgument());
   EXPECT_EQ(predict.ToString(), forward.ToString());
 }
