@@ -46,7 +46,8 @@ enum class RngPurpose : uint64_t {
   kSessionSeed = 2,           ///< fl/query_server.cpp — per-session base seed.
   kLocalTraining = 3,         ///< Retired: local training roots at seed + id.
   kTrainOrderInit = 4,        ///< ml/trainer.cpp — initial sample order.
-  kMinibatchShuffle = 5,      ///< ml/trainer.cpp — per-epoch minibatch order.
+  kMinibatchShuffle = 5,      ///< ml/trainer.cpp — per-epoch minibatch order
+                              ///< (both by Rng::ShuffleMulShift).
   kKMeansInit = 6,            ///< Retired: k-means seeds from Rng(seed).
   kFaultCrash = 7,            ///< sim/fault_injection.cpp — crash-round draw.
   kFaultStraggler = 8,        ///< sim/fault_injection.cpp — slowdown draw.

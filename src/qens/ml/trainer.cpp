@@ -113,7 +113,7 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
   for (size_t i = 0; i < m; ++i) order[i] = i;
   if (options_.shuffle) {
     Rng init_rng = stream.Split(RngPurpose::kTrainOrderInit).ToRng();
-    init_rng.Shuffle(&order);
+    init_rng.ShuffleMulShift(&order);
   }
   for (size_t& i : order) i = rows[i];
 
@@ -155,7 +155,7 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
       // how many draws earlier epochs consumed.
       Rng epoch_rng =
           stream.Split(RngPurpose::kMinibatchShuffle).Split(epoch).ToRng();
-      epoch_rng.Shuffle(&train_rows);
+      epoch_rng.ShuffleMulShift(&train_rows);
     }
 
     double epoch_loss = 0.0;

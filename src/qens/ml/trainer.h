@@ -35,7 +35,9 @@ struct TrainOptions {
   double validation_split = 0.2;  ///< Fraction held out from the END of the
                                   ///< (shuffled) data, Keras-style.
   bool shuffle = true;            ///< Shuffle once before splitting and then
-                                  ///< every epoch (training part only).
+                                  ///< every epoch (training part only), by
+                                  ///< Rng::ShuffleMulShift: Fisher–Yates
+                                  ///< with Lemire's multiply-shift draw.
   /// Shuffling seed. The initial sample order comes from stream
   /// `SplitRng(seed).Split(kTrainOrderInit)` and epoch e's minibatch order
   /// from `SplitRng(seed).Split(kMinibatchShuffle).Split(e)`: each a pure

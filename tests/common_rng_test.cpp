@@ -178,6 +178,137 @@ TEST(RngTest, UniformIntMatchesTheTwoModuloFormDrawForDraw) {
   EXPECT_GT(rejected, 1000u);  // The rejection branch really ran.
 }
 
+// Known answers for Lemire's multiply-shift draw, recorded when it was
+// added: the same state and sizes as UniformIntDrawsAreKnown.
+TEST(RngTest, UniformIntMulShiftDrawsAreKnown) {
+  Rng rng(42);
+  EXPECT_EQ(rng.UniformIntMulShift(uint64_t{10}), 1u);
+  EXPECT_EQ(rng.UniformIntMulShift(uint64_t{1000}), 278u);
+  EXPECT_EQ(rng.UniformIntMulShift(uint64_t{3}), 1u);
+  EXPECT_EQ(rng.UniformIntMulShift(uint64_t{1} << 63), 350766393070981625u);
+  EXPECT_EQ(rng.UniformIntMulShift(~uint64_t{0} - 5), 16015981125662989056u);
+}
+
+TEST(RngTest, ShuffleMulShiftPermutationIsKnown) {
+  Rng rng(25);
+  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  rng.ShuffleMulShift(&v);
+  EXPECT_EQ(v, (std::vector<int>{5, 7, 6, 8, 3, 1, 10, 4, 9, 2}));
+}
+
+/// 2^64 mod n, which is (2^64 - n) mod n: the multiply-shift draw rejects a
+/// candidate whose low half is below it. Computed in 128 bits, apart from
+/// the 64-bit form the generator uses.
+uint64_t MulShiftThreshold(uint64_t n) {
+  return static_cast<uint64_t>((static_cast<unsigned __int128>(1) << 64) % n);
+}
+
+// Lemire's draw written out plainly: every candidate is tested against the
+// threshold (no low < n shortcut). Counts the candidates it rejects.
+uint64_t ReferenceMulShift(Rng* rng, uint64_t n, uint64_t* rejected) {
+  const uint64_t threshold = MulShiftThreshold(n);
+  while (true) {
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(rng->Next()) * n;
+    if (static_cast<uint64_t>(m) >= threshold) {
+      return static_cast<uint64_t>(m >> 64);
+    }
+    ++*rejected;
+  }
+}
+
+TEST(RngTest, UniformIntMulShiftStaysBelowN) {
+  const uint64_t two_32 = uint64_t{1} << 32;
+  for (uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{3}, two_32 - 1,
+                     two_32 + 1, uint64_t{1} << 63, Rng::max()}) {
+    Rng rng(17 + n);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_LT(rng.UniformIntMulShift(n), n) << "n = " << n;
+    }
+  }
+}
+
+TEST(RngTest, UniformIntMulShiftRejectsExactlyBelowTheThreshold) {
+  // For odd n, x -> x * n mod 2^64 is a bijection, so there is a first
+  // output whose candidate's low half is exactly threshold - 1 (the last
+  // rejected value) or threshold (the first accepted one). The odd sizes
+  // with a non-zero threshold: small, around 2^32, just above 2^63 (the
+  // largest threshold, 2^63 - 1), near (2/3)·2^64 and 2^64 - 1.
+  auto inverse = [](uint64_t m) {
+    uint64_t inv = m;  // Newton's iteration doubles the correct low bits.
+    for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
+    return inv;
+  };
+  const uint64_t two_32 = uint64_t{1} << 32;
+  for (uint64_t n : {uint64_t{3}, uint64_t{7}, two_32 - 1, two_32 + 1,
+                     (uint64_t{1} << 63) + 1, Rng::max() / 3 * 2 + 1,
+                     Rng::max()}) {
+    const uint64_t threshold = MulShiftThreshold(n);
+    ASSERT_GT(threshold, 0u) << "n = " << n;
+    for (uint64_t low : {threshold - 1, threshold}) {
+      const uint64_t x = low * inverse(n);
+      ASSERT_EQ(x * n, low);
+      const uint64_t seed = SeedForFirstOutput(x);
+      ASSERT_EQ(Rng(seed).Next(), x);
+      Rng a(seed);
+      Rng b(seed);
+      uint64_t rejected = 0;
+      const uint64_t got = a.UniformIntMulShift(n);
+      ASSERT_EQ(got, ReferenceMulShift(&b, n, &rejected))
+          << "n = " << n << ", low = " << low;
+      ASSERT_LT(got, n);
+      // low = threshold - 1 is rejected; later candidates may be too.
+      ASSERT_EQ(rejected > 0, low < threshold) << "n = " << n;
+      if (low == threshold) {
+        ASSERT_EQ(got, static_cast<uint64_t>(
+                           (static_cast<unsigned __int128>(x) * n) >> 64));
+      }
+      // One Next() per candidate: equal next outputs mean equal states.
+      ASSERT_EQ(a.Next(), b.Next()) << "n = " << n << ", low = " << low;
+    }
+  }
+}
+
+TEST(RngTest, UniformIntMulShiftMatchesTheReferenceDrawForDraw) {
+  // Same values and same generator state after every draw, where
+  // rejections are rare (small n) and common (n just above 2^63 rejects
+  // about half of all candidates, n near (2/3)·2^64 about a third).
+  std::vector<uint64_t> ns;
+  for (uint64_t n = 1; n <= 1000; ++n) ns.push_back(n);
+  const uint64_t two_63 = uint64_t{1} << 63;
+  const uint64_t two_thirds = Rng::max() / 3 * 2;
+  for (uint64_t d = 0; d <= 4; ++d) {
+    ns.insert(ns.end(), {two_63 - d, two_63 + d, two_thirds - d,
+                         two_thirds + d, Rng::max() - d});
+  }
+  Rng a(43);
+  Rng b(43);
+  uint64_t rejected = 0;
+  for (uint64_t n : ns) {
+    const int draws = n <= 1000 ? 20 : 400;
+    for (int i = 0; i < draws; ++i) {
+      const uint64_t got = a.UniformIntMulShift(n);
+      ASSERT_EQ(got, ReferenceMulShift(&b, n, &rejected)) << "n = " << n;
+      ASSERT_LT(got, n);
+      Rng next_a = a;
+      Rng next_b = b;
+      ASSERT_EQ(next_a.Next(), next_b.Next()) << "n = " << n;
+    }
+  }
+  EXPECT_GT(rejected, 1000u);  // The rejection branch really ran.
+}
+
+TEST(RngTest, UniformIntMulShiftCoversDomainWithoutBias) {
+  Rng rng(13);
+  std::vector<int> counts(10, 0);
+  const int n = 100000;
+  for (int i = 0; i < n; ++i) ++counts[rng.UniformIntMulShift(uint64_t{10})];
+  for (int c : counts) {
+    EXPECT_GT(c, n / 10 - n / 50);
+    EXPECT_LT(c, n / 10 + n / 50);
+  }
+}
+
 TEST(RngTest, UniformIntInclusiveRange) {
   Rng rng(15);
   bool saw_lo = false, saw_hi = false;
@@ -288,6 +419,24 @@ TEST(RngTest, ShuffleIsPermutation) {
   rng.Shuffle(&v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+TEST(RngTest, ShuffleMulShiftIsPermutation) {
+  Rng rng(25);
+  std::vector<int> v(100);
+  for (int i = 0; i < 100; ++i) v[i] = i;
+  std::vector<int> orig = v;
+  rng.ShuffleMulShift(&v);
+  EXPECT_NE(v, orig);
+  std::sort(v.begin(), v.end());
+  EXPECT_EQ(v, orig);
+
+  std::vector<int> empty;
+  rng.ShuffleMulShift(&empty);
+  EXPECT_TRUE(empty.empty());
+  std::vector<int> one{42};
+  rng.ShuffleMulShift(&one);
+  EXPECT_EQ(one[0], 42);
 }
 
 TEST(RngTest, ShuffleEmptyAndSingleton) {
