@@ -371,23 +371,6 @@ Result<EnsembleModel> EnsembleModel::Create(
   return EnsembleModel(std::move(models), std::move(weights));
 }
 
-namespace {
-
-/// `model`'s one-column prediction over `x`, straight into out[0, x.rows())
-/// (SequentialModel::PredictColumnInto on `ws`). Bit for bit
-/// model.Predict(x); a model with more outputs fails as ComputeLoss would.
-Status PredictColumnInto(const ml::SequentialModel& model, const Matrix& x,
-                         ml::TrainWorkspace* ws, double* out) {
-  if (model.output_features() != 1) {
-    return Status::InvalidArgument(
-        StrFormat("loss: pred %zux%zu vs target %zux1", x.rows(),
-                  model.output_features(), x.rows()));
-  }
-  return model.PredictColumnInto(x, ws, std::span<double>(out, x.rows()));
-}
-
-}  // namespace
-
 Result<EnsembleLosses> EnsembleModel::ScoreMse(const Matrix& x,
                                                const Matrix& y) const {
   QENS_ASSIGN_OR_RETURN(
@@ -397,14 +380,15 @@ Result<EnsembleLosses> EnsembleModel::ScoreMse(const Matrix& x,
                         PredictionWeights(models_, weights_));
   const size_t members = models_.size();
   const size_t n = x.rows();
-  // Member i's predictions are preds[i * n, (i + 1) * n); the merged
-  // model's follow the last member's.
+  // Member i predicts straight into preds[i * n, (i + 1) * n); the merged
+  // model's predictions follow the last member's.
   std::vector<double> preds((members + 1) * n);
   ml::TrainWorkspace ws;
   for (size_t i = 0; i < members; ++i) {
-    double* p = preds.data() + i * n;
-    QENS_RETURN_NOT_OK(PredictColumnInto(models_[i], x, &ws, p));
-    if (!std::all_of(p, p + n, [](double v) { return std::isfinite(v); })) {
+    const std::span<double> p(preds.data() + i * n, n);
+    QENS_RETURN_NOT_OK(models_[i].PredictColumnInto(x, &ws, p));
+    if (!std::all_of(p.begin(), p.end(),
+                     [](double v) { return std::isfinite(v); })) {
       return Status::InvalidArgument(StrFormat(
           "aggregate: model %zu produced non-finite predictions", i));
     }
@@ -418,7 +402,7 @@ Result<EnsembleLosses> EnsembleModel::ScoreMse(const Matrix& x,
       ml::SequentialModel merged,
       MergeParameters(AggregationKind::kFedAvgParameters, models_, weights_));
   double* fed = preds.data() + members * n;
-  QENS_RETURN_NOT_OK(PredictColumnInto(merged, x, &ws, fed));
+  QENS_RETURN_NOT_OK(merged.PredictColumnInto(x, &ws, std::span(fed, n)));
 
   const double* t = y.data().data();
   double sum_avg = 0.0;

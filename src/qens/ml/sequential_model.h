@@ -80,7 +80,8 @@ class SequentialModel {
   /// PredictInto for a one-output model, into `out` (x.rows() values)
   /// instead of ws->layers.back().out, bit for bit. The hidden sweep and a
   /// lone linear scalar head write `out` directly; any other model runs
-  /// ForwardInto's pass in `ws` and copies its one column.
+  /// ForwardInto's pass in `ws` and copies its one column, failing with
+  /// InvalidArgument when it has more outputs.
   Status PredictColumnInto(const Matrix& x, TrainWorkspace* ws,
                            std::span<double> out) const;
 

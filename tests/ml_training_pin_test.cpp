@@ -17,12 +17,10 @@
 //
 // Every case runs on both copies of the NN kernels (qens/ml/kernel_isa.h),
 // the baseline and, where the build and CPU have it, AVX2, against the
-// same hash: the copies must agree bit for bit. The hashes were last
+// same hash: the copies must agree bit for bit. The hashes were
 // re-recorded when the trainer's shuffles moved to Lemire's multiply-shift
 // draw (Rng::ShuffleMulShift); the degenerate cases, whose gradients are
-// zero in every order, kept theirs. Before that, the nn64 hashes dated
-// from before the AVX2 copies and the d1 hashes from before the fused LR
-// fit, and neither change moved them.
+// zero in every sample order, kept theirs.
 //
 // The constants assume IEEE-754 doubles without FMA contraction (the
 // project's default x86-64 flags) and glibc's exp/tanh for the sigmoid and
