@@ -180,7 +180,7 @@ Matrix NaivePredict(const ml::SequentialModel& model, const Matrix& x) {
 }
 
 /// Pre-overhaul Trainer::Fit, step for step: the trainer's SplitRng streams,
-/// same shuffles, same batching, same optimizer — but per-batch SelectRows
+/// same multiply-shift shuffles, same batching, same optimizer — but per-batch SelectRows
 /// allocations and the naive forward/backward/Predict above. With equal
 /// seeds this trains to BITWISE the same parameters as Trainer::Fit, which
 /// the bench asserts.
@@ -191,7 +191,7 @@ void NaiveFit(ml::SequentialModel* model, ml::Optimizer* optimizer,
   std::vector<size_t> order(x.rows());
   std::iota(order.begin(), order.end(), size_t{0});
   if (options.shuffle) {
-    stream.Split(RngPurpose::kTrainOrderInit).ToRng().Shuffle(&order);
+    stream.Split(RngPurpose::kTrainOrderInit).ToRng().ShuffleMulShift(&order);
   }
 
   size_t n_val = static_cast<size_t>(options.validation_split *
@@ -208,8 +208,10 @@ void NaiveFit(ml::SequentialModel* model, ml::Optimizer* optimizer,
   NaiveCache cache;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     if (options.shuffle) {
-      stream.Split(RngPurpose::kMinibatchShuffle).Split(epoch).ToRng().Shuffle(
-          &train_idx);
+      stream.Split(RngPurpose::kMinibatchShuffle)
+          .Split(epoch)
+          .ToRng()
+          .ShuffleMulShift(&train_idx);
     }
     for (size_t start = 0; start < n_train; start += options.batch_size) {
       const size_t end = std::min(start + options.batch_size, n_train);
