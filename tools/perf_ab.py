@@ -3,7 +3,7 @@
 
     python3 tools/perf_ab.py --base <ref>
         [--workloads paper_lr,fleet_rounds] [--pairs 10] [--seconds 20]
-        [--seed 7] [--trace 0] [--cpus 0-3] [--work-dir DIR] [--json FILE]
+        [--seed 7] [--trace 0] [--work-dir DIR]
 
 Run from anywhere inside the repository. The base side is `git archive
 <ref>` extracted into a work directory; the change side is the working
@@ -23,7 +23,7 @@ script exit 1.
 
 --work-dir keeps the extracted trees and builds for another run (a build
 takes minutes); without it they go in a temporary directory that is
-removed at the end. --cpus pins every run to a CPU list with taskset.
+removed at the end.
 """
 
 import argparse
@@ -66,16 +66,15 @@ def extract(ref, dest):
 
 
 class Side:
-    def __init__(self, name, tree, target_dir, cpus):
+    def __init__(self, name, tree, target_dir):
         self.name = name
         self.tree = tree
         self.env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
-        self.prefix = ["taskset", "-c", cpus] if cpus else []
 
     def run(self, workload, seed, seconds, trace):
-        cmd = self.prefix + [sys.executable, "perfbench/run.py",
-                             "--workload", workload, "--seed", str(seed),
-                             "--seconds", repr(seconds), "--trace", str(trace)]
+        cmd = [sys.executable, "perfbench/run.py",
+               "--workload", workload, "--seed", str(seed),
+               "--seconds", repr(seconds), "--trace", str(trace)]
         proc = subprocess.run(cmd, cwd=self.tree, env=self.env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -100,14 +99,13 @@ def directions(tree):
 
 
 def report(workload, runs, better, pairs):
-    """Print one workload's table; returns its rows."""
+    """Print one workload's table."""
     names = sorted(set(runs["base"][0]["metrics"]) &
                    set(runs["change"][0]["metrics"]))
     print(f"\n{workload}: {pairs} pairs")
     print(f"{'metric':24} {'base median':>14} {'base IQR':>12} "
           f"{'change median':>14} {'change IQR':>12} {'ratio':>7} "
           f"{'wins':>6} {'claim':>5}")
-    rows = []
     for name in names:
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
@@ -124,12 +122,6 @@ def report(workload, runs, better, pairs):
               f"{c3 - c1:12.4g} {ratio:7.3f} "
               f"{'-' if wins is None else f'{wins}/{pairs}':>6} "
               f"{'-' if claim is None else ('yes' if claim else 'no'):>5}")
-        rows.append({"metric": name, "better": direction,
-                     "base": base, "change": change,
-                     "base_median": bm, "base_iqr": b3 - b1,
-                     "change_median": cm, "change_iqr": c3 - c1,
-                     "ratio": ratio, "wins": wins, "claim": claim})
-    return rows
 
 
 def main():
@@ -141,11 +133,7 @@ def main():
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--cpus", default=None,
-                        help="CPU list for taskset -c (default: unpinned)")
     parser.add_argument("--work-dir", default=None)
-    parser.add_argument("--json", default=None,
-                        help="also write every run and summary row here")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         sys.exit("perf_ab: --pairs >= 1, --seconds > 0 and --seed >= 0")
@@ -159,16 +147,13 @@ def main():
     base_tree = os.path.join(work, "base")
     base_commit = extract(args.base, base_tree)
     sides = {
-        "base": Side("base", base_tree, os.path.join(work, "base-target"),
-                     args.cpus),
-        "change": Side("change", ROOT,
-                       os.path.join(work, "change-target"), args.cpus),
+        "base": Side("base", base_tree, os.path.join(work, "base-target")),
+        "change": Side("change", ROOT, os.path.join(work, "change-target")),
     }
     print(f"base {base_commit} vs the working tree; seed {args.seed}, "
           f"{args.seconds} s per run, trace {args.trace}")
 
     better = directions(ROOT)
-    summary = {}
     bad = 0
     for workload in args.workloads.split(","):
         # The first call of each side builds its query_bench; a tiny run
@@ -186,14 +171,8 @@ def main():
                     print(f"  pair {i} {name}: correct={result['correct']} "
                           f"failed={result['failed']}", file=sys.stderr)
                 runs[name].append(result)
-        summary[workload] = report(workload, runs, better, args.pairs)
+        report(workload, runs, better, args.pairs)
 
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({"base": base_commit, "change": "working tree",
-                       "seed": args.seed, "seconds": args.seconds,
-                       "trace": args.trace, "pairs": args.pairs,
-                       "workloads": summary}, f, indent=1)
     if tmp is not None:
         tmp.cleanup()
     if bad:
