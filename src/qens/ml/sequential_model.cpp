@@ -117,10 +117,15 @@ Status SequentialModel::ForwardInto(const Matrix& x, TrainWorkspace* ws) const {
 Status SequentialModel::PredictInto(const Matrix& x,
                                     TrainWorkspace* ws) const {
   QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
-  if (IsHiddenSweepModel() || IsLoneScalarHead()) {
-    Matrix& out = ws->layers.back().out;
+  Matrix& out = ws->layers.back().out;
+  if (IsHiddenSweepModel()) {
     out.ResizeUninitialized(x.rows(), 1);
-    return PredictColumnInto(x, ws, out.data());
+    return HiddenSweepPredictInto(layers_[0], layers_[1], x, &ws->sweep_tile,
+                                  out.data());
+  }
+  if (IsLoneScalarHead()) {
+    out.ResizeUninitialized(x.rows(), 1);
+    return layers_[0].ScalarHeadPredictInto(x, out.data());
   }
   return ForwardLayers(layers_.size(), x, ws);
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "qens/ml/loss.h"
 
@@ -135,6 +137,56 @@ TEST(SequentialModelTest, FusedStepIsBitIdenticalToGenericPath) {
       EXPECT_TRUE(SameBits(generic.grads[i].d_bias, fused.grads[i].d_bias))
           << hidden << " layer " << i;
     }
+  }
+}
+
+TEST(SequentialModelTest, PredictColumnIntoMatchesPredictInto) {
+  // A lone linear head (the paper LR), the hidden sweep (the paper NN on
+  // one feature) and models that take the generic forward and copy their
+  // column: each writes the column PredictInto and Predict give, bit for
+  // bit, and rejects a span of the wrong size.
+  const std::vector<std::vector<size_t>> shapes = {
+      {1, 1}, {3, 1}, {1, 64, 1}, {2, 64, 1}, {2, 5, 3, 1}};
+  for (const std::vector<size_t>& widths : shapes) {
+    SequentialModel m;
+    for (size_t i = 0; i + 1 < widths.size(); ++i) {
+      const Activation act = i + 2 == widths.size() ? Activation::kIdentity
+                                                    : Activation::kRelu;
+      ASSERT_TRUE(m.AddLayer(widths[i], widths[i + 1], act).ok());
+    }
+    Rng rng(60 + widths.size() + widths[0]);
+    m.InitWeights(&rng);
+    Matrix x(11, widths[0]);
+    for (double& v : x.data()) v = rng.Uniform(-2, 2);
+    const std::string shape = ::testing::PrintToString(widths);
+
+    TrainWorkspace ws;
+    ASSERT_TRUE(m.PredictInto(x, &ws).ok()) << shape;
+    const std::vector<double> expected = ws.layers.back().out.data();
+    EXPECT_TRUE(SameBits(expected, m.Predict(x).value().data())) << shape;
+    std::vector<double> column(x.rows(), -1.0);
+    ASSERT_TRUE(m.PredictColumnInto(x, &ws, column).ok()) << shape;
+    EXPECT_TRUE(SameBits(expected, column)) << shape;
+
+    for (size_t size : {x.rows() - 1, x.rows() + 1}) {
+      std::vector<double> wrong(size);
+      EXPECT_TRUE(m.PredictColumnInto(x, &ws, wrong).IsInvalidArgument())
+          << shape << " span " << size;
+    }
+  }
+}
+
+TEST(SequentialModelTest, PredictColumnIntoRejectsSeveralOutputs) {
+  SequentialModel m;
+  ASSERT_TRUE(m.AddLayer(2, 2, Activation::kIdentity).ok());
+  Rng rng(71);
+  m.InitWeights(&rng);
+  Matrix x(4, 2);
+  for (double& v : x.data()) v = rng.Uniform(-1, 1);
+  TrainWorkspace ws;
+  for (size_t size : {x.rows(), 2 * x.rows()}) {
+    std::vector<double> out(size);
+    EXPECT_TRUE(m.PredictColumnInto(x, &ws, out).IsInvalidArgument()) << size;
   }
 }
 
