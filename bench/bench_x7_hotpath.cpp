@@ -13,7 +13,10 @@
 //               dX = dZ*Wt.
 //   step      — one full forward+backward training step of the MLP: the
 //               naive allocating chain vs the workspace step (fused MSE
-//               head, no allocation after the first batch).
+//               head, no allocation after the first batch). The paper NN
+//               on one feature (1 -> 64 relu -> 1), which trains and
+//               predicts through the hidden-layer sweep, is bit-checked
+//               against the naive chain too, untimed.
 //   round     — one 16-node federated round of local training, pre-PR
 //               (std::async per node + naive compute) vs pooled + fused:
 //               one ThreadPool::ParallelUnits unit per node, each writing
@@ -353,6 +356,36 @@ void BenchKernels(BenchJson* json) {
 
 // --- Section: step ---------------------------------------------------------
 
+/// One naive step and one workspace step on the same batch must give
+/// bitwise identical predictions and gradients. With 13 features the
+/// workspace step runs the layer chain and the fused MSE head; with one
+/// (the paper NN on its single feature) Predict and LossAndGradients run
+/// the hidden-layer sweep.
+void RequireStepBitIdentical(const ml::HyperParams& hp,
+                             const ml::SequentialModel& naive_model,
+                             const ml::SequentialModel& fused_model,
+                             const Matrix& xb, const Matrix& yb,
+                             ml::TrainWorkspace* ws) {
+  NaiveCache cache;
+  Matrix pred_naive = NaiveForward(naive_model, xb, &cache);
+  Matrix grad = ValueOrDie(ml::ComputeLossGrad(hp.loss, pred_naive, yb), "dL");
+  auto grads_naive = NaiveBackward(naive_model, grad, cache);
+  CheckOk(fused_model.ForwardInto(xb, ws), "fwd");
+  RequireBitIdentical(pred_naive.data(), ws->layers.back().out.data(),
+                      "pred differs");
+  RequireBitIdentical(pred_naive.data(),
+                      ValueOrDie(fused_model.Predict(xb), "predict").data(),
+                      "Predict differs");
+  ValueOrDie(fused_model.LossAndGradients(hp.loss, xb, yb, ws), "step");
+  if (grads_naive.size() != ws->grads.size()) Die("grad count");
+  for (size_t i = 0; i < grads_naive.size(); ++i) {
+    RequireBitIdentical(grads_naive[i].d_weights.data(),
+                        ws->grads[i].d_weights.data(), "dW differs");
+    RequireBitIdentical(grads_naive[i].d_bias, ws->grads[i].d_bias,
+                        "db differs");
+  }
+}
+
 void BenchTrainStep(BenchJson* json) {
   PrintHeader("X7b. Dense forward+backward step (MLP 13 -> 64 relu -> 1)");
   const ml::HyperParams hp = ml::PaperHyperParams(ml::ModelKind::kNeuralNetwork);
@@ -367,28 +400,29 @@ void BenchTrainStep(BenchJson* json) {
   const Matrix xb = RandomMatrix(kBatch, kFeatures, &rng);
   const Matrix yb = RandomMatrix(kBatch, 1, &rng);
 
-  // One step each way, then assert the prediction and every gradient are
-  // bitwise identical. The workspace step runs the fused MSE head.
-  NaiveCache cache;
+  // One step each way must agree bit for bit before anything is timed.
   ml::TrainWorkspace ws;
-  {
-    Matrix pred_naive = NaiveForward(naive_model, xb, &cache);
-    Matrix grad =
-        ValueOrDie(ml::ComputeLossGrad(hp.loss, pred_naive, yb), "dL");
-    auto grads_naive = NaiveBackward(naive_model, grad, cache);
-    CheckOk(fused_model.ForwardInto(xb, &ws), "fwd");
-    RequireBitIdentical(pred_naive.data(), ws.layers.back().out.data(),
-                        "pred differs");
-    ValueOrDie(fused_model.LossAndGradients(hp.loss, xb, yb, &ws), "step");
-    if (grads_naive.size() != ws.grads.size()) Die("grad count");
-    for (size_t i = 0; i < grads_naive.size(); ++i) {
-      RequireBitIdentical(grads_naive[i].d_weights.data(),
-                          ws.grads[i].d_weights.data(), "dW differs");
-      RequireBitIdentical(grads_naive[i].d_bias, ws.grads[i].d_bias,
-                          "db differs");
+  RequireStepBitIdentical(hp, naive_model, fused_model, xb, yb, &ws);
+  {  // The paper NN's shape, 1 -> 64 relu -> 1: untimed, checked only.
+    Rng paper_rng(11);
+    ml::SequentialModel paper_model =
+        ValueOrDie(ml::BuildModel(hp, 1, &paper_rng), "paper model");
+    // Glorot leaves the biases at zero; nonzero ones make the bias adds
+    // and their order count.
+    for (size_t i = 0; i < paper_model.num_layers(); ++i) {
+      for (double& b : paper_model.layer(i).bias()) {
+        b = paper_rng.Uniform(-0.5, 0.5);
+      }
     }
+    const Matrix paper_x = RandomMatrix(kBatch, 1, &rng);
+    const Matrix paper_y = RandomMatrix(kBatch, 1, &rng);
+    ml::TrainWorkspace paper_ws;
+    RequireStepBitIdentical(hp, paper_model, paper_model, paper_x, paper_y,
+                            &paper_ws);
+    if (paper_ws.sweep_tile.empty()) Die("paper NN step skipped the sweep");
   }
 
+  NaiveCache cache;
   const double reps = 5000;
   double sink = 0.0;
   Stopwatch naive_watch;

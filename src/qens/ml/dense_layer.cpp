@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "qens/common/string_util.h"
 #include "qens/ml/kernel_isa.h"
@@ -219,54 +221,90 @@ SweepParams ParamsOf(const DenseLayer& hidden, const DenseLayer& head) {
           head.bias()[0]};
 }
 
-// The sweep works on R consecutive rows at a time: R = kSweepRows in the
-// blocked loop, R = 1 for the ragged tail. x has one column, so the R rows'
-// inputs are R consecutive values. Every accumulator is one of R
-// independent chains that adds in the generic kernels' order, so the
-// blocking changes no bit. Each half is a single loop over units, innermost
-// and branch-free, so it vectorizes.
+// The sweep works on blocks of kHiddenSweepRows consecutive rows. x has one
+// column, so a block's inputs are consecutive values. Each row's sums are
+// chains of their own that add in the generic kernels' order, so the
+// blocking changes no bit. Each pass is a single branch-free loop over
+// units.
 
-// Four, not eight: an 8-row tile keeps the bits too, but measured slower
-// on paper_nn on both instruction sets (docs/PERFORMANCE.md).
-constexpr size_t kSweepRows = 4;
+/// W doubles, one row per lane (a GCC vector type). Each kernel copy uses
+/// the width its instruction set holds in one register: GCC lowers a wider
+/// type to much slower SSE2 code. The types live in a class template
+/// because GCC drops `vector_size` from a dependent alias template.
+template <size_t W>
+struct LaneTypes {
+  typedef double Value __attribute__((vector_size(W * sizeof(double))));
+  typedef int64_t Mask __attribute__((vector_size(W * sizeof(double))));
+};
+template <size_t W>
+using Lanes = typename LaneTypes<W>::Value;
+template <size_t W>
+using LaneMask = typename LaneTypes<W>::Mask;
 
-/// Calls block.template operator()<R>(r) for each row block of an n-row
-/// batch in ascending order: R = kSweepRows, then R = 1 for the tail.
-template <typename Block>
-void ForEachRowBlock(size_t n, Block&& block) {
-  size_t r = 0;
-  for (; r + kSweepRows <= n; r += kSweepRows) {
-    block.template operator()<kSweepRows>(r);
+/// z = ActivationValue<A>(z) in every lane. ReLU is the compare-mask AND,
+/// bit for bit z > 0.0 ? z : 0.0 (a NaN or -0.0 fails the compare and gives
+/// +0.0). z is passed by reference: a 32-byte vector argument would make
+/// GCC warn of an ABI that differs between the two copies.
+template <Activation A, size_t W>
+inline void ActivateLanes(Lanes<W>& z) {
+  if constexpr (A == Activation::kRelu) {
+    const auto positive = reinterpret_cast<LaneMask<W>>(z > Lanes<W>{});
+    z = reinterpret_cast<Lanes<W>>(positive &
+                                   reinterpret_cast<LaneMask<W>>(z));
+  } else {
+    for (size_t q = 0; q < W; ++q) z[q] = ActivationValue<A>(z[q]);
   }
-  for (; r < n; ++r) block.template operator()<1>(r);
 }
 
-/// Forward half: h(q, j) = f((0.0 + x(q)·w(j)) + b(j)) for the R inputs at
-/// `x` into `h` (R x H): MatMulAddBiasInto's order — the one-term sum from
-/// 0.0, then the bias — and ApplyActivation's formula.
-template <Activation A, size_t R>
-inline void SweepForward(const SweepParams& p, const double* __restrict x,
-                         double* __restrict h) {
+/// Forward half and head for the kHiddenSweepRows inputs at `x`, each
+/// vector lane one row. Per unit j in ascending order:
+/// z = (0.0 + x·w(j)) + b(j) — MatMulAddBiasInto's order, the one-term sum
+/// from 0.0, then the bias — h = f(z) into the row-major tile `h`
+/// (kHiddenSweepRows x H), and s += h·v(j), each lane's sum starting at
+/// 0.0 (GemvAccumulate's order). Then pred = s + c.
+template <Activation A, size_t W>
+inline void SweepForwardHead(const SweepParams& p, const double* __restrict x,
+                             double* __restrict h, double* __restrict pred) {
+  static_assert(kHiddenSweepRows % W == 0);
+  constexpr size_t kVectors = kHiddenSweepRows / W;
+  using V = Lanes<W>;
   const size_t units = p.units;
+  V xv[kVectors];
+  V s[kVectors];
+  for (size_t k = 0; k < kVectors; ++k) {
+    std::memcpy(&xv[k], x + k * W, sizeof(V));
+    s[k] = V{};
+  }
   for (size_t j = 0; j < units; ++j) {
-    for (size_t q = 0; q < R; ++q) {
-      h[q * units + j] = ActivationValue<A>((0.0 + x[q] * p.w[j]) + p.b[j]);
+    for (size_t k = 0; k < kVectors; ++k) {
+      V hv = (0.0 + xv[k] * p.w[j]) + p.b[j];
+      ActivateLanes<A, W>(hv);
+      s[k] += hv * p.v[j];
+      for (size_t q = 0; q < W; ++q) h[(k * W + q) * units + j] = hv[q];
     }
   }
+  for (size_t k = 0; k < kVectors; ++k) {
+    const V out = s[k] + p.c;
+    std::memcpy(pred + k * W, &out, sizeof(V));
+  }
 }
 
-/// The head for the R rows of `h`: pred[q] = (0.0 + Σⱼ h(q, j)·v(j)) + c,
-/// R add chains in ascending j (GemvAccumulate's order, then the bias).
-template <size_t R>
-inline void SweepHead(const SweepParams& p, const double* __restrict h,
-                      double* __restrict pred) {
-  double s[R];
-  for (size_t q = 0; q < R; ++q) s[q] = 0.0;
-  for (size_t j = 0; j < p.units; ++j) {
-    const double vj = p.v[j];
-    for (size_t q = 0; q < R; ++q) s[q] += h[q * p.units + j] * vj;
+/// SweepForwardHead for the `rows` (<= kHiddenSweepRows) inputs at `x`:
+/// the tile gets kHiddenSweepRows rows, pred the first `rows` predictions.
+/// A ragged tail runs as a full block whose missing inputs are 0.0; lanes
+/// never mix, so those rows change nothing and are dropped.
+template <Activation A, size_t W>
+inline void SweepBlock(const SweepParams& p, const double* x, size_t rows,
+                       double* h, double* pred) {
+  if (rows == kHiddenSweepRows) {
+    SweepForwardHead<A, W>(p, x, h, pred);
+    return;
   }
-  for (size_t q = 0; q < R; ++q) pred[q] = s[q] + p.c;
+  double padded_x[kHiddenSweepRows] = {};
+  double padded_pred[kHiddenSweepRows];
+  std::copy_n(x, rows, padded_x);
+  SweepForwardHead<A, W>(p, padded_x, h, padded_pred);
+  std::copy_n(padded_pred, rows, pred);
 }
 
 /// Backward half for the R inputs at `x` given their h tile and head
@@ -300,41 +338,50 @@ inline void SweepBackward(const SweepParams& p, const double* __restrict x,
 
 /// The training sweep over every row of (x, t). dw, db and dv must hold
 /// zeros; returns the loss and leaves the head's bias gradient in *dc.
-template <Activation A>
+template <Activation A, size_t W>
 double SweepMse(const SweepParams& p, const Matrix& x, const double* t,
                 double* tile, double* dw, double* db, double* dv,
                 double* dc) {
   const size_t n = x.rows();
+  const double* xs = x.data().data();
   const double inv_n = 1.0 / static_cast<double>(n);
   double sq_sum = 0.0;
   double dc_sum = 0.0;
-  ForEachRowBlock(n, [&]<size_t R>(size_t r) {
-    const double* xr = x.RowPtr(r);
-    SweepForward<A, R>(p, xr, tile);
-    double pred[R];
-    SweepHead<R>(p, tile, pred);
+  for (size_t r = 0; r < n; r += kHiddenSweepRows) {
+    const size_t rows = std::min(kHiddenSweepRows, n - r);
+    double pred[kHiddenSweepRows];
+    SweepBlock<A, W>(p, xs + r, rows, tile, pred);
     // ComputeLoss and ComputeLossGradInto's per-row terms, in row order.
-    double g[R];
-    for (size_t q = 0; q < R; ++q) {
+    double g[kHiddenSweepRows];
+    for (size_t q = 0; q < rows; ++q) {
       const double diff = pred[q] - t[r + q];
       sq_sum += diff * diff;
       g[q] = 2.0 * diff * inv_n;
       dc_sum += g[q];
     }
-    SweepBackward<A, R>(p, xr, tile, g, dw, db, dv);
-  });
+    if (rows == kHiddenSweepRows) {
+      SweepBackward<A, kHiddenSweepRows>(p, xs + r, tile, g, dw, db, dv);
+    } else {
+      for (size_t q = 0; q < rows; ++q) {
+        SweepBackward<A, 1>(p, xs + r + q, tile + q * p.units, g + q, dw, db,
+                            dv);
+      }
+    }
+  }
   *dc = dc_sum;
   return sq_sum / static_cast<double>(n);
 }
 
 /// The forward half over every row of x into pred (x.rows() values).
-template <Activation A>
+template <Activation A, size_t W>
 void SweepPredict(const SweepParams& p, const Matrix& x, double* tile,
                   double* pred) {
-  ForEachRowBlock(x.rows(), [&]<size_t R>(size_t r) {
-    SweepForward<A, R>(p, x.RowPtr(r), tile);
-    SweepHead<R>(p, tile, pred + r);
-  });
+  const size_t n = x.rows();
+  const double* xs = x.data().data();
+  for (size_t r = 0; r < n; r += kHiddenSweepRows) {
+    SweepBlock<A, W>(p, xs + r, std::min(kHiddenSweepRows, n - r), tile,
+                     pred + r);
+  }
 }
 
 /// A training sweep's operands; dw, db and dv must hold zeros.
@@ -357,18 +404,20 @@ struct SweepPredictJob {
 };
 
 // The one body of each sweep, compiled once per instruction set
-// (kernel_isa.h): inline here for the baseline copy, and flattened into
-// the target("avx2") copies below.
+// (kernel_isa.h): inline here for the baseline copy, with two lanes, and
+// flattened into the target("avx2") copies below, with four.
 
+template <size_t W>
 inline double RunSweepMse(Activation a, const SweepMseJob& j, double* dc) {
   return DispatchActivation(a, [&]<Activation A>() {
-    return SweepMse<A>(j.p, *j.x, j.t, j.tile, j.dw, j.db, j.dv, dc);
+    return SweepMse<A, W>(j.p, *j.x, j.t, j.tile, j.dw, j.db, j.dv, dc);
   });
 }
 
+template <size_t W>
 inline void RunSweepPredict(Activation a, const SweepPredictJob& j) {
   DispatchActivation(a, [&]<Activation A>() {
-    SweepPredict<A>(j.p, *j.x, j.tile, j.pred);
+    SweepPredict<A, W>(j.p, *j.x, j.tile, j.pred);
   });
 }
 
@@ -379,12 +428,12 @@ inline void RunSweepPredict(Activation a, const SweepPredictJob& j) {
 // instruction (CI disassembles them to check).
 [[gnu::target("avx2"), gnu::flatten]] double SweepMseAvx2(
     Activation a, const SweepMseJob& j, double* dc) {
-  return RunSweepMse(a, j, dc);
+  return RunSweepMse<4>(a, j, dc);
 }
 
 [[gnu::target("avx2"), gnu::flatten]] void SweepPredictAvx2(
     Activation a, const SweepPredictJob& j) {
-  RunSweepPredict(a, j);
+  RunSweepPredict<4>(a, j);
 }
 #endif
 
@@ -394,7 +443,7 @@ double SweepMseOnActiveIsa(Activation a, const SweepMseJob& j, double* dc) {
     return SweepMseAvx2(a, j, dc);
   }
 #endif
-  return RunSweepMse(a, j, dc);
+  return RunSweepMse<2>(a, j, dc);
 }
 
 void SweepPredictOnActiveIsa(Activation a, const SweepPredictJob& j) {
@@ -404,7 +453,7 @@ void SweepPredictOnActiveIsa(Activation a, const SweepPredictJob& j) {
     return;
   }
 #endif
-  RunSweepPredict(a, j);
+  RunSweepPredict<2>(a, j);
 }
 
 Status CheckSweepInput(const char* who, const DenseLayer& hidden,
@@ -437,7 +486,7 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
   if (x.rows() == 0) return Status::InvalidArgument("loss: empty inputs");
 
   const SweepParams p = ParamsOf(hidden, head);
-  tile->ResizeUninitialized(kSweepRows, p.units);
+  tile->ResizeUninitialized(kHiddenSweepRows, p.units);
   Matrix& dw = hidden_grads->d_weights;
   dw.ResizeUninitialized(1, p.units);
   std::fill(dw.data().begin(), dw.data().end(), 0.0);
@@ -466,7 +515,7 @@ Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
                   pred.size(), x.rows()));
   }
   const SweepParams p = ParamsOf(hidden, head);
-  tile->ResizeUninitialized(kSweepRows, p.units);
+  tile->ResizeUninitialized(kHiddenSweepRows, p.units);
   SweepPredictOnActiveIsa(hidden.activation(),
                           {p, &x, tile->data().data(), pred.data()});
   return Status::OK();

@@ -122,14 +122,20 @@ class DenseLayer {
 /// over the batch. Wider inputs keep the layer-by-layer chain.
 bool IsHiddenSweepPair(const DenseLayer& hidden, const DenseLayer& head);
 
+/// Rows per block of the hidden-layer sweep, and so the rows of its tile.
+inline constexpr size_t kHiddenSweepRows = 8;
+
 /// Fused MSE training pass for a hidden-sweep pair: the hidden forward, the
-/// head, the loss and both layers' gradients in one row-blocked sweep, four
-/// rows at a time. Per row block it computes z = (0.0 + x·W) + b and
-/// h = f(z) in one loop over units into `tile` (4 x H, resized in place),
-/// runs four head chains p = (0.0 + Σⱼ h·v) + c, then one loop over units
-/// adds the rows' terms to dv, dW and db with dZ = f'(z)·(0.0 + g·v).
-/// Every sum starts at 0.0 and runs over ascending j or rows, so the loss
-/// and gradients are bit-identical to hidden.ForwardInto, head.ForwardInto,
+/// head, the loss and both layers' gradients in one sweep over blocks of
+/// kHiddenSweepRows rows. Per block one loop over units runs the forward
+/// and the head with each vector lane one row: z = (0.0 + x·W) + b and
+/// h = f(z) into `tile` (kHiddenSweepRows x H, resized in place), and
+/// s += h·v, which gives p = s + c. The loss terms and g = dL/dp follow in
+/// row order, then one loop over units adds the rows' terms to dv, dW and
+/// db with dZ = f'(z)·(0.0 + g·v). A ragged last block runs the forward on
+/// zero-padded inputs and the backward for its real rows only. Every sum
+/// starts at 0.0 and runs over ascending j or rows, so the loss and
+/// gradients are bit-identical to hidden.ForwardInto, head.ForwardInto,
 /// ComputeLoss, ComputeLossGradInto and both layers' BackwardInto. Input
 /// checks come first and return the generic chain's codes; no gradient is
 /// written on failure.
@@ -138,12 +144,12 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
                           double* loss, DenseGradients* hidden_grads,
                           DenseGradients* head_grads);
 
-/// Inference through a hidden-sweep pair with the forward half of the same
-/// sweep: one prediction per row of x into `pred` (x.rows() values),
-/// bit-identical to hidden.Apply followed by head.Apply, through a 4 x H
-/// `tile` instead of a batch x H intermediate. The tile is resized in
-/// place, so a caller that keeps it predicts without allocating once it
-/// has grown.
+/// Inference through a hidden-sweep pair with the forward half and head of
+/// the same sweep, rows as vector lanes: one prediction per row of x into
+/// `pred` (x.rows() values), bit-identical to hidden.Apply followed by
+/// head.Apply, through a kHiddenSweepRows x H `tile` instead of a batch x H
+/// intermediate. The tile is resized in place, so a caller that keeps it
+/// predicts without allocating once it has grown.
 Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
                               const Matrix& x, Matrix* tile,
                               std::span<double> pred);

@@ -16,6 +16,13 @@
 /// ml_training_pin_test runs every case on both copies through
 /// ScopedKernelIsa.
 ///
+/// The sweep's forward and head run rows as the lanes of a GCC vector
+/// type, as wide as one register of the copy's instruction set: two
+/// doubles (xmm) in the baseline copy, four (ymm) in the AVX2 copy. A
+/// four-lane type in the baseline copy would be split into much slower
+/// SSE2 code. The lane count only sets how many rows run side by side;
+/// each row's operations are the same.
+///
 /// Only GCC on x86-64 builds the AVX2 copies; elsewhere every call takes
 /// the baseline one.
 

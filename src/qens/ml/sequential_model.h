@@ -26,7 +26,8 @@ struct TrainWorkspace {
   std::vector<LayerBuffers> layers;
   std::vector<DenseGradients> grads;
   Matrix loss_grad;  ///< dL/dprediction on the generic (unfused) path.
-  Matrix sweep_tile;  ///< The hidden-layer sweep's 4 x H row-block tile.
+  Matrix sweep_tile;  ///< The hidden-layer sweep's row-block tile
+                      ///< (kHiddenSweepRows x H).
   Matrix batch_x;     ///< Trainer::Fit's gathered mini-batch features
                       ///< (the fused LR fit gathers none).
   Matrix batch_y;     ///< Trainer::Fit's gathered mini-batch targets.
@@ -62,7 +63,8 @@ class SequentialModel {
   /// Inference forward pass: no workspace, one fresh buffer per layer. A
   /// [1 → H, act] → [H → 1, identity] model (IsHiddenSweepPair) runs the
   /// forward half of the hidden-layer sweep instead, bit-identical to the
-  /// layer-by-layer pass, with a 4 x H tile in place of the batch x H one.
+  /// layer-by-layer pass, with a kHiddenSweepRows x H tile in place of the
+  /// batch x H one.
   Result<Matrix> Predict(const Matrix& x) const;
 
   /// Training forward pass through every layer into `ws` (sized on first

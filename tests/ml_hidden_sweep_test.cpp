@@ -6,11 +6,12 @@
 // per layer for prediction — by memcmp, so the sign of a zero and a NaN's
 // payload count (with one exception, explained where it is checked).
 //
-// Coverage: batch rows {1, 3, 4, 5, 32, 33} (below, at and past the
-// four-row blocks, with ragged tails) and 0 rows for Predict; input widths
-// {1, 3, 13} (1 takes the sweep; the wider ones must keep the fused head
-// and the layer-by-layer passes, and match just the same); hidden widths
-// {1, 5, 64}; every activation; and NaN, +Inf, -Inf
+// Coverage: batch rows {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33} (below,
+// at and past one and two kHiddenSweepRows-row blocks, with ragged tails)
+// and 0 rows for Predict; input widths {1, 3, 13} (1 takes the sweep; the
+// wider ones must keep the fused head and the layer-by-layer passes, and
+// match just the same); hidden widths {1, 3, 5, 6, 64}; every activation;
+// and NaN, +Inf, -Inf
 // and -0.0 planted in the inputs, the hidden weights, the head weights and
 // the targets, plus targets equal to the predictions (zero gradients).
 // Malformed inputs must fail with the generic chain's status code before
@@ -158,7 +159,7 @@ void ExpectSweepMatchesGeneric(const Case& c) {
                                 .value();
   if (c.d == 1) {
     // The sweep ran: it writes its row tile and none of the layer buffers.
-    EXPECT_EQ(ws.sweep_tile.rows(), 4u) << c.Name();
+    EXPECT_EQ(ws.sweep_tile.rows(), kHiddenSweepRows) << c.Name();
     EXPECT_TRUE(ws.layers[0].pre.empty()) << c.Name();
     EXPECT_TRUE(ws.layers[1].out.empty()) << c.Name();
   } else {
@@ -192,13 +193,14 @@ void ExpectSweepMatchesGeneric(const Case& c) {
 
 const Activation kActivations[] = {Activation::kIdentity, Activation::kRelu,
                                    Activation::kSigmoid, Activation::kTanh};
+const size_t kUnits[] = {1, 3, 5, 6, 64};
 
 TEST(HiddenSweepTest, MatchesGenericChainBitForBit) {
   OnEveryKernelIsa([] {
     for (Activation act : kActivations) {
       for (size_t d : {size_t{1}, size_t{3}, size_t{13}}) {
-        for (size_t units : {size_t{1}, size_t{5}, size_t{64}}) {
-          for (size_t rows : {1, 3, 4, 5, 32, 33}) {
+        for (size_t units : kUnits) {
+          for (size_t rows : {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33}) {
             ExpectSweepMatchesGeneric(
                 {rows, d, units, act, Plant::kNone, 0.0});
           }
@@ -217,8 +219,8 @@ TEST(HiddenSweepTest, NonFiniteAndNegativeZeroPropagateAsInTheGenericChain) {
                           Plant::kHeadWeight, Plant::kTarget}) {
         for (double special : {nan, inf, -inf, -0.0}) {
           for (size_t d : {size_t{1}, size_t{3}, size_t{13}}) {
-            for (size_t units : {size_t{1}, size_t{5}, size_t{64}}) {
-              for (size_t rows : {1, 5, 33}) {
+            for (size_t units : kUnits) {
+              for (size_t rows : {1, 5, 7, 8, 9, 15, 16, 17, 33}) {
                 ExpectSweepMatchesGeneric(
                     {rows, d, units, act, plant, special});
               }

@@ -8,18 +8,25 @@
 Run from anywhere inside the repository. The base side is `git archive
 <ref>` extracted into a work directory; the change side is the working
 tree, rebuilt by every run, so leave src/ alone while it runs. Each side
-builds into its own CARGO_TARGET_DIR and runs its own, unedited
-`perfbench/run.py`. Runs come in alternating pairs (base first in even
-pairs, change first in odd ones), so a slow drift of the host hits both
-sides alike.
+runs its own, unedited `perfbench/run.py`. Runs come in alternating pairs
+(base first in even pairs, change first in odd ones), so a slow drift of
+the host hits both sides alike.
 
-For every workload and metric it prints each side's median and
+Every workload is measured in each of two code layouts, --pairs pairs per
+layout: the default build, and one whose first configure sees
+CXXFLAGS=-falign-functions=64 in its environment. Each side and layout
+builds into its own CARGO_TARGET_DIR. Moving unchanged hot code by a few
+bytes can shift a timing by more than a change does, so a difference
+that shows in only one layout is not the change's.
+
+For every workload, layout and metric it prints each side's median and
 interquartile range (IQR), the change/base ratio of the medians and the
 pairs the change won, where BENCHMARK.json says which direction is better.
-`claim` reads "yes" when the change won at least 9 of every 10 pairs and
-its median is better than the base's by more than the base's IQR. A run
-that reports `correct: false` or failed queries is flagged and makes the
-script exit 1.
+`rule` reads "yes" when, in that layout, the change won at least 9 of
+every 10 pairs and its median is better than the base's by more than the
+base's IQR; `claim` reads "yes" only when the rule holds in every layout.
+A run that reports `correct: false` or failed queries is flagged and
+makes the script exit 1.
 
 --work-dir keeps the extracted trees and builds for another run (a build
 takes minutes); without it they go in a temporary directory that is
@@ -65,11 +72,18 @@ def extract(ref, dest):
     return commit
 
 
+# (name, extra CXXFLAGS) of each code layout.
+LAYOUTS = (("default", ""), ("align64", "-falign-functions=64"))
+
+
 class Side:
-    def __init__(self, name, tree, target_dir):
+    def __init__(self, name, tree, target_dir, cxxflags):
         self.name = name
         self.tree = tree
         self.env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+        if cxxflags:
+            flags = self.env.get("CXXFLAGS", "")
+            self.env["CXXFLAGS"] = f"{flags} {cxxflags}".strip()
 
     def run(self, workload, seed, seconds, trace):
         cmd = [sys.executable, "perfbench/run.py",
@@ -98,14 +112,16 @@ def directions(tree):
             for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
 
 
-def report(workload, runs, better, pairs):
-    """Print one workload's table."""
+def report(title, runs, better, pairs):
+    """Print one workload's table in one layout; return metric -> whether
+    the rule holds (None where BENCHMARK.json gives no direction)."""
     names = sorted(set(runs["base"][0]["metrics"]) &
                    set(runs["change"][0]["metrics"]))
-    print(f"\n{workload}: {pairs} pairs")
+    print(f"\n{title}: {pairs} pairs")
     print(f"{'metric':24} {'base median':>14} {'base IQR':>12} "
           f"{'change median':>14} {'change IQR':>12} {'ratio':>7} "
-          f"{'wins':>6} {'claim':>5}")
+          f"{'wins':>6} {'rule':>5}")
+    holds = {}
     for name in names:
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
@@ -113,15 +129,27 @@ def report(workload, runs, better, pairs):
         c1, cm, c3 = quartiles(change)
         ratio = cm / bm if bm != 0 else math.nan
         direction = better.get(name)
-        wins = claim = None
+        wins = rule = None
         if direction in ("lower", "higher"):
             sign = 1 if direction == "higher" else -1
             wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
-            claim = (wins * 10 >= pairs * 9 and sign * (cm - bm) > b3 - b1)
+            rule = (wins * 10 >= pairs * 9 and sign * (cm - bm) > b3 - b1)
+        holds[name] = rule
         print(f"{name:24} {bm:14.6g} {b3 - b1:12.4g} {cm:14.6g} "
               f"{c3 - c1:12.4g} {ratio:7.3f} "
               f"{'-' if wins is None else f'{wins}/{pairs}':>6} "
-              f"{'-' if claim is None else ('yes' if claim else 'no'):>5}")
+              f"{'-' if rule is None else ('yes' if rule else 'no'):>5}")
+    return holds
+
+
+def report_claims(workload, holds_by_layout):
+    """Print, per metric, whether the rule held in every layout."""
+    print(f"\n{workload}: claim (the rule holds in every layout)")
+    for name in sorted(holds_by_layout[0]):
+        rules = [holds.get(name) for holds in holds_by_layout]
+        if None in rules:
+            continue
+        print(f"{name:24} {'yes' if all(rules) else 'no':>5}")
 
 
 def main():
@@ -146,32 +174,42 @@ def main():
     work = os.path.abspath(work)
     base_tree = os.path.join(work, "base")
     base_commit = extract(args.base, base_tree)
-    sides = {
-        "base": Side("base", base_tree, os.path.join(work, "base-target")),
-        "change": Side("change", ROOT, os.path.join(work, "change-target")),
-    }
     print(f"base {base_commit} vs the working tree; seed {args.seed}, "
           f"{args.seconds} s per run, trace {args.trace}")
 
     better = directions(ROOT)
     bad = 0
     for workload in args.workloads.split(","):
-        # The first call of each side builds its query_bench; a tiny run
-        # keeps the build out of the timed pairs.
-        for side in sides.values():
-            side.run(workload, args.seed, 0.001, args.trace)
-        runs = {"base": [], "change": []}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for name in order:
-                result = sides[name].run(workload, args.seed, args.seconds,
-                                         args.trace)
-                if not result["correct"] or result["failed"] != 0:
-                    bad += 1
-                    print(f"  pair {i} {name}: correct={result['correct']} "
-                          f"failed={result['failed']}", file=sys.stderr)
-                runs[name].append(result)
-        report(workload, runs, better, args.pairs)
+        holds_by_layout = []
+        for layout, cxxflags in LAYOUTS:
+            sides = {
+                name: Side(name, tree,
+                           os.path.join(work, f"{name}-target-{layout}"),
+                           cxxflags)
+                for name, tree in (("base", base_tree), ("change", ROOT))
+            }
+            # The first call of each side builds its query_bench; a tiny
+            # run keeps the build out of the timed pairs.
+            for side in sides.values():
+                side.run(workload, args.seed, 0.001, args.trace)
+            runs = {"base": [], "change": []}
+            for i in range(args.pairs):
+                order = (("base", "change") if i % 2 == 0
+                         else ("change", "base"))
+                for name in order:
+                    result = sides[name].run(workload, args.seed,
+                                             args.seconds, args.trace)
+                    if not result["correct"] or result["failed"] != 0:
+                        bad += 1
+                        print(f"  {layout} pair {i} {name}: "
+                              f"correct={result['correct']} "
+                              f"failed={result['failed']}", file=sys.stderr)
+                    runs[name].append(result)
+            flags = f"CXXFLAGS={cxxflags}" if cxxflags else "no extra flags"
+            holds_by_layout.append(
+                report(f"{workload}, layout {layout} ({flags})", runs,
+                       better, args.pairs))
+        report_claims(workload, holds_by_layout)
 
     if tmp is not None:
         tmp.cleanup()
