@@ -227,10 +227,10 @@ SweepParams ParamsOf(const DenseLayer& hidden, const DenseLayer& head) {
 // blocking changes no bit. Each pass is a single branch-free loop over
 // units.
 
-/// W doubles, one row per lane (a GCC vector type). Each kernel copy uses
-/// the width its instruction set holds in one register: GCC lowers a wider
-/// type to much slower SSE2 code. The types live in a class template
-/// because GCC drops `vector_size` from a dependent alias template.
+/// W doubles, one row per lane (a GCC vector type); each kernel copy uses
+/// the width of one of its registers (kernel_isa.h). The types live in a
+/// class template because GCC drops `vector_size` from a dependent alias
+/// template.
 template <size_t W>
 struct LaneTypes {
   typedef double Value __attribute__((vector_size(W * sizeof(double))));

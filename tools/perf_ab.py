@@ -114,7 +114,7 @@ def directions(tree):
 
 def report(title, runs, better, pairs):
     """Print one workload's table in one layout; return metric -> whether
-    the rule holds (None where BENCHMARK.json gives no direction)."""
+    the rule holds, for the metrics BENCHMARK.json gives a direction."""
     names = sorted(set(runs["base"][0]["metrics"]) &
                    set(runs["change"][0]["metrics"]))
     print(f"\n{title}: {pairs} pairs")
@@ -134,7 +134,7 @@ def report(title, runs, better, pairs):
             sign = 1 if direction == "higher" else -1
             wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
             rule = (wins * 10 >= pairs * 9 and sign * (cm - bm) > b3 - b1)
-        holds[name] = rule
+            holds[name] = rule
         print(f"{name:24} {bm:14.6g} {b3 - b1:12.4g} {cm:14.6g} "
               f"{c3 - c1:12.4g} {ratio:7.3f} "
               f"{'-' if wins is None else f'{wins}/{pairs}':>6} "
@@ -146,10 +146,8 @@ def report_claims(workload, holds_by_layout):
     """Print, per metric, whether the rule held in every layout."""
     print(f"\n{workload}: claim (the rule holds in every layout)")
     for name in sorted(holds_by_layout[0]):
-        rules = [holds.get(name) for holds in holds_by_layout]
-        if None in rules:
-            continue
-        print(f"{name:24} {'yes' if all(rules) else 'no':>5}")
+        held = all(holds[name] for holds in holds_by_layout)
+        print(f"{name:24} {'yes' if held else 'no':>5}")
 
 
 def main():
