@@ -1,7 +1,11 @@
 // Reproduces Table III: the model hyper-parameters, printed from the
-// factory and asserted, plus a timing of one Table-III-exact training run
-// per model (LR and NN, 100 epochs, validation split 0.2).
+// factory and checked against the paper's values, plus a timing of one
+// Table-III-exact training run per model (LR and NN, 100 epochs, validation
+// split 0.2). Exits 1 when a shape check fails (bench::ShapeCheck): a
+// factory value that differs from Table III, or an NN fit that ends with a
+// non-finite validation loss or one more than 5 % above the LR fit's.
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -41,6 +45,26 @@ int main(int argc, char** argv) {
   PrintRow("Loss", ml::LossName(lr.loss), ml::LossName(nn.loss));
   PrintRow("optimizer", lr.optimizer, nn.optimizer);
 
+  std::printf(
+      "shape checks: Dense 1/64: %s | epochs 100/100: %s | validation "
+      "0.2/0.2: %s | lr 0.03/0.001: %s | relu: %s | mse: %s | sgd/adam: %s\n",
+      bench::ShapeCheck("table3: Dense 1/64",
+                        lr.dense_units == 1 && nn.dense_units == 64),
+      bench::ShapeCheck("table3: epochs 100/100",
+                        lr.epochs == 100 && nn.epochs == 100),
+      bench::ShapeCheck("table3: validation split 0.2/0.2",
+                        lr.validation_split == 0.2 &&
+                            nn.validation_split == 0.2),
+      bench::ShapeCheck("table3: learning rate 0.03/0.001",
+                        lr.learning_rate == 0.03 && nn.learning_rate == 0.001),
+      bench::ShapeCheck("table3: relu activation",
+                        lr.hidden_activation == ml::Activation::kRelu &&
+                            nn.hidden_activation == ml::Activation::kRelu),
+      bench::ShapeCheck("table3: mse loss", lr.loss == ml::LossKind::kMse &&
+                                                nn.loss == ml::LossKind::kMse),
+      bench::ShapeCheck("table3: optimizer sgd/adam",
+                        lr.optimizer == "sgd" && nn.optimizer == "adam"));
+
   // One Table-III-exact fit per model on one station's (normalized) data.
   data::AirQualityOptions data_options;
   data_options.num_stations = 1;
@@ -61,6 +85,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nTable-III-exact training runs (one station, %zu samples):\n",
               station.NumSamples());
+  double lr_val_loss = 0.0;
+  double nn_val_loss = 0.0;
   for (ml::ModelKind kind :
        {ml::ModelKind::kLinearRegression, ml::ModelKind::kNeuralNetwork}) {
     Rng rng(7);
@@ -76,6 +102,8 @@ int main(int argc, char** argv) {
         ml::ModelKindName(kind), report.epochs_run,
         report.final_train_loss(), report.final_val_loss(),
         watch.ElapsedSeconds());
+    (kind == ml::ModelKind::kLinearRegression ? lr_val_loss : nn_val_loss) =
+        report.final_val_loss();
 
     bench::BenchRecord record;
     record.name = ml::ModelKindName(kind);
@@ -85,6 +113,12 @@ int main(int argc, char** argv) {
     record.values["wall_seconds"] = watch.ElapsedSeconds();
     bjson.Add(std::move(record));
   }
+  std::printf(
+      "shape check: NN val loss %.6f finite and <= 1.05 x LR's %.6f: %s\n",
+      nn_val_loss, lr_val_loss,
+      bench::ShapeCheck("table3: NN val loss finite and <= 1.05 x LR's",
+                        std::isfinite(nn_val_loss) &&
+                            nn_val_loss <= 1.05 * lr_val_loss));
   bjson.WriteOrDie();
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

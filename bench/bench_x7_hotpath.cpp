@@ -386,6 +386,14 @@ void RequireStepBitIdentical(const ml::HyperParams& hp,
   }
 }
 
+/// Glorot leaves the biases at zero; nonzero ones make the bias adds and
+/// their order count.
+void PlantBiases(ml::SequentialModel* model, Rng* rng) {
+  for (size_t i = 0; i < model->num_layers(); ++i) {
+    for (double& b : model->layer(i).bias()) b = rng->Uniform(-0.5, 0.5);
+  }
+}
+
 void BenchTrainStep(BenchJson* json) {
   PrintHeader("X7b. Dense forward+backward step (MLP 13 -> 64 relu -> 1)");
   const ml::HyperParams hp = ml::PaperHyperParams(ml::ModelKind::kNeuralNetwork);
@@ -400,20 +408,19 @@ void BenchTrainStep(BenchJson* json) {
   const Matrix xb = RandomMatrix(kBatch, kFeatures, &rng);
   const Matrix yb = RandomMatrix(kBatch, 1, &rng);
 
-  // One step each way must agree bit for bit before anything is timed.
+  // One step each way must agree bit for bit before anything is timed,
+  // with the same nonzero biases in both models.
+  Rng fused_bias_rng(13);
+  Rng naive_bias_rng(13);
+  PlantBiases(&fused_model, &fused_bias_rng);
+  PlantBiases(&naive_model, &naive_bias_rng);
   ml::TrainWorkspace ws;
   RequireStepBitIdentical(hp, naive_model, fused_model, xb, yb, &ws);
   {  // The paper NN's shape, 1 -> 64 relu -> 1: untimed, checked only.
     Rng paper_rng(11);
     ml::SequentialModel paper_model =
         ValueOrDie(ml::BuildModel(hp, 1, &paper_rng), "paper model");
-    // Glorot leaves the biases at zero; nonzero ones make the bias adds
-    // and their order count.
-    for (size_t i = 0; i < paper_model.num_layers(); ++i) {
-      for (double& b : paper_model.layer(i).bias()) {
-        b = paper_rng.Uniform(-0.5, 0.5);
-      }
-    }
+    PlantBiases(&paper_model, &paper_rng);
     const Matrix paper_x = RandomMatrix(kBatch, 1, &rng);
     const Matrix paper_y = RandomMatrix(kBatch, 1, &rng);
     ml::TrainWorkspace paper_ws;
