@@ -22,40 +22,27 @@ void ForEachParam(DenseLayer* layer, const DenseGradients& g, Update update) {
   }
 }
 
-/// One Adam step's scalars: the moment decays, the step's bias
-/// corrections 1 - beta^t, the learning rate and epsilon.
-struct AdamCoefficients {
-  double beta1;
-  double beta2;
-  double bc1;
-  double bc2;
-  double learning_rate;
-  double epsilon;
-};
-
 /// The Adam update of n parameters `p` from their gradients `g` and
-/// moments `m`, `v`. The one body of the update, compiled once per
-/// instruction set (kernel_isa.h): this is the baseline copy, and
-/// AdamUpdateAvx2 flattens it into an AVX2 one. A free function because a
-/// virtual one cannot be given a target. This file builds with
-/// -fno-math-errno (see src/CMakeLists.txt), so std::sqrt is one sqrtpd
-/// lane per parameter.
-inline void AdamUpdate(const AdamCoefficients& c, size_t n,
+/// moments `m`, `v`, in the ε̂ form: Keras 2's p − lr_t·m_t/(√v_t + ε) term
+/// by term. The one body of the update, compiled once per instruction set
+/// (kernel_isa.h): this is the baseline copy, and AdamUpdateAvx2 flattens
+/// it into an AVX2 one. A free function because a virtual one cannot be
+/// given a target. This file builds with -fno-math-errno (see
+/// src/CMakeLists.txt), so std::sqrt is one sqrtpd lane per parameter.
+inline void AdamUpdate(const internal::AdamCoefficients& c, size_t n,
                        double* __restrict p, const double* __restrict g,
                        double* __restrict m, double* __restrict v) {
   for (size_t i = 0; i < n; ++i) {
     m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g[i];
     v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g[i] * g[i];
-    const double mhat = m[i] / c.bc1;
-    const double vhat = v[i] / c.bc2;
-    p[i] += -c.learning_rate * mhat / (std::sqrt(vhat) + c.epsilon);
+    p[i] -= c.step_size * m[i] / (std::sqrt(v[i]) + c.epsilon);
   }
 }
 
 #if QENS_ML_AVX2_KERNELS
 [[gnu::target("avx2"), gnu::flatten]] void AdamUpdateAvx2(
-    const AdamCoefficients& c, size_t n, double* p, const double* g,
-    double* m, double* v) {
+    const internal::AdamCoefficients& c, size_t n, double* p,
+    const double* g, double* m, double* v) {
   AdamUpdate(c, n, p, g, m, v);
 }
 #endif
@@ -177,19 +164,10 @@ Status AdamOptimizer::Step(SequentialModel* model,
     t_ = 0;
   }
   ++t_;
-  const AdamCoefficients c{
-      beta1_,
-      beta2_,
-      1.0 - std::pow(beta1_, static_cast<double>(t_)),
-      1.0 - std::pow(beta2_, static_cast<double>(t_)),
-      learning_rate_,
-      epsilon_};
-  auto* update = &AdamUpdate;
-#if QENS_ML_AVX2_KERNELS
-  if (internal::ActiveKernelIsa() == internal::KernelIsa::kAvx2) {
-    update = &AdamUpdateAvx2;
-  }
-#endif
+  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const internal::AdamCoefficients c{
+      beta1_, beta2_, learning_rate_ * std::sqrt(bc2) / bc1, epsilon_};
   for (size_t li = 0; li < grads.size(); ++li) {
     DenseLayer* layer = &model->layer(li);
     auto& m = m_[li];
@@ -201,10 +179,12 @@ Status AdamOptimizer::Step(SequentialModel* model,
     // The flat order ForEachParam visits: weights, then bias.
     std::vector<double>& w = layer->weights().data();
     std::vector<double>& b = layer->bias();
-    update(c, w.size(), w.data(), grads[li].d_weights.data().data(),
-           m.data(), v.data());
-    update(c, b.size(), b.data(), grads[li].d_bias.data(),
-           m.data() + w.size(), v.data() + w.size());
+    internal::AdamUpdateOnActiveIsa(c, w.size(), w.data(),
+                                    grads[li].d_weights.data().data(),
+                                    m.data(), v.data());
+    internal::AdamUpdateOnActiveIsa(c, b.size(), b.data(),
+                                    grads[li].d_bias.data(),
+                                    m.data() + w.size(), v.data() + w.size());
   }
   return Status::OK();
 }
@@ -229,5 +209,20 @@ Result<std::unique_ptr<Optimizer>> MakeOptimizer(const std::string& name,
   }
   return Status::InvalidArgument("unknown optimizer: '" + name + "'");
 }
+
+namespace internal {
+
+void AdamUpdateOnActiveIsa(const AdamCoefficients& c, size_t n, double* p,
+                           const double* g, double* m, double* v) {
+#if QENS_ML_AVX2_KERNELS
+  if (ActiveKernelIsa() == KernelIsa::kAvx2) {
+    AdamUpdateAvx2(c, n, p, g, m, v);
+    return;
+  }
+#endif
+  AdamUpdate(c, n, p, g, m, v);
+}
+
+}  // namespace internal
 
 }  // namespace qens::ml

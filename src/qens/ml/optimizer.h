@@ -70,11 +70,14 @@ class SgdOptimizer final : public Optimizer {
   std::vector<double> head_dw_;
 };
 
-/// Adam (Kingma & Ba, 2015) with the standard bias correction.
-class AdamOptimizer : public Optimizer {
+/// Adam (Kingma & Ba, 2015) in the ε̂ form of the note after their
+/// Algorithm 1, which is Keras' Adam: per step α_t = α·√(1−β₂ᵗ)/(1−β₁ᵗ),
+/// then θ −= α_t·m/(√v + ε̂) per parameter. The defaults are Keras'
+/// (β₁ = 0.9, β₂ = 0.999, ε̂ = K.epsilon() = 1e-7).
+class AdamOptimizer final : public Optimizer {
  public:
   explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
-                         double beta2 = 0.999, double epsilon = 1e-8);
+                         double beta2 = 0.999, double epsilon = 1e-7);
 
   Status Step(SequentialModel* model,
               const std::vector<DenseGradients>& grads) override;
@@ -93,6 +96,25 @@ class AdamOptimizer : public Optimizer {
 /// Factory: "sgd" or "adam" with the given learning rate.
 Result<std::unique_ptr<Optimizer>> MakeOptimizer(const std::string& name,
                                                  double learning_rate);
+
+namespace internal {
+
+/// One Adam step's scalars: the moment decays, α_t (`step_size`) and ε̂.
+struct AdamCoefficients {
+  double beta1;
+  double beta2;
+  double step_size;
+  double epsilon;
+};
+
+/// The Adam update of n parameters `p` from their gradients `g` and moments
+/// `m`, `v`, all updated in place, on the kernel copy ActiveKernelIsa()
+/// picks (kernel_isa.h). AdamOptimizer::Step calls it for each layer's
+/// weights and bias; ml_optimizer_test calls it with planted moments.
+void AdamUpdateOnActiveIsa(const AdamCoefficients& c, size_t n, double* p,
+                           const double* g, double* m, double* v);
+
+}  // namespace internal
 
 }  // namespace qens::ml
 
