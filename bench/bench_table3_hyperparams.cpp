@@ -2,9 +2,14 @@
 // factory and checked against the paper's values, plus a timing of one
 // Table-III-exact training run per model (LR and NN, 100 epochs, validation
 // split 0.2). Exits 1 when a shape check fails (bench::ShapeCheck): a
-// factory value that differs from Table III, or an NN fit that ends with a
-// non-finite validation loss or one more than 5 % above the LR fit's.
+// factory value that differs from Table III, an NN fit that ends with a
+// non-finite validation loss or one more than 5 % above the LR fit's, or an
+// NN validation curve that has not settled: over its last 10 epochs the
+// loss may vary by at most 5 % (max / min - 1). Adam at Table III's rate
+// settles; at 100x that rate it still swings by tens of percent there,
+// while its final loss can stay inside the LR bound.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -87,6 +92,8 @@ int main(int argc, char** argv) {
               station.NumSamples());
   double lr_val_loss = 0.0;
   double nn_val_loss = 0.0;
+  double nn_tail_spread = 0.0;  // max / min - 1 over the last 10 epochs.
+  constexpr size_t kTailEpochs = 10;
   for (ml::ModelKind kind :
        {ml::ModelKind::kLinearRegression, ml::ModelKind::kNeuralNetwork}) {
     Rng rng(7);
@@ -104,6 +111,13 @@ int main(int argc, char** argv) {
         watch.ElapsedSeconds());
     (kind == ml::ModelKind::kLinearRegression ? lr_val_loss : nn_val_loss) =
         report.final_val_loss();
+    if (kind == ml::ModelKind::kNeuralNetwork) {
+      const std::vector<double>& val = report.val_loss;
+      const auto tail = val.end() - static_cast<ptrdiff_t>(
+                                        std::min(kTailEpochs, val.size()));
+      const auto [lo, hi] = std::minmax_element(tail, val.end());
+      nn_tail_spread = tail == val.end() ? NAN : *hi / *lo - 1.0;
+    }
 
     bench::BenchRecord record;
     record.name = ml::ModelKindName(kind);
@@ -119,6 +133,13 @@ int main(int argc, char** argv) {
       bench::ShapeCheck("table3: NN val loss finite and <= 1.05 x LR's",
                         std::isfinite(nn_val_loss) &&
                             nn_val_loss <= 1.05 * lr_val_loss));
+  std::printf(
+      "shape check: NN val loss settles (last %zu epochs vary %.2f %% <= "
+      "5 %%): %s\n",
+      kTailEpochs, 100.0 * nn_tail_spread,
+      bench::ShapeCheck("table3: NN val loss varies <= 5 % over the last "
+                        "10 epochs",
+                        nn_tail_spread <= 0.05));
   bjson.WriteOrDie();
   return bench::ShapeCheckExitCode();
 }

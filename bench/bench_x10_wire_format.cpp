@@ -1,14 +1,15 @@
 // X10: the binary wire format — quality vs bytes on the air-quality
 // workload, swept over the payload codecs (raw f64, 8/4/2-bit quantized,
-// top-k sparsified), plus the exact planner-vs-network byte pinning the
-// closed-form sizes make possible.
+// top-k sparsified), plus the exact closed-form-vs-network byte pinning
+// the architecture-determined sizes make possible.
 //
 // The correctness contract is asserted BEFORE anything is reported: for
-// every run, wire off included, the sum of the planner's est_comm_bytes
-// over the executed queries must equal the bytes the session's network
-// actually recorded (model-down + model-up tags), EXACTLY — every size is
-// architecture-determined, so the leader can price a query's traffic to
-// the byte before engaging a single node. The bench dies on any mismatch.
+// every run, wire off included, the sum over the executed queries of
+// (selected nodes x (down size + up size)), with both sizes from the
+// codec's closed form, must equal the bytes the session's network actually
+// recorded (model-down + model-up tags), EXACTLY — every size is
+// architecture-determined, so a query's traffic is known to the byte
+// before a single node is engaged. The bench dies on any mismatch.
 // With the wire layer off, transfers are priced at the raw codec's size,
 // so the "off" and "raw" rows move the same bytes.
 //
@@ -20,7 +21,7 @@
 // Sections:
 //   sweep   — per codec: avg loss (raw PM2.5 units), recorded down/up
 //             bytes, reduction_vs_raw, rel_loss_vs_raw.
-//   pinning — per run: planned vs recorded bytes (asserted equal).
+//   pinning — per run: expected vs recorded bytes (asserted equal).
 //
 // Every record carries values["queries"] (tools/check_bench_json.py
 // enforces this).
@@ -30,8 +31,10 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "qens/fl/planner.h"
+#include "qens/common/rng.h"
 #include "qens/ml/model_codec.h"
+#include "qens/ml/model_factory.h"
+#include "qens/ml/model_io.h"
 #include "qens/query/workload_generator.h"
 
 namespace qens::bench {
@@ -75,7 +78,7 @@ struct CodecRun {
   double avg_loss = 0.0;        ///< Raw PM2.5 units, weighted aggregation.
   size_t down_bytes = 0;        ///< Network "model-down" total.
   size_t up_bytes = 0;          ///< Network "model-up" total.
-  size_t planned_bytes = 0;     ///< Sum of est_comm_bytes over run queries.
+  size_t expected_bytes = 0;    ///< Closed-form bytes over run queries.
 };
 
 CodecRun RunCodec(const std::string& label, bool wire_on,
@@ -94,22 +97,23 @@ CodecRun RunCodec(const std::string& label, bool wire_on,
   auto fleet = ValueOrDie(fl::Fleet::Create(stations, fed_options), "fleet");
   auto session = ValueOrDie(
       fl::QuerySession::Create(fleet, fl::QuerySessionOptions{}), "session");
-  const auto profiles =
-      ValueOrDie(fleet->environment.Profiles(), "profiles");
 
-  fl::PlannerOptions plan_options;
-  plan_options.ranking = fed_options.ranking;
-  plan_options.selection = fed_options.query_driven;
-  plan_options.epochs_per_cluster = fed_options.epochs_per_cluster;
-  plan_options.hyper = fed_options.hyper;
-  plan_options.wire = fed_options.wire;
+  // One engaged node's down + up bytes per round, from the closed-form
+  // sizes of the trained architecture (raw binary64 with the wire off).
+  Rng arch_rng(0);
+  const ml::SequentialModel arch = ValueOrDie(
+      ml::BuildModel(fed_options.hyper, stations[0].NumFeatures(), &arch_rng),
+      "architecture");
+  const ml::WireOptions& wire = fed_options.wire;
+  const size_t node_bytes =
+      wire_on ? ml::EncodedModelBytes(arch, ml::DownlinkKind(wire),
+                                      wire.top_k_fraction) +
+                    ml::EncodedModelBytes(arch, ml::UplinkKind(wire),
+                                          wire.top_k_fraction)
+              : 2 * ml::SerializedModelBytes(arch);
 
   stats::RunningStats losses;
   for (const query::RangeQuery& q : queries) {
-    const auto internal = ValueOrDie(fleet->InternalQuery(q), "internal");
-    const auto plan =
-        ValueOrDie(fl::PlanQuery(profiles, {}, internal, plan_options),
-                   "plan");
     auto outcome = ValueOrDie(
         session.RunQuery(q, selection::PolicyKind::kQueryDriven,
                          /*data_selectivity=*/true),
@@ -119,7 +123,7 @@ CodecRun RunCodec(const std::string& label, bool wire_on,
       continue;
     }
     ++run.queries_run;
-    run.planned_bytes += plan.est_comm_bytes;
+    run.expected_bytes += outcome.selected_nodes.size() * node_bytes;
     losses.Add(fleet->DenormalizeMse(outcome.loss_weighted));
   }
   run.avg_loss = losses.mean();
@@ -166,14 +170,14 @@ int main(int argc, char** argv) {
                             stations, queries));
   }
 
-  // Contract: planned bytes == recorded bytes, to the byte.
+  // Contract: expected bytes == recorded bytes, to the byte.
   for (const CodecRun& run : runs) {
     const size_t recorded = run.down_bytes + run.up_bytes;
-    if (recorded != run.planned_bytes) {
+    if (recorded != run.expected_bytes) {
       std::fprintf(stderr,
-                   "FATAL: codec %s planned %zu bytes but transport recorded "
-                   "%zu\n",
-                   run.label.c_str(), run.planned_bytes, recorded);
+                   "FATAL: codec %s expected %zu bytes but transport "
+                   "recorded %zu\n",
+                   run.label.c_str(), run.expected_bytes, recorded);
       return 1;
     }
   }
@@ -216,16 +220,16 @@ int main(int argc, char** argv) {
     pin.labels["section"] = "pinning";
     pin.labels["codec"] = run.label;
     pin.labels["exact"] =
-        run.planned_bytes == run.down_bytes + run.up_bytes ? "yes" : "no";
+        run.expected_bytes == run.down_bytes + run.up_bytes ? "yes" : "no";
     pin.values["queries"] = static_cast<double>(run.queries_run);
-    pin.values["planned_bytes"] = static_cast<double>(run.planned_bytes);
+    pin.values["expected_bytes"] = static_cast<double>(run.expected_bytes);
     pin.values["recorded_bytes"] =
         static_cast<double>(run.down_bytes + run.up_bytes);
     json.Add(std::move(pin));
   }
 
   std::printf(
-      "\npinning: every run's planned bytes matched the transport "
+      "\npinning: every run's expected bytes matched the transport "
       "exactly.\n");
 
   json.WriteOrDie();

@@ -49,7 +49,6 @@ epochs_per_cluster = 15
 [federation]
 random_l = 3
 test_fraction = 0.2
-dropout_rate = 0.0
 rounds = 1
 seed = 7
 
@@ -191,8 +190,6 @@ Result<fl::ExperimentConfig> BuildConfig(const Config& ini) {
                         ini.GetCount("federation.random_l", 3));
   QENS_ASSIGN_OR_RETURN(config.federation.test_fraction,
                         ini.GetDouble("federation.test_fraction", 0.2));
-  QENS_ASSIGN_OR_RETURN(config.federation.dropout_rate,
-                        ini.GetDouble("federation.dropout_rate", 0.0));
   QENS_ASSIGN_OR_RETURN(int64_t fed_seed, ini.GetInt("federation.seed", 7));
   config.federation.seed = static_cast<uint64_t>(fed_seed);
 

@@ -58,8 +58,9 @@ enum class RngPurpose : uint64_t {
   kChurn = 13,                ///< sim/churn.cpp — join/leave interval draws.
   kDrift = 14,                ///< fl/dynamic_fleet.cpp — per-round drift.
   kRandomSelection = 15,      ///< fl/query_session.cpp — Random policy picks.
-  kVolatileDropout = 16,      ///< fl/query_session.cpp — volatile-node drops.
-  kStochasticSelection = 17,  ///< fl/query_session.cpp — stochastic policy.
+  kVolatileDropout = 16,      ///< Retired: volatile clients are gone; the
+                              ///< fault layer's dropout is kFaultDropout.
+  kStochasticSelection = 17,  ///< Retired: the stochastic policy is gone.
   kFaultAttackers = 18,       ///< sim/fault_injection.cpp — attacker set.
 };
 

@@ -19,11 +19,9 @@
 #include "qens/ml/model_factory.h"
 #include "qens/obs/round_record.h"
 #include "qens/query/range_query.h"
-#include "qens/selection/data_centric.h"
 #include "qens/selection/game_theory.h"
 #include "qens/selection/policies.h"
 #include "qens/selection/ranking.h"
-#include "qens/selection/stochastic.h"
 #include "qens/sim/churn.h"
 #include "qens/sim/edge_environment.h"
 #include "qens/sim/fault_injection.h"
@@ -110,8 +108,6 @@ struct FederationOptions {
   selection::RankingOptions ranking;
   selection::QueryDrivenOptions query_driven;
   selection::GameTheoryOptions game_theory;
-  selection::DataCentricOptions data_centric;
-  selection::StochasticOptions stochastic;
   ml::HyperParams hyper = ml::PaperHyperParams(ml::ModelKind::kLinearRegression);
   /// Local epochs per supporting cluster (the paper's E).
   size_t epochs_per_cluster = 20;
@@ -128,9 +124,6 @@ struct FederationOptions {
   /// PM2.5-scale targets. Reported losses are mapped back to raw target
   /// units so they remain comparable with the paper's numbers.
   bool normalize = true;
-  /// Volatile clients ([12]): probability that a selected node is offline
-  /// for a given query and silently contributes no model. 0 disables.
-  double dropout_rate = 0.0;
   /// Most selected participants trained at once, the calling thread
   /// included, as they would run on real hardware. 0 or 1 = train
   /// sequentially (no pool). Outcomes are bit-identical either way
@@ -198,8 +191,6 @@ struct QueryOutcome {
 
   /// Federated rounds executed (1 for the paper's single-round protocol).
   size_t rounds = 1;
-  /// Selected nodes that were offline this query (volatile clients).
-  std::vector<size_t> dropped_nodes;
 
   /// \name Fault-tolerance accounting
   /// Populated when FederationOptions::fault_tolerance is enabled

@@ -264,31 +264,6 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
     }
     case selection::PolicyKind::kAllNodes:
       return selection::SelectAllNodes(n);
-    case selection::PolicyKind::kDataCentric: {
-      // Query-agnostic device scoring [8]: data volume/diversity, compute,
-      // and link quality — note the query never enters the decision.
-      std::vector<selection::NodeProfile> profiles;
-      std::vector<double> capacities, latencies;
-      for (size_t i = 0; i < n; ++i) {
-        QENS_ASSIGN_OR_RETURN(const selection::NodeProfile* p,
-                              environment.node(i).profile());
-        profiles.push_back(*p);
-        capacities.push_back(environment.node(i).capacity());
-        latencies.push_back(
-            environment.cost_model().options().link_latency_s);
-      }
-      return selection::SelectDataCentric(profiles, capacities, latencies,
-                                          options.data_centric);
-    }
-    case selection::PolicyKind::kStochastic: {
-      // Fair stochastic selection [12]: ranking-weighted draw with a
-      // fairness boost; stateful across the session's query stream.
-      // The selector's fairness state is inherently sequential over the
-      // query stream; only its seed comes from the registry.
-      StochasticParticipation();  // Builds the selector on first use.
-      QENS_ASSIGN_OR_RETURN(*ranks, leader_.Rank(query));
-      return stochastic_->Select(*ranks);
-    }
     case selection::PolicyKind::kGameTheory: {
       // GT probes with the leader's local (train) data against every node's
       // local data — a full pre-round per query (its defining cost).
@@ -316,15 +291,6 @@ Result<std::vector<size_t>> QuerySession::ChooseNodes(
     }
   }
   return Status::Internal("ChooseNodes: unhandled policy");
-}
-
-const std::vector<size_t>& QuerySession::StochasticParticipation() {
-  if (!stochastic_.has_value()) {
-    selection::StochasticOptions so = fleet_->options.stochastic;
-    so.seed = SplitRng(seed_).Split(RngPurpose::kStochasticSelection).key();
-    stochastic_.emplace(fleet_->environment.num_nodes(), so);
-  }
-  return stochastic_->participation_counts();
 }
 
 Result<QueryOutcome> QuerySession::RunQuery(const query::RangeQuery& query,
@@ -374,25 +340,6 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
   QENS_ASSIGN_OR_RETURN(std::vector<size_t> chosen,
                         ChooseNodes(internal, policy, &outcome, &ranks));
 
-  // Volatile clients: selected nodes may be offline for this query.
-  if (options.dropout_rate > 0.0) {
-    if (options.dropout_rate > 1.0) {
-      return Status::InvalidArgument("dropout_rate must be in [0, 1]");
-    }
-    Rng drop_rng = SplitRng(seed_)
-                       .Split(RngPurpose::kVolatileDropout)
-                       .Split(query.id)
-                       .ToRng();
-    std::vector<size_t> alive;
-    for (size_t id : chosen) {
-      if (drop_rng.Bernoulli(options.dropout_rate)) {
-        outcome.dropped_nodes.push_back(id);
-      } else {
-        alive.push_back(id);
-      }
-    }
-    chosen = std::move(alive);
-  }
   if (chosen.empty()) {
     obs::Count("federation.queries.skipped");
     outcome.skipped = true;
@@ -400,10 +347,10 @@ Result<QueryOutcome> QuerySession::RunQueryMultiRound(
     return outcome;
   }
 
-  // Rankings for selectivity: a ranked policy left its candidates' records
-  // in `ranks` (never empty once a node is chosen); for baselines with
-  // selectivity requested we still need per-node supporting clusters, so
-  // rank on demand.
+  // Rankings for selectivity: the query-driven policy left its selection's
+  // records in `ranks` (never empty once a node is chosen); for baselines
+  // with selectivity requested we still need per-node supporting clusters,
+  // so rank on demand.
   if (data_selectivity && ranks.empty()) {
     QENS_ASSIGN_OR_RETURN(ranks, leader_.Rank(internal));
   }

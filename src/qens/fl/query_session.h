@@ -12,19 +12,18 @@
 ///
 /// A `QuerySession` is one independent query stream over that fleet. It
 /// owns every piece of mutable state the protocol touches — the leader's
-/// reliability bookkeeping, the RNG streams (random policy, dropout,
-/// stochastic selection), the fault injector, the Byzantine quarantine
-/// ledger, the training pool, and the sim::Network its traffic is
-/// accounted in — so two sessions never share mutable state and can run
-/// concurrently while each stays bit-identical to running alone.
+/// reliability bookkeeping, the random policy's RNG stream, the fault
+/// injector, the Byzantine quarantine ledger, the training pool, and the
+/// sim::Network its traffic is accounted in — so two sessions never share
+/// mutable state and can run concurrently while each stays bit-identical
+/// to running alone.
 ///
 /// One RunQuery call executes the paper's end-to-end per-query protocol
 /// (Section IV-B), layered as (see docs/ARCHITECTURE.md):
 ///
 ///   1. the session maps the query into internal units, pools the
 ///      ground-truth test rows, and picks N'(q) — the leader's ranked cut
-///      (query-driven) or a baseline policy (random / all / game-theory /
-///      data-centric / stochastic);
+///      (query-driven) or a baseline policy (random / all / game-theory);
 ///   2. the session builds one TrainJob per contributing node (supporting
 ///      clusters only under data selectivity) and initializes the global
 ///      model w;
@@ -46,12 +45,11 @@
 /// Seed contract: every per-query stream is a pure function of the session
 /// seed and the query's coordinates (docs/PERFORMANCE.md, "Stream key-path
 /// registry"): model init `fl::ModelInitSeed(seed, query.id)`, local
-/// training rooted at `seed + query.id`, and the Random, dropout and
-/// stochastic draws on registered SplitRng purpose paths keyed by query id
-/// (GT probes with `seed + query.id`). Two sessions with the same seed over
-/// the same fleet therefore produce the same outcomes byte for byte, and no
-/// stream depends on query arrival order except the stochastic policy's
-/// fairness state.
+/// training rooted at `seed + query.id`, and the Random draw on a registered
+/// SplitRng purpose path keyed by query id (GT probes with
+/// `seed + query.id`). Two sessions with the same seed over the same fleet
+/// therefore produce the same outcomes byte for byte, and no stream depends
+/// on query arrival order.
 
 #include <cstddef>
 #include <cstdint>
@@ -174,9 +172,6 @@ class QuerySession {
                                           bool data_selectivity,
                                           size_t rounds);
 
-  /// Per-node participation counts accumulated by the stochastic policy.
-  const std::vector<size_t>& StochasticParticipation();
-
   uint64_t session_id() const { return session_id_; }
   uint64_t seed() const { return seed_; }
   const Fleet& fleet() const { return *fleet_; }
@@ -211,9 +206,9 @@ class QuerySession {
         network_(std::move(network)) {}
 
   /// Per-policy node choice; fills rankings for ranked policies. The query
-  /// must already be in internal units. A ranked policy (query-driven,
-  /// stochastic) also leaves the ranking records of its candidates, with
-  /// their cluster scores, in *ranks; the others leave it empty.
+  /// must already be in internal units. The query-driven policy also leaves
+  /// the ranking records of its selected nodes, with their cluster scores,
+  /// in *ranks; the others leave it empty.
   Result<std::vector<size_t>> ChooseNodes(
       const query::RangeQuery& query, selection::PolicyKind policy,
       QueryOutcome* outcome, std::vector<selection::NodeRank>* ranks);
@@ -223,7 +218,6 @@ class QuerySession {
   uint64_t seed_ = 0;
   Leader leader_;  ///< Session-local ranking + reliability state.
   sim::Network network_;  ///< This session's traffic only.
-  std::optional<selection::StochasticSelector> stochastic_;  ///< Lazy.
   std::optional<sim::FaultInjector> fault_injector_;  ///< When enabled.
   size_t fault_round_ = 0;  ///< Rounds executed under fault injection.
   std::optional<DynamicFleet> dynamic_;  ///< When dynamic.enabled.

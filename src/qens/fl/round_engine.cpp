@@ -78,8 +78,8 @@ Result<RoundEngine::RoundSetResult> RoundEngine::Run(
   // Wire layer (opt-in): with it off, no codec is ever invoked and every
   // transfer is priced at the raw binary64 size. Either way both link
   // directions are closed-form sizes — O(layers), architecture-determined,
-  // identical for every trained model — which is what lets the planner pin
-  // its estimates exactly.
+  // identical for every trained model — so a query's link bytes follow
+  // exactly from the architecture and the number of engaged nodes.
   const ml::WireOptions& wire = options.wire;
   const bool wire_on = wire.enabled;
   const ml::WireCodecKind down_kind = ml::DownlinkKind(wire);

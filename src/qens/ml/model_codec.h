@@ -35,8 +35,8 @@
 /// architecture, truncation, and trailing bytes are all rejected.
 ///
 /// Every payload size is architecture-determined — EncodedModelBytes() is
-/// closed-form and needs no buffer — which is what lets the planner pin
-/// its per-tag byte estimates *exactly* against network counters.
+/// closed-form and needs no buffer, so a query's per-tag network counters
+/// can be predicted *exactly* from the architecture alone.
 
 #include <cstddef>
 #include <cstdint>

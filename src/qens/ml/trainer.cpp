@@ -140,14 +140,9 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
 
   TrainReport report;
   // Reserved up front so a Fit's allocation count does not grow with its
-  // epoch count. With early stopping the epoch count is only a cap, so the
-  // histories grow as epochs actually run instead.
-  if (options_.early_stopping_patience == 0) {
-    report.train_loss.reserve(options_.epochs);
-    if (n_val > 0) report.val_loss.reserve(options_.epochs);
-  }
-  double best_val = 0.0;
-  size_t bad_epochs = 0;
+  // epoch count.
+  report.train_loss.reserve(options_.epochs);
+  if (n_val > 0) report.val_loss.reserve(options_.epochs);
 
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     if (options_.shuffle) {
@@ -190,26 +185,12 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
           double vl,
           ComputeLoss(options_.loss, workspace_.layers.back().out, y_val));
       report.val_loss.push_back(vl);
-
-      if (options_.early_stopping_patience > 0) {
-        if (report.val_loss.size() == 1 || vl < best_val - options_.min_delta) {
-          best_val = vl;
-          bad_epochs = 0;
-        } else {
-          ++bad_epochs;
-          if (bad_epochs >= options_.early_stopping_patience) {
-            report.early_stopped = true;
-            break;
-          }
-        }
-      }
     }
   }
   obs::Count("trainer.fits");
   if (fused_lr != nullptr) obs::Count("trainer.fused_lr_fits");
   obs::Count("trainer.epochs", report.epochs_run);
   obs::Count("trainer.samples_seen", report.samples_seen);
-  if (report.early_stopped) obs::Count("trainer.early_stops");
   return report;
 }
 

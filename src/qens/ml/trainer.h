@@ -45,10 +45,6 @@ struct TrainOptions {
   /// without tracking generator state.
   uint64_t seed = 42;
   LossKind loss = LossKind::kMse;
-  /// Stop early when validation loss fails to improve by more than
-  /// `min_delta` for `patience` consecutive epochs (0 disables).
-  size_t early_stopping_patience = 0;
-  double min_delta = 0.0;
 };
 
 /// Per-fit training history and counters.
@@ -57,7 +53,6 @@ struct TrainReport {
   std::vector<double> val_loss;    ///< Empty when validation_split == 0.
   size_t samples_seen = 0;         ///< Rows * epochs actually consumed.
   size_t epochs_run = 0;
-  bool early_stopped = false;
 
   double final_train_loss() const {
     return train_loss.empty() ? 0.0 : train_loss.back();

@@ -45,7 +45,6 @@
 #include "qens/clustering/cluster_summary.h"
 #include "qens/clustering/kmeans.h"
 #include "qens/clustering/silhouette.h"
-#include "qens/clustering/streaming_quantizer.h"
 
 // Queries and overlap geometry (Eqs. 2, Figs. 3-4).
 #include "qens/query/hyper_rectangle.h"
@@ -63,13 +62,11 @@
 #include "qens/data/splitter.h"
 
 // Node selection (Eqs. 3-5) and baselines.
-#include "qens/selection/data_centric.h"
 #include "qens/selection/game_theory.h"
 #include "qens/selection/node_profile.h"
 #include "qens/selection/policies.h"
 #include "qens/selection/profile_io.h"
 #include "qens/selection/ranking.h"
-#include "qens/selection/stochastic.h"
 
 // Simulated edge platform.
 #include "qens/sim/cost_model.h"
@@ -82,7 +79,6 @@
 #include "qens/fl/experiment.h"
 #include "qens/fl/leader.h"
 #include "qens/fl/participant.h"
-#include "qens/fl/planner.h"
 #include "qens/fl/query_session.h"
 
 #endif  // QENS_QENS_H_

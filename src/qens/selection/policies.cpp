@@ -16,10 +16,6 @@ const char* PolicyKindName(PolicyKind kind) {
       return "all-nodes";
     case PolicyKind::kGameTheory:
       return "game-theory";
-    case PolicyKind::kDataCentric:
-      return "data-centric";
-    case PolicyKind::kStochastic:
-      return "stochastic";
   }
   return "unknown";
 }
@@ -32,8 +28,6 @@ Result<PolicyKind> ParsePolicyKind(const std::string& name) {
   if (n == "random") return PolicyKind::kRandom;
   if (n == "all-nodes" || n == "all") return PolicyKind::kAllNodes;
   if (n == "game-theory" || n == "gt") return PolicyKind::kGameTheory;
-  if (n == "data-centric" || n == "datacentric") return PolicyKind::kDataCentric;
-  if (n == "stochastic" || n == "fair") return PolicyKind::kStochastic;
   return Status::InvalidArgument("unknown policy: '" + name + "'");
 }
 

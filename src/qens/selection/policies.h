@@ -27,8 +27,6 @@ enum class PolicyKind {
   kRandom,       ///< Uniform choice of l nodes [6].
   kAllNodes,     ///< Engage every node on its full data.
   kGameTheory,   ///< Pre-round probing selection [7].
-  kDataCentric,  ///< Query-agnostic device scoring [8] (data_centric.h).
-  kStochastic,   ///< Fair stochastic selection [12] (stochastic.h).
 };
 
 const char* PolicyKindName(PolicyKind kind);

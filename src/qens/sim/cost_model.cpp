@@ -17,8 +17,4 @@ double CostModel::TransferSeconds(size_t bytes) const {
          static_cast<double>(bytes) / options_.bandwidth_bytes_per_s;
 }
 
-double CostModel::RoundTripSeconds(size_t bytes_out, size_t bytes_back) const {
-  return TransferSeconds(bytes_out) + TransferSeconds(bytes_back);
-}
-
 }  // namespace qens::sim

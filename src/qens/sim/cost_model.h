@@ -42,9 +42,6 @@ class CostModel {
   /// Seconds to ship `bytes` over one link.
   double TransferSeconds(size_t bytes) const;
 
-  /// Seconds for a round trip carrying `bytes_out` then `bytes_back`.
-  double RoundTripSeconds(size_t bytes_out, size_t bytes_back) const;
-
  private:
   CostModelOptions options_;
 };

@@ -1,8 +1,11 @@
 // Tests for the federation extensions: multi-round FedAvg training,
-// volatile-client dropout (fault injection), and the two extra selection
-// policies wired through the federation.
+// arrival-order invariance of a session's outcomes, and parallel local
+// training.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <vector>
 
 #include "qens/common/rng.h"
 #include "qens/common/thread_pool.h"
@@ -114,105 +117,63 @@ TEST(MultiRoundTest, MultiRoundLossStaysReasonable) {
   EXPECT_LE(outcome->loss_weighted, baseline->loss_weighted + kNoiseVariance);
 }
 
-TEST(DropoutTest, FullDropoutSkipsQuery) {
-  FederationOptions options = FastOptions();
-  options.dropout_rate = 1.0;
-  auto fed = MakeSession(options);
-  ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQuery(QueryOver(0, 10),
-                               selection::PolicyKind::kQueryDriven,
-                               /*data_selectivity=*/true);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->skipped);
-  EXPECT_FALSE(outcome->dropped_nodes.empty());
-}
-
-TEST(DropoutTest, ZeroDropoutDropsNobody) {
-  auto fed = MakeSession();
-  ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQuery(QueryOver(0, 10),
-                               selection::PolicyKind::kQueryDriven,
-                               /*data_selectivity=*/true);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->dropped_nodes.empty());
-}
-
-TEST(DropoutTest, PartialDropoutDegradesGracefully) {
-  FederationOptions options = FastOptions();
-  options.dropout_rate = 0.5;
-  options.query_driven.top_l = 4;
-  auto fed = MakeSession(options);
-  ASSERT_TRUE(fed.ok());
-  // Over several queries some must survive and produce results.
-  size_t executed = 0, any_dropped = 0;
-  for (int i = 0; i < 12; ++i) {
-    auto outcome = fed->RunQuery(QueryOver(0, 30),
-                                 selection::PolicyKind::kQueryDriven,
-                                 /*data_selectivity=*/true);
-    ASSERT_TRUE(outcome.ok());
-    if (!outcome->skipped) ++executed;
-    if (!outcome->dropped_nodes.empty()) ++any_dropped;
+TEST(QuerySessionTest, OutcomesAreInvariantToArrivalOrder) {
+  // Every per-query stream is keyed by the session seed and the query id,
+  // so a query's outcome does not depend on which queries ran before it:
+  // one session runs ids 10..15 forward, a second one with the same seed
+  // runs them in reverse, and every paper policy answers each id alike.
+  std::vector<query::RangeQuery> queries;
+  const double bounds[6][2] = {{0, 10},  {2, 25}, {18, 30},
+                               {5, 15}, {0, 30}, {21, 28}};
+  for (size_t i = 0; i < 6; ++i) {
+    query::RangeQuery q = QueryOver(bounds[i][0], bounds[i][1]);
+    q.id = 10 + i;
+    queries.push_back(q);
   }
-  EXPECT_GT(executed, 0u);
-  EXPECT_GT(any_dropped, 0u);
-}
-
-TEST(DropoutTest, InvalidRateRejected) {
-  FederationOptions options = FastOptions();
-  options.dropout_rate = 1.5;
-  auto fed = MakeSession(options);
-  ASSERT_TRUE(fed.ok());
-  EXPECT_FALSE(fed->RunQuery(QueryOver(0, 10),
-                             selection::PolicyKind::kQueryDriven,
-                             /*data_selectivity=*/true).ok());
-}
-
-TEST(PolicyExtensionTest, DataCentricPolicyRuns) {
-  FederationOptions options = FastOptions();
-  options.data_centric.top_l = 2;
-  auto fed = MakeSession(options);
-  ASSERT_TRUE(fed.ok());
-  auto outcome = fed->RunQuery(QueryOver(0, 30),
-                               selection::PolicyKind::kDataCentric,
-                               /*data_selectivity=*/false);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_FALSE(outcome->skipped);
-  EXPECT_EQ(outcome->selected_nodes.size(), 2u);
-}
-
-TEST(PolicyExtensionTest, DataCentricIsQueryAgnostic) {
-  FederationOptions options = FastOptions();
-  options.data_centric.top_l = 2;
-  auto fed = MakeSession(options);
-  ASSERT_TRUE(fed.ok());
-  auto a = fed->RunQuery(QueryOver(0, 10),
-                         selection::PolicyKind::kDataCentric, false);
-  auto b = fed->RunQuery(QueryOver(20, 30),
-                         selection::PolicyKind::kDataCentric, false);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_FALSE(a->skipped);
-  ASSERT_FALSE(b->skipped);
-  EXPECT_EQ(a->selected_nodes, b->selected_nodes);
-}
-
-TEST(PolicyExtensionTest, StochasticPolicyTracksParticipation) {
-  FederationOptions options = FastOptions();
-  options.stochastic.draw_l = 2;
-  options.stochastic.alpha = 0.5;
-  auto fed = MakeSession(options);
-  ASSERT_TRUE(fed.ok());
-  for (int i = 0; i < 6; ++i) {
-    auto outcome = fed->RunQuery(QueryOver(0, 30),
-                                 selection::PolicyKind::kStochastic,
-                                 /*data_selectivity=*/false);
-    ASSERT_TRUE(outcome.ok());
-    ASSERT_FALSE(outcome->skipped);
-    EXPECT_EQ(outcome->selected_nodes.size(), 2u);
+  for (const selection::PolicyKind policy :
+       {selection::PolicyKind::kQueryDriven, selection::PolicyKind::kRandom,
+        selection::PolicyKind::kAllNodes,
+        selection::PolicyKind::kGameTheory}) {
+    SCOPED_TRACE(selection::PolicyKindName(policy));
+    const bool selectivity = policy == selection::PolicyKind::kQueryDriven;
+    auto forward = MakeSession();
+    auto reverse = MakeSession();
+    ASSERT_TRUE(forward.ok());
+    ASSERT_TRUE(reverse.ok());
+    std::vector<QueryOutcome> fwd(queries.size());
+    std::vector<QueryOutcome> rev(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto outcome = forward->RunQuery(queries[i], policy, selectivity);
+      ASSERT_TRUE(outcome.ok());
+      fwd[i] = std::move(*outcome);
+    }
+    for (size_t i = queries.size(); i-- > 0;) {
+      auto outcome = reverse->RunQuery(queries[i], policy, selectivity);
+      ASSERT_TRUE(outcome.ok());
+      rev[i] = std::move(*outcome);
+    }
+    size_t answered = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(queries[i].id);
+      const QueryOutcome& a = fwd[i];
+      const QueryOutcome& b = rev[i];
+      EXPECT_EQ(a.skipped, b.skipped);
+      answered += a.skipped ? 0 : 1;
+      EXPECT_EQ(a.selected_nodes, b.selected_nodes);
+      EXPECT_EQ(0, std::memcmp(&a.loss_model_avg, &b.loss_model_avg,
+                               sizeof(double)));
+      EXPECT_EQ(0, std::memcmp(&a.loss_weighted, &b.loss_weighted,
+                               sizeof(double)));
+      EXPECT_EQ(0,
+                std::memcmp(&a.loss_fedavg, &b.loss_fedavg, sizeof(double)));
+      EXPECT_EQ(a.samples_used, b.samples_used);
+      EXPECT_EQ(0, std::memcmp(&a.sim_time_total, &b.sim_time_total,
+                               sizeof(double)));
+      EXPECT_EQ(0, std::memcmp(&a.sim_time_comm, &b.sim_time_comm,
+                               sizeof(double)));
+    }
+    EXPECT_GT(answered, 0u);
   }
-  size_t total = 0;
-  for (size_t c : fed->StochasticParticipation()) total += c;
-  EXPECT_EQ(total, 12u);
 }
 
 TEST(ParallelTrainingTest, MatchesSequentialBitExact) {
@@ -250,16 +211,6 @@ TEST(ParallelTrainingTest, WorksWithAllNodesPolicy) {
   ASSERT_TRUE(outcome.ok());
   ASSERT_FALSE(outcome->skipped);
   EXPECT_EQ(outcome->selected_nodes.size(), 4u);
-}
-
-TEST(PolicyExtensionTest, PolicyNamesIncludeExtensions) {
-  EXPECT_STREQ(selection::PolicyKindName(selection::PolicyKind::kDataCentric),
-               "data-centric");
-  EXPECT_STREQ(selection::PolicyKindName(selection::PolicyKind::kStochastic),
-               "stochastic");
-  EXPECT_EQ(
-      selection::ParsePolicyKind("fair").value(),
-      selection::PolicyKind::kStochastic);
 }
 
 }  // namespace

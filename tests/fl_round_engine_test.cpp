@@ -82,7 +82,6 @@ void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
   EXPECT_EQ(a.round_survivors, b.round_survivors);
   EXPECT_EQ(a.failed_nodes, b.failed_nodes);
   EXPECT_EQ(a.deadline_missed_nodes, b.deadline_missed_nodes);
-  EXPECT_EQ(a.dropped_nodes, b.dropped_nodes);
   EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
   EXPECT_EQ(a.messages_lost, b.messages_lost);
   EXPECT_EQ(a.send_retries, b.send_retries);

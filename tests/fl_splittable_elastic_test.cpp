@@ -63,7 +63,6 @@ void ExpectIdenticalOutcomes(const QueryOutcome& a, const QueryOutcome& b) {
   EXPECT_EQ(a.selected_nodes, b.selected_nodes);
   EXPECT_EQ(a.round_survivors, b.round_survivors);
   EXPECT_EQ(a.samples_used, b.samples_used);
-  EXPECT_EQ(a.dropped_nodes, b.dropped_nodes);
   if (a.skipped || b.skipped) return;
   EXPECT_DOUBLE_EQ(a.loss_model_avg, b.loss_model_avg);
   EXPECT_DOUBLE_EQ(a.loss_weighted, b.loss_weighted);

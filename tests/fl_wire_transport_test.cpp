@@ -1,7 +1,7 @@
-// Tests for the wire codec running through the serving stack: planner
-// estimates pinned exactly against transport counters (single- and
-// multi-round), and raw-wire runs identical to wire-off runs in losses and
-// in bytes.
+// Tests for the wire codec running through the serving stack: recorded
+// link bytes pinned exactly against the codec's closed-form sizes (single-
+// and multi-round), and raw-wire runs identical to wire-off runs in losses
+// and in bytes.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,10 @@
 #include <cmath>
 
 #include "qens/common/rng.h"
-#include "qens/fl/planner.h"
 #include "qens/fl/query_session.h"
 #include "qens/ml/model_codec.h"
+#include "qens/ml/model_factory.h"
+#include "qens/ml/model_io.h"
 
 namespace qens::fl {
 namespace {
@@ -44,24 +45,30 @@ FederationOptions BaseOptions() {
   return fed_options;
 }
 
-PlannerOptions MatchingPlanOptions(const FederationOptions& fed_options) {
-  PlannerOptions plan_options;
-  plan_options.ranking = fed_options.ranking;
-  plan_options.selection = fed_options.query_driven;
-  plan_options.epochs_per_cluster = fed_options.epochs_per_cluster;
-  plan_options.hyper = fed_options.hyper;
-  plan_options.wire = fed_options.wire;
-  return plan_options;
+/// Bytes one engaged node moves per round: the down-link broadcast plus
+/// the up-link return, from the codec's closed-form sizes for the model
+/// `fed_options` trains (the raw binary64 size with the wire layer off).
+size_t ClosedFormBytesPerNodeRound(const FederationOptions& fed_options) {
+  Rng rng(0);
+  auto model = ml::BuildModel(fed_options.hyper, /*input_features=*/1, &rng);
+  EXPECT_TRUE(model.ok());
+  const ml::WireOptions& wire = fed_options.wire;
+  if (!wire.enabled) return 2 * ml::SerializedModelBytes(*model);
+  return ml::EncodedModelBytes(*model, ml::DownlinkKind(wire),
+                               wire.top_k_fraction) +
+         ml::EncodedModelBytes(*model, ml::UplinkKind(wire),
+                               wire.top_k_fraction);
 }
 
 /// Runs one query-driven query under `fed_options` on a session-private
 /// network and returns {outcome, recorded down bytes, recorded up bytes,
-/// planner est_comm_bytes, selected-node count}.
+/// expected bytes, selected-node count}. The expected bytes are selected
+/// nodes x rounds x (down size + up size).
 struct WireRunResult {
   QueryOutcome outcome;
   size_t down_bytes = 0;
   size_t up_bytes = 0;
-  size_t est_comm_bytes = 0;
+  size_t expected_bytes = 0;
   size_t nodes = 0;
   size_t messages = 0;
 };
@@ -75,19 +82,9 @@ WireRunResult RunPinned(const FederationOptions& fed_options, size_t rounds) {
   auto session = QuerySession::Create(*fleet, QuerySessionOptions{});
   EXPECT_TRUE(session.ok());
 
-  query::RangeQuery q = MakeQuery(0, 10);
-  auto internal = (*fleet)->InternalQuery(q);
-  EXPECT_TRUE(internal.ok());
-  auto profiles = (*fleet)->environment.Profiles();
-  EXPECT_TRUE(profiles.ok());
-  auto plan = PlanQuery(*profiles, {}, *internal,
-                        MatchingPlanOptions(fed_options));
-  EXPECT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->executable);
-
   auto outcome = session->RunQueryMultiRound(
-      q, selection::PolicyKind::kQueryDriven, /*data_selectivity=*/true,
-      rounds);
+      MakeQuery(0, 10), selection::PolicyKind::kQueryDriven,
+      /*data_selectivity=*/true, rounds);
   EXPECT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->skipped);
 
@@ -95,28 +92,29 @@ WireRunResult RunPinned(const FederationOptions& fed_options, size_t rounds) {
   out.outcome = *outcome;
   out.down_bytes = network.BytesWithTag("model-down");
   out.up_bytes = network.BytesWithTag("model-up");
-  out.est_comm_bytes = plan->est_comm_bytes;
-  out.nodes = plan->nodes.size();
+  out.nodes = outcome->selected_nodes.size();
+  out.expected_bytes =
+      out.nodes * rounds * ClosedFormBytesPerNodeRound(fed_options);
   out.messages = network.total_messages();
   return out;
 }
 
-TEST(WireTransportTest, RawWirePinsPlannedBytesExactly) {
+TEST(WireTransportTest, RawWirePinsClosedFormBytesExactly) {
   // With the binary codec both directions are architecture-determined, so
-  // the planner's est_comm_bytes must equal recorded down + up EXACTLY —
-  // including the up-link, priced before any node trains.
+  // recorded down + up must equal the closed-form sizes EXACTLY — including
+  // the up-link, whose size is known before any node trains.
   FederationOptions fed_options = BaseOptions();
   fed_options.wire.enabled = true;
   fed_options.wire.codec = ml::WireCodecKind::kRawF64;
   WireRunResult r = RunPinned(fed_options, /*rounds=*/1);
   ASSERT_GT(r.nodes, 0u);
-  EXPECT_EQ(r.down_bytes + r.up_bytes, r.est_comm_bytes);
+  EXPECT_EQ(r.down_bytes + r.up_bytes, r.expected_bytes);
   // Raw is symmetric: same header, same 8-byte payload per param.
   EXPECT_EQ(r.down_bytes, r.up_bytes);
   EXPECT_EQ(r.messages, 2 * r.nodes);
 }
 
-TEST(WireTransportTest, QuantizedWirePinsPlannedBytesExactly) {
+TEST(WireTransportTest, QuantizedWirePinsClosedFormBytesExactly) {
   // The NN model (64-unit hidden layer) gives the codec real tensors to
   // compress; the 2-param LR model is all per-tensor scale overhead.
   FederationOptions fed_options = BaseOptions();
@@ -126,7 +124,7 @@ TEST(WireTransportTest, QuantizedWirePinsPlannedBytesExactly) {
   fed_options.wire.codec = ml::WireCodecKind::kQuant8;
   WireRunResult r = RunPinned(fed_options, /*rounds=*/1);
   ASSERT_GT(r.nodes, 0u);
-  EXPECT_EQ(r.down_bytes + r.up_bytes, r.est_comm_bytes);
+  EXPECT_EQ(r.down_bytes + r.up_bytes, r.expected_bytes);
   EXPECT_EQ(r.down_bytes, r.up_bytes);  // Same codec both directions.
   // Quantized traffic must be well under raw: 1 byte/param + scales vs 8.
   FederationOptions raw_options = fed_options;
@@ -137,9 +135,9 @@ TEST(WireTransportTest, QuantizedWirePinsPlannedBytesExactly) {
   EXPECT_TRUE(std::isfinite(r.outcome.loss_weighted));
 }
 
-TEST(WireTransportTest, MultiRoundRecordedBytesAreRoundsTimesPlan) {
-  // The plan prices one round; with architecture-determined sizes every
-  // round costs the same, so R rounds record exactly R x est_comm_bytes.
+TEST(WireTransportTest, MultiRoundRecordedBytesAreRoundsTimesClosedForm) {
+  // With architecture-determined sizes every round costs the same, so R
+  // rounds record exactly R x nodes x (down size + up size).
   for (ml::WireCodecKind codec :
        {ml::WireCodecKind::kRawF64, ml::WireCodecKind::kQuant4}) {
     FederationOptions fed_options = BaseOptions();
@@ -148,7 +146,7 @@ TEST(WireTransportTest, MultiRoundRecordedBytesAreRoundsTimesPlan) {
     const size_t rounds = 3;
     WireRunResult r = RunPinned(fed_options, rounds);
     ASSERT_GT(r.nodes, 0u);
-    EXPECT_EQ(r.down_bytes + r.up_bytes, rounds * r.est_comm_bytes)
+    EXPECT_EQ(r.down_bytes + r.up_bytes, r.expected_bytes)
         << ml::WireCodecKindName(codec);
     EXPECT_EQ(r.messages, rounds * 2 * r.nodes);
   }
@@ -163,7 +161,7 @@ TEST(WireTransportTest, TopKUplinkCheaperAndPinned) {
   fed_options.wire.top_k_fraction = 0.25;
   WireRunResult r = RunPinned(fed_options, /*rounds=*/1);
   ASSERT_GT(r.nodes, 0u);
-  EXPECT_EQ(r.down_bytes + r.up_bytes, r.est_comm_bytes);
+  EXPECT_EQ(r.down_bytes + r.up_bytes, r.expected_bytes);
   // Down falls back to raw (absolute broadcast); up is the sparse delta.
   EXPECT_LT(r.up_bytes, r.down_bytes);
   EXPECT_TRUE(std::isfinite(r.outcome.loss_weighted));
@@ -188,7 +186,7 @@ TEST(WireTransportTest, RawWireRunIsBitIdenticalToWireOff) {
   EXPECT_EQ(off.messages, raw.messages);
   EXPECT_EQ(off.down_bytes, raw.down_bytes);
   EXPECT_EQ(off.up_bytes, raw.up_bytes);
-  EXPECT_EQ(off.est_comm_bytes, raw.est_comm_bytes);
+  EXPECT_EQ(off.expected_bytes, raw.expected_bytes);
   EXPECT_EQ(off.outcome.sim_time_comm, raw.outcome.sim_time_comm);
 }
 

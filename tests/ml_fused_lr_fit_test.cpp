@@ -11,9 +11,9 @@
 //
 // Grid: one and three inputs; momentum 0 and 0.9; batch sizes 1, 7 and 32
 // (every one ends in a ragged batch); shuffle on and off; validation split
-// 0 and 0.2, the latter with and without early stopping; all on a row view
-// with repeated and scattered ids. Also a degenerate fit from zero weights,
-// which must stay at +0.0, and a trainer that mixes TrainBatch and Fit.
+// 0 and 0.2; all on a row view with repeated and scattered ids. Also a
+// degenerate fit from zero weights, which must stay at +0.0, and a trainer
+// that mixes TrainBatch and Fit.
 
 #include <gtest/gtest.h>
 
@@ -70,7 +70,6 @@ struct Outcome {
   std::vector<std::vector<uint64_t>> val_loss;
   std::vector<size_t> samples_seen;
   std::vector<size_t> epochs_run;
-  std::vector<bool> early_stopped;
 
   bool operator==(const Outcome&) const = default;
 };
@@ -123,7 +122,6 @@ Outcome RunFits(std::unique_ptr<Optimizer> optimizer,
     out.val_loss.push_back(Bits(report.val_loss));
     out.samples_seen.push_back(report.samples_seen);
     out.epochs_run.push_back(report.epochs_run);
-    out.early_stopped.push_back(report.early_stopped);
   }
   out.params = Bits(model.GetParameters());
   return out;
@@ -152,49 +150,24 @@ TEST(FusedLrFitTest, MatchesTheGenericPathBitForBit) {
       for (size_t batch : {size_t{1}, size_t{7}, size_t{32}}) {
         for (bool shuffle : {false, true}) {
           for (double val : {0.0, 0.2}) {
-            for (size_t patience : {size_t{0}, size_t{2}}) {
-              if (val == 0.0 && patience > 0) continue;
-              TrainOptions options;
-              options.epochs = 6;
-              options.batch_size = batch;
-              options.shuffle = shuffle;
-              options.validation_split = val;
-              options.early_stopping_patience = patience;
-              options.seed = 9;
-              ExpectFusedMatchesGeneric(
-                  features, momentum, options, /*zero=*/false, data,
-                  "features=" + std::to_string(features) +
-                      " momentum=" + std::to_string(momentum) +
-                      " batch=" + std::to_string(batch) +
-                      " shuffle=" + std::to_string(shuffle) +
-                      " val=" + std::to_string(val) +
-                      " patience=" + std::to_string(patience));
-            }
+            TrainOptions options;
+            options.epochs = 6;
+            options.batch_size = batch;
+            options.shuffle = shuffle;
+            options.validation_split = val;
+            options.seed = 9;
+            ExpectFusedMatchesGeneric(
+                features, momentum, options, /*zero=*/false, data,
+                "features=" + std::to_string(features) +
+                    " momentum=" + std::to_string(momentum) +
+                    " batch=" + std::to_string(batch) +
+                    " shuffle=" + std::to_string(shuffle) +
+                    " val=" + std::to_string(val));
           }
         }
       }
     }
   }
-}
-
-TEST(FusedLrFitTest, EarlyStoppingStopsBothPathsAtTheSameEpoch) {
-  // min_delta above any gain stops both fits after `patience` epochs; the
-  // grid above may never stop.
-  const Data data = MakeData(1);
-  TrainOptions options;
-  options.epochs = 20;
-  options.batch_size = 7;
-  options.validation_split = 0.2;
-  options.early_stopping_patience = 2;
-  options.min_delta = 1e9;
-  const SequentialModel model = MakeModel(1, false);
-  const Outcome fused = RunFits(std::make_unique<SgdOptimizer>(0.03, 0.9),
-                                options, model, data);
-  const Outcome generic = RunFits(std::make_unique<ForwardingSgd>(0.03, 0.9),
-                                  options, model, data);
-  EXPECT_TRUE(fused == generic);
-  EXPECT_EQ(fused.epochs_run, (std::vector<size_t>{3, 3}));
-  EXPECT_EQ(fused.early_stopped, (std::vector<bool>{true, true}));
 }
 
 TEST(FusedLrFitTest, ZeroWeightFitStaysAtPositiveZero) {

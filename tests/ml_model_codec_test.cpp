@@ -96,7 +96,7 @@ TEST(ModelCodecTest, RawRoundTripIsBitExact) {
 
 TEST(ModelCodecTest, ClosedFormSizeMatchesEncoderExactly) {
   // EncodedModelBytes must equal Encode*(...).size() for every codec and
-  // architecture — the planner's exact pinning depends on it.
+  // architecture — the wire tests' exact byte pins depend on it.
   Rng rng(202);
   for (int trial = 0; trial < 30; ++trial) {
     SequentialModel model = RandomModel(&rng, trial % 2 == 0);

@@ -5,12 +5,11 @@
 //     allocations per batch, on the fused MSE head (LR and NN), on the
 //     hidden-layer sweep and on the generic path (MAE, Huber), with every
 //     optimizer, including a smaller ragged batch;
-//   - without early stopping, a Fit's allocation count is set-up only: a
-//     second Fit makes the same number of allocations at 5 epochs as at 50,
-//     on whole matrices (the sweep's per-epoch validation pass included)
-//     and on a row-id view (whose batches the fused LR fit reads in place
-//     and every other fit gathers into the trainer's workspace), under
-//     SGD, momentum and Adam;
+//   - a Fit's allocation count is set-up only: a second Fit makes the
+//     same number of allocations at 5 epochs as at 50, on whole matrices
+//     (the sweep's per-epoch validation pass included) and on a row-id view
+//     (whose batches the fused LR fit reads in place and every other fit
+//     gathers into the trainer's workspace), under SGD, momentum and Adam;
 //   - Predict on the hidden-layer sweep (the paper NN's shape) allocates
 //     the same number of blocks for 1 row as for 1000, and at 1000 rows its
 //     largest block is the 1000 x 1 prediction: no batch x H intermediate,

@@ -3,8 +3,8 @@
 // same parameters, loss histories and counters — for LR (fused head), the
 // paper NN (hidden-layer sweep), a generic 3 -> 8 -> 1 net (fused head below
 // a hidden layer) and a non-MSE loss (generic path), with shuffle on and
-// off, a 0.2 validation split and early stopping. A bad row id fails with
-// OutOfRange before any step; an empty view fails with InvalidArgument.
+// off and a 0.2 validation split. A bad row id fails with OutOfRange before
+// any step; an empty view fails with InvalidArgument.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@ struct RowCase {
   LossKind loss;
   bool shuffle;
   double validation_split;
-  size_t patience;
 };
 
 size_t Features(Net net) { return net == Net::kGeneric ? 3 : 1; }
@@ -60,7 +59,6 @@ Trainer MakeTrainer(const RowCase& c) {
   options.loss = c.loss;
   options.shuffle = c.shuffle;
   options.validation_split = c.validation_split;
-  options.early_stopping_patience = c.patience;
   options.seed = 29;
   if (c.net == Net::kLr) {
     return Trainer(std::make_unique<SgdOptimizer>(0.03), options);
@@ -121,22 +119,17 @@ TEST_P(RowViewFitTest, EqualsFitOnGatheredSubset) {
     EXPECT_TRUE(SameBits(view->val_loss, copy->val_loss));
     EXPECT_EQ(view->samples_seen, copy->samples_seen);
     EXPECT_EQ(view->epochs_run, copy->epochs_run);
-    EXPECT_EQ(view->early_stopped, copy->early_stopped);
   }
 }
 
 const RowCase kRowCases[] = {
-    {"lr_shuffle", Net::kLr, LossKind::kMse, true, 0.0, 0},
-    {"lr_no_shuffle", Net::kLr, LossKind::kMse, false, 0.0, 0},
-    {"lr_val_early_stop", Net::kLr, LossKind::kMse, true, 0.2, 1},
-    {"paper_nn_shuffle", Net::kPaperNn, LossKind::kMse, true, 0.0, 0},
-    {"paper_nn_no_shuffle_val", Net::kPaperNn, LossKind::kMse, false, 0.2, 0},
-    {"paper_nn_val_early_stop", Net::kPaperNn, LossKind::kMse, true, 0.2, 1},
-    {"generic_shuffle", Net::kGeneric, LossKind::kMse, true, 0.0, 0},
-    {"generic_val", Net::kGeneric, LossKind::kMse, true, 0.2, 0},
-    {"generic_no_shuffle_early_stop", Net::kGeneric, LossKind::kMse, false,
-     0.2, 1},
-    {"generic_mae_val", Net::kGeneric, LossKind::kMae, true, 0.2, 0},
+    {"lr_shuffle", Net::kLr, LossKind::kMse, true, 0.0},
+    {"lr_no_shuffle", Net::kLr, LossKind::kMse, false, 0.0},
+    {"paper_nn_shuffle", Net::kPaperNn, LossKind::kMse, true, 0.0},
+    {"paper_nn_no_shuffle_val", Net::kPaperNn, LossKind::kMse, false, 0.2},
+    {"generic_shuffle", Net::kGeneric, LossKind::kMse, true, 0.0},
+    {"generic_val", Net::kGeneric, LossKind::kMse, true, 0.2},
+    {"generic_mae_val", Net::kGeneric, LossKind::kMae, true, 0.2},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,25 +137,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RowCase>& info) {
       return std::string(info.param.name);
     });
-
-TEST(RowViewFitTest, EarlyStoppingCaseStops) {
-  // Guards the early-stopping cases above: at least one of them must stop
-  // early, or they would only repeat the plain validation cases.
-  size_t stopped = 0;
-  for (const RowCase& c : kRowCases) {
-    if (c.patience == 0) continue;
-    Matrix x, y;
-    MakeStore(Features(c.net), &x, &y);
-    SequentialModel model = MakeModel(c.net);
-    Trainer trainer = MakeTrainer(c);
-    for (const std::vector<size_t>& rows : Views()) {
-      auto report = trainer.Fit(&model, x, y, rows);
-      ASSERT_TRUE(report.ok());
-      if (report->early_stopped) ++stopped;
-    }
-  }
-  EXPECT_GT(stopped, 0u);
-}
 
 TEST(RowViewFitTest, BadRowIdFailsBeforeAnyStep) {
   Matrix x, y;

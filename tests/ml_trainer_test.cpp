@@ -1,5 +1,5 @@
 // Tests for the Keras-style training loop: convergence, validation split,
-// early stopping, incremental (per-cluster) Fit calls, option validation.
+// incremental (per-cluster) Fit calls, option validation.
 
 #include "qens/ml/trainer.h"
 
@@ -84,23 +84,6 @@ TEST(TrainerTest, ZeroValidationSplitNoValLoss) {
   auto report = trainer->Fit(&model, x, y);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->val_loss.empty());
-}
-
-TEST(TrainerTest, EarlyStoppingTriggersOnPlateau) {
-  Matrix x, y;
-  MakeLinearData(200, 5, &x, &y);
-  SequentialModel model;
-  ASSERT_TRUE(model.AddLayer(1, 1, Activation::kIdentity).ok());
-  TrainOptions options;
-  options.epochs = 500;
-  options.validation_split = 0.2;
-  options.early_stopping_patience = 5;
-  options.min_delta = 1e-6;
-  auto trainer = MakeSgdTrainer(options);
-  auto report = trainer->Fit(&model, x, y);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->early_stopped);
-  EXPECT_LT(report->epochs_run, 500u);
 }
 
 TEST(TrainerTest, IncrementalFitCarriesWeights) {

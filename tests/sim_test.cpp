@@ -47,7 +47,6 @@ TEST(CostModelTest, TransferIncludesLatency) {
   CostModel model(options);
   EXPECT_DOUBLE_EQ(model.TransferSeconds(0), 0.1);
   EXPECT_DOUBLE_EQ(model.TransferSeconds(1000), 0.1 + 1.0);
-  EXPECT_DOUBLE_EQ(model.RoundTripSeconds(1000, 0), 1.1 + 0.1);
 }
 
 TEST(NetworkTest, AccountsMessagesAndBytes) {

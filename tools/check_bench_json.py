@@ -42,6 +42,9 @@ BENCH_REQUIREMENTS = {
     "bench_x10_wire_format": {
         "sections": {"sweep", "pinning"},
         "record_values": {"queries"},
+        "section_values": {
+            "pinning": {"expected_bytes", "recorded_bytes"},
+        },
     },
     "bench_x11_churn_drift": {
         "sections": {"baseline", "sweep"},
