@@ -45,14 +45,18 @@ int main(int argc, char** argv) {
            StrFormat("%.1f", nn.validation_split));
   PrintRow("Learning rate", StrFormat("%.2f", lr.learning_rate),
            StrFormat("%.3f", nn.learning_rate));
-  PrintRow("activation", ml::ActivationName(lr.hidden_activation),
-           ml::ActivationName(nn.hidden_activation));
-  PrintRow("Loss", ml::LossName(lr.loss), ml::LossName(nn.loss));
+  // ReLU and MSE are the library's only hidden activation and loss.
+  PrintRow("activation", ml::ActivationName(ml::Activation::kRelu),
+           ml::ActivationName(ml::Activation::kRelu));
+  PrintRow("Loss", "mse", "mse");
   PrintRow("optimizer", lr.optimizer, nn.optimizer);
 
+  Rng build_rng(1);
+  const ml::SequentialModel nn_model = bench::ValueOrDie(
+      ml::BuildModel(nn, 1, &build_rng), "build the NN");
   std::printf(
       "shape checks: Dense 1/64: %s | epochs 100/100: %s | validation "
-      "0.2/0.2: %s | lr 0.03/0.001: %s | relu: %s | mse: %s | sgd/adam: %s\n",
+      "0.2/0.2: %s | lr 0.03/0.001: %s | relu: %s | sgd/adam: %s\n",
       bench::ShapeCheck("table3: Dense 1/64",
                         lr.dense_units == 1 && nn.dense_units == 64),
       bench::ShapeCheck("table3: epochs 100/100",
@@ -62,11 +66,9 @@ int main(int argc, char** argv) {
                             nn.validation_split == 0.2),
       bench::ShapeCheck("table3: learning rate 0.03/0.001",
                         lr.learning_rate == 0.03 && nn.learning_rate == 0.001),
-      bench::ShapeCheck("table3: relu activation",
-                        lr.hidden_activation == ml::Activation::kRelu &&
-                            nn.hidden_activation == ml::Activation::kRelu),
-      bench::ShapeCheck("table3: mse loss", lr.loss == ml::LossKind::kMse &&
-                                                nn.loss == ml::LossKind::kMse),
+      bench::ShapeCheck(
+          "table3: relu activation",
+          nn_model.layer(0).activation() == ml::Activation::kRelu),
       bench::ShapeCheck("table3: optimizer sgd/adam",
                         lr.optimizer == "sgd" && nn.optimizer == "adam"));
 

@@ -124,7 +124,7 @@ CodecRun RunCodec(const std::string& label, bool wire_on,
     }
     ++run.queries_run;
     run.expected_bytes += outcome.selected_nodes.size() * node_bytes;
-    losses.Add(fleet->DenormalizeMse(outcome.loss_weighted));
+    losses.Add(outcome.loss_weighted);  // Already in raw units.
   }
   run.avg_loss = losses.mean();
   run.down_bytes = session.network().BytesWithTag("model-down");

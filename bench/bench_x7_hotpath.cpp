@@ -127,19 +127,16 @@ QENS_BASELINE_OPT Matrix NaiveActivationGrad(ml::Activation a,
       case ml::Activation::kRelu:
         v = v > 0.0 ? 1.0 : 0.0;
         break;
-      case ml::Activation::kSigmoid: {
-        const double s = 1.0 / (1.0 + std::exp(-v));
-        v = s * (1.0 - s);
-        break;
-      }
-      case ml::Activation::kTanh: {
-        const double t = std::tanh(v);
-        v = 1.0 - t * t;
-        break;
-      }
     }
   }
   return out;
+}
+
+/// The MSE gradient in a fresh buffer, as the pre-PR loss allocated it.
+Matrix NaiveLossGrad(const Matrix& pred, const Matrix& y) {
+  Matrix grad;
+  CheckOk(ml::ComputeLossGradInto(pred, y, &grad), "naive dL");
+  return grad;
 }
 
 /// Pre-PR model backward: materialized transposes for dW = Xt*dZ and
@@ -224,15 +221,15 @@ void NaiveFit(ml::SequentialModel* model, ml::Optimizer* optimizer,
       Matrix xb = ValueOrDie(x.SelectRows(batch), "naive xb");
       Matrix yb = ValueOrDie(y.SelectRows(batch), "naive yb");
       Matrix pred = NaiveForward(*model, xb, &cache);
-      Matrix grad =
-          ValueOrDie(ml::ComputeLossGrad(options.loss, pred, yb), "naive dL");
+      Matrix grad = NaiveLossGrad(pred, yb);
       std::vector<ml::DenseGradients> grads =
           NaiveBackward(*model, grad, cache);
       CheckOk(optimizer->Step(model, grads), "naive step");
     }
     if (n_val > 0) {
       Matrix pv = NaivePredict(*model, x_val);
-      CheckOk(ml::ComputeLoss(options.loss, pv, y_val).status(), "naive vl");
+      CheckOk(ml::ComputeLoss(ml::LossKind::kMse, pv, y_val).status(),
+              "naive vl");
     }
   }
 }
@@ -361,14 +358,13 @@ void BenchKernels(BenchJson* json) {
 /// workspace step runs the layer chain and the fused MSE head; with one
 /// (the paper NN on its single feature) Predict and LossAndGradients run
 /// the hidden-layer sweep.
-void RequireStepBitIdentical(const ml::HyperParams& hp,
-                             const ml::SequentialModel& naive_model,
+void RequireStepBitIdentical(const ml::SequentialModel& naive_model,
                              const ml::SequentialModel& fused_model,
                              const Matrix& xb, const Matrix& yb,
                              ml::TrainWorkspace* ws) {
   NaiveCache cache;
   Matrix pred_naive = NaiveForward(naive_model, xb, &cache);
-  Matrix grad = ValueOrDie(ml::ComputeLossGrad(hp.loss, pred_naive, yb), "dL");
+  Matrix grad = NaiveLossGrad(pred_naive, yb);
   auto grads_naive = NaiveBackward(naive_model, grad, cache);
   CheckOk(fused_model.ForwardInto(xb, ws), "fwd");
   RequireBitIdentical(pred_naive.data(), ws->layers.back().out.data(),
@@ -376,7 +372,7 @@ void RequireStepBitIdentical(const ml::HyperParams& hp,
   RequireBitIdentical(pred_naive.data(),
                       ValueOrDie(fused_model.Predict(xb), "predict").data(),
                       "Predict differs");
-  ValueOrDie(fused_model.LossAndGradients(hp.loss, xb, yb, ws), "step");
+  ValueOrDie(fused_model.LossAndGradients(xb, yb, ws), "step");
   if (grads_naive.size() != ws->grads.size()) Die("grad count");
   for (size_t i = 0; i < grads_naive.size(); ++i) {
     RequireBitIdentical(grads_naive[i].d_weights.data(),
@@ -415,7 +411,7 @@ void BenchTrainStep(BenchJson* json) {
   PlantBiases(&fused_model, &fused_bias_rng);
   PlantBiases(&naive_model, &naive_bias_rng);
   ml::TrainWorkspace ws;
-  RequireStepBitIdentical(hp, naive_model, fused_model, xb, yb, &ws);
+  RequireStepBitIdentical(naive_model, fused_model, xb, yb, &ws);
   {  // The paper NN's shape, 1 -> 64 relu -> 1: untimed, checked only.
     Rng paper_rng(11);
     ml::SequentialModel paper_model =
@@ -424,7 +420,7 @@ void BenchTrainStep(BenchJson* json) {
     const Matrix paper_x = RandomMatrix(kBatch, 1, &rng);
     const Matrix paper_y = RandomMatrix(kBatch, 1, &rng);
     ml::TrainWorkspace paper_ws;
-    RequireStepBitIdentical(hp, paper_model, paper_model, paper_x, paper_y,
+    RequireStepBitIdentical(paper_model, paper_model, paper_x, paper_y,
                             &paper_ws);
     if (paper_ws.sweep_tile.empty()) Die("paper NN step skipped the sweep");
   }
@@ -435,15 +431,14 @@ void BenchTrainStep(BenchJson* json) {
   Stopwatch naive_watch;
   for (double r = 0; r < reps; ++r) {
     Matrix pred = NaiveForward(naive_model, xb, &cache);
-    Matrix grad = ValueOrDie(ml::ComputeLossGrad(hp.loss, pred, yb), "dL");
+    Matrix grad = NaiveLossGrad(pred, yb);
     auto grads = NaiveBackward(naive_model, grad, cache);
     sink += grads[0].d_weights(0, 0);
   }
   const double naive_s = Seconds(naive_watch);
   Stopwatch fused_watch;
   for (double r = 0; r < reps; ++r) {
-    sink += ValueOrDie(fused_model.LossAndGradients(hp.loss, xb, yb, &ws),
-                       "step");
+    sink += ValueOrDie(fused_model.LossAndGradients(xb, yb, &ws), "step");
     sink += ws.grads[0].d_weights(0, 0);
   }
   const double fused_s = Seconds(fused_watch);
@@ -469,7 +464,6 @@ void BenchFederationRound(BenchJson* json) {
   train_options.epochs = hp.epochs;
   train_options.batch_size = hp.batch_size;
   train_options.validation_split = hp.validation_split;
-  train_options.loss = hp.loss;
 
   std::vector<NodeData> nodes(kNodes);
   for (size_t n = 0; n < kNodes; ++n) {

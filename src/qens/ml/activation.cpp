@@ -11,10 +11,6 @@ const char* ActivationName(Activation a) {
       return "identity";
     case Activation::kRelu:
       return "relu";
-    case Activation::kSigmoid:
-      return "sigmoid";
-    case Activation::kTanh:
-      return "tanh";
   }
   return "unknown";
 }
@@ -28,9 +24,7 @@ void ApplyActivation(Activation a, const Matrix& z, Matrix* out) {
     if (dst != src) std::copy(src, src + n, dst);
     return;
   }
-  DispatchActivation(a, [&]<Activation A>() {
-    for (size_t i = 0; i < n; ++i) dst[i] = ActivationValue<A>(src[i]);
-  });
+  for (size_t i = 0; i < n; ++i) dst[i] = Relu(src[i]);
 }
 
 void ApplyActivationGradProduct(Activation a, const Matrix& z,
@@ -41,11 +35,11 @@ void ApplyActivationGradProduct(Activation a, const Matrix& z,
   const double* gs = grad.data().data();
   double* dst = out->data().data();
   const size_t n = z.size();
-  DispatchActivation(a, [&]<Activation A>() {
-    for (size_t i = 0; i < n; ++i) {
-      dst[i] = ActivationSlope<A>(ActivationValue<A>(zs[i])) * gs[i];
-    }
-  });
+  if (a == Activation::kIdentity) {
+    if (dst != gs) std::copy(gs, gs + n, dst);  // f'(z) = 1.
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) dst[i] = ReluSlope(Relu(zs[i])) * gs[i];
 }
 
 }  // namespace qens::ml

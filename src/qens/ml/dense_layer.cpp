@@ -200,7 +200,9 @@ Status DenseLayer::MseHeadInto(const Matrix& x, const Matrix& target,
 }
 
 bool IsHiddenSweepPair(const DenseLayer& hidden, const DenseLayer& head) {
-  return hidden.in_features() == 1 && head.IsLinearScalarHead() &&
+  return hidden.in_features() == 1 &&
+         hidden.activation() == Activation::kRelu &&
+         head.IsLinearScalarHead() &&
          head.in_features() == hidden.out_features();
 }
 
@@ -241,28 +243,23 @@ using Lanes = typename LaneTypes<W>::Value;
 template <size_t W>
 using LaneMask = typename LaneTypes<W>::Mask;
 
-/// z = ActivationValue<A>(z) in every lane. ReLU is the compare-mask AND,
-/// bit for bit z > 0.0 ? z : 0.0 (a NaN or -0.0 fails the compare and gives
-/// +0.0). z is passed by reference: a 32-byte vector argument would make
-/// GCC warn of an ABI that differs between the two copies.
-template <Activation A, size_t W>
-inline void ActivateLanes(Lanes<W>& z) {
-  if constexpr (A == Activation::kRelu) {
-    const auto positive = reinterpret_cast<LaneMask<W>>(z > Lanes<W>{});
-    z = reinterpret_cast<Lanes<W>>(positive &
-                                   reinterpret_cast<LaneMask<W>>(z));
-  } else {
-    for (size_t q = 0; q < W; ++q) z[q] = ActivationValue<A>(z[q]);
-  }
+/// z = Relu(z) in every lane, as the compare-mask AND: bit for bit
+/// z > 0.0 ? z : 0.0 (a NaN or -0.0 fails the compare and gives +0.0). z is
+/// passed by reference: a 32-byte vector argument would make GCC warn of an
+/// ABI that differs between the two copies.
+template <size_t W>
+inline void ReluLanes(Lanes<W>& z) {
+  const auto positive = reinterpret_cast<LaneMask<W>>(z > Lanes<W>{});
+  z = reinterpret_cast<Lanes<W>>(positive & reinterpret_cast<LaneMask<W>>(z));
 }
 
 /// Forward half and head for the kHiddenSweepRows inputs at `x`, each
 /// vector lane one row. Per unit j in ascending order:
 /// z = (0.0 + x·w(j)) + b(j) — MatMulAddBiasInto's order, the one-term sum
-/// from 0.0, then the bias — h = f(z) into the row-major tile `h`
+/// from 0.0, then the bias — h = ReLU(z) into the row-major tile `h`
 /// (kHiddenSweepRows x H), and s += h·v(j), each lane's sum starting at
 /// 0.0 (GemvAccumulate's order). Then pred = s + c.
-template <Activation A, size_t W>
+template <size_t W>
 inline void SweepForwardHead(const SweepParams& p, const double* __restrict x,
                              double* __restrict h, double* __restrict pred) {
   static_assert(kHiddenSweepRows % W == 0);
@@ -278,7 +275,7 @@ inline void SweepForwardHead(const SweepParams& p, const double* __restrict x,
   for (size_t j = 0; j < units; ++j) {
     for (size_t k = 0; k < kVectors; ++k) {
       V hv = (0.0 + xv[k] * p.w[j]) + p.b[j];
-      ActivateLanes<A, W>(hv);
+      ReluLanes<W>(hv);
       s[k] += hv * p.v[j];
       for (size_t q = 0; q < W; ++q) h[(k * W + q) * units + j] = hv[q];
     }
@@ -293,26 +290,26 @@ inline void SweepForwardHead(const SweepParams& p, const double* __restrict x,
 /// the tile gets kHiddenSweepRows rows, pred the first `rows` predictions.
 /// A ragged tail runs as a full block whose missing inputs are 0.0; lanes
 /// never mix, so those rows change nothing and are dropped.
-template <Activation A, size_t W>
+template <size_t W>
 inline void SweepBlock(const SweepParams& p, const double* x, size_t rows,
                        double* h, double* pred) {
   if (rows == kHiddenSweepRows) {
-    SweepForwardHead<A, W>(p, x, h, pred);
+    SweepForwardHead<W>(p, x, h, pred);
     return;
   }
   double padded_x[kHiddenSweepRows] = {};
   double padded_pred[kHiddenSweepRows];
   std::copy_n(x, rows, padded_x);
-  SweepForwardHead<A, W>(p, padded_x, h, padded_pred);
+  SweepForwardHead<W>(p, padded_x, h, padded_pred);
   std::copy_n(padded_pred, rows, pred);
 }
 
 /// Backward half for the R inputs at `x` given their h tile and head
 /// gradients g = dL/dpred: one loop over units adds the rows' terms, in
 /// ascending row order, to dv (h·g), db (dZ) and dW (x·dZ), where
-/// dZ = f'(z)·(0.0 + g·v) — the head's dX, then
-/// ApplyActivationGradProduct with f'(z) taken from h = f(z).
-template <Activation A, size_t R>
+/// dZ = ReluSlope(h)·(0.0 + g·v) — the head's dX, then
+/// ApplyActivationGradProduct with f'(z) taken from h = ReLU(z).
+template <size_t R>
 inline void SweepBackward(const SweepParams& p, const double* __restrict x,
                           const double* __restrict h,
                           const double* __restrict g, double* __restrict dw,
@@ -324,7 +321,7 @@ inline void SweepBackward(const SweepParams& p, const double* __restrict x,
     for (size_t q = 0; q < R; ++q) {
       const double hq = h[q * units + j];
       acc_v += hq * g[q];
-      dz[q] = ActivationSlope<A>(hq) * (0.0 + g[q] * p.v[j]);
+      dz[q] = ReluSlope(hq) * (0.0 + g[q] * p.v[j]);
     }
     dv[j] = acc_v;
     double acc_b = db[j];
@@ -333,54 +330,6 @@ inline void SweepBackward(const SweepParams& p, const double* __restrict x,
     double acc_w = dw[j];
     for (size_t q = 0; q < R; ++q) acc_w += x[q] * dz[q];
     dw[j] = acc_w;
-  }
-}
-
-/// The training sweep over every row of (x, t). dw, db and dv must hold
-/// zeros; returns the loss and leaves the head's bias gradient in *dc.
-template <Activation A, size_t W>
-double SweepMse(const SweepParams& p, const Matrix& x, const double* t,
-                double* tile, double* dw, double* db, double* dv,
-                double* dc) {
-  const size_t n = x.rows();
-  const double* xs = x.data().data();
-  const double inv_n = 1.0 / static_cast<double>(n);
-  double sq_sum = 0.0;
-  double dc_sum = 0.0;
-  for (size_t r = 0; r < n; r += kHiddenSweepRows) {
-    const size_t rows = std::min(kHiddenSweepRows, n - r);
-    double pred[kHiddenSweepRows];
-    SweepBlock<A, W>(p, xs + r, rows, tile, pred);
-    // ComputeLoss and ComputeLossGradInto's per-row terms, in row order.
-    double g[kHiddenSweepRows];
-    for (size_t q = 0; q < rows; ++q) {
-      const double diff = pred[q] - t[r + q];
-      sq_sum += diff * diff;
-      g[q] = 2.0 * diff * inv_n;
-      dc_sum += g[q];
-    }
-    if (rows == kHiddenSweepRows) {
-      SweepBackward<A, kHiddenSweepRows>(p, xs + r, tile, g, dw, db, dv);
-    } else {
-      for (size_t q = 0; q < rows; ++q) {
-        SweepBackward<A, 1>(p, xs + r + q, tile + q * p.units, g + q, dw, db,
-                            dv);
-      }
-    }
-  }
-  *dc = dc_sum;
-  return sq_sum / static_cast<double>(n);
-}
-
-/// The forward half over every row of x into pred (x.rows() values).
-template <Activation A, size_t W>
-void SweepPredict(const SweepParams& p, const Matrix& x, double* tile,
-                  double* pred) {
-  const size_t n = x.rows();
-  const double* xs = x.data().data();
-  for (size_t r = 0; r < n; r += kHiddenSweepRows) {
-    SweepBlock<A, W>(p, xs + r, std::min(kHiddenSweepRows, n - r), tile,
-                     pred + r);
   }
 }
 
@@ -407,60 +356,92 @@ struct SweepPredictJob {
 // (kernel_isa.h): inline here for the baseline copy, with two lanes, and
 // flattened into the target("avx2") copies below, with four.
 
+/// The training sweep over every row of (x, t). Returns the loss and leaves
+/// the head's bias gradient in *dc.
 template <size_t W>
-inline double RunSweepMse(Activation a, const SweepMseJob& j, double* dc) {
-  return DispatchActivation(a, [&]<Activation A>() {
-    return SweepMse<A, W>(j.p, *j.x, j.t, j.tile, j.dw, j.db, j.dv, dc);
-  });
+inline double SweepMse(const SweepMseJob& j, double* dc) {
+  const SweepParams& p = j.p;
+  const size_t n = j.x->rows();
+  const double* xs = j.x->data().data();
+  const double inv_n = 1.0 / static_cast<double>(n);
+  double sq_sum = 0.0;
+  double dc_sum = 0.0;
+  for (size_t r = 0; r < n; r += kHiddenSweepRows) {
+    const size_t rows = std::min(kHiddenSweepRows, n - r);
+    double pred[kHiddenSweepRows];
+    SweepBlock<W>(p, xs + r, rows, j.tile, pred);
+    // ComputeLoss and ComputeLossGradInto's per-row terms, in row order.
+    double g[kHiddenSweepRows];
+    for (size_t q = 0; q < rows; ++q) {
+      const double diff = pred[q] - j.t[r + q];
+      sq_sum += diff * diff;
+      g[q] = 2.0 * diff * inv_n;
+      dc_sum += g[q];
+    }
+    if (rows == kHiddenSweepRows) {
+      SweepBackward<kHiddenSweepRows>(p, xs + r, j.tile, g, j.dw, j.db, j.dv);
+    } else {
+      for (size_t q = 0; q < rows; ++q) {
+        SweepBackward<1>(p, xs + r + q, j.tile + q * p.units, g + q, j.dw,
+                         j.db, j.dv);
+      }
+    }
+  }
+  *dc = dc_sum;
+  return sq_sum / static_cast<double>(n);
 }
 
+/// The forward half over every row of x into pred (x.rows() values).
 template <size_t W>
-inline void RunSweepPredict(Activation a, const SweepPredictJob& j) {
-  DispatchActivation(a, [&]<Activation A>() {
-    SweepPredict<A, W>(j.p, *j.x, j.tile, j.pred);
-  });
+inline void SweepPredict(const SweepPredictJob& j) {
+  const size_t n = j.x->rows();
+  const double* xs = j.x->data().data();
+  for (size_t r = 0; r < n; r += kHiddenSweepRows) {
+    SweepBlock<W>(j.p, xs + r, std::min(kHiddenSweepRows, n - r), j.tile,
+                  j.pred + r);
+  }
 }
 
 #if QENS_ML_AVX2_KERNELS
-// `flatten` inlines the whole sweep, DispatchActivation's lambda included,
-// into these functions, so it is compiled for AVX2 here. Without it the
-// lambda stays out of line as baseline code and these copies hold no ymm
-// instruction (CI disassembles them to check).
+// `flatten` inlines the whole sweep into these functions, so it is compiled
+// for AVX2 here. Without it a callee could stay out of line as baseline
+// code and these copies hold no ymm instruction (CI disassembles them to
+// check).
 [[gnu::target("avx2"), gnu::flatten]] double SweepMseAvx2(
-    Activation a, const SweepMseJob& j, double* dc) {
-  return RunSweepMse<4>(a, j, dc);
+    const SweepMseJob& j, double* dc) {
+  return SweepMse<4>(j, dc);
 }
 
 [[gnu::target("avx2"), gnu::flatten]] void SweepPredictAvx2(
-    Activation a, const SweepPredictJob& j) {
-  RunSweepPredict<4>(a, j);
+    const SweepPredictJob& j) {
+  SweepPredict<4>(j);
 }
 #endif
 
-double SweepMseOnActiveIsa(Activation a, const SweepMseJob& j, double* dc) {
+double SweepMseOnActiveIsa(const SweepMseJob& j, double* dc) {
 #if QENS_ML_AVX2_KERNELS
   if (internal::ActiveKernelIsa() == internal::KernelIsa::kAvx2) {
-    return SweepMseAvx2(a, j, dc);
+    return SweepMseAvx2(j, dc);
   }
 #endif
-  return RunSweepMse<2>(a, j, dc);
+  return SweepMse<2>(j, dc);
 }
 
-void SweepPredictOnActiveIsa(Activation a, const SweepPredictJob& j) {
+void SweepPredictOnActiveIsa(const SweepPredictJob& j) {
 #if QENS_ML_AVX2_KERNELS
   if (internal::ActiveKernelIsa() == internal::KernelIsa::kAvx2) {
-    SweepPredictAvx2(a, j);
+    SweepPredictAvx2(j);
     return;
   }
 #endif
-  RunSweepPredict<2>(a, j);
+  SweepPredict<2>(j);
 }
 
 Status CheckSweepInput(const char* who, const DenseLayer& hidden,
                        const DenseLayer& head, const Matrix& x) {
   if (!IsHiddenSweepPair(hidden, head)) {
     return Status::FailedPrecondition(StrFormat(
-        "%s: not a one-input hidden layer feeding a 1-unit identity head",
+        "%s: not a one-input ReLU layer feeding a 1-unit identity head",
         who));
   }
   if (x.cols() != hidden.in_features()) {
@@ -496,7 +477,6 @@ Status HiddenSweepMseInto(const DenseLayer& hidden, const DenseLayer& head,
   std::fill(dv.data().begin(), dv.data().end(), 0.0);
   double dc = 0.0;
   *loss = SweepMseOnActiveIsa(
-      hidden.activation(),
       {p, &x, target.data().data(), tile->data().data(), dw.data().data(),
        hidden_grads->d_bias.data(), dv.data().data()},
       &dc);
@@ -516,8 +496,7 @@ Status HiddenSweepPredictInto(const DenseLayer& hidden, const DenseLayer& head,
   }
   const SweepParams p = ParamsOf(hidden, head);
   tile->ResizeUninitialized(kHiddenSweepRows, p.units);
-  SweepPredictOnActiveIsa(hidden.activation(),
-                          {p, &x, tile->data().data(), pred.data()});
+  SweepPredictOnActiveIsa({p, &x, tile->data().data(), pred.data()});
   return Status::OK();
 }
 

@@ -116,10 +116,11 @@ class DenseLayer {
   std::vector<double> bias_;  // (out)
 };
 
-/// True when a one-input `hidden` layer feeds a linear scalar head,
-/// [1 → H, act] → [H → 1, identity] (the paper NN on its single feature):
+/// True when a one-input ReLU `hidden` layer feeds a linear scalar head,
+/// [1 → H, relu] → [H → 1, identity] (the paper NN on its single feature):
 /// the pair the hidden-layer sweep below trains and evaluates in one pass
-/// over the batch. Wider inputs keep the layer-by-layer chain.
+/// over the batch. Wider inputs, and an identity hidden layer, keep the
+/// layer-by-layer chain.
 bool IsHiddenSweepPair(const DenseLayer& hidden, const DenseLayer& head);
 
 /// Rows per block of the hidden-layer sweep, and so the rows of its tile.
@@ -129,13 +130,13 @@ inline constexpr size_t kHiddenSweepRows = 8;
 /// head, the loss and both layers' gradients in one sweep over blocks of
 /// kHiddenSweepRows rows. Per block one loop over units runs the forward
 /// and the head with each vector lane one row: z = (0.0 + x·W) + b and
-/// h = f(z) into `tile` (kHiddenSweepRows x H, resized in place), and
+/// h = ReLU(z) into `tile` (kHiddenSweepRows x H, resized in place), and
 /// s += h·v, which gives p = s + c. The loss terms and g = dL/dp follow in
 /// row order, then one loop over units adds the rows' terms to dv, dW and
-/// db with dZ = f'(z)·(0.0 + g·v). A ragged last block runs the forward on
-/// zero-padded inputs and the backward for its real rows only. Every sum
-/// starts at 0.0 and runs over ascending j or rows, so the loss and
-/// gradients are bit-identical to hidden.ForwardInto, head.ForwardInto,
+/// db with dZ = ReluSlope(h)·(0.0 + g·v). A ragged last block runs the
+/// forward on zero-padded inputs and the backward for its real rows only.
+/// Every sum starts at 0.0 and runs over ascending j or rows, so the loss
+/// and gradients are bit-identical to hidden.ForwardInto, head.ForwardInto,
 /// ComputeLoss, ComputeLossGradInto and both layers' BackwardInto. Input
 /// checks come first and return the generic chain's codes; no gradient is
 /// written on failure.

@@ -16,7 +16,7 @@ constexpr char kMagic[4] = {'Q', 'E', 'N', 'W'};
 constexpr uint16_t kVersion = 1;
 constexpr uint8_t kFlagDelta = 0x01;
 constexpr uint8_t kMaxCodecByte = static_cast<uint8_t>(WireCodecKind::kTopK);
-constexpr uint8_t kMaxActivationByte = static_cast<uint8_t>(Activation::kTanh);
+constexpr uint8_t kMaxActivationByte = static_cast<uint8_t>(Activation::kRelu);
 constexpr uint32_t kMaxWireLayers = 1'000'000;
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 ///   7       1     flags (bit 0: payload is a delta against a reference)
 ///   8       4     num_layers (uint32)
 ///   12      9*L   per layer: in_features u32, out_features u32, activation u8
+///                 (0 identity, 1 relu; any other byte is rejected)
 ///   ...     8     param_count (uint64; must match the architecture)
 ///   ...     *     payload (codec-dependent, see below)
 ///

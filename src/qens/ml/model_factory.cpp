@@ -30,8 +30,6 @@ HyperParams PaperHyperParams(ModelKind kind) {
   hp.kind = kind;
   hp.epochs = 100;
   hp.validation_split = 0.2;
-  hp.hidden_activation = Activation::kRelu;
-  hp.loss = LossKind::kMse;
   hp.batch_size = 32;
   switch (kind) {
     case ModelKind::kLinearRegression:
@@ -60,7 +58,7 @@ Result<SequentialModel> BuildModel(const HyperParams& hp,
         model.AddLayer(input_features, 1, Activation::kIdentity));
   } else {
     QENS_RETURN_NOT_OK(
-        model.AddLayer(input_features, hp.dense_units, hp.hidden_activation));
+        model.AddLayer(input_features, hp.dense_units, Activation::kRelu));
     QENS_RETURN_NOT_OK(model.AddLayer(hp.dense_units, 1, Activation::kIdentity));
   }
   model.InitWeights(rng);
@@ -80,7 +78,6 @@ Result<std::unique_ptr<Trainer>> BuildTrainer(const HyperParams& hp,
   options.epochs = hp.epochs;
   options.batch_size = hp.batch_size;
   options.validation_split = hp.validation_split;
-  options.loss = hp.loss;
   options.seed = seed;
   return std::make_unique<Trainer>(std::move(opt), options);
 }

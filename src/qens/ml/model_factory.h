@@ -40,15 +40,15 @@ enum class ModelKind {
 const char* ModelKindName(ModelKind kind);
 Result<ModelKind> ParseModelKind(const std::string& name);
 
-/// Full per-model hyper-parameter record (Table III).
+/// Full per-model hyper-parameter record (Table III). The hidden activation
+/// (ReLU) and the loss (MSE) are the only ones the library has, so they are
+/// not fields.
 struct HyperParams {
   ModelKind kind = ModelKind::kLinearRegression;
   size_t dense_units = 1;
   size_t epochs = 100;
   double validation_split = 0.2;
   double learning_rate = 0.03;
-  Activation hidden_activation = Activation::kRelu;
-  LossKind loss = LossKind::kMse;
   std::string optimizer = "sgd";
   size_t batch_size = 32;
 };

@@ -8,18 +8,10 @@
 namespace qens::ml {
 namespace {
 
-/// Visit one layer's parameters with their gradients, in the flat order the
-/// optimizer state uses (row-major weights, then bias), as
-/// update(param, grad, flat_index). Nothing is copied or allocated.
-template <typename Update>
-void ForEachParam(DenseLayer* layer, const DenseGradients& g, Update update) {
-  std::vector<double>& w = layer->weights().data();
-  const std::vector<double>& gw = g.d_weights.data();
-  for (size_t i = 0; i < w.size(); ++i) update(w[i], gw[i], i);
-  std::vector<double>& b = layer->bias();
-  for (size_t i = 0; i < b.size(); ++i) {
-    update(b[i], g.d_bias[i], w.size() + i);
-  }
+/// The SGD update of one parameter, θ −= lr·g: the one expression Step and
+/// the fused LR step share.
+inline void SgdUpdate(double learning_rate, double g, double& p) {
+  p -= learning_rate * g;
 }
 
 /// The Adam update of n parameters `p` from their gradients `g` and
@@ -66,25 +58,20 @@ Status CheckGrads(const SequentialModel& model,
 
 }  // namespace
 
-SgdOptimizer::SgdOptimizer(double learning_rate, double momentum)
-    : Optimizer(learning_rate), momentum_(momentum) {}
-
 Status SgdOptimizer::Step(SequentialModel* model,
                           const std::vector<DenseGradients>& grads) {
   QENS_RETURN_NOT_OK(CheckGrads(*model, grads));
-  if (velocity_.size() != grads.size()) {
-    velocity_.assign(grads.size(), {});
-  }
   for (size_t li = 0; li < grads.size(); ++li) {
     DenseLayer* layer = &model->layer(li);
-    auto& vel = velocity_[li];
-    if (vel.size() != layer->ParameterCount()) {
-      vel.assign(layer->ParameterCount(), 0.0);
+    std::vector<double>& w = layer->weights().data();
+    const std::vector<double>& gw = grads[li].d_weights.data();
+    for (size_t i = 0; i < w.size(); ++i) {
+      SgdUpdate(learning_rate_, gw[i], w[i]);
     }
-    ForEachParam(layer, grads[li], [&](double& p, double g, size_t i) {
-      vel[i] = momentum_ * vel[i] - learning_rate_ * g;
-      p += vel[i];
-    });
+    std::vector<double>& b = layer->bias();
+    for (size_t i = 0; i < b.size(); ++i) {
+      SgdUpdate(learning_rate_, grads[li].d_bias[i], b[i]);
+    }
   }
   return Status::OK();
 }
@@ -92,12 +79,7 @@ Status SgdOptimizer::Step(SequentialModel* model,
 double SgdOptimizer::LinearHeadMseStep(DenseLayer* head, const Matrix& x,
                                        const Matrix& y,
                                        std::span<const size_t> ids) {
-  // The velocity Step sizes for a one-layer model: weights, then bias.
   const size_t d = head->in_features();
-  if (velocity_.size() != 1) velocity_.assign(1, {});
-  std::vector<double>& vel = velocity_[0];
-  if (vel.size() != d + 1) vel.assign(d + 1, 0.0);
-
   const size_t n = ids.size();
   const double inv_n = 1.0 / static_cast<double>(n);
   const double* xs = x.data().data();
@@ -124,8 +106,7 @@ double SgdOptimizer::LinearHeadMseStep(DenseLayer* head, const Matrix& x,
       const double g = row_grad(0.0 + xr * w0, r);
       dw += xr * g;
     }
-    vel[0] = momentum_ * vel[0] - learning_rate_ * dw;
-    w[0] += vel[0];
+    SgdUpdate(learning_rate_, dw, w[0]);
   } else {
     head_dw_.assign(d, 0.0);
     double* dw = head_dw_.data();
@@ -136,17 +117,11 @@ double SgdOptimizer::LinearHeadMseStep(DenseLayer* head, const Matrix& x,
       const double g = row_grad(z, r);
       for (size_t k = 0; k < d; ++k) dw[k] += xr[k] * g;
     }
-    for (size_t k = 0; k < d; ++k) {
-      vel[k] = momentum_ * vel[k] - learning_rate_ * dw[k];
-      w[k] += vel[k];
-    }
+    for (size_t k = 0; k < d; ++k) SgdUpdate(learning_rate_, dw[k], w[k]);
   }
-  vel[d] = momentum_ * vel[d] - learning_rate_ * db;
-  b += vel[d];
+  SgdUpdate(learning_rate_, db, b);
   return sq_sum / static_cast<double>(n);
 }
-
-void SgdOptimizer::Reset() { velocity_.clear(); }
 
 AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
                              double epsilon)
@@ -176,7 +151,7 @@ Status AdamOptimizer::Step(SequentialModel* model,
       m.assign(layer->ParameterCount(), 0.0);
       v.assign(layer->ParameterCount(), 0.0);
     }
-    // The flat order ForEachParam visits: weights, then bias.
+    // The flat order of the moments: weights, then bias.
     std::vector<double>& w = layer->weights().data();
     std::vector<double>& b = layer->bias();
     internal::AdamUpdateOnActiveIsa(c, w.size(), w.data(),

@@ -26,7 +26,7 @@ class Optimizer {
   virtual Status Step(SequentialModel* model,
                       const std::vector<DenseGradients>& grads) = 0;
 
-  /// Reset any internal state (momentum buffers, Adam moments, step count).
+  /// Reset any internal state (Adam's moments and step count).
   virtual void Reset() = 0;
 
   /// Optimizer name for reports ("sgd", "adam").
@@ -39,33 +39,29 @@ class Optimizer {
   double learning_rate_;
 };
 
-/// Stochastic gradient descent with optional classical momentum.
+/// Plain stochastic gradient descent (Table III's LR): θ −= lr·g for every
+/// parameter. It keeps no state between steps.
 class SgdOptimizer final : public Optimizer {
  public:
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
+  explicit SgdOptimizer(double learning_rate) : Optimizer(learning_rate) {}
 
   Status Step(SequentialModel* model,
               const std::vector<DenseGradients>& grads) override;
-  void Reset() override;
+  void Reset() override {}
   std::string Name() const override { return "sgd"; }
 
   /// The fused LR fit step: one MSE training step of the one-layer model
   /// whose layer is `head` (IsLinearScalarHead()) on rows `ids` of (x, y),
   /// read in place. Bit for bit the gather of those rows, the model's
   /// LossAndGradients (MseHeadInto's order: z = (0.0 + Σₖ x·w) + b, the
-  /// loss and dW, db over ascending rows from 0.0) and Step, on the same
-  /// velocity Step keeps. Returns the batch loss before the update.
-  /// Unchecked: ids is non-empty, every id < x.rows(), x has
-  /// head->in_features() columns and y one. After the first step of a
-  /// width it makes no allocation.
+  /// loss and dW, db over ascending rows from 0.0) and Step's update.
+  /// Returns the batch loss before the update. Unchecked: ids is non-empty,
+  /// every id < x.rows(), x has head->in_features() columns and y one.
+  /// After the first step of a width it makes no allocation.
   double LinearHeadMseStep(DenseLayer* head, const Matrix& x, const Matrix& y,
                            std::span<const size_t> ids);
 
  private:
-  double momentum_;
-  // Velocity buffers, one flat vector per layer (weights then bias), lazily
-  // sized on first Step.
-  std::vector<std::vector<double>> velocity_;
   // LinearHeadMseStep's weight-gradient sums for more than one input.
   std::vector<double> head_dw_;
 };

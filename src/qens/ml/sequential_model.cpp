@@ -155,12 +155,11 @@ Status SequentialModel::BackwardInto(const Matrix& x, const Matrix& grad_out,
   return BackwardLayers(layers_.size(), x, grad_out, ws);
 }
 
-Result<double> SequentialModel::LossAndGradients(LossKind loss,
-                                                 const Matrix& x,
+Result<double> SequentialModel::LossAndGradients(const Matrix& x,
                                                  const Matrix& y,
                                                  TrainWorkspace* ws) const {
   QENS_RETURN_NOT_OK(PrepareWorkspace(ws));
-  if (loss == LossKind::kMse && IsHiddenSweepModel()) {
+  if (IsHiddenSweepModel()) {
     double value = 0.0;
     QENS_RETURN_NOT_OK(HiddenSweepMseInto(layers_[0], layers_[1], x, y,
                                           &ws->sweep_tile, &value,
@@ -168,7 +167,7 @@ Result<double> SequentialModel::LossAndGradients(LossKind loss,
     return value;
   }
   const size_t head = layers_.size() - 1;
-  if (loss == LossKind::kMse && layers_[head].IsLinearScalarHead()) {
+  if (layers_[head].IsLinearScalarHead()) {
     QENS_RETURN_NOT_OK(ForwardLayers(head, x, ws));
     double value = 0.0;
     Matrix* head_dx = head > 0 ? &ws->layers[head].dx : nullptr;
@@ -179,8 +178,8 @@ Result<double> SequentialModel::LossAndGradients(LossKind loss,
   }
   QENS_RETURN_NOT_OK(ForwardLayers(layers_.size(), x, ws));
   const Matrix& pred = ws->layers.back().out;
-  QENS_ASSIGN_OR_RETURN(double value, ComputeLoss(loss, pred, y));
-  QENS_RETURN_NOT_OK(ComputeLossGradInto(loss, pred, y, &ws->loss_grad));
+  QENS_ASSIGN_OR_RETURN(double value, ComputeLoss(LossKind::kMse, pred, y));
+  QENS_RETURN_NOT_OK(ComputeLossGradInto(pred, y, &ws->loss_grad));
   QENS_RETURN_NOT_OK(BackwardLayers(layers_.size(), x, ws->loss_grad, ws));
   return value;
 }

@@ -61,7 +61,7 @@ class SequentialModel {
   void InitWeights(Rng* rng);
 
   /// Inference forward pass: no workspace, one fresh buffer per layer. A
-  /// [1 → H, act] → [H → 1, identity] model (IsHiddenSweepPair) runs the
+  /// [1 → H, relu] → [H → 1, identity] model (IsHiddenSweepPair) runs the
   /// forward half of the hidden-layer sweep instead, bit-identical to the
   /// layer-by-layer pass, with a kHiddenSweepRows x H tile in place of the
   /// batch x H one.
@@ -93,21 +93,21 @@ class SequentialModel {
   Status BackwardInto(const Matrix& x, const Matrix& grad_out,
                       TrainWorkspace* ws) const;
 
-  /// One training batch: returns the loss of (x, y) under the current
-  /// parameters and writes the per-layer gradients to ws->grads. With MSE
-  /// and a linear scalar head (every paper model) the head's forward, loss
-  /// and backward run as one fused pass, bit-identical to the generic
+  /// One training batch: returns the MSE of (x, y) under the current
+  /// parameters and writes the per-layer gradients to ws->grads. With a
+  /// linear scalar head (every paper model) the head's forward, loss and
+  /// backward run as one fused pass, bit-identical to the generic
   /// ForwardInto + ComputeLoss + ComputeLossGradInto + BackwardInto path
-  /// that serves every other model and loss. When the model is exactly
-  /// [1 → H, act] → [H → 1, identity] (the paper NN on its one input
+  /// that serves every other model. When the model is exactly
+  /// [1 → H, relu] → [H → 1, identity] (the paper NN on its one input
   /// feature; a wider input keeps the fused head) the hidden layer joins
   /// that pass too: HiddenSweepMseInto trains both layers in one sweep over
   /// the batch through ws->sweep_tile. The fused paths leave the pre/out
   /// buffers of every layer they cover unwritten — the head's, and on the
   /// sweep the hidden layer's as well — and never materialize the
   /// prediction.
-  Result<double> LossAndGradients(LossKind loss, const Matrix& x,
-                                  const Matrix& y, TrainWorkspace* ws) const;
+  Result<double> LossAndGradients(const Matrix& x, const Matrix& y,
+                                  TrainWorkspace* ws) const;
 
   /// Total scalar parameter count across layers.
   size_t ParameterCount() const;
@@ -126,7 +126,7 @@ class SequentialModel {
   bool SameArchitecture(const SequentialModel& other) const;
 
  private:
-  /// True for a [1 → H, act] → [H → 1, identity] model.
+  /// True for a [1 → H, relu] → [H → 1, identity] model.
   bool IsHiddenSweepModel() const {
     return layers_.size() == 2 && IsHiddenSweepPair(layers_[0], layers_[1]);
   }

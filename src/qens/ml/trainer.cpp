@@ -20,7 +20,7 @@ Trainer::Trainer(std::unique_ptr<Optimizer> optimizer, TrainOptions options)
 Result<double> Trainer::TrainBatch(SequentialModel* model, const Matrix& x,
                                    const Matrix& y) {
   QENS_ASSIGN_OR_RETURN(
-      double loss, model->LossAndGradients(options_.loss, x, y, &workspace_));
+      double loss, model->LossAndGradients(x, y, &workspace_));
   QENS_RETURN_NOT_OK(optimizer_->Step(model, workspace_.grads));
   return loss;
 }
@@ -125,13 +125,12 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
 
   std::vector<size_t> train_rows(
       order.begin(), order.begin() + static_cast<ptrdiff_t>(n_train));
-  // The paper's LR under its own loss and optimizer (Table III: one linear
-  // scalar head, MSE, SGD) trains through the optimizer's fused step,
-  // straight from the view. Every other model, loss or optimizer gathers
-  // each batch and takes TrainBatch.
+  // The paper's LR under its own optimizer (Table III: one linear scalar
+  // head, SGD) trains through the optimizer's fused step, straight from the
+  // view. Every other model or optimizer gathers each batch and takes
+  // TrainBatch.
   SgdOptimizer* fused_lr = nullptr;
-  if (model->num_layers() == 1 && model->layer(0).IsLinearScalarHead() &&
-      options_.loss == LossKind::kMse) {
+  if (model->num_layers() == 1 && model->layer(0).IsLinearScalarHead()) {
     fused_lr = dynamic_cast<SgdOptimizer*>(optimizer_.get());
   }
   Matrix x_val, y_val;
@@ -183,7 +182,7 @@ Result<TrainReport> Trainer::Fit(SequentialModel* model, const Matrix& x,
       QENS_RETURN_NOT_OK(model->PredictInto(x_val, &workspace_));
       QENS_ASSIGN_OR_RETURN(
           double vl,
-          ComputeLoss(options_.loss, workspace_.layers.back().out, y_val));
+          ComputeLoss(LossKind::kMse, workspace_.layers.back().out, y_val));
       report.val_loss.push_back(vl);
     }
   }

@@ -44,7 +44,6 @@ struct TrainOptions {
   /// function of (seed, epoch), so a fit can be replayed from any epoch
   /// without tracking generator state.
   uint64_t seed = 42;
-  LossKind loss = LossKind::kMse;
 };
 
 /// Per-fit training history and counters.
@@ -80,8 +79,8 @@ class Trainer {
   /// Train `model` on rows `rows` of (x, y), in that order: the sample set
   /// is the view, and the result equals Fit on the gathered subset bit for
   /// bit. The shuffles draw exactly as for a subset of rows.size() rows.
-  /// The paper's LR (a one-layer linear scalar head under MSE and an
-  /// SgdOptimizer) trains each batch straight from the view through
+  /// The paper's LR (a one-layer linear scalar head under an SgdOptimizer)
+  /// trains each batch straight from the view through
   /// SgdOptimizer::LinearHeadMseStep; every other fit gathers each batch
   /// into the trainer's workspace and takes TrainBatch's path.
   /// Every row id is checked once, on entry: an id >= x.rows() fails with

@@ -54,8 +54,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ModelShape{1, 0, ml::Activation::kIdentity},
                       ModelShape{4, 0, ml::Activation::kIdentity},
                       ModelShape{1, 8, ml::Activation::kRelu},
-                      ModelShape{6, 16, ml::Activation::kTanh},
-                      ModelShape{3, 64, ml::Activation::kSigmoid}));
+                      ModelShape{6, 16, ml::Activation::kIdentity},
+                      ModelShape{3, 64, ml::Activation::kRelu}));
 
 struct ProfileShape {
   size_t clusters;

@@ -19,7 +19,7 @@ Matrix Apply(Activation a, const Matrix& z) {
 }
 
 /// f'(z) elementwise, written out independently of the library's
-/// ActivationSlope: the reference the fused backward is held to.
+/// ReluSlope: the reference the fused backward is held to.
 Matrix Grad(Activation a, const Matrix& z) {
   Matrix out = z;
   for (double& v : out.data()) {
@@ -30,16 +30,6 @@ Matrix Grad(Activation a, const Matrix& z) {
       case Activation::kRelu:
         v = v > 0.0 ? 1.0 : 0.0;
         break;
-      case Activation::kSigmoid: {
-        const double s = 1.0 / (1.0 + std::exp(-v));
-        v = s * (1.0 - s);
-        break;
-      }
-      case Activation::kTanh: {
-        const double t = std::tanh(v);
-        v = 1.0 - t * t;
-        break;
-      }
     }
   }
   return out;
@@ -65,20 +55,14 @@ TEST(ActivationTest, Relu) {
   EXPECT_EQ(g(0, 2), 1.0);
 }
 
-TEST(ActivationTest, Sigmoid) {
-  Matrix z{{0.0}};
-  EXPECT_DOUBLE_EQ(Apply(Activation::kSigmoid, z)(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(Grad(Activation::kSigmoid, z)(0, 0), 0.25);
-  Matrix big{{50.0}};
-  EXPECT_NEAR(Apply(Activation::kSigmoid, big)(0, 0), 1.0, 1e-12);
-}
-
-TEST(ActivationTest, Tanh) {
-  Matrix z{{0.0}};
-  EXPECT_DOUBLE_EQ(Apply(Activation::kTanh, z)(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(Grad(Activation::kTanh, z)(0, 0), 1.0);
-  Matrix one{{1.0}};
-  EXPECT_NEAR(Apply(Activation::kTanh, one)(0, 0), std::tanh(1.0), 1e-15);
+TEST(ActivationTest, ReluMapsNanAndNegativeZeroToPositiveZero) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix z{{nan, -0.0}};
+  const Matrix y = Apply(Activation::kRelu, z);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(y.data()[i], 0.0);
+    EXPECT_FALSE(std::signbit(y.data()[i]));
+  }
 }
 
 TEST(ActivationTest, InPlaceAliasedOutput) {
@@ -150,15 +134,11 @@ TEST_P(ActivationGradParamTest, FusedProductMatchesGradTimesUpstream) {
 
 INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationGradParamTest,
                          ::testing::Values(Activation::kIdentity,
-                                           Activation::kRelu,
-                                           Activation::kSigmoid,
-                                           Activation::kTanh));
+                                           Activation::kRelu));
 
 TEST(ActivationNameTest, CanonicalNames) {
   EXPECT_STREQ(ActivationName(Activation::kIdentity), "identity");
   EXPECT_STREQ(ActivationName(Activation::kRelu), "relu");
-  EXPECT_STREQ(ActivationName(Activation::kSigmoid), "sigmoid");
-  EXPECT_STREQ(ActivationName(Activation::kTanh), "tanh");
 }
 
 }  // namespace

@@ -1,19 +1,17 @@
 // The fused LR fit against the generic path, bit for bit.
 //
-// Trainer::Fit trains a one-layer linear scalar head under MSE and an
-// SgdOptimizer through SgdOptimizer::LinearHeadMseStep, straight from the
-// row view. ForwardingSgd below forwards Step to an inner SgdOptimizer but
-// is not one itself, so the same fit with it takes the generic path:
-// GatherBatch, LossAndGradients (MseHeadInto) and Step. Every case runs two
-// consecutive Fits on one trainer, so the carried velocity is compared as
-// well, and compares the final parameters and every per-epoch train and
-// validation loss by their bit patterns.
+// Trainer::Fit trains a one-layer linear scalar head under an SgdOptimizer
+// through SgdOptimizer::LinearHeadMseStep, straight from the row view.
+// ForwardingSgd below forwards Step to an inner SgdOptimizer but is not one
+// itself, so the same fit with it takes the generic path: GatherBatch,
+// LossAndGradients (MseHeadInto) and Step. Every case runs two consecutive
+// Fits on one trainer and compares the final parameters and every
+// per-epoch train and validation loss by their bit patterns.
 //
-// Grid: one and three inputs; momentum 0 and 0.9; batch sizes 1, 7 and 32
-// (every one ends in a ragged batch); shuffle on and off; validation split
-// 0 and 0.2; all on a row view with repeated and scattered ids. Also a
-// degenerate fit from zero weights, which must stay at +0.0, and a trainer
-// that mixes TrainBatch and Fit.
+// Grid: one and three inputs; batch sizes 1, 7 and 32 (every one ends in a
+// ragged batch); shuffle on and off; validation split 0 and 0.2; all on a
+// row view with repeated and scattered ids. Also a degenerate fit from zero
+// weights, which must stay at +0.0.
 
 #include <gtest/gtest.h>
 
@@ -37,8 +35,8 @@ namespace {
 /// SgdOptimizer, so it trains on the generic path.
 class ForwardingSgd : public Optimizer {
  public:
-  ForwardingSgd(double learning_rate, double momentum)
-      : Optimizer(learning_rate), inner_(learning_rate, momentum) {}
+  explicit ForwardingSgd(double learning_rate)
+      : Optimizer(learning_rate), inner_(learning_rate) {}
 
   Status Step(SequentialModel* model,
               const std::vector<DenseGradients>& grads) override {
@@ -128,17 +126,15 @@ Outcome RunFits(std::unique_ptr<Optimizer> optimizer,
 }
 
 /// Fused (an SgdOptimizer) and generic (ForwardingSgd) fits of one setup.
-void ExpectFusedMatchesGeneric(size_t features, double momentum,
-                               const TrainOptions& options, bool zero,
-                               const Data& data, const std::string& label) {
+void ExpectFusedMatchesGeneric(size_t features, const TrainOptions& options,
+                               bool zero, const Data& data,
+                               const std::string& label) {
   constexpr double kLearningRate = 0.03;
   const SequentialModel model = MakeModel(features, zero);
-  const Outcome fused =
-      RunFits(std::make_unique<SgdOptimizer>(kLearningRate, momentum),
-              options, model, data);
-  const Outcome generic =
-      RunFits(std::make_unique<ForwardingSgd>(kLearningRate, momentum),
-              options, model, data);
+  const Outcome fused = RunFits(std::make_unique<SgdOptimizer>(kLearningRate),
+                                options, model, data);
+  const Outcome generic = RunFits(
+      std::make_unique<ForwardingSgd>(kLearningRate), options, model, data);
   EXPECT_TRUE(fused == generic) << label;
   EXPECT_FALSE(fused.train_loss[0].empty()) << label;
 }
@@ -146,24 +142,20 @@ void ExpectFusedMatchesGeneric(size_t features, double momentum,
 TEST(FusedLrFitTest, MatchesTheGenericPathBitForBit) {
   for (size_t features : {size_t{1}, size_t{3}}) {
     const Data data = MakeData(features);
-    for (double momentum : {0.0, 0.9}) {
-      for (size_t batch : {size_t{1}, size_t{7}, size_t{32}}) {
-        for (bool shuffle : {false, true}) {
-          for (double val : {0.0, 0.2}) {
-            TrainOptions options;
-            options.epochs = 6;
-            options.batch_size = batch;
-            options.shuffle = shuffle;
-            options.validation_split = val;
-            options.seed = 9;
-            ExpectFusedMatchesGeneric(
-                features, momentum, options, /*zero=*/false, data,
-                "features=" + std::to_string(features) +
-                    " momentum=" + std::to_string(momentum) +
-                    " batch=" + std::to_string(batch) +
-                    " shuffle=" + std::to_string(shuffle) +
-                    " val=" + std::to_string(val));
-          }
+    for (size_t batch : {size_t{1}, size_t{7}, size_t{32}}) {
+      for (bool shuffle : {false, true}) {
+        for (double val : {0.0, 0.2}) {
+          TrainOptions options;
+          options.epochs = 6;
+          options.batch_size = batch;
+          options.shuffle = shuffle;
+          options.validation_split = val;
+          options.seed = 9;
+          ExpectFusedMatchesGeneric(features, options, /*zero=*/false, data,
+                                    "features=" + std::to_string(features) +
+                                        " batch=" + std::to_string(batch) +
+                                        " shuffle=" + std::to_string(shuffle) +
+                                        " val=" + std::to_string(val));
         }
       }
     }
@@ -178,62 +170,30 @@ TEST(FusedLrFitTest, ZeroWeightFitStaysAtPositiveZero) {
     Data data = MakeData(features);
     const SequentialModel zero = MakeModel(features, true);
     data.y = zero.Predict(data.x).value();
-    for (double momentum : {0.0, 0.9}) {
-      TrainOptions options;
-      options.epochs = 4;
-      options.batch_size = 7;
-      options.validation_split = 0.2;
-      ExpectFusedMatchesGeneric(features, momentum, options, /*zero=*/true,
-                                data,
-                                "zero features=" + std::to_string(features));
-      SequentialModel model = zero;
-      Trainer trainer(std::make_unique<SgdOptimizer>(0.03, momentum),
-                      options);
-      const TrainReport report =
-          trainer.Fit(&model, data.x, data.y, data.rows).value();
-      for (double p : model.GetParameters()) {
-        EXPECT_EQ(Bits(p), Bits(0.0));
-      }
-      for (double l : report.train_loss) EXPECT_EQ(Bits(l), Bits(0.0));
+    TrainOptions options;
+    options.epochs = 4;
+    options.batch_size = 7;
+    options.validation_split = 0.2;
+    ExpectFusedMatchesGeneric(features, options, /*zero=*/true, data,
+                              "zero features=" + std::to_string(features));
+    SequentialModel model = zero;
+    Trainer trainer(std::make_unique<SgdOptimizer>(0.03), options);
+    const TrainReport report =
+        trainer.Fit(&model, data.x, data.y, data.rows).value();
+    for (double p : model.GetParameters()) {
+      EXPECT_EQ(Bits(p), Bits(0.0));
     }
+    for (double l : report.train_loss) EXPECT_EQ(Bits(l), Bits(0.0));
   }
-}
-
-TEST(FusedLrFitTest, TrainBatchAndFitShareOneMomentumState) {
-  // A TrainBatch, a Fit, a TrainBatch, a Fit: the fused Fit must start from
-  // and leave the velocity Step keeps, exactly as the generic one does.
-  const Data data = MakeData(1);
-  const Matrix xb = data.x.SelectRows({4, 9, 2}).value();
-  const Matrix yb = data.y.SelectRows({4, 9, 2}).value();
-  TrainOptions options;
-  options.epochs = 3;
-  options.batch_size = 7;
-  options.validation_split = 0.0;
-  auto run = [&](std::unique_ptr<Optimizer> optimizer) {
-    SequentialModel model = MakeModel(1, false);
-    Trainer trainer(std::move(optimizer), options);
-    std::vector<uint64_t> trace;
-    for (int i = 0; i < 2; ++i) {
-      trace.push_back(Bits(trainer.TrainBatch(&model, xb, yb).value()));
-      const TrainReport report =
-          trainer.Fit(&model, data.x, data.y, data.rows).value();
-      for (uint64_t b : Bits(report.train_loss)) trace.push_back(b);
-    }
-    for (uint64_t b : Bits(model.GetParameters())) trace.push_back(b);
-    return trace;
-  };
-  EXPECT_EQ(run(std::make_unique<SgdOptimizer>(0.03, 0.9)),
-            run(std::make_unique<ForwardingSgd>(0.03, 0.9)));
 }
 
 /// Fits that took the fused LR fit, per the trainer's metric.
 uint64_t FusedFits(SequentialModel model, std::unique_ptr<Optimizer> opt,
-                   LossKind loss, const Data& data) {
+                   const Data& data) {
   obs::MetricsRegistry::Enable();
   obs::MetricsRegistry::Get()->Reset();
   TrainOptions options;
   options.epochs = 2;
-  options.loss = loss;
   Trainer trainer(std::move(opt), options);
   EXPECT_TRUE(trainer.Fit(&model, data.x, data.y, data.rows).ok());
   const obs::MetricsSnapshot snapshot =
@@ -243,34 +203,17 @@ uint64_t FusedFits(SequentialModel model, std::unique_ptr<Optimizer> opt,
   return it == snapshot.counters.end() ? 0 : it->second;
 }
 
-TEST(FusedLrFitTest, SelectedOnlyForLinearHeadMseAndSgd) {
+TEST(FusedLrFitTest, SelectedOnlyForLinearHeadAndSgd) {
   const Data data = MakeData(1);
   const SequentialModel lr = MakeModel(1, false);
-  EXPECT_EQ(FusedFits(lr, std::make_unique<SgdOptimizer>(0.03),
-                      LossKind::kMse, data),
-            1u);
-  EXPECT_EQ(FusedFits(lr, std::make_unique<SgdOptimizer>(0.03, 0.9),
-                      LossKind::kMse, data),
-            1u);
-  // The generic path: another optimizer, another loss, or more layers.
-  EXPECT_EQ(FusedFits(lr, std::make_unique<ForwardingSgd>(0.03, 0.0),
-                      LossKind::kMse, data),
-            0u);
-  EXPECT_EQ(FusedFits(lr, std::make_unique<AdamOptimizer>(0.03),
-                      LossKind::kMse, data),
-            0u);
-  EXPECT_EQ(FusedFits(lr, std::make_unique<SgdOptimizer>(0.03),
-                      LossKind::kMae, data),
-            0u);
-  EXPECT_EQ(FusedFits(lr, std::make_unique<SgdOptimizer>(0.03),
-                      LossKind::kHuber, data),
-            0u);
+  EXPECT_EQ(FusedFits(lr, std::make_unique<SgdOptimizer>(0.03), data), 1u);
+  // The generic path: another optimizer, or more layers.
+  EXPECT_EQ(FusedFits(lr, std::make_unique<ForwardingSgd>(0.03), data), 0u);
+  EXPECT_EQ(FusedFits(lr, std::make_unique<AdamOptimizer>(0.03), data), 0u);
   SequentialModel nn;
   ASSERT_TRUE(nn.AddLayer(1, 4, Activation::kRelu).ok());
   ASSERT_TRUE(nn.AddLayer(4, 1, Activation::kIdentity).ok());
-  EXPECT_EQ(FusedFits(nn, std::make_unique<SgdOptimizer>(0.03),
-                      LossKind::kMse, data),
-            0u);
+  EXPECT_EQ(FusedFits(nn, std::make_unique<SgdOptimizer>(0.03), data), 0u);
 }
 
 }  // namespace

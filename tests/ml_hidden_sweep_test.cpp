@@ -1,18 +1,18 @@
-// Bit-equality of the hidden-layer sweep. A [1 → H, act] → [H → 1, identity]
+// Bit-equality of the hidden-layer sweep. A [1 → H, relu] → [H → 1, identity]
 // model trains under MSE (SequentialModel::LossAndGradients) and predicts
 // (SequentialModel::Predict) through one row-blocked sweep; this suite holds
 // both to the generic layer-by-layer chain — ForwardInto, ComputeLoss,
 // ComputeLossGradInto and BackwardInto for training, one DenseLayer::Apply
 // per layer for prediction — by memcmp, so the sign of a zero and a NaN's
-// payload count (with one exception, explained where it is checked).
+// payload count.
 //
 // Coverage: batch rows {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 33} (below,
 // at and past one and two kHiddenSweepRows-row blocks, with ragged tails)
 // and 0 rows for Predict; input widths {1, 3, 13} (1 takes the sweep; the
 // wider ones must keep the fused head and the layer-by-layer passes, and
-// match just the same); hidden widths {1, 3, 5, 6, 64}; every activation;
-// and NaN, +Inf, -Inf
-// and -0.0 planted in the inputs, the hidden weights, the head weights and
+// match just the same); hidden widths {1, 3, 5, 6, 64}; both activations
+// (an identity hidden layer keeps the layer-by-layer passes too); and NaN,
+// +Inf, -Inf and -0.0 planted in the inputs, the hidden weights, the head weights and
 // the targets, plus targets equal to the predictions (zero gradients).
 // Malformed inputs must fail with the generic chain's status code before
 // any gradient buffer is written. The bit-equality cases run on every copy
@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -44,18 +43,6 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 
 bool SameBits(const Matrix& a, const Matrix& b) {
   return a.SameShape(b) && SameBits(a.data(), b.data());
-}
-
-/// SameBits, except that any two NaNs match.
-bool SameBitsOrBothNaN(const Matrix& a, const Matrix& b) {
-  if (!a.SameShape(b)) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double u = a.data()[i];
-    const double v = b.data()[i];
-    if (std::isnan(u) && std::isnan(v)) continue;
-    if (std::memcmp(&u, &v, sizeof(u)) != 0) return false;
-  }
-  return true;
 }
 
 /// Runs `fn` once on each kernel copy this build and CPU can run.
@@ -123,7 +110,7 @@ Status GenericStep(const SequentialModel& m, const Matrix& x, const Matrix& y,
   const Matrix& pred = ws.layers.back().out;
   QENS_ASSIGN_OR_RETURN(out->loss, ComputeLoss(LossKind::kMse, pred, y));
   Matrix dl;
-  QENS_RETURN_NOT_OK(ComputeLossGradInto(LossKind::kMse, pred, y, &dl));
+  QENS_RETURN_NOT_OK(ComputeLossGradInto(pred, y, &dl));
   QENS_RETURN_NOT_OK(m.BackwardInto(x, dl, &ws));
   out->grads = ws.grads;
   return Status::OK();
@@ -155,44 +142,30 @@ void ExpectSweepMatchesGeneric(const Case& c) {
   StepResult generic;
   ASSERT_TRUE(GenericStep(m, x, y, &generic).ok()) << c.Name();
   TrainWorkspace ws;
-  const double sweep_loss = m.LossAndGradients(LossKind::kMse, x, y, &ws)
-                                .value();
-  if (c.d == 1) {
+  const double sweep_loss = m.LossAndGradients(x, y, &ws).value();
+  if (c.d == 1 && c.act == Activation::kRelu) {
     // The sweep ran: it writes its row tile and none of the layer buffers.
     EXPECT_EQ(ws.sweep_tile.rows(), kHiddenSweepRows) << c.Name();
     EXPECT_TRUE(ws.layers[0].pre.empty()) << c.Name();
     EXPECT_TRUE(ws.layers[1].out.empty()) << c.Name();
   } else {
-    // A wider input keeps the hidden layer's own passes.
+    // A wider input or an identity hidden layer keeps the hidden layer's
+    // own passes.
     EXPECT_TRUE(ws.sweep_tile.empty()) << c.Name();
     EXPECT_EQ(ws.layers[0].pre.rows(), c.rows) << c.Name();
   }
 
   EXPECT_TRUE(SameBits({generic.loss}, {sweep_loss})) << c.Name();
   ASSERT_EQ(ws.grads.size(), 2u);
-  // The one place two different NaNs meet: sigmoid computes exp(-z), so a
-  // NaN planted in x reaches dZ with its sign bit flipped, and the hidden
-  // dW multiplies x by dZ. x86 then returns whichever NaN the instruction
-  // takes as its first operand, and C++ leaves that order to the compiler
-  // (both kernels write x * dZ), so only there do the NaNs just have to
-  // line up; every other bit still has to match.
-  const bool nans_meet = c.act == Activation::kSigmoid &&
-                         c.plant == Plant::kInput && std::isnan(c.special);
-  const Matrix& generic_dw = generic.grads[0].d_weights;
-  const Matrix& sweep_dw = ws.grads[0].d_weights;
-  EXPECT_TRUE(nans_meet ? SameBitsOrBothNaN(generic_dw, sweep_dw)
-                        : SameBits(generic_dw, sweep_dw))
-      << c.Name() << " layer 0 dW";
-  EXPECT_TRUE(SameBits(generic.grads[1].d_weights, ws.grads[1].d_weights))
-      << c.Name() << " layer 1 dW";
   for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(SameBits(generic.grads[i].d_weights, ws.grads[i].d_weights))
+        << c.Name() << " layer " << i << " dW";
     EXPECT_TRUE(SameBits(generic.grads[i].d_bias, ws.grads[i].d_bias))
         << c.Name() << " layer " << i << " db";
   }
 }
 
-const Activation kActivations[] = {Activation::kIdentity, Activation::kRelu,
-                                   Activation::kSigmoid, Activation::kTanh};
+const Activation kActivations[] = {Activation::kIdentity, Activation::kRelu};
 const size_t kUnits[] = {1, 3, 5, 6, 64};
 
 TEST(HiddenSweepTest, MatchesGenericChainBitForBit) {
@@ -250,8 +223,7 @@ TEST(HiddenSweepTest, ExactFitGivesTheGenericSignedZeros) {
           StepResult generic;
           ASSERT_TRUE(GenericStep(m, x, y, &generic).ok());
           TrainWorkspace ws;
-          const double loss = m.LossAndGradients(LossKind::kMse, x, y, &ws)
-                                  .value();
+          const double loss = m.LossAndGradients(x, y, &ws).value();
           EXPECT_EQ(loss, 0.0) << c.Name();
           EXPECT_TRUE(SameBits({generic.loss}, {loss})) << c.Name();
           for (size_t i = 0; i < 2; ++i) {
@@ -283,7 +255,7 @@ TEST(HiddenSweepTest, PredictOnZeroRows) {
 
 TEST(HiddenSweepTest, MalformedInputsFailLikeTheGenericChain) {
   for (size_t d : {size_t{1}, size_t{3}}) {
-    const Case c{4, d, 5, Activation::kTanh, Plant::kNone, 0.0};
+    const Case c{4, d, 5, Activation::kRelu, Plant::kNone, 0.0};
     Rng rng(9);
     const SequentialModel m = MakeModel(c, &rng);
     Matrix x(4, d);
@@ -291,7 +263,7 @@ TEST(HiddenSweepTest, MalformedInputsFailLikeTheGenericChain) {
     for (double& v : x.data()) v = rng.Uniform(-1, 1);
     for (double& v : y.data()) v = rng.Uniform(-1, 1);
     TrainWorkspace ws;
-    ASSERT_TRUE(m.LossAndGradients(LossKind::kMse, x, y, &ws).ok());
+    ASSERT_TRUE(m.LossAndGradients(x, y, &ws).ok());
     const std::vector<DenseGradients> before = ws.grads;
 
     struct Bad {
@@ -308,8 +280,7 @@ TEST(HiddenSweepTest, MalformedInputsFailLikeTheGenericChain) {
     for (const Bad& b : bad) {
       StepResult unused;
       const Status generic = GenericStep(m, b.x, b.y, &unused);
-      const Status sweep =
-          m.LossAndGradients(LossKind::kMse, b.x, b.y, &ws).status();
+      const Status sweep = m.LossAndGradients(b.x, b.y, &ws).status();
       ASSERT_FALSE(generic.ok()) << b.what;
       EXPECT_EQ(sweep.code(), generic.code())
           << b.what << ": " << sweep.ToString() << " vs "

@@ -31,7 +31,7 @@ SequentialModel RandomModel(Rng* rng, bool with_specials) {
   size_t in = 1 + rng->UniformInt(6);
   for (size_t l = 0; l < layers; ++l) {
     const size_t out = 1 + rng->UniformInt(6);
-    const auto act = static_cast<Activation>(rng->UniformInt(4));
+    const auto act = static_cast<Activation>(rng->UniformInt(2));
     EXPECT_TRUE(model.AddLayer(in, out, act).ok());
     in = out;
   }
@@ -237,7 +237,7 @@ TEST(ModelCodecTest, DeltaAndAbsoluteDecodersAreNotInterchangeable) {
 
 TEST(ModelCodecTest, StrictDecodeRejectsCorruption) {
   SequentialModel model;
-  ASSERT_TRUE(model.AddLayer(3, 2, Activation::kTanh).ok());
+  ASSERT_TRUE(model.AddLayer(3, 2, Activation::kRelu).ok());
   ASSERT_TRUE(model.AddLayer(2, 1, Activation::kIdentity).ok());
   auto encoded = EncodeModel(model, WireCodecKind::kRawF64);
   ASSERT_TRUE(encoded.ok());
@@ -267,10 +267,34 @@ TEST(ModelCodecTest, StrictDecodeRejectsCorruption) {
   bad = good;
   bad[7] = char(0x80);  // unknown flag bit
   EXPECT_FALSE(DecodeModel(bad).ok());
-  // Unknown activation byte (first layer spec at offset 12, act at +8).
-  bad = good;
-  bad[12 + 8] = 17;
-  EXPECT_FALSE(DecodeModel(bad).ok());
+  // Activation bytes (first layer spec at offset 12, act at +8): 0
+  // (identity) and 1 (relu) are the only valid ones. 2 and 3 named sigmoid
+  // and tanh once and are now unknown like any other byte, in an absolute
+  // model and in a delta alike.
+  auto delta = EncodeModelDelta(model, model, WireCodecKind::kRawF64);
+  ASSERT_TRUE(delta.ok());
+  for (int act : {0, 1}) {
+    bad = good;
+    bad[12 + 8] = static_cast<char>(act);
+    auto decoded = DecodeModel(bad);
+    ASSERT_TRUE(decoded.ok()) << act;
+    EXPECT_EQ(static_cast<int>(decoded->layer(0).activation()), act);
+  }
+  EXPECT_TRUE(DecodeModelDelta(*delta, model).ok());
+  for (int act : {2, 3, 17}) {
+    bad = good;
+    bad[12 + 8] = static_cast<char>(act);
+    const Status absolute = DecodeModel(bad).status();
+    EXPECT_TRUE(absolute.IsInvalidArgument()) << act;
+    EXPECT_NE(absolute.message().find("unknown activation"), std::string::npos)
+        << absolute.ToString();
+    std::string bad_delta = *delta;
+    bad_delta[12 + 8] = static_cast<char>(act);
+    const Status relative = DecodeModelDelta(bad_delta, model).status();
+    EXPECT_TRUE(relative.IsInvalidArgument()) << act;
+    EXPECT_NE(relative.message().find("unknown activation"), std::string::npos)
+        << relative.ToString();
+  }
   // Zero layer width.
   bad = good;
   bad[12] = bad[13] = bad[14] = bad[15] = 0;

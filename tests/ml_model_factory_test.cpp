@@ -16,7 +16,6 @@ TEST(ModelFactoryTest, PaperHyperParamsLR) {
   EXPECT_EQ(hp.epochs, 100u);
   EXPECT_DOUBLE_EQ(hp.validation_split, 0.2);
   EXPECT_DOUBLE_EQ(hp.learning_rate, 0.03);
-  EXPECT_EQ(hp.loss, LossKind::kMse);
   EXPECT_EQ(hp.optimizer, "sgd");
 }
 
@@ -26,8 +25,6 @@ TEST(ModelFactoryTest, PaperHyperParamsNN) {
   EXPECT_EQ(hp.epochs, 100u);
   EXPECT_DOUBLE_EQ(hp.validation_split, 0.2);
   EXPECT_DOUBLE_EQ(hp.learning_rate, 0.001);
-  EXPECT_EQ(hp.hidden_activation, Activation::kRelu);
-  EXPECT_EQ(hp.loss, LossKind::kMse);
   EXPECT_EQ(hp.optimizer, "adam");
 }
 
@@ -72,7 +69,6 @@ TEST(ModelFactoryTest, TrainerCarriesTableIIIOptions) {
   ASSERT_TRUE(trainer.ok());
   EXPECT_EQ((*trainer)->options().epochs, 100u);
   EXPECT_DOUBLE_EQ((*trainer)->options().validation_split, 0.2);
-  EXPECT_EQ((*trainer)->options().loss, LossKind::kMse);
 }
 
 TEST(ModelFactoryTest, LrEndToEndFitsALine) {

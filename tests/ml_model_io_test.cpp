@@ -33,7 +33,7 @@ TEST(ModelIoTest, SerializedBytesMatchesRawWireSizeOnSpecials) {
   // The byte count is closed-form from the architecture: specials and the
   // empty model price exactly like their raw encodings.
   SequentialModel m;
-  ASSERT_TRUE(m.AddLayer(3, 2, Activation::kTanh).ok());
+  ASSERT_TRUE(m.AddLayer(3, 2, Activation::kRelu).ok());
   ASSERT_TRUE(m
                   .SetParameters({std::numeric_limits<double>::quiet_NaN(),
                                   std::numeric_limits<double>::infinity(),

@@ -45,9 +45,7 @@ TEST(SequentialModelTest, EmptyModelFails) {
   EXPECT_TRUE(m.Predict(x).status().IsFailedPrecondition());
   TrainWorkspace ws;
   EXPECT_TRUE(m.ForwardInto(x, &ws).IsFailedPrecondition());
-  EXPECT_TRUE(m.LossAndGradients(LossKind::kMse, x, x, &ws)
-                  .status()
-                  .IsFailedPrecondition());
+  EXPECT_TRUE(m.LossAndGradients(x, x, &ws).status().IsFailedPrecondition());
   EXPECT_EQ(m.input_features(), 0u);
 }
 
@@ -85,7 +83,7 @@ TEST(SequentialModelTest, ForwardThenBackwardShapes) {
   const Matrix& y = ws.layers.back().out;
   EXPECT_EQ(y, m.Predict(x).value());
   Matrix dl;
-  ASSERT_TRUE(ComputeLossGradInto(LossKind::kMse, y, target, &dl).ok());
+  ASSERT_TRUE(ComputeLossGradInto(y, target, &dl).ok());
   ASSERT_TRUE(m.BackwardInto(x, dl, &ws).ok());
   ASSERT_EQ(ws.grads.size(), 2u);
   EXPECT_TRUE(ws.grads[0].d_weights.SameShape(m.layer(0).weights()));
@@ -99,7 +97,7 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(SequentialModelTest, FusedStepIsBitIdenticalToGenericPath) {
   // LR (the head is the first layer) and NN (the head feeds dX back into
-  // the hidden layer): LossAndGradients under MSE takes the fused head;
+  // the hidden layer): LossAndGradients takes the fused head;
   // the explicit ForwardInto / loss / BackwardInto chain is the generic
   // path. Every gradient and the loss must agree bit for bit.
   for (size_t hidden : {size_t{0}, size_t{5}, size_t{64}}) {
@@ -122,12 +120,11 @@ TEST(SequentialModelTest, FusedStepIsBitIdenticalToGenericPath) {
     const Matrix& pred = generic.layers.back().out;
     const double generic_loss = ComputeLoss(LossKind::kMse, pred, y).value();
     Matrix dl;
-    ASSERT_TRUE(ComputeLossGradInto(LossKind::kMse, pred, y, &dl).ok());
+    ASSERT_TRUE(ComputeLossGradInto(pred, y, &dl).ok());
     ASSERT_TRUE(m.BackwardInto(x, dl, &generic).ok());
 
     TrainWorkspace fused;
-    const double fused_loss =
-        m.LossAndGradients(LossKind::kMse, x, y, &fused).value();
+    const double fused_loss = m.LossAndGradients(x, y, &fused).value();
     EXPECT_TRUE(SameBits({generic_loss}, {fused_loss})) << hidden;
     ASSERT_EQ(fused.grads.size(), generic.grads.size());
     for (size_t i = 0; i < fused.grads.size(); ++i) {
@@ -192,22 +189,25 @@ TEST(SequentialModelTest, PredictColumnIntoRejectsSeveralOutputs) {
 
 TEST(SequentialModelTest, WorkspaceIsReusedAcrossBatchShapes) {
   // One workspace serves batches of different sizes (a ragged last batch,
-  // then a full one again) and gives the same gradients as a fresh one.
+  // then a full one again) and gives the same gradients as a fresh one, on
+  // the fused head and, with a ReLU output unit, on the generic path.
   Rng rng(15);
-  SequentialModel m = TwoLayerNet(&rng);
   Matrix big(6, 2), small(2, 2), ybig(6, 1), ysmall(2, 1);
   for (double& v : big.data()) v = rng.Uniform(-1, 1);
   for (double& v : small.data()) v = rng.Uniform(-1, 1);
   for (double& v : ybig.data()) v = rng.Uniform(-1, 1);
   for (double& v : ysmall.data()) v = rng.Uniform(-1, 1);
-  for (LossKind loss : {LossKind::kMse, LossKind::kHuber}) {
+  for (Activation head : {Activation::kIdentity, Activation::kRelu}) {
+    SequentialModel m;
+    ASSERT_TRUE(m.AddLayer(2, 4, Activation::kRelu).ok());
+    ASSERT_TRUE(m.AddLayer(4, 1, head).ok());
+    m.InitWeights(&rng);
     TrainWorkspace reused;
-    ASSERT_TRUE(m.LossAndGradients(loss, big, ybig, &reused).ok());
-    ASSERT_TRUE(m.LossAndGradients(loss, small, ysmall, &reused).ok());
-    const double reused_loss =
-        m.LossAndGradients(loss, big, ybig, &reused).value();
+    ASSERT_TRUE(m.LossAndGradients(big, ybig, &reused).ok());
+    ASSERT_TRUE(m.LossAndGradients(small, ysmall, &reused).ok());
+    const double reused_loss = m.LossAndGradients(big, ybig, &reused).value();
     TrainWorkspace fresh;
-    EXPECT_EQ(reused_loss, m.LossAndGradients(loss, big, ybig, &fresh).value());
+    EXPECT_EQ(reused_loss, m.LossAndGradients(big, ybig, &fresh).value());
     for (size_t i = 0; i < m.num_layers(); ++i) {
       EXPECT_EQ(reused.grads[i].d_weights, fresh.grads[i].d_weights);
       EXPECT_EQ(reused.grads[i].d_bias, fresh.grads[i].d_bias);
@@ -252,7 +252,7 @@ TEST(SequentialModelTest, SameArchitecture) {
   EXPECT_TRUE(a.SameArchitecture(b));
 
   SequentialModel c;
-  ASSERT_TRUE(c.AddLayer(2, 4, Activation::kTanh).ok());  // Different act.
+  ASSERT_TRUE(c.AddLayer(2, 4, Activation::kIdentity).ok());  // Different act.
   ASSERT_TRUE(c.AddLayer(4, 1, Activation::kIdentity).ok());
   EXPECT_FALSE(a.SameArchitecture(c));
 
@@ -264,9 +264,9 @@ TEST(SequentialModelTest, SameArchitecture) {
 
 TEST(SequentialModelTest, DeepStackForward) {
   SequentialModel m;
-  ASSERT_TRUE(m.AddLayer(1, 3, Activation::kTanh).ok());
-  ASSERT_TRUE(m.AddLayer(3, 3, Activation::kTanh).ok());
-  ASSERT_TRUE(m.AddLayer(3, 2, Activation::kSigmoid).ok());
+  ASSERT_TRUE(m.AddLayer(1, 3, Activation::kRelu).ok());
+  ASSERT_TRUE(m.AddLayer(3, 3, Activation::kIdentity).ok());
+  ASSERT_TRUE(m.AddLayer(3, 2, Activation::kRelu).ok());
   ASSERT_TRUE(m.AddLayer(2, 1, Activation::kIdentity).ok());
   Rng rng(17);
   m.InitWeights(&rng);

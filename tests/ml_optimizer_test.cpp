@@ -1,5 +1,5 @@
-// Tests for SGD and Adam: single-step math, convergence on a convex
-// problem, state reset, factory. Adam's update is checked in its ε̂ form
+// Tests for SGD and Adam: single-step math, SGD's stateless update,
+// convergence on a convex problem, state reset, factory. Adam's update is checked in its ε̂ form
 // bit for bit against a scalar reference, told apart from the ε placement
 // inside the bias correction, and run on both kernel copies
 // (qens/ml/kernel_isa.h) with planted special values, which must agree
@@ -33,7 +33,7 @@ SequentialModel ScalarModel(double w, double b) {
 std::vector<DenseGradients> GradsOf(SequentialModel* m, const Matrix& x,
                                     const Matrix& y) {
   TrainWorkspace ws;
-  EXPECT_TRUE(m->LossAndGradients(LossKind::kMse, x, y, &ws).ok());
+  EXPECT_TRUE(m->LossAndGradients(x, y, &ws).ok());
   return ws.grads;
 }
 
@@ -60,22 +60,56 @@ TEST(SgdTest, ConvergesOnLinearProblem) {
   EXPECT_NEAR(m.layer(0).bias()[0], -1.0, 1e-6);
 }
 
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  Matrix x{{1}};
-  Matrix y{{10}};
-  SequentialModel plain = ScalarModel(0.0, 0.0);
-  SequentialModel with_mom = ScalarModel(0.0, 0.0);
-  SgdOptimizer sgd(0.01);
-  SgdOptimizer mom(0.01, 0.9);
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(sgd.Step(&plain, GradsOf(&plain, x, y)).ok());
-    ASSERT_TRUE(mom.Step(&with_mom, GradsOf(&with_mom, x, y)).ok());
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SgdTest, EveryStepIsThePlainUpdate) {
+  // θ −= lr·g on every step, whatever came before: SGD keeps no state, so
+  // the second step is the first one's formula on the new parameters.
+  SequentialModel m = ScalarModel(0.7, -0.2);
+  Matrix x{{1.5}, {-0.5}};
+  Matrix y{{2.0}, {1.0}};
+  SgdOptimizer sgd(0.03);
+  for (int step = 0; step < 3; ++step) {
+    const std::vector<DenseGradients> g = GradsOf(&m, x, y);
+    const double w = m.layer(0).weights()(0, 0) - 0.03 * g[0].d_weights(0, 0);
+    const double b = m.layer(0).bias()[0] - 0.03 * g[0].d_bias[0];
+    ASSERT_TRUE(sgd.Step(&m, g).ok());
+    EXPECT_TRUE(SameBits(m.layer(0).weights()(0, 0), w)) << step;
+    EXPECT_TRUE(SameBits(m.layer(0).bias()[0], b)) << step;
   }
-  const double plain_err =
-      ComputeLoss(LossKind::kMse, plain.Predict(x).value(), y).value();
-  const double mom_err =
-      ComputeLoss(LossKind::kMse, with_mom.Predict(x).value(), y).value();
-  EXPECT_LT(mom_err, plain_err);
+}
+
+TEST(SgdTest, ZeroStepsFollowIeeeSubtraction) {
+  // A zero step is p − (±0.0): a +0.0 parameter stays +0.0 either way,
+  // and a -0.0 one stays -0.0 under a +0.0 step (lr·g with g = +0.0) and
+  // becomes +0.0 under a -0.0 one. The all-zero fixed point of the pins
+  // (every parameter and gradient +0.0) therefore stays put.
+  struct ZeroCase {
+    double w;
+    double g;
+    double expected;
+  };
+  for (const ZeroCase& c : {ZeroCase{0.0, 0.0, 0.0}, ZeroCase{0.0, -0.0, 0.0},
+                            ZeroCase{-0.0, 0.0, -0.0},
+                            ZeroCase{-0.0, -0.0, 0.0}}) {
+    SequentialModel m = ScalarModel(c.w, c.w);
+    std::vector<DenseGradients> grads(1);
+    grads[0].d_weights = Matrix{{c.g}};
+    grads[0].d_bias = {c.g};
+    SgdOptimizer sgd(0.03);
+    ASSERT_TRUE(sgd.Step(&m, grads).ok());
+    EXPECT_TRUE(SameBits(m.layer(0).weights()(0, 0), c.expected))
+        << c.w << " " << c.g;
+    EXPECT_TRUE(SameBits(m.layer(0).bias()[0], c.expected))
+        << c.w << " " << c.g;
+  }
 }
 
 TEST(AdamTest, FirstStepIsLearningRateSized) {
@@ -107,15 +141,6 @@ std::vector<KernelIsa> RunnableIsas() {
   std::vector<KernelIsa> isas{KernelIsa::kBaseline};
   if (internal::Avx2KernelsAvailable()) isas.push_back(KernelIsa::kAvx2);
   return isas;
-}
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(a)) == 0;
-}
-
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 /// Scalar Adam in Kingma & Ba's ε̂ form, the test's own reference.
@@ -256,14 +281,14 @@ TEST(OptimizerTest, ResetClearsState) {
   SequentialModel m = ScalarModel(0.0, 0.0);
   Matrix x{{1}};
   Matrix y{{5}};
-  SgdOptimizer mom(0.01, 0.9);
-  ASSERT_TRUE(mom.Step(&m, GradsOf(&m, x, y)).ok());
+  AdamOptimizer adam(0.01);
+  ASSERT_TRUE(adam.Step(&m, GradsOf(&m, x, y)).ok());
   const double w_after_one = m.layer(0).weights()(0, 0);
 
   // Fresh model + reset optimizer should reproduce step one exactly.
   SequentialModel m2 = ScalarModel(0.0, 0.0);
-  mom.Reset();
-  ASSERT_TRUE(mom.Step(&m2, GradsOf(&m2, x, y)).ok());
+  adam.Reset();
+  ASSERT_TRUE(adam.Step(&m2, GradsOf(&m2, x, y)).ok());
   EXPECT_DOUBLE_EQ(m2.layer(0).weights()(0, 0), w_after_one);
 }
 

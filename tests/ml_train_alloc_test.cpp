@@ -3,21 +3,23 @@
 // asserts:
 //   - after one warm-up batch, Trainer::TrainBatch makes zero heap
 //     allocations per batch, on the fused MSE head (LR and NN), on the
-//     hidden-layer sweep and on the generic path (MAE, Huber), with every
-//     optimizer, including a smaller ragged batch;
+//     hidden-layer sweep and on the generic path (a ReLU output unit), with
+//     both optimizers, including a smaller ragged batch;
 //   - a Fit's allocation count is set-up only: a second Fit makes the
 //     same number of allocations at 5 epochs as at 50, on whole matrices
 //     (the sweep's per-epoch validation pass included) and on a row-id view
 //     (whose batches the fused LR fit reads in place and every other fit
-//     gathers into the trainer's workspace), under SGD, momentum and Adam;
+//     gathers into the trainer's workspace), under SGD and Adam;
 //   - Predict on the hidden-layer sweep (the paper NN's shape) allocates
 //     the same number of blocks for 1 row as for 1000, and at 1000 rows its
 //     largest block is the 1000 x 1 prediction: no batch x H intermediate,
 //     so its row tile does not grow with the batch.
 //
-// The nn_*_fused cases are [13 -> 64 relu] -> [64 -> 1 identity] under MSE,
-// so they run the fused head below the hidden layer's own passes; the
-// nn_*_sweep cases take one input, so they run the hidden-layer sweep.
+// The nn_*_fused cases are [13 -> 64 relu] -> [64 -> 1 identity], so they
+// run the fused head below the hidden layer's own passes; the nn_*_sweep
+// cases take one input, so they run the hidden-layer sweep; the *_generic
+// cases end in a ReLU unit, which is no linear scalar head, so they run
+// ForwardInto, the MSE gradient and BackwardInto.
 
 #include <gtest/gtest.h>
 
@@ -85,23 +87,24 @@ TEST(TrainAllocTest, CounterSeesAllocations) {
   EXPECT_GE(n, 2u);
 }
 
-enum class Opt { kSgd, kMomentum, kAdam };
+enum class Opt { kSgd, kAdam };
 
 struct StepCase {
   const char* name;
   size_t hidden;  ///< 0 = LR.
-  LossKind loss;
+  Activation head;  ///< kRelu takes the generic path.
   Opt opt;
   size_t features = 13;
 };
 
-SequentialModel MakeModel(size_t features, size_t hidden) {
+SequentialModel MakeModel(size_t features, size_t hidden,
+                          Activation head = Activation::kIdentity) {
   SequentialModel m;
   if (hidden == 0) {
-    EXPECT_TRUE(m.AddLayer(features, 1, Activation::kIdentity).ok());
+    EXPECT_TRUE(m.AddLayer(features, 1, head).ok());
   } else {
     EXPECT_TRUE(m.AddLayer(features, hidden, Activation::kRelu).ok());
-    EXPECT_TRUE(m.AddLayer(hidden, 1, Activation::kIdentity).ok());
+    EXPECT_TRUE(m.AddLayer(hidden, 1, head).ok());
   }
   Rng rng(3);
   m.InitWeights(&rng);
@@ -112,8 +115,6 @@ std::unique_ptr<Optimizer> MakeOpt(Opt opt) {
   switch (opt) {
     case Opt::kSgd:
       return std::make_unique<SgdOptimizer>(0.01);
-    case Opt::kMomentum:
-      return std::make_unique<SgdOptimizer>(0.01, 0.9);
     case Opt::kAdam:
       return std::make_unique<AdamOptimizer>(0.001);
   }
@@ -133,10 +134,8 @@ class TrainBatchAllocTest : public ::testing::TestWithParam<StepCase> {};
 
 TEST_P(TrainBatchAllocTest, ZeroAllocationsPerBatchAfterWarmUp) {
   const StepCase& c = GetParam();
-  SequentialModel model = MakeModel(c.features, c.hidden);
-  TrainOptions options;
-  options.loss = c.loss;
-  Trainer trainer(MakeOpt(c.opt), options);
+  SequentialModel model = MakeModel(c.features, c.hidden, c.head);
+  Trainer trainer(MakeOpt(c.opt), TrainOptions{});
   Matrix x, y, x_tail, y_tail;
   RandomData(32, c.features, 7, &x, &y);
   RandomData(5, c.features, 8, &x_tail, &y_tail);  // A ragged last batch.
@@ -152,14 +151,14 @@ TEST_P(TrainBatchAllocTest, ZeroAllocationsPerBatchAfterWarmUp) {
 }
 
 const StepCase kStepCases[] = {
-    {"lr_mse_sgd_fused", 0, LossKind::kMse, Opt::kSgd},
-    {"nn_mse_adam_fused", 64, LossKind::kMse, Opt::kAdam},
-    {"nn_mse_momentum_fused", 64, LossKind::kMse, Opt::kMomentum},
-    {"nn_mse_adam_sweep", 64, LossKind::kMse, Opt::kAdam, 1},
-    {"nn_mse_momentum_sweep", 64, LossKind::kMse, Opt::kMomentum, 1},
-    {"lr_mae_sgd_generic", 0, LossKind::kMae, Opt::kSgd},
-    {"nn_mae_adam_generic", 64, LossKind::kMae, Opt::kAdam},
-    {"nn_huber_momentum_generic", 64, LossKind::kHuber, Opt::kMomentum},
+    {"lr_mse_sgd_fused", 0, Activation::kIdentity, Opt::kSgd},
+    {"nn_mse_adam_fused", 64, Activation::kIdentity, Opt::kAdam},
+    {"nn_mse_sgd_fused", 64, Activation::kIdentity, Opt::kSgd},
+    {"nn_mse_adam_sweep", 64, Activation::kIdentity, Opt::kAdam, 1},
+    {"nn_mse_sgd_sweep", 64, Activation::kIdentity, Opt::kSgd, 1},
+    {"lr_relu_sgd_generic", 0, Activation::kRelu, Opt::kSgd},
+    {"nn_relu_adam_generic", 64, Activation::kRelu, Opt::kAdam},
+    {"nn_relu_sgd_generic", 64, Activation::kRelu, Opt::kSgd},
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,14 +168,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// Allocations of the second Fit of a trainer at `epochs` epochs.
-uint64_t SecondFitAllocs(size_t features, size_t hidden, LossKind loss,
+uint64_t SecondFitAllocs(size_t features, size_t hidden, Activation head,
                          Opt opt, size_t epochs, double validation_split) {
-  SequentialModel model = MakeModel(features, hidden);
+  SequentialModel model = MakeModel(features, hidden, head);
   Matrix x, y;
   RandomData(100, features, 11, &x, &y);  // Ends in a ragged batch.
   TrainOptions options;
   options.epochs = epochs;
-  options.loss = loss;
   options.validation_split = validation_split;
   Trainer trainer(MakeOpt(opt), options);
   EXPECT_TRUE(trainer.Fit(&model, x, y).ok());
@@ -184,20 +182,21 @@ uint64_t SecondFitAllocs(size_t features, size_t hidden, LossKind loss,
 }
 
 TEST(TrainAllocTest, FitAllocationsDoNotGrowWithEpochs) {
-  // One feature into 16 units under MSE trains and validates through the
-  // hidden-layer sweep; LR under MSE and SGD through the fused LR fit.
+  // One feature into 16 units trains and validates through the
+  // hidden-layer sweep; LR under SGD through the fused LR fit; a ReLU
+  // output unit through the generic path.
   for (size_t features : {size_t{1}, size_t{4}}) {
     for (size_t hidden : {size_t{0}, size_t{16}}) {
-      for (LossKind loss : {LossKind::kMse, LossKind::kMae}) {
-        for (Opt opt : {Opt::kSgd, Opt::kMomentum, Opt::kAdam}) {
+      for (Activation head : {Activation::kIdentity, Activation::kRelu}) {
+        for (Opt opt : {Opt::kSgd, Opt::kAdam}) {
           for (double val : {0.0, 0.2}) {
             const uint64_t at5 =
-                SecondFitAllocs(features, hidden, loss, opt, 5, val);
+                SecondFitAllocs(features, hidden, head, opt, 5, val);
             const uint64_t at50 =
-                SecondFitAllocs(features, hidden, loss, opt, 50, val);
+                SecondFitAllocs(features, hidden, head, opt, 50, val);
             EXPECT_EQ(at5, at50)
                 << "features=" << features << " hidden=" << hidden
-                << " loss=" << LossName(loss)
+                << " head=" << ActivationName(head)
                 << " opt=" << static_cast<int>(opt) << " val=" << val;
             EXPECT_GT(at5, 0u);  // Per-Fit set-up (index vectors, report).
           }
@@ -231,7 +230,7 @@ TEST(TrainAllocTest, RowViewFitMakesNoAllocationPerBatch) {
   // SGD reads its batches through the fused LR fit, the rest gather them.
   for (size_t features : {size_t{1}, size_t{4}}) {
     for (size_t hidden : {size_t{0}, size_t{16}}) {
-      for (Opt opt : {Opt::kSgd, Opt::kMomentum, Opt::kAdam}) {
+      for (Opt opt : {Opt::kSgd, Opt::kAdam}) {
         const uint64_t at5 = SecondRowViewFitAllocs(features, hidden, opt, 5);
         const uint64_t at50 =
             SecondRowViewFitAllocs(features, hidden, opt, 50);

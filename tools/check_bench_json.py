@@ -11,7 +11,17 @@ Schema (schema_version 1, see docs/OBSERVABILITY.md):
                   "values": {str: finite number, ...}}, ...]}
 
 Usage: check_bench_json.py <file.json> [<file.json> ...]
-Exits 0 when every file validates, 1 otherwise. Stdlib only.
+                            [--match <fresh.json>=<committed.json> ...]
+
+Each --match also requires the fresh output of a deterministic bench to
+equal its committed record file: the same bench name, schema version and
+records, every label and value exactly (JSON numbers are compared as the
+doubles they parse to). Only the top-level wall_seconds, a measured time,
+may differ. A committed BENCH_*.json that the binary no longer reproduces
+fails here.
+
+Exits 0 when every file validates and every pair matches, 1 otherwise.
+Stdlib only.
 """
 
 import json
@@ -140,11 +150,64 @@ def check_file(path):
     return True
 
 
+def load(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def check_match(fresh_path, committed_path):
+    where = f"{fresh_path} vs {committed_path}"
+    try:
+        fresh = load(fresh_path)
+        committed = load(committed_path)
+    except (OSError, json.JSONDecodeError) as e:
+        return fail(where, f"unreadable or invalid JSON: {e}")
+    for key in ("bench", "schema_version"):
+        if fresh.get(key) != committed.get(key):
+            return fail(where, f"'{key}' {fresh.get(key)!r} != "
+                               f"{committed.get(key)!r}")
+    a = fresh.get("records", [])
+    b = committed.get("records", [])
+    if len(a) != len(b):
+        return fail(where, f"{len(a)} records != {len(b)} committed")
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x == y:
+            continue
+        name = x.get("name")
+        if name != y.get("name") or x.get("labels") != y.get("labels"):
+            return fail(where, f"records[{i}] is {name!r} "
+                               f"{x.get('labels')!r}, committed "
+                               f"{y.get('name')!r} {y.get('labels')!r}")
+        xv = x.get("values", {})
+        yv = y.get("values", {})
+        for k in sorted(set(xv) | set(yv)):
+            if xv.get(k) != yv.get(k):
+                return fail(where, f"records[{i}] {name!r} value {k!r}: "
+                                   f"{xv.get(k)!r} != committed "
+                                   f"{yv.get(k)!r}")
+        return fail(where, f"records[{i}] {name!r} differs")
+    print(f"{where}: OK (records identical)")
+    return True
+
+
 def main(argv):
-    if len(argv) < 2:
+    files = []
+    pairs = []
+    args = argv[1:]
+    while args:
+        arg = args.pop(0)
+        if arg == "--match":
+            if not args or "=" not in args[0]:
+                print("--match needs <fresh.json>=<committed.json>")
+                return 2
+            pairs.append(tuple(args.pop(0).split("=", 1)))
+        else:
+            files.append(arg)
+    if not files and not pairs:
         print(__doc__.strip())
         return 2
-    ok = all([check_file(p) for p in argv[1:]])
+    ok = all([check_file(p) for p in files])
+    ok = all([check_match(f, c) for f, c in pairs]) and ok
     return 0 if ok else 1
 
 
